@@ -4,12 +4,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: help test test-fast bench-smoke bench serve smoke clean
+.PHONY: help test test-fast bench-smoke ledger-smoke bench serve smoke clean
 
 help:
 	@echo "make test         - run the full test suite"
 	@echo "make test-fast    - the suite minus the slow concurrency hammers"
 	@echo "make bench-smoke  - benchmark scripts at tiny sizes (REPRO_BENCH_SMOKE=1)"
+	@echo "make ledger-smoke - 5 s traced ledger runs of full_ranking + herd_miss (failed = 0, every traced target resolves)"
 	@echo "make bench        - the full benchmark suite (slow; rewrites results/)"
 	@echo "make serve        - the HTTP ranking gateway on :8080"
 	@echo "make smoke        - start the gateway, hit /healthz + /rank, shut down"
@@ -34,6 +35,9 @@ bench-smoke:
 		benchmarks/bench_e17_batching.py \
 		benchmarks/bench_e18_gateway.py \
 		benchmarks/bench_e7_multiuser.py
+
+ledger-smoke:
+	$(PYTHON) scripts/ledger_smoke.py
 
 bench:
 	$(PYTHON) -m pytest -q benchmarks

@@ -36,6 +36,7 @@ from repro.core import (
     bind_rules,
     prune_rules,
     score_document,
+    score_values,
     split_trivial_documents,
 )
 from repro.dl.vocabulary import Individual
@@ -150,11 +151,11 @@ def test_e10_kernel_speedup(world, save_result, save_json):
         if HAVE_NUMPY:
             numpy_scored = run_kernel("numpy")
             numpy_seconds = best_of(lambda: run_kernel("numpy"))
-            for score in numpy_scored:
+            for score in numpy_scored.values():
                 assert score.value == pytest.approx(
                     reference[score.document].value, abs=1e-9
                 )
-        for score in python_scored:
+        for score in python_scored.values():
             assert score.value == pytest.approx(
                 reference[score.document].value, abs=1e-9
             )
@@ -224,8 +225,8 @@ def test_e10_incremental_rescoring(world, save_result, save_json):
         )
         return kernel.with_context(bindings).score_documents()
 
-    cold_scores = {score.document: score.value for score in cold()}
-    incremental_scores = {score.document: score.value for score in incremental()}
+    cold_scores = score_values(cold())
+    incremental_scores = score_values(incremental())
     assert incremental_scores == pytest.approx(cold_scores, abs=1e-12)
 
     cold_seconds = best_of(cold)
@@ -261,7 +262,7 @@ def test_e10_top_k(world):
     problem = tile_problem(_bound_problem(world, rules), candidates)
     kernel = ScoringKernel.compile(problem)
     full = sorted(
-        kernel.score_documents(), key=lambda score: (-score.value, score.document)
+        kernel.score_documents().values(), key=lambda score: (-score.value, score.document)
     )
     top = kernel.rank_top_k(min(TOP_K, candidates))
     assert [(s.document, s.value) for s in top] == [

@@ -23,6 +23,14 @@ Design points:
   ``ttl=None`` (or ``0``) disables expiry: correctness never depends
   on TTL here (keys already die with the context signature), it only
   bounds staleness against *external* knowledge mutations.
+* **A byte budget beside the entry bound.**  A body that knows its
+  encoded size (``nbytes`` — the pipeline's ``RankBody`` reports the
+  length of its ``items`` fragment) is charged for it; anything else is
+  charged a flat :data:`SMALL_BODY_BYTES`.  Each shard evicts LRU until
+  it is back under its share of :data:`MAX_CACHE_BYTES`, so 4 096
+  entries of full rankings can no longer add up to a gigabyte.  The
+  budget is a constant, not a tunable: it exists to bound the worst
+  case, and the entry bound stays the knob.
 * **Per-tenant purge.**  Each shard maintains a tenant → keys index,
   so :meth:`invalidate_tenant` is O(tenant's entries), not a scan.
 * **Family fallback.**  ``put`` records the most recent key per
@@ -43,21 +51,30 @@ from typing import Callable
 from repro.cache.protocol import ResponseCacheInfo, StaleHit
 from repro.errors import EngineConfigError
 
-__all__ = ["InMemoryCacheAdapter"]
+__all__ = ["InMemoryCacheAdapter", "MAX_CACHE_BYTES", "SMALL_BODY_BYTES"]
+
+#: Whole-cache bound on stored body bytes (split evenly across shards).
+MAX_CACHE_BYTES = 64 * 1024 * 1024
+
+#: What a body that does not report ``nbytes`` is charged.
+SMALL_BODY_BYTES = 512
 
 
 class _Entry:
-    __slots__ = ("body", "tenant", "expires_at", "stored_at", "family", "expiry_counted")
+    __slots__ = (
+        "body", "nbytes", "tenant", "expires_at", "stored_at", "family", "expiry_counted"
+    )
 
     def __init__(
         self,
-        body: dict,
+        body: object,
         tenant: str | None,
         expires_at: float | None,
         stored_at: float,
         family: str | None,
     ):
         self.body = body
+        self.nbytes = getattr(body, "nbytes", SMALL_BODY_BYTES)
         self.tenant = tenant
         self.expires_at = expires_at
         self.stored_at = stored_at
@@ -73,6 +90,8 @@ class _CacheShard:
         "entries",
         "by_tenant",
         "max_entries",
+        "max_bytes",
+        "bytes",
         "hits",
         "misses",
         "evictions",
@@ -80,11 +99,13 @@ class _CacheShard:
         "invalidations",
     )
 
-    def __init__(self, max_entries: int):
+    def __init__(self, max_entries: int, max_bytes: int):
         self.lock = threading.Lock()
         self.entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self.by_tenant: dict[str, set[str]] = {}
         self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        self.bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -95,6 +116,7 @@ class _CacheShard:
         entry = self.entries.pop(key, None)
         if entry is None:
             return
+        self.bytes -= entry.nbytes
         if entry.tenant is not None:
             keys = self.by_tenant.get(entry.tenant)
             if keys is not None:
@@ -153,7 +175,7 @@ class InMemoryCacheAdapter:
         self._clock = clock
         base, extra = divmod(max_entries, self.shards)
         self._shards = tuple(
-            _CacheShard(base + (1 if index < extra else 0))
+            _CacheShard(base + (1 if index < extra else 0), MAX_CACHE_BYTES // self.shards)
             for index in range(self.shards)
         )
         # Most recent key per family; the degraded-mode fallback index.
@@ -166,7 +188,7 @@ class InMemoryCacheAdapter:
         return self._shards[zlib.crc32(key.encode("utf-8")) % self.shards]
 
     # -- the per-request path ---------------------------------------------
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str) -> object | None:
         shard = self._shard_for(key)
         now = self._clock()
         with shard.lock:
@@ -191,7 +213,7 @@ class InMemoryCacheAdapter:
     def put(
         self,
         key: str,
-        body: dict,
+        body: object,
         *,
         tenant: str | None = None,
         family: str | None = None,
@@ -202,10 +224,16 @@ class InMemoryCacheAdapter:
         with shard.lock:
             if key in shard.entries:
                 shard._drop(key)
-            shard.entries[key] = _Entry(body, tenant, expires_at, now, family)
+            entry = _Entry(body, tenant, expires_at, now, family)
+            shard.entries[key] = entry
+            shard.bytes += entry.nbytes
             if tenant is not None:
                 shard.by_tenant.setdefault(tenant, set()).add(key)
-            while len(shard.entries) > shard.max_entries:
+            # LRU out until both bounds hold again (a body bigger than
+            # the shard's whole budget evicts itself: it is not cached).
+            while shard.entries and (
+                len(shard.entries) > shard.max_entries or shard.bytes > shard.max_bytes
+            ):
                 victim = next(iter(shard.entries))
                 shard._drop(victim)
                 shard.evictions += 1
@@ -283,12 +311,13 @@ class InMemoryCacheAdapter:
                 shard.invalidations += len(shard.entries)
                 shard.entries.clear()
                 shard.by_tenant.clear()
+                shard.bytes = 0
         with self._stats_lock:
             self._families.clear()
         return dropped
 
     def info(self) -> ResponseCacheInfo:
-        hits = misses = evictions = expiries = invalidations = entries = 0
+        hits = misses = evictions = expiries = invalidations = entries = stored = 0
         now = self._clock()
         for shard in self._shards:
             with shard.lock:
@@ -297,6 +326,7 @@ class InMemoryCacheAdapter:
                 evictions += shard.evictions
                 expiries += shard.expiries
                 invalidations += shard.invalidations
+                stored += shard.bytes
                 # Live entries only: expired-but-retained bodies are
                 # degraded-mode inventory, not cache occupancy.
                 entries += sum(
@@ -318,6 +348,8 @@ class InMemoryCacheAdapter:
             ttl=self.ttl,
             stale_hits=stale_hits,
             stale_misses=stale_misses,
+            bytes=stored,
+            max_bytes=MAX_CACHE_BYTES,
         )
 
     def __len__(self) -> int:

@@ -21,13 +21,13 @@ class NoCacheAdapter:
 
     enabled = False
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str) -> object | None:
         return None
 
     def put(
         self,
         key: str,
-        body: dict,
+        body: object,
         *,
         tenant: str | None = None,
         family: str | None = None,

@@ -13,8 +13,10 @@ choose a policy, not an implementation detail:
   LRU + TTL map with per-shard locks; the per-worker default for the
   serving fleet.
 
-An adapter stores **rendered response bodies** (plain JSON-able dicts)
-under opaque string keys derived by :mod:`repro.cache.keys` from
+An adapter stores **rendered response bodies** — opaque to it; the
+pipeline's are ``RankBody`` objects (a small header plus one encoded
+``items`` fragment), and a body that exposes ``nbytes`` is charged that
+many bytes against the adapter's byte budget — under opaque string keys derived by :mod:`repro.cache.keys` from
 ``(tenant id, engine view fingerprint, canonicalised query, top_k)``.
 Because the fingerprint covers the tenant's whole context (plus rules,
 knowledge epochs and scoring configuration), a context change moves
@@ -24,8 +26,8 @@ the explicit path (administrative purges, direct session mutation
 outside the service API).
 
 Stored bodies are shared between the filler and every later hit: they
-must be treated as immutable (the pipeline copies the top-level dict
-before decorating a hit).
+must be treated as immutable (the pipeline derives a new header around
+the shared fragment when it decorates a hit).
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class StaleHit:
     tenant and query shape, different — older — context digest).
     """
 
-    body: dict
+    body: object
     age: float
     expired: bool
     exact: bool
@@ -61,7 +63,8 @@ class ResponseCacheInfo:
     ``evictions`` counts LRU displacements, ``expiries`` entries that
     died of TTL on lookup, ``invalidations`` entries purged explicitly
     (per-tenant or ``clear``); ``stale_hits``/``stale_misses`` count
-    the degraded-mode :meth:`CacheAdapter.get_stale` probes.
+    the degraded-mode :meth:`CacheAdapter.get_stale` probes.  ``bytes``
+    is what the stored bodies currently weigh against ``max_bytes``.
     """
 
     hits: int = 0
@@ -75,6 +78,8 @@ class ResponseCacheInfo:
     ttl: float | None = None
     stale_hits: int = 0
     stale_misses: int = 0
+    bytes: int = 0
+    max_bytes: int = 0
 
     @property
     def hit_ratio(self) -> float:
@@ -96,6 +101,8 @@ class ResponseCacheInfo:
             "ttl_seconds": self.ttl,
             "stale_hits": self.stale_hits,
             "stale_misses": self.stale_misses,
+            "bytes": self.bytes,
+            "max_bytes": self.max_bytes,
         }
 
 
@@ -107,10 +114,10 @@ class CacheAdapter(Protocol):
     #: (no key derivation, no ledger bookkeeping) when disabled.
     enabled: bool
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str) -> object | None:
         """The stored body for ``key`` (None on miss/expiry).
 
-        Implementations count a hit or a miss; the returned dict is
+        Implementations count a hit or a miss; the returned body is
         shared — callers must not mutate it.
         """
         ...
@@ -118,7 +125,7 @@ class CacheAdapter(Protocol):
     def put(
         self,
         key: str,
-        body: dict,
+        body: object,
         *,
         tenant: str | None = None,
         family: str | None = None,

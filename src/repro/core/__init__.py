@@ -19,11 +19,13 @@ from repro.core.explain import explain_document_events, explain_ranking, explain
 from repro.core.kernel import (
     CompiledCandidates,
     LazyContributions,
+    ScoredView,
     ScoringKernel,
     compile_candidates,
     rank_top_k_batch,
     score_batch,
     score_documents_batch,
+    score_values,
 )
 from repro.core.naive_view import (
     MAX_NAIVE_RULES,
@@ -66,6 +68,7 @@ __all__ = [
     "DocumentBinding",
     "DocumentScore",
     "LazyContributions",
+    "ScoredView",
     "ScoringKernel",
     "MAX_NAIVE_RULES",
     "PREFERENCE_VIEW_TABLE",
@@ -95,6 +98,7 @@ __all__ = [
     "score_certain",
     "score_documents_batch",
     "score_document",
+    "score_values",
     "split_trivial_documents",
     "subset_coefficient",
 ]

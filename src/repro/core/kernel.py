@@ -15,9 +15,13 @@ once into flat numeric arrays:
 
 Scoring the whole candidate set is then a single row-wise product —
 numpy when importable, the :mod:`repro.perf.flatops` loops otherwise —
-and per-rule :class:`~repro.core.scoring.RuleContribution` breakdowns
-are **lazy**: materialised only when an explanation actually reads
-them.
+and the result stays **columnar**: a :class:`ScoredView` is the
+candidates' name tuple (shared by reference) beside one float vector.
+It reads as a ``Mapping[str, DocumentScore]``, but a
+:class:`~repro.core.scoring.DocumentScore` — and its per-rule
+:class:`~repro.core.scoring.RuleContribution` breakdown — only exists
+once someone indexes the view, as explanations, SQL and tests do; the
+rank path orders and renders the vector without ever doing so.
 
 On top of the compiled form:
 
@@ -41,13 +45,15 @@ import heapq
 import sys
 from collections import abc
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.errors import ScoringError
 from repro.core.problem import RuleBinding, ScoringProblem
 from repro.core.pruning import all_miss_score
 from repro.core.scoring import DocumentScore, RuleContribution
 from repro.perf.backend import resolve_backend
+from repro.perf.columns import VECTOR_MIN, NameTable, ScoreColumn, as_floats
 from repro.perf.flatops import (
     TOPK_PRUNE_SLACK,
     batch_row_scores,
@@ -59,11 +65,14 @@ from repro.perf.flatops import (
 __all__ = [
     "CompiledCandidates",
     "LazyContributions",
+    "ScoredView",
     "ScoringKernel",
     "compile_candidates",
     "rank_top_k_batch",
     "score_batch",
     "score_documents_batch",
+    "score_values",
+    "score_vectors",
 ]
 
 #: Rows per block on the numpy top-k path (prune checks run per block,
@@ -108,6 +117,22 @@ class CompiledCandidates:
     @property
     def document_count(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def bit_vector(self):
+        """``possible_bits`` as a uint64 vector, when the backend is
+        numpy, the rules fit one word and the set is long enough for a
+        vector operation to beat the loop; ``None`` otherwise."""
+        np = resolve_backend(self.backend)
+        if np is None or self.rule_count > 64 or len(self.names) < VECTOR_MIN:
+            return None
+        return np.array(self.possible_bits, dtype=np.uint64)
+
+    @cached_property
+    def table(self) -> NameTable:
+        """Name lookup/order/JSON tables, shared by every view over
+        these candidates and built lazily (never at compile or boot)."""
+        return NameTable(self.names, resolve_backend(self.backend))
 
 
 def compile_candidates(
@@ -186,6 +211,91 @@ class LazyContributions(abc.Sequence):
         return repr(self._items)
 
 
+class ScoredView(abc.Mapping):
+    """One scored candidate set, held as columns: names beside a float vector.
+
+    ``table`` is the candidates' shared :class:`~repro.perf.columns.NameTable`
+    (the ``names`` tuple is the compiled candidates' own, by reference);
+    ``vector`` is the eq.(4) score vector in row order — a read-only
+    float64 ndarray on the numpy backend, a tuple of floats otherwise
+    (named so because ``values()`` is the mapping's).
+    Immutable, so the engine's incremental path, the batch scheduler,
+    :class:`~repro.core.preference_view.PreferenceView` and the view
+    cache all hold this one object: no per-holder copy, 8 bytes per
+    document instead of a :class:`DocumentScore` plus a
+    :class:`LazyContributions` each.
+
+    Still a read-only ``Mapping[str, DocumentScore]``: indexing builds
+    the document's :class:`DocumentScore` (breakdown lazy, as before)
+    on the spot, and equality, iteration and ``len`` are the mapping's.
+    """
+
+    __slots__ = ("table", "vector", "kernel", "prune_documents", "method")
+
+    def __init__(
+        self,
+        kernel: "ScoringKernel",
+        vector,
+        prune_documents: bool = True,
+        method: str = "factorised",
+    ):
+        self.table = kernel.candidates.table
+        self.vector = vector
+        self.kernel = kernel
+        self.prune_documents = prune_documents
+        self.method = method
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.table.names
+
+    def column(self) -> ScoreColumn:
+        """The view as ``{name: score}`` over the same columns (no copy)."""
+        return ScoreColumn(self.table, self.vector)
+
+    def __getitem__(self, name: str) -> DocumentScore:
+        row = self.table.rows[name]
+        kernel = self.kernel
+        if self.prune_documents and row in kernel.trivial_row_set():
+            contributions: Sequence[RuleContribution] = ()
+        else:
+            contributions = LazyContributions(kernel, row)
+        return DocumentScore(name, float(self.vector[row]), contributions, self.method)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.table.rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.table.names)
+
+    def __len__(self) -> int:
+        return len(self.table.names)
+
+    def __reduce__(self):
+        # The kernel (a numpy module handle, possibly a shared-memory
+        # matrix) does not pickle; the mapping it presents does.
+        scores = {
+            name: DocumentScore(
+                name, score.value, tuple(score.contributions), score.method
+            )
+            for name, score in self.items()
+        }
+        return (dict, (scores,))
+
+    def __repr__(self) -> str:
+        return f"ScoredView(<{len(self)} documents, method={self.method!r}>)"
+
+
+def score_values(view: Mapping[str, DocumentScore]) -> dict[str, float]:
+    """Any scored view as plain ``{document: score}``.
+
+    Read off the columns when the view has them — no
+    :class:`DocumentScore` is built."""
+    if isinstance(view, ScoredView):
+        return dict(zip(view.names, as_floats(view.vector)))
+    return {name: score.value for name, score in view.items()}
+
+
 class ScoringKernel:
     """A compiled scoring problem, ready for one-pass batch evaluation.
 
@@ -236,6 +346,8 @@ class ScoringKernel:
             suffix[j] = suffix[j + 1] * bounds[j]
         self._suffix_bounds = suffix
         self._all_miss = all_miss_score([self.bindings[i] for i in keep])
+        self._trivial = None  # intp array or list, see _trivial_index
+        self._trivial_set: frozenset[int] | None = None
         if self._np is not None:
             np = self._np
             self._keep_idx = np.array(keep, dtype=np.intp)
@@ -312,18 +424,41 @@ class ScoringKernel:
         context installed for two different tenants)."""
         return self._coeffs
 
+    def _trivial_index(self):
+        """The trivial rows as an index (intp array or list), computed
+        once — the kernel is immutable."""
+        index = self._trivial
+        if index is None:
+            kept_bits = self._kept_bits
+            bit_vector = self.candidates.bit_vector
+            if bit_vector is not None:
+                np = self._np
+                index = np.flatnonzero((bit_vector & np.uint64(kept_bits)) == 0)
+            else:
+                index = [
+                    row
+                    for row, bits in enumerate(self.candidates.possible_bits)
+                    if bits & kept_bits == 0
+                ]
+            self._trivial = index
+        return index
+
     def trivial_rows(self) -> list[int]:
         """Rows whose preference events all miss every kept rule."""
-        kept_bits = self._kept_bits
-        return [
-            row
-            for row, bits in enumerate(self.candidates.possible_bits)
-            if bits & kept_bits == 0
-        ]
+        return as_floats(self._trivial_index())
+
+    def trivial_row_set(self) -> frozenset[int]:
+        """:meth:`trivial_rows` as a set (memoised like the index)."""
+        rows = self._trivial_set
+        if rows is None:
+            rows = self._trivial_set = frozenset(self.trivial_rows())
+        return rows
 
     # -- batch scoring -----------------------------------------------------
-    def scores(self, prune_documents: bool = True) -> list[float]:
-        """Every document's eq.(4) score, in candidate order."""
+    def score_vector(self, prune_documents: bool = True):
+        """Every document's eq.(4) score, in candidate order, as the
+        backend's immutable vector: a read-only float64 ndarray under
+        numpy, a tuple of floats on the fallback."""
         deadline = _active_deadline()
         if deadline is not None:
             deadline.check()
@@ -333,7 +468,6 @@ class ScoringKernel:
             factors = self._a + self._b * sub
             values = factors.prod(axis=1)
             np.clip(values, 0.0, 1.0, out=values)
-            values = values.tolist()
         else:
             values = row_scores(
                 self.candidates.matrix,
@@ -341,23 +475,35 @@ class ScoringKernel:
                 self.candidates.rule_count,
                 self._coeffs,
             )
+        return self._share_all_miss(values, prune_documents)
+
+    def _share_all_miss(self, values, prune_documents: bool):
+        """Overwrite trivial rows with the shared all-miss score and
+        seal the vector (Section 6 document pruning)."""
         if prune_documents:
-            shared = self._all_miss
-            for row in self.trivial_rows():
-                values[row] = shared
+            trivial = self._trivial_index()
+            if self._np is not None:
+                values[trivial] = self._all_miss
+            else:
+                shared = self._all_miss
+                for row in trivial:
+                    values[row] = shared
+        if self._np is None:
+            return tuple(values)
+        values.setflags(write=False)
         return values
+
+    def scores(self, prune_documents: bool = True) -> list[float]:
+        """Every document's eq.(4) score, in candidate order."""
+        return as_floats(self.score_vector(prune_documents))
 
     def score_documents(
         self, prune_documents: bool = True, method: str = "factorised"
-    ) -> list[DocumentScore]:
-        """:class:`DocumentScore` per candidate, breakdowns lazy."""
-        values = self.scores(prune_documents)
-        trivial = set(self.trivial_rows()) if prune_documents else frozenset()
-        results = []
-        for row, (name, value) in enumerate(zip(self.names, values)):
-            contributions = () if row in trivial else LazyContributions(self, row)
-            results.append(DocumentScore(name, value, contributions, method))
-        return results
+    ) -> ScoredView:
+        """The scored candidate set as one columnar :class:`ScoredView`."""
+        return ScoredView(
+            self, self.score_vector(prune_documents), prune_documents, method
+        )
 
     def contributions_for(self, row: int) -> tuple[RuleContribution, ...]:
         """Materialise one document's per-rule breakdown (kept rules)."""
@@ -402,7 +548,7 @@ class ScoringKernel:
         total = self.document_count
         if k >= total or not self._coeffs:
             ranked = sorted(
-                self.score_documents(prune_documents, method),
+                self.score_documents(prune_documents, method).values(),
                 key=lambda score: (-score.value, score.document),
             )
             return ranked[:k]
@@ -553,19 +699,17 @@ def _union_coefficients(kernels: Sequence[ScoringKernel], np):
     return union, a, b
 
 
-def score_batch(
-    kernels: Sequence[ScoringKernel], prune_documents: bool = True
-) -> list[list[float]]:
-    """Every mate's eq.(4) scores, one fused pass over the shared matrix.
+def score_vectors(kernels: Sequence[ScoringKernel], prune_documents: bool = True) -> list:
+    """Every mate's score vector, one fused pass over the shared matrix.
 
     All ``kernels`` must share one :class:`CompiledCandidates` (by
-    identity — group by basis before batching); each result list is in
-    candidate order and matches that kernel's sequential
-    :meth:`ScoringKernel.scores` to well under 1e-9.
+    identity — group by basis before batching); each vector is in
+    candidate order, immutable, and matches that kernel's sequential
+    :meth:`ScoringKernel.score_vector` to well under 1e-9.
     """
     candidates = _shared_candidates(kernels)
     if len(kernels) == 1:
-        return [kernels[0].scores(prune_documents)]
+        return [kernels[0].score_vector(prune_documents)]
     deadline = _active_deadline()
     if deadline is not None:
         deadline.check()
@@ -578,7 +722,7 @@ def score_batch(
             column = matrix[:, rule]
             values *= a[:, j, None] + b[:, j, None] * column[None, :]
         np.clip(values, 0.0, 1.0, out=values)
-        results = [row.tolist() for row in values]
+        results = list(values)
     else:
         results = batch_row_scores(
             candidates.matrix,
@@ -586,30 +730,29 @@ def score_batch(
             candidates.rule_count,
             [kernel._coeffs for kernel in kernels],
         )
-    if prune_documents:
-        for kernel, row_values in zip(kernels, results):
-            shared = kernel._all_miss
-            for row in kernel.trivial_rows():
-                row_values[row] = shared
-    return results
+    return [
+        kernel._share_all_miss(row_values, prune_documents)
+        for kernel, row_values in zip(kernels, results)
+    ]
+
+
+def score_batch(
+    kernels: Sequence[ScoringKernel], prune_documents: bool = True
+) -> list[list[float]]:
+    """:func:`score_vectors` as plain lists (one ``list[float]`` per mate)."""
+    return [as_floats(values) for values in score_vectors(kernels, prune_documents)]
 
 
 def score_documents_batch(
     kernels: Sequence[ScoringKernel],
     prune_documents: bool = True,
     method: str = "factorised",
-) -> list[list[DocumentScore]]:
+) -> list[ScoredView]:
     """:meth:`ScoringKernel.score_documents` for a whole batch at once."""
-    batch_values = score_batch(kernels, prune_documents)
-    results = []
-    for kernel, values in zip(kernels, batch_values):
-        trivial = set(kernel.trivial_rows()) if prune_documents else frozenset()
-        scores = []
-        for row, (name, value) in enumerate(zip(kernel.names, values)):
-            contributions = () if row in trivial else LazyContributions(kernel, row)
-            scores.append(DocumentScore(name, value, contributions, method))
-        results.append(scores)
-    return results
+    return [
+        ScoredView(kernel, values, prune_documents, method)
+        for kernel, values in zip(kernels, score_vectors(kernels, prune_documents))
+    ]
 
 
 def rank_top_k_batch(
@@ -641,8 +784,8 @@ def rank_top_k_batch(
         # sort per mate instead of running a crippled pruning scan.
         ranked_sets = score_documents_batch(kernels, prune_documents, method)
         return [
-            sorted(scores, key=lambda score: (-score.value, score.document))[:k]
-            for scores, k in zip(ranked_sets, ks)
+            sorted(view.values(), key=lambda score: (-score.value, score.document))[:k]
+            for view, k in zip(ranked_sets, ks)
         ]
 
     trivials = [

@@ -18,12 +18,14 @@ query runs verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.dl.concepts import Concept
 from repro.storage.database import Database
 from repro.storage.schema import Column, ColumnType, Schema
 from repro.storage.sql import SqlSession
 from repro.storage.table import Table
+from repro.core.kernel import score_values
 from repro.core.scorer import ContextAwareScorer
 from repro.core.scoring import DocumentScore
 
@@ -51,41 +53,48 @@ class PreferenceView:
     target: Concept
     database: Database | None = None
     table_name: str = PREFERENCE_VIEW_TABLE
-    _scores: dict[str, DocumentScore] = field(default_factory=dict, repr=False)
+    #: The scored view as last refreshed or loaded: an immutable
+    #: :class:`~repro.core.kernel.ScoredView` on the kernel path (held
+    #: by reference, never copied), a plain dict on the oracle paths.
+    _scores: Mapping[str, DocumentScore] = field(default_factory=dict, repr=False)
 
     def refresh(self) -> dict[str, float]:
         """Recompute every member's score against the current context."""
-        ranked = self.scorer.score_concept_members(self.target)
-        self._scores = {score.document: score for score in ranked}
+        self._scores = self.scorer.score_view(self.scorer.member_names(self.target))
         if self.database is not None:
             self._materialise()
-        return {name: score.value for name, score in self._scores.items()}
+        return score_values(self._scores)
 
     def _materialise(self) -> None:
         schema = Schema([Column("id", ColumnType.TEXT), Column("preferencescore", ColumnType.REAL)])
         table = Table(self.table_name, schema)
-        for name, score in sorted(self._scores.items()):
-            table.insert((name, score.value))
+        for row in sorted(score_values(self._scores).items()):
+            table.insert(row)
         assert self.database is not None
         if self.database.has_base_table(self.table_name):
             self.database._tables[self.table_name] = table  # refresh in place
         else:
             self.database.add_table(table)
 
-    def load_scores(self, scores: dict[str, DocumentScore]) -> None:
+    def load_scores(self, scores: Mapping[str, DocumentScore]) -> None:
         """Install externally computed scores without rescoring.
 
         Used by the engine's preference-view cache: on a context
         signature the view has already been refreshed under, the cached
-        per-document scores are loaded back instead of recomputed.  The
-        database materialisation still runs so attached SQL sessions
-        stay consistent.
+        scored view is loaded back instead of recomputed.  The mapping
+        is held by reference (scored views are immutable) — callers
+        must not mutate it afterwards.  The database materialisation
+        still runs so attached SQL sessions stay consistent.
         """
-        self._scores = dict(scores)
+        self._scores = scores
         if self.database is not None:
             self._materialise()
 
     # -- lookups ----------------------------------------------------------
+    def scored_view(self) -> Mapping[str, DocumentScore]:
+        """The last refreshed scored view itself (read-only, no copy)."""
+        return self._scores
+
     def scores_map(self) -> dict[str, DocumentScore]:
         """A copy of the last refreshed per-document scores."""
         return dict(self._scores)

@@ -8,7 +8,7 @@ now?" — recomputing as the context develops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ScoringError
 from repro.events.space import EventSpace
@@ -19,7 +19,7 @@ from repro.dl.vocabulary import Individual
 from repro.reason import CompiledKB, compiled_kb
 from repro.rules.repository import RuleRepository
 from repro.rules.rule import PreferenceRule
-from repro.core.kernel import ScoringKernel
+from repro.core.kernel import ScoredView, ScoringKernel
 from repro.core.problem import ScoringProblem, bind_problem
 from repro.core.pruning import PruneReport, all_miss_score, prune_rules, split_trivial_documents
 from repro.core.scoring import SCORING_METHODS, DocumentScore, score_document
@@ -120,11 +120,21 @@ class ContextAwareScorer:
             for document in documents
         ]
         unique_names = list(dict.fromkeys(names))
-        if self.method == "factorised":
-            results = self._score_with_kernel(unique_names)
-        else:
-            results = self._score_with_reference(unique_names)
+        view = self.score_view(unique_names)
+        results = {name: view[name] for name in unique_names}
         return [results[name] for name in names]
+
+    def score_view(self, unique_names: list[str]) -> Mapping[str, DocumentScore]:
+        """The scored view over ``unique_names`` (distinct document names).
+
+        On the ``factorised`` method this is the kernel's columnar
+        :class:`~repro.core.kernel.ScoredView` — no per-document object
+        is built until someone indexes it; the oracle methods return a
+        plain dict of eagerly computed scores.
+        """
+        if self.method == "factorised":
+            return self._score_with_kernel(unique_names)
+        return self._score_with_reference(unique_names)
 
     def _compile_kernel(self, unique_names: list[str]) -> ScoringKernel:
         """Bind and compile ``unique_names``, recording report + kernel."""
@@ -143,13 +153,12 @@ class ContextAwareScorer:
         self._last_kernel = kernel
         return kernel
 
-    def _score_with_kernel(self, unique_names: list[str]) -> dict[str, DocumentScore]:
+    def _score_with_kernel(self, unique_names: list[str]) -> ScoredView:
         """The batch path: compile once, score all rows in one pass."""
         kernel = self._compile_kernel(unique_names)
-        scored = kernel.score_documents(
+        return kernel.score_documents(
             prune_documents=self.prune_documents, method=self.method
         )
-        return {score.document: score for score in scored}
 
     def _score_with_reference(self, unique_names: list[str]) -> dict[str, DocumentScore]:
         """The per-document oracle path (enumeration / exact methods)."""
@@ -216,9 +225,12 @@ class ContextAwareScorer:
         set-at-a-time instance retrieval over the target concept,
         through the scorer's compiled reasoner.
         """
+        return self.rank(self.member_names(concept))
+
+    def member_names(self, concept: Concept) -> list[str]:
+        """Names of the individuals that (possibly) satisfy ``concept``, sorted."""
         kb = self.kb if self.kb is not None else compiled_kb(self.abox, self.tbox, self.space)
-        members = kb.retrieve(concept)
-        return self.rank(sorted(members, key=lambda individual: individual.name))
+        return sorted(individual.name for individual in kb.retrieve(concept))
 
     # -- maintenance ------------------------------------------------------
     def add_rule(self, rule: PreferenceRule) -> None:

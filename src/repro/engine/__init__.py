@@ -44,7 +44,7 @@ from repro.engine.relevance import (
     MixedRelevance,
     resolve_relevance,
 )
-from repro.engine.requests import RankedItem, RankRequest, RankResponse
+from repro.engine.requests import RankedItem, RankedItems, RankRequest, RankResponse
 
 __all__ = [
     "AboxContext",
@@ -62,6 +62,7 @@ __all__ = [
     "RankRequest",
     "RankResponse",
     "RankedItem",
+    "RankedItems",
     "RankingEngine",
     "RelevanceBackend",
     "RepositoryPreferences",

@@ -147,19 +147,12 @@ class AboxContext:
         the same event name (so the context signature — and the cache
         entry — is restored too); a different probability allocates a
         fresh serial-suffixed name, since a basic event is a single
-        random variable and cannot be re-registered.
+        random variable and cannot be re-registered.  The space keeps
+        the ``(name, probability)`` index, so a never-seen probability
+        is O(1) however many the fleet has installed before.
         """
         assert self.space is not None
-        base = f"{tick}:{name}"
-        atom_name = base
-        serial = 0
-        while (
-            atom_name in self.space
-            and abs(self.space.get(atom_name).probability - probability) > 1e-12
-        ):
-            serial += 1
-            atom_name = f"{base}#{serial}"
-        return self.space.atom(atom_name, probability)
+        return self.space.serial_atom(f"{tick}:{name}", probability)
 
 
 @dataclass

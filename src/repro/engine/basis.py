@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Iterable
 
 from repro.core.kernel import ScoringKernel
@@ -135,6 +135,32 @@ class ViewBasis:
 
     kernel: ScoringKernel
     snapshot: frozenset
+    #: ``(frozen base forward map, support closure over it)`` — see
+    #: :meth:`_support`.  One tuple, replaced whole: the basis is shared
+    #: across tenants' threads through the pool.
+    _support_memo: tuple | None = field(default=None, repr=False, compare=False)
+
+    def _support(self, abox: ABox, forward) -> frozenset[str]:
+        """The candidates' support closure under ``forward``.
+
+        An overlay session's forward map chains the frozen base tier's
+        map with the overlay's own role edges.  When the overlay adds
+        none — the serving fleet's case: context is concept
+        assertions — the closure depends only on that base map and
+        ``kernel.names``, so it is walked once per base map (memoised
+        on its identity; the memo keeps the map alive, so the identity
+        cannot be recycled) instead of on every cache-missing rank.
+        """
+        base = getattr(forward, "frozen_base", None)
+        if base is None:
+            return support_closure(abox, self.kernel.names, forward)
+        memo = self._support_memo
+        if memo is None or memo[0] is not base:
+            memo = self._support_memo = (
+                base,
+                support_closure(abox, self.kernel.names, base),
+            )
+        return memo[1]
 
     def reusable_for(
         self,
@@ -159,7 +185,7 @@ class ViewBasis:
         if kb is not None:
             forward, reverse = kb.session().reachability_maps()
         affected = _reverse_reachable(abox, _touched_names(delta), reverse)
-        if affected & support_closure(abox, self.kernel.names, forward):
+        if affected & self._support(abox, forward):
             return False
         # An affected individual outside the support set was not a view
         # member at compile time (members are in the support); it must

@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Mapping
 
 from repro.core.scoring import DocumentScore
 from repro.errors import EngineConfigError
@@ -73,13 +73,13 @@ class ViewCache:
             )
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, dict[str, DocumentScore]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Mapping[str, DocumentScore]]" = OrderedDict()
         self._bases: "OrderedDict[Hashable, object]" = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._context_refreshes = 0
 
-    def get(self, key: Hashable) -> dict[str, DocumentScore] | None:
+    def get(self, key: Hashable) -> Mapping[str, DocumentScore] | None:
         """The cached scores for ``key`` (counts a hit or a miss)."""
         with self._lock:
             entry = self._entries.get(key)
@@ -90,10 +90,15 @@ class ViewCache:
             self._hits += 1
             return entry
 
-    def put(self, key: Hashable, scores: dict[str, DocumentScore]) -> None:
-        """Store scores for ``key``, evicting the least recent if full."""
+    def put(self, key: Hashable, scores: Mapping[str, DocumentScore]) -> None:
+        """Store a scored view for ``key``, evicting the least recent if full.
+
+        Held by reference: scored views are immutable (a columnar
+        :class:`~repro.core.kernel.ScoredView` is ~8 bytes a document),
+        so the cache, the preference view and every coalesced
+        batch-mate share one object."""
         with self._lock:
-            self._entries[key] = dict(scores)
+            self._entries[key] = scores
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

@@ -43,7 +43,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 from repro.core.explain import explain_ranking, explain_score
-from repro.core.kernel import ScoringKernel, score_documents_batch
+from repro.core.kernel import (
+    ScoredView,
+    ScoringKernel,
+    score_documents_batch,
+    score_values,
+)
 from repro.core.preference_view import PreferenceView
 from repro.core.problem import bind_rules
 from repro.core.scorer import ContextAwareScorer
@@ -62,7 +67,7 @@ from repro.engine.protocols import (
     RelevanceBackend,
     StorageBackend,
 )
-from repro.engine.requests import RankedItem, RankRequest, RankResponse, as_requests
+from repro.engine.requests import RankedItems, RankRequest, RankResponse, as_requests
 from repro.reason import CompiledKB, ReasonerInfo, compiled_kb
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -96,21 +101,19 @@ class PreparedRank:
     prune_documents: bool = True
     response: RankResponse | None = None
 
-    def complete(
-        self, scores_map: Mapping[str, DocumentScore] | None = None
-    ) -> RankResponse:
+    def complete(self, view: ScoredView | None = None) -> RankResponse:
         """The response: immediate if prepare already answered, else
-        assembled lock-free from the batched scores for this kernel."""
+        assembled lock-free from the batched scored view for this kernel."""
         if self.response is not None:
             return self.response
-        if scores_map is None:
+        if view is None:
             raise EngineError("a batchable PreparedRank needs its scored view")
-        return self.engine._complete_prepared(self, scores_map)
+        return self.engine._complete_prepared(self, view)
 
 
 def score_prepared_batch(
     prepared: Sequence[PreparedRank],
-) -> tuple[list[dict[str, DocumentScore] | None], int]:
+) -> tuple[list[ScoredView | None], int]:
     """Score every batchable :class:`PreparedRank` in fused kernel passes.
 
     Kernels are grouped by compiled-candidates identity (only those may
@@ -120,12 +123,13 @@ def score_prepared_batch(
     onto one scored row.  The key is tenant-blind: the same context
     installed for two different tenants over a shared basis produces
     distinct view signatures but equal coefficients, so a thundering
-    herd of identical contexts costs one row.  Returns the per-request
-    scores maps (``None`` where ``prepare_rank`` already answered) and
-    the number of kernel rows actually scored — the coalescing win is
-    ``batchable_requests - rows``.
+    herd of identical contexts costs one row — and one immutable
+    :class:`~repro.core.kernel.ScoredView`, shared by every coalesced
+    mate.  Returns the per-request views (``None`` where
+    ``prepare_rank`` already answered) and the number of kernel rows
+    actually scored — the coalescing win is ``batchable_requests - rows``.
     """
-    results: list[dict[str, DocumentScore] | None] = [None] * len(prepared)
+    results: list[ScoredView | None] = [None] * len(prepared)
     groups: dict[tuple[int, bool], list[int]] = {}
     rows = 0
     for index, item in enumerate(prepared):
@@ -149,9 +153,8 @@ def score_prepared_batch(
             kernels, prune_documents=prepared[indices[0]].prune_documents
         )
         rows += len(kernels)
-        maps = [{score.document: score for score in scores} for scores in scored]
         for index, position in slots:
-            results[index] = maps[position]
+            results[index] = scored[position]
     return results, rows
 
 
@@ -393,7 +396,7 @@ class RankingEngine:
             str(self.target),
         )
 
-    def _incremental_scores(self, repository) -> dict[str, DocumentScore] | None:
+    def _incremental_scores(self, repository) -> ScoredView | None:
         """Serve a signature miss from a compiled basis, if provably safe.
 
         Only the rule-context vector is recomputed (one membership event
@@ -423,7 +426,7 @@ class RankingEngine:
             return None
         scored = kernel.score_documents(prune_documents=self.prune_documents)
         self._cache.note_context_refresh()
-        return {score.document: score for score in scored}
+        return scored
 
     def _sync_scorer(self):
         """Rebuild the scorer when the preference backend swapped repositories."""
@@ -433,7 +436,7 @@ class RankingEngine:
             self._view.scorer = self._scorer
         return repository
 
-    def _refresh_view(self) -> tuple[dict[str, DocumentScore], bool]:
+    def _refresh_view(self) -> tuple[Mapping[str, DocumentScore], bool]:
         """The scored view for the current signature: cached, rescored
         incrementally from a basis, or computed cold."""
         repository = self._sync_scorer()
@@ -447,7 +450,7 @@ class RankingEngine:
             self._view.load_scores(scores)
         else:
             self._view.refresh()
-            scores = self._view.scores_map()
+            scores = self._view.scored_view()
             kernel = self._scorer.last_kernel
             if self.incremental and kernel is not None:
                 basis_key = self._basis_key()
@@ -460,15 +463,8 @@ class RankingEngine:
 
     def _scores_for(
         self, documents: Iterable[str], view_scores: Mapping[str, DocumentScore]
-    ) -> Mapping[str, DocumentScore]:
-        """View scores for ``documents``; non-members are scored ad hoc.
-
-        When ``documents`` *is* the view (the whole-target request
-        shape), the view map itself is returned — downstream consumers
-        only read it, and the copy would cost O(candidates) per
-        request."""
-        if documents is view_scores:
-            return view_scores
+    ) -> dict[str, DocumentScore]:
+        """View scores for ``documents``; non-members are scored ad hoc."""
         missing = [doc for doc in documents if doc not in view_scores]
         scores = {doc: view_scores[doc] for doc in documents if doc in view_scores}
         if missing:
@@ -512,7 +508,7 @@ class RankingEngine:
         if needs_view:
             view_scores, from_cache = self._refresh_view()
         else:
-            view_scores, from_cache = {}, False
+            view_scores, from_cache = None, False
 
         result = None
         query_scores = request.query_score_map
@@ -537,37 +533,78 @@ class RankingEngine:
                 # gated items.
                 id_less_query = True
 
-        if id_less_query:
-            documents = []
-        elif request.documents is not None:
-            documents = list(dict.fromkeys(request.documents))
-        elif query_scores is not None:
-            documents = sorted(set(view_scores) | set(query_scores))
-        else:
-            # The whole-target shape: the ranking key is a total order,
-            # so the combine step re-orders regardless — iterate the
-            # view directly instead of sorting O(n log n) names.
-            documents = view_scores
-        if needs_view:
-            document_scores = self._scores_for(documents, view_scores)
+        return self._respond(
+            request,
+            view_scores,
+            query_scores=query_scores,
+            gated_out=id_less_query,
+            from_cache=from_cache,
+            result=result,
             # Captured inside the lock, so the epoch/signature pair can
             # never describe a state other than the one just scored —
             # response caches (repro.cache) key and order on it.
-            fingerprint = (self.abox.mutation_count, self._signature())
+            fingerprint=(
+                (self.abox.mutation_count, self._signature()) if needs_view else None
+            ),
+        )
+
+    def _respond(
+        self,
+        request: RankRequest,
+        view: Mapping[str, DocumentScore] | None,
+        *,
+        query_scores: Mapping[str, float] | None,
+        from_cache: bool,
+        fingerprint: tuple | None,
+        gated_out: bool = False,
+        result=None,
+    ) -> RankResponse:
+        """The one tail of every rank: scored view in, response out.
+
+        Shared by the sequential path (under the engine lock) and the
+        batched completion (lock-free — it only reads the immutable
+        view, and :meth:`prepare_rank` admits no request naming a
+        document outside it, so the ad-hoc scorer is never reached).
+
+        ``view`` is ``None`` when the relevance backend scores on its
+        own; ``gated_out`` marks a SQL answer that cannot be mapped
+        back onto documents (no items).  The whole-target shape — no
+        explicit documents, no query part — hands the view's columns
+        to the relevance backend as they are: the ranking key is a
+        total order, so neither a name sort nor a per-document score
+        map is built first.
+        """
+        documents: Sequence[str]
+        document_scores: Mapping[str, DocumentScore]
+        preferences: Mapping[str, float]
+        if (
+            isinstance(view, ScoredView)
+            and not gated_out
+            and request.documents is None
+            and query_scores is None
+        ):
+            documents, document_scores, preferences = view.names, view, view.column()
         else:
-            document_scores = {}
-            fingerprint = None
+            if gated_out:
+                documents = ()
+            elif request.documents is not None:
+                documents = tuple(dict.fromkeys(request.documents))
+            elif query_scores is not None:
+                documents = sorted(set(view) | set(query_scores))
+            else:
+                documents = tuple(view)  # an oracle method's plain dict
+            document_scores = {} if view is None else self._scores_for(documents, view)
+            preferences = score_values(document_scores)
 
-        preference_scores = {name: score.value for name, score in document_scores.items()}
-        items = self._combine_items(preference_scores, query_scores, documents, request)
-
+        items = RankedItems.of(
+            self._combine_items(preferences, query_scores, documents, request.top_k)
+        )
         explanation = None
         if request.explain:
             explanation = self._explain_items(items, document_scores)
-
         return RankResponse(
             request=request,
-            items=tuple(items),
+            items=items,
             from_cache=from_cache,
             explanation=explanation,
             result=result,
@@ -706,71 +743,39 @@ class RankingEngine:
         preference_scores: Mapping[str, float],
         query_scores: Mapping[str, float] | None,
         documents: Sequence[str],
-        request: RankRequest,
-    ) -> list[RankedItem]:
-        """The relevance tail shared by the sequential and batched paths.
+        top_k: int | None,
+    ) -> Sequence:
+        """The relevance step: the backend's ranking, cut at ``top_k``.
 
-        A top-k request takes the backend's ``combine_top_k`` shortcut
-        when it offers one — heap selection under the same total order
-        as the full ranking, so items, positions and tie-breaks are
-        identical to ``combine(...)[:k]`` without sorting (or
-        constructing) the candidates the response never includes.
+        A top-k request takes the backend's ``combine_top_k`` when it
+        offers one (the built-in strategies truncate inside their one
+        order step); otherwise the full ranking is sliced.
         """
-        if request.top_k is not None:
+        if top_k is not None:
             fast = getattr(self.relevance, "combine_top_k", None)
             if fast is not None:
-                return fast(preference_scores, query_scores, documents, request.top_k)
+                return fast(preference_scores, query_scores, documents, top_k)
         items = self.relevance.combine(preference_scores, query_scores, documents)
-        if request.top_k is not None:
-            items = items[: request.top_k]
+        if top_k is not None:
+            items = items[:top_k]
         return items
 
-    def _complete_prepared(
-        self, prepared: PreparedRank, scores_map: Mapping[str, DocumentScore]
-    ) -> RankResponse:
-        """Assemble a prepared request's response from batched scores.
+    def _complete_prepared(self, prepared: PreparedRank, view: ScoredView) -> RankResponse:
+        """Assemble a prepared request's response from its batched view.
 
         Runs without the engine lock: the view cache is internally
-        locked, the kernel and scores are immutable, and the relevance
-        backends on this path are pure functions of their inputs.
-        Mirrors the tail of :meth:`_rank_locked` for the shapes
-        :meth:`prepare_rank` admits (no SQL, view-backed relevance,
-        documents within the compiled candidate set).
+        locked, the kernel and the view are immutable, and the
+        relevance backends on this path are pure functions of their
+        inputs.  The view is cached by reference — coalesced mates
+        share one object.
         """
-        request = prepared.request
         self._cache.note_context_refresh()
-        self._cache.put(prepared.signature, scores_map)
-        query_scores = request.query_score_map
-        if request.documents is not None:
-            documents = list(dict.fromkeys(request.documents))
-        elif query_scores is not None:
-            documents = sorted(set(scores_map) | set(query_scores))
-        else:
-            # Whole-target shape: combine re-orders under a total-order
-            # key, so the batched view is iterated as-is — no name sort
-            # and no O(candidates) map copy per coalesced mate.
-            documents = scores_map
-        if documents is scores_map:
-            document_scores: Mapping[str, DocumentScore] = scores_map
-        else:
-            document_scores = {
-                document: scores_map[document]
-                for document in documents
-                if document in scores_map
-            }
-        preference_scores = {
-            name: score.value for name, score in document_scores.items()
-        }
-        items = self._combine_items(preference_scores, query_scores, documents, request)
-        explanation = None
-        if request.explain:
-            explanation = self._explain_items(items, document_scores)
-        return RankResponse(
-            request=request,
-            items=tuple(items),
+        self._cache.put(prepared.signature, view)
+        return self._respond(
+            prepared.request,
+            view,
+            query_scores=prepared.request.query_score_map,
             from_cache=False,
-            explanation=explanation,
-            result=None,
             fingerprint=prepared.fingerprint,
         )
 
@@ -796,14 +801,14 @@ class RankingEngine:
 
     def _explain_items(
         self,
-        items: Sequence[RankedItem],
+        items: RankedItems,
         document_scores: Mapping[str, DocumentScore],
     ) -> str:
         """Per-rule motivations for the preference part, in item order."""
         ordered = [
-            document_scores[item.document]
-            for item in items
-            if item.document in document_scores
+            document_scores[document]
+            for document in items.documents()
+            if document in document_scores
         ]
         return explain_ranking(ordered, self.preferences.repository())
 
@@ -830,7 +835,7 @@ class RankingEngine:
         with self._lock:
             self.context.refresh()
             view_scores, _cached = self._refresh_view()
-            return {name: score.value for name, score in view_scores.items()}
+            return score_values(view_scores)
 
     def explain(self, document: str) -> str:
         """One document's per-rule motivation under the current context."""

@@ -98,19 +98,27 @@ class RelevanceBackend(Protocol):
         preference_scores: Mapping[str, float],
         query_scores: Mapping[str, float] | None,
         documents: Sequence[str],
-    ) -> "list[RankedItem]":
+    ) -> "Sequence[RankedItem]":
         """Rank ``documents`` given both score maps.
 
         ``query_scores`` is ``None`` for query-independent requests
         (rank purely by context).  Implementations return items sorted
-        best-first.
+        best-first — any sequence of
+        :class:`~repro.engine.requests.RankedItem`; the built-in
+        strategies return the columnar
+        :class:`~repro.engine.requests.RankedItems`, and the engine
+        turns anything else into one.
+
+        For the whole-target request ``preference_scores`` is a
+        :class:`~repro.perf.columns.ScoreColumn` (a read-only mapping
+        over the kernel's score vector) and ``documents`` is its name
+        tuple; a backend that only uses the mapping surface never needs
+        to know.
 
         Backends may additionally implement the optional
-        ``combine_top_k(preference_scores, query_scores, documents, k)``
-        shortcut.  When present, the engine calls it for top-k requests
-        instead of slicing ``combine``'s full ranking; it must return
-        exactly ``combine(...)[:k]`` (same order, positions and
-        tie-breaks) — typically via heap selection that skips sorting
-        the candidates the response never includes.
+        ``combine_top_k(preference_scores, query_scores, documents, k)``.
+        When present, the engine calls it for top-k requests instead of
+        slicing ``combine``'s full ranking; it must return exactly
+        ``combine(...)[:k]`` (same order, positions and tie-breaks).
         """
         ...

@@ -23,7 +23,6 @@ strategies without touching the pipeline.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -32,8 +31,9 @@ from repro.errors import EngineConfigError
 from repro.ir.combine import LOG_FLOOR, combine_log_linear
 from repro.multiuser.group import GroupRanker
 from repro.perf.backend import resolve_backend
+from repro.perf.columns import NameTable, ScoreColumn, as_floats, rank_columns
 from repro.perf.flatops import log_linear_rows
-from repro.engine.requests import RankedItem
+from repro.engine.requests import RankedItems
 
 __all__ = [
     "GatedRelevance",
@@ -45,39 +45,81 @@ __all__ = [
 ]
 
 
-def _ranked(entries: list[tuple[str, float, float, float | None]]) -> list[RankedItem]:
-    """Sort (document, score, preference, qd) best-first and number positions."""
-    entries.sort(key=lambda entry: (-entry[1], entry[0]))
-    return [
-        RankedItem(document, score, preference, query_dependent, position)
-        for position, (document, score, preference, query_dependent) in enumerate(
-            entries, start=1
-        )
-    ]
+def _gated(table: NameTable, preferences, dependents: list[float], k: int | None):
+    """The naive union: query results carry probability 1 and are
+    ordered by preference; everything else scores 0 and is omitted."""
+    keep = [row for row, dependent in enumerate(dependents) if dependent > 0.0]
+    rows, scores, _ = rank_columns(table, preferences, k=k, keep=keep)
+    return RankedItems(table, rows, scores, scores, [1.0] * len(rows))
 
 
-def _ranked_top_k(
-    entries: list[tuple[str, float, float, float | None]], k: int
-) -> list[RankedItem]:
-    """The first ``k`` items of :func:`_ranked` without the full sort.
+class _ColumnarRelevance:
+    """What every strategy shares: columns in, one order/truncate step out.
 
-    ``heapq.nsmallest`` under the same ``(-score, document)`` key is
-    documented equivalent to ``sorted(...)[:k]``, so positions, order
-    and tie-breaks match the full ranking exactly — a top-k request
-    over thousands of candidates just stops paying O(n log n) sorting
-    and n item constructions for the n - k documents it never returns.
+    A strategy is its element-wise headline formula over the
+    (preference, query-dependent) columns — :meth:`_mixture` — and
+    nothing else.  Without a query part the headline *is* the
+    preference column.  ``combine_top_k`` is the same ranking cut at
+    ``k`` (:func:`repro.perf.columns.rank_columns` orders and
+    truncates), so it equals ``combine(...)[:k]`` by construction.
     """
-    best = heapq.nsmallest(k, entries, key=lambda entry: (-entry[1], entry[0]))
-    return [
-        RankedItem(document, score, preference, query_dependent, position)
-        for position, (document, score, preference, query_dependent) in enumerate(
-            best, start=1
+
+    def _preferences(self, preference_scores: Mapping[str, float], documents):
+        """``(name table, aligned preference vector)`` for ``documents``.
+
+        When ``documents`` is the very name tuple of the preference
+        column (the whole-target request) the kernel's vector is used
+        as it is — no per-document lookup."""
+        if (
+            isinstance(preference_scores, ScoreColumn)
+            and documents is preference_scores.table.names
+        ):
+            return preference_scores.table, preference_scores.vector
+        table = NameTable(documents)
+        get = preference_scores.get
+        return table, [get(name, 0.0) for name in table.names]
+
+    def _mixture(self, dependents: list[float], preferences: Sequence[float]) -> list[float]:
+        """Headline scores from the two aligned columns."""
+        raise NotImplementedError
+
+    def _with_query(self, table: NameTable, preferences, dependents: list[float], k):
+        scores = self._mixture(dependents, as_floats(preferences))
+        rows, scores, (preferences, dependents) = rank_columns(
+            table, scores, (preferences, dependents), k=k
         )
-    ]
+        return RankedItems(table, rows, scores, preferences, dependents)
+
+    def _rank(self, preference_scores, query_scores, documents, k: int | None):
+        table, preferences = self._preferences(preference_scores, documents)
+        if query_scores is None:
+            rows, scores, _ = rank_columns(table, preferences, k=k)
+            return RankedItems(table, rows, scores, scores)
+        get = query_scores.get
+        dependents = [get(name, 0.0) for name in table.names]
+        return self._with_query(table, preferences, dependents, k)
+
+    def combine(
+        self,
+        preference_scores: Mapping[str, float],
+        query_scores: Mapping[str, float] | None,
+        documents: Sequence[str],
+    ) -> RankedItems:
+        return self._rank(preference_scores, query_scores, documents, None)
+
+    def combine_top_k(
+        self,
+        preference_scores: Mapping[str, float],
+        query_scores: Mapping[str, float] | None,
+        documents: Sequence[str],
+        k: int,
+    ) -> RankedItems:
+        """``combine(...)[:k]``: the same order, truncated."""
+        return self._rank(preference_scores, query_scores, documents, k)
 
 
 @dataclass(frozen=True)
-class GatedRelevance:
+class GatedRelevance(_ColumnarRelevance):
     """The paper's naive union: binary query relevance × preference.
 
     Documents in the query result carry query-dependent probability 1
@@ -88,46 +130,12 @@ class GatedRelevance:
 
     name: str = field(default="gated", init=False)
 
-    def _entries(
-        self,
-        preference_scores: Mapping[str, float],
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-    ) -> list[tuple[str, float, float, float | None]]:
-        entries: list[tuple[str, float, float, float | None]] = []
-        for document in documents:
-            preference = preference_scores.get(document, 0.0)
-            if query_scores is None:
-                entries.append((document, preference, preference, None))
-                continue
-            if query_scores.get(document, 0.0) <= 0.0:
-                continue
-            entries.append((document, preference, preference, 1.0))
-        return entries
-
-    def combine(
-        self,
-        preference_scores: Mapping[str, float],
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-    ) -> list[RankedItem]:
-        return _ranked(self._entries(preference_scores, query_scores, documents))
-
-    def combine_top_k(
-        self,
-        preference_scores: Mapping[str, float],
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-        k: int,
-    ) -> list[RankedItem]:
-        """``combine(...)[:k]``, via a heap instead of a full sort."""
-        return _ranked_top_k(
-            self._entries(preference_scores, query_scores, documents), k
-        )
+    def _with_query(self, table, preferences, dependents, k):
+        return _gated(table, preferences, dependents, k)
 
 
 @dataclass(frozen=True)
-class MixedRelevance:
+class MixedRelevance(_ColumnarRelevance):
     """Section 6 smoothing: ``combined = qd^λ · pref^(1-λ)``.
 
     Uses :func:`repro.core.ranker.mix_scores`, so the λ = 0 (pure
@@ -144,46 +152,16 @@ class MixedRelevance:
                 f"mixing weight must be in [0, 1], got {self.mixing_weight!r}"
             )
 
-    def _entries(
-        self,
-        preference_scores: Mapping[str, float],
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-    ) -> list[tuple[str, float, float, float | None]]:
-        entries: list[tuple[str, float, float, float | None]] = []
-        for document in documents:
-            preference = preference_scores.get(document, 0.0)
-            if query_scores is None:
-                entries.append((document, preference, preference, None))
-            else:
-                query_dependent = query_scores.get(document, 0.0)
-                combined = mix_scores(query_dependent, preference, self.mixing_weight)
-                entries.append((document, combined, preference, query_dependent))
-        return entries
-
-    def combine(
-        self,
-        preference_scores: Mapping[str, float],
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-    ) -> list[RankedItem]:
-        return _ranked(self._entries(preference_scores, query_scores, documents))
-
-    def combine_top_k(
-        self,
-        preference_scores: Mapping[str, float],
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-        k: int,
-    ) -> list[RankedItem]:
-        """``combine(...)[:k]``, via a heap instead of a full sort."""
-        return _ranked_top_k(
-            self._entries(preference_scores, query_scores, documents), k
-        )
+    def _mixture(self, dependents, preferences):
+        weight = self.mixing_weight
+        return [
+            mix_scores(dependent, preference, weight)
+            for dependent, preference in zip(dependents, preferences)
+        ]
 
 
 @dataclass(frozen=True)
-class LogLinearRelevance:
+class LogLinearRelevance(_ColumnarRelevance):
     """The IR combination, as an engine plugin.
 
     ``score = λ·log qd + (1-λ)·log pref`` with an epsilon floor — the
@@ -207,53 +185,7 @@ class LogLinearRelevance:
                 f"mixing weight must be in [0, 1], got {self.mixing_weight!r}"
             )
 
-    def _entries(
-        self,
-        preference_scores: Mapping[str, float],
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-    ) -> list[tuple[str, float, float, float | None]]:
-        if query_scores is None:
-            return [
-                (document, value, value, None)
-                for document, value in (
-                    (document, preference_scores.get(document, 0.0))
-                    for document in documents
-                )
-            ]
-        preferences = [preference_scores.get(document, 0.0) for document in documents]
-        dependents = [query_scores.get(document, 0.0) for document in documents]
-        combined = self._combine_rows(dependents, preferences)
-        return [
-            (document, score, preference, query_dependent)
-            for document, score, preference, query_dependent in zip(
-                documents, combined, preferences, dependents
-            )
-        ]
-
-    def combine(
-        self,
-        preference_scores: Mapping[str, float],
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-    ) -> list[RankedItem]:
-        return _ranked(self._entries(preference_scores, query_scores, documents))
-
-    def combine_top_k(
-        self,
-        preference_scores: Mapping[str, float],
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-        k: int,
-    ) -> list[RankedItem]:
-        """``combine(...)[:k]``, via a heap instead of a full sort."""
-        return _ranked_top_k(
-            self._entries(preference_scores, query_scores, documents), k
-        )
-
-    def _combine_rows(
-        self, dependents: list[float], preferences: list[float]
-    ) -> list[float]:
+    def _mixture(self, dependents, preferences):
         if len(dependents) < self._BATCH_MIN:
             return [
                 combine_log_linear(qd, qi, self.mixing_weight)
@@ -271,7 +203,7 @@ class LogLinearRelevance:
 
 
 @dataclass
-class GroupRelevance:
+class GroupRelevance(_ColumnarRelevance):
     """Multi-user ranking as an engine plugin.
 
     The preference part is replaced by the group-aggregated score from
@@ -293,42 +225,15 @@ class GroupRelevance:
     name: str = field(default="group", init=False)
     uses_preference_view: bool = field(default=False, init=False)
 
-    def _entries(
-        self,
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-    ) -> list[tuple[str, float, float, float | None]]:
+    def _preferences(self, preference_scores, documents):
+        table = NameTable(documents)
         group_scores = {
-            score.document: score.value for score in self.ranker.score(documents)
+            score.document: score.value for score in self.ranker.score(table.names)
         }
-        entries: list[tuple[str, float, float, float | None]] = []
-        for document in documents:
-            preference = group_scores.get(document, 0.0)
-            if query_scores is None:
-                entries.append((document, preference, preference, None))
-                continue
-            if query_scores.get(document, 0.0) <= 0.0:
-                continue
-            entries.append((document, preference, preference, 1.0))
-        return entries
+        return table, [group_scores.get(name, 0.0) for name in table.names]
 
-    def combine(
-        self,
-        preference_scores: Mapping[str, float],
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-    ) -> list[RankedItem]:
-        return _ranked(self._entries(query_scores, documents))
-
-    def combine_top_k(
-        self,
-        preference_scores: Mapping[str, float],
-        query_scores: Mapping[str, float] | None,
-        documents: Sequence[str],
-        k: int,
-    ) -> list[RankedItem]:
-        """``combine(...)[:k]``, via a heap instead of a full sort."""
-        return _ranked_top_k(self._entries(query_scores, documents), k)
+    def _with_query(self, table, preferences, dependents, k):
+        return _gated(table, preferences, dependents, k)
 
 
 #: Name → zero-config strategy factory, for builders and config files.

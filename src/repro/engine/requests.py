@@ -7,18 +7,27 @@ response shaping (``top_k``, ``explain``).  A :class:`RankResponse`
 carries the ranked items, the raw SQL result when a query ran, the
 explanation when asked for, and whether the preference view came from
 the engine's cache.
+
+A ranking is held as **columns** (:class:`RankedItems`): the ranked
+rows of a name table beside the score vectors gathered in that order.
+It reads as the ``Sequence[RankedItem]`` it always was — indexing,
+slicing, iteration and equality with a tuple of items all work — but a
+:class:`RankedItem` is only built when someone looks at one, which the
+serving pipeline never does: it renders the columns directly.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import EngineError
+from repro.perf.columns import NameTable
 from repro.reporting.tables import TextTable, ranking_table
 from repro.storage.sql import ResultSet
 
-__all__ = ["RankRequest", "RankResponse", "RankedItem"]
+__all__ = ["RankRequest", "RankResponse", "RankedItem", "RankedItems"]
 
 
 @dataclass(frozen=True)
@@ -40,6 +49,94 @@ class RankedItem:
         if self.query_dependent is not None:
             parts += f" (qd={self.query_dependent:.3f}, pref={self.preference:.3f})"
         return parts
+
+
+class RankedItems(abc.Sequence):
+    """A ranking as columns; a lazy ``Sequence[RankedItem]``.
+
+    ``rows`` are the ranked rows of ``table`` (best first); ``scores``,
+    ``preferences`` and ``dependents`` (``None`` when the request had
+    no query part) are plain float lists *in that order* — position
+    ``i + 1`` is row ``rows[i]``.  Equal to the tuple of
+    :class:`RankedItem` it stands for; slices are such tuples.
+    """
+
+    __slots__ = ("table", "rows", "scores", "preferences", "dependents")
+
+    def __init__(
+        self,
+        table: NameTable,
+        rows: Sequence[int],
+        scores: Sequence[float],
+        preferences: Sequence[float],
+        dependents: Sequence[float] | None = None,
+    ):
+        self.table = table
+        self.rows = rows
+        self.scores = scores
+        self.preferences = preferences
+        self.dependents = dependents
+
+    @classmethod
+    def of(cls, items: Iterable[RankedItem]) -> "RankedItems":
+        """Columns from ready-made items (kept in the order given,
+        positions renumbered from 1)."""
+        if isinstance(items, cls):
+            return items
+        items = list(items)
+        dependents = [item.query_dependent for item in items]
+        return cls(
+            NameTable([item.document for item in items]),
+            range(len(items)),
+            [item.score for item in items],
+            [item.preference for item in items],
+            None if all(value is None for value in dependents) else dependents,
+        )
+
+    def documents(self) -> list[str]:
+        """Document ids, best first."""
+        names = self.table.names
+        return [names[row] for row in self.rows]
+
+    def _item(self, index: int) -> RankedItem:
+        return RankedItem(
+            self.table.names[self.rows[index]],
+            self.scores[index],
+            self.preferences[index],
+            None if self.dependents is None else self.dependents[index],
+            index + 1,
+        )
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._item, range(*index.indices(len(self.rows)))))
+        if index < 0:
+            index += len(self.rows)
+        if not 0 <= index < len(self.rows):
+            raise IndexError("ranking index out of range")
+        return self._item(index)
+
+    def __iter__(self) -> Iterator[RankedItem]:
+        return map(self._item, range(len(self.rows)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (RankedItems, tuple, list)):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # equal to that tuple, so hashed like it
+
+    def __reduce__(self):
+        return (tuple, (tuple(self),))
+
+    def __repr__(self) -> str:
+        return f"RankedItems({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -115,11 +212,15 @@ class RankResponse:
     """
 
     request: RankRequest
-    items: tuple[RankedItem, ...]
+    items: Sequence[RankedItem]
     from_cache: bool = False
     explanation: str | None = None
     result: ResultSet | None = field(default=None, compare=False)
     fingerprint: tuple | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # One representation downstream: ready-made items become columns.
+        object.__setattr__(self, "items", RankedItems.of(self.items))
 
     def __iter__(self) -> Iterator[RankedItem]:
         return iter(self.items)
@@ -133,11 +234,11 @@ class RankResponse:
 
     def scores(self) -> dict[str, float]:
         """Headline scores keyed by document id."""
-        return {item.document: item.score for item in self.items}
+        return dict(zip(self.items.documents(), self.items.scores))
 
     def documents(self) -> list[str]:
         """Document ids, best first."""
-        return [item.document for item in self.items]
+        return self.items.documents()
 
     def to_table(self, names: Mapping[str, str] | None = None) -> TextTable:
         """Render through the shared :func:`repro.reporting.ranking_table`."""

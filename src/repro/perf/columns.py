@@ -1,0 +1,165 @@
+"""Columnar building blocks of the rank path: name tables and ordering.
+
+A ranking is a score vector plus an order over it.  The kernel already
+produces the vector; this module holds what turns it into a ranking
+without building one Python object per document:
+
+* :class:`NameTable` — the per-candidate-set lookup tables every view
+  over the set shares: ``name -> row``, the rows in name order (the
+  tie-break of every ranking in the library) and the JSON encoding of
+  each name.  All three are built lazily, on first use, and never at
+  start-up.
+* :class:`ScoreColumn` — a read-only ``Mapping[str, float]`` over a
+  table and an aligned float vector: what a relevance backend receives
+  as its preference scores.
+* :func:`rank_columns` — *the* order/truncate step: rows by score
+  descending, ties by name ascending, cut at ``k``, and the columns
+  gathered in that order.  numpy (one stable ``argsort`` over the
+  name-ordered rows) when the table was compiled for it, a stable
+  ``sorted`` otherwise; both agree with
+  ``sorted(..., key=lambda e: (-score, name))`` exactly.
+"""
+
+from __future__ import annotations
+
+from collections import abc
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, Sequence
+
+__all__ = ["NameTable", "ScoreColumn", "VECTOR_MIN", "as_floats", "rank_columns"]
+
+#: Below this many rows the flat-list loops win: a numpy call costs a few
+#: microseconds however short the array, and sorts and gathers drop the
+#: GIL — under a serving fleet's threads every such hand-off can park a
+#: four-document rank behind another request.
+VECTOR_MIN = 64
+
+
+def as_floats(vector) -> list[float]:
+    """A score vector (ndarray or sequence) as a fresh list of Python floats."""
+    return vector.tolist() if hasattr(vector, "tolist") else list(vector)
+
+
+class NameTable:
+    """Lazily built lookup tables over one tuple of document names.
+
+    ``np`` is the numpy module the owning candidate set was compiled
+    against, or ``None`` on the flat-list backend; it decides the type
+    of :attr:`by_name` (and with it which :func:`rank_columns` branch
+    runs).  Tables under :data:`VECTOR_MIN` rows always take the
+    flat-list branch.  Lazy builds race benignly: every builder computes the same
+    value and the assignment is atomic.
+    """
+
+    __slots__ = ("names", "np", "_rows", "_by_name", "_json_names")
+
+    def __init__(self, names: Sequence[str], np=None):
+        self.names = names if isinstance(names, tuple) else tuple(names)
+        self.np = np if len(self.names) >= VECTOR_MIN else None
+        self._rows: dict[str, int] | None = None
+        self._by_name = None
+        self._json_names: tuple[str, ...] | None = None
+
+    @property
+    def rows(self) -> dict[str, int]:
+        """``name -> row``."""
+        rows = self._rows
+        if rows is None:
+            rows = dict(zip(self.names, range(len(self.names))))
+            self._rows = rows
+        return rows
+
+    @property
+    def by_name(self):
+        """Every row, in ascending name order (intp array or list)."""
+        order = self._by_name
+        if order is None:
+            order = sorted(range(len(self.names)), key=self.names.__getitem__)
+            if self.np is not None:
+                order = self.np.array(order, dtype=self.np.intp)
+                order.setflags(write=False)
+            self._by_name = order
+        return order
+
+    @property
+    def json_names(self) -> tuple[str, ...]:
+        """Each name as a JSON string literal, in row order."""
+        encoded = self._json_names
+        if encoded is None:
+            encoded = tuple(map(encode_basestring_ascii, self.names))
+            self._json_names = encoded
+        return encoded
+
+
+class ScoreColumn(abc.Mapping):
+    """``{name: score}`` read straight off a table and an aligned vector."""
+
+    __slots__ = ("table", "vector")
+
+    def __init__(self, table: NameTable, vector):
+        self.table = table
+        self.vector = vector
+
+    def __getitem__(self, name: str) -> float:
+        return float(self.vector[self.table.rows[name]])
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.table.rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.table.names)
+
+    def __len__(self) -> int:
+        return len(self.table.names)
+
+
+def rank_columns(
+    table: NameTable,
+    scores,
+    others: Sequence = (),
+    k: int | None = None,
+    keep: Sequence[int] | None = None,
+) -> tuple[list[int], list[float], list[list[float]]]:
+    """Rank the rows of ``table`` and gather the columns in that order.
+
+    The order is score descending, name ascending; ``keep`` restricts
+    it to those rows and ``k`` truncates it.  ``scores`` and every
+    vector in ``others`` are aligned with the table's rows (ndarray or
+    sequence).  Returns the ranked rows, then ``scores`` and each of
+    ``others`` gathered best-first as plain lists of floats.
+
+    Sorting the *name-ordered* rows stably by descending score is the
+    library's total order — no per-row key tuples are built.
+    """
+    np = table.np
+    if np is not None:
+        ranked = table.by_name
+        if keep is not None:
+            mask = np.zeros(len(table.names), dtype=bool)
+            mask[keep] = True
+            ranked = ranked[mask[ranked]]
+        scores = np.asarray(scores, dtype=np.float64)
+        ranked = ranked[np.argsort(-scores[ranked], kind="stable")]
+        if k is not None:
+            ranked = ranked[:k]
+        return (
+            ranked.tolist(),
+            scores[ranked].tolist(),
+            [np.asarray(other, dtype=np.float64)[ranked].tolist() for other in others],
+        )
+    if keep is None:
+        rows = table.by_name
+    else:
+        rows = sorted(keep, key=table.names.__getitem__)
+    # A short numpy-compiled set lands here with ndarray columns.
+    scores = as_floats(scores) if hasattr(scores, "tolist") else scores
+    others = [as_floats(other) if hasattr(other, "tolist") else other for other in others]
+    negated = [-score for score in scores]
+    rows = sorted(rows, key=negated.__getitem__)
+    if k is not None:
+        rows = rows[:k]
+    return (
+        rows,
+        [scores[row] for row in rows],
+        [[other[row] for row in rows] for other in others],
+    )

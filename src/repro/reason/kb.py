@@ -113,6 +113,16 @@ class _ChainedMap:
             return extra
         return list(below) + list(extra)
 
+    @property
+    def frozen_base(self):
+        """The map below when this one adds nothing to it, else ``None``.
+
+        What is reachable through a chained map with no edges of its
+        own is what is reachable through the (frozen, shared) map
+        below — closures over it can be memoised on that map's identity.
+        """
+        return None if self.extra else self.below
+
 
 @dataclass(frozen=True)
 class ReasonerInfo:

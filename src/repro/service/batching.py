@@ -16,7 +16,9 @@ some member's :class:`~repro.service.resilience.Deadline` would
 otherwise be overrun (a *deadline-forced* flush — the scheduler never
 holds a request past its deadline).  The leader then takes the group,
 runs the batched pass on its own thread, and hands each follower its
-scored view through a per-entry event.  No daemon thread means nothing
+scored view — the kernel's immutable columnar
+:class:`~repro.core.kernel.ScoredView`, shared by reference between
+coalesced mates, never copied per follower — through a per-entry event.  No daemon thread means nothing
 to leak across ``fork()`` into fleet workers, and flush throughput
 scales with the rank pool instead of serialising on one consumer.
 
@@ -35,15 +37,13 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Hashable, Mapping
+from typing import Hashable
 
+from repro.core.kernel import ScoredView
 from repro.engine.engine import PreparedRank, score_prepared_batch
 from repro.errors import EngineConfigError
 from repro.service.metrics import LatencyRecorder
 from repro.service.resilience import Deadline, DeadlineExceeded, deadline_scope
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.core.scoring import DocumentScore
 
 __all__ = ["BatchScheduler"]
 
@@ -66,7 +66,7 @@ class _Entry:
         self.deadline = deadline
         self.event = threading.Event()
         self.state = _PENDING
-        self.result: Mapping[str, "DocumentScore"] | None = None
+        self.result: ScoredView | None = None
         self.error: BaseException | None = None
         self.enqueued = time.perf_counter()
 
@@ -134,7 +134,7 @@ class BatchScheduler:
     # -- the request path --------------------------------------------------
     def execute(
         self, prepared: PreparedRank, deadline: Deadline | None = None
-    ) -> Mapping[str, "DocumentScore"]:
+    ) -> ScoredView:
         """Score one prepared request, batched with concurrent mates.
 
         Raises :class:`DeadlineExceeded` — before any kernel work — for
@@ -179,7 +179,7 @@ class BatchScheduler:
             return self._lead(group, entry)
         return self._follow(entry)
 
-    def _lead(self, group: _Group, entry: _Entry) -> Mapping[str, "DocumentScore"]:
+    def _lead(self, group: _Group, entry: _Entry) -> ScoredView:
         """Wait out the batching window, flush the group, serve everyone."""
         window_end = entry.enqueued + self.max_wait
         deadline_forced = False
@@ -224,7 +224,7 @@ class BatchScheduler:
             raise entry.error
         return entry.result
 
-    def _follow(self, entry: _Entry) -> Mapping[str, "DocumentScore"]:
+    def _follow(self, entry: _Entry) -> ScoredView:
         """Wait for the leader's flush; cancel in place on deadline."""
         timeout = entry.deadline.remaining() if entry.deadline is not None else None
         if not entry.event.wait(timeout):
@@ -294,7 +294,7 @@ class BatchScheduler:
                 member.event.set()
 
     @staticmethod
-    def _score_single(prepared: PreparedRank) -> Mapping[str, "DocumentScore"]:
+    def _score_single(prepared: PreparedRank) -> ScoredView:
         results, _rows = score_prepared_batch([prepared])
         return results[0]
 

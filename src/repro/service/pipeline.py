@@ -52,7 +52,10 @@ This module is that request path, staged and instrumented::
   leak either, and the scoring kernel checks the deadline
   cooperatively between candidate blocks so abandoned work unwinds
   quickly instead of running to completion.
-* **render** — the ranked items as a JSON-able body.
+* **render** — the ranked items, written straight from the ranking's
+  columns into one pre-encoded JSON fragment inside a small header
+  (:class:`RankBody`); hit/stale/context-echo/timing decorations only
+  ever touch the header.
 
 Every stage's latency lands in :class:`~repro.service.metrics.ServiceMetrics`
 (the ``GET /metrics`` surface), plus an end-to-end ``total`` recorder.
@@ -68,13 +71,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.cache.keys import KeyLookup, ResponseKeyer, response_key
 from repro.cache.none import NoCacheAdapter
 from repro.cache.protocol import CacheAdapter
 from repro.engine.backends import parse_context_spec
-from repro.engine.requests import RankRequest
+from repro.engine.requests import RankedItems, RankRequest
 from repro.errors import EngineError, ReproError
 from repro.service.batching import BatchScheduler
 from repro.service.metrics import ServiceMetrics
@@ -93,6 +97,7 @@ from repro.tenants.registry import TenantRegistry
 
 __all__ = [
     "RankAttempt",
+    "RankBody",
     "RankingService",
     "ServiceConfig",
     "ServiceRequest",
@@ -301,59 +306,169 @@ class ServiceRequest:
         return cls.from_params(params)
 
 
-@dataclass(frozen=True)
+def _dumps(value: object) -> bytes:
+    return json.dumps(value).encode("utf-8")
+
+
+def _float_texts(values: Sequence[float]) -> list[str]:
+    """Each score as ``json.dumps`` would write it (``float.__repr__``).
+
+    Documents with the same feature pattern tie, so a ranking of
+    thousands often holds a handful of distinct scores: each distinct
+    float is formatted once (``repr`` is the dearest step of a render).
+    """
+    distinct = set(values)
+    if 2 * len(distinct) > len(values) or 0.0 in distinct:
+        # Mostly unique — or a zero, whose sign a set cannot tell apart.
+        texts = shown = list(map(repr, values))
+    else:
+        shown = list(map(repr, distinct))
+        texts = list(map(dict(zip(distinct, shown)).__getitem__, values))
+    if "n" in "".join(shown):  # inf / nan: json spells them differently
+        texts = [json.dumps(value) for value in values]
+    return texts
+
+
+def _items_json(items: RankedItems) -> bytes:
+    """The ``items`` array of a ``/rank`` body, written from the columns.
+
+    Byte-identical to ``json.dumps`` of the per-item dicts
+    (``position``, ``document``, ``score``, ``preference``) without
+    building one: names come pre-encoded from the ranking's name table,
+    and a score that is its own preference is formatted once.
+    """
+    names = items.table.json_names
+    scores = _float_texts(items.scores)
+    preferences = (
+        scores if items.preferences is items.scores else _float_texts(items.preferences)
+    )
+    return (
+        "["
+        + ", ".join(
+            [
+                f'{{"position": {position}, "document": {names[row]}, '
+                f'"score": {score}, "preference": {preference}}}'
+                for position, row, score, preference in zip(
+                    count(1), items.rows, scores, preferences
+                )
+            ]
+        )
+        + "]"
+    ).encode("ascii")
+
+
+class RankBody:
+    """A rendered ``/rank`` body: one encoded ``items`` fragment in a small header.
+
+    Stands for the dict ``{"tenant": tenant, "items": [...], **tail}``
+    and serialises to exactly ``json.dumps`` of it.  Immutable:
+    decorating a body (:meth:`extended`) copies the few header entries
+    and shares ``items_json``, so the response cache stores — and
+    evicts — one ``bytes`` object per body whatever its length, and a
+    hit never re-encodes the ranking.
+    """
+
+    __slots__ = ("tenant", "items_json", "tail")
+
+    def __init__(self, tenant: str, items_json: bytes, tail: Mapping[str, object]):
+        self.tenant = tenant
+        self.items_json = items_json
+        self.tail = tail
+
+    @property
+    def nbytes(self) -> int:
+        """What the body weighs in a cache: its ``items`` fragment."""
+        return len(self.items_json)
+
+    def extended(self, **fields: object) -> "RankBody":
+        """This body with ``fields`` appended to (or replaced in) the header."""
+        return RankBody(self.tenant, self.items_json, {**self.tail, **fields})
+
+    def without(self, field_name: str) -> "RankBody":
+        """This body minus one header field."""
+        tail = {name: value for name, value in self.tail.items() if name != field_name}
+        return RankBody(self.tenant, self.items_json, tail)
+
+    def encode(self) -> bytes:
+        """The UTF-8 JSON of the whole body: the header spliced around the fragment."""
+        return b"".join(
+            (
+                b'{"tenant": ',
+                _dumps(self.tenant),
+                b', "items": ',
+                self.items_json,
+                b", ",
+                _dumps(self.tail)[1:],  # never empty: from_cache is always there
+            )
+        )
+
+    def to_dict(self) -> dict:
+        """The JSON-able dict this body stands for (decodes the fragment)."""
+        return {"tenant": self.tenant, "items": json.loads(self.items_json), **self.tail}
+
+    def __repr__(self) -> str:
+        return f"RankBody(tenant={self.tenant!r}, items={len(self.items_json)}B, {self.tail!r})"
+
+
 class ServiceResponse:
     """One pipeline answer: an HTTP-ish status, a JSON-able body, timings.
 
     ``headers`` carries response headers the gateway must forward
     (``Retry-After`` on sheds, ``Warning: 110`` on stale serves).
 
-    Gateways send :meth:`encoded` rather than ``json.dumps(body)``:
-    the UTF-8 JSON encoding is computed at most once per response, and
-    responses born from a cache hit arrive with ``precoded`` bytes the
-    cache entry already carried — a repeat hit costs a dict copy and a
-    socket write, never an encode.
+    Gateways send :meth:`encoded` — the UTF-8 JSON, computed at most
+    once per response; a ranked answer splices its pre-encoded
+    :class:`RankBody` and never builds the dict.  In-process callers
+    read :attr:`body`, which decodes a :class:`RankBody` on first
+    access (and is the plain dict it was given otherwise).
     """
 
-    status: int
-    body: dict
-    timings: dict[str, float] = field(default_factory=dict, compare=False)
-    headers: dict[str, str] = field(default_factory=dict, compare=False)
-    #: Pre-computed UTF-8 JSON of ``body``, when a cheaper path already
-    #: had it (cache-hit serves).  Must match ``body`` exactly; anything
-    #: that rewrites the body (``include_timings``) must drop it.
-    precoded: bytes | None = field(default=None, compare=False, repr=False)
+    def __init__(
+        self,
+        status: int,
+        body: "dict | RankBody",
+        timings: dict[str, float] | None = None,
+        headers: dict[str, str] | None = None,
+    ):
+        self.status = status
+        self.timings = timings if timings is not None else {}
+        self.headers = headers if headers is not None else {}
+        self._rendered = body
+        self._encoded: bytes | None = None
 
     @property
     def ok(self) -> bool:
         return 200 <= self.status < 300
 
+    @property
+    def body(self) -> dict:
+        """The body as a dict (decoded once, then kept)."""
+        rendered = self._rendered
+        if isinstance(rendered, RankBody):
+            # Keep the bytes first: the wire form must not depend on
+            # what an in-process caller later does to the dict.
+            self.encoded()
+            rendered = self._rendered = rendered.to_dict()
+        return rendered
+
     def encoded(self) -> bytes:
         """The body as UTF-8 JSON, encoded at most once and then cached."""
-        data = self.precoded
+        data = self._encoded
         if data is None:
-            data = json.dumps(self.body).encode("utf-8")
-            # Frozen dataclass: memoise through object.__setattr__ (a
-            # benign race — concurrent encoders produce equal bytes).
-            object.__setattr__(self, "precoded", data)
+            rendered = self._rendered
+            data = rendered.encode() if isinstance(rendered, RankBody) else _dumps(rendered)
+            self._encoded = data  # benign race: concurrent encoders agree
         return data
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ServiceResponse):
+            return NotImplemented
+        return self.status == other.status and self.body == other.body
 
-class _CanonicalBody(dict):
-    """A cache-stored canonical body that memoises its hit-serve bytes.
+    __hash__ = None  # type: ignore[assignment]
 
-    ``hit_bytes`` is the UTF-8 JSON of this body decorated exactly as a
-    standing-context hit serves it (``cached: true``, no per-request
-    context echo) — computed on the first such hit and shared by every
-    later one.  A plain ``dict`` to every consumer (the cache adapters
-    treat stored bodies as opaque mappings); the slot rides along.
-    """
-
-    __slots__ = ("hit_bytes",)
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.hit_bytes: bytes | None = None
+    def __repr__(self) -> str:
+        return f"ServiceResponse(status={self.status!r}, body={self._rendered!r})"
 
 
 @dataclass
@@ -375,7 +490,7 @@ class RankAttempt:
     deadline: Deadline | None = None
     effective_timeout: float | None = None
     lookup: KeyLookup | None = None
-    cached_body: dict | None = None
+    cached_body: RankBody | None = None
     response: ServiceResponse | None = None
 
 
@@ -629,9 +744,9 @@ class RankingService:
                 # Served even while the breaker is open: a hit touches
                 # nothing the breaker protects.
                 with clock.stage("render"):
-                    body, precoded = self._serve_hit(request, attempt.cached_body)
+                    body = self._serve_hit(request, attempt.cached_body)
                 attempt.response = self._reply(
-                    clock, 200, body, outcome="ok_cached", cached=True, precoded=precoded
+                    clock, 200, body, outcome="ok_cached", cached=True
                 )
         return attempt
 
@@ -760,10 +875,10 @@ class RankingService:
                     for spec in specs:
                         parse_context_spec(spec)
 
-            def work() -> tuple[dict, bool]:
+            def work() -> tuple[RankBody, bool]:
                 self.fault_injector.before_rank(request.tenant)
                 hit = False
-                body: dict
+                body: RankBody
                 if cached_body is not None:
                     # Delta hit: install the delta (the client-visible
                     # side effect of /rank?context=...), then serve the
@@ -777,7 +892,7 @@ class RankingService:
                     if learned == lookup.view_digest:
                         hit = True
                         with clock.stage("render"):
-                            body, _ = self._serve_hit(request, cached_body)
+                            body = self._serve_hit(request, cached_body)
                 if not hit:
                     with clock.stage("rank"):
                         # After a refuted delta hit the delta is already
@@ -885,8 +1000,8 @@ class RankingService:
         prepared = session.prepare_rank(specs, rank_request, tick="svc")
         if prepared.response is not None:
             return prepared.response
-        scores_map = self.batcher.execute(prepared, current_deadline())
-        return prepared.complete(scores_map)
+        view = self.batcher.execute(prepared, current_deadline())
+        return prepared.complete(view)
 
     @staticmethod
     def _execute(work, deadline: Deadline | None, release: _ReleaseOnce):
@@ -987,19 +1102,18 @@ class RankingService:
             return None
         self.metrics.count("resilience", "stale_served")
         self.metrics.count("resilience", f"stale_served.{reason}")
-        body = dict(hit.body)
+        marks: dict[str, object] = {}
         if request.context is not None:
-            body["context"] = list(request.context)
-        body["cached"] = True
-        body["stale"] = True
-        body["stale_reason"] = reason
-        body["stale_age_seconds"] = round(hit.age, 3)
+            marks["context"] = list(request.context)
+        marks.update(
+            cached=True, stale=True, stale_reason=reason, stale_age_seconds=round(hit.age, 3)
+        )
         if not hit.exact:
-            body["stale_context_digest"] = True  # ranked under an older context
+            marks["stale_context_digest"] = True  # ranked under an older context
         return self._reply(
             clock,
             200,
-            body,
+            hit.body.extended(**marks),
             outcome="ok_stale",
             tag="stale",
             headers={"Warning": _STALE_WARNING},
@@ -1157,50 +1271,23 @@ class RankingService:
         self._gateway_stats = provider
 
     # -- internals ---------------------------------------------------------
-    def _render(self, request: ServiceRequest, response) -> dict:
-        items = [
-            {
-                "position": item.position,
-                "document": item.document,
-                "score": item.score,
-                "preference": item.preference,
-            }
-            for item in response.items
-        ]
-        body: dict = {
-            "tenant": request.tenant,
-            "items": items,
-            "from_cache": response.from_cache,
-        }
+    def _render(self, request: ServiceRequest, response) -> RankBody:
+        tail: dict[str, object] = {"from_cache": response.from_cache}
         if request.context is not None:
-            body["context"] = list(request.context)
+            tail["context"] = list(request.context)
         if response.explanation is not None:
-            body["explanation"] = response.explanation
-        return body
+            tail["explanation"] = response.explanation
+        return RankBody(request.tenant, _items_json(response.items), tail)
 
-    def _serve_hit(
-        self, request: ServiceRequest, stored: dict
-    ) -> tuple[dict, bytes | None]:
-        # Stored bodies are canonical and shared between hits: copy the
-        # top level, re-attach the per-request context echo, and mark
-        # the body as served from the response cache.  A hit with no
-        # per-request context echo is byte-identical between serves, so
-        # its encoding memoises on the cache entry — the second return
-        # value is those bytes (None when this serve must encode).
-        body = dict(stored)
-        body["cached"] = True
-        if request.context is not None:
-            body["context"] = list(request.context)
-            return body, None
-        if isinstance(stored, _CanonicalBody):
-            precoded = stored.hit_bytes
-            if precoded is None:
-                precoded = json.dumps(body).encode("utf-8")
-                stored.hit_bytes = precoded  # benign race: equal bytes
-            return body, precoded
-        return body, None
+    def _serve_hit(self, request: ServiceRequest, stored: RankBody) -> RankBody:
+        # Stored bodies are canonical and shared between hits: mark the
+        # header as served from the response cache and re-attach the
+        # per-request context echo; the items fragment is shared as is.
+        if request.context is None:
+            return stored.extended(cached=True)
+        return stored.extended(cached=True, context=list(request.context))
 
-    def _fill(self, lookup: KeyLookup, fingerprint: tuple | None, body: dict) -> None:
+    def _fill(self, lookup: KeyLookup, fingerprint: tuple | None, body: RankBody) -> None:
         if fingerprint is None:
             # The engine bypassed its materialised view (explicit
             # candidate ranking under prune settings, etc.) — there is
@@ -1209,24 +1296,24 @@ class RankingService:
         digest = self._keyer.learn(lookup, fingerprint)
         if digest is None:
             return  # invalidated while in flight: do not resurrect
-        canonical = _CanonicalBody(body)
-        canonical.pop("context", None)  # per-request echo, not content
         key = response_key(
             lookup.tenant, digest, lookup.documents, lookup.top_k, lookup.explain
         )
-        self.cache.put(key, canonical, tenant=lookup.tenant, family=lookup.family)
+        # The context echo is per-request, not content.
+        self.cache.put(
+            key, body.without("context"), tenant=lookup.tenant, family=lookup.family
+        )
 
     def _reply(
         self,
         clock: _StageClock,
         status: int,
-        body: dict,
+        body: "dict | RankBody",
         *,
         outcome: str,
         cached: bool | None = None,
         tag: str | None = None,
         headers: Mapping[str, str] | None = None,
-        precoded: bytes | None = None,
     ) -> ServiceResponse:
         timings = clock.snapshot()
         timings["total"] = clock.total()
@@ -1236,15 +1323,14 @@ class RankingService:
             self.metrics.observe_stage(stage_name, seconds, tag=tag)
         self.metrics.count_outcome(outcome)
         if self.config.include_timings:
-            body = dict(body)
-            body["timings_ms"] = {
-                name: seconds * 1000.0 for name, seconds in timings.items()
-            }
-            precoded = None  # the body just changed; stored bytes no longer match
+            timings_ms = {name: seconds * 1000.0 for name, seconds in timings.items()}
+            if isinstance(body, RankBody):
+                body = body.extended(timings_ms=timings_ms)
+            else:
+                body = {**body, "timings_ms": timings_ms}
         return ServiceResponse(
             status=status,
             body=body,
             timings=timings,
             headers=dict(headers) if headers else {},
-            precoded=precoded,
         )

@@ -160,3 +160,63 @@ class TestTenantPurge:
         assert cache.clear() == 5
         assert len(cache) == 0
         assert cache.invalidate_tenant("alice") == 0
+
+
+class _Sized:
+    """A stand-in for the pipeline's ``RankBody``: a body that knows its size."""
+
+    def __init__(self, nbytes):
+        self.nbytes = nbytes
+
+
+class TestByteBudget:
+    def test_full_ranking_sized_puts_never_exceed_the_budget(self):
+        from repro.cache.memory import MAX_CACHE_BYTES
+
+        # 64 bodies of ~1.4 MB (a full ranking of ~14 000 programs):
+        # 90 MB offered to a 64 MiB budget under the default 4 096 entries.
+        body_bytes = MAX_CACHE_BYTES // 48
+        cache = InMemoryCacheAdapter()
+        for index in range(64):
+            cache.put(f"alice|digest{index}|q", _Sized(body_bytes), tenant="alice")
+            info = cache.info()
+            assert info.bytes <= MAX_CACHE_BYTES
+            assert info.bytes == len(cache) * body_bytes
+        info = cache.info()
+        assert info.max_bytes == MAX_CACHE_BYTES
+        assert info.evictions > 0 and info.entries == 64 - info.evictions
+        assert info.to_dict()["bytes"] == info.bytes
+        # what survived is each shard's most recent, and still answers
+        assert cache.get("alice|digest63|q") is not None
+
+    def test_bytes_follow_replace_purge_and_clear(self):
+        from repro.cache.memory import SMALL_BODY_BYTES
+
+        cache = InMemoryCacheAdapter(max_entries=8, shards=2)
+        cache.put("a", _Sized(1000), tenant="alice")
+        cache.put("b", {"v": 1}, tenant="bob")  # no nbytes: the flat charge
+        assert cache.info().bytes == 1000 + SMALL_BODY_BYTES
+        cache.put("a", _Sized(300), tenant="alice")  # replace, not add
+        assert cache.info().bytes == 300 + SMALL_BODY_BYTES
+        assert cache.invalidate_tenant("alice") == 1
+        assert cache.info().bytes == SMALL_BODY_BYTES
+        cache.clear()
+        assert cache.info().bytes == 0
+
+    def test_a_body_over_the_shard_budget_is_not_cached(self):
+        from repro.cache.memory import MAX_CACHE_BYTES
+
+        cache = InMemoryCacheAdapter(shards=8)
+        cache.put("small", _Sized(10))
+        cache.put("huge", _Sized(MAX_CACHE_BYTES))  # > one shard's share
+        assert cache.get("huge") is None
+        assert cache.info().bytes <= MAX_CACHE_BYTES
+
+    def test_small_bodies_never_meet_the_budget(self):
+        # 4 096 three-item bodies are ~1 MB: the entry bound is still
+        # the only bound small-body traffic ever meets.
+        cache = InMemoryCacheAdapter(max_entries=4096)
+        for index in range(5000):
+            cache.put(f"k{index}", _Sized(420))
+        info = cache.info()
+        assert info.evictions == 5000 - 4096 and info.entries == 4096

@@ -220,3 +220,30 @@ class TestDisabledCache:
         assert snapshot["outcomes"] == {"ok": 2}
         assert snapshot["cache"]["enabled"] is False
         assert "cache" not in snapshot["stages"]
+
+
+class TestByteBudget:
+    def test_small_body_hit_ratio_is_what_the_entry_bound_alone_gives(self, monkeypatch):
+        import random
+
+        from repro.cache import memory
+
+        def replay(cache):
+            service = make_service(cache=cache)
+            rng = random.Random(42)
+            tenants = [f"tenant_{index:02d}" for index in range(24)]
+            for _ in range(600):
+                context = rng.choice(CONTEXT_MENUS) if rng.random() < 0.5 else None
+                rank(service, tenant=rng.choice(tenants), context=context, top_k=3)
+            snapshot = service.metrics_snapshot()["cache"]
+            service.close()
+            return snapshot
+
+        budgeted = replay(InMemoryCacheAdapter(max_entries=64))
+        monkeypatch.setattr(memory, "MAX_CACHE_BYTES", 1 << 60)  # entries are the only bound
+        unbounded = replay(InMemoryCacheAdapter(max_entries=64))
+        for counter in ("hits", "misses", "hit_ratio", "evictions", "entries", "bytes"):
+            assert budgeted[counter] == unbounded[counter], counter
+        assert budgeted["hit_ratio"] > 0.5 and budgeted["evictions"] > 0
+        assert 0 < budgeted["bytes"] < 64 * 1024  # 64 three-item bodies
+        assert budgeted["max_bytes"] == 64 * 1024 * 1024

@@ -16,6 +16,7 @@ from repro.core import (
     rank_top_k_batch,
     score_batch,
     score_documents_batch,
+    score_values,
 )
 from repro.core.kernel import _shared_candidates, _union_coefficients
 from repro.errors import ScoringError
@@ -194,9 +195,9 @@ class TestScoreDocumentsBatch:
         batched = score_documents_batch(kernels)
         for kernel, scored in zip(kernels, batched):
             expected = kernel.score_documents()
-            assert [(s.document, s.value) for s in scored] == pytest.approx(
-                [(s.document, s.value) for s in expected]
-            )
+            assert scored.names == expected.names == kernel.names
+            assert scored.kernel is kernel
+            assert score_values(scored) == pytest.approx(score_values(expected))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_trivial_rows_share_all_miss_and_empty_contributions(self, backend):
@@ -204,9 +205,8 @@ class TestScoreDocumentsBatch:
         kernels = context_family(world, backend, [0.3, 0.8])
         batched = score_documents_batch(kernels)
         for kernel, scored in zip(kernels, batched):
-            by_name = {s.document: s for s in scored}
-            assert by_name["mpfs"].value == kernel.all_miss
-            assert by_name["mpfs"].contributions == ()
+            assert scored["mpfs"].value == kernel.all_miss
+            assert scored["mpfs"].contributions == ()
 
 
 class TestRankTopKBatch:
@@ -227,7 +227,7 @@ class TestRankTopKBatch:
         batched = rank_top_k_batch(kernels, [5] * 4)
         for kernel, top in zip(kernels, batched):
             full = sorted(
-                kernel.score_documents(), key=lambda s: (-s.value, s.document)
+                kernel.score_documents().values(), key=lambda s: (-s.value, s.document)
             )
             assert [(s.document, s.value) for s in top] == [
                 (s.document, s.value) for s in full[:5]

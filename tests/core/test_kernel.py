@@ -179,13 +179,14 @@ class TestScores:
         problem = synthetic_problem([0.8], [0.5], [])
         kernel = ScoringKernel.compile(problem, backend=backend)
         assert kernel.scores() == []
-        assert kernel.score_documents() == []
+        assert len(kernel.score_documents()) == 0
+        assert kernel.score_documents() == {}
 
 
 class TestLazyContributions:
     def test_materialises_to_reference_breakdown(self, problem):
         kernel = ScoringKernel.compile(problem)
-        scored = {s.document: s for s in kernel.score_documents()}
+        scored = kernel.score_documents()
         reference = score_document(
             problem, problem.document(Individual("channel5_news")), "factorised"
         )
@@ -197,7 +198,7 @@ class TestLazyContributions:
 
     def test_sequence_protocol_and_equality(self, problem):
         kernel = ScoringKernel.compile(problem)
-        scored = {s.document: s for s in kernel.score_documents()}
+        scored = kernel.score_documents()
         lazy = scored["bbc_news"].contributions
         eager = score_document(
             problem, problem.document(Individual("bbc_news")), "factorised"
@@ -211,7 +212,7 @@ class TestLazyContributions:
 
     def test_trivial_document_has_empty_contributions(self, problem):
         kernel = ScoringKernel.compile(problem)
-        scored = {s.document: s for s in kernel.score_documents()}
+        scored = kernel.score_documents()
         assert scored["mpfs"].contributions == ()
 
 
@@ -221,7 +222,7 @@ class TestTopK:
     def test_agrees_with_full_sort(self, problem, backend, k):
         kernel = ScoringKernel.compile(problem, backend=backend)
         full = sorted(
-            kernel.score_documents(), key=lambda s: (-s.value, s.document)
+            kernel.score_documents().values(), key=lambda s: (-s.value, s.document)
         )
         top = kernel.rank_top_k(k)
         assert [(s.document, s.value) for s in top] == [
@@ -236,7 +237,7 @@ class TestTopK:
         problem = synthetic_problem([0.9, 0.7, 0.6], [0.8, 0.9, 1.0], rows)
         kernel = ScoringKernel.compile(problem, backend=backend)
         full = sorted(
-            kernel.score_documents(), key=lambda s: (-s.value, s.document)
+            kernel.score_documents().values(), key=lambda s: (-s.value, s.document)
         )
         for k in (1, 5, 17, 60):
             top = kernel.rank_top_k(k)
@@ -267,7 +268,7 @@ class TestTopK:
             problem = synthetic_problem(sigmas, p_contexts, [[1.0] * n] * 50)
             kernel = ScoringKernel.compile(problem, backend=backend)
             full = sorted(
-                kernel.score_documents(), key=lambda s: (-s.value, s.document)
+                kernel.score_documents().values(), key=lambda s: (-s.value, s.document)
             )
             top = kernel.rank_top_k(7)
             assert [(s.document, s.value) for s in top] == [

@@ -1,0 +1,640 @@
+"""The columnar rank path answers exactly what the object path answered.
+
+The rank path used to build one ``DocumentScore`` + ``LazyContributions``
+per candidate, a tuple-keyed sort over ``(name, score, preference, qd)``
+entries, one ``RankedItem`` and one render dict per item, and
+``json.dumps`` of the lot.  It now carries a score as a float in a
+vector from the kernel to the wire.  This suite keeps the old object
+path *in the test* as the oracle — ``oracle_*`` below are the deleted
+function bodies — and checks, on both kernel backends, that nothing a
+caller can observe moved:
+
+* every relevance strategy x query shape x ``top_k`` x document subset:
+  same order, same positions, scores bit-equal;
+* ``ScoredView`` / ``RankedItems``: ``==``, ``len``, slicing, iteration,
+  pickling;
+* sequential vs batched vs coalesced engine paths;
+* the wire: ``json.loads(response.encoded())`` is the legacy render
+  dict and the bytes are ``json.dumps`` of it, for fresh, hit,
+  context-echo, stale and ``include_timings`` serves.
+"""
+
+import contextlib
+import json
+import os
+import pickle
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cache import InMemoryCacheAdapter
+from repro.core import DocumentScore, LazyContributions, score_values
+from repro.core.kernel import ScoredView, score_documents_batch
+from repro.core.ranker import mix_scores
+from repro.engine import EngineBuilder, RankRequest
+from repro.engine.engine import score_prepared_batch
+from repro.engine.relevance import (
+    GatedRelevance,
+    LogLinearRelevance,
+    MixedRelevance,
+)
+from repro.engine.requests import RankedItem, RankedItems
+from repro.ir.combine import LOG_FLOOR, combine_log_linear
+from repro.perf.backend import BACKEND_ENV, numpy_or_none, reset_backend, resolve_backend
+from repro.perf.columns import NameTable, ScoreColumn
+from repro.perf.flatops import log_linear_rows
+from repro.service import FaultInjector, RankingService, ServiceConfig
+from repro.service.pipeline import RankBody, _items_json
+from repro.tenants import TenantRegistry
+from repro.workloads import (
+    Section5Counts,
+    build_tvtouch,
+    generate_rule_series,
+    generate_test_database,
+)
+
+from tests.core.test_batch_kernel import synthetic_family
+
+BACKENDS = ["python"] + (["numpy"] if numpy_or_none() is not None else [])
+
+STRATEGIES = [
+    GatedRelevance(),
+    MixedRelevance(0.3),
+    MixedRelevance(0.0),
+    MixedRelevance(1.0),
+    LogLinearRelevance(0.7),
+]
+
+
+@contextlib.contextmanager
+def kernel_backend(name):
+    """Compile kernels on ``name`` for the duration (the env is read once)."""
+    before = os.environ.get(BACKEND_ENV)
+    os.environ[BACKEND_ENV] = name
+    reset_backend()
+    try:
+        yield
+    finally:
+        if before is None:
+            del os.environ[BACKEND_ENV]
+        else:
+            os.environ[BACKEND_ENV] = before
+        reset_backend()
+
+
+# ---------------------------------------------------------------------------
+# The object-path oracle: the pre-columnar function bodies, verbatim.
+# ---------------------------------------------------------------------------
+
+def oracle_entries(strategy, preference_scores, query_scores, documents):
+    """The per-strategy ``_entries`` bodies the columnar path replaced."""
+    entries = []
+    if isinstance(strategy, GatedRelevance):
+        for document in documents:
+            preference = preference_scores.get(document, 0.0)
+            if query_scores is None:
+                entries.append((document, preference, preference, None))
+                continue
+            if query_scores.get(document, 0.0) <= 0.0:
+                continue
+            entries.append((document, preference, preference, 1.0))
+        return entries
+    if isinstance(strategy, MixedRelevance):
+        for document in documents:
+            preference = preference_scores.get(document, 0.0)
+            if query_scores is None:
+                entries.append((document, preference, preference, None))
+            else:
+                query_dependent = query_scores.get(document, 0.0)
+                combined = mix_scores(query_dependent, preference, strategy.mixing_weight)
+                entries.append((document, combined, preference, query_dependent))
+        return entries
+    assert isinstance(strategy, LogLinearRelevance)
+    if query_scores is None:
+        return [
+            (document, value, value, None)
+            for document, value in (
+                (document, preference_scores.get(document, 0.0)) for document in documents
+            )
+        ]
+    preferences = [preference_scores.get(document, 0.0) for document in documents]
+    dependents = [query_scores.get(document, 0.0) for document in documents]
+    weight = strategy.mixing_weight
+    if len(dependents) < strategy._BATCH_MIN:
+        combined = [combine_log_linear(qd, qi, weight) for qd, qi in zip(dependents, preferences)]
+    else:
+        np = resolve_backend()
+        if np is None:
+            combined = log_linear_rows(dependents, preferences, weight, LOG_FLOOR)
+        else:
+            qd = np.maximum(LOG_FLOOR, np.asarray(dependents, dtype=np.float64))
+            qi = np.maximum(LOG_FLOOR, np.asarray(preferences, dtype=np.float64))
+            combined = (weight * np.log(qd) + (1.0 - weight) * np.log(qi)).tolist()
+    return list(zip(documents, combined, preferences, dependents))
+
+
+def oracle_ranked(entries, k=None):
+    """``_ranked`` / ``_ranked_top_k``: tuple-keyed sort, numbered items."""
+    entries = sorted(entries, key=lambda entry: (-entry[1], entry[0]))
+    if k is not None:
+        entries = entries[:k]
+    return tuple(
+        RankedItem(document, score, preference, query_dependent, position)
+        for position, (document, score, preference, query_dependent) in enumerate(
+            entries, start=1
+        )
+    )
+
+
+def oracle_render(tenant, context, items, from_cache, explanation=None):
+    """The legacy ``RankingService._render`` dict."""
+    body = {
+        "tenant": tenant,
+        "items": [
+            {
+                "position": item.position,
+                "document": item.document,
+                "score": item.score,
+                "preference": item.preference,
+            }
+            for item in items
+        ],
+        "from_cache": from_cache,
+    }
+    if context is not None:
+        body["context"] = list(context)
+    if explanation is not None:
+        body["explanation"] = explanation
+    return body
+
+
+def bits(items):
+    """Items with floats spelled out, so ``-0.0 != 0.0`` and ulps count."""
+    return [
+        (item.document, repr(item.score), repr(item.preference), repr(item.query_dependent),
+         item.position)
+        for item in items
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Strategies over random columns with forced ties
+# ---------------------------------------------------------------------------
+
+NAME_ALPHABET = st.sampled_from(list("abcxyz019_") + ['"', "\\", "é", "☃", " ", "/"])
+#: Quantised so equal scores (and with them the name tie-break) are common.
+TIED_SCORES = st.sampled_from([0.0, 0.2, 0.2, 0.5, 0.5, 0.5, 1.0, 1e-9, 0.30000000000000004])
+
+
+@st.composite
+def score_columns(draw):
+    size = draw(st.integers(min_value=0, max_value=90))
+    names = draw(
+        st.lists(st.text(NAME_ALPHABET, min_size=1, max_size=6), min_size=size, max_size=size,
+                 unique=True)
+    )
+    free = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    values = [draw(st.one_of(TIED_SCORES, free)) for _ in names]
+    query = None
+    if draw(st.booleans()):
+        graded = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), free)
+        query = {name: draw(graded) for name in names if draw(st.booleans())}
+        if draw(st.booleans()):
+            query["elsewhere"] = 0.7  # a query hit outside the view
+    return names, values, query
+
+
+def as_column(names, values, backend):
+    np = resolve_backend(backend)
+    table = NameTable(tuple(names), np)
+    vector = tuple(values) if np is None else np.array(values, dtype=np.float64)
+    return ScoreColumn(table, vector)
+
+
+@settings(max_examples=120, deadline=None)
+@given(score_columns(), st.randoms(use_true_random=False))
+def test_every_strategy_matches_the_object_path(case, rng):
+    names, values, query = case
+    preference = dict(zip(names, values))
+    subset = rng.sample(names, len(names) // 2) + ["not_in_view"]
+    cuts = [None, 0, 1, 3, len(names), len(names) + 5]
+    for backend in BACKENDS:
+        column = as_column(names, values, backend)
+        for strategy in STRATEGIES:
+            shapes = [
+                # the whole-target request: the kernel's vector, no lookups
+                (column, column.table.names, names),
+                # a column read through its mapping surface
+                (column, list(names), names),
+                # explicit candidates, one of them unknown to the view
+                (preference, subset, subset),
+            ]
+            for scores, documents, oracle_documents in shapes:
+                for k in cuts:
+                    want = oracle_ranked(
+                        oracle_entries(strategy, preference, query, oracle_documents), k
+                    )
+                    if k is None:
+                        got = strategy.combine(scores, query, documents)
+                    else:
+                        got = strategy.combine_top_k(scores, query, documents, k)
+                    assert bits(got) == bits(want), (backend, strategy, k)
+                    assert got == want and want == got and len(got) == len(want)
+                    assert got[:2] == want[:2] and got[1:] == want[1:]
+                    assert got.documents() == [item.document for item in want]
+                    if want:
+                        assert got[0] == want[0] and got[-1] == want[-1]
+                    assert pickle.loads(pickle.dumps(got)) == want
+                    legacy = json.dumps(oracle_render("t", None, want, False)["items"])
+                    assert _items_json(got) == legacy.encode("utf-8")
+
+
+def test_ranked_items_of_wraps_ready_made_items():
+    items = [RankedItem("b", 0.5, 0.25, 1.0, 1), RankedItem("a", 0.5, 0.5, 0.0, 2)]
+    columns = RankedItems.of(items)
+    assert columns == tuple(items) and list(columns) == items
+    assert RankedItems.of(columns) is columns
+    assert RankedItems.of([]) == () and not RankedItems.of([])
+    with pytest.raises(IndexError):
+        columns[2]
+    plain = RankedItems.of([RankedItem("x", 0.1, 0.1)])
+    assert plain.dependents is None and plain[0].position == 1
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [
+        [float("inf"), float("nan"), 0.5],
+        [float("-inf")] + [0.25] * 40,  # non-finite among heavy ties
+        [0.0, -0.0, 0.0, -0.0] + [0.5] * 20,  # signed zeros must keep their sign
+        [0.125] * 30 + [0.75] * 30,  # a handful of distinct scores: formatted once each
+        [index / 97.0 for index in range(60)],  # all distinct
+        [1, 0.5, 2],  # an int from a custom backend is written as json writes it
+    ],
+    ids=["non-finite", "non-finite-ties", "signed-zeros", "ties", "unique", "ints"],
+)
+def test_scores_are_spelled_like_json(scores):
+    items = RankedItems.of(
+        [RankedItem(f"d{index}", score, 0.5) for index, score in enumerate(scores)]
+    )
+    legacy = json.dumps(oracle_render("t", None, tuple(items), False)["items"])
+    assert _items_json(items) == legacy.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# ScoredView
+# ---------------------------------------------------------------------------
+
+def oracle_score_documents(kernel, prune_documents=True, method="factorised"):
+    """The list of eager ``DocumentScore`` the kernel used to return."""
+    trivial = set(kernel.trivial_rows()) if prune_documents else frozenset()
+    return [
+        DocumentScore(
+            name, value, () if row in trivial else LazyContributions(kernel, row), method
+        )
+        for row, (name, value) in enumerate(zip(kernel.names, kernel.scores(prune_documents)))
+    ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("prune", [True, False])
+def test_scored_view_is_the_old_mapping(backend, prune):
+    for kernel in synthetic_family(backend, count=3, docs=50, seed=5):
+        want = {score.document: score for score in oracle_score_documents(kernel, prune)}
+        view = kernel.score_documents(prune_documents=prune)
+        assert isinstance(view, ScoredView)
+        assert view.names is kernel.candidates.names  # shared, not copied
+        assert len(view) == len(want) and list(view) == list(want)
+        assert view == want and want == view
+        assert dict(view.items()) == want and list(view.values()) == list(want.values())
+        assert list(want)[0] in view
+        assert "no such document" not in view and view.get("no such document") is None
+        with pytest.raises(KeyError):
+            view["no such document"]
+        for name, score in want.items():
+            got = view[name]
+            assert (got.document, repr(got.value), got.method) == (
+                name, repr(score.value), score.method
+            )
+            assert got.contributions == score.contributions
+            assert (got.contributions == ()) == (score.contributions == ())
+        assert score_values(view) == {name: score.value for name, score in want.items()}
+        assert dict(view.column()) == score_values(view)
+        restored = pickle.loads(pickle.dumps(view))
+        assert restored == want and type(restored) is dict
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batched_views_match_sequential_views(backend):
+    kernels = synthetic_family(backend, count=4, docs=70, seed=9)
+    for kernel, view in zip(kernels, score_documents_batch(kernels)):
+        assert view.kernel is kernel and view.names is kernel.candidates.names
+        want = kernel.score_documents()
+        assert score_values(view) == pytest.approx(score_values(want), abs=1e-12)
+        probe = kernel.names[3]
+        assert view[probe].contributions == want[probe].contributions
+
+
+# ---------------------------------------------------------------------------
+# The engine: sequential vs batched vs coalesced
+# ---------------------------------------------------------------------------
+
+def section5_engine(relevance="gated", programs=60, rules=6):
+    from repro.dl.vocabulary import Individual
+
+    world = generate_test_database(seed=7, counts=Section5Counts(persons=10, programs=programs))
+    user = world.abox.register_individual(Individual("identity_user"))
+    builder = EngineBuilder().knowledge(world.abox, world.tbox, user, world.space)
+    builder.target(world.target).preferences(generate_rule_series(world, rules))
+    builder.relevance(relevance)
+    return builder.build()
+
+
+def draw_context(rng, rules=6):
+    first, second = rng.sample(range(rules), 2)
+    return (
+        f"CtxScenario_{first:02d}:0.{rng.randrange(1000, 9000):04d}",
+        f"CtxScenario_{second:02d}:0.{rng.randrange(1000, 9000):04d}",
+    )
+
+
+def request_shapes(names, rng):
+    some = rng.sample(names, 7)
+    return [
+        RankRequest(),
+        RankRequest(top_k=3),
+        RankRequest(top_k=len(names) + 4),
+        RankRequest(documents=some),
+        RankRequest(documents=some, top_k=2, explain=True),
+        RankRequest(query_scores={name: rng.choice([0.0, 0.5, 1.0]) for name in some}),
+        RankRequest(query_scores={name: 1.0 for name in some}, top_k=4),
+        RankRequest(explain=True, top_k=5),
+    ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("relevance", ["gated", "mixed", "log_linear"])
+def test_engine_paths_agree_with_the_object_path(backend, relevance):
+    rng = random.Random(f"{backend}:{relevance}")
+    with kernel_backend(backend):
+        engine = section5_engine(relevance)
+        engine.rank()  # compile the basis: later contexts take the incremental path
+        names = sorted(engine.preference_scores())
+        for _ in range(4):
+            context = draw_context(rng)
+            shapes = request_shapes(names, rng)
+            sequential = [engine.rank_in_context(context, shape) for shape in shapes]
+            preference = engine.preference_scores()
+            assert len(set(preference.values())) < len(preference)  # ties are present
+            engine.invalidate_cache()  # make the batch rescore instead of hitting the view cache
+            engine.rank()
+            batched = engine.rank_many(shapes, [context] * len(shapes))
+            for shape, left, right in zip(shapes, sequential, batched):
+                query = shape.query_score_map
+                if shape.documents is not None:
+                    documents = list(dict.fromkeys(shape.documents))
+                elif query is not None:
+                    documents = sorted(set(preference) | set(query))
+                else:
+                    documents = list(preference)
+                want = oracle_ranked(
+                    oracle_entries(engine.relevance, preference, query, documents), shape.top_k
+                )
+                assert bits(left.items) == bits(want), shape
+                assert left.items == want and left.documents() == [i.document for i in want]
+                assert left.scores() == {item.document: item.score for item in want}
+                assert left.top() == (want[0] if want else None)
+                # the fused pass may differ from the sequential one by ulps
+                assert right.documents() == left.documents()
+                assert right.scores() == pytest.approx(left.scores(), abs=1e-12)
+                assert (right.explanation is None) == (not shape.explain)
+                if shape.explain:
+                    assert left.explanation and left.explanation.splitlines()[0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_coalesced_mates_share_one_view(backend):
+    with kernel_backend(backend):
+        engine = section5_engine()
+        engine.rank()
+        context = ("CtxScenario_01:0.4321", "CtxScenario_03:0.8765")
+        first = engine.prepare_rank(context, RankRequest(top_k=3))
+        second = engine.prepare_rank(context, RankRequest())
+        assert first.response is None and second.response is None
+        views, rows = score_prepared_batch([first, second])
+        assert rows == 1 and views[0] is views[1]  # one row, one object, no copies
+        assert isinstance(views[0], ScoredView)
+        full = second.complete(views[1])
+        assert first.complete(views[0]).items == full.items[:3]
+        assert engine.view.scored_view() is not views[0]  # lock-free: the view is untouched
+        again = engine.rank(RankRequest())  # ... but the view cache holds that very object
+        assert again.from_cache and again.items == full.items
+        assert engine.view.scored_view() is views[0]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_oracle_methods_and_sql_behave_as_before(backend):
+    from repro.workloads import set_breakfast_weekend_context
+
+    with kernel_backend(backend):
+        worlds = [build_tvtouch() for _ in range(3)]
+        for world in worlds:
+            set_breakfast_weekend_context(world)
+        fast, slow, exact = (
+            EngineBuilder().world(world).options(method=method).build()
+            for world, method in zip(worlds, ("factorised", "enumeration", "exact"))
+        )
+        want = fast.rank()
+        assert isinstance(fast.view.scored_view(), ScoredView)
+        for oracle in (slow, exact):
+            got = oracle.rank()
+            assert type(oracle.view.scored_view()) is dict
+            assert got.documents() == want.documents()
+            assert got.scores() == pytest.approx(want.scores(), abs=1e-9)
+        sql = fast.rank(
+            "SELECT id, preferencescore FROM Programs WHERE preferencescore > 0.1 "
+            "ORDER BY preferencescore DESC"
+        )
+        assert sql.documents() == ["channel5_news", "bbc_news"]
+        assert [row[1] for row in sql.result.rows] == pytest.approx([0.6006, 0.18])
+        assert "channel5_news" in fast.explain("channel5_news")
+        assert fast.view.score_of("oprah") == pytest.approx(0.071)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_snapshot_restored_candidates_serve_the_same_views(backend, tmp_path):
+    """The snapshot codec restores ``CompiledCandidates`` by hand: the
+    restored set must grow the same lazy tables and answer the same."""
+    from repro.store import load_world, write_world_snapshot
+
+    with kernel_backend(backend):
+        world = build_tvtouch()
+        path = tmp_path / "world.snap"
+        write_world_snapshot(path, world)
+        loaded = load_world(path, share_memory=False)
+        context = ("Weekend:0.7", "Breakfast:0.6")
+        answers = []
+        for source in (world, loaded):
+            registry = TenantRegistry(source)
+            with registry.checkout("alice") as session:
+                answers.append(session.rank_in_context(context, RankRequest(), tick="svc"))
+                refreshes = session.engine.cache_info().context_refreshes
+        built, restored = answers
+        assert refreshes == 1  # served off the restored matrix, not a rebuild
+        assert bits(restored.items) == bits(built.items)
+        assert _items_json(restored.items) == _items_json(built.items)
+
+
+# ---------------------------------------------------------------------------
+# The wire: RankBody vs the legacy render dict
+# ---------------------------------------------------------------------------
+
+class RecordingService(RankingService):
+    """Keeps the engine response behind each fresh render, for the oracle."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rendered = []
+
+    def _render(self, request, response):
+        self.rendered.append((request, response))
+        return super()._render(request, response)
+
+
+def make_service(include_timings=False, batch=0, clock=None, **config):
+    cache = InMemoryCacheAdapter(max_entries=64, ttl=5.0, stale_grace=600.0,
+                                 **({"clock": clock} if clock else {}))
+    return RecordingService(
+        TenantRegistry(build_tvtouch(), shards=2, max_sessions=16),
+        ServiceConfig(max_concurrency=4, include_timings=include_timings,
+                      batch_max_size=batch, batch_max_wait_us=200.0,
+                      breaker_min_requests=50, **config),
+        cache=cache,
+    )
+
+
+def assert_wire(reply, legacy):
+    """The bytes are ``json.dumps`` of the legacy dict; the lazily
+    decoded body is that dict (key order included)."""
+    assert reply.encoded() == json.dumps(legacy).encode("utf-8")
+    assert json.loads(reply.encoded()) == legacy
+    assert reply.body == legacy and list(reply.body) == list(legacy)
+
+
+def legacy_hit(stored, context):
+    """``_serve_hit`` on the dict path."""
+    body = dict(stored)
+    body["cached"] = True
+    if context is not None:
+        body["context"] = list(context)
+    return body
+
+
+PARAMS = [
+    {"tenant": ["alice"], "context": ["Weekend", "Breakfast"]},
+    {"tenant": ["alice"], "context": ["Weekend:0.7", "Breakfast:0.6"], "top_k": ["3"]},
+    {"tenant": ["alice"], "context": ["Weekend"], "documents": ["oprah,bbc_news,unknown"]},
+    {"tenant": ["alice"], "context": ["Breakfast"], "explain": ["1"], "top_k": ["2"]},
+    {"tenant": ["bob"], "context": []},
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("batch", [0, 4])
+def test_fresh_hit_and_echo_bodies_are_byte_identical(backend, batch):
+    with kernel_backend(backend):
+        service = make_service(batch=batch)
+        for params in PARAMS:
+            context = tuple(params["context"])
+            fresh = service.rank(params)
+            assert fresh.status == 200
+            request, response = service.rendered[-1]
+            legacy = oracle_render(
+                request.tenant, context, response.items, response.from_cache,
+                response.explanation,
+            )
+            assert_wire(fresh, legacy)
+            stored = {key: value for key, value in legacy.items() if key != "context"}
+
+            echoed = service.rank(params)  # a delta hit: context echo re-attached
+            assert_wire(echoed, legacy_hit(stored, context))
+            standing = dict(params)
+            del standing["context"]
+            pure = service.rank(standing)  # a pure hit: no echo, served from begin_rank
+            assert_wire(pure, legacy_hit(stored, None))
+            assert len(service.rendered) == PARAMS.index(params) + 1  # hits never re-render
+        service.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_stale_serves_are_byte_identical(backend):
+    from tests.service.test_resilience import FakeClock
+
+    with kernel_backend(backend):
+        clock = FakeClock()
+        service = make_service(clock=clock)
+        params = {"tenant": ["alice"], "context": ["Weekend", "Breakfast"], "top_k": ["3"]}
+        service.rank(params)
+        request, response = service.rendered[-1]
+        stored = oracle_render(request.tenant, None, response.items, response.from_cache)
+        clock.advance(10.0)  # expired 5 s ago
+        service.fault_injector = FaultInjector(rank_error_rate=1.0, seed=1)
+
+        exact = service.rank(params)
+        legacy = dict(stored)
+        legacy["context"] = params["context"]
+        legacy.update(cached=True, stale=True, stale_reason="error", stale_age_seconds=5.0)
+        assert_wire(exact, legacy)
+
+        standing = service.rank({"tenant": ["alice"], "top_k": ["3"]})
+        legacy = dict(stored)
+        legacy.update(cached=True, stale=True, stale_reason="error", stale_age_seconds=5.0)
+        assert_wire(standing, legacy)
+
+        clock.advance(-10.0)
+        other = {"tenant": ["alice"], "context": ["Weekend"], "top_k": ["3"]}
+        family = service.rank(other)  # exact key misses: the family's last body answers
+        legacy = dict(stored)
+        legacy["context"] = other["context"]
+        legacy.update(cached=True, stale=True, stale_reason="error",
+                      stale_age_seconds=family.body["stale_age_seconds"],
+                      stale_context_digest=True)
+        assert_wire(family, legacy)
+        service.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_include_timings_only_touches_the_header(backend):
+    with kernel_backend(backend):
+        service = make_service(include_timings=True)
+        params = {"tenant": ["alice"], "context": ["Weekend", "Breakfast"], "explain": ["true"]}
+        for cached in (False, True):
+            reply = service.rank(params)
+            request, response = service.rendered[-1]
+            legacy = oracle_render(request.tenant, params["context"], response.items,
+                                   response.from_cache, response.explanation)
+            if cached:
+                legacy = legacy_hit(
+                    {k: v for k, v in legacy.items() if k != "context"}, params["context"]
+                )
+            assert list(reply.body)[-1] == "timings_ms"
+            legacy["timings_ms"] = reply.body["timings_ms"]
+            assert set(legacy["timings_ms"]) >= {"parse", "cache", "render", "total"}
+            assert_wire(reply, legacy)
+        failed = service.rank({"tenant": ["alice"], "context": ["NoSuch:Thing:1"]})
+        assert failed.status == 400 and "timings_ms" in failed.body  # dict bodies too
+        assert failed.encoded() == json.dumps(failed.body).encode("utf-8")
+        service.close()
+
+
+def test_rank_body_is_immutable_under_decoration():
+    body = RankBody("t", b'[{"position": 1}]', {"from_cache": False, "context": ["A"]})
+    hit = body.without("context").extended(cached=True)
+    assert body.tail == {"from_cache": False, "context": ["A"]}
+    assert hit.items_json is body.items_json and hit.nbytes == len(body.items_json)
+    assert hit.to_dict() == {
+        "tenant": "t", "items": [{"position": 1}], "from_cache": False, "cached": True,
+    }
+    assert hit.encode() == json.dumps(hit.to_dict()).encode("utf-8")

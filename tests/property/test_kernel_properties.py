@@ -168,7 +168,7 @@ def test_rank_top_k_agrees_with_full_sort(case, k):
     problem, threshold, backend = case
     kernel = ScoringKernel.compile(problem, rule_threshold=threshold, backend=backend)
     full = sorted(
-        kernel.score_documents(), key=lambda score: (-score.value, score.document)
+        kernel.score_documents().values(), key=lambda score: (-score.value, score.document)
     )
     top = kernel.rank_top_k(k)
     assert [(s.document, s.value) for s in top] == [

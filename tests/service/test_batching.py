@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.core.kernel import score_values
 from repro.engine import RankingEngine, RankRequest
 from repro.errors import EngineError, ReproError
 from repro.service import (
@@ -43,7 +44,7 @@ def prepare(engine, probability):
 
 
 def sequential_scores(prepared):
-    return {s.document: s.value for s in prepared.kernel.score_documents()}
+    return score_values(prepared.kernel.score_documents())
 
 
 def run_concurrently(scheduler, jobs):

@@ -92,9 +92,7 @@ class TestPrepareRank:
         assert prepared.kernel is not None
         assert prepared.signature is not None
         assert prepared.group_key is not None
-        response = prepared.complete(
-            {s.document: s for s in prepared.kernel.score_documents()}
-        )
+        response = prepared.complete(prepared.kernel.score_documents())
         assert [item.document for item in response.items] == (
             engine.rank(RankRequest(top_k=2)).documents()
         )

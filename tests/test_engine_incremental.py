@@ -159,3 +159,90 @@ class TestEngineTopK:
     def test_view_rank_top_k(self, engine):
         top = engine.view.rank_top_k(2)
         assert [score.document for score in top][:1] == ["channel5_news"]
+
+
+class TestSupportClosureMemo:
+    """``ViewBasis.reusable_for`` walks the candidates' support closure
+    once per frozen base map; the answer must be the unmemoised one."""
+
+    @staticmethod
+    def unmemoised(basis, abox, target, kb):
+        """``reusable_for`` as it was before the memo: both closures
+        re-walked on every call."""
+        from repro.engine.basis import (
+            _reverse_reachable,
+            _touched_names,
+            dynamic_snapshot,
+            support_closure,
+        )
+
+        delta = basis.snapshot ^ dynamic_snapshot(abox)
+        if not delta:
+            return True
+        forward, reverse = kb.session().reachability_maps()
+        affected = _reverse_reachable(abox, _touched_names(delta), reverse)
+        if affected & support_closure(abox, basis.kernel.names, forward):
+            return False
+        return all(kb.membership_event(name, target).is_impossible for name in affected)
+
+    def test_memoised_guard_agrees_over_random_overlays(self):
+        import random
+
+        from repro.engine.basis import shared_basis_pool
+        from repro.tenants import TenantRegistry
+
+        rng = random.Random(2024)
+        registry = TenantRegistry(build_tvtouch())
+        with registry.checkout("seed") as session:
+            session.rank()  # compiles and pools the shared basis
+            key = session.engine._basis_key()
+        basis = shared_basis_pool().get(key)
+        assert basis is not None
+        programs = list(basis.kernel.names)
+        genres = ["HUMAN-INTEREST", "NEWS", "fresh_genre"]
+        verdicts, walked = [], 0
+        for trial in range(60):
+            with registry.checkout(f"tenant_{trial}") as session:
+                overlay, user = session.overlay, session.user
+                for _ in range(rng.randrange(0, 3)):
+                    overlay.assert_concept(rng.choice(["Weekend", "Breakfast"]), user, dynamic=True)
+                with_roles = trial % 2 == 1
+                if with_roles:  # overlay role edges: the memo must step aside
+                    for _ in range(rng.randrange(1, 3)):
+                        source = rng.choice([user.name, rng.choice(programs), "fresh_thing"])
+                        target = rng.choice(programs + genres + [user.name])
+                        overlay.assert_role(rng.choice(["hasGenre", "watches"]), source, target,
+                                            dynamic=True)
+                if rng.random() < 0.3:
+                    overlay.assert_concept("Promoted", rng.choice(programs), dynamic=True)
+                engine = session.engine
+                forward, _reverse = engine.kb.session().reachability_maps()
+                assert (forward.frozen_base is None) == with_roles
+                before = basis._support_memo
+                got = basis.reusable_for(overlay, engine.tbox, engine.target, kb=engine.kb)
+                walked += basis._support_memo is not before
+                assert got == self.unmemoised(basis, overlay, engine.target, engine.kb), trial
+                verdicts.append(got)
+        assert True in verdicts and False in verdicts
+        assert walked == 1  # one frozen base map, one walk, however many tenants
+
+    def test_the_memo_is_keyed_on_the_base_map_object(self):
+        from repro.engine.basis import ViewBasis
+        from repro.reason.kb import _ChainedMap
+
+        world = build_tvtouch()
+        engine = RankingEngine.from_world(world)
+        engine.rank()
+        basis = ViewBasis(kernel=engine._scorer.last_kernel, snapshot=frozenset())
+        one = {"oprah": ["HUMAN-INTEREST"]}
+        other = {"oprah": ["NEWS"], "NEWS": ["anywhere"]}
+        first = basis._support(world.abox, _ChainedMap(one, {}))
+        assert "HUMAN-INTEREST" in first and "NEWS" not in first
+        assert basis._support(world.abox, _ChainedMap(one, {})) is first  # same map: no walk
+        second = basis._support(world.abox, _ChainedMap(other, {}))
+        assert {"NEWS", "anywhere"} <= second and "HUMAN-INTEREST" not in second
+        # overlay edges, a plain dict, no map at all: never memoised
+        chained = basis._support(world.abox, _ChainedMap(one, {"HUMAN-INTEREST": ["deeper"]}))
+        assert "deeper" in chained
+        assert basis._support(world.abox, one) == first
+        assert basis._support_memo[0] is other
