@@ -10,7 +10,7 @@ help:
 	@echo "make test         - run the full test suite"
 	@echo "make test-fast    - the suite minus the slow concurrency hammers"
 	@echo "make bench-smoke  - benchmark scripts at tiny sizes (REPRO_BENCH_SMOKE=1)"
-	@echo "make ledger-smoke - 5 s traced ledger runs of full_ranking + herd_miss (failed = 0, every traced target resolves)"
+	@echo "make ledger-smoke - 5 s traced ledger runs of full_ranking, herd_miss + zipf_steady (failed = 0, every traced target resolves)"
 	@echo "make bench        - the full benchmark suite (slow; rewrites results/)"
 	@echo "make serve        - the HTTP ranking gateway on :8080"
 	@echo "make smoke        - start the gateway, hit /healthz + /rank, shut down"

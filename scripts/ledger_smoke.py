@@ -1,11 +1,12 @@
-"""Ledger smoke: a short traced run of the two miss-path workloads.
+"""Ledger smoke: a short traced run of the miss path and of the hit path.
 
 Runs ``benchmarks/ledger/run.py --workload W --seed 7 --seconds 5
---trace 1`` for ``full_ranking`` and ``herd_miss`` and fails when the
-run's JSON line reports a failed operation or ``trace.resolved_share``
-below 1 — a traced entry point that was renamed (or an answer that
-stopped matching the oracle) then breaks CI instead of silently
-blanking a row of the per-layer account.  No timing is asserted.
+--trace 1`` for ``full_ranking``, ``herd_miss`` and ``zipf_steady``
+(95 % hits) and fails when the run's JSON line reports a failed
+operation or ``trace.resolved_share`` below 1 — a traced entry point
+that was renamed (or an answer that stopped matching the oracle) then
+breaks CI instead of silently blanking a row of the per-layer account.
+No timing is asserted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("full_ranking", "herd_miss")
+WORKLOADS = ("full_ranking", "herd_miss", "zipf_steady")
 
 
 def smoke(workload: str) -> list[str]:

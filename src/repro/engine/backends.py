@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Hashable, Iterable
 
 from repro.dl.abox import ABox, ConceptAssertion
@@ -44,17 +45,33 @@ __all__ = [
 ]
 
 
+#: Distinct context-concept names whose syntax check is remembered.
+_NAME_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=_NAME_MEMO_SIZE)
+def _check_concept_syntax(name: str) -> None:
+    """Parse ``name`` as a concept, once per name.
+
+    Context names repeat from request to request (they come from the
+    vocabulary) while whole specs may never do (a fresh probability
+    each time), so the memo is keyed by name.  A name that fails to
+    parse raises every time: ``lru_cache`` keeps no exceptions.
+    """
+    parse_concept(name)
+
+
 def parse_context_spec(spec: str) -> tuple[str, float]:
     """Validate one ``CONCEPT[:PROB]`` spec into ``(concept, probability)``.
 
     Raises :class:`EngineConfigError` on bad syntax or an out-of-range
     probability.  Shared by :meth:`AboxContext.install` (which
     validates *every* spec before touching the knowledge base, so a
-    bad spec can never leave a half-installed context) and the serving
-    pipeline's pre-flight check.
+    bad spec can never leave a half-installed context), the response
+    cache's key stage and the serving pipeline's pre-flight check.
     """
     name, _, prob_text = spec.partition(":")
-    parse_concept(name)  # validate the syntax early
+    _check_concept_syntax(name)  # validate the syntax early
     try:
         probability = float(prob_text) if prob_text else 1.0
     except ValueError:

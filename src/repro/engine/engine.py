@@ -222,6 +222,7 @@ class RankingEngine:
         self.relevance = relevance
         self.storage = storage
         self.target = target
+        self._target_text = (target, str(target))
         self.method = method
         self.rule_threshold = rule_threshold
         self.prune_documents = prune_documents
@@ -352,6 +353,15 @@ class RankingEngine:
             kb=self.kb,
         )
 
+    def _target_key(self) -> str:
+        """``str(target)``, rendered once per target concept (every
+        signature and basis key carries it)."""
+        target, text = self._target_text
+        if target is not self.target:
+            text = str(self.target)
+            self._target_text = (self.target, text)
+        return text
+
     def _signature(self) -> Hashable:
         return (
             self.context.signature(),
@@ -361,7 +371,7 @@ class RankingEngine:
             self.method,
             self.rule_threshold,
             self.prune_documents,
-            str(self.target),
+            self._target_key(),
         )
 
     def _static_epoch(self) -> Hashable:
@@ -393,7 +403,7 @@ class RankingEngine:
             self.method,
             self.rule_threshold,
             self.prune_documents,
-            str(self.target),
+            self._target_key(),
         )
 
     def _incremental_scores(self, repository) -> ScoredView | None:

@@ -16,6 +16,7 @@ choosable, the user chose such a document with probability σ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import RuleError
 from repro.events.atoms import validate_probability
@@ -83,12 +84,14 @@ class PreferenceRule:
         """True when the rule applies in every context (context = ⊤)."""
         return isinstance(self.context, Top)
 
-    @property
+    # The two keys are rendered once per (frozen) rule: every engine
+    # signature reads them for every rule, on every request.
+    @cached_property
     def context_key(self) -> str:
         """Canonical string key of the context concept (feature g)."""
         return str(self.context)
 
-    @property
+    @cached_property
     def preference_key(self) -> str:
         """Canonical string key of the preference concept (feature f)."""
         return str(self.preference)

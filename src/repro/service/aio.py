@@ -493,7 +493,9 @@ class AioRankingServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._wake: asyncio.Event | None = None
         self._draining = False
-        self._shutdown_requested = threading.Event()
+        # A plain flag, not an Event: a signal handler sets it, and a
+        # handler must not take a lock its own thread may be holding.
+        self._shutdown_requested = False
         self._stopped = threading.Event()
         self._stopped.set()  # not running yet
         self._inflight = 0
@@ -573,7 +575,7 @@ class AioRankingServer:
             # and once this loop dies nothing in flight can finish — so
             # trigger shutdown and run the task to completion first.
             if task is not None and not task.done():
-                self._shutdown_requested.set()
+                self._shutdown_requested = True
                 self._wake.set()
                 try:
                     loop.run_until_complete(
@@ -599,7 +601,7 @@ class AioRankingServer:
 
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
-        if self._shutdown_requested.is_set():
+        if self._shutdown_requested:
             return
         server = await loop.create_server(
             lambda: _HttpConnection(self),
@@ -645,6 +647,22 @@ class AioRankingServer:
                 max(0.0, loop.time() - started - interval)
             )
 
+    def request_shutdown(self) -> None:
+        """Ask the loop to stop accepting and drain; returns at once.
+
+        Only sets a flag and wakes the loop, so it is safe from any
+        thread *and* from a signal handler running on the loop's own
+        thread: nothing is raised into whatever callback the loop was
+        in, and the drain in :meth:`_run` stays the one shutdown path.
+        """
+        self._shutdown_requested = True
+        loop, wake = self._loop, self._wake
+        if loop is not None and wake is not None:
+            try:
+                loop.call_soon_threadsafe(wake.set)
+            except RuntimeError:  # loop already closed
+                pass
+
     def shutdown(self) -> None:
         """Stop accepting, drain in-loop, stop the loop (thread-safe).
 
@@ -652,13 +670,7 @@ class AioRankingServer:
         ``socketserver.shutdown`` — so callers can ``drain`` and
         ``server_close`` immediately after.
         """
-        self._shutdown_requested.set()
-        loop, wake = self._loop, self._wake
-        if loop is not None and wake is not None:
-            try:
-                loop.call_soon_threadsafe(wake.set)
-            except RuntimeError:  # loop already closed
-                pass
+        self.request_shutdown()
         self._stopped.wait()
 
     def drain(self, grace: float, settle: float = 0.05) -> bool:
@@ -677,7 +689,7 @@ class AioRankingServer:
                 return True
 
     def server_close(self) -> None:
-        self._shutdown_requested.set()
+        self._shutdown_requested = True
         try:
             self.socket.close()
         except OSError:  # pragma: no cover - already closed
@@ -723,8 +735,15 @@ def serve(
     grace: float = 5.0,
     ready=None,
 ) -> int:
-    """Run the event-loop gateway until interrupted (mirror of
-    :func:`repro.service.http.serve`, same signals, same exit code)."""
+    """Run the event-loop gateway until SIGTERM or SIGINT (mirror of
+    :func:`repro.service.http.serve`, same signals, same exit code).
+
+    The loop runs on this thread, so a handler that raised would land
+    inside whatever callback the loop was running — between a request's
+    in-flight increment and its decrement the count never returned to
+    zero and the drains ran out their grace.  Both signals therefore
+    only *request* the shutdown (:meth:`AioRankingServer.request_shutdown`).
+    """
     import signal as _signal
 
     server = make_aio_server(service, host, port, verbose=verbose)
@@ -732,20 +751,23 @@ def serve(
     if ready is not None:
         ready(server)
 
-    def _interrupt(signum, frame):  # noqa: ARG001 - signal API
-        raise KeyboardInterrupt
+    def _stop(signum, frame):  # noqa: ARG001 - signal API
+        server.request_shutdown()
 
+    previous = {}
     try:
-        previous_term = _signal.signal(_signal.SIGTERM, _interrupt)
+        for signum in (_signal.SIGTERM, _signal.SIGINT):
+            previous[signum] = _signal.signal(signum, _stop)
     except ValueError:  # not on the main thread (embedded use)
-        previous_term = None
+        pass
     try:
         server.serve_forever()
-    except KeyboardInterrupt:
+    except KeyboardInterrupt:  # embedded use: no handler of ours installed
         pass
     finally:
-        if previous_term is not None:
-            _signal.signal(_signal.SIGTERM, previous_term)
+        for signum, handler in previous.items():
+            if handler is not None:  # None: not installed from Python
+                _signal.signal(signum, handler)
         server.shutdown()
         server.drain(grace)
         service.close()

@@ -38,12 +38,15 @@ class LatencyRecorder:
     ``observe`` is O(1) under one small lock; ``summary`` sorts the
     retained window (bounded by ``capacity``), so it is cheap enough
     for a metrics endpoint but not meant for the per-request path.
+    ``lock`` lets an owner of many recorders guard them all with its
+    own lock, and so record into several under one hold
+    (:meth:`ServiceMetrics.record_request`).
     """
 
-    def __init__(self, capacity: int = 16384):
+    def __init__(self, capacity: int = 16384, lock: "threading.Lock | None" = None):
         if capacity < 1:
             raise ValueError(f"recorder needs a positive capacity, got {capacity!r}")
-        self._lock = threading.Lock()
+        self._lock = lock if lock is not None else threading.Lock()
         self._samples: "deque[float]" = deque(maxlen=capacity)
         self._count = 0
         self._total = 0.0
@@ -51,11 +54,14 @@ class LatencyRecorder:
 
     def observe(self, seconds: float) -> None:
         with self._lock:
-            self._samples.append(seconds)
-            self._count += 1
-            self._total += seconds
-            if seconds > self._max:
-                self._max = seconds
+            self._add(seconds)
+
+    def _add(self, seconds: float) -> None:  # call with the lock held
+        self._samples.append(seconds)
+        self._count += 1
+        self._total += seconds
+        if seconds > self._max:
+            self._max = seconds
 
     @property
     def count(self) -> int:
@@ -89,24 +95,42 @@ class ServiceMetrics:
 
     Stages are created lazily on first observation, so the pipeline
     and the load generator can share one class without agreeing on a
-    fixed stage list up front.
+    fixed stage list up front.  One lock guards the dicts *and* every
+    stage recorder, so a finished request is recorded — all its stages,
+    their tagged twins and its outcome — under a single hold
+    (:meth:`record_request`).
     """
 
     def __init__(self, capacity: int = 16384):
         self._capacity = capacity
         self._lock = threading.Lock()
         self._stages: dict[str, LatencyRecorder] = {}
+        #: tag -> stage -> the ``"{stage}.{tag}"`` recorder (also in
+        #: ``_stages``): a tagged name is formatted once, not per request.
+        self._tagged: dict[str, dict[str, LatencyRecorder]] = {}
         self._outcomes: dict[str, int] = {}
         self._counters: dict[str, dict[str, int]] = {}
+
+    def _recorder(self, name: str) -> LatencyRecorder:  # call with the lock held
+        recorder = self._stages.get(name)
+        if recorder is None:
+            recorder = self._stages[name] = LatencyRecorder(self._capacity, self._lock)
+        return recorder
+
+    def _observe(self, name: str, seconds: float, tag: str | None) -> None:
+        # call with the lock held
+        self._recorder(name)._add(seconds)
+        if tag is not None:
+            tagged = self._tagged.setdefault(tag, {})
+            recorder = tagged.get(name)
+            if recorder is None:
+                recorder = tagged[name] = self._recorder(f"{name}.{tag}")
+            recorder._add(seconds)
 
     def stage(self, name: str) -> LatencyRecorder:
         """The recorder for one pipeline stage (created on demand)."""
         with self._lock:
-            recorder = self._stages.get(name)
-            if recorder is None:
-                recorder = LatencyRecorder(self._capacity)
-                self._stages[name] = recorder
-            return recorder
+            return self._recorder(name)
 
     def observe_stage(self, name: str, seconds: float, *, tag: str | None = None) -> None:
         """Record one stage latency, optionally under a tag as well.
@@ -116,13 +140,27 @@ class ServiceMetrics:
         ``"{name}.{tag}"`` recorder — the pipeline uses tags to split
         latencies into ``cached`` vs ``uncached`` populations.
         """
-        self.stage(name).observe(seconds)
-        if tag is not None:
-            self.stage(f"{name}.{tag}").observe(seconds)
+        with self._lock:
+            self._observe(name, seconds, tag)
 
     def count_outcome(self, outcome: str) -> None:
         """Bump one request-outcome counter (``ok``/``rejected``/...)."""
         with self._lock:
+            self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
+
+    def record_request(
+        self, timings: Mapping[str, float], outcome: str, *, tag: str | None = None
+    ) -> None:
+        """Record one finished request under a single hold of the lock.
+
+        Equivalent to :meth:`observe_stage` for every ``stage: seconds``
+        entry of ``timings`` (each under ``tag`` as well, when given)
+        followed by :meth:`count_outcome` — what the pipeline does once
+        per response.
+        """
+        with self._lock:
+            for name, seconds in timings.items():
+                self._observe(name, seconds, tag)
             self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
 
     def outcomes(self) -> dict[str, int]:

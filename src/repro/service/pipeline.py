@@ -71,7 +71,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.cache.keys import KeyLookup, ResponseKeyer, response_key
@@ -310,51 +309,75 @@ def _dumps(value: object) -> bytes:
     return json.dumps(value).encode("utf-8")
 
 
-def _float_texts(values: Sequence[float]) -> list[str]:
-    """Each score as ``json.dumps`` would write it (``float.__repr__``).
-
-    Documents with the same feature pattern tie, so a ranking of
-    thousands often holds a handful of distinct scores: each distinct
-    float is formatted once (``repr`` is the dearest step of a render).
-    """
-    distinct = set(values)
-    if 2 * len(distinct) > len(values) or 0.0 in distinct:
-        # Mostly unique — or a zero, whose sign a set cannot tell apart.
-        texts = shown = list(map(repr, values))
-    else:
-        shown = list(map(repr, distinct))
-        texts = list(map(dict(zip(distinct, shown)).__getitem__, values))
-    if "n" in "".join(shown):  # inf / nan: json spells them differently
+def _float_texts(values: Iterable[float]) -> list[str]:
+    """Each score as ``json.dumps`` would write it (``float.__repr__``)."""
+    texts = list(map(repr, values))
+    if "n" in "".join(texts):  # inf / nan: json spells them differently
         texts = [json.dumps(value) for value in values]
     return texts
 
 
+#: ``_POSITION_HEADS[i]`` opens item ``i + 1`` of an ``items`` array (the
+#: first one opens the array too).  A head depends on nothing but the
+#: position, so the table is shared process-wide and grown — on demand,
+#: never at start-up — to the longest ranking rendered so far.
+_POSITION_HEADS = ['[{"position": 1, "document": ']
+_POSITION_HEADS_LOCK = threading.Lock()
+
+
+def _position_heads(count: int) -> list[str]:
+    """The heads of positions 1 to ``count``."""
+    heads = _POSITION_HEADS
+    if len(heads) < count:
+        with _POSITION_HEADS_LOCK:  # entries are only ever appended
+            heads.extend(
+                f', {{"position": {position}, "document": '
+                for position in range(len(heads) + 1, count + 1)
+            )
+    return heads[:count]
+
+
+def _score_tails(scores: Sequence[float], preferences: Sequence[float]) -> list[str]:
+    """Each item's closing ``, "score": S, "preference": P}`` fragment.
+
+    Documents with the same feature pattern tie, so a ranking of
+    thousands often holds a handful of distinct scores: when the score
+    is its own preference — every request without a query part — one
+    tail is formatted per distinct score (``repr`` is the dearest step
+    of a render) and the items look theirs up.
+    """
+    if preferences is scores:
+        distinct = set(scores)
+        if 0.0 not in distinct:  # a set cannot tell a zero's sign
+            tails = {
+                score: f', "score": {text}, "preference": {text}}}'
+                for score, text in zip(distinct, _float_texts(distinct))
+            }
+            return list(map(tails.__getitem__, scores))
+    return [
+        f', "score": {score}, "preference": {preference}}}'
+        for score, preference in zip(_float_texts(scores), _float_texts(preferences))
+    ]
+
+
 def _items_json(items: RankedItems) -> bytes:
-    """The ``items`` array of a ``/rank`` body, written from the columns.
+    """The ``items`` array of a ``/rank`` body, assembled from fragments.
 
     Byte-identical to ``json.dumps`` of the per-item dicts
     (``position``, ``document``, ``score``, ``preference``) without
-    building one: names come pre-encoded from the ranking's name table,
-    and a score that is its own preference is formatted once.
+    building one: an item is a position head, the document's
+    pre-encoded name from the ranking's name table and a score tail,
+    interleaved by slice assignment and joined once.
     """
+    count = len(items.rows)
+    if not count:
+        return b"[]"
     names = items.table.json_names
-    scores = _float_texts(items.scores)
-    preferences = (
-        scores if items.preferences is items.scores else _float_texts(items.preferences)
-    )
-    return (
-        "["
-        + ", ".join(
-            [
-                f'{{"position": {position}, "document": {names[row]}, '
-                f'"score": {score}, "preference": {preference}}}'
-                for position, row, score, preference in zip(
-                    count(1), items.rows, scores, preferences
-                )
-            ]
-        )
-        + "]"
-    ).encode("ascii")
+    parts = ["]"] * (3 * count + 1)
+    parts[0:-1:3] = _position_heads(count)
+    parts[1::3] = [names[row] for row in items.rows]
+    parts[2::3] = _score_tails(items.scores, items.preferences)
+    return "".join(parts).encode("ascii")
 
 
 class RankBody:
@@ -869,9 +892,13 @@ class RankingService:
                 release.attach_checkout(checkout)
             with clock.stage("context"):
                 # Pre-flight every spec: a bad one 400s here with
-                # the tenant's standing context untouched.
+                # the tenant's standing context untouched.  The cache
+                # stage parsed them all if it produced a lookup
+                # (``lookup.canon``); only a request it could not key —
+                # cache off, or a spec that does not parse — is parsed
+                # here.
                 specs = request.context  # None keeps the standing context
-                if specs is not None:
+                if specs is not None and lookup is None:
                     for spec in specs:
                         parse_context_spec(spec)
 
@@ -1317,11 +1344,9 @@ class RankingService:
     ) -> ServiceResponse:
         timings = clock.snapshot()
         timings["total"] = clock.total()
-        if tag is None:
-            tag = None if cached is None else ("cached" if cached else "uncached")
-        for stage_name, seconds in timings.items():
-            self.metrics.observe_stage(stage_name, seconds, tag=tag)
-        self.metrics.count_outcome(outcome)
+        if tag is None and cached is not None:
+            tag = "cached" if cached else "uncached"
+        self.metrics.record_request(timings, outcome, tag=tag)
         if self.config.include_timings:
             timings_ms = {name: seconds * 1000.0 for name, seconds in timings.items()}
             if isinstance(body, RankBody):

@@ -191,16 +191,40 @@ class BreakerDecision(NamedTuple):
 
 
 class _BreakerCore:
-    """One rolling-window breaker state machine (no locking here)."""
+    """One rolling-window breaker state machine (no locking here).
 
-    __slots__ = ("state", "events", "probe_at", "probe_inflight", "probe_started_at")
+    ``failures`` is the number of failed outcomes in ``events``, kept
+    in step by the three methods that change the window — the request
+    path never walks the deque, whatever rate x window holds.
+    """
+
+    __slots__ = (
+        "state", "events", "failures", "probe_at", "probe_inflight", "probe_started_at"
+    )
 
     def __init__(self):
         self.state = "closed"
         self.events: deque[tuple[float, bool]] = deque()
+        self.failures = 0
         self.probe_at = 0.0
         self.probe_inflight = False
         self.probe_started_at = 0.0
+
+    def append(self, now: float, ok: bool) -> None:
+        self.events.append((now, ok))
+        if not ok:
+            self.failures += 1
+
+    def prune(self, horizon: float) -> None:
+        """Drop outcomes older than ``horizon`` (amortised O(1) per append)."""
+        events = self.events
+        while events and events[0][0] < horizon:
+            if not events.popleft()[1]:
+                self.failures -= 1
+
+    def clear(self) -> None:
+        self.events.clear()
+        self.failures = 0
 
 
 class CircuitBreaker:
@@ -271,17 +295,12 @@ class CircuitBreaker:
         self._transition(core, scope, "open")
         core.probe_at = now + self.cooldown * (1.0 + self.jitter * self._rng.random())
         core.probe_inflight = False
-        core.events.clear()
+        core.clear()
 
     def _close(self, core: _BreakerCore, scope: str) -> None:
         self._transition(core, scope, "closed")
         core.probe_inflight = False
-        core.events.clear()
-
-    def _prune(self, core: _BreakerCore, now: float) -> None:
-        horizon = now - self.window
-        while core.events and core.events[0][0] < horizon:
-            core.events.popleft()
+        core.clear()
 
     def _allow_core(self, core: _BreakerCore, scope: str, now: float) -> BreakerDecision:
         if core.state == "closed":
@@ -311,13 +330,10 @@ class CircuitBreaker:
             return
         if core.state == "open":
             return  # late result from before the open; the probe decides
-        core.events.append((now, ok))
-        self._prune(core, now)
+        core.append(now, ok)
+        core.prune(now - self.window)
         total = len(core.events)
-        if total < self.min_requests:
-            return
-        failures = sum(1 for _, event_ok in core.events if not event_ok)
-        if failures / total >= self.failure_threshold:
+        if total >= self.min_requests and core.failures / total >= self.failure_threshold:
             self._open(core, scope, now)
 
     def _tenant_core(self, tenant: str, create: bool) -> _BreakerCore | None:

@@ -16,7 +16,11 @@ caller can observe moved:
 * sequential vs batched vs coalesced engine paths;
 * the wire: ``json.loads(response.encoded())`` is the legacy render
   dict and the bytes are ``json.dumps`` of it, for fresh, hit,
-  context-echo, stale and ``include_timings`` serves.
+  context-echo, stale and ``include_timings`` serves;
+* the ``items`` fragment assembled from position heads, name literals
+  and per-distinct-score tails is byte-equal to the per-item f-string
+  writer it replaced (``oracle_items_json``), whatever the ties, the
+  length, the floats' spelling or the threads growing the head table.
 """
 
 import contextlib
@@ -24,6 +28,9 @@ import json
 import os
 import pickle
 import random
+import sys
+import threading
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +53,7 @@ from repro.perf.backend import BACKEND_ENV, numpy_or_none, reset_backend, resolv
 from repro.perf.columns import NameTable, ScoreColumn
 from repro.perf.flatops import log_linear_rows
 from repro.service import FaultInjector, RankingService, ServiceConfig
+from repro.service import pipeline
 from repro.service.pipeline import RankBody, _items_json
 from repro.tenants import TenantRegistry
 from repro.workloads import (
@@ -281,6 +289,147 @@ def test_scores_are_spelled_like_json(scores):
     )
     legacy = json.dumps(oracle_render("t", None, tuple(items), False)["items"])
     assert _items_json(items) == legacy.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Fragment assembly vs the per-item writer it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_float_texts(values):
+    """``_float_texts``, verbatim: one text per item."""
+    distinct = set(values)
+    if 2 * len(distinct) > len(values) or 0.0 in distinct:
+        texts = shown = list(map(repr, values))
+    else:
+        shown = list(map(repr, distinct))
+        texts = list(map(dict(zip(distinct, shown)).__getitem__, values))
+    if "n" in "".join(shown):
+        texts = [json.dumps(value) for value in values]
+    return texts
+
+
+def oracle_items_json(items):
+    """The old ``_items_json``, verbatim: one four-slot f-string per item."""
+    names = items.table.json_names
+    scores = oracle_float_texts(items.scores)
+    preferences = (
+        scores if items.preferences is items.scores else oracle_float_texts(items.preferences)
+    )
+    return (
+        "["
+        + ", ".join(
+            [
+                f'{{"position": {position}, "document": {names[row]}, '
+                f'"score": {score}, "preference": {preference}}}'
+                for position, row, score, preference in zip(
+                    count(1), items.rows, scores, preferences
+                )
+            ]
+        )
+        + "]"
+    ).encode("ascii")
+
+
+def ranked(scores, backend, *, query=False, k=None, name="d{}"):
+    """A ranking of ``scores`` through the real order step on ``backend``."""
+    names = [name.format(index) for index in range(len(scores))]
+    column = as_column(names, scores, backend)
+    if query:  # a query part: the preference column is no longer the score column
+        dependents = {name: (index % 3) / 2.0 for index, name in enumerate(names)}
+        strategy = MixedRelevance(0.3)
+    else:
+        dependents, strategy = None, GatedRelevance()
+    if k is None:
+        return strategy.combine(column, dependents, column.table.names)
+    return strategy.combine_top_k(column, dependents, column.table.names, k)
+
+
+RENDER_CASES = {
+    "empty": [],
+    "single": [0.25],
+    "all-tied": [0.5] * 70,
+    "all-distinct": [index / 131.0 for index in range(70)],
+    "runs-and-singletons": [0.75] * 40 + [0.61] + [0.5] * 25 + [0.31, 0.3] + [0.125] * 9,
+    "signed-zeros": [0.0, -0.0] * 3 + [0.5] * 64,
+    "non-finite": [float("inf"), float("-inf"), float("nan"), float("nan")] + [0.25] * 66,
+    "tiny-and-exact": [1e-300, 5e-324, 0.1 + 0.2, 1.0, 1e22, 1e-7] * 12,
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("query", [False, True], ids=["own-preference", "query-part"])
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_fragment_assembly_is_the_per_item_writer(case, query, backend):
+    scores = RENDER_CASES[case]
+    for k in (None, 1, 3, len(scores) + 2):
+        items = ranked(scores, backend, query=query, k=k)
+        assert (items.preferences is items.scores) == (not query)
+        assert len(items) == (len(scores) if k is None else min(k, len(scores)))
+        got = _items_json(items)
+        assert got == oracle_items_json(items), (case, k)
+        decoded = json.loads(got)
+        assert [item["position"] for item in decoded] == list(range(1, len(items) + 1))
+        assert [item["document"] for item in decoded] == items.documents()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_names_needing_escapes_are_gathered_by_rank(backend):
+    awkward = ['quo"te', "back\\slash", "é☃", "tab\there", "sp ace", "/sl/ash", "\u2028line"]
+    names = [f"{text}-{index}" for index in range(12) for text in awkward]
+    column = as_column(names, [(index * 7 % 5) / 5.0 for index in range(len(names))], backend)
+    items = GatedRelevance().combine(column, None, column.table.names)
+    assert _items_json(items) == oracle_items_json(items)
+    assert [item["document"] for item in json.loads(_items_json(items))] == items.documents()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_longer_ranking_than_ever_grows_the_head_table(backend):
+    heads = pipeline._POSITION_HEADS
+    longest = len(heads) + 500
+    items = ranked([(index % 11) / 11.0 for index in range(longest)], backend)
+    assert _items_json(items) == oracle_items_json(items)
+    assert len(heads) == longest  # grown to this ranking, and no further
+    short = ranked([0.5, 0.25, 0.75], backend)
+    assert _items_json(short) == oracle_items_json(short)
+    assert len(heads) == longest  # a shorter ranking reads the table as it is
+    assert heads[0] == '[{"position": 1, "document": '
+    assert heads[longest - 1] == f', {{"position": {longest}, "document": '
+
+
+def test_threads_growing_the_head_table_at_once():
+    """More threads than cores, each rendering a longer ranking than the
+    table holds: every answer is the oracle's and no head is lost,
+    doubled or out of place.  (Without the growth lock most rounds end
+    with interleaved heads.)"""
+    heads = pipeline._POSITION_HEADS
+    lengths = [2000 + 300 * step for step in range(6)]
+    rankings = [ranked([(index % 7) / 7.0 for index in range(n)], "python") for n in lengths]
+    want = [oracle_items_json(items) for items in rankings]
+    table = [f', {{"position": {position}, "document": ' for position in range(2, max(lengths) + 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(8):
+            del heads[1:]  # as in a fresh process; nothing else renders meanwhile
+            got = [None] * len(rankings)
+            barrier = threading.Barrier(len(rankings))
+
+            def render(slot):
+                barrier.wait(timeout=10)
+                got[slot] = _items_json(rankings[slot])
+
+            threads = [
+                threading.Thread(target=render, args=(slot,)) for slot in range(len(rankings))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == want
+            assert heads[1:] == table
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

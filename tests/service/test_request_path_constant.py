@@ -1,0 +1,215 @@
+"""A request pays only for what it changed: operation-count guards.
+
+Work that is a function of history (the breaker's window), of the
+immutable rule set (rule and target keys), of the vocabulary (concept
+syntax) or of the response's bookkeeping (metrics locks) must not be
+redone per request.  These tests count operations — never time — on a
+warm tvtouch service and a warm 40-program Section 5 service:
+
+(a) context specs reach the concept parser at most once per *new*
+    concept name, whichever of the three former parse sites (cache key,
+    pipeline pre-flight, ``AboxContext.install``) sees them first;
+(b) a cache-missing rank and a delta hit render no concept to text;
+(c) the breaker's outcome window is never walked;
+(d) a pure hit is recorded by one ``ServiceMetrics`` call under one
+    hold of the metrics lock.
+"""
+
+import collections
+
+import pytest
+
+from repro.cache import InMemoryCacheAdapter
+from repro.dl import concepts
+from repro.engine import backends
+from repro.errors import ReproError
+from repro.reason import clear_registry
+from repro.service import RankingService, ServiceConfig, ServiceMetrics, resilience
+from repro.tenants import TenantRegistry
+from repro.workloads import (
+    Section5Counts,
+    build_tvtouch,
+    generate_rule_series,
+    generate_test_database,
+)
+
+#: world name -> (two known context concepts, a third one)
+CONTEXTS = {
+    "tvtouch": ("Weekend", "Breakfast", "Morning"),
+    "section5": ("CtxScenario_00", "CtxScenario_01", "CtxScenario_02"),
+}
+
+
+def build_service(world_name, metrics=None):
+    if world_name == "tvtouch":
+        world, rules = build_tvtouch(), None
+    else:
+        world = generate_test_database(seed=7, counts=Section5Counts(persons=10, programs=40))
+        rules = generate_rule_series(world, 6)
+    registry = TenantRegistry(world, rules=rules, shards=2, max_sessions=16)
+    return RankingService(
+        registry,
+        # no deadline: the rank runs on the calling thread, where the counters are
+        ServiceConfig(max_concurrency=4, request_timeout=None),
+        metrics=metrics,
+        cache=InMemoryCacheAdapter(max_entries=64),
+    )
+
+
+def rank(service, *context, tenant="alice"):
+    params = {"tenant": [tenant], "top_k": ["3"]}
+    if context:
+        params["context"] = list(context)
+    response = service.rank(params)
+    assert response.status == 200, response.body
+    return response
+
+
+def warm(service, world_name):
+    """Two ranks per shape, so bases are compiled and digests learned."""
+    first, second, _third = CONTEXTS[world_name]
+    for _ in range(2):
+        rank(service, first, f"{second}:0.7")
+        rank(service, first)
+        rank(service)
+
+
+@pytest.fixture(params=sorted(CONTEXTS))
+def world_name(request):
+    clear_registry()
+    yield request.param
+    clear_registry()
+
+
+def test_known_context_names_never_reach_the_parser(world_name, monkeypatch):
+    service = build_service(world_name)
+    warm(service, world_name)
+    first, second, third = CONTEXTS[world_name]
+    parsed = []
+    real = backends.parse_concept
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(backends, "parse_concept", counting)
+    # a miss (fresh probabilities), a delta hit, and the same with the cache off
+    rank(service, f"{first}:0.4242", f"{second}:0.2424")
+    assert rank(service, first, f"{second}:0.7").body["cached"] is True
+    uncached = RankingService(service.registry, ServiceConfig(request_timeout=None))
+    rank(uncached, f"{first}:0.1111", second)
+    assert service.install_context("alice", [first, f"{second}:0.5"]).status == 200
+    assert parsed == []
+    # a name never seen before is parsed once, by whichever site meets it first
+    backends._check_concept_syntax.cache_clear()
+    rank(service, f"{third}:0.3131", first)
+    assert sorted(parsed) == sorted([third, first])
+    rank(service, f"{third}:0.4141", first)
+    assert len(parsed) == 2
+    # a failure is never remembered: the same 400, the parser asked each time
+    with pytest.raises(ReproError) as raised:
+        real("NOT AND")
+    standing = service.registry.session("alice").engine.view_fingerprint()
+    for _ in range(2):
+        bad = service.rank({"tenant": ["alice"], "context": [first, "NOT AND:0.5"]})
+        assert bad.status == 400 and bad.body == {"error": str(raised.value)}
+    assert parsed.count("NOT AND") >= 2
+    assert service.registry.session("alice").engine.view_fingerprint() == standing
+    service.close()
+    uncached.close()
+
+
+def test_no_concept_is_rendered_to_text_on_a_miss_or_a_delta_hit(world_name, monkeypatch):
+    service = build_service(world_name)
+    warm(service, world_name)
+    first, second, _third = CONTEXTS[world_name]
+    rendered = []
+    for cls in vars(concepts).values():
+        if isinstance(cls, type) and issubclass(cls, concepts.Concept) and "__str__" in vars(cls):
+            def counting(self, _real=cls.__str__):
+                rendered.append(type(self).__name__)
+                return _real(self)
+
+            monkeypatch.setattr(cls, "__str__", counting)
+    missed = rank(service, f"{first}:0.4243", f"{second}:0.2425")
+    assert "cached" not in missed.body
+    hit = rank(service, first, f"{second}:0.7")
+    assert hit.body["cached"] is True
+    assert rendered == []
+    assert str(service.registry.session("alice").engine.target)  # the spy does count
+    assert rendered
+    service.close()
+
+
+class NeverWalked(collections.deque):
+    """An outcome window that refuses to be iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the breaker walked its outcome window on the request path")
+
+
+def test_the_breaker_window_is_never_walked(world_name, monkeypatch):
+    monkeypatch.setattr(resilience, "deque", NeverWalked)
+    service = build_service(world_name)
+    breaker = service.breaker
+    assert isinstance(breaker._global.events, NeverWalked)
+    for index in range(5000):  # a fifth fail: under the threshold, over min_requests
+        (breaker.record_failure if index % 5 == 0 else breaker.record_success)("alice")
+    assert len(breaker._global.events) == 5000
+    assert isinstance(breaker._tenants["alice"].events, NeverWalked)
+    warm(service, world_name)  # misses, delta hits and pure hits; any walk is a 500
+    assert breaker.allow("alice").allowed and breaker.state() == "closed"
+    assert service.readiness()[0] == 200 and service.metrics_snapshot()["resilience"]
+    service.close()
+
+
+class CountingLock:
+    def __init__(self, lock):
+        self._lock = lock
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+class SpyMetrics(ServiceMetrics):
+    """Counts recording calls and holds of the metrics lock."""
+
+    def __init__(self):
+        super().__init__()
+        self._lock = CountingLock(self._lock)  # before any recorder shares it
+        self.calls = []
+
+
+for _name in ("observe_stage", "count_outcome", "count", "stage", "record_request"):
+    def _spy(self, *args, _name=_name, **kwargs):
+        self.calls.append(_name)
+        return getattr(ServiceMetrics, _name)(self, *args, **kwargs)
+
+    setattr(SpyMetrics, _name, _spy)
+
+
+def test_a_pure_hit_is_one_recording_call_under_one_lock(world_name):
+    metrics = SpyMetrics()
+    service = build_service(world_name, metrics=metrics)
+    warm(service, world_name)
+    before = metrics.snapshot()["stages"]
+    metrics.calls.clear()
+    held = metrics._lock.acquired
+    hit = rank(service)
+    assert hit.body["cached"] is True
+    assert metrics.calls == ["record_request"]
+    assert metrics._lock.acquired - held == 1
+    # ... and it recorded what the per-stage loop used to: each stage
+    # plain and under its tag, and the outcome
+    after = metrics.snapshot()
+    for stage in ("parse", "cache", "render", "total"):
+        for name in (stage, f"{stage}.cached"):
+            assert after["stages"][name]["count"] == before[name]["count"] + 1
+    assert set(hit.timings) == {"parse", "cache", "render", "total"}
+    assert after["outcomes"]["ok_cached"] >= 1
+    service.close()
