@@ -4,13 +4,14 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: help test test-fast bench-smoke ledger-smoke bench serve smoke clean
+.PHONY: help test test-fast bench-smoke ledger-smoke boot-report bench serve smoke clean
 
 help:
 	@echo "make test         - run the full test suite"
 	@echo "make test-fast    - the suite minus the slow concurrency hammers"
 	@echo "make bench-smoke  - benchmark scripts at tiny sizes (REPRO_BENCH_SMOKE=1)"
 	@echo "make ledger-smoke - 5 s traced ledger runs of full_ranking, herd_miss + zipf_steady (failed = 0, every traced target resolves)"
+	@echo "make boot-report  - what a worker loads: importtime, module counts, seconds + RSS to the first answer on both worlds"
 	@echo "make bench        - the full benchmark suite (slow; rewrites results/)"
 	@echo "make serve        - the HTTP ranking gateway on :8080"
 	@echo "make smoke        - start the gateway, hit /healthz + /rank, shut down"
@@ -38,6 +39,9 @@ bench-smoke:
 
 ledger-smoke:
 	$(PYTHON) scripts/ledger_smoke.py
+
+boot-report:
+	$(PYTHON) scripts/boot_report.py
 
 bench:
 	$(PYTHON) -m pytest -q benchmarks

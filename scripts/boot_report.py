@@ -1,0 +1,262 @@
+"""Boot report: what a worker loads, and what it costs before the first answer.
+
+``make boot-report`` (``python scripts/boot_report.py``) prints, for the
+source tree it is pointed at (``--src``, default this checkout — point
+it at another checkout to compare two commits with one script):
+
+* ``python -X importtime -c "import repro.cli"``: the import's
+  cumulative time and the ``repro`` modules it loaded;
+* ``repro`` module counts after ``import repro`` and after the boot
+  ``repro serve`` performs plus one rank (in a child interpreter, the
+  gateway's ``serve`` replaced by a single in-process ``service.rank``);
+* for the real ``python -m repro serve --port 0`` on two worlds — the
+  default four-program TVTouch world and a 2 000-program Section 5
+  snapshot, one on each side of the kernel's ``VECTOR_MIN`` size rule —
+  seconds and resident memory at the announce line and after the first
+  ``/rank`` answer, and what ``/metrics`` → ``worker`` says the process
+  loaded (``numpy_loaded``, ``repro_modules_loaded``); a third row
+  boots TVTouch with ``REPRO_KERNEL_BACKEND=numpy``, so the difference
+  to the first row is numpy's share of the footprint (``n/a`` where
+  numpy is not installed).
+
+Medians over ``--repeat`` boots.  Nothing is asserted here: the budget
+lives in ``tests/test_boot_budget.py``; this is the table the docs cite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import http.client
+import json
+import os
+import signal
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ANNOUNCE = "repro serve: listening on http://127.0.0.1:"
+#: The ledger's Section 5 world size — the numpy side of ``VECTOR_MIN``.
+SECTION5_PROGRAMS = 2000
+
+#: ``repro serve`` up to the gateway, then one rank instead of the loop
+#: (prefix it with ``CONTEXT = [...]`` and ``FLAGS = [...]``); also the
+#: twin ``tests/test_boot_budget.py`` asserts the budget on.
+BOOT_TWIN = """
+import json, sys
+from repro.service import aio
+answers = []
+def one_rank(service, *args, **kwargs):
+    reply = service.rank({"tenant": ["boot"], "context": CONTEXT})
+    assert reply.status == 200, reply.body
+    answers.append(reply.body["items"][0])
+    return 0
+aio.serve = one_rank
+from repro.cli import main
+code = main(["serve", "--port", "0", *FLAGS])
+print(json.dumps({"top": answers[0], "modules": sorted(sys.modules)}))
+raise SystemExit(code)
+"""
+BARE_IMPORT = "import json, sys, repro; print(json.dumps({'modules': sorted(sys.modules)}))"
+
+
+def child_env(src: Path, backend: str | None = None) -> dict:
+    """The child's environment: the size rule, unless ``backend`` forces one."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+    env.pop("REPRO_KERNEL_BACKEND", None)
+    if backend is not None:
+        env["REPRO_KERNEL_BACKEND"] = backend
+    return env
+
+
+def repro_count(modules) -> int:
+    return sum(name == "repro" or name.startswith("repro.") for name in modules)
+
+
+def run_child(code: str, src: Path, backend: str | None = None) -> dict:
+    """Run ``code`` in a fresh interpreter; its last output line, as JSON."""
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(src, backend), capture_output=True,
+        text=True, timeout=120,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"boot_report: child failed:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def numpy_importable(src: Path) -> bool:
+    """Whether a child interpreter can ``import numpy`` (CI has a box that cannot)."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import numpy"], env=child_env(src), capture_output=True,
+        timeout=120,
+    )
+    return done.returncode == 0
+
+
+def importtime(src: Path) -> tuple[float, int]:
+    """``(cumulative ms of import repro.cli, repro modules it loaded)``."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import repro.cli"],
+        env=child_env(src), capture_output=True, text=True, timeout=120,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"boot_report: import repro.cli failed:\n{done.stderr}")
+    cumulative, names = 0.0, set()
+    for line in done.stderr.splitlines():
+        if not line.startswith("import time:") or "|" not in line:
+            continue
+        _self, total, name = (part.strip() for part in line[len("import time:"):].split("|"))
+        names.add(name)  # a package under construction is listed again per submodule
+        if name == "repro.cli":
+            cumulative = int(total) / 1000.0
+    return cumulative, repro_count(names)
+
+
+def rss_mb(pid: int) -> float | None:
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None  # not Linux
+
+
+def boot_once(src: Path, flags: list[str], rank_path: str, backend: str | None) -> dict:
+    """One real server: spawn → announce → first rank → /metrics → SIGTERM."""
+    started = time.perf_counter()
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
+        env=child_env(src, backend), stdout=subprocess.PIPE, text=True, cwd=ROOT,
+    )
+    try:
+        line = process.stdout.readline()
+        announced = time.perf_counter() - started
+        if ANNOUNCE not in line:
+            raise SystemExit(f"boot_report: no announce line, got {line!r}")
+        port = int(line.split(ANNOUNCE, 1)[1].split()[0])
+        reading = {"announce_s": announced, "announce_rss_mb": rss_mb(process.pid)}
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+        connection.request("GET", rank_path)
+        response = connection.getresponse()
+        body = json.loads(response.read())
+        reading["first_rank_s"] = time.perf_counter() - started
+        if response.status != 200:
+            raise SystemExit(f"boot_report: {rank_path} answered {response.status}: {body}")
+        reading["first_rank_rss_mb"] = rss_mb(process.pid)
+        reading["top"] = body["items"][0]
+        connection.request("GET", "/metrics")
+        worker = json.loads(connection.getresponse().read())["worker"]
+        connection.close()
+        reading["numpy_loaded"] = worker.get("numpy_loaded")
+        reading["repro_modules_loaded"] = worker.get("repro_modules_loaded")
+        process.send_signal(signal.SIGTERM)
+        reading["exit_code"] = process.wait(timeout=30)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        process.stdout.close()
+    return reading
+
+
+def section5_flags(src: Path, workdir: Path) -> list[str]:
+    """Write the ledger's Section 5 world (snapshot + rule file) with the
+    tree under report, and return the ``serve`` flags that boot it."""
+    snapshot, rules = workdir / "world.snap", workdir / "rules.prefs"
+    code = (
+        "from repro.rules import render_rules\n"
+        "from repro.store import write_world_snapshot\n"
+        "from repro.workloads import Section5Counts, generate_rule_series, generate_test_database\n"
+        "world = generate_test_database(seed=7, counts=Section5Counts(persons=50, "
+        f"programs={SECTION5_PROGRAMS}))\n"
+        f"write_world_snapshot({str(snapshot)!r}, world)\n"
+        f"open({str(rules)!r}, 'w', encoding='utf-8').write(render_rules(generate_rule_series(world, 12)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(src), capture_output=True, text=True,
+        timeout=300,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"boot_report: cannot write the Section 5 world:\n{done.stderr}")
+    return ["--snapshot", str(snapshot), "--rules", str(rules)]
+
+
+def median(readings: list[dict], key: str):
+    values = [reading[key] for reading in readings if reading[key] is not None]
+    return statistics.median(values) if values else None
+
+
+def show(value, spec: str = ".2f") -> str:
+    return "n/a" if value is None else format(value, spec)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="source tree to report on")
+    parser.add_argument("--repeat", type=int, default=3, help="boots per world (medians shown)")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    if not (src / "repro" / "__init__.py").is_file():
+        print(f"error: no repro package under {src}", file=sys.stderr)
+        return 2
+
+    print(f"boot report for {src} (python {sys.version.split()[0]})")
+    cumulative, imported = importtime(src)
+    print(f'  python -X importtime -c "import repro.cli": {cumulative:.1f} ms cumulative, '
+          f"{imported} repro modules")
+    bare = run_child(BARE_IMPORT, src)["modules"]
+    print(f"  import repro: {repro_count(bare)} repro modules")
+
+    with tempfile.TemporaryDirectory(prefix="boot-report-") as scratch:
+        tvtouch = (["Weekend", "Breakfast"], "/rank?tenant=boot&context=Weekend&context=Breakfast")
+        worlds = [
+            ("tvtouch (4 programs)", [], *tvtouch, None),
+            (f"section5 snapshot ({SECTION5_PROGRAMS} programs)",
+             section5_flags(src, Path(scratch)),
+             ["CtxScenario_01:0.4321"], "/rank?tenant=boot&context=CtxScenario_01:0.4321&top_k=10",
+             None),
+            ("tvtouch, REPRO_KERNEL_BACKEND=numpy", [], *tvtouch, "numpy"),
+        ]
+        rows = []
+        for name, flags, context, rank_path, backend in worlds:
+            if backend == "numpy" and not numpy_importable(src):
+                rows.append((name, None, []))  # nothing to force: the row reads n/a
+                continue
+            twin = f"CONTEXT = {context!r}\nFLAGS = {flags!r}\n" + BOOT_TWIN
+            loaded = run_child(twin, src, backend)["modules"]
+            readings = [
+                boot_once(src, flags, rank_path, backend) for _ in range(max(1, args.repeat))
+            ]
+            rows.append((name, loaded, readings))
+
+    print("  serve boot + one rank, in-process (gateway loaded, no socket):")
+    for name, loaded, _readings in rows:
+        if loaded is None:
+            print(f"    {name:<36} n/a (numpy is not importable here)")
+            continue
+        extras = [m for m in ("numpy", "sqlite3", "http.server", "email") if m in loaded]
+        print(f"    {name:<36} {repro_count(loaded):>3} repro modules, "
+              f"{len(loaded)} modules in all; loaded of numpy/sqlite3/http.server/email: "
+              f"{', '.join(extras) or 'none'}")
+    print(f"  real `repro serve --port 0`, medians of {max(1, args.repeat)} boots:")
+    header = (f"    {'world':<36} {'announce s':>10} {'RSS MB':>8} {'first rank s':>12} "
+              f"{'RSS MB':>8} {'numpy_loaded':>12} {'repro_modules_loaded':>20}")
+    print(header)
+    for name, _loaded, readings in rows:
+        last = readings[-1] if readings else {}
+        print(f"    {name:<36} {show(median(readings, 'announce_s')):>10} "
+              f"{show(median(readings, 'announce_rss_mb'), '.1f'):>8} "
+              f"{show(median(readings, 'first_rank_s')):>12} "
+              f"{show(median(readings, 'first_rank_rss_mb'), '.1f'):>8} "
+              f"{show(last.get('numpy_loaded'), ''):>12} "
+              f"{show(last.get('repro_modules_loaded'), 'd'):>20}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

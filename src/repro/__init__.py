@@ -50,70 +50,80 @@ paper-versus-measured record of every reproduced table and figure.
 """
 
 import warnings as _warnings
+from importlib import import_module as _import_module
 
-# Defined before any submodule import: the service gateway derives its
-# Server header from this, and importing it back from a partially
-# initialised ``repro`` only works if it is already bound.
+from repro._lazy import lazy_exports as _lazy_exports
+
 __version__ = "1.6.0"
 
-from repro.cache import CacheAdapter, InMemoryCacheAdapter, NoCacheAdapter
-from repro.core import (
-    DocumentScore,
-    PreferenceView,
-    explain_ranking,
-    explain_score,
-)
-from repro.dl import ABox, Concept, Individual, LayeredABox, TBox, parse_concept
-from repro.engine import (
-    AboxContext,
-    ContextBackend,
-    DatabaseStorage,
-    EngineBuilder,
-    GatedRelevance,
-    GroupRelevance,
-    LogLinearRelevance,
-    MixedRelevance,
-    PreferenceBackend,
-    RankedItem,
-    RankingEngine,
-    RankRequest,
-    RankResponse,
-    RelevanceBackend,
-    RepositoryPreferences,
-    SensedContext,
-    StorageBackend,
-)
-from repro.events import ALWAYS, NEVER, EventExpr, EventSpace, probability
-from repro.history import Candidate, Episode, HistoryLog, estimate_sigma
-from repro.ir import Corpus, LanguageModelRanker, combined_ranking
-from repro.mining import MiningConfig, mine_rules
-from repro.multiuser import GroupMember, GroupRanker
-from repro.reason import CompiledKB, ReasonerSession, compiled_kb
-from repro.reporting import ranking_table
-from repro.rules import PreferenceRule, RuleRepository, load_rules, parse_rules
-from repro.service import (
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
-    FaultInjector,
-    RankingService,
-    ServiceConfig,
-    ServiceRequest,
-    ServiceResponse,
-)
-from repro.storage import Database, SqliteBackend, SqlSession
-from repro.tenants import TenantRegistry, UserSession
-from repro.workloads import (
-    build_tvtouch,
-    generate_test_database,
-    sample_workday_mornings,
-    set_breakfast_weekend_context,
+#: Every public name and the package it is re-exported from.  Nothing
+#: below is imported until a name is asked for: ``import repro`` loads
+#: this module and the resolver, ``from repro import RankingEngine``
+#: loads what the engine needs, and a serving worker never loads the
+#: miner, the IR baseline or the SQL front end it does not use.
+_lazy_getattr, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.cache": ("CacheAdapter", "InMemoryCacheAdapter", "NoCacheAdapter"),
+        "repro.core": (
+            "DocumentScore",
+            "PreferenceView",
+            "explain_ranking",
+            "explain_score",
+        ),
+        "repro.dl": ("ABox", "Concept", "Individual", "LayeredABox", "TBox", "parse_concept"),
+        "repro.engine": (
+            "AboxContext",
+            "ContextBackend",
+            "DatabaseStorage",
+            "EngineBuilder",
+            "GatedRelevance",
+            "GroupRelevance",
+            "LogLinearRelevance",
+            "MixedRelevance",
+            "PreferenceBackend",
+            "RankedItem",
+            "RankingEngine",
+            "RankRequest",
+            "RankResponse",
+            "RelevanceBackend",
+            "RepositoryPreferences",
+            "SensedContext",
+            "StorageBackend",
+        ),
+        "repro.events": ("ALWAYS", "NEVER", "EventExpr", "EventSpace", "probability"),
+        "repro.history": ("Candidate", "Episode", "HistoryLog", "estimate_sigma"),
+        "repro.ir": ("Corpus", "LanguageModelRanker", "combined_ranking"),
+        "repro.mining": ("MiningConfig", "mine_rules"),
+        "repro.multiuser": ("GroupMember", "GroupRanker"),
+        "repro.reason": ("CompiledKB", "ReasonerSession", "compiled_kb"),
+        "repro.reporting": ("ranking_table",),
+        "repro.rules": ("PreferenceRule", "RuleRepository", "load_rules", "parse_rules"),
+        "repro.service": (
+            "CircuitBreaker",
+            "Deadline",
+            "DeadlineExceeded",
+            "FaultInjector",
+            "RankingService",
+            "ServiceConfig",
+            "ServiceRequest",
+            "ServiceResponse",
+        ),
+        "repro.storage": ("Database", "SqliteBackend", "SqlSession"),
+        "repro.tenants": ("TenantRegistry", "UserSession"),
+        "repro.workloads": (
+            "build_tvtouch",
+            "generate_test_database",
+            "sample_workday_mornings",
+            "set_breakfast_weekend_context",
+        ),
+    },
 )
 
-#: Deprecated top-level names: still importable, but shimmed through
-#: module ``__getattr__`` with a :class:`DeprecationWarning` pointing at
-#: the engine facade.  The classes themselves live on (the engine wraps
-#: them); only the top-level entry points are deprecated.
+#: Deprecated top-level names: still importable, but every access warns
+#: with a :class:`DeprecationWarning` pointing at the engine facade.
+#: The classes themselves live on (the engine wraps them); only the
+#: top-level entry points are deprecated.
 _DEPRECATED_SHIMS = {
     "ContextAwareScorer": (
         "repro.core",
@@ -126,100 +136,17 @@ _DEPRECATED_SHIMS = {
         "(gated / mixed / log_linear) instead",
     ),
 }
+__all__ = sorted([*__all__, *_DEPRECATED_SHIMS, "__version__"])
 
 
 def __getattr__(name: str):
     shim = _DEPRECATED_SHIMS.get(name)
-    if shim is not None:
-        module_name, hint = shim
-        _warnings.warn(
-            f"repro.{name} is deprecated; {hint}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(set(__all__) | set(globals()))
-
-
-__all__ = [
-    "ABox",
-    "ALWAYS",
-    "AboxContext",
-    "CacheAdapter",
-    "Candidate",
-    "CompiledKB",
-    "Concept",
-    "ContextAwareRanker",
-    "ContextAwareScorer",
-    "ContextBackend",
-    "Corpus",
-    "Database",
-    "DatabaseStorage",
-    "DocumentScore",
-    "EngineBuilder",
-    "Episode",
-    "EventExpr",
-    "EventSpace",
-    "GatedRelevance",
-    "GroupMember",
-    "GroupRanker",
-    "GroupRelevance",
-    "HistoryLog",
-    "InMemoryCacheAdapter",
-    "Individual",
-    "LanguageModelRanker",
-    "LayeredABox",
-    "LogLinearRelevance",
-    "MiningConfig",
-    "MixedRelevance",
-    "NEVER",
-    "NoCacheAdapter",
-    "PreferenceBackend",
-    "PreferenceRule",
-    "PreferenceView",
-    "RankRequest",
-    "RankResponse",
-    "RankedItem",
-    "RankingEngine",
-    "CircuitBreaker",
-    "Deadline",
-    "DeadlineExceeded",
-    "FaultInjector",
-    "RankingService",
-    "ReasonerSession",
-    "RelevanceBackend",
-    "RepositoryPreferences",
-    "RuleRepository",
-    "SensedContext",
-    "ServiceConfig",
-    "ServiceRequest",
-    "ServiceResponse",
-    "SqlSession",
-    "SqliteBackend",
-    "StorageBackend",
-    "TBox",
-    "TenantRegistry",
-    "UserSession",
-    "__version__",
-    "build_tvtouch",
-    "combined_ranking",
-    "estimate_sigma",
-    "explain_ranking",
-    "explain_score",
-    "generate_test_database",
-    "load_rules",
-    "compiled_kb",
-    "mine_rules",
-    "parse_concept",
-    "parse_rules",
-    "probability",
-    "ranking_table",
-    "sample_workday_mornings",
-    "set_breakfast_weekend_context",
-]
+    if shim is None:
+        return _lazy_getattr(name)
+    module_name, hint = shim
+    _warnings.warn(
+        f"repro.{name} is deprecated; {hint}",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    return getattr(_import_module(module_name), name)

@@ -14,28 +14,20 @@ The CLI is deliberately thin: every ranking path goes through the
 :class:`~repro.engine.RankingEngine` facade (``serve`` through the
 :class:`~repro.service.RankingService` pipeline on top of it), so it
 doubles as executable documentation of the public API.
+
+Each command imports what it runs, inside its handler: ``serve`` does
+not load the miner or the report tables, ``mine`` does not load the
+serving stack, and ``--help`` loads nothing but the parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Sequence
 
-from repro.engine import RankingEngine, RankRequest
 from repro.errors import ReproError
-from repro.history import HistoryLog
-from repro.mining import MiningConfig, mine_rules
-from repro.reporting import TextTable, fit_growth, timed
-from repro.rules import load_rules
-from repro.workloads import (
-    Section5Counts,
-    build_tvtouch,
-    generate_rule_series,
-    generate_test_database,
-    install_context_series,
-    set_breakfast_weekend_context,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -204,6 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_example(_args: argparse.Namespace) -> int:
+    from repro.engine import RankingEngine, RankRequest
+    from repro.workloads import build_tvtouch, set_breakfast_weekend_context
+
     world = build_tvtouch()
     set_breakfast_weekend_context(world)
     engine = RankingEngine.from_world(world)
@@ -213,6 +208,10 @@ def _cmd_example(_args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    from repro.engine import RankingEngine, RankRequest
+    from repro.rules import load_rules
+    from repro.workloads import build_tvtouch
+
     world = build_tvtouch()
     try:
         rules = load_rules(args.rules)
@@ -233,6 +232,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
+    from repro.history import HistoryLog
+    from repro.mining import MiningConfig, mine_rules
+
     log = HistoryLog.load(args.history)
     config = MiningConfig(
         min_support=args.min_support,
@@ -251,6 +253,14 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 def _cmd_scaling(args: argparse.Namespace) -> int:
     from repro.core import naive_scores_python
     from repro.core.problem import bind_problem
+    from repro.engine import RankingEngine, RankRequest
+    from repro.reporting import TextTable, fit_growth, timed
+    from repro.workloads import (
+        Section5Counts,
+        generate_rule_series,
+        generate_test_database,
+        install_context_series,
+    )
 
     counts = Section5Counts().scaled(args.scale)
     world = generate_test_database(seed=7, counts=counts)
@@ -285,6 +295,8 @@ def _preload_world(snapshot_path: str | None):
     shared-memory segment spawned workers attach to for a zero-copy
     view of the basis matrix.
     """
+    from repro.workloads import build_tvtouch
+
     if not snapshot_path:
         return build_tvtouch(), "built", None
     from repro.store import load_or_build
@@ -322,6 +334,8 @@ class _ServeFactory:
     def _world(self):
         if self.world is not None:
             return self.world, self.world_source
+        from repro.workloads import build_tvtouch
+
         config = self.config
         if config.get("snapshot"):
             from repro.store import load_or_build, load_world
@@ -339,6 +353,7 @@ class _ServeFactory:
 
     def __call__(self, worker_info=None):
         from repro.cache import InMemoryCacheAdapter, NoCacheAdapter
+        from repro.rules import load_rules
         from repro.service import FaultInjector, RankingService, ServiceConfig
         from repro.tenants import TenantRegistry
 
@@ -382,13 +397,8 @@ class _ServeFactory:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.rules import load_rules
     from repro.service import FaultInjector
-    from repro.service.fleet import serve_fleet, supports_fleet
-
-    if args.gateway == "aio":
-        from repro.service.aio import serve as run_gateway
-    else:
-        from repro.service.http import serve as run_gateway
 
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
@@ -480,6 +490,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     if args.workers == 1:
+        if args.gateway == "aio":
+            from repro.service.aio import serve as run_gateway
+        else:
+            from repro.service.http import serve as run_gateway
+
         try:
             service = make_service({"index": 0, "workers": 1, "mode": "single"})
         except ReproError as exc:
@@ -497,9 +512,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
 
-        return run_gateway(
-            service, args.host, args.port, verbose=args.verbose, ready=announce
-        )
+        # The world, the registry and the service live as long as the
+        # process: move them out of the cyclic collector's sight before
+        # the loop starts (the fleet supervisor's pre-fork idiom), so a
+        # full collection walks request garbage, never the world.
+        gc.collect()
+        gc.freeze()
+        try:
+            return run_gateway(
+                service, args.host, args.port, verbose=args.verbose, ready=announce
+            )
+        finally:
+            gc.unfreeze()
+
+    from repro.service.fleet import serve_fleet, supports_fleet
 
     try:
         # Validate cache/registry settings in the parent before forking
@@ -552,6 +578,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro.store import inspect_snapshot, write_world_snapshot
+    from repro.workloads import build_tvtouch
 
     if args.snapshot_command == "build":
         world = build_tvtouch()  # --world tvtouch is the only builder today

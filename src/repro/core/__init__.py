@@ -15,90 +15,60 @@
 * :mod:`~repro.core.explain` — per-rule motivations and event lineage.
 """
 
-from repro.core.explain import explain_document_events, explain_ranking, explain_score
-from repro.core.kernel import (
-    CompiledCandidates,
-    LazyContributions,
-    ScoredView,
-    ScoringKernel,
-    compile_candidates,
-    rank_top_k_batch,
-    score_batch,
-    score_documents_batch,
-    score_values,
-)
-from repro.core.naive_view import (
-    MAX_NAIVE_RULES,
-    naive_scores_python,
-    naive_scores_sqlite,
-    subset_coefficient,
-)
-from repro.core.preference_view import PREFERENCE_VIEW_TABLE, PreferenceView
-from repro.core.problem import (
-    DocumentBinding,
-    RuleBinding,
-    ScoringProblem,
-    bind_documents,
-    bind_problem,
-    bind_rules,
-)
-from repro.core.pruning import (
-    PruneReport,
-    all_miss_score,
-    prune_rules,
-    split_trivial_documents,
-)
-from repro.core.ranker import ContextAwareRanker, RankedDocument
-from repro.core.scorer import ContextAwareScorer
-from repro.core.scoring import (
-    SCORING_METHODS,
-    DocumentScore,
-    RuleContribution,
-    enumeration_score,
-    exact_event_score,
-    factorised_score,
-    score_certain,
-    score_document,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "CompiledCandidates",
-    "ContextAwareRanker",
-    "ContextAwareScorer",
-    "DocumentBinding",
-    "DocumentScore",
-    "LazyContributions",
-    "ScoredView",
-    "ScoringKernel",
-    "MAX_NAIVE_RULES",
-    "PREFERENCE_VIEW_TABLE",
-    "PreferenceView",
-    "PruneReport",
-    "RankedDocument",
-    "RuleBinding",
-    "RuleContribution",
-    "SCORING_METHODS",
-    "ScoringProblem",
-    "all_miss_score",
-    "bind_documents",
-    "bind_problem",
-    "bind_rules",
-    "compile_candidates",
-    "enumeration_score",
-    "exact_event_score",
-    "explain_document_events",
-    "explain_ranking",
-    "explain_score",
-    "factorised_score",
-    "naive_scores_python",
-    "naive_scores_sqlite",
-    "prune_rules",
-    "rank_top_k_batch",
-    "score_batch",
-    "score_certain",
-    "score_documents_batch",
-    "score_document",
-    "score_values",
-    "split_trivial_documents",
-    "subset_coefficient",
-]
+#: Where each public name lives; a name's module loads on first use.
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.explain": (
+            "explain_document_events",
+            "explain_ranking",
+            "explain_score",
+        ),
+        "repro.core.kernel": (
+            "CompiledCandidates",
+            "LazyContributions",
+            "ScoredView",
+            "ScoringKernel",
+            "compile_candidates",
+            "rank_top_k_batch",
+            "score_batch",
+            "score_documents_batch",
+            "score_values",
+        ),
+        "repro.core.naive_view": (
+            "MAX_NAIVE_RULES",
+            "naive_scores_python",
+            "naive_scores_sqlite",
+            "subset_coefficient",
+        ),
+        "repro.core.preference_view": ("PREFERENCE_VIEW_TABLE", "PreferenceView"),
+        "repro.core.problem": (
+            "DocumentBinding",
+            "RuleBinding",
+            "ScoringProblem",
+            "bind_documents",
+            "bind_problem",
+            "bind_rules",
+        ),
+        "repro.core.pruning": (
+            "PruneReport",
+            "all_miss_score",
+            "prune_rules",
+            "split_trivial_documents",
+        ),
+        "repro.core.ranker": ("ContextAwareRanker", "RankedDocument"),
+        "repro.core.scorer": ("ContextAwareScorer",),
+        "repro.core.scoring": (
+            "SCORING_METHODS",
+            "DocumentScore",
+            "RuleContribution",
+            "enumeration_score",
+            "exact_event_score",
+            "factorised_score",
+            "score_certain",
+            "score_document",
+        ),
+    },
+)

@@ -11,7 +11,6 @@ data-provenance tracing.
 
 from __future__ import annotations
 
-from repro.events.lineage import render_tree
 from repro.rules.repository import RuleRepository
 from repro.core.problem import ScoringProblem
 from repro.core.scoring import DocumentScore
@@ -68,6 +67,7 @@ def explain_ranking(scores: list[DocumentScore], repository: RuleRepository | No
 def explain_document_events(problem: ScoringProblem, document_name: str) -> str:
     """Raw event lineage of one document's feature events (provenance)."""
     from repro.dl.vocabulary import Individual
+    from repro.events.lineage import render_tree
 
     binding = problem.document(Individual(document_name))
     lines = [f"event lineage for {document_name}:"]

@@ -138,8 +138,12 @@ class CompiledCandidates:
 def compile_candidates(
     problem: ScoringProblem, backend: Optional[str] = None
 ) -> CompiledCandidates:
-    """Flatten a bound problem's documents into the kernel's arrays."""
-    np = resolve_backend(backend)
+    """Flatten a bound problem's documents into the kernel's arrays.
+
+    Without an explicit ``backend`` (or ``REPRO_KERNEL_BACKEND``) the
+    set's length picks it: flat lists under ``VECTOR_MIN`` rows, numpy
+    from there on."""
+    np = resolve_backend(backend, rows=len(problem.documents))
     names = tuple(binding.document.name for binding in problem.documents)
     rule_count = problem.rule_count
     possible_bits = tuple(

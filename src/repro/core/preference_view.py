@@ -18,16 +18,18 @@ query runs verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.dl.concepts import Concept
 from repro.storage.database import Database
 from repro.storage.schema import Column, ColumnType, Schema
-from repro.storage.sql import SqlSession
 from repro.storage.table import Table
 from repro.core.kernel import score_values
 from repro.core.scorer import ContextAwareScorer
 from repro.core.scoring import DocumentScore
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.storage.sql import SqlSession
 
 __all__ = ["PreferenceView", "PREFERENCE_VIEW_TABLE"]
 

@@ -22,34 +22,9 @@ from dataclasses import dataclass
 from repro.storage.database import Database
 from repro.storage.sql import ResultSet, SqlSession
 from repro.core.preference_view import PreferenceView
+from repro.core.scoring import mix_scores  # its home; kept importable from here
 
 __all__ = ["RankedDocument", "ContextAwareRanker", "mix_scores"]
-
-
-def mix_scores(query_dependent: float, preference: float, mixing_weight: float) -> float:
-    """The Section 6 log-linear mixture ``qd^λ · pref^(1-λ)``, with the
-    λ = 0 and λ = 1 boundaries defined explicitly.
-
-    * ``mixing_weight == 0.0`` is *pure context*: the combined score is
-      the preference score, and the query-dependent part is ignored
-      entirely — including for documents absent from the query result
-      (no gating, and no reliance on Python's ``0.0 ** 0.0 == 1.0``).
-    * ``mixing_weight == 1.0`` is *pure IR*: the combined score is the
-      query-dependent score, and the preference part is ignored — a
-      document the query missed scores 0 even with a perfect preference
-      score.
-    * For ``0 < λ < 1`` a zero in either part gates the document to 0
-      (both parts must hold, as in the naive union).
-    """
-    if not 0.0 <= mixing_weight <= 1.0:
-        raise ValueError(f"mixing weight must be in [0, 1], got {mixing_weight!r}")
-    if mixing_weight == 0.0:
-        return preference
-    if mixing_weight == 1.0:
-        return query_dependent
-    if query_dependent <= 0.0 or preference <= 0.0:
-        return 0.0
-    return (query_dependent ** mixing_weight) * (preference ** (1.0 - mixing_weight))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,11 @@ Three interchangeable scorers compute ``P(D=d | U=u_sit)``:
 
 Equality of the three on independent features is a property-tested
 invariant; their runtime divergence is benchmark E3/E4.
+
+:func:`mix_scores` is the Section 6 mixture of such a score with a
+query-dependent one — here, beside the formulas it combines, so the
+engine's relevance strategies do not load the SQL-backed
+:mod:`~repro.core.ranker` to reach it.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
     "factorised_score",
     "exact_event_score",
     "score_document",
+    "mix_scores",
     "SCORING_METHODS",
 ]
 
@@ -256,6 +262,32 @@ def exact_event_score(
         return value
 
     return min(1.0, max(0.0, expectation(expressions)))
+
+
+def mix_scores(query_dependent: float, preference: float, mixing_weight: float) -> float:
+    """The Section 6 log-linear mixture ``qd^λ · pref^(1-λ)``, with the
+    λ = 0 and λ = 1 boundaries defined explicitly.
+
+    * ``mixing_weight == 0.0`` is *pure context*: the combined score is
+      the preference score, and the query-dependent part is ignored
+      entirely — including for documents absent from the query result
+      (no gating, and no reliance on Python's ``0.0 ** 0.0 == 1.0``).
+    * ``mixing_weight == 1.0`` is *pure IR*: the combined score is the
+      query-dependent score, and the preference part is ignored — a
+      document the query missed scores 0 even with a perfect preference
+      score.
+    * For ``0 < λ < 1`` a zero in either part gates the document to 0
+      (both parts must hold, as in the naive union).
+    """
+    if not 0.0 <= mixing_weight <= 1.0:
+        raise ValueError(f"mixing weight must be in [0, 1], got {mixing_weight!r}")
+    if mixing_weight == 0.0:
+        return preference
+    if mixing_weight == 1.0:
+        return query_dependent
+    if query_dependent <= 0.0 or preference <= 0.0:
+        return 0.0
+    return (query_dependent ** mixing_weight) * (preference ** (1.0 - mixing_weight))
 
 
 def score_document(

@@ -20,59 +20,46 @@ Assemble engines with :class:`EngineBuilder`, or the shortcuts
 :meth:`RankingEngine.from_world` / :meth:`RankingEngine.from_config`.
 """
 
-from repro.engine.backends import (
-    AboxContext,
-    DatabaseStorage,
-    RepositoryPreferences,
-    SensedContext,
-)
-from repro.engine.basis import SharedBasisPool, ViewBasis, build_view_basis, shared_basis_pool
-from repro.engine.builder import EngineBuilder
-from repro.engine.cache import CacheInfo, ViewCache
-from repro.engine.engine import PreparedRank, RankingEngine, score_prepared_batch
-from repro.engine.protocols import (
-    ContextBackend,
-    PreferenceBackend,
-    RelevanceBackend,
-    StorageBackend,
-)
-from repro.engine.relevance import (
-    RELEVANCE_STRATEGIES,
-    GatedRelevance,
-    GroupRelevance,
-    LogLinearRelevance,
-    MixedRelevance,
-    resolve_relevance,
-)
-from repro.engine.requests import RankedItem, RankedItems, RankRequest, RankResponse
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "AboxContext",
-    "CacheInfo",
-    "ContextBackend",
-    "DatabaseStorage",
-    "EngineBuilder",
-    "GatedRelevance",
-    "GroupRelevance",
-    "LogLinearRelevance",
-    "MixedRelevance",
-    "PreferenceBackend",
-    "PreparedRank",
-    "RELEVANCE_STRATEGIES",
-    "RankRequest",
-    "RankResponse",
-    "RankedItem",
-    "RankedItems",
-    "RankingEngine",
-    "RelevanceBackend",
-    "RepositoryPreferences",
-    "SensedContext",
-    "StorageBackend",
-    "ViewBasis",
-    "ViewCache",
-    "SharedBasisPool",
-    "build_view_basis",
-    "score_prepared_batch",
-    "shared_basis_pool",
-    "resolve_relevance",
-]
+#: Where each public name lives; a name's module loads on first use.
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.engine.backends": (
+            "AboxContext",
+            "DatabaseStorage",
+            "RepositoryPreferences",
+            "SensedContext",
+        ),
+        "repro.engine.basis": (
+            "SharedBasisPool",
+            "ViewBasis",
+            "build_view_basis",
+            "shared_basis_pool",
+        ),
+        "repro.engine.builder": ("EngineBuilder",),
+        "repro.engine.cache": ("CacheInfo", "ViewCache"),
+        "repro.engine.engine": ("PreparedRank", "RankingEngine", "score_prepared_batch"),
+        "repro.engine.protocols": (
+            "ContextBackend",
+            "PreferenceBackend",
+            "RelevanceBackend",
+            "StorageBackend",
+        ),
+        "repro.engine.relevance": (
+            "RELEVANCE_STRATEGIES",
+            "GatedRelevance",
+            "GroupRelevance",
+            "LogLinearRelevance",
+            "MixedRelevance",
+            "resolve_relevance",
+        ),
+        "repro.engine.requests": (
+            "RankedItem",
+            "RankedItems",
+            "RankRequest",
+            "RankResponse",
+        ),
+    },
+)

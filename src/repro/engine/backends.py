@@ -22,19 +22,24 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Hashable, Iterable
 
+from repro._lazy import lazy_module
 from repro.dl.abox import ABox, ConceptAssertion
 from repro.dl.parser import parse_concept
 from repro.dl.vocabulary import Individual
 from repro.errors import EngineConfigError
 from repro.events.space import EventSpace
 from repro.rules.repository import RuleRepository
-from repro.storage.database import Database
-from repro.storage.sql import ResultSet, SqlSession
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.context.manager import ContextManager
     from repro.context.sensors import GroundTruth
     from repro.core.preference_view import PreferenceView
+    from repro.storage.database import Database
+    from repro.storage.sql import ResultSet, SqlSession
+
+#: The SQL front end, loaded by the first SQL request: every engine over
+#: a world with a database holds a :class:`DatabaseStorage`, few run SQL.
+_sql = lazy_module("repro.storage.sql")
 
 __all__ = [
     "AboxContext",
@@ -239,7 +244,7 @@ class DatabaseStorage:
 
     def session(self, view: "PreferenceView") -> SqlSession:
         """A SQL session with ``preferencescore`` attached to the data table."""
-        session = SqlSession(self.database)
+        session = _sql().SqlSession(self.database)
         view.attach_to_session(session, self.data_table, self.id_column)
         return session
 

@@ -9,6 +9,8 @@ instead of letting a half-wired engine fail mid-request.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.scoring import SCORING_METHODS
 from repro.dl.abox import ABox
 from repro.dl.concepts import Concept
@@ -21,12 +23,14 @@ from repro.reason import CompiledKB
 from repro.rules.repository import RuleRepository
 from repro.storage.database import Database
 from repro.engine.backends import AboxContext, DatabaseStorage, RepositoryPreferences
-from repro.engine.protocols import (
-    ContextBackend,
-    PreferenceBackend,
-    StorageBackend,
-)
 from repro.engine.relevance import resolve_relevance
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.engine.protocols import (
+        ContextBackend,
+        PreferenceBackend,
+        StorageBackend,
+    )
 
 __all__ = ["EngineBuilder"]
 

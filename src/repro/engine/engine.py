@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
-from repro.core.explain import explain_ranking, explain_score
+from repro._lazy import lazy_module
 from repro.core.kernel import (
     ScoredView,
     ScoringKernel,
@@ -61,18 +61,21 @@ from repro.errors import EngineConfigError, EngineError, ScoringError
 from repro.events.space import EventSpace
 from repro.engine.basis import build_view_basis, shared_basis_pool
 from repro.engine.cache import CacheInfo, ViewCache
-from repro.engine.protocols import (
-    ContextBackend,
-    PreferenceBackend,
-    RelevanceBackend,
-    StorageBackend,
-)
 from repro.engine.requests import RankedItems, RankRequest, RankResponse, as_requests
 from repro.reason import CompiledKB, ReasonerInfo, compiled_kb
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.engine.builder import EngineBuilder
+    from repro.engine.protocols import (
+        ContextBackend,
+        PreferenceBackend,
+        RelevanceBackend,
+        StorageBackend,
+    )
     from repro.multiuser.group import GroupMember
+
+#: The explanation renderer, loaded by the first ``explain`` request.
+_explain = lazy_module("repro.core.explain")
 
 __all__ = ["PreparedRank", "RankingEngine", "score_prepared_batch"]
 
@@ -820,7 +823,7 @@ class RankingEngine:
             for document in items.documents()
             if document in document_scores
         ]
-        return explain_ranking(ordered, self.preferences.repository())
+        return _explain().explain_ranking(ordered, self.preferences.repository())
 
     # -- conveniences ------------------------------------------------------
     def rank_top_k(self, k: int, documents: Sequence[str] | None = None) -> list[DocumentScore]:
@@ -853,7 +856,7 @@ class RankingEngine:
             self.context.refresh()
             view_scores, _cached = self._refresh_view()
             scores = self._scores_for([document], view_scores)
-            return explain_score(scores[document], self.preferences.repository())
+            return _explain().explain_score(scores[document], self.preferences.repository())
 
     def view_fingerprint(self) -> tuple:
         """The ``(knowledge epoch, view signature)`` pair, atomically.

@@ -27,11 +27,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Hashable, Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.rules.repository import RuleRepository
-from repro.storage.sql import ResultSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.preference_view import PreferenceView
     from repro.engine.requests import RankedItem
+    from repro.storage.sql import ResultSet
 
 __all__ = [
     "ContextBackend",

@@ -9,7 +9,7 @@ two:
 * :class:`GatedRelevance` — the paper's Section 5 naive union (binary
   query relevance gates; preference orders);
 * :class:`MixedRelevance` — the Section 6 smoothed power mixture
-  (:func:`repro.core.ranker.mix_scores`, with exact λ boundaries);
+  (:func:`repro.core.scoring.mix_scores`, with exact λ boundaries);
 * :class:`LogLinearRelevance` — the IR log-linear mixture, porting
   :func:`repro.ir.combined_ranking` into the engine;
 * :class:`GroupRelevance` — the Section 6 multi-user extension,
@@ -24,16 +24,17 @@ strategies without touching the pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.core.ranker import mix_scores
+from repro.core.scoring import mix_scores
 from repro.errors import EngineConfigError
-from repro.ir.combine import LOG_FLOOR, combine_log_linear
-from repro.multiuser.group import GroupRanker
 from repro.perf.backend import resolve_backend
-from repro.perf.columns import NameTable, ScoreColumn, as_floats, rank_columns
-from repro.perf.flatops import log_linear_rows
+from repro.perf.columns import VECTOR_MIN, NameTable, ScoreColumn, as_floats, rank_columns
+from repro.perf.flatops import LOG_FLOOR, log_linear_rows
 from repro.engine.requests import RankedItems
+
+if TYPE_CHECKING:  # pragma: no cover - types only; the engine does not load multiuser
+    from repro.multiuser.group import GroupRanker
 
 __all__ = [
     "GatedRelevance",
@@ -138,7 +139,7 @@ class GatedRelevance(_ColumnarRelevance):
 class MixedRelevance(_ColumnarRelevance):
     """Section 6 smoothing: ``combined = qd^λ · pref^(1-λ)``.
 
-    Uses :func:`repro.core.ranker.mix_scores`, so the λ = 0 (pure
+    Uses :func:`repro.core.scoring.mix_scores`, so the λ = 0 (pure
     context) and λ = 1 (pure IR) boundaries are exact.  Query-less
     requests fall back to the pure preference ranking.
     """
@@ -169,15 +170,16 @@ class LogLinearRelevance(_ColumnarRelevance):
     one part are penalised, not dropped.  Scores are log-space (≤ 0).
 
     Large batches combine through the kernel's numeric backend
-    (vectorised logs when numpy is importable, the
-    :func:`repro.perf.flatops.log_linear_rows` loop otherwise).
+    (vectorised logs when numpy is importable), short ones through the
+    :func:`repro.perf.flatops.log_linear_rows` loop — the arithmetic
+    of :func:`repro.ir.combine.combine_log_linear`, pair by pair.
     """
 
     mixing_weight: float = 0.5
     name: str = field(default="log_linear", init=False)
 
-    #: Below this many documents the per-pair reference call wins.
-    _BATCH_MIN = 64
+    #: Below this many documents the loop wins (the kernel's size rule).
+    _BATCH_MIN = VECTOR_MIN
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mixing_weight <= 1.0:
@@ -186,12 +188,7 @@ class LogLinearRelevance(_ColumnarRelevance):
             )
 
     def _mixture(self, dependents, preferences):
-        if len(dependents) < self._BATCH_MIN:
-            return [
-                combine_log_linear(qd, qi, self.mixing_weight)
-                for qd, qi in zip(dependents, preferences)
-            ]
-        np = resolve_backend()
+        np = resolve_backend() if len(dependents) >= self._BATCH_MIN else None
         if np is None:
             return log_linear_rows(
                 dependents, preferences, self.mixing_weight, LOG_FLOOR

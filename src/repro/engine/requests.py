@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from collections import abc
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import EngineError
 from repro.perf.columns import NameTable
-from repro.reporting.tables import TextTable, ranking_table
-from repro.storage.sql import ResultSet
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.reporting.tables import TextTable
+    from repro.storage.sql import ResultSet
 
 __all__ = ["RankRequest", "RankResponse", "RankedItem", "RankedItems"]
 
@@ -241,7 +243,11 @@ class RankResponse:
         return self.items.documents()
 
     def to_table(self, names: Mapping[str, str] | None = None) -> TextTable:
-        """Render through the shared :func:`repro.reporting.ranking_table`."""
+        """Render through the shared :func:`repro.reporting.ranking_table`
+        (loaded here: text tables are for the CLI and examples, no
+        serving path renders one)."""
+        from repro.reporting.tables import ranking_table
+
         return ranking_table(self.items, names=names)
 
     def render(self, names: Mapping[str, str] | None = None) -> str:

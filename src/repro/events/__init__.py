@@ -14,73 +14,56 @@ uncertainty model of van Bunningen et al.:
 * serialisation to TEXT for the sqlite backend, and lineage rendering.
 """
 
-from repro.events.atoms import BasicEvent, validate_probability
-from repro.events.bdd import Bdd, probability_by_bdd
-from repro.events.dnf import DnfTerm, Literal, probability_by_dnf, to_dnf
-from repro.events.expr import (
-    ALWAYS,
-    NEVER,
-    And,
-    Atom,
-    EventExpr,
-    FalseEvent,
-    Not,
-    Or,
-    TrueEvent,
-    atom,
-    conj,
-    disj,
-    neg,
-)
-from repro.events.lineage import Derivation, derivations, explain_probability, render_tree
-from repro.events.montecarlo import MonteCarloEstimate, probability_by_sampling
-from repro.events.probability import DEFAULT_ENGINE, ENGINES, conditional_probability, probability
-from repro.events.serialize import dump_lines, dumps, load_lines, loads
-from repro.events.shannon import ShannonEngine, probability_by_shannon
-from repro.events.space import EventSpace, MutexGroup, chain_encode
-from repro.events.worlds import enumerate_worlds, probability_by_enumeration
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "ALWAYS",
-    "NEVER",
-    "And",
-    "Atom",
-    "BasicEvent",
-    "Bdd",
-    "DEFAULT_ENGINE",
-    "Derivation",
-    "DnfTerm",
-    "ENGINES",
-    "EventExpr",
-    "EventSpace",
-    "FalseEvent",
-    "Literal",
-    "MonteCarloEstimate",
-    "MutexGroup",
-    "Not",
-    "Or",
-    "ShannonEngine",
-    "TrueEvent",
-    "atom",
-    "chain_encode",
-    "conditional_probability",
-    "conj",
-    "derivations",
-    "disj",
-    "dump_lines",
-    "dumps",
-    "enumerate_worlds",
-    "explain_probability",
-    "load_lines",
-    "loads",
-    "neg",
-    "probability",
-    "probability_by_bdd",
-    "probability_by_dnf",
-    "probability_by_enumeration",
-    "probability_by_sampling",
-    "probability_by_shannon",
-    "render_tree",
-    "to_dnf",
-    "validate_probability",
-]
+# ``probability`` the function shares its name with the submodule that
+# defines it; importing it eagerly binds the function here once and for
+# all (a lazy table would lose to the submodule attribute the import
+# system sets).  The facade module is light: it loads one engine.
+from repro.events.probability import (
+    DEFAULT_ENGINE,
+    ENGINES,
+    conditional_probability,
+    probability,
+)
+
+#: Where every other public name lives; its module loads on first use
+#: (the BDD, DNF, possible-world and sampling engines are oracles a
+#: serving worker never calls).
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.events.atoms": ("BasicEvent", "validate_probability"),
+        "repro.events.bdd": ("Bdd", "probability_by_bdd"),
+        "repro.events.dnf": ("DnfTerm", "Literal", "probability_by_dnf", "to_dnf"),
+        "repro.events.expr": (
+            "ALWAYS",
+            "NEVER",
+            "And",
+            "Atom",
+            "EventExpr",
+            "FalseEvent",
+            "Not",
+            "Or",
+            "TrueEvent",
+            "atom",
+            "conj",
+            "disj",
+            "neg",
+        ),
+        "repro.events.lineage": (
+            "Derivation",
+            "derivations",
+            "explain_probability",
+            "render_tree",
+        ),
+        "repro.events.montecarlo": ("MonteCarloEstimate", "probability_by_sampling"),
+        "repro.events.serialize": ("dump_lines", "dumps", "load_lines", "loads"),
+        "repro.events.shannon": ("ShannonEngine", "probability_by_shannon"),
+        "repro.events.space": ("EventSpace", "MutexGroup", "chain_encode"),
+        "repro.events.worlds": ("enumerate_worlds", "probability_by_enumeration"),
+    },
+)
+__all__ = sorted(
+    [*__all__, "DEFAULT_ENGINE", "ENGINES", "conditional_probability", "probability"]
+)

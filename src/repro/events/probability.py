@@ -17,24 +17,51 @@ test-suite and for lineage display.
 
 from __future__ import annotations
 
+from collections import abc
+from importlib import import_module
 from typing import Callable
 
 from repro.errors import EventError
-from repro.events.bdd import probability_by_bdd
-from repro.events.dnf import probability_by_dnf
 from repro.events.expr import EventExpr
 from repro.events.shannon import probability_by_shannon
 from repro.events.space import EventSpace
-from repro.events.worlds import probability_by_enumeration
 
 __all__ = ["probability", "conditional_probability", "ENGINES", "DEFAULT_ENGINE"]
 
-ENGINES: dict[str, Callable[[EventExpr, EventSpace | None], float]] = {
-    "shannon": probability_by_shannon,
-    "bdd": probability_by_bdd,
-    "worlds": probability_by_enumeration,
-    "dnf": probability_by_dnf,
+_Engine = Callable[[EventExpr, "EventSpace | None"], float]
+
+#: Engine name -> where its function lives.  The default engine is
+#: imported with this module; the other three are oracles, loaded when
+#: first asked for by name.
+_ENGINE_HOMES: dict[str, tuple[str, str]] = {
+    "shannon": ("repro.events.shannon", "probability_by_shannon"),
+    "bdd": ("repro.events.bdd", "probability_by_bdd"),
+    "worlds": ("repro.events.worlds", "probability_by_enumeration"),
+    "dnf": ("repro.events.dnf", "probability_by_dnf"),
 }
+
+
+class _Engines(abc.Mapping):
+    """``name -> engine`` over :data:`_ENGINE_HOMES`, importing on first use."""
+
+    def __init__(self) -> None:
+        self._loaded: dict[str, _Engine] = {"shannon": probability_by_shannon}
+
+    def __getitem__(self, name: str) -> _Engine:
+        compute = self._loaded.get(name)
+        if compute is None:
+            module, function = _ENGINE_HOMES[name]
+            compute = self._loaded[name] = getattr(import_module(module), function)
+        return compute
+
+    def __iter__(self):
+        return iter(_ENGINE_HOMES)
+
+    def __len__(self) -> int:
+        return len(_ENGINE_HOMES)
+
+
+ENGINES: abc.Mapping[str, _Engine] = _Engines()
 
 DEFAULT_ENGINE = "shannon"
 

@@ -19,14 +19,9 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ReproError
+from repro.perf.flatops import LOG_FLOOR
 
 __all__ = ["LOG_FLOOR", "CombinedScore", "combine_log_linear", "combined_ranking"]
-
-#: Floor applied inside logs so impossible parts don't produce -inf
-#: unless truly both-zero.  Public because the engine's batched
-#: log-linear paths (repro.engine.relevance / repro.perf.flatops) must
-#: share the exact same clamping semantics.
-LOG_FLOOR = 1e-12
 
 _EPSILON = LOG_FLOOR  # backwards-compatible alias
 

@@ -28,10 +28,18 @@ from typing import Iterator, Sequence
 
 __all__ = ["NameTable", "ScoreColumn", "VECTOR_MIN", "as_floats", "rank_columns"]
 
-#: Below this many rows the flat-list loops win: a numpy call costs a few
+#: The one size threshold of the numeric backend: a candidate set of
+#: fewer rows compiles, scores and ranks on flat lists, a longer one on
+#: numpy (:func:`repro.perf.backend.resolve_backend` applies it at
+#: compile and snapshot-restore time, the helpers below at rank time).
+#: Below it the flat-list loops win: a numpy call costs a few
 #: microseconds however short the array, and sorts and gathers drop the
 #: GIL — under a serving fleet's threads every such hand-off can park a
-#: four-document rank behind another request.
+#: four-document rank behind another request.  And a worker whose every
+#: matrix is that short never imports numpy at all: 0.14 s of cold start
+#: and 12-16 MB of resident memory the paper's four-program running
+#: example has no use for.  The ledger keeps a workload on either side
+#: (tvtouch: 4 rows; Section 5: 2 000).
 VECTOR_MIN = 64
 
 

@@ -21,6 +21,7 @@ import math
 from typing import Iterable, Sequence
 
 __all__ = [
+    "LOG_FLOOR",
     "TOPK_PRUNE_SLACK",
     "batch_row_scores",
     "batch_topk_survivors",
@@ -37,6 +38,13 @@ __all__ = [
 #: must never be abandoned.  Accumulated rounding error is ~n·2^-52;
 #: 1e-9 is far above that and costs no meaningful pruning power.
 TOPK_PRUNE_SLACK = 1e-9
+
+#: Floor applied inside the log-linear mixture's logs so an impossible
+#: part does not produce -inf.  It lives here, beside the loop that
+#: consumes it, so the engine's relevance strategies share the IR
+#: mixture's exact clamping (:mod:`repro.ir.combine` re-exports it)
+#: without loading the IR package.
+LOG_FLOOR = 1e-12
 
 
 def row_scores(

@@ -12,7 +12,7 @@ table of exactly the paper's shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import RuleError
 from repro.events.expr import EventExpr
@@ -22,10 +22,11 @@ from repro.dl.abox import ABox
 from repro.dl.instances import membership_event
 from repro.dl.tbox import TBox
 from repro.dl.vocabulary import Individual
-from repro.storage.database import Database
-from repro.storage.schema import Column, ColumnType, Schema
-from repro.storage.table import Table
 from repro.rules.rule import PreferenceRule
+
+if TYPE_CHECKING:  # pragma: no cover - types only; see ``to_table``
+    from repro.storage.database import Database
+    from repro.storage.table import Table
 
 __all__ = ["ApplicableRule", "RuleRepository", "REPOSITORY_TABLE"]
 
@@ -140,6 +141,10 @@ class RuleRepository:
     # -- relational materialisation ---------------------------------------
     def to_table(self, database: Database, name: str = REPOSITORY_TABLE) -> Table:
         """Store the repository as the paper's repository table."""
+        # The only method that needs the relational layer: loaded here so
+        # the rules package stands without it.
+        from repro.storage.schema import Column, ColumnType, Schema
+
         schema = Schema(
             [
                 Column("rule_id", ColumnType.TEXT),

@@ -30,73 +30,48 @@ Quickstart::
     # threading.Thread(target=server.serve_forever, daemon=True).start()
 """
 
-from repro.cache import CacheAdapter, InMemoryCacheAdapter, NoCacheAdapter
-from repro.service.batching import BatchScheduler
-from repro.service.fleet import (
-    FleetSupervisor,
-    serve_fleet,
-    supports_fleet,
-    supports_reuseport,
-)
-from repro.service.metrics import (
-    GatewayMetrics,
-    LatencyRecorder,
-    ServiceMetrics,
-    percentile,
-)
-from repro.service.pipeline import (
-    STAGES,
-    RankAttempt,
-    RankingService,
-    ServiceConfig,
-    ServiceRequest,
-    ServiceResponse,
-)
-from repro.service.http import RankingHTTPServer, make_server, serve
-from repro.service.aio import AioRankingServer, make_aio_server
-from repro.service.resilience import (
-    CircuitBreaker,
-    Deadline,
-    DeadlineExceeded,
-    FaultInjector,
-    InjectedFault,
-    SharedFleetState,
-    clamp_timeout,
-    current_deadline,
-    deadline_scope,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "AioRankingServer",
-    "BatchScheduler",
-    "CacheAdapter",
-    "CircuitBreaker",
-    "Deadline",
-    "DeadlineExceeded",
-    "FaultInjector",
-    "FleetSupervisor",
-    "GatewayMetrics",
-    "InMemoryCacheAdapter",
-    "InjectedFault",
-    "LatencyRecorder",
-    "NoCacheAdapter",
-    "RankAttempt",
-    "RankingHTTPServer",
-    "RankingService",
-    "STAGES",
-    "ServiceConfig",
-    "ServiceMetrics",
-    "ServiceRequest",
-    "ServiceResponse",
-    "SharedFleetState",
-    "clamp_timeout",
-    "current_deadline",
-    "deadline_scope",
-    "make_aio_server",
-    "make_server",
-    "percentile",
-    "serve",
-    "serve_fleet",
-    "supports_fleet",
-    "supports_reuseport",
-]
+#: Where each public name lives; a name's module loads on first use
+#: (the event-loop gateway does not load ``http.server``, a single
+#: process does not load the fleet supervisor).
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.cache": ("CacheAdapter", "InMemoryCacheAdapter", "NoCacheAdapter"),
+        "repro.service.batching": ("BatchScheduler",),
+        "repro.service.fleet": (
+            "FleetSupervisor",
+            "serve_fleet",
+            "supports_fleet",
+            "supports_reuseport",
+        ),
+        "repro.service.metrics": (
+            "GatewayMetrics",
+            "LatencyRecorder",
+            "ServiceMetrics",
+            "percentile",
+        ),
+        "repro.service.pipeline": (
+            "STAGES",
+            "RankAttempt",
+            "RankingService",
+            "ServiceConfig",
+            "ServiceRequest",
+            "ServiceResponse",
+        ),
+        "repro.service.http": ("RankingHTTPServer", "make_server", "serve"),
+        "repro.service.aio": ("AioRankingServer", "make_aio_server"),
+        "repro.service.resilience": (
+            "CircuitBreaker",
+            "Deadline",
+            "DeadlineExceeded",
+            "FaultInjector",
+            "InjectedFault",
+            "SharedFleetState",
+            "clamp_timeout",
+            "current_deadline",
+            "deadline_scope",
+        ),
+    },
+)

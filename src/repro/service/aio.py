@@ -59,9 +59,13 @@ from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
-from repro.service.http import MAX_BODY_BYTES, SERVER_VERSION
 from repro.service.metrics import GatewayMetrics
-from repro.service.pipeline import RankingService, ServiceResponse
+from repro.service.pipeline import (
+    MAX_BODY_BYTES,
+    SERVER_VERSION,
+    RankingService,
+    ServiceResponse,
+)
 
 __all__ = ["AioRankingServer", "make_aio_server", "serve"]
 

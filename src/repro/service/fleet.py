@@ -55,13 +55,15 @@ import threading
 import time
 from collections import deque
 from multiprocessing.connection import wait as _sentinel_wait
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.errors import EngineError
 from repro.service.aio import AioRankingServer
-from repro.service.http import RankingHTTPServer
 from repro.service.pipeline import RankingService
 from repro.service.resilience import SharedFleetState
+
+if TYPE_CHECKING:  # pragma: no cover - types only; see ``_worker_main``
+    from repro.service.http import RankingHTTPServer
 
 __all__ = ["FleetSupervisor", "serve_fleet", "supports_fleet", "supports_reuseport"]
 
@@ -149,6 +151,10 @@ def _worker_main(
         )
         server.drain_grace = grace
     else:
+        # Loaded by a ``threads`` worker only: the default gateway never
+        # pays for ``http.server`` and the ``email`` package behind it.
+        from repro.service.http import RankingHTTPServer
+
         server = RankingHTTPServer(
             (host, port), service, verbose=verbose, bind_and_activate=False
         )

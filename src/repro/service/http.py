@@ -49,18 +49,14 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
-from repro import __version__ as _repro_version
-from repro.service.pipeline import RankingService, ServiceResponse
+from repro.service.pipeline import (
+    MAX_BODY_BYTES,
+    SERVER_VERSION,
+    RankingService,
+    ServiceResponse,
+)
 
 __all__ = ["RankingHTTPServer", "make_server", "serve"]
-
-#: Cap on accepted request bodies (context installs are tiny; anything
-#: bigger is a client error, not a reason to buffer unbounded bytes).
-MAX_BODY_BYTES = 1 << 20
-
-#: The Server header both gateways send — derived from the package
-#: version so it can never drift from a release again.
-SERVER_VERSION = f"repro-serve/{_repro_version}"
 
 
 class _BodyTooLarge(ValueError):

@@ -66,20 +66,21 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
+from repro import __version__ as _repro_version
 from repro.cache.keys import KeyLookup, ResponseKeyer, response_key
 from repro.cache.none import NoCacheAdapter
 from repro.cache.protocol import CacheAdapter
 from repro.engine.backends import parse_context_spec
 from repro.engine.requests import RankedItems, RankRequest
 from repro.errors import EngineError, ReproError
-from repro.service.batching import BatchScheduler
 from repro.service.metrics import ServiceMetrics
 from repro.service.resilience import (
     BreakerDecision,
@@ -94,10 +95,15 @@ from repro.service.resilience import (
 )
 from repro.tenants.registry import TenantRegistry
 
+if TYPE_CHECKING:  # pragma: no cover - types only; see ``RankingService.__init__``
+    from repro.service.batching import BatchScheduler
+
 __all__ = [
+    "MAX_BODY_BYTES",
     "RankAttempt",
     "RankBody",
     "RankingService",
+    "SERVER_VERSION",
     "ServiceConfig",
     "ServiceRequest",
     "ServiceResponse",
@@ -106,6 +112,17 @@ __all__ = [
 
 #: Pipeline stages, in request order (``total`` is recorded on top).
 STAGES = ("parse", "cache", "breaker", "admit", "resolve", "context", "rank", "render")
+
+# The two wire constants both gateways share live here, with the request
+# model, so neither gateway has to load the other to read them.
+
+#: Cap on accepted request bodies (context installs are tiny; anything
+#: bigger is a client error, not a reason to buffer unbounded bytes).
+MAX_BODY_BYTES = 1 << 20
+
+#: The Server header both gateways send — derived from the package
+#: version so it can never drift from a release again.
+SERVER_VERSION = f"repro-serve/{_repro_version}"
 
 
 @dataclass(frozen=True)
@@ -674,15 +691,16 @@ class RankingService:
         )
         # Cross-request micro-batching (enabled with batch_max_size >= 2):
         # concurrent ranks sharing a candidate matrix fuse into one pass.
-        self.batcher: BatchScheduler | None = (
-            BatchScheduler(
+        self.batcher: BatchScheduler | None = None
+        if self.config.batch_max_size >= 2:
+            # The scheduler loads with the first service that batches.
+            from repro.service.batching import BatchScheduler
+
+            self.batcher = BatchScheduler(
                 max_batch_size=self.config.batch_max_size,
                 max_wait_us=self.config.batch_max_wait_us,
                 queue_limit=self.config.batch_queue_limit,
             )
-            if self.config.batch_max_size >= 2
-            else None
-        )
         #: The serving front's stats provider (see :meth:`attach_gateway`).
         self._gateway_stats: Callable[[], Mapping[str, object]] | None = None
         self._started_at = time.time()
@@ -1284,7 +1302,15 @@ class RankingService:
         snapshot["gateway"] = (
             dict(provider()) if provider is not None else {"attached": False}
         )
-        snapshot["worker"] = self._worker_section()
+        worker = self._worker_section()
+        # What this process has actually loaded: which kernel backend
+        # its matrices called for, and whether an import-on-use edge
+        # (SQL, explain, batching, ...) has fired since boot.
+        worker["numpy_loaded"] = "numpy" in sys.modules
+        worker["repro_modules_loaded"] = sum(
+            name == "repro" or name.startswith("repro.") for name in list(sys.modules)
+        )
+        snapshot["worker"] = worker
         return snapshot
 
     def attach_gateway(self, provider: Callable[[], Mapping[str, object]] | None) -> None:

@@ -36,7 +36,6 @@ service layer.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import random
 import signal
@@ -594,8 +593,11 @@ class SharedFleetState:
     """
 
     def __init__(self, context=None):
-        ctx = context if context is not None else multiprocessing
-        self._failed = ctx.Value("i", 0)
+        if context is None:
+            # Loaded with the first fleet: a single-process worker has
+            # no sibling to share state with and never pays for it.
+            import multiprocessing as context
+        self._failed = context.Value("i", 0)
 
     def mark_failed(self) -> None:
         with self._failed.get_lock():

@@ -7,81 +7,47 @@ the paper's introduction query verbatim, and an sqlite3 backend whose
 views perform event propagation inside real SQL.
 """
 
-from repro.storage.algebra import (
-    AlgebraNode,
-    AndPredicate,
-    ColumnComparison,
-    Comparison,
-    Constant,
-    Difference,
-    Join,
-    NotPredicate,
-    OrPredicate,
-    Predicate,
-    Project,
-    Rename,
-    Scan,
-    Select,
-    Union,
-    evaluate,
-    union_all,
-)
-from repro.storage.database import (
-    CONCEPT_TABLE_PREFIX,
-    INDIVIDUALS_TABLE,
-    ROLE_TABLE_PREFIX,
-    Database,
-    concept_schema,
-    concept_table_name,
-    role_schema,
-    role_table_name,
-)
-from repro.storage.mapping import compile_concept, create_concept_view
-from repro.storage.optimizer import explain_plan, optimize, schema_of
-from repro.storage.schema import EVENT_COLUMN, Column, ColumnType, Schema
-from repro.storage.sql import ResultSet, SelectStatement, SqlSession, parse_sql
-from repro.storage.sqlite_backend import SqliteBackend
-from repro.storage.table import Table
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "AlgebraNode",
-    "AndPredicate",
-    "CONCEPT_TABLE_PREFIX",
-    "Column",
-    "ColumnComparison",
-    "ColumnType",
-    "Comparison",
-    "Constant",
-    "Database",
-    "Difference",
-    "EVENT_COLUMN",
-    "INDIVIDUALS_TABLE",
-    "Join",
-    "NotPredicate",
-    "OrPredicate",
-    "Predicate",
-    "Project",
-    "ROLE_TABLE_PREFIX",
-    "Rename",
-    "ResultSet",
-    "Scan",
-    "Schema",
-    "Select",
-    "SelectStatement",
-    "SqlSession",
-    "SqliteBackend",
-    "Table",
-    "Union",
-    "compile_concept",
-    "concept_schema",
-    "concept_table_name",
-    "create_concept_view",
-    "evaluate",
-    "explain_plan",
-    "optimize",
-    "parse_sql",
-    "schema_of",
-    "role_schema",
-    "role_table_name",
-    "union_all",
-]
+#: Where each public name lives; a name's module loads on first use
+#: (``Database`` and ``Table`` do not drag the SQL front end or sqlite3 in).
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.storage.algebra": (
+            "AlgebraNode",
+            "AndPredicate",
+            "ColumnComparison",
+            "Comparison",
+            "Constant",
+            "Difference",
+            "Join",
+            "NotPredicate",
+            "OrPredicate",
+            "Predicate",
+            "Project",
+            "Rename",
+            "Scan",
+            "Select",
+            "Union",
+            "evaluate",
+            "union_all",
+        ),
+        "repro.storage.database": (
+            "CONCEPT_TABLE_PREFIX",
+            "INDIVIDUALS_TABLE",
+            "ROLE_TABLE_PREFIX",
+            "Database",
+            "concept_schema",
+            "concept_table_name",
+            "role_schema",
+            "role_table_name",
+        ),
+        "repro.storage.mapping": ("compile_concept", "create_concept_view"),
+        "repro.storage.optimizer": ("explain_plan", "optimize", "schema_of"),
+        "repro.storage.schema": ("EVENT_COLUMN", "Column", "ColumnType", "Schema"),
+        "repro.storage.sql": ("ResultSet", "SelectStatement", "SqlSession", "parse_sql"),
+        "repro.storage.sqlite_backend": ("SqliteBackend",),
+        "repro.storage.table": ("Table",),
+    },
+)

@@ -17,15 +17,22 @@ top of the generic table/algebra machinery, plus:
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
+from repro._lazy import lazy_module
 from repro.errors import StorageError, UnknownTableError
 from repro.events.expr import ALWAYS
 from repro.dl.abox import ABox
 from repro.dl.vocabulary import ConceptName, RoleName
-from repro.storage.algebra import AlgebraNode, evaluate
 from repro.storage.schema import EVENT_COLUMN, Column, ColumnType, Schema
 from repro.storage.table import Table
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.storage.algebra import AlgebraNode
+
+#: The algebra interpreter, loaded with the first operator tree evaluated:
+#: a database of base tables (every served world) never needs it.
+_algebra = lazy_module("repro.storage.algebra")
 
 __all__ = [
     "Database",
@@ -157,7 +164,7 @@ class Database:
             return base
         view = self._views.get(name)
         if view is not None:
-            result = evaluate(self, view)
+            result = _algebra().evaluate(self, view)
             return result.renamed(name=name)
         raise UnknownTableError(f"no table or view named {name!r} in database {self.name!r}")
 
@@ -169,7 +176,7 @@ class Database:
 
     def evaluate(self, node: AlgebraNode) -> Table:
         """Evaluate an operator tree against this database."""
-        return evaluate(self, node)
+        return _algebra().evaluate(self, node)
 
     @property
     def table_names(self) -> tuple[str, ...]:

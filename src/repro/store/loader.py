@@ -6,8 +6,9 @@
 2. restore the live world objects (:mod:`repro.store.codec`),
 3. publish the numeric basis matrix through
    ``multiprocessing.shared_memory`` — a numpy view over the segment
-   when numpy imports, a ``memoryview('d')`` flat view otherwise — so
-   sibling workers attach to **one** physical copy,
+   from ``VECTOR_MIN`` rows on (when numpy imports), a
+   ``memoryview('d')`` flat view otherwise — so sibling workers attach
+   to **one** physical copy,
 4. seed the compiled-KB base tier's memo tables and the process-wide
    shared basis pool, so the first rank of every tenant takes the
    incremental path instead of re-reasoning the world.
@@ -28,6 +29,7 @@ from typing import Callable
 from repro.dl.vocabulary import ConceptName, RoleName
 from repro.dl.parser import parse_concept
 from repro.errors import SnapshotError
+from repro.perf.backend import resolve_backend
 from repro.store.codec import restore_world
 from repro.store.format import read_snapshot
 
@@ -108,10 +110,9 @@ def _attach_segment(name: str):
 
 
 def _matrix_view(buffer, rows: int, cols: int, nbytes: int):
-    """A read-only documents×rules view over ``buffer``: numpy or flat."""
-    from repro.perf.backend import resolve_backend
-
-    np = resolve_backend(None)
+    """A read-only documents×rules view over ``buffer``: an ndarray from
+    ``VECTOR_MIN`` rows on, flat below (the kernel's own size rule)."""
+    np = resolve_backend(rows=rows)
     if np is not None:
         matrix = np.frombuffer(buffer, dtype="<f8", count=rows * cols).reshape(
             rows, cols

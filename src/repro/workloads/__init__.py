@@ -5,67 +5,50 @@ database generator, rule-series generation, history sampling from
 ground-truth rules, and synthetic user populations.
 """
 
-from repro.workloads.generator import Section5World, Section5Counts, generate_test_database
-from repro.workloads.history_gen import (
-    ContextPattern,
-    PlantedRule,
-    sample_history,
-    sample_workday_mornings,
-)
-from repro.workloads.rules_series import generate_rule_series, install_context_series
-from repro.workloads.traffic import (
-    CONTEXT_MENUS,
-    RetryPolicy,
-    TrafficConfig,
-    TrafficOutcome,
-    TrafficReport,
-    TrafficRequest,
-    build_schedule,
-    http_client,
-    run_traffic,
-    zipf_weights,
-)
-from repro.workloads.tvtouch import (
-    EXPECTED_TABLE1_SCORES,
-    PROGRAMS,
-    TvTouchWorld,
-    build_tvtouch,
-    set_breakfast_weekend_context,
-)
-from repro.workloads.users import (
-    SyntheticUser,
-    generate_population,
-    sessions_for_population,
-    simulate_choice,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
-    "CONTEXT_MENUS",
-    "ContextPattern",
-    "EXPECTED_TABLE1_SCORES",
-    "PROGRAMS",
-    "PlantedRule",
-    "SyntheticUser",
-    "Section5World",
-    "Section5Counts",
-    "RetryPolicy",
-    "TrafficConfig",
-    "TrafficOutcome",
-    "TrafficReport",
-    "TrafficRequest",
-    "TvTouchWorld",
-    "build_schedule",
-    "build_tvtouch",
-    "generate_population",
-    "generate_rule_series",
-    "generate_test_database",
-    "install_context_series",
-    "http_client",
-    "run_traffic",
-    "sample_history",
-    "sample_workday_mornings",
-    "sessions_for_population",
-    "set_breakfast_weekend_context",
-    "simulate_choice",
-    "zipf_weights",
-]
+#: Where each public name lives; a name's module loads on first use
+#: (the traffic generator and the Section 5 database are not what a
+#: worker serving the TVTouch world needs).
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.workloads.generator": (
+            "Section5World",
+            "Section5Counts",
+            "generate_test_database",
+        ),
+        "repro.workloads.history_gen": (
+            "ContextPattern",
+            "PlantedRule",
+            "sample_history",
+            "sample_workday_mornings",
+        ),
+        "repro.workloads.rules_series": ("generate_rule_series", "install_context_series"),
+        "repro.workloads.traffic": (
+            "CONTEXT_MENUS",
+            "RetryPolicy",
+            "TrafficConfig",
+            "TrafficOutcome",
+            "TrafficReport",
+            "TrafficRequest",
+            "build_schedule",
+            "http_client",
+            "run_traffic",
+            "zipf_weights",
+        ),
+        "repro.workloads.tvtouch": (
+            "EXPECTED_TABLE1_SCORES",
+            "PROGRAMS",
+            "TvTouchWorld",
+            "build_tvtouch",
+            "set_breakfast_weekend_context",
+        ),
+        "repro.workloads.users": (
+            "SyntheticUser",
+            "generate_population",
+            "sessions_for_population",
+            "simulate_choice",
+        ),
+    },
+)

@@ -27,6 +27,7 @@ from repro.perf.backend import (
     reset_backend,
     resolve_backend,
 )
+from repro.perf.columns import VECTOR_MIN
 from repro.workloads import build_tvtouch, set_breakfast_weekend_context
 
 BACKENDS = ["python"] + (["numpy"] if numpy_or_none() is not None else [])
@@ -370,3 +371,113 @@ class TestScorerIntegration:
         scores = scorer.score_map(world.program_ids)
         assert scores["channel5_news"] == pytest.approx(0.6006, abs=1e-9)
         assert scores["mpfs"] == pytest.approx(0.02, abs=1e-9)
+
+
+@pytest.fixture()
+def no_forced_backend(monkeypatch):
+    """The size rule only speaks when nobody forces a backend."""
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    reset_backend()
+    yield
+    reset_backend()
+
+
+def boundary_problem(rows, rules=5, seed=11):
+    """``rows`` documents x ``rules`` rules, with ties and a trivial row."""
+    import random
+
+    rng = random.Random(seed)
+    matrix = [
+        [rng.choice([0.0, 1.0, 0.5, round(rng.random(), 3)]) for _ in range(rules)]
+        for _ in range(rows - 1)
+    ]
+    matrix.append([0.0] * rules)
+    sigmas = [round(rng.uniform(0.05, 0.95), 3) for _ in range(rules)]
+    contexts = [round(rng.uniform(0.1, 1.0), 3) for _ in range(rules)]
+    return synthetic_problem(sigmas, contexts, matrix)
+
+
+#: rows -> the backend the rule picks (flat lists where numpy is missing).
+BOUNDARY = [
+    (VECTOR_MIN - 1, "python"),
+    (VECTOR_MIN, BACKENDS[-1]),
+    (VECTOR_MIN + 1, BACKENDS[-1]),
+]
+
+
+class TestSizeRule:
+    """One threshold, ``VECTOR_MIN``: short sets compile on flat lists,
+    long ones on numpy, and nothing but the backend changes with it."""
+
+    @pytest.mark.parametrize("rows, chosen", BOUNDARY)
+    def test_boundary_backend_and_agreement(self, no_forced_backend, rows, chosen):
+        problem = boundary_problem(rows)
+        kernel = ScoringKernel.compile(problem)
+        assert kernel.backend == chosen
+        assert backend_name(rows=rows) == chosen
+        assert (kernel.candidates.table.np is not None) == (chosen == "numpy")
+        values = kernel.scores()
+        reference = [
+            score_document(problem, document, "factorised").value
+            for document in problem.documents
+        ]
+        assert values == pytest.approx(reference, abs=1e-9)
+        order = [s.document for s in kernel.rank_top_k(rows)]
+        assert order == [
+            name for _value, name in sorted(zip([-v for v in values], kernel.names))
+        ]
+        for backend in BACKENDS:
+            other = ScoringKernel.compile(problem, backend=backend)
+            assert other.backend == backend
+            assert other.scores() == pytest.approx(values, abs=1e-9)
+            assert [s.document for s in other.rank_top_k(rows)] == order
+            top = other.rank_top_k(7)
+            assert [s.document for s in top] == order[:7]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("rows", [VECTOR_MIN - 1, VECTOR_MIN + 1])
+    def test_env_overrides_the_rule_both_ways(self, force_backend, backend, rows):
+        force_backend(backend)
+        assert backend_name(rows=rows) == backend
+        assert compile_candidates(boundary_problem(rows)).backend == backend
+
+    def test_explicit_argument_beats_rule_and_environment(self, force_backend):
+        force_backend("python")
+        for backend in BACKENDS:
+            for rows in (VECTOR_MIN - 1, VECTOR_MIN + 1):
+                assert compile_candidates(boundary_problem(rows), backend).backend == backend
+
+    def test_batches_of_a_small_and_a_large_set_each_answer_correctly(
+        self, no_forced_backend
+    ):
+        """The engine groups batch mates by matrix; a flat-list family and
+        an ndarray family in one call are each scored on their own backend."""
+        from types import SimpleNamespace
+
+        from repro.core import score_documents_batch, score_values
+        from repro.engine.engine import score_prepared_batch
+
+        families = []
+        for rows in (VECTOR_MIN - 1, VECTOR_MIN + 1):
+            base = ScoringKernel.compile(boundary_problem(rows, seed=rows))
+            mates = [
+                base.with_context(boundary_problem(rows, seed=rows + shift).bindings)
+                for shift in (100, 200, 300)
+            ]
+            families.append(mates)
+        small, large = families
+        assert small[0].backend == "python" and large[0].backend == BACKENDS[-1]
+        for mates in families:
+            for kernel, view in zip(mates, score_documents_batch(mates)):
+                assert score_values(view) == pytest.approx(
+                    dict(zip(kernel.names, kernel.scores())), abs=1e-9
+                )
+        mixed = [small[0], large[0], small[1], large[1], large[2], small[2]]
+        prepared = [SimpleNamespace(kernel=k, prune_documents=True) for k in mixed]
+        views, scored_rows = score_prepared_batch(prepared)
+        assert scored_rows == len(mixed)
+        for kernel, view in zip(mixed, views):
+            assert view.kernel is kernel
+            assert score_values(view) == pytest.approx(
+                dict(zip(kernel.names, kernel.scores())), abs=1e-9
+            )

@@ -50,7 +50,7 @@ from repro.engine.relevance import (
 from repro.engine.requests import RankedItem, RankedItems
 from repro.ir.combine import LOG_FLOOR, combine_log_linear
 from repro.perf.backend import BACKEND_ENV, numpy_or_none, reset_backend, resolve_backend
-from repro.perf.columns import NameTable, ScoreColumn
+from repro.perf.columns import VECTOR_MIN, NameTable, ScoreColumn
 from repro.perf.flatops import log_linear_rows
 from repro.service import FaultInjector, RankingService, ServiceConfig
 from repro.service import pipeline
@@ -634,6 +634,101 @@ def test_snapshot_restored_candidates_serve_the_same_views(backend, tmp_path):
         assert refreshes == 1  # served off the restored matrix, not a rebuild
         assert bits(restored.items) == bits(built.items)
         assert _items_json(restored.items) == _items_json(built.items)
+
+
+# ---------------------------------------------------------------------------
+# The size rule: VECTOR_MIN picks the backend, the answers do not move
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def size_rule_only():
+    """No forced backend for the duration: the candidate count decides."""
+    before = os.environ.pop(BACKEND_ENV, None)
+    reset_backend()
+    try:
+        yield
+    finally:
+        if before is not None:
+            os.environ[BACKEND_ENV] = before
+        reset_backend()
+
+
+@pytest.mark.parametrize(
+    "programs, chosen",
+    [(VECTOR_MIN - 1, "python"), (VECTOR_MIN, BACKENDS[-1]), (VECTOR_MIN + 1, BACKENDS[-1])],
+)
+def test_size_rule_boundary_matches_both_backends_and_the_object_path(programs, chosen):
+    context = ("CtxScenario_01:0.4321", "CtxScenario_04:0.8765")
+    shapes = [RankRequest(), RankRequest(top_k=5)]
+    with size_rule_only():
+        engine = section5_engine(programs=programs)
+        engine.rank()
+        ruled = [engine.rank_in_context(context, shape) for shape in shapes]
+        view = engine.view.scored_view()
+        assert len(view) == programs and view.kernel.backend == chosen
+        preference = engine.preference_scores()
+    for shape, answer in zip(shapes, ruled):
+        want = oracle_ranked(
+            oracle_entries(engine.relevance, preference, None, list(preference)), shape.top_k
+        )
+        assert bits(answer.items) == bits(want)
+        assert _items_json(answer.items) == oracle_items_json(answer.items)
+    for backend in BACKENDS:
+        with kernel_backend(backend):
+            forced = section5_engine(programs=programs)
+            forced.rank()
+            for shape, answer in zip(shapes, ruled):
+                other = forced.rank_in_context(context, shape)
+                assert forced.view.scored_view().kernel.backend == backend
+                assert other.documents() == answer.documents()
+                assert other.scores() == pytest.approx(answer.scores(), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "programs, backend", [(8, "python"), (2000, BACKENDS[-1])], ids=["8-rows", "2000-rows"]
+)
+def test_snapshot_restored_basis_follows_the_size_rule(programs, backend, tmp_path, monkeypatch):
+    """A restored basis is typed by its row count, like a compiled one:
+    flat under ``VECTOR_MIN`` rows, a read-only ndarray from there on —
+    and an engine over it answers what the source world answers."""
+    from types import SimpleNamespace
+
+    from repro.store import load_world, loader, write_world_snapshot
+
+    world = generate_test_database(seed=7, counts=Section5Counts(persons=10, programs=programs))
+    ruled = SimpleNamespace(
+        space=world.space, abox=world.abox, tbox=world.tbox, user=world.user,
+        target=world.target, repository=generate_rule_series(world, 6),
+    )
+    path = tmp_path / "world.snap"
+    write_world_snapshot(path, ruled)
+    restored = []
+    seed_pool = loader._seed_basis_pool
+
+    def spy(loaded, candidates, basis):
+        restored.append(candidates)
+        seed_pool(loaded, candidates, basis)
+
+    monkeypatch.setattr(loader, "_seed_basis_pool", spy)
+    with size_rule_only():
+        loaded = load_world(path, share_memory=False)
+        (candidates,) = restored
+        assert candidates.backend == backend and len(candidates.names) == programs
+        if backend == "numpy":
+            assert type(candidates.matrix).__name__ == "ndarray"
+            assert candidates.matrix.shape == (programs, 6)
+            assert not candidates.matrix.flags.writeable
+        else:
+            assert isinstance(candidates.matrix, memoryview) and candidates.matrix.readonly
+            assert len(candidates.matrix) == programs * 6
+        context = ("CtxScenario_01:0.4321", "CtxScenario_03:0.8765")
+        answers = []
+        for source in (ruled, loaded):
+            with TenantRegistry(source).checkout("alice") as session:
+                answers.append(session.rank_in_context(context, RankRequest(top_k=10), tick="svc"))
+        built, served = answers
+        assert served.documents() == built.documents()
+        assert served.scores() == pytest.approx(built.scores(), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
