@@ -11,7 +11,7 @@ help:
 	@echo "make test-fast    - the suite minus the slow concurrency hammers"
 	@echo "make bench-smoke  - benchmark scripts at tiny sizes (REPRO_BENCH_SMOKE=1)"
 	@echo "make ledger-smoke - 5 s traced ledger runs of full_ranking, herd_miss + zipf_steady (failed = 0, every traced target resolves)"
-	@echo "make boot-report  - what a worker loads: importtime, module counts, seconds + RSS to the first answer on both worlds"
+	@echo "make boot-report  - what a worker loads: importtime, module counts, the first rank split (bind / kernel compile / numpy import), seconds + RSS + status to the first answer at 4, 2 000 and 10 000 programs"
 	@echo "make bench        - the full benchmark suite (slow; rewrites results/)"
 	@echo "make serve        - the HTTP ranking gateway on :8080"
 	@echo "make smoke        - start the gateway, hit /healthz + /rank, shut down"

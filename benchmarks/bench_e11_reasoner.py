@@ -6,9 +6,12 @@ rebuilds the membership-event tree — re-expanding the concept,
 re-sorting TBox closures, re-scanning the role tables for successors —
 and re-runs Shannon expansion per probability, sharing nothing across
 candidates.  The compiled reasoner (:class:`repro.reason.CompiledKB`)
-evaluates set-at-a-time inside one epoch-guarded session: concepts
-expand once, successor walks run off a one-pass role index, filler
-events and probabilities are memoised across the whole sweep.
+binds by column inside one epoch-guarded session: each rule's
+preference concept is evaluated once over the ABox tables (concept
+tables unioned, the filler's members joined to a role's incoming
+edges), sub-concepts shared by all rules are read once, a candidate's
+row is one lookup per rule, and probabilities are memoised per event.
+The user's context events stay single memberships.
 
 Measured on the E9 workload grown to 1000 candidate programs:
 

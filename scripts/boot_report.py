@@ -9,6 +9,9 @@ it at another checkout to compare two commits with one script):
 * ``repro`` module counts after ``import repro`` and after the boot
   ``repro serve`` performs plus one rank (in a child interpreter, the
   gateway's ``serve`` replaced by a single in-process ``service.rank``);
+* for the Section 5 row, the in-process first rank split into the
+  document bind, the kernel compile and numpy's import — the account of
+  the ledger's ``store.first_rank_s``;
 * for the real ``python -m repro serve --port 0`` on two worlds — the
   default four-program TVTouch world and a 2 000-program Section 5
   snapshot, one on each side of the kernel's ``VECTOR_MIN`` size rule —
@@ -17,7 +20,9 @@ it at another checkout to compare two commits with one script):
   loaded (``numpy_loaded``, ``repro_modules_loaded``); a third row
   boots TVTouch with ``REPRO_KERNEL_BACKEND=numpy``, so the difference
   to the first row is numpy's share of the footprint (``n/a`` where
-  numpy is not installed).
+  numpy is not installed); a fourth boots a 10 000-program Section 5
+  snapshot and shows the status its first rank gets under the default
+  2 s request deadline (no ``timeout=`` on the request).
 
 Medians over ``--repeat`` boots.  Nothing is asserted here: the budget
 lives in ``tests/test_boot_budget.py``; this is the table the docs cite.
@@ -41,26 +46,55 @@ ROOT = Path(__file__).resolve().parent.parent
 ANNOUNCE = "repro serve: listening on http://127.0.0.1:"
 #: The ledger's Section 5 world size — the numpy side of ``VECTOR_MIN``.
 SECTION5_PROGRAMS = 2000
+#: The size at which the first rank used to outlast the default deadline.
+LARGE_PROGRAMS = 10_000
 
 #: ``repro serve`` up to the gateway, then one rank instead of the loop
 #: (prefix it with ``CONTEXT = [...]`` and ``FLAGS = [...]``); also the
 #: twin ``tests/test_boot_budget.py`` asserts the budget on.
 BOOT_TWIN = """
-import json, sys
+import json, sys, time
 from repro.service import aio
-answers = []
+answers, timings = [], {}
 def one_rank(service, *args, **kwargs):
+    started = time.perf_counter()
     reply = service.rank({"tenant": ["boot"], "context": CONTEXT})
+    timings["first_rank_s"] = time.perf_counter() - started
     assert reply.status == 200, reply.body
     answers.append(reply.body["items"][0])
     return 0
 aio.serve = one_rank
+# probes
 from repro.cli import main
 code = main(["serve", "--port", "0", *FLAGS])
-print(json.dumps({"top": answers[0], "modules": sorted(sys.modules)}))
+print(json.dumps({"top": answers[0], "modules": sorted(sys.modules), "timings": timings}))
 raise SystemExit(code)
 """
+#: Replaces the twin's ``# probes`` line: seconds inside the document
+#: bind, the kernel compile (numpy's import included) and numpy's import,
+#: each wrapped under the name its caller uses.
+FIRST_RANK_PROBES = """
+import repro.core.kernel, repro.core.problem, repro.perf.backend
+def probe(module, name, key):
+    real = getattr(module, name)
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            timings[key] = timings.get(key, 0.0) + time.perf_counter() - started
+    setattr(module, name, timed)
+probe(repro.core.problem, "bind_documents", "bind_s")
+probe(repro.core.kernel, "compile_candidates", "compile_s")
+probe(repro.perf.backend, "numpy_or_none", "numpy_import_s")
+"""
 BARE_IMPORT = "import json, sys, repro; print(json.dumps({'modules': sorted(sys.modules)}))"
+
+
+def twin(context: list[str], flags: list[str], probes: str = "") -> str:
+    """The boot twin's code for one world, ``probes`` run before ``main``."""
+    header = f"CONTEXT = {context!r}\nFLAGS = {flags!r}\n"
+    return header + BOOT_TWIN.replace("# probes\n", probes)
 
 
 def child_env(src: Path, backend: str | None = None) -> dict:
@@ -145,10 +179,9 @@ def boot_once(src: Path, flags: list[str], rank_path: str, backend: str | None) 
         response = connection.getresponse()
         body = json.loads(response.read())
         reading["first_rank_s"] = time.perf_counter() - started
-        if response.status != 200:
-            raise SystemExit(f"boot_report: {rank_path} answered {response.status}: {body}")
+        reading["status"] = response.status
         reading["first_rank_rss_mb"] = rss_mb(process.pid)
-        reading["top"] = body["items"][0]
+        reading["top"] = body["items"][0] if response.status == 200 else None
         connection.request("GET", "/metrics")
         worker = json.loads(connection.getresponse().read())["worker"]
         connection.close()
@@ -164,16 +197,16 @@ def boot_once(src: Path, flags: list[str], rank_path: str, backend: str | None) 
     return reading
 
 
-def section5_flags(src: Path, workdir: Path) -> list[str]:
+def section5_flags(src: Path, workdir: Path, programs: int = SECTION5_PROGRAMS) -> list[str]:
     """Write the ledger's Section 5 world (snapshot + rule file) with the
     tree under report, and return the ``serve`` flags that boot it."""
-    snapshot, rules = workdir / "world.snap", workdir / "rules.prefs"
+    snapshot, rules = workdir / f"world-{programs}.snap", workdir / f"rules-{programs}.prefs"
     code = (
         "from repro.rules import render_rules\n"
         "from repro.store import write_world_snapshot\n"
         "from repro.workloads import Section5Counts, generate_rule_series, generate_test_database\n"
         "world = generate_test_database(seed=7, counts=Section5Counts(persons=50, "
-        f"programs={SECTION5_PROGRAMS}))\n"
+        f"programs={programs}))\n"
         f"write_world_snapshot({str(snapshot)!r}, world)\n"
         f"open({str(rules)!r}, 'w', encoding='utf-8').write(render_rules(generate_rule_series(world, 12)))\n"
     )
@@ -214,12 +247,13 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="boot-report-") as scratch:
         tvtouch = (["Weekend", "Breakfast"], "/rank?tenant=boot&context=Weekend&context=Breakfast")
+        section5 = (
+            ["CtxScenario_01:0.4321"], "/rank?tenant=boot&context=CtxScenario_01:0.4321&top_k=10"
+        )
         worlds = [
             ("tvtouch (4 programs)", [], *tvtouch, None),
             (f"section5 snapshot ({SECTION5_PROGRAMS} programs)",
-             section5_flags(src, Path(scratch)),
-             ["CtxScenario_01:0.4321"], "/rank?tenant=boot&context=CtxScenario_01:0.4321&top_k=10",
-             None),
+             section5_flags(src, Path(scratch)), *section5, None),
             ("tvtouch, REPRO_KERNEL_BACKEND=numpy", [], *tvtouch, "numpy"),
         ]
         rows = []
@@ -227,31 +261,48 @@ def main(argv: list[str] | None = None) -> int:
             if backend == "numpy" and not numpy_importable(src):
                 rows.append((name, None, []))  # nothing to force: the row reads n/a
                 continue
-            twin = f"CONTEXT = {context!r}\nFLAGS = {flags!r}\n" + BOOT_TWIN
-            loaded = run_child(twin, src, backend)["modules"]
+            loaded = run_child(twin(context, flags), src, backend)["modules"]
             readings = [
                 boot_once(src, flags, rank_path, backend) for _ in range(max(1, args.repeat))
             ]
             rows.append((name, loaded, readings))
+        probed = twin(section5[0], worlds[1][1], FIRST_RANK_PROBES)
+        splits = [run_child(probed, src)["timings"] for _ in range(max(1, args.repeat))]
+        # real boots only: a first rank past the deadline is a reading, not a failure
+        large = section5_flags(src, Path(scratch), LARGE_PROGRAMS)
+        rows.append((
+            f"section5 snapshot ({LARGE_PROGRAMS} programs)", (),
+            [boot_once(src, large, section5[1], None) for _ in range(max(1, args.repeat))],
+        ))
 
     print("  serve boot + one rank, in-process (gateway loaded, no socket):")
     for name, loaded, _readings in rows:
         if loaded is None:
             print(f"    {name:<36} n/a (numpy is not importable here)")
+        if not loaded:
             continue
         extras = [m for m in ("numpy", "sqlite3", "http.server", "email") if m in loaded]
         print(f"    {name:<36} {repro_count(loaded):>3} repro modules, "
               f"{len(loaded)} modules in all; loaded of numpy/sqlite3/http.server/email: "
               f"{', '.join(extras) or 'none'}")
-    print(f"  real `repro serve --port 0`, medians of {max(1, args.repeat)} boots:")
+    numpy_s = median(splits, "numpy_import_s") or 0.0
+    print(f"  first rank of the section5 snapshot ({SECTION5_PROGRAMS} programs), in-process, "
+          f"medians of {len(splits)}: {median(splits, 'first_rank_s'):.3f} s = "
+          f"bind {median(splits, 'bind_s'):.3f} s · "
+          f"kernel compile {median(splits, 'compile_s') - numpy_s:.3f} s · "
+          f"numpy import {numpy_s:.3f} s · the rest (install, score, render)")
+    print(f"  real `repro serve --port 0`, medians of {max(1, args.repeat)} boots "
+          "(status: the first rank's, under the default deadline):")
     header = (f"    {'world':<36} {'announce s':>10} {'RSS MB':>8} {'first rank s':>12} "
-              f"{'RSS MB':>8} {'numpy_loaded':>12} {'repro_modules_loaded':>20}")
+              f"{'status':>6} {'RSS MB':>8} {'numpy_loaded':>12} {'repro_modules_loaded':>20}")
     print(header)
     for name, _loaded, readings in rows:
         last = readings[-1] if readings else {}
+        statuses = sorted({reading["status"] for reading in readings})
         print(f"    {name:<36} {show(median(readings, 'announce_s')):>10} "
               f"{show(median(readings, 'announce_rss_mb'), '.1f'):>8} "
               f"{show(median(readings, 'first_rank_s')):>12} "
+              f"{'/'.join(map(str, statuses)) or 'n/a':>6} "
               f"{show(median(readings, 'first_rank_rss_mb'), '.1f'):>8} "
               f"{show(last.get('numpy_loaded'), ''):>12} "
               f"{show(last.get('repro_modules_loaded'), 'd'):>20}")

@@ -11,14 +11,16 @@ space of a scoring problem is exactly the rule set:
   is the event under which ``d`` satisfies ``r.preference``.
 
 :func:`bind_problem` computes all of these through the *compiled*
-probabilistic instance checker (:mod:`repro.reason`): one reasoner
-session evaluates each concept across all candidates set-at-a-time, so
-role-successor walks, filler membership events and repeated
-probabilities are shared across the documents x rules sweep — and,
-through the shared KB registry, across requests, engines and group
-members over the same world.  Pass an explicit ``kb`` to control
-sharing; the uncached reference path remains
-:func:`repro.dl.instances.membership_event`.
+probabilistic instance checker (:mod:`repro.reason`): the context
+features are single memberships of the user, and each rule's document
+features are one *column* — the preference concept evaluated once over
+the ABox tables (:meth:`repro.reason.ReasonerSession.column`), the
+paper's "database view for each concept expression" — which the
+candidates are then looked up in.  A column belongs to the static world,
+not to a candidate set or a user, so through the shared KB registry it
+serves every request, engine, tenant and group member over the same
+world.  Pass an explicit ``kb`` to control sharing; the uncached
+reference path remains :func:`repro.dl.instances.membership_event`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.errors import ScoringError
-from repro.events.expr import EventExpr
+from repro.events.expr import NEVER, EventExpr
 from repro.events.space import EventSpace
 from repro.dl.abox import ABox
 from repro.dl.tbox import TBox
@@ -151,20 +153,24 @@ def bind_documents(
 ) -> tuple[DocumentBinding, ...]:
     """The candidate half: per document, every rule's preference event.
 
-    The documents x rules sweep dominates binding cost; its result is
-    what the scoring kernel compiles into the ``P(f)`` matrix.  The
-    sweep is set-at-a-time: each preference concept is expanded once
-    and evaluated across all candidates inside one reasoner session, so
-    successor walks and shared filler events are paid once, not once
-    per document.
+    Bound by column: each rule's preference concept is evaluated once
+    over the ABox tables (a memoised column per epoch, sub-concepts
+    shared between rules), and a candidate's row is one lookup per
+    rule — ``NEVER`` where the column does not hold it.  Each distinct
+    event is priced once.  The result is what the scoring kernel
+    compiles into the ``P(f)`` matrix.
     """
     session = (kb if kb is not None else compiled_kb(abox, tbox, space)).session()
-    expanded = [session.expand_concept(rule.preference) for rule in rules]
+    columns = [session.column(rule.preference) for rule in rules]
+    priced: dict[EventExpr, float] = {NEVER: 0.0}
     document_bindings = []
     for document in documents:
         individual = Individual(document) if isinstance(document, str) else document
-        events = tuple(session.event(individual, concept) for concept in expanded)
-        probabilities = tuple(session.probability(event, engine) for event in events)
+        events = tuple([column.get(individual, NEVER) for column in columns])
+        for event in events:
+            if event not in priced:
+                priced[event] = session.probability(event, engine)
+        probabilities = tuple([priced[event] for event in events])
         document_bindings.append(DocumentBinding(individual, events, probabilities))
     return tuple(document_bindings)
 

@@ -221,16 +221,15 @@ class ContextAwareScorer:
     def score_concept_members(self, concept: Concept) -> list[DocumentScore]:
         """Rank every ABox individual that (possibly) satisfies ``concept``.
 
-        The common "rank all TvPrograms" call: candidates come from
-        set-at-a-time instance retrieval over the target concept,
-        through the scorer's compiled reasoner.
+        The common "rank all TvPrograms" call: the candidates are the
+        target concept's column in the scorer's compiled reasoner.
         """
         return self.rank(self.member_names(concept))
 
     def member_names(self, concept: Concept) -> list[str]:
         """Names of the individuals that (possibly) satisfy ``concept``, sorted."""
         kb = self.kb if self.kb is not None else compiled_kb(self.abox, self.tbox, self.space)
-        return sorted(individual.name for individual in kb.retrieve(concept))
+        return sorted(individual.name for individual in kb.column(concept))
 
     # -- maintenance ------------------------------------------------------
     def add_rule(self, rule: PreferenceRule) -> None:

@@ -359,7 +359,7 @@ class ABox:
     def role_adjacency(self) -> dict[RoleName, dict[Individual, tuple[RoleAssertion, ...]]]:
         """All role assertions grouped ``role -> source -> assertions``.
 
-        One pass over the role tables; the set-at-a-time reasoner
+        One pass over the role tables; the compiled reasoner
         (:mod:`repro.reason`) builds this once per ABox epoch and then
         answers every successor walk from the index, instead of paying
         :meth:`role_successors`'s full-table scan per (individual, role)
@@ -634,6 +634,10 @@ class LayeredABox(ABox):
                 names.add(assertion.source.name)
                 names.add(assertion.target.name)
         return frozenset(names)
+
+    def overlay_individuals(self) -> frozenset[Individual]:
+        """The individuals this layer registered (asserted about or not)."""
+        return frozenset(self._individuals)
 
     # -- merged reads -----------------------------------------------------
     def dynamic_assertions(self) -> frozenset:

@@ -80,7 +80,10 @@ class MembershipEvaluator:
     reference.  :class:`repro.reason.ReasonerSession` overrides the
     hooks with per-epoch caches (concept expansion, sorted closures, a
     role-successor index, a per-(individual, concept) event memo)
-    without touching the semantics below.
+    without touching the semantics below, and evaluates whole concepts
+    over the ABox tables (``ReasonerSession.column``) to the very events
+    this class returns one individual at a time — it is that path's
+    oracle.
     """
 
     def __init__(self, abox: ABox, tbox: TBox):
@@ -248,15 +251,14 @@ def membership_probability(
 def retrieve(abox: ABox, tbox: TBox, concept: Concept) -> dict[Individual, EventExpr]:
     """Instance retrieval: every individual with a non-impossible event.
 
-    Set-at-a-time: the concept is evaluated across all individuals in
-    one traversal through a compiled reasoner session
+    The concept is evaluated once over the ABox tables — unions of
+    concept tables, joins on id, a role's incoming edges joined to the
+    filler's members: the algebra :mod:`repro.storage.mapping` compiles
+    for a database — as a column of a compiled reasoner session
     (:func:`repro.reason.query_session` — the warm shared one when the
-    world is registered, a transient one otherwise), so role-successor
-    walks and filler membership events are computed once, not once per
-    individual.  The result is structurally identical to calling
-    :func:`membership_event` per individual — the reference semantics
-    the relational view compiler (:mod:`repro.storage.mapping`) is
-    tested against.
+    world is registered, a transient one otherwise).  Each event is the
+    one :func:`membership_event` returns for that individual — the
+    reference semantics the relational view compiler is tested against.
     """
     from repro.reason import query_session  # deferred: repro.reason imports this module
 

@@ -1,7 +1,8 @@
 """The compiled reasoning layer (S11).
 
 Hash-consed events (:mod:`repro.events.expr`), epoch-guarded membership
-and probability memos, and set-at-a-time evaluation behind one facade:
+and probability memos, and concept columns evaluated over the ABox
+tables (not per individual) behind one facade:
 :class:`CompiledKB`.  The engine, the problem binder, instance
 retrieval and multi-user group ranking all route through the shared
 registry (:func:`compiled_kb`), so reasoning work over one world is

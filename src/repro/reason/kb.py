@@ -19,10 +19,16 @@ Within an epoch a session memoises
 * the **role-successor index** (one pass over the role tables, then
   every ``∃R.C`` / ``∀R.C`` walk is a dict lookup instead of a
   full-table scan),
-* **membership events** per ``(individual, concept)`` — including every
-  recursive sub-concept, so filler events of shared targets (all
-  programs pointing at the same genre individuals) are computed once
-  for the whole candidate set,
+* **membership events** per ``(individual, concept)`` — the path for
+  single memberships (a user's context events, the individuals an
+  overlay touches),
+* **concept columns** (:meth:`ReasonerSession.column`) — a concept's
+  members *with* their events, evaluated once over the ABox tables by
+  the algebra of :mod:`repro.storage.mapping` (a union of concept
+  tables, joins on id, a role's incoming edges joined to the filler
+  column) instead of once per individual; every sub-concept is its own
+  memoised column, so ``TvProgram`` is read once for all rules.  This
+  is what binding and instance retrieval read,
 * **probabilities** per ``(engine, event)``, with one shared
   :class:`~repro.events.shannon.ShannonEngine` whose memo spans all
   events of the epoch.
@@ -45,14 +51,16 @@ per-user copy-on-write overlay — the caches split into two tiers.  The
 **base tier** (:func:`base_tier`) is one ReasonerSession over the base
 world, shared read-only across *every* overlay of that base and keyed
 by the base epoch alone: concept expansions, closures, the
-role-successor index, static membership events and probabilities (one
-Shannon memo for the whole tenant fleet) are computed once, not once
-per user.  The **overlay tier** is the per-``CompiledKB`` session,
-keyed by the combined epoch as before, which answers locally only for
-individuals the overlay can actually affect — everything an overlay
-assertion touches, expanded to whatever can *reach* a touched
-individual through role edges — and delegates the rest to the base
-tier.  A new user session therefore costs O(overlay), not O(world).
+role indexes, static membership events, concept columns and
+probabilities (one Shannon memo for the whole tenant fleet) are computed
+once, not once per user.  The **overlay tier** is the
+per-``CompiledKB`` session, keyed by the combined epoch as before, which
+answers locally only for individuals the overlay can actually affect —
+everything an overlay assertion touches, expanded to whatever can
+*reach* a touched individual through role edges — and delegates the
+rest to the base tier: an overlay's column *is* the base tier's (the
+same object) unless one of those individuals' events differs.  A new
+user session therefore costs O(overlay), not O(world).
 """
 
 from __future__ import annotations
@@ -60,14 +68,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from repro.dl.abox import ABox, LayeredABox, RoleAssertion
-from repro.dl.concepts import Concept
+from repro.dl.concepts import And, Atomic, Bottom, Concept, Exists, HasValue, Not, OneOf, Or, Top
 from repro.dl.instances import MembershipEvaluator
 from repro.dl.tbox import TBox
 from repro.dl.vocabulary import ConceptName, Individual, RoleName
-from repro.events.expr import EventExpr
+from repro.events.expr import ALWAYS, NEVER, EventExpr, conj, disj, neg
 from repro.events.probability import DEFAULT_ENGINE, probability as engine_probability
 from repro.events.shannon import ShannonEngine
 from repro.events.space import EventSpace
@@ -124,12 +133,33 @@ class _ChainedMap:
         return None if self.extra else self.below
 
 
+def _possible(column: dict[Individual, EventExpr]) -> dict[Individual, EventExpr]:
+    """``column`` without its ``NEVER`` entries (columns hold members only)."""
+    return {
+        individual: event for individual, event in column.items() if event is not NEVER
+    }
+
+
+def _union(tables: Iterable[Mapping[Individual, EventExpr]]) -> dict[Individual, EventExpr]:
+    """Union of ``(id, event)`` tables, the events of one id OR-merged."""
+    rows: dict[Individual, list[EventExpr]] = {}
+    for table in tables:
+        for individual, event in table.items():
+            rows.setdefault(individual, []).append(event)
+    return _possible({individual: disj(events) for individual, events in rows.items()})
+
+
 @dataclass(frozen=True)
 class ReasonerInfo:
     """Cache counters of a :class:`CompiledKB`, in the ``functools`` style.
 
     ``invalidations`` counts epoch moves that discarded a session;
-    ``memo_events`` / ``memo_probabilities`` are current occupancy.
+    ``memo_events`` / ``memo_probabilities`` / ``memo_columns`` are
+    current occupancy.  The membership counters and ``memo_events``
+    count the per-individual :meth:`ReasonerSession.event` path;
+    ``memo_columns`` counts the concepts (sub-concepts included)
+    answered by :meth:`ReasonerSession.column` — a bind that moved only
+    the latter was answered by column.
     """
 
     epoch: tuple
@@ -144,6 +174,8 @@ class ReasonerInfo:
     base_events: int = 0
     #: Does this KB delegate to a shared base tier?
     shared_base: bool = False
+    #: Concept columns held by the current session.
+    memo_columns: int = 0
 
     @property
     def membership_hit_rate(self) -> float:
@@ -177,6 +209,14 @@ class ReasonerSession(MembershipEvaluator):
         self._descendants: dict[ConceptName, tuple[ConceptName, ...]] = {}
         self._role_descendants: dict[RoleName, tuple[RoleName, ...]] = {}
         self._adjacency: dict[RoleName, dict[Individual, tuple[RoleAssertion, ...]]] | None = None
+        self._incoming: dict[RoleName, dict[Individual, list[RoleAssertion]]] | None = None
+        self._domain: frozenset[Individual] | None = None
+        self._overlay_scope: tuple[Individual, ...] | None = None
+        self._columns: dict[Concept, Mapping[Individual, EventExpr]] = {}
+        # A column is built once even when a fleet of tenant threads
+        # asks for it together (re-entrant: a column builds its
+        # sub-concepts' columns).
+        self._columns_lock = threading.RLock()
         self._reachability: tuple[dict[str, list[str]], dict[str, list[str]]] | None = None
         self._affected: frozenset[str] | None = None
         self._events: dict[tuple[Individual, Concept], EventExpr] = {}
@@ -336,21 +376,160 @@ class ReasonerSession(MembershipEvaluator):
         """Memoised ``P(individual ∈ concept)``."""
         return self.probability(self.membership_event(individual, concept), engine)
 
-    # -- set-at-a-time retrieval ----------------------------------------
+    # -- columns: one concept over the whole ABox ------------------------
+    def column(self, concept: Concept) -> Mapping[Individual, EventExpr]:
+        """``{individual: event}`` for every member of ``concept``.
+
+        Holds each individual of the domain whose membership event is
+        not ``NEVER``; the event is the identical interned object
+        :meth:`membership_event` returns for that individual.  The
+        column is evaluated once per epoch from the ABox tables — cost
+        follows the matching assertions and edges, not documents x role
+        fan-out — and is shared (read-only) by every caller; on an
+        overlay session it is the base tier's own column unless an
+        individual the overlay can affect reads differently.
+        """
+        return self._column(self.expand_concept(concept))
+
+    def _column(self, concept: Concept) -> Mapping[Individual, EventExpr]:
+        column = self._columns.get(concept)
+        if column is None:
+            with self._columns_lock:
+                column = self._columns.get(concept)
+                if column is None:
+                    if self.base is not None:
+                        column = self._overlay_column(concept)
+                    else:
+                        column = MappingProxyType(self._build_column(concept))
+                    self._columns[concept] = column
+        return column
+
+    def _overlay_column(self, concept: Concept) -> Mapping[Individual, EventExpr]:
+        """The base tier's column, re-read where the overlay can differ."""
+        below = self.base._column(concept)
+        if self._overlay_scope is None:
+            names = self.affected_names() | {
+                individual.name for individual in self.abox.overlay_individuals()
+            }
+            self._overlay_scope = tuple(Individual(name) for name in names)
+        changed = {}
+        for individual in self._overlay_scope:
+            event = self.event(individual, concept)
+            if event is not below.get(individual, NEVER):
+                changed[individual] = event
+        if not changed:
+            return below
+        column = dict(below)
+        for individual, event in changed.items():
+            if event is NEVER:
+                column.pop(individual, None)
+            else:
+                column[individual] = event
+        return MappingProxyType(column)
+
+    def _build_column(self, concept: Concept) -> dict[Individual, EventExpr]:
+        """Evaluate an expanded concept over the tables (no base tier).
+
+        Mirrors ``MembershipEvaluator._compute`` node for node with the
+        same ``conj`` / ``disj`` / ``neg`` — which order, flatten and
+        intern their result, so the events are the reference's own.
+        """
+        if isinstance(concept, Bottom):
+            return {}
+        if isinstance(concept, Top):
+            return dict.fromkeys(self._individuals(), ALWAYS)
+        if isinstance(concept, OneOf):
+            return dict.fromkeys(concept.members & self._individuals(), ALWAYS)
+        if isinstance(concept, Atomic):
+            return _union(
+                {a.individual: a.event for a in self.abox.concept_members(name)}
+                for name in self.sorted_descendants(concept.concept)
+            )
+        if isinstance(concept, Or):
+            return _union(self._column(child) for child in concept.children)
+        if isinstance(concept, And):
+            # join on id, driven by the smallest child column
+            smallest, *others = sorted(
+                (self._column(child) for child in concept.children), key=len
+            )
+            joined = {
+                individual: conj(
+                    [event] + [other.get(individual, NEVER) for other in others]
+                )
+                for individual, event in smallest.items()
+            }
+            return _possible(joined)
+        if isinstance(concept, Not):
+            child = self._column(concept.child)
+            negated = {
+                individual: neg(child.get(individual, NEVER))
+                for individual in self._individuals()
+            }
+            return _possible(negated)
+        if isinstance(concept, HasValue):
+            concept = concept.desugar()  # ∃R.{a}: the same key, the same events
+        if isinstance(concept, Exists):
+            filler = self._column(concept.filler)
+            # source -> target -> the edge's events across the sub-roles
+            edges: dict[Individual, dict[Individual, list[EventExpr]]] = {}
+            for sub_role in self.sorted_role_descendants(concept.role):
+                incoming = self.role_incoming().get(sub_role, {})
+                for target in incoming.keys() & filler.keys():
+                    for assertion in incoming[target]:
+                        edges.setdefault(assertion.source, {}).setdefault(
+                            target, []
+                        ).append(assertion.event)
+            return _possible(
+                {
+                    source: disj(
+                        conj([disj(events), filler[target]])
+                        for target, events in targets.items()
+                    )
+                    for source, targets in edges.items()
+                }
+            )
+        # ∀R.C and ≥n R.C hold or fail by *all* of an individual's
+        # successors (an individual with none is in ∀R.C): closed world
+        # over the domain, one membership at a time.
+        swept = {
+            individual: self.event(individual, concept)
+            for individual in self._individuals()
+        }
+        return _possible(swept)
+
+    def _individuals(self) -> frozenset[Individual]:
+        if self._domain is None:
+            self._domain = self.abox.individuals
+        return self._domain
+
+    def role_incoming(self) -> dict[RoleName, dict[Individual, list[RoleAssertion]]]:
+        """All role assertions grouped ``role -> target -> assertions``.
+
+        The mirror of the successor index, built in one pass over the
+        role tables on first use (a frozen base keeps its session, so
+        once per process): ``∃R.C`` starts from the members of ``C`` and
+        reads the edges that arrive there.
+        """
+        if self._incoming is None:
+            incoming: dict[RoleName, dict[Individual, list[RoleAssertion]]] = {}
+            for assertion in self.abox.role_assertions():
+                incoming.setdefault(assertion.role, {}).setdefault(
+                    assertion.target, []
+                ).append(assertion)
+            self._incoming = incoming
+        return self._incoming
+
+    # -- instance retrieval ------------------------------------------------
     def retrieve(self, concept: Concept) -> dict[Individual, EventExpr]:
         """Every individual with a non-impossible membership event.
 
-        One traversal: the concept is expanded once and all individuals
-        are evaluated against the shared memo, so role walks and filler
-        events are computed once for the whole domain.
+        The concept's :meth:`column`, copied in name order.
         """
-        expanded = self.expand_concept(concept)
-        result: dict[Individual, EventExpr] = {}
-        for individual in sorted(self.abox.individuals, key=lambda ind: ind.name):
-            event = self.event(individual, expanded)
-            if not event.is_impossible:
-                result[individual] = event
-        return result
+        column = self.column(concept)
+        return {
+            individual: column[individual]
+            for individual in sorted(column, key=lambda ind: ind.name)
+        }
 
     def retrieve_probabilities(
         self, concept: Concept, engine: str = DEFAULT_ENGINE
@@ -457,14 +636,18 @@ class CompiledKB:
         """Memoised event probability under the current epoch."""
         return self.session().probability(event, engine)
 
+    def column(self, concept: Concept) -> Mapping[Individual, EventExpr]:
+        """The concept's members and events under the current epoch."""
+        return self.session().column(concept)
+
     def retrieve(self, concept: Concept) -> dict[Individual, EventExpr]:
-        """Set-at-a-time instance retrieval under the current epoch."""
+        """Instance retrieval (the column, name-ordered) under the current epoch."""
         return self.session().retrieve(concept)
 
     def retrieve_probabilities(
         self, concept: Concept, engine: str = DEFAULT_ENGINE
     ) -> dict[Individual, float]:
-        """Set-at-a-time retrieval with probabilities."""
+        """Instance retrieval with probabilities instead of raw events."""
         return self.session().retrieve_probabilities(concept, engine)
 
     # -- diagnostics ------------------------------------------------------
@@ -484,6 +667,7 @@ class CompiledKB:
             invalidations=self._invalidations,
             base_events=self._base_events + (session.base_events if session else 0),
             shared_base=isinstance(self.abox, LayeredABox),
+            memo_columns=len(session._columns) if session else 0,
         )
 
     def __repr__(self) -> str:

@@ -300,19 +300,23 @@ class TestSharing:
         assert alice.engine.kb.session().base is tier
         assert bob.engine.kb.session().base is tier
         assert alice.engine.reasoner_info().shared_base
-        assert alice.engine.reasoner_info().base_events > 0
+        # the static world was reasoned once: both tenants read the base
+        # tier's own columns, not copies
+        target = alice.engine.target
+        assert alice.engine.kb.column(target) is tier.column(target)
+        assert bob.engine.kb.column(target) is tier.column(target)
 
     def test_context_change_keeps_base_tier_warm(self, registry):
         alice = registry.session("alice")
         alice.install_context("Weekend")
         alice.preference_scores()
         tier = base_tier(registry.abox, registry.tbox, registry.space)
-        warm = len(tier._events)
-        assert warm > 0
+        warm = dict(tier._columns)
+        assert warm
         alice.install_context("Breakfast")
         alice.preference_scores()
         assert base_tier(registry.abox, registry.tbox, registry.space) is tier
-        assert len(tier._events) >= warm
+        assert all(tier._columns[concept] is column for concept, column in warm.items())
 
 
 class TestScoreAgreement:

@@ -57,7 +57,7 @@ RANK_PATH = "/rank?tenant=alice&context=Weekend&context=Breakfast"
 
 #: ``repro serve --port 0`` on the default world — the CLI's own config
 #: and factory — with one ``service.rank`` where the loop would start.
-TWIN = f"CONTEXT = {CONTEXT!r}\nFLAGS = []\n" + boot_report.BOOT_TWIN
+TWIN = boot_report.twin(CONTEXT, [])
 
 
 def repro_modules(modules):
@@ -91,6 +91,7 @@ def test_twin_boot_stays_inside_the_budget():
 
 def test_real_serve_answers_table1_without_numpy():
     reading = boot_report.boot_once(SRC, [], RANK_PATH, None)
+    assert reading["status"] == 200
     assert_table1_winner(reading["top"])
     assert reading["numpy_loaded"] is False
     assert 0 < reading["repro_modules_loaded"] <= MAX_REPRO_MODULES, reading
