@@ -34,7 +34,6 @@ bench-smoke:
 		benchmarks/bench_e15_resilience.py \
 		benchmarks/bench_e16_coldstart.py \
 		benchmarks/bench_e17_batching.py \
-		benchmarks/bench_e18_gateway.py \
 		benchmarks/bench_e7_multiuser.py
 
 ledger-smoke:

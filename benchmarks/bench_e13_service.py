@@ -10,8 +10,9 @@ tvtouch fleet (the E12 multi-tenant world behind a
   :func:`repro.workloads.run_traffic` — Zipf tenant popularity, 50 %
   context churn, 8 concurrent workers;
 * **over HTTP**: the same deterministic schedule through the
-  ``ThreadingHTTPServer`` gateway on a loopback socket, so the delta
-  between the two rows is exactly the HTTP + JSON overhead;
+  event-loop gateway (:func:`~repro.service.make_aio_server`) on a
+  loopback socket, so the delta between the two rows is exactly the
+  HTTP + JSON overhead;
 * **score identity**: for every context menu, the JSON body served
   over HTTP must match the in-process engine to ≤ 1e-9.
 
@@ -28,7 +29,7 @@ import pytest
 from repro.engine import shared_basis_pool
 from repro.reason import clear_registry
 from repro.reporting import TextTable
-from repro.service import RankingService, ServiceConfig, ServiceRequest, make_server
+from repro.service import RankingService, ServiceConfig, ServiceRequest, make_aio_server
 from repro.tenants import TenantRegistry
 from repro.workloads import (
     CONTEXT_MENUS,
@@ -121,7 +122,7 @@ def test_e13_service_throughput(fleet, save_result, save_json):
     )
     assert in_process.errors == 0
 
-    server = make_server(service, port=0)
+    server = make_aio_server(service, port=0)
     gateway_thread = threading.Thread(target=server.serve_forever, daemon=True)
     gateway_thread.start()
     try:

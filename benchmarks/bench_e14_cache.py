@@ -40,7 +40,7 @@ from repro.service import (
     RankingService,
     ServiceConfig,
     ServiceRequest,
-    make_server,
+    make_aio_server,
     supports_fleet,
 )
 from repro.tenants import TenantRegistry
@@ -83,7 +83,7 @@ def drive_in_process(cache):
 
 
 def drive_http(service):
-    server = make_server(service, port=0)
+    server = make_aio_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

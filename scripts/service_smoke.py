@@ -1,10 +1,7 @@
 """End-to-end smoke of the serving gateway, as CI runs it.
 
-Six phases, each a real ``python -m repro serve`` subprocess on an
-ephemeral port.  Every phase exercises the default **event-loop
-gateway** (``--gateway aio``); the last phase is a thread-per-
-connection canary (``--gateway threads``) proving the fallback wire
-still serves:
+Five phases, each a real ``python -m repro serve`` subprocess on an
+ephemeral port, all on the event-loop gateway:
 
 1. **Single process** — waits for the announce line, hits ``/healthz``
    and ``/rank``, asserts a ranked JSON body with the paper's Table 1
@@ -31,9 +28,6 @@ still serves:
    context each, asserts identical scores within every round, a
    positive ``/metrics`` coalesce ratio, and a clean SIGTERM drain
    with a herd still queued in the batching window.
-6. **Threading canary** — ``--gateway threads``: the Table 1 winner,
-   an un-attached ``/metrics`` gateway section, and a clean shutdown
-   through the legacy thread-per-connection wire.
 
 Both long-lived phases also assert the liveness/readiness split:
 ``/healthz`` says "the process is up", ``/readyz`` says "this worker
@@ -180,7 +174,7 @@ def smoke_single_process() -> None:
             "smoke: /metrics ok "
             f"(cache hits={metrics['cache']['hits']} "
             f"hit_ratio={metrics['cache']['hit_ratio']:.2f} "
-            f"gateway={gateway['kind']})"
+            f"gateway requests={gateway['requests']})"
         )
     finally:
         shutdown(process, "server")
@@ -458,33 +452,12 @@ def smoke_batching() -> None:
             shutdown(process, "batching server")
 
 
-def smoke_threads_canary() -> None:
-    """The legacy thread-per-connection gateway still serves."""
-    process = spawn("--gateway", "threads")
-    try:
-        base_url = wait_for_announce(process)
-
-        ranked = get_json(
-            f"{base_url}/rank?tenant=alice&context=Weekend&context=Breakfast&top_k=3"
-        )
-        top = assert_table1_winner(ranked)
-        print(f"smoke: threads canary /rank ok (top={top['document']})")
-
-        metrics = get_json(f"{base_url}/metrics")
-        assert metrics["gateway"] == {"attached": False}, metrics["gateway"]
-        print("smoke: threads canary /metrics gateway section un-attached")
-    finally:
-        shutdown(process, "threads canary")
-    print("smoke: threads canary clean shutdown ok")
-
-
 PHASES = {
     "single": smoke_single_process,
     "fleet": smoke_fleet,
     "chaos": smoke_chaos_fleet,
     "snapshot": smoke_snapshot_boot,
     "batch": smoke_batching,
-    "threads": smoke_threads_canary,
 }
 
 

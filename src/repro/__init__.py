@@ -42,15 +42,12 @@ Engines are assembled by :class:`EngineBuilder` — swap the scoring
 method, the relevance strategy (naive union, smoothed mixture,
 log-linear IR mixture, multi-user group aggregation) or any backend
 without touching the call sites.  ``docs/API.md`` documents the facade
-and the migration from the deprecated ``ContextAwareScorer`` /
-``ContextAwareRanker`` entry points.
+and the migration from the former top-level ``ContextAwareScorer`` /
+``ContextAwareRanker`` entry points (now only in :mod:`repro.core`).
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every reproduced table and figure.
 """
-
-import warnings as _warnings
-from importlib import import_module as _import_module
 
 from repro._lazy import lazy_exports as _lazy_exports
 
@@ -61,7 +58,7 @@ __version__ = "1.6.0"
 #: this module and the resolver, ``from repro import RankingEngine``
 #: loads what the engine needs, and a serving worker never loads the
 #: miner, the IR baseline or the SQL front end it does not use.
-_lazy_getattr, __dir__, __all__ = _lazy_exports(
+__getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
         "repro.cache": ("CacheAdapter", "InMemoryCacheAdapter", "NoCacheAdapter"),
@@ -120,33 +117,4 @@ _lazy_getattr, __dir__, __all__ = _lazy_exports(
     },
 )
 
-#: Deprecated top-level names: still importable, but every access warns
-#: with a :class:`DeprecationWarning` pointing at the engine facade.
-#: The classes themselves live on (the engine wraps them); only the
-#: top-level entry points are deprecated.
-_DEPRECATED_SHIMS = {
-    "ContextAwareScorer": (
-        "repro.core",
-        "assemble a repro.RankingEngine (EngineBuilder / RankingEngine.from_world) "
-        "instead of constructing scorers directly",
-    ),
-    "ContextAwareRanker": (
-        "repro.core",
-        "use repro.RankingEngine with a relevance backend "
-        "(gated / mixed / log_linear) instead",
-    ),
-}
-__all__ = sorted([*__all__, *_DEPRECATED_SHIMS, "__version__"])
-
-
-def __getattr__(name: str):
-    shim = _DEPRECATED_SHIMS.get(name)
-    if shim is None:
-        return _lazy_getattr(name)
-    module_name, hint = shim
-    _warnings.warn(
-        f"repro.{name} is deprecated; {hint}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(_import_module(module_name), name)
+__all__ = sorted([*__all__, "__version__"])

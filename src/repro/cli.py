@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from typing import Sequence
 
@@ -112,11 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes; > 1 runs the pre-fork fleet on one shared port",
     )
     serve.add_argument(
-        "--gateway", choices=("aio", "threads"), default="aio",
-        help="HTTP front per worker: the event-loop gateway (default) or "
-        "the thread-per-connection fallback",
-    )
-    serve.add_argument(
         "--snapshot", metavar="PATH",
         help="boot the world from this snapshot (see 'repro snapshot build'); "
         "a missing or stale snapshot falls back to a source rebuild",
@@ -170,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-ttl", type=float, default=300.0,
         help="response-cache TTL in seconds; 0 disables expiry",
     )
-    serve.add_argument("--verbose", action="store_true", help="log each HTTP request")
 
     snapshot = commands.add_parser(
         "snapshot", help="build or inspect a persistent world snapshot"
@@ -484,16 +479,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     settings = (
-        f"gateway={args.gateway}, cache={args.cache}, shards={args.shards}, "
+        f"cache={args.cache}, shards={args.shards}, "
         f"max_sessions={args.max_sessions}, max_concurrency={args.max_concurrency}, "
         f"request_timeout={args.request_timeout or None}, world={world_source}"
     )
 
+    def cannot_listen(exc: OSError) -> int:
+        reason = os.strerror(exc.errno) if exc.errno else str(exc)
+        print(f"error: cannot listen on {args.host}:{args.port}: {reason}", file=sys.stderr)
+        return 2
+
+    # Set once the port is listening: an OSError before then is the bind.
+    listening = False
+
     if args.workers == 1:
-        if args.gateway == "aio":
-            from repro.service.aio import serve as run_gateway
-        else:
-            from repro.service.http import serve as run_gateway
+        from repro.service.aio import serve as run_gateway
 
         try:
             service = make_service({"index": 0, "workers": 1, "mode": "single"})
@@ -502,6 +502,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 2
 
         def announce(server) -> None:
+            nonlocal listening
+            listening = True
             print(
                 f"repro serve: listening on {server.url} ({settings})",
                 flush=True,
@@ -519,9 +521,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         gc.collect()
         gc.freeze()
         try:
-            return run_gateway(
-                service, args.host, args.port, verbose=args.verbose, ready=announce
-            )
+            return run_gateway(service, args.host, args.port, ready=announce)
+        except OSError as exc:
+            if listening:
+                raise
+            service.close()
+            return cannot_listen(exc)
         finally:
             gc.unfreeze()
 
@@ -536,6 +541,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
     def announce_fleet(supervisor) -> None:
+        nonlocal listening
+        listening = True
         print(
             f"repro serve: listening on {supervisor.url} "
             f"(workers={args.workers}, mode={supervisor.mode}, "
@@ -566,14 +573,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.workers,
             args.host,
             args.port,
-            verbose=args.verbose,
             announce=announce_fleet,
             start_method=start_method,
-            gateway=args.gateway,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        if listening:
+            raise
+        return cannot_listen(exc)
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:

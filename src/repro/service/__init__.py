@@ -7,14 +7,14 @@ render) with per-stage latency metrics, a pluggable response cache
 (:mod:`repro.cache`), and a resilience layer
 (:mod:`repro.service.resilience`: per-request deadlines, serve-stale
 degradation, circuit breaking, fault injection), fronted by a
-dependency-free
-:class:`ThreadingHTTPServer` gateway (``python -m repro serve``) that
-scales past the GIL as a pre-fork worker fleet
-(``python -m repro serve --workers N``, :mod:`repro.service.fleet`).
+dependency-free event-loop HTTP gateway (:mod:`repro.service.aio`,
+``python -m repro serve``) that scales past the GIL as a pre-fork
+worker fleet (``python -m repro serve --workers N``,
+:mod:`repro.service.fleet`).
 
 Quickstart::
 
-    from repro.service import RankingService, ServiceConfig, make_server
+    from repro.service import RankingService, ServiceConfig, make_aio_server
     from repro.tenants import TenantRegistry
     from repro.workloads import build_tvtouch
 
@@ -26,15 +26,14 @@ Quickstart::
     print(reply.body["items"][0])
 
     # over HTTP
-    server = make_server(service, port=0)   # 0 = pick a free port
+    server = make_aio_server(service, port=0)   # 0 = pick a free port
     # threading.Thread(target=server.serve_forever, daemon=True).start()
 """
 
 from repro._lazy import lazy_exports as _lazy_exports
 
 #: Where each public name lives; a name's module loads on first use
-#: (the event-loop gateway does not load ``http.server``, a single
-#: process does not load the fleet supervisor).
+#: (a single process does not load the fleet supervisor).
 __getattr__, __dir__, __all__ = _lazy_exports(
     __name__,
     {
@@ -60,7 +59,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "ServiceRequest",
             "ServiceResponse",
         ),
-        "repro.service.http": ("RankingHTTPServer", "make_server", "serve"),
         "repro.service.aio": ("AioRankingServer", "make_aio_server"),
         "repro.service.resilience": (
             "CircuitBreaker",

@@ -1,21 +1,43 @@
-"""The event-loop HTTP gateway: one loop per worker owns the wire.
+"""The HTTP/JSON gateway: one event loop per worker owns the wire.
 
-The threading gateway (:mod:`repro.service.http`) parks one daemon
-thread per connection in a blocking ``recv`` — under the GIL that
-costs a scheduler pass per wakeup and ~60–75% of a worker's capacity
-before the ranking kernel runs (measured in E13/E18).  This module is
-the same HTTP surface rebuilt as a stdlib-only ``asyncio.Protocol``
-server:
+A stdlib-only ``asyncio.Protocol`` server over :class:`RankingService`.
+Endpoints:
+
+``GET /rank?tenant=…&context=…&top_k=…``
+    One ranking request.  ``context`` is repeatable
+    (``CONCEPT[:PROB]``) and *replaces* the tenant's dynamic context
+    for this and later requests; omit it to rank under the standing
+    context.  Optional ``documents`` (repeatable / comma-separated),
+    ``explain=1``, ``timeout`` (seconds; the ``X-Request-Timeout``
+    header works too and the query parameter wins).
+
+``POST /context``
+    JSON body ``{"tenant": "...", "context": ["Weekend", "Breakfast:0.7"]}`` —
+    install a standing context.
+
+``GET /healthz`` / ``GET /readyz``
+    Liveness, and readiness (503 + ``degraded`` while the global
+    circuit breaker is open or a fleet sibling has been marked failed).
+
+``GET /metrics``
+    Per-stage latency summaries, outcome counters, resilience counters
+    + breaker state, and this gateway's own ``gateway`` section.
+
+Degraded answers carry their HTTP contract in headers (``Retry-After``
+on sheds, ``Warning: 110`` on stale serves), straight from
+``ServiceResponse.headers``.
 
 * **one event loop** per worker process owns accept, parse and write;
-  an idle keep-alive connection costs a registered fd, not a thread;
+  an idle keep-alive connection costs a registered fd, not a thread
+  (a thread per connection cost ~60–75% of a worker's capacity under
+  the GIL before the ranking kernel ran — E13/E18);
 * **incremental HTTP/1.1 parsing** with bounded header/body buffers,
   keep-alive and pipelining (the next buffered request is parsed only
   after the current response is written, so responses stay ordered)
   and a slow-client **read deadline**: a connection holding a partial
   request longer than ``read_deadline`` seconds is answered 408 and
   closed — idle connections with an *empty* buffer are never timed
-  out, matching the threading gateway;
+  out;
 * **inline serving on the loop** for everything that cannot block:
   parse 400s, pure cache hits (stored pre-encoded bytes —
   :meth:`ServiceResponse.encoded`), ``/healthz``, ``/readyz``,
@@ -26,20 +48,19 @@ server:
   executor sized to the admission semaphore, and its completion
   callback re-arms the connection for write.  Time spent queued
   behind the executor is charged against the admission
-  ``queue_timeout`` (``finish_rank(queue_budget=...)``), so overload
-  sheds fire on the same clock as the threading gateway's semaphore
-  wait.  Because the loop submits every concurrently-buffered miss in
-  one pass, requests inside the batch window reach the
+  ``queue_timeout`` (``finish_rank(queue_budget=...)``), so an
+  overload shed never pays the timeout twice.  Because the loop
+  submits every concurrently-buffered miss in one pass, requests
+  inside the batch window reach the
   :class:`~repro.service.batching.BatchScheduler` together without a
   follower thread blocking in a socket read.
 
-Lifecycle mirrors :class:`~repro.service.http.RankingHTTPServer`
-exactly (``serve_forever`` / ``shutdown`` / ``drain`` /
-``server_close``, plus the socket attributes the fleet's
-``_adopt_socket`` swaps), so :mod:`repro.service.fleet` runs either
-gateway unchanged.  Shutdown is graceful in-loop: stop accepting →
-close idle connections → let in-flight responses finish (bounded by
-``drain_grace``) → abort stragglers → stop the loop.
+Start one with :func:`make_aio_server` (``port=0`` picks a free port)
+or the blocking :func:`serve` the CLI wraps; :mod:`repro.service.fleet`
+hands each worker its prepared listener instead.  Shutdown is graceful
+in-loop: stop accepting → close idle connections → let in-flight
+responses finish (bounded by ``drain_grace``) → abort stragglers → stop
+the loop.
 
 Wire-side observability (open connections, read/parse/write stage
 times, loop-lag percentiles) lands in
@@ -59,18 +80,25 @@ from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
+from repro import __version__
 from repro.service.metrics import GatewayMetrics
-from repro.service.pipeline import (
-    MAX_BODY_BYTES,
-    SERVER_VERSION,
-    RankingService,
-    ServiceResponse,
-)
+from repro.service.pipeline import RankingService, ServiceResponse
 
 __all__ = ["AioRankingServer", "make_aio_server", "serve"]
 
 #: Cap on buffered request-head bytes (request line + headers).
 MAX_HEAD_BYTES = 16384
+
+#: Cap on accepted request bodies (context installs are tiny; anything
+#: bigger is a client error, not a reason to buffer unbounded bytes).
+MAX_BODY_BYTES = 1 << 20
+
+#: The Server header — derived from the package version so it can never
+#: drift from a release again.
+SERVER_VERSION = f"repro-serve/{__version__}"
+
+#: Pending-connection queue of every listener the gateway opens.
+BACKLOG = 128
 
 #: Seconds a connection may hold a *partial* request before a 408.
 DEFAULT_READ_DEADLINE = 5.0
@@ -439,52 +467,34 @@ def _plain_response(status: int, body: dict) -> ServiceResponse:
 class AioRankingServer:
     """An event-loop HTTP front bound to one :class:`RankingService`.
 
-    API-compatible with :class:`~repro.service.http.RankingHTTPServer`
-    where the fleet and the tests touch it: ``socket`` /
-    ``server_address`` / ``server_name`` / ``server_port`` (so
-    ``_adopt_socket`` + ``server_activate`` work), ``serve_forever``,
-    thread-safe ``shutdown`` (blocks until the loop exits, after an
-    in-loop graceful drain bounded by ``drain_grace``), ``drain``,
-    ``server_close``, ``inflight`` and ``url``.
+    Serves ``listener``, an already listening socket (:func:`make_aio_server`
+    opens one; a fleet worker gets its own from the supervisor), and
+    owns it from then on.  Callers own the lifecycle: ``serve_forever``
+    on a thread of their choosing; ``request_shutdown`` (signal-safe,
+    returns at once) or ``shutdown`` (blocks until the loop exits, after
+    an in-loop graceful drain bounded by ``drain_grace``) to stop; then
+    ``drain`` and ``server_close``.
 
     ``read_deadline`` bounds how long a connection may sit on a
     partial request (408 + close); ``dispatch_limit`` bounds requests
     queued for the gateway executor before the loop sheds inline.
     """
 
-    allow_reuse_address = True
-
     def __init__(
         self,
-        address: tuple[str, int],
+        listener: socket.socket,
         service: RankingService,
         *,
-        verbose: bool = False,
-        bind_and_activate: bool = True,
         read_deadline: float | None = DEFAULT_READ_DEADLINE,
         dispatch_limit: int | None = None,
     ):
         self.service = service
-        self.verbose = verbose
         self.read_deadline = read_deadline
         self.drain_grace = 5.0
         self.gateway_metrics = GatewayMetrics()
         service.attach_gateway(self._gateway_section)
-        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.server_address = tuple(address[:2])
-        self.server_name = socket.getfqdn(address[0])
-        self.server_port = address[1]
-        if bind_and_activate:
-            try:
-                self.socket.bind(address)
-                self.server_address = self.socket.getsockname()[:2]
-                self.server_name = socket.getfqdn(self.server_address[0])
-                self.server_port = self.server_address[1]
-                self.server_activate()
-            except BaseException:
-                self.socket.close()
-                raise
+        self.socket = listener
+        self.server_address = listener.getsockname()[:2]
         width = max(1, service.config.max_concurrency)
         self._executor = ThreadPoolExecutor(
             max_workers=width, thread_name_prefix="repro-gw"
@@ -508,11 +518,7 @@ class AioRankingServer:
         self._idle.set()
         self._date_cache: tuple[int, bytes] = (0, b"")
 
-    # -- socket surface (matches socketserver for _adopt_socket) -----------
-    def server_activate(self) -> None:
-        self.socket.listen(128)
-
-    # -- inflight accounting (same contract as RankingHTTPServer) ----------
+    # -- inflight accounting -------------------------------------------------
     def request_begun(self) -> None:
         with self._inflight_lock:
             self._inflight += 1
@@ -563,7 +569,7 @@ class AioRankingServer:
         return b"".join(lines)
 
     # -- lifecycle -----------------------------------------------------------
-    def serve_forever(self, poll_interval: float | None = None) -> None:  # noqa: ARG002
+    def serve_forever(self) -> None:
         """Run the loop until :meth:`shutdown` (blocking, on this thread)."""
         self._stopped.clear()
         loop = asyncio.new_event_loop()
@@ -610,7 +616,7 @@ class AioRankingServer:
         server = await loop.create_server(
             lambda: _HttpConnection(self),
             sock=self.socket,
-            backlog=128,
+            backlog=BACKLOG,
             start_serving=True,
         )
         lag_task = loop.create_task(self._watch_lag())
@@ -670,9 +676,10 @@ class AioRankingServer:
     def shutdown(self) -> None:
         """Stop accepting, drain in-loop, stop the loop (thread-safe).
 
-        Blocks until ``serve_forever`` has returned — like
-        ``socketserver.shutdown`` — so callers can ``drain`` and
-        ``server_close`` immediately after.
+        Blocks until ``serve_forever`` has returned, so callers can
+        ``drain`` and ``server_close`` immediately after.  Never call it
+        on the loop's own thread (a signal handler there included):
+        use :meth:`request_shutdown`.
         """
         self.request_shutdown()
         self._stopped.wait()
@@ -681,8 +688,9 @@ class AioRankingServer:
         """Wait up to ``grace`` seconds for in-flight requests to finish.
 
         The loop's own shutdown already drains (bounded by
-        ``drain_grace``); this is the cross-thread confirmation with
-        the same settle discipline as the threading gateway.
+        ``drain_grace``); this is the cross-thread confirmation: idle
+        must still hold after a ``settle`` interval before it is
+        believed.
         """
         deadline = time.monotonic() + max(0.0, grace)
         while True:
@@ -715,19 +723,16 @@ class AioRankingServer:
 
 
 def make_aio_server(
-    service: RankingService,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    *,
-    verbose: bool = False,
+    service: RankingService, host: str = "127.0.0.1", port: int = 8080
 ) -> AioRankingServer:
-    """Bind (but do not run) an event-loop gateway; ``port=0`` works.
+    """Listen on ``host:port`` (``port=0`` picks a free port) with a
+    gateway that is not yet running; an ``OSError`` means the address
+    cannot be bound.
 
-    Same contract as :func:`repro.service.http.make_server`: callers
-    own the lifecycle — ``serve_forever()`` on a thread of their
+    Callers own the lifecycle — ``serve_forever()`` on a thread of their
     choosing, ``shutdown()`` + ``server_close()`` to stop.
     """
-    return AioRankingServer((host, port), service, verbose=verbose)
+    return AioRankingServer(socket.create_server((host, port), backlog=BACKLOG), service)
 
 
 def serve(
@@ -735,12 +740,13 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8080,
     *,
-    verbose: bool = False,
     grace: float = 5.0,
     ready=None,
 ) -> int:
-    """Run the event-loop gateway until SIGTERM or SIGINT (mirror of
-    :func:`repro.service.http.serve`, same signals, same exit code).
+    """Run the gateway until SIGTERM or SIGINT (the ``repro serve`` body).
+
+    ``ready`` (if given) is called with the listening server — the CLI
+    uses it to announce the ephemeral port.  Returns a process exit code.
 
     The loop runs on this thread, so a handler that raised would land
     inside whatever callback the loop was running — between a request's
@@ -750,7 +756,7 @@ def serve(
     """
     import signal as _signal
 
-    server = make_aio_server(service, host, port, verbose=verbose)
+    server = make_aio_server(service, host, port)
     server.drain_grace = grace
     if ready is not None:
         ready(server)

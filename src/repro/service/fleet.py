@@ -14,7 +14,8 @@ nginx use):
   RankingService` (own registry, own response cache — processes share
   nothing, so no cross-process coherence protocol is needed; the
   world is rebuilt per worker from the same deterministic loaders)
-  and runs the threaded gateway loop on the shared port.
+  and runs the event-loop gateway (:mod:`repro.service.aio`) on the
+  shared port.
 
 Port sharing has two modes, picked automatically:
 
@@ -55,15 +56,12 @@ import threading
 import time
 from collections import deque
 from multiprocessing.connection import wait as _sentinel_wait
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
 from repro.errors import EngineError
-from repro.service.aio import AioRankingServer
+from repro.service.aio import BACKLOG, AioRankingServer
 from repro.service.pipeline import RankingService
 from repro.service.resilience import SharedFleetState
-
-if TYPE_CHECKING:  # pragma: no cover - types only; see ``_worker_main``
-    from repro.service.http import RankingHTTPServer
 
 __all__ = ["FleetSupervisor", "serve_fleet", "supports_fleet", "supports_reuseport"]
 
@@ -105,24 +103,6 @@ def supports_reuseport() -> bool:
     return True
 
 
-def _adopt_socket(
-    server: "RankingHTTPServer | AioRankingServer", sock: socket.socket
-) -> None:
-    """Swap ``server``'s unbound socket for an already prepared one.
-
-    Both gateways expose the same socket surface (``socket``,
-    ``server_address``, ``server_name``, ``server_port``,
-    ``server_activate``), so the fleet adopts either identically.
-    """
-    server.socket.close()
-    server.socket = sock
-    server.server_address = sock.getsockname()[:2]
-    host, port = server.server_address
-    # What HTTPServer.server_bind would have derived:
-    server.server_name = socket.getfqdn(host)
-    server.server_port = port
-
-
 def _worker_main(
     index: int,
     host: str,
@@ -131,65 +111,43 @@ def _worker_main(
     inherited: socket.socket | None,
     service_factory: ServiceFactory,
     workers: int,
-    verbose: bool,
     grace: float,
     fleet_state: SharedFleetState | None,
-    gateway: str,
     ready: "multiprocessing.synchronize.Event",
 ) -> None:
     """The forked child's whole life: build a service, serve the port."""
-    service = service_factory(
-        {"index": index, "workers": workers, "mode": mode, "gateway": gateway}
-    )
+    service = service_factory({"index": index, "workers": workers, "mode": mode})
     if fleet_state is not None:
         # Fork-shared: lets this worker's /readyz report siblings the
         # supervisor has marked failed.
         service.fleet_state = fleet_state
-    if gateway == "aio":
-        server: RankingHTTPServer | AioRankingServer = AioRankingServer(
-            (host, port), service, verbose=verbose, bind_and_activate=False
-        )
-        server.drain_grace = grace
+    if mode == "reuseport":
+        listener = socket.create_server((host, port), backlog=BACKLOG, reuse_port=True)
     else:
-        # Loaded by a ``threads`` worker only: the default gateway never
-        # pays for ``http.server`` and the ``email`` package behind it.
-        from repro.service.http import RankingHTTPServer
+        # The parent's listener came through fork already listening.
+        assert inherited is not None
+        listener = inherited
+    server = AioRankingServer(listener, service)
+    server.drain_grace = grace
 
-        server = RankingHTTPServer(
-            (host, port), service, verbose=verbose, bind_and_activate=False
-        )
-
-    signalled = threading.Event()
+    signalled = False
 
     def _graceful(signum, frame):  # noqa: ARG001 - signal API
-        if signalled.is_set():
+        nonlocal signalled
+        if signalled:
             # Second signal: the operator means it.  Daemon threads and
             # kernel socket cleanup make the hard exit safe.
             os._exit(0)
-        signalled.set()
-        # shutdown() must not run on the serve_forever thread (it joins
-        # the loop) — and a signal handler runs exactly there.
-        threading.Thread(
-            target=server.shutdown, name="worker-shutdown", daemon=True
-        ).start()
+        signalled = True
+        # Runs on the loop's own thread: only *request* the stop, so
+        # nothing is raised into the callback the loop was in.
+        server.request_shutdown()
 
     # SIGTERM is the parent's fan-out; SIGINT arrives directly when the
     # whole process group catches Ctrl-C.  Either way: stop accepting,
     # drain, exit 0.
     signal.signal(signal.SIGTERM, _graceful)
     signal.signal(signal.SIGINT, _graceful)
-
-    if mode == "reuseport":
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-        _adopt_socket(server, sock)
-        server.server_activate()
-    else:
-        # The parent's listener came through fork already listening.
-        assert inherited is not None
-        _adopt_socket(server, inherited)
 
     ttl = service.fault_injector.worker_ttl
     if ttl > 0:
@@ -255,10 +213,6 @@ class FleetSupervisor:
         factory must pickle, and ``SO_REUSEPORT`` is required since a
         spawned child cannot inherit the parent's listener), or
         ``None`` to prefer ``fork`` where available.
-    gateway:
-        ``"aio"`` (default) runs each worker on the event-loop gateway
-        (:mod:`repro.service.aio`); ``"threads"`` keeps the
-        thread-per-connection :class:`RankingHTTPServer`.
     """
 
     def __init__(
@@ -268,7 +222,6 @@ class FleetSupervisor:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        verbose: bool = False,
         start_timeout: float = 30.0,
         grace: float = 5.0,
         respawn_backoff: float = 0.1,
@@ -276,14 +229,9 @@ class FleetSupervisor:
         crash_loop_threshold: int = 3,
         crash_loop_window: float = 5.0,
         start_method: str | None = None,
-        gateway: str = "aio",
     ):
         if workers < 1:
             raise EngineError(f"fleet needs at least one worker, got {workers!r}")
-        if gateway not in ("aio", "threads"):
-            raise EngineError(
-                f"gateway must be 'aio' or 'threads', got {gateway!r}"
-            )
         if start_method not in (None, "fork", "spawn"):
             raise EngineError(
                 f"start_method must be 'fork', 'spawn' or None, got {start_method!r}"
@@ -323,7 +271,6 @@ class FleetSupervisor:
         self.service_factory = service_factory
         self.workers = workers
         self.host = host
-        self.verbose = verbose
         self.start_timeout = start_timeout
         self.grace = grace
         self.respawn_backoff = respawn_backoff
@@ -331,7 +278,6 @@ class FleetSupervisor:
         self.crash_loop_threshold = crash_loop_threshold
         self.crash_loop_window = crash_loop_window
         self.start_method = start_method
-        self.gateway = gateway
         # A spawned worker cannot inherit a listening socket, so spawn
         # always runs per-worker listeners under SO_REUSEPORT (already
         # validated above); fork picks the best mode the kernel offers.
@@ -360,7 +306,7 @@ class FleetSupervisor:
                 self._socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             self._socket.bind((host, port))
             if self.mode == "inherit":
-                self._socket.listen(128)
+                self._socket.listen(BACKLOG)
         except BaseException:
             self._socket.close()
             raise
@@ -414,10 +360,8 @@ class FleetSupervisor:
                 inherited,
                 self.service_factory,
                 self.workers,
-                self.verbose,
                 self.grace,
                 self.fleet_state,
-                self.gateway,
                 ready,
             ),
             name=f"repro-serve-worker-{index}",
@@ -555,7 +499,6 @@ class FleetSupervisor:
             body = {
                 "status": "ok" if healthy else "degraded",
                 "mode": self.mode,
-                "gateway": self.gateway,
                 "url": self.url,
                 "workers": self.workers,
                 "alive": alive,
@@ -582,10 +525,8 @@ def serve_fleet(
     host: str = "127.0.0.1",
     port: int = 8080,
     *,
-    verbose: bool = False,
     announce: Callable[[FleetSupervisor], None] | None = None,
     start_method: str | None = None,
-    gateway: str = "aio",
 ) -> int:
     """Run a fleet until interrupted (the ``repro serve --workers N`` body).
 
@@ -598,9 +539,7 @@ def serve_fleet(
         workers=workers,
         host=host,
         port=port,
-        verbose=verbose,
         start_method=start_method,
-        gateway=gateway,
     )
 
     def _interrupt(signum, frame):  # noqa: ARG001 - signal API

@@ -74,7 +74,6 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from repro import __version__ as _repro_version
 from repro.cache.keys import KeyLookup, ResponseKeyer, response_key
 from repro.cache.none import NoCacheAdapter
 from repro.cache.protocol import CacheAdapter
@@ -99,11 +98,9 @@ if TYPE_CHECKING:  # pragma: no cover - types only; see ``RankingService.__init_
     from repro.service.batching import BatchScheduler
 
 __all__ = [
-    "MAX_BODY_BYTES",
     "RankAttempt",
     "RankBody",
     "RankingService",
-    "SERVER_VERSION",
     "ServiceConfig",
     "ServiceRequest",
     "ServiceResponse",
@@ -112,17 +109,6 @@ __all__ = [
 
 #: Pipeline stages, in request order (``total`` is recorded on top).
 STAGES = ("parse", "cache", "breaker", "admit", "resolve", "context", "rank", "render")
-
-# The two wire constants both gateways share live here, with the request
-# model, so neither gateway has to load the other to read them.
-
-#: Cap on accepted request bodies (context installs are tiny; anything
-#: bigger is a client error, not a reason to buffer unbounded bytes).
-MAX_BODY_BYTES = 1 << 20
-
-#: The Server header both gateways send — derived from the package
-#: version so it can never drift from a release again.
-SERVER_VERSION = f"repro-serve/{_repro_version}"
 
 
 @dataclass(frozen=True)
@@ -716,9 +702,9 @@ class RankingService:
         possible), a blown deadline a 504, unexpected engine errors a
         500 — the gateway maps ``status`` straight onto HTTP.
 
-        Thread-per-connection gateways call this; the event-loop
-        gateway calls the same two halves itself — :meth:`begin_rank`
-        inline on the loop, :meth:`finish_rank` on a worker thread.
+        In-process callers use this; the HTTP gateway calls the same
+        two halves itself — :meth:`begin_rank` inline on the loop,
+        :meth:`finish_rank` on a worker thread.
         """
         attempt = self.begin_rank(request)
         if attempt.response is not None:
@@ -833,8 +819,7 @@ class RankingService:
         admission wait for this request: a gateway that already queued
         the attempt (the event loop's dispatch queue) passes the
         *remaining* budget, so total queueing before an overload shed
-        matches the thread-per-connection gateway's semantics instead
-        of paying the timeout twice.
+        is one ``queue_timeout`` instead of paying the timeout twice.
         """
         clock = attempt.clock
         request = attempt.request
@@ -1316,10 +1301,10 @@ class RankingService:
     def attach_gateway(self, provider: Callable[[], Mapping[str, object]] | None) -> None:
         """Register the serving front's stats provider.
 
-        The gateway that owns the sockets (the event loop, or nothing
-        for the plain threading server) contributes its own section to
-        ``GET /metrics`` — open connections, wire-stage latencies, loop
-        lag.  ``None`` detaches.
+        The gateway that owns the sockets contributes its own section
+        to ``GET /metrics`` — open connections, wire-stage latencies,
+        loop lag.  ``None`` detaches (a service with no front reports
+        ``{"attached": False}``).
         """
         self._gateway_stats = provider
 

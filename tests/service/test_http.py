@@ -1,10 +1,4 @@
-"""The HTTP/JSON gateway: endpoints, status codes, identity with the engine.
-
-Every test runs against *both* gateway implementations — the
-thread-per-connection :class:`RankingHTTPServer` and the event-loop
-:class:`AioRankingServer` — through the parametrised ``gateway``
-fixture: the HTTP surface is one contract with two transports.
-"""
+"""The HTTP/JSON gateway: endpoints, status codes, identity with the engine."""
 
 import json
 import threading
@@ -15,25 +9,20 @@ import urllib.request
 
 import pytest
 
+from repro.cache import InMemoryCacheAdapter
 from repro.engine import RankingEngine
 from repro.reason import clear_registry
-from repro.service import (
-    RankingService,
-    ServiceConfig,
-    make_aio_server,
-    make_server,
-)
+from repro.service import RankingService, ServiceConfig, make_aio_server
 from repro.tenants import TenantRegistry
 from repro.workloads import build_tvtouch
 
 
-@pytest.fixture(params=["threads", "aio"])
-def gateway(request):
+@pytest.fixture()
+def gateway():
     clear_registry()
     registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
     service = RankingService(registry, ServiceConfig(max_concurrency=4))
-    factory = make_server if request.param == "threads" else make_aio_server
-    server = factory(service, port=0)
+    server = make_aio_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -91,6 +80,78 @@ class TestRankEndpoint:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             get_json(f"{gateway.url}/nope")
         assert excinfo.value.code == 404
+
+    def test_documents_restricts_the_candidates(self, gateway):
+        status, body = get_json(
+            f"{gateway.url}/rank?tenant=d&context=Weekend&documents=bbc_news,oprah"
+        )
+        assert status == 200
+        assert [item["document"] for item in body["items"]] == ["oprah", "bbc_news"]
+
+    def test_explain_attaches_the_explanation(self, gateway):
+        status, body = get_json(
+            f"{gateway.url}/rank?tenant=e&context=Weekend&top_k=1&explain=1"
+        )
+        assert status == 200
+        assert body["items"][0]["document"] in body["explanation"]
+        status, plain = get_json(f"{gateway.url}/rank?tenant=e&top_k=1")
+        assert "explanation" not in plain
+
+    def test_context_parameter_replaces_the_standing_context(self, gateway):
+        post_json(
+            f"{gateway.url}/context",
+            {"tenant": "swap", "context": ["Weekend", "Breakfast"]},
+        )
+        status, body = get_json(f"{gateway.url}/rank?tenant=swap&context=Weekend")
+        assert status == 200
+        engine = RankingEngine.from_world(build_tvtouch())
+        engine.install_context("Weekend")
+        served = {item["document"]: item["score"] for item in body["items"]}
+        assert served == pytest.approx(engine.preference_scores(), abs=1e-9)
+        assert body["context"] == ["Weekend"]
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ("tenant=a&bogus=1", "unknown rank parameters"),
+            ("tenant=a&top_k=many", "top_k must be an integer"),
+            ("tenant=a&tenant=b", "exactly one"),
+            ("tenant=a&timeout=-1", "positive"),
+        ],
+        ids=["unknown-param", "bad-top-k", "two-tenants", "negative-timeout"],
+    )
+    def test_malformed_rank_query_is_400(self, gateway, query, message):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            get_json(f"{gateway.url}/rank?{query}")
+        assert excinfo.value.code == 400
+        assert message in json.loads(excinfo.value.read())["error"]
+
+
+def test_repeat_under_an_unchanged_context_is_a_cache_hit():
+    clear_registry()
+    registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
+    service = RankingService(
+        registry, ServiceConfig(max_concurrency=4), cache=InMemoryCacheAdapter()
+    )
+    server = make_aio_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        url = f"{server.url}/rank?tenant=hit&context=Weekend&context=Breakfast&top_k=3"
+        _, first = get_json(url)
+        _, again = get_json(url)
+        assert first.get("cached") is not True
+        assert again["cached"] is True
+        assert again["items"] == first["items"]
+        _, metrics = get_json(f"{server.url}/metrics")
+        assert metrics["outcomes"]["ok_cached"] == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        service.close()
+        clear_registry()
+    assert not thread.is_alive()
 
 
 class TestContextEndpoint:

@@ -5,8 +5,8 @@ must not import numpy for that (the kernel's size rule compiles sets
 under ``VECTOR_MIN`` rows on flat lists), nor the subsystems no request
 has asked for — the SQL front end and sqlite3, the miner, the history
 log, the IR baseline, the multi-user ranker, the report tables, the
-traffic generator, the threading gateway (``http.server`` + ``email``)
-and the oracle probability engines.  Everything runs in subprocesses:
+traffic generator, ``http.server`` and ``email``, and the oracle
+probability engines.  Everything runs in subprocesses:
 what *this* interpreter has loaded says nothing about a fresh worker.
 The subprocess helpers and the boot twin are ``scripts/boot_report.py``'s
 — the table that script prints and the budget asserted here read the
@@ -40,7 +40,6 @@ FORBIDDEN = (
     "repro.reporting",
     "repro.workloads.traffic",
     "repro.workloads.generator",
-    "repro.service.http",
     "repro.events.bdd",
     "repro.events.dnf",
     "repro.events.montecarlo",

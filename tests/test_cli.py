@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -99,6 +101,17 @@ class TestCommands:
         code = main(["serve", "--rules", str(tmp_path / "nope.prefs"), "--port", "0"])
         assert code == 2
         assert "cannot load rule file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_serve_on_a_busy_port_clean_error(self, workers, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            port = held.getsockname()[1]
+            code = main(["serve", "--port", str(port), "--workers", workers])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: cannot listen on 127.0.0.1:{port}: Address already in use"
+        ]
 
     def test_scaling(self, capsys):
         assert main(["scaling", "--max-rules", "3", "--scale", "0.05"]) == 0

@@ -1,0 +1,41 @@
+"""The top-level public surface: every exported name resolves, without warnings."""
+
+import warnings
+
+import pytest
+
+import repro
+
+
+class TestPublicSurface:
+    def test_new_api_importable_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            from repro import (  # noqa: F401
+                EngineBuilder,
+                RankRequest,
+                RankResponse,
+                RankingEngine,
+            )
+
+    def test_all_names_resolve(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in repro.__all__:
+                assert getattr(repro, name) is not None, name
+
+    def test_dir_lists_the_public_names(self):
+        listing = dir(repro)
+        assert "RankingEngine" in listing
+        assert "ContextAwareScorer" not in listing
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            repro.DefinitelyNotAThing
+
+    def test_scorer_lives_in_core_only(self):
+        with pytest.raises(AttributeError):
+            repro.ContextAwareScorer
+        from repro.core import ContextAwareScorer
+
+        assert ContextAwareScorer.__module__.startswith("repro.core")
