@@ -1,4 +1,4 @@
-"""E16 — cold start: in-process rebuild vs snapshot vs snapshot+shm.
+"""E16 — cold start: in-process rebuild vs snapshot vs preload.
 
 The PR 8 store claims a fleet cold boot no longer scales with world
 size × worker count.  This experiment measures **time-to-first-rank**
@@ -9,24 +9,24 @@ strategies at 1/2/4 workers:
 * **rebuild** — every worker regenerates the world from source and
   ranks; the pre-PR fleet behaviour (cost × worker count, all pages
   private);
-* **snapshot** — every worker privately loads the verified snapshot
-  (``share_memory=False``) and ranks: the restore path alone;
-* **snapshot+shm** — the parent loads once (basis matrix published
-  through ``multiprocessing.shared_memory``, reasoner memos seeded),
-  then forks workers that only rank: the ``serve --snapshot`` path.
+* **snapshot** — every worker loads the verified snapshot itself and
+  ranks: the restore path alone;
+* **preload** — the parent calls ``load_world`` once (basis matrix
+  restored, reasoner memos seeded), then forks workers that inherit
+  it copy-on-write and only rank: the ``serve --snapshot`` path.
 
 Each worker reports its own boot-to-rank latency and its USS
 (``/proc/self/smaps_rollup`` Private_Clean + Private_Dirty) after
 ranking, so the *marginal private bytes per extra worker* comparison is
 physical, not guessed from RSS.  A final fork after the fleet has
-drained measures the **respawn** path (attach, never rebuild).
+drained measures the **respawn** path (fork again, never rebuild).
 
 Full-mode assertions (the ISSUE 8 acceptance targets):
 
 * snapshot-loaded vs rebuilt score identity ≤ 1e-9;
 * fleet cold boot (all workers ranked) ≥ 5x faster with the preloaded
   snapshot than with per-worker rebuilds at the widest fleet;
-* marginal USS per snapshot+shm worker ≤ 10 % of a rebuild worker's.
+* marginal USS per preload worker ≤ 10 % of a rebuild worker's.
 """
 
 import os
@@ -99,8 +99,8 @@ def _worker(variant: str, snapshot_path, preloaded, queue, release) -> None:
     if variant == "rebuild":
         world = build_world()
     elif variant == "snapshot":
-        world = load_world(snapshot_path, share_memory=False)
-    else:  # snapshot+shm: the world was preloaded before the fork
+        world = load_world(snapshot_path)
+    else:  # preload: the world was loaded before the fork
         world = preloaded
     scores = first_rank(world)
     done = time.monotonic()
@@ -114,7 +114,7 @@ def run_fleet(variant: str, workers: int, snapshot_path, preloaded=None) -> dict
     """Cold-boot a ``variant`` fleet of ``workers`` and collect reports.
 
     The clock starts before any per-variant work (including the
-    parent's snapshot preload for ``snapshot+shm``), so ``wall_*``
+    parent's snapshot load for ``preload``), so ``wall_*``
     figures are honest end-to-end cold-boot numbers.
     """
     import gc
@@ -125,7 +125,7 @@ def run_fleet(variant: str, workers: int, snapshot_path, preloaded=None) -> dict
     release = ctx.Event()
     t0 = time.monotonic()
     parent_load = 0.0
-    if variant == "snapshot+shm":
+    if variant == "preload":
         load_started = time.monotonic()
         preloaded = load_world(snapshot_path)
         parent_load = time.monotonic() - load_started
@@ -150,9 +150,9 @@ def run_fleet(variant: str, workers: int, snapshot_path, preloaded=None) -> dict
         release.set()
         for child in children:
             child.join()
-        if variant == "snapshot+shm":
+        if variant == "preload":
             # The respawn path: a fresh fork off the warm parent
-            # attaches to the already-mapped world and only pays the
+            # inherits the already-loaded world and only pays the
             # first rank.
             respawn_queue = ctx.SimpleQueue()
             respawn_release = ctx.Event()
@@ -170,7 +170,6 @@ def run_fleet(variant: str, workers: int, snapshot_path, preloaded=None) -> dict
             respawn.start()
             respawn_report = respawn_queue.get()
             respawn.join()
-            preloaded.release()
         else:
             respawn_report = None
     finally:
@@ -215,7 +214,7 @@ def test_e16_coldstart(save_result, save_json, tmp_path):
     shared_basis_pool().clear()
 
     variants: dict[str, dict[str, dict]] = {}
-    for variant in ("rebuild", "snapshot", "snapshot+shm"):
+    for variant in ("rebuild", "snapshot", "preload"):
         variants[variant] = {}
         for workers in WORKER_COUNTS:
             variants[variant][str(workers)] = run_fleet(
@@ -225,7 +224,7 @@ def test_e16_coldstart(save_result, save_json, tmp_path):
     # Score identity across boot strategies (the ≤1e-9 bar).
     reference = variants["rebuild"][str(WORKER_COUNTS[0])]["scores"]
     divergence = 0.0
-    for variant in ("snapshot", "snapshot+shm"):
+    for variant in ("snapshot", "preload"):
         scores = variants[variant][str(WORKER_COUNTS[0])]["scores"]
         assert set(scores) == set(reference)
         divergence = max(
@@ -235,19 +234,20 @@ def test_e16_coldstart(save_result, save_json, tmp_path):
 
     widest = str(WORKER_COUNTS[-1])
     rebuild_wide = variants["rebuild"][widest]
-    shm_wide = variants["snapshot+shm"][widest]
+    preload_wide = variants["preload"][widest]
     fleet_speedup = (
-        rebuild_wide["wall_all_ranked_seconds"] / shm_wide["wall_all_ranked_seconds"]
+        rebuild_wide["wall_all_ranked_seconds"]
+        / preload_wide["wall_all_ranked_seconds"]
     )
     single = str(WORKER_COUNTS[0])
     single_speedup = mean(variants["rebuild"][single]["ttfr_seconds"]) / mean(
         variants["snapshot"][single]["ttfr_seconds"]
     )
-    respawn_ttfr = shm_wide.get("respawn_ttfr_seconds")
+    respawn_ttfr = preload_wide.get("respawn_ttfr_seconds")
     respawn_speedup = (
         mean(rebuild_wide["ttfr_seconds"]) / respawn_ttfr if respawn_ttfr else None
     )
-    marginal_ratio = mean(shm_wide["uss_bytes"]) / mean(rebuild_wide["uss_bytes"])
+    marginal_ratio = mean(preload_wide["uss_bytes"]) / mean(rebuild_wide["uss_bytes"])
 
     table = TextTable(
         ["variant", "workers", "wall_first", "wall_all", "mean_ttfr", "uss_mb"]
@@ -312,10 +312,10 @@ def test_e16_coldstart(save_result, save_json, tmp_path):
             f"fleet cold boot speedup {fleet_speedup:.2f}x at {widest} workers "
             f"is below the {SPEEDUP_BOUND}x target "
             f"(rebuild {rebuild_wide['wall_all_ranked_seconds']:.2f}s vs "
-            f"snapshot+shm {shm_wide['wall_all_ranked_seconds']:.2f}s)"
+            f"preload {preload_wide['wall_all_ranked_seconds']:.2f}s)"
         )
         assert marginal_ratio <= MARGINAL_USS_BOUND, (
-            f"marginal USS per snapshot+shm worker is {marginal_ratio:.1%} of a "
+            f"marginal USS per preload worker is {marginal_ratio:.1%} of a "
             f"private rebuild worker (bound {MARGINAL_USS_BOUND:.0%})"
         )
     clear_registry()

@@ -122,11 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist per-tenant context overlays to this append-only journal "
         "(sessions survive restarts)",
     )
-    serve.add_argument(
-        "--start-method", choices=("auto", "fork", "spawn"), default="auto",
-        help="fleet worker start method (auto prefers fork; spawn needs "
-        "SO_REUSEPORT and re-loads the world per worker from --snapshot)",
-    )
     fault = serve.add_argument_group(
         "fault injection", "chaos knobs (defaults from REPRO_FAULT_* env vars)"
     )
@@ -286,14 +281,13 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 def _preload_world(snapshot_path: str | None):
     """The parent's world: snapshot-loaded when possible, else built.
 
-    Returns ``(world, source, segment_name)`` — ``segment_name`` is the
-    shared-memory segment spawned workers attach to for a zero-copy
-    view of the basis matrix.
+    Returns ``(world, source)``.  Fleet workers are forks of this
+    process, so they inherit the world copy-on-write.
     """
     from repro.workloads import build_tvtouch
 
     if not snapshot_path:
-        return build_tvtouch(), "built", None
+        return build_tvtouch(), "built"
     from repro.store import load_or_build
 
     loaded = load_or_build(
@@ -305,102 +299,21 @@ def _preload_world(snapshot_path: str | None):
             flush=True,
         ),
     )
-    return loaded, loaded.source, loaded.segment_name
-
-
-class _ServeFactory:
-    """The per-worker service factory behind ``repro serve``.
-
-    Module-level and built from a plain-primitive ``config`` dict so it
-    pickles, which the ``spawn`` start method requires.  Fork workers
-    (and the single-process path) receive the parent's pre-loaded
-    ``world`` by reference — a respawned fork worker never rebuilds;
-    spawn workers start with ``world=None`` and restore it themselves
-    from ``config["snapshot"]``, attaching to the parent's shared
-    matrix segment when one exists.
-    """
-
-    def __init__(self, config, world=None, world_source=None, rules=None):
-        self.config = config
-        self.world = world
-        self.world_source = world_source
-        self.rules = rules
-
-    def _world(self):
-        if self.world is not None:
-            return self.world, self.world_source
-        from repro.workloads import build_tvtouch
-
-        config = self.config
-        if config.get("snapshot"):
-            from repro.store import load_or_build, load_world
-
-            segment = config.get("segment")
-            if segment:
-                try:
-                    loaded = load_world(config["snapshot"], attach=segment)
-                    return loaded, loaded.source
-                except (ReproError, OSError):
-                    pass  # segment died with the parent; load privately
-            loaded = load_or_build(config["snapshot"], build_tvtouch)
-            return loaded, loaded.source
-        return build_tvtouch(), "built"
-
-    def __call__(self, worker_info=None):
-        from repro.cache import InMemoryCacheAdapter, NoCacheAdapter
-        from repro.rules import load_rules
-        from repro.service import FaultInjector, RankingService, ServiceConfig
-        from repro.tenants import TenantRegistry
-
-        config = self.config
-        world, source = self._world()
-        rules = self.rules
-        if rules is None and config.get("rules_path"):
-            rules = load_rules(config["rules_path"])
-        if config["cache"] == "none":
-            cache = NoCacheAdapter()
-        else:
-            cache = InMemoryCacheAdapter(
-                max_entries=config["cache_entries"], ttl=config["cache_ttl"] or None
-            )
-        registry = TenantRegistry(
-            world,
-            rules=rules,
-            shards=config["shards"],
-            max_sessions=config["max_sessions"],
-            journal=config.get("journal"),
-        )
-        info = dict(worker_info or {})
-        info["world_source"] = source
-        return RankingService(
-            registry,
-            ServiceConfig(
-                max_concurrency=config["max_concurrency"],
-                queue_timeout=config["queue_timeout"],
-                request_timeout=config["request_timeout"] or None,
-                stale_max_age=config["stale_max_age"],
-                serve_stale=config["serve_stale"],
-                breaker_enabled=config["breaker_enabled"],
-                batch_max_size=config.get("batch_max_size", 0),
-                batch_max_wait_us=config.get("batch_max_wait_us", 1000.0),
-                batch_queue_limit=config.get("batch_queue_limit", 256),
-            ),
-            cache=cache,
-            worker_info=info,
-            fault_injector=FaultInjector(**config["injector"]),
-        )
+    return loaded, loaded.source
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.cache import InMemoryCacheAdapter, NoCacheAdapter
     from repro.rules import load_rules
-    from repro.service import FaultInjector
+    from repro.service import FaultInjector, RankingService, ServiceConfig
+    from repro.tenants import TenantRegistry
 
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
-    # Built (or snapshot-loaded) pre-fork; fork workers share it
-    # copy-on-write, spawn workers re-load it from the snapshot.
-    world, world_source, segment_name = _preload_world(args.snapshot)
+    # Built (or snapshot-loaded) pre-fork; fleet workers share it
+    # copy-on-write.
+    world, world_source = _preload_world(args.snapshot)
     rules = None
     if args.rules:
         try:
@@ -450,33 +363,44 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    config = dict(
-        cache=args.cache,
-        cache_entries=args.cache_entries,
-        cache_ttl=args.cache_ttl,
-        shards=args.shards,
-        max_sessions=args.max_sessions,
-        max_concurrency=args.max_concurrency,
-        queue_timeout=args.queue_timeout,
-        request_timeout=args.request_timeout,
-        stale_max_age=args.stale_max_age,
-        serve_stale=not args.no_stale,
-        breaker_enabled=not args.no_breaker,
-        batch_max_size=args.batch_max_size,
-        batch_max_wait_us=args.batch_max_wait_us,
-        batch_queue_limit=args.batch_queue_limit,
-        rules_path=args.rules,
-        snapshot=args.snapshot,
-        segment=segment_name,
-        journal=args.journal,
-        injector=injector_spec,
-    )
-    # Each fleet worker runs the factory in its own process: its own
-    # registry, its own response cache — workers share no mutable state
-    # (the frozen world and its matrix are the shared read-only part).
-    make_service = _ServeFactory(
-        config, world=world, world_source=world_source, rules=rules
-    )
+    def make_service(worker_info):
+        """One worker's service over the preloaded world.
+
+        Each fleet worker runs this in its own forked process: its own
+        registry, its own response cache — workers share no mutable
+        state (the frozen world and its matrix are the shared read-only
+        part).
+        """
+        if args.cache == "none":
+            cache = NoCacheAdapter()
+        else:
+            cache = InMemoryCacheAdapter(
+                max_entries=args.cache_entries, ttl=args.cache_ttl or None
+            )
+        registry = TenantRegistry(
+            world,
+            rules=rules,
+            shards=args.shards,
+            max_sessions=args.max_sessions,
+            journal=args.journal,
+        )
+        return RankingService(
+            registry,
+            ServiceConfig(
+                max_concurrency=args.max_concurrency,
+                queue_timeout=args.queue_timeout,
+                request_timeout=args.request_timeout or None,
+                stale_max_age=args.stale_max_age,
+                serve_stale=not args.no_stale,
+                breaker_enabled=not args.no_breaker,
+                batch_max_size=args.batch_max_size,
+                batch_max_wait_us=args.batch_max_wait_us,
+                batch_queue_limit=args.batch_queue_limit,
+            ),
+            cache=cache,
+            worker_info={**worker_info, "world_source": world_source},
+            fault_injector=FaultInjector(**injector_spec),
+        )
 
     settings = (
         f"cache={args.cache}, shards={args.shards}, "
@@ -496,7 +420,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.service.aio import serve as run_gateway
 
         try:
-            service = make_service({"index": 0, "workers": 1, "mode": "single"})
+            service = make_service({"index": 0, "workers": 1})
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -530,12 +454,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             gc.unfreeze()
 
-    from repro.service.fleet import serve_fleet, supports_fleet
+    from repro.service.fleet import serve_fleet
 
     try:
         # Validate cache/registry settings in the parent before forking
         # anything (a worker would only hit the error after the fork).
-        make_service({"index": -1, "workers": args.workers, "mode": "preflight"})
+        make_service({"index": -1, "workers": args.workers})
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -545,8 +469,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         listening = True
         print(
             f"repro serve: listening on {supervisor.url} "
-            f"(workers={args.workers}, mode={supervisor.mode}, "
-            f"start_method={supervisor.start_method}, {settings})",
+            f"(workers={args.workers}, {settings})",
             flush=True,
         )
         for index, pid in enumerate(supervisor.worker_pids()):
@@ -557,24 +480,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    start_method = None if args.start_method == "auto" else args.start_method
-    resolved = start_method or ("fork" if supports_fleet("fork") else "spawn")
-    if resolved == "spawn":
-        # A spawned worker starts from a fresh interpreter: strip the
-        # unpicklable by-reference world/rules so the factory crosses
-        # the pickle boundary; the worker restores from the snapshot.
-        factory = _ServeFactory(config)
-    else:
-        factory = make_service
-
     try:
         return serve_fleet(
-            factory,
-            args.workers,
-            args.host,
-            args.port,
-            announce=announce_fleet,
-            start_method=start_method,
+            make_service, args.workers, args.host, args.port, announce=announce_fleet
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

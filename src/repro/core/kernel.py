@@ -276,8 +276,8 @@ class ScoredView(abc.Mapping):
         return len(self.table.names)
 
     def __reduce__(self):
-        # The kernel (a numpy module handle, possibly a shared-memory
-        # matrix) does not pickle; the mapping it presents does.
+        # The kernel (a numpy module handle) does not pickle; the
+        # mapping it presents does.
         scores = {
             name: DocumentScore(
                 name, score.value, tuple(score.contributions), score.method

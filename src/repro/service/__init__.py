@@ -39,12 +39,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
     {
         "repro.cache": ("CacheAdapter", "InMemoryCacheAdapter", "NoCacheAdapter"),
         "repro.service.batching": ("BatchScheduler",),
-        "repro.service.fleet": (
-            "FleetSupervisor",
-            "serve_fleet",
-            "supports_fleet",
-            "supports_reuseport",
-        ),
+        "repro.service.fleet": ("FleetSupervisor", "serve_fleet", "supports_fleet"),
         "repro.service.metrics": (
             "GatewayMetrics",
             "LatencyRecorder",

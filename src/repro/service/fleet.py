@@ -4,38 +4,32 @@ The GIL caps a single Python process at one core of rank work; the
 fleet escapes it the classic pre-fork way (the shape gunicorn and
 nginx use):
 
-* the **parent** builds nothing heavy — it resolves the port, forks
-  ``workers`` children, then only supervises: respawn a worker that
-  dies unexpectedly (with exponential backoff, and a crash-loop
-  detector that *stops* respawning a worker dying repeatedly), fan
-  ``SIGTERM``/``SIGINT`` out on shutdown, and answer parent-side
-  aggregated health via :meth:`FleetSupervisor.health`;
-* each **worker** builds its own :class:`~repro.service.pipeline.
-  RankingService` (own registry, own response cache — processes share
-  nothing, so no cross-process coherence protocol is needed; the
-  world is rebuilt per worker from the same deterministic loaders)
-  and runs the event-loop gateway (:mod:`repro.service.aio`) on the
-  shared port.
+* the **parent** resolves the port, forks ``workers`` children, then
+  only supervises: respawn a worker that dies unexpectedly (with
+  exponential backoff, and a crash-loop detector that *stops*
+  respawning a worker dying repeatedly), fan ``SIGTERM``/``SIGINT``
+  out on shutdown, and answer parent-side aggregated health via
+  :meth:`FleetSupervisor.health`;
+* each **worker** is a ``fork`` of the parent: it inherits the world
+  its caller loaded copy-on-write (initial workers and respawns alike
+  — nothing is rebuilt or re-loaded), builds its own
+  :class:`~repro.service.pipeline.RankingService` (own registry, own
+  response cache — processes share nothing mutable, so no
+  cross-process coherence protocol is needed) and runs the event-loop
+  gateway (:mod:`repro.service.aio`) on the shared port.
 
-Port sharing has two modes, picked automatically:
-
-* ``reuseport`` — every worker binds its *own* listening socket with
-  ``SO_REUSEPORT``; the kernel load-balances incoming connections
-  across workers.  The parent holds a bound (never listening)
-  *anchor* socket on the same port: it pins the port for the fleet's
-  lifetime (respawned workers rebind the same number, even with
-  ``--port 0``) and is how the parent learns the ephemeral port in
-  the first place.
-* ``inherit`` — platforms without ``SO_REUSEPORT``: the parent binds
-  and listens once, workers inherit the listener across ``fork`` and
-  accept from it concurrently (thundering-herd accept, the pre-2013
-  nginx shape — correct everywhere POSIX).
+Every worker binds its *own* listening socket with ``SO_REUSEPORT``;
+the kernel load-balances incoming connections across them.  The parent
+holds a bound (never listening) *anchor* socket on the same port: it
+pins the port for the fleet's lifetime (respawned workers rebind the
+same number, even with ``--port 0``) and is how the parent learns the
+ephemeral port in the first place.
 
 Shutdown is graceful end to end: a worker's first ``SIGTERM`` stops
 the accept loop, drains in-flight requests for the grace period, then
-exits 0 (a second signal exits immediately); the parent's monitor
-thread distinguishes a supervised shutdown from an unexpected death
-and only respawns the latter.
+exits 0 (a second signal exits immediately); the supervise loop
+distinguishes a supervised shutdown from an unexpected death and only
+respawns the latter.
 
 Crash-loop containment: ``crash_loop_threshold`` deaths of the same
 worker slot within ``crash_loop_window`` seconds marks the slot
@@ -48,6 +42,7 @@ The failure is published to every surviving worker through
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -63,34 +58,16 @@ from repro.service.aio import BACKLOG, AioRankingServer
 from repro.service.pipeline import RankingService
 from repro.service.resilience import SharedFleetState
 
-__all__ = ["FleetSupervisor", "serve_fleet", "supports_fleet", "supports_reuseport"]
+__all__ = ["FleetSupervisor", "serve_fleet", "supports_fleet"]
 
 #: A worker factory: called *inside* the forked child with that
 #: worker's identity mapping; must return a fully wired service.
 ServiceFactory = Callable[[Mapping[str, object]], RankingService]
 
 
-def supports_fleet(start_method: str | None = None) -> bool:
-    """Whether this platform can run a fleet (optionally, a given way).
-
-    ``fork`` fleets need the POSIX ``fork`` start method; ``spawn``
-    fleets work anywhere ``SO_REUSEPORT`` does (a spawned worker cannot
-    inherit the parent's listener, so the kernel must balance separate
-    per-worker listeners instead).  With no argument: any viable path.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if start_method is None:
-        return "fork" in methods or ("spawn" in methods and supports_reuseport())
-    if start_method == "fork":
-        return "fork" in methods
-    if start_method == "spawn":
-        return "spawn" in methods and supports_reuseport()
-    return False
-
-
-def supports_reuseport() -> bool:
-    """Whether kernel-level listener load-balancing is available."""
-    if not hasattr(socket, "SO_REUSEPORT"):
+def supports_fleet() -> bool:
+    """Whether this platform can run a fleet: ``fork`` + ``SO_REUSEPORT``."""
+    if not hasattr(os, "fork") or not hasattr(socket, "SO_REUSEPORT"):
         return False
     try:
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -103,32 +80,27 @@ def supports_reuseport() -> bool:
     return True
 
 
-def _worker_main(
-    index: int,
-    host: str,
-    port: int,
-    mode: str,
-    inherited: socket.socket | None,
-    service_factory: ServiceFactory,
-    workers: int,
-    grace: float,
-    fleet_state: SharedFleetState | None,
-    ready: "multiprocessing.synchronize.Event",
-) -> None:
-    """The forked child's whole life: build a service, serve the port."""
-    service = service_factory({"index": index, "workers": workers, "mode": mode})
-    if fleet_state is not None:
-        # Fork-shared: lets this worker's /readyz report siblings the
-        # supervisor has marked failed.
-        service.fleet_state = fleet_state
-    if mode == "reuseport":
-        listener = socket.create_server((host, port), backlog=BACKLOG, reuse_port=True)
-    else:
-        # The parent's listener came through fork already listening.
-        assert inherited is not None
-        listener = inherited
+def _worker_main(supervisor: "FleetSupervisor", index: int, ready) -> None:
+    """The forked child's whole life: build a service, serve the port.
+
+    ``supervisor`` is the parent's, inherited through the fork.
+    """
+    # Drop the parent's handlers (``serve_fleet``'s only set a flag): a
+    # stop that lands while the service is still being built must end
+    # this child, not be swallowed.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    service = supervisor.service_factory(
+        {"index": index, "workers": supervisor.workers}
+    )
+    # Fork-shared: lets this worker's /readyz report siblings the
+    # supervisor has marked failed.
+    service.fleet_state = supervisor.fleet_state
+    listener = socket.create_server(
+        (supervisor.host, supervisor.port), backlog=BACKLOG, reuse_port=True
+    )
     server = AioRankingServer(listener, service)
-    server.drain_grace = grace
+    grace = server.drain_grace = supervisor.grace
 
     signalled = False
 
@@ -183,10 +155,10 @@ class FleetSupervisor:
     Parameters
     ----------
     service_factory:
-        Called inside each worker child with that worker's identity
-        mapping; returns the worker's service.  Under the ``fork``
-        start method plain closures work (no pickling); under
-        ``spawn`` it must be a picklable module-level callable.
+        Called inside each forked worker with that worker's identity
+        mapping; returns the worker's service.  Plain closures work —
+        the child is a fork, so the factory and everything it closes
+        over (a preloaded world) pass by reference, never by pickle.
     workers:
         Child process count (≥ 1).
     host / port:
@@ -207,12 +179,6 @@ class FleetSupervisor:
         :meth:`health` degrades.  Clean exits (exitcode 0 — a worker
         SIGTERMed directly that drained and left gracefully) are
         respawned without counting toward the window.
-    start_method:
-        ``"fork"`` (closures and pre-loaded worlds pass by reference;
-        POSIX only), ``"spawn"`` (fresh interpreter per worker — the
-        factory must pickle, and ``SO_REUSEPORT`` is required since a
-        spawned child cannot inherit the parent's listener), or
-        ``None`` to prefer ``fork`` where available.
     """
 
     def __init__(
@@ -228,36 +194,14 @@ class FleetSupervisor:
         respawn_backoff_max: float = 2.0,
         crash_loop_threshold: int = 3,
         crash_loop_window: float = 5.0,
-        start_method: str | None = None,
     ):
         if workers < 1:
             raise EngineError(f"fleet needs at least one worker, got {workers!r}")
-        if start_method not in (None, "fork", "spawn"):
+        if not supports_fleet():
             raise EngineError(
-                f"start_method must be 'fork', 'spawn' or None, got {start_method!r}"
+                "the serving fleet needs fork + SO_REUSEPORT; "
+                "run single-process (--workers 1) instead"
             )
-        if start_method is None:
-            start_method = "fork" if supports_fleet("fork") else "spawn"
-        if not supports_fleet(start_method):
-            raise EngineError(
-                f"the serving fleet cannot use the {start_method!r} start "
-                "method here ('fork' needs POSIX, 'spawn' needs "
-                "SO_REUSEPORT); run single-process (--workers 1) instead"
-            )
-        if start_method == "spawn":
-            # Fail at configuration time, not inside the first child:
-            # everything a spawned worker receives crosses a pickle
-            # boundary, and the factory is the piece users supply.
-            import pickle
-
-            try:
-                pickle.dumps(service_factory)
-            except Exception as exc:
-                raise EngineError(
-                    "the 'spawn' start method needs a picklable service "
-                    f"factory (module-level callable), got one that fails "
-                    f"to pickle: {exc}"
-                ) from exc
         if respawn_backoff <= 0 or respawn_backoff_max < respawn_backoff:
             raise EngineError(
                 "respawn backoff must be positive and no greater than its cap, "
@@ -277,16 +221,14 @@ class FleetSupervisor:
         self.respawn_backoff_max = respawn_backoff_max
         self.crash_loop_threshold = crash_loop_threshold
         self.crash_loop_window = crash_loop_window
-        self.start_method = start_method
-        # A spawned worker cannot inherit a listening socket, so spawn
-        # always runs per-worker listeners under SO_REUSEPORT (already
-        # validated above); fork picks the best mode the kernel offers.
-        self.mode = "reuseport" if supports_reuseport() else "inherit"
-        self._mp = multiprocessing.get_context(start_method)
+        self._mp = multiprocessing.get_context("fork")
         self.fleet_state = SharedFleetState(self._mp)
         self._lock = threading.Lock()
         self._fleet: list[_Worker] = []
         self._stopping = False
+        #: Set by ``serve_fleet``'s signal handler, which runs on the
+        #: supervising thread itself and so must take no lock.
+        self._shutdown_requested = False
         self._started = False
         self._monitor: threading.Thread | None = None
         self._respawns = 0
@@ -296,17 +238,13 @@ class FleetSupervisor:
         self._pending: list[tuple[float, int]] = []
         #: Slots the crash-loop detector has given up on.
         self._failed: dict[int, dict] = {}
-        # Resolve the port up front, in the parent, whatever the mode:
-        # an anchor (bound, never listening) under reuseport, the real
-        # listener under inherit.
+        # Resolve the port up front, in the parent: a bound, never
+        # listening anchor that the workers' listeners share.
         self._socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             self._socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if self.mode == "reuseport":
-                self._socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            self._socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             self._socket.bind((host, port))
-            if self.mode == "inherit":
-                self._socket.listen(BACKLOG)
         except BaseException:
             self._socket.close()
             raise
@@ -318,20 +256,25 @@ class FleetSupervisor:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> None:
+        """Fork the fleet, wait until every worker is accepting, then
+        supervise it from a ``fleet-monitor`` thread."""
+        self._launch()
+        self._monitor = threading.Thread(
+            target=self._supervise, name="fleet-monitor", daemon=True
+        )
+        self._monitor.start()
+
+    def _launch(self) -> None:
         """Fork the fleet and wait until every worker is accepting."""
         if self._started:
             raise EngineError("fleet already started")
         self._started = True
-        if self.start_method == "fork":
-            # A preloaded world (serve --snapshot) is inherited
-            # copy-on-write; freeze the heap so the workers' cyclic
-            # collector never traverses it — those header writes would
-            # privatize every shared page.  Respawned workers fork off
-            # this same frozen image.
-            import gc
-
-            gc.collect()
-            gc.freeze()
+        # The preloaded world is inherited copy-on-write; freeze the
+        # heap so the workers' cyclic collector never traverses it —
+        # those header writes would privatize every shared page.
+        # Respawned workers fork off this same frozen image.
+        gc.collect()
+        gc.freeze()
         with self._lock:
             for index in range(self.workers):
                 self._fleet.append(self._spawn(index))
@@ -342,28 +285,12 @@ class FleetSupervisor:
                     f"fleet worker {worker.index} failed to become ready "
                     f"within {self.start_timeout}s"
                 )
-        self._monitor = threading.Thread(
-            target=self._supervise, name="fleet-monitor", daemon=True
-        )
-        self._monitor.start()
 
     def _spawn(self, index: int) -> _Worker:
         ready = self._mp.Event()
-        inherited = self._socket if self.mode == "inherit" else None
         process = self._mp.Process(
             target=_worker_main,
-            args=(
-                index,
-                self.host,
-                self.port,
-                self.mode,
-                inherited,
-                self.service_factory,
-                self.workers,
-                self.grace,
-                self.fleet_state,
-                ready,
-            ),
+            args=(self, index, ready),
             name=f"repro-serve-worker-{index}",
         )
         process.start()
@@ -401,8 +328,9 @@ class FleetSupervisor:
         self._pending.append((now + backoff, index))
 
     def _supervise(self) -> None:
-        """Respawn workers that die without being asked to."""
-        while True:
+        """Respawn workers that die without being asked to, until the
+        fleet is stopped or a shutdown is requested."""
+        while not self._shutdown_requested:
             with self._lock:
                 if self._stopping:
                     return
@@ -418,14 +346,10 @@ class FleetSupervisor:
                 sentinels = {
                     worker.process.sentinel: worker for worker in self._fleet
                 }
-                pending = bool(self._pending)
-            if not sentinels and not pending:
-                return
-            if sentinels:
-                dead = _sentinel_wait(list(sentinels), timeout=0.1)
-            else:
+            if not sentinels:
                 time.sleep(0.05)
-                dead = []
+                continue
+            dead = _sentinel_wait(list(sentinels), timeout=0.1)
             if not dead:
                 continue
             for sentinel in dead:
@@ -465,11 +389,9 @@ class FleetSupervisor:
         if self._monitor is not None and self._monitor.is_alive():
             self._monitor.join(self.grace)
         self._socket.close()
-        if self._started and self.start_method == "fork":
+        if self._started:
             # Undo the pre-fork freeze: no more workers will fork off
             # this image, so the heap can be collected normally again.
-            import gc
-
             gc.unfreeze()
 
     def __enter__(self) -> "FleetSupervisor":
@@ -498,7 +420,6 @@ class FleetSupervisor:
             healthy = alive == self.workers and not self._failed
             body = {
                 "status": "ok" if healthy else "degraded",
-                "mode": self.mode,
                 "url": self.url,
                 "workers": self.workers,
                 "alive": alive,
@@ -526,36 +447,32 @@ def serve_fleet(
     port: int = 8080,
     *,
     announce: Callable[[FleetSupervisor], None] | None = None,
-    start_method: str | None = None,
 ) -> int:
-    """Run a fleet until interrupted (the ``repro serve --workers N`` body).
+    """Run a fleet until SIGTERM/SIGINT (the ``repro serve --workers N`` body).
 
-    ``announce`` is called once the whole fleet is accepting — the CLI
-    prints the listening line (and per-worker pids) from it.  Returns
-    a process exit code.
+    The supervise loop runs on the calling thread, so every fork —
+    initial workers and respawns — happens in a single-threaded
+    parent.  ``announce`` is called once the whole fleet is accepting —
+    the CLI prints the listening line (and per-worker pids) from it.
+    Returns a process exit code.
     """
-    supervisor = FleetSupervisor(
-        service_factory,
-        workers=workers,
-        host=host,
-        port=port,
-        start_method=start_method,
-    )
+    supervisor = FleetSupervisor(service_factory, workers=workers, host=host, port=port)
 
-    def _interrupt(signum, frame):  # noqa: ARG001 - signal API
-        raise KeyboardInterrupt
+    def _request_shutdown(signum, frame):  # noqa: ARG001 - signal API
+        # Runs between two bytecodes of this thread, possibly inside
+        # ``_supervise``'s critical section: set the flag the loop
+        # polls, raise nothing, take no lock.
+        supervisor._shutdown_requested = True
 
-    previous_term = signal.signal(signal.SIGTERM, _interrupt)
+    previous_term = signal.signal(signal.SIGTERM, _request_shutdown)
+    previous_int = signal.signal(signal.SIGINT, _request_shutdown)
     try:
-        supervisor.start()
+        supervisor._launch()
         if announce is not None:
             announce(supervisor)
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
+        supervisor._supervise()
     finally:
         signal.signal(signal.SIGTERM, previous_term)
+        signal.signal(signal.SIGINT, previous_int)
         supervisor.stop()
     return 0

@@ -6,9 +6,9 @@ artifacts (the compiled reasoner's expansion/closure tables and the
 scoring kernel's documents×rules basis matrix) into a single versioned,
 digest-verified container (:mod:`repro.store.format`).  The loader
 (:mod:`repro.store.loader`) restores the world and re-seeds every
-derived cache, publishing the numeric matrix through
-``multiprocessing.shared_memory`` so N fleet workers share one physical
-copy instead of paying N private rebuilds.  Per-tenant overlay deltas
+derived cache once, in the fleet parent; N forked workers share those
+pages copy-on-write instead of paying N private rebuilds.  Per-tenant
+overlay deltas
 persist separately in an append-only journal
 (:mod:`repro.store.journal`) so sessions survive a fleet restart.
 """

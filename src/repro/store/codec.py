@@ -463,7 +463,7 @@ def restore_world(meta: dict, sections: dict) -> SimpleNamespace:
 
     Returns a world namespace (``abox`` frozen) compatible with
     ``EngineBuilder.world`` and ``TenantRegistry``; derived-cache
-    seeding (reasoner memos, basis pool, shared memory) is the loader's
+    seeding (reasoner memos, basis matrix, basis pool) is the loader's
     job (:func:`repro.store.loader.load_world`), not the codec's.
     """
     space_data = _decode_json(sections, "space")

@@ -16,8 +16,7 @@ Each index entry is ``{"name", "kind", "offset", "length"}`` with
 * ``json`` — UTF-8 JSON;
 * ``text`` — UTF-8 text (rule DSL, s-expression event lines);
 * ``f64``  — raw C-order float64 bytes, returned as a zero-copy
-  ``memoryview`` so the loader can hand it to shared memory or numpy
-  without an intermediate copy.
+  ``memoryview`` of the file image.
 
 **Compatibility rule**: a snapshot is readable iff its format version
 equals this library's :data:`SNAPSHOT_FORMAT_VERSION` exactly.  Any

@@ -1,14 +1,14 @@
-"""Snapshot loading: verify, restore, map, and re-seed derived caches.
+"""Snapshot loading: verify, restore, and re-seed derived caches.
 
 :func:`load_world` is the cold-start fast path the fleet uses:
 
 1. read and digest-verify the container (:mod:`repro.store.format`),
 2. restore the live world objects (:mod:`repro.store.codec`),
-3. publish the numeric basis matrix through
-   ``multiprocessing.shared_memory`` — a numpy view over the segment
-   from ``VECTOR_MIN`` rows on (when numpy imports), a
-   ``memoryview('d')`` flat view otherwise — so sibling workers attach
-   to **one** physical copy,
+3. copy the numeric basis matrix into one private buffer and view it —
+   a read-only numpy array from ``VECTOR_MIN`` rows on (when numpy
+   imports), a ``memoryview('d')`` flat view otherwise (fleet workers
+   are forks of the loading process, so they share that buffer's
+   pages copy-on-write like the rest of the world),
 4. seed the compiled-KB base tier's memo tables and the process-wide
    shared basis pool, so the first rank of every tenant takes the
    incremental path instead of re-reasoning the world.
@@ -21,8 +21,7 @@ builder — a stale snapshot can cost time, never correctness.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -38,13 +37,12 @@ __all__ = ["LoadedWorld", "load_world", "load_or_build"]
 
 @dataclass
 class LoadedWorld:
-    """A restored world plus the shared-memory handle keeping it mapped.
+    """A restored world and how it came to be.
 
     Duck-compatible with ``EngineBuilder.world`` /
-    ``TenantRegistry(world)``.  ``source`` says how the world came to
-    be (``"snapshot"``, ``"snapshot+shm"``, ``"attach"`` or
-    ``"rebuild"``); ``segment_name`` is what sibling (spawned) workers
-    pass as ``attach=`` to map the same physical matrix.
+    ``TenantRegistry(world)``.  ``source`` is ``"snapshot"`` (loaded
+    by :func:`load_world`) or ``"rebuild"`` (:func:`load_or_build`
+    fell back to its builder).
     """
 
     space: object
@@ -58,55 +56,6 @@ class LoadedWorld:
     id_column: object
     source: str = "snapshot"
     digest: str | None = None
-    segment_name: str | None = None
-    _segment: object = field(default=None, repr=False)
-    _owns_segment: bool = False
-
-    def release(self) -> None:
-        """Unlink (for the creator) and defuse the shared segment handle.
-
-        The zero-copy views handed to the kernel keep exported pointers
-        into the mapping, so ``close()`` would raise ``BufferError``
-        for as long as any engine lives; instead the handle is defused
-        (its finalizer made a no-op) and the OS unmaps at process exit,
-        while ``unlink`` removes the name immediately so no segment
-        outlives the fleet.
-        """
-        segment = self._segment
-        self._segment = None
-        if segment is None:
-            return
-        if self._owns_segment:
-            try:
-                segment.unlink()
-            except (OSError, FileNotFoundError):  # pragma: no cover
-                pass
-        try:
-            segment.close()
-        except BufferError:
-            # Views are still exported: neuter the handle so its
-            # __del__ stays silent and leave the unmap to process exit.
-            segment._buf = None
-            segment._mmap = None
-        except OSError:  # pragma: no cover - platform specific
-            pass
-
-
-def _attach_segment(name: str):
-    """Attach to an existing segment without adopting its lifetime.
-
-    Python 3.11's resource tracker unlinks any attached segment when
-    the attaching process exits; an attaching worker must not destroy
-    the fleet's shared mapping, so the registration is undone.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    segment = shared_memory.SharedMemory(name=name, create=False)
-    try:
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker API is private
-        pass
-    return segment
 
 
 def _matrix_view(buffer, rows: int, cols: int, nbytes: int):
@@ -199,16 +148,11 @@ def _seed_basis_pool(world, candidates, basis: dict) -> None:
 def load_world(
     path: str | Path,
     *,
-    share_memory: bool = True,
-    attach: str | None = None,
     seed_caches: bool = True,
 ) -> LoadedWorld:
     """Load a verified snapshot into a ready-to-serve world.
 
-    ``attach`` names an existing shared segment (a sibling worker's
-    ``segment_name``) to map instead of creating one; ``share_memory=
-    False`` keeps the matrix as a private in-process copy.  Raises
-    :class:`~repro.errors.SnapshotError` on any verification or
+    Raises :class:`~repro.errors.SnapshotError` on any verification or
     restore failure — use :func:`load_or_build` to degrade to a
     rebuild instead.
     """
@@ -229,12 +173,18 @@ def load_world(
         if gc_was_enabled:
             gc.enable()
 
-    source = "snapshot"
-    digest = meta.get("_digest")
-    segment = None
-    segment_name = None
-    owns = False
-
+    loaded = LoadedWorld(
+        space=world.space,
+        abox=world.abox,
+        tbox=world.tbox,
+        user=world.user,
+        repository=world.repository,
+        database=world.database,
+        target=world.target,
+        data_table=world.data_table,
+        id_column=world.id_column,
+        digest=meta.get("_digest"),
+    )
     basis_entry = sections.get("basis")
     matrix_entry = sections.get("matrix")
     if basis_entry is not None and matrix_entry is not None:
@@ -250,34 +200,8 @@ def load_world(
                 f"matrix section holds {len(matrix_bytes)} bytes for a "
                 f"{rows}x{cols} float64 matrix ({nbytes} expected)"
             )
-        if attach is not None:
-            segment = _attach_segment(attach)
-            if segment.size < nbytes:
-                raise SnapshotError(
-                    f"shared segment {attach!r} is smaller than the matrix"
-                )
-            buffer = segment.buf
-            segment_name = attach
-            source = "attach"
-        elif share_memory and nbytes:
-            from multiprocessing import shared_memory
-
-            name = f"repro-{(digest or 'snap')[:8]}-{os.getpid()}"
-            try:
-                segment = shared_memory.SharedMemory(
-                    name=name, create=True, size=nbytes
-                )
-            except FileExistsError:
-                segment = shared_memory.SharedMemory(name=name, create=False)
-            else:
-                owns = True
-            segment.buf[:nbytes] = bytes(matrix_bytes)
-            buffer = segment.buf
-            segment_name = name
-            source = "snapshot+shm"
-        else:
-            buffer = bytes(matrix_bytes)
-        backend, matrix = _matrix_view(buffer, rows, cols, nbytes)
+        # A copy, so the file image can be freed once the load returns.
+        backend, matrix = _matrix_view(bytes(matrix_bytes), rows, cols, nbytes)
         from repro.core.kernel import CompiledCandidates
 
         candidates = CompiledCandidates(
@@ -287,44 +211,9 @@ def load_world(
             matrix=matrix,
             possible_bits=tuple(int(bits) for bits in basis["possible_bits"]),
         )
-        loaded = LoadedWorld(
-            space=world.space,
-            abox=world.abox,
-            tbox=world.tbox,
-            user=world.user,
-            repository=world.repository,
-            database=world.database,
-            target=world.target,
-            data_table=world.data_table,
-            id_column=world.id_column,
-            source=source,
-            digest=digest,
-            segment_name=segment_name,
-            _segment=segment,
-            _owns_segment=owns,
-        )
-        if segment is not None:
-            # Idempotent: an explicit release() leaves this a no-op.
-            import atexit
-
-            atexit.register(loaded.release)
         if seed_caches and world.repository is not None:
             _seed_basis_pool(loaded, candidates, basis)
-        return loaded
-
-    return LoadedWorld(
-        space=world.space,
-        abox=world.abox,
-        tbox=world.tbox,
-        user=world.user,
-        repository=world.repository,
-        database=world.database,
-        target=world.target,
-        data_table=world.data_table,
-        id_column=world.id_column,
-        source=source,
-        digest=digest,
-    )
+    return loaded
 
 
 def load_or_build(

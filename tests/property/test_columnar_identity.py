@@ -622,7 +622,7 @@ def test_snapshot_restored_candidates_serve_the_same_views(backend, tmp_path):
         world = build_tvtouch()
         path = tmp_path / "world.snap"
         write_world_snapshot(path, world)
-        loaded = load_world(path, share_memory=False)
+        loaded = load_world(path)
         context = ("Weekend:0.7", "Breakfast:0.6")
         answers = []
         for source in (world, loaded):
@@ -711,7 +711,7 @@ def test_snapshot_restored_basis_follows_the_size_rule(programs, backend, tmp_pa
 
     monkeypatch.setattr(loader, "_seed_basis_pool", spy)
     with size_rule_only():
-        loaded = load_world(path, share_memory=False)
+        loaded = load_world(path)
         (candidates,) = restored
         assert candidates.backend == backend and len(candidates.names) == programs
         if backend == "numpy":

@@ -1,22 +1,27 @@
 """The pre-fork serving fleet: shared port, supervision, clean shutdown."""
 
+import http.client
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.cache import InMemoryCacheAdapter
 from repro.errors import EngineError
 from repro.service import FleetSupervisor, RankingService, ServiceConfig, supports_fleet
+from repro.store import write_world_snapshot
 from repro.tenants import TenantRegistry
-from repro.workloads import build_tvtouch
+from repro.workloads import EXPECTED_TABLE1_SCORES, build_tvtouch
 
-pytestmark = pytest.mark.skipif(
-    not supports_fleet(), reason="fleet requires the POSIX fork start method"
-)
+pytestmark = pytest.mark.skipif(not supports_fleet(), reason="needs fork + SO_REUSEPORT")
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def factory(worker_info):
@@ -271,44 +276,110 @@ class TestCrashLoopDetection:
         assert not health["failed"]
 
 
-class TestStartMethods:
-    """The spawn path: picklable factories, per-worker listeners."""
+#: ``repro serve --workers 2`` as the CLI runs it, plus one line with
+#: the parent's thread count before every fork.
+FORK_PROBE = """
+import os, sys, threading
+os.register_at_fork(
+    before=lambda: print(f"fork threads={threading.active_count()}", flush=True)
+)
+from repro.cli import main
+raise SystemExit(main(["serve", "--port", "0", "--workers", "2", *sys.argv[1:]]))
+"""
 
-    def test_spawn_fleet_serves_and_respawns(self):
-        """The spawn path end to end: fresh-interpreter workers behind
-        one SO_REUSEPORT-balanced port, surviving a worker kill."""
-        if not supports_fleet("spawn"):
-            pytest.skip("spawn fleet needs the spawn start method and SO_REUSEPORT")
-        supervisor = FleetSupervisor(
-            factory, workers=2, port=0, start_timeout=120.0, start_method="spawn"
+
+def serve_kill_respawn(*flags, stop=signal.SIGINT):
+    """Run the real ``repro serve --workers 2``, SIGKILL worker 0, wait
+    until its respawn answers, then send ``stop`` to the parent.
+
+    Returns the thread counts printed before each fork, the respawned
+    worker's ``/healthz`` and full ``/rank`` bodies, the exit code, and
+    the pids of the two workers alive when ``stop`` was sent.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    process = subprocess.Popen(
+        [sys.executable, "-c", FORK_PROBE, *flags],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        lines, pids = [], []
+        while len(pids) < 2:
+            line = process.stdout.readline()
+            assert line, f"server exited before announcing its workers: {lines}"
+            lines.append(line)
+            if "listening on http://127.0.0.1:" in line:
+                port = int(line.split("http://127.0.0.1:", 1)[1].split()[0])
+            if "fleet worker" in line:
+                pids.append(int(line.split()[-1]))
+        os.kill(pids[0], signal.SIGKILL)
+        deadline = time.monotonic() + 30.0
+        health = ranked = None
+        while ranked is None:
+            assert time.monotonic() < deadline, "the respawned worker never answered"
+            # One keep-alive connection is one worker: ask who answers,
+            # and rank on the same connection if it is the respawn.
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                connection.request("GET", "/healthz")
+                health = json.loads(connection.getresponse().read())
+                if health["worker"]["pid"] not in pids:
+                    connection.request(
+                        "GET", "/rank?tenant=alice&context=Weekend&context=Breakfast"
+                    )
+                    ranked = json.loads(connection.getresponse().read())
+            except (OSError, http.client.HTTPException):
+                pass  # the victim's connection, reset mid-kill
+            finally:
+                connection.close()
+            if ranked is None:
+                time.sleep(0.05)
+        process.send_signal(stop)
+        rest, _ = process.communicate(timeout=30)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+        process.stdout.close()
+    counts = [
+        int(line.split("=", 1)[1])
+        for line in ("".join(lines) + rest).splitlines()
+        if line.startswith("fork threads=")
+    ]
+    live = [pids[1], health["worker"]["pid"]]
+    return counts, health, ranked, process.returncode, live
+
+
+class TestServeCommand:
+    """The real ``repro serve --workers 2``: every worker, respawns
+    included, is a fork of the preloaded parent."""
+
+    def test_every_fork_happens_in_a_single_threaded_parent(self):
+        counts, _health, ranked, code, _live = serve_kill_respawn()
+        # Two initial workers and one respawn.  Forking while another
+        # thread runs can deadlock the child (Python 3.12 warns).
+        assert counts == [1, 1, 1]
+        assert ranked["items"]
+        assert code == 0
+
+    def test_sigterm_stops_the_parent_and_every_worker(self):
+        # The supervise loop polls the flag SIGTERM sets, then fans the
+        # stop out to the survivor and the respawn alike.
+        counts, _health, _ranked, code, live = serve_kill_respawn(stop=signal.SIGTERM)
+        assert counts == [1, 1, 1]
+        assert code == 0
+        assert_gone(live)
+
+    def test_snapshot_fleet_respawn_answers_from_the_snapshot(self, tmp_path):
+        path = tmp_path / "tv.snap"
+        write_world_snapshot(path, build_tvtouch())
+        _counts, health, ranked, code, _live = serve_kill_respawn(
+            "--snapshot", str(path)
         )
-        supervisor.start()
-        try:
-            assert supervisor.start_method == "spawn"
-            assert supervisor.mode == "reuseport"
-            body = get(supervisor.url, "/rank?tenant=alice&context=Weekend&top_k=3")
-            assert body["items"][0]["document"] == "channel5_news"
-            victim = supervisor.worker_pids()[0]
-            os.kill(victim, signal.SIGKILL)
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                health = supervisor.health()
-                if health["alive"] == 2 and health["respawns"] >= 1:
-                    break
-                time.sleep(0.1)
-            else:  # pragma: no cover - diagnostic path
-                pytest.fail(f"spawned worker never respawned: {supervisor.health()}")
-            assert get(supervisor.url, "/rank?tenant=bob&top_k=2")["items"]
-        finally:
-            supervisor.stop()
-        assert_gone(supervisor.worker_pids())
-
-    def test_spawn_rejects_unpicklable_factory(self):
-        if not supports_fleet("spawn"):
-            pytest.skip("spawn fleet needs the spawn start method and SO_REUSEPORT")
-        with pytest.raises(EngineError, match="picklable"):
-            FleetSupervisor(lambda info: None, workers=1, start_method="spawn")
-
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(EngineError, match="start_method"):
-            FleetSupervisor(factory, workers=1, start_method="threads")
+        assert health["worker"]["world_source"] == "snapshot"
+        scores = {item["document"]: item["score"] for item in ranked["items"]}
+        assert set(scores) == set(EXPECTED_TABLE1_SCORES)
+        for document, expected in EXPECTED_TABLE1_SCORES.items():
+            assert abs(scores[document] - expected) <= 1e-9, document
+        assert code == 0

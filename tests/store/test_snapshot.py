@@ -1,10 +1,10 @@
-"""Snapshot round-trip identity, shared-memory mapping and corruption.
+"""Snapshot round-trip identity and corruption.
 
 The store's correctness bar: a snapshot-loaded world must rank with
 *identical* scores (≤ 1e-9) to a world built directly from source —
-in-process, attached through shared memory, and in a genuinely fresh
-interpreter — while any corruption or truncation is caught by the
-digest and degrades to a rebuild, never to wrong answers.
+in-process and in a genuinely fresh interpreter — while any corruption
+or truncation is caught by the digest and degrades to a rebuild, never
+to wrong answers.
 """
 
 import os
@@ -63,6 +63,46 @@ RULE meet1: WHEN InMeeting PREFER Reading AND Dashboard WITH 0.9
 """
 
 
+#: Load a snapshot (path in argv) and rank alice in a fresh interpreter;
+#: report what the load left behind: new ``/dev/shm`` entries, child
+#: processes, and the ``multiprocessing`` modules it imported (a
+#: shared-memory segment needs one).
+COLD_START_PROBE = """
+import json, os, sys
+
+def shm():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+def children():
+    found = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                ppid = int(handle.read().rsplit(")", 1)[1].split()[1])
+        except OSError:
+            continue
+        if ppid == os.getpid():
+            found.append(int(entry))
+    return found
+
+before = shm()
+from repro.store import load_world
+from repro.tenants import TenantRegistry
+loaded = load_world(sys.argv[1])
+session = TenantRegistry(loaded).session("alice")
+session.install_context("Weekend", "Breakfast")
+print(json.dumps({
+    "source": loaded.source,
+    "scores": {item.document: item.score for item in session.rank().items},
+    "new_shm": sorted(shm() - before),
+    "children": children(),
+    "multiprocessing": sorted(
+        name for name in sys.modules if name.split(".")[0] == "multiprocessing"
+    ),
+}))
+"""
+
+
 def rank_alice(world_like) -> dict[str, float]:
     registry = TenantRegistry(world_like)
     session = registry.session("alice")
@@ -75,7 +115,7 @@ class TestRoundTripIdentity:
         path = tmp_path / "tv.snap"
         digest = write_world_snapshot(path, build_tvtouch())
         assert len(digest) == 64
-        loaded = load_world(path, share_memory=False)
+        loaded = load_world(path)
         assert loaded.source == "snapshot"
         scores = rank_alice(loaded)
         direct = rank_alice(build_tvtouch())
@@ -85,34 +125,12 @@ class TestRoundTripIdentity:
         for document, expected in EXPECTED_TABLE1_SCORES.items():
             assert abs(scores[document] - expected) <= 1e-9, document
 
-    def test_tvtouch_shared_memory_scores_identical(self, tmp_path):
-        path = tmp_path / "tv.snap"
-        write_world_snapshot(path, build_tvtouch())
-        loaded = load_world(path, share_memory=True)
-        try:
-            if loaded.segment_name is None:
-                pytest.skip("shared memory unavailable on this platform")
-            assert loaded.source == "snapshot+shm"
-            scores = rank_alice(loaded)
-            for document, expected in EXPECTED_TABLE1_SCORES.items():
-                assert abs(scores[document] - expected) <= 1e-9, document
-
-            # A second load attaches to the first's segment — the
-            # sibling-worker path — and must score identically too.
-            attached = load_world(path, attach=loaded.segment_name)
-            assert attached.source == "attach"
-            attached_scores = rank_alice(attached)
-            for document, expected in EXPECTED_TABLE1_SCORES.items():
-                assert abs(attached_scores[document] - expected) <= 1e-9
-        finally:
-            loaded.release()
-
     def test_office_world_without_repository(self, tmp_path):
         path = tmp_path / "office.snap"
         write_world_snapshot(path, build_office_world())
+        # No repository → no basis/matrix sections.
         loaded = load_world(path)
-        # No repository → no basis/matrix sections, no shared segment.
-        assert loaded.segment_name is None
+        assert loaded.source == "snapshot"
 
         def scores(world_like):
             registry = TenantRegistry(world_like)
@@ -126,24 +144,12 @@ class TestRoundTripIdentity:
         for document, expected in direct.items():
             assert abs(restored[document] - expected) <= 1e-9, document
 
-    def test_fresh_process_scores_identical(self, tmp_path):
-        """The real cold-start: a new interpreter loads and ranks."""
-        path = tmp_path / "tv.snap"
-        write_world_snapshot(path, build_tvtouch())
-        probe = (
-            "import json, sys\n"
-            "from repro.store import load_world\n"
-            "from repro.tenants import TenantRegistry\n"
-            f"loaded = load_world({str(path)!r})\n"
-            "registry = TenantRegistry(loaded)\n"
-            "session = registry.session('alice')\n"
-            "session.install_context('Weekend', 'Breakfast')\n"
-            "scores = {i.document: i.score for i in session.rank().items}\n"
-            "print(json.dumps({'source': loaded.source, 'scores': scores}))\n"
-        )
+    @staticmethod
+    def cold_start(path) -> dict:
+        """Run :data:`COLD_START_PROBE` on ``path``; return its report."""
         env = dict(os.environ, PYTHONPATH=SRC)
         result = subprocess.run(
-            [sys.executable, "-c", probe],
+            [sys.executable, "-c", COLD_START_PROBE, str(path)],
             capture_output=True,
             text=True,
             env=env,
@@ -152,10 +158,30 @@ class TestRoundTripIdentity:
         assert result.returncode == 0, result.stderr
         import json
 
-        body = json.loads(result.stdout.strip().splitlines()[-1])
-        assert body["source"].startswith("snapshot")
+        return json.loads(result.stdout.strip().splitlines()[-1])
+
+    def test_fresh_process_scores_identical(self, tmp_path):
+        """The real cold-start: a new interpreter loads and ranks."""
+        path = tmp_path / "tv.snap"
+        write_world_snapshot(path, build_tvtouch())
+        body = self.cold_start(path)
+        assert body["source"] == "snapshot"
         for document, expected in EXPECTED_TABLE1_SCORES.items():
             assert abs(body["scores"][document] - expected) <= 1e-9, document
+
+    def test_tvtouch_basis_matrix_is_a_private_buffer(self, tmp_path):
+        """Loading a snapshot with a basis matrix leaves nothing outside
+        the process: no shared-memory segment, no resource-tracker
+        helper process, no ``multiprocessing`` import."""
+        path = tmp_path / "tv.snap"
+        write_world_snapshot(path, build_tvtouch())
+        assert any(name == "matrix" for name, _, _ in inspect_snapshot(path).sections)
+        body = self.cold_start(path)
+        for document, expected in EXPECTED_TABLE1_SCORES.items():
+            assert abs(body["scores"][document] - expected) <= 1e-9, document
+        assert body["new_shm"] == []
+        assert body["children"] == []
+        assert body["multiprocessing"] == []
 
 
 class TestInspection:
