@@ -6,8 +6,10 @@ ephemeral port, all on the event-loop gateway:
 1. **Single process** — waits for the announce line, hits ``/healthz``
    and ``/rank``, asserts a ranked JSON body with the paper's Table 1
    winner, asserts the repeated request is served from the response
-   cache with identical scores, then shuts down cleanly (SIGINT,
-   bounded wait).
+   cache with identical scores, flips the tenant's context away and
+   back and asserts the flip back is a cache hit answered on the event
+   loop (``delta_hits_inline`` in ``/metrics``), then shuts down
+   cleanly (SIGINT, bounded wait).
 2. **Fleet** (``--workers 2``) — parses the per-worker pid announce
    lines, asserts ranked JSON comes back from the shared port and that
    ``/healthz`` identifies fleet workers, SIGINTs the parent, and
@@ -163,10 +165,19 @@ def smoke_single_process() -> None:
             assert abs(first["score"] - second["score"]) <= 1e-9, (ranked, repeat)
         print("smoke: repeated /rank served from the response cache, scores identical")
 
+        # Flip the context away and back: the flip back is a delta hit,
+        # installed and answered on the event loop.
+        get_json(f"{base_url}/rank?tenant=alice&context=Weekend&top_k=3")
+        flipped_back = get_json(rank_url)
+        assert flipped_back.get("cached") is True, f"flip back not a hit: {flipped_back}"
+        assert flipped_back["items"] == repeat["items"], (repeat, flipped_back)
+        print("smoke: context flipped back, served from the response cache")
+
         metrics = get_json(f"{base_url}/metrics")
         assert metrics["outcomes"].get("ok", 0) >= 1, metrics
         assert metrics["outcomes"].get("ok_cached", 0) >= 1, metrics
         assert metrics["cache"]["hits"] >= 1, metrics
+        assert metrics["cache"]["delta_hits_inline"] >= 1, metrics["cache"]
         gateway = metrics["gateway"]
         assert gateway["kind"] == "aio", gateway
         assert gateway["requests"] >= 1, gateway

@@ -24,7 +24,8 @@ change invalidates it by construction (the signature changes).
 **Thread safety.**  Every public entry point that reads or writes the
 engine's knowledge base (``rank``, ``rank_in_context``,
 ``preference_scores``, ``explain``, ``rank_top_k``,
-``install_context``, ``context_covered``) serialises on one
+``install_context``, ``install_and_fingerprint``, ``context_covered``)
+serialises on one
 per-engine reentrant lock, so a
 context install can never interleave with a rank — the failure the
 serving hammer test reproduces on an unlocked engine is a half-cleared
@@ -871,6 +872,25 @@ class RankingEngine:
         """
         with self._lock:
             return (self.abox.mutation_count, self._signature())
+
+    def install_and_fingerprint(
+        self, specs: Iterable[str], *, tick: str = "ctx", blocking: bool = True
+    ) -> tuple | None:
+        """Install ``specs``, then :meth:`view_fingerprint`, under one hold of the lock.
+
+        The fingerprint therefore describes exactly the state these
+        specs installed — no concurrent install can land in between —
+        which is what lets a response cache confirm a stored body for
+        them.  ``blocking=False`` never waits: ``None`` (nothing
+        installed) when another thread holds the lock.
+        """
+        if not self._lock.acquire(blocking=blocking):
+            return None
+        try:
+            self.install_context(*specs, tick=tick)
+            return (self.abox.mutation_count, self._signature())
+        finally:
+            self._lock.release()
 
     def context_covered(self) -> bool:
         """Does any rule apply in the current context? (Section 4.1.)"""

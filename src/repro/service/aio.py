@@ -39,10 +39,12 @@ on sheds, ``Warning: 110`` on stale serves), straight from
   closed — idle connections with an *empty* buffer are never timed
   out;
 * **inline serving on the loop** for everything that cannot block:
-  parse 400s, pure cache hits (stored pre-encoded bytes —
-  :meth:`ServiceResponse.encoded`), ``/healthz``, ``/readyz``,
-  ``/metrics`` and overload sheds;
-* **off-loop dispatch** for cache-missing ranks and context installs:
+  parse 400s, cache hits (stored pre-encoded bytes —
+  :meth:`ServiceResponse.encoded`) — pure hits, and delta hits whose
+  context install :meth:`RankingService.begin_rank` could take without
+  waiting — ``/healthz``, ``/readyz``, ``/metrics`` and overload sheds;
+* **off-loop dispatch** for cache-missing ranks, the delta hits the
+  loop could not settle without waiting, and context installs:
   the blocking half of the pipeline
   (:meth:`RankingService.finish_rank`) runs on a bounded gateway
   executor sized to the admission semaphore, and its completion
@@ -133,8 +135,8 @@ class _Request:
 class _HttpConnection(asyncio.Protocol):
     """One keep-alive client connection on the gateway loop.
 
-    All methods run on the loop thread except nothing — executor
-    completions re-enter through ``call_soon_threadsafe``.  The
+    Every method runs on the loop thread: executor completions
+    re-enter through ``call_soon_threadsafe``.  The
     connection is *busy* while exactly one request is being answered;
     pipelined bytes wait in ``buffer`` until the response is written.
     """
@@ -348,7 +350,7 @@ class _HttpConnection(asyncio.Protocol):
             params["timeout"] = [header_timeout]
         attempt = self.service.begin_rank(params)
         if attempt.response is not None:
-            # Parse 400 or pure cache hit: answered on the loop.
+            # Parse 400 or cache hit (pure or delta): answered on the loop.
             self._finish(attempt.response, chaos=True)
             return
         server = self.server

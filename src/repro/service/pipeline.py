@@ -14,13 +14,16 @@ This module is that request path, staged and instrumented::
 * **cache** — the response-cache lookup (:mod:`repro.cache`): derive
   the key this request would rank under from the tenant's learned
   view digest and the canonicalised query, and probe the adapter.  A
-  *pure* hit (no context delta to install) is served here, before
-  admission — a hit is a dict copy, too cheap to shed.  A hit on a
-  delta request still passes through admit/resolve so the delta can
-  be installed as the tenant's standing context (the client-visible
-  side effect of ``/rank?context=...``) before the body is served —
-  and is served only if the ledger's prediction is confirmed against
-  the just-installed engine fingerprint.  Misses fall through and
+  hit is served here, before admission — a hit is a dict copy, too
+  cheap to shed.  A *pure* hit has no context delta to install; a
+  *delta* hit first installs the delta as the tenant's standing
+  context (the client-visible side effect of ``/rank?context=...``),
+  taking the engine fingerprint in the same critical section, and is
+  served only if the ledger's prediction is confirmed by it.  That
+  install never waits: when the engine is busy, the session is not
+  live or the registry journals (file I/O), the attempt goes on to
+  the blocking stages, which run the same install-and-verify there
+  (:meth:`RankingService._install_verified`).  Misses fall through and
   fill the cache after **render**; invalidation is by reachability
   (any context change moves the tenant to a new view digest — see
   :mod:`repro.cache.keys`) plus eviction hooks and
@@ -109,6 +112,10 @@ __all__ = [
 
 #: Pipeline stages, in request order (``total`` is recorded on top).
 STAGES = ("parse", "cache", "breaker", "admit", "resolve", "context", "rank", "render")
+
+#: How a delta hit was answered: ``inline`` by :meth:`RankingService.begin_rank`,
+#: or deferred to :meth:`RankingService.finish_rank` for the reason named.
+_DELTA_HIT_PATHS = ("inline", "engine_busy", "not_resident", "journal", "refuted")
 
 
 @dataclass(frozen=True)
@@ -504,8 +511,8 @@ class RankAttempt:
     :meth:`RankingService.begin_rank` runs the non-blocking stages —
     parse and the cache probe — and parks their results here.  When
     ``response`` is already set the request was answered without
-    touching any contended resource (a parse 400, a pure cache hit)
-    and an event-loop gateway may send it directly from the loop;
+    waiting on any contended resource (a parse 400, a cache hit) and
+    an event-loop gateway may send it directly from the loop;
     otherwise the attempt must go to :meth:`RankingService.finish_rank`
     on a thread that may block (breaker / admission / rank).
     """
@@ -659,6 +666,11 @@ class RankingService:
         #: the fork; single-process deployments leave it None.
         self.fleet_state: SharedFleetState | None = None
         self._keyer = ResponseKeyer()
+        #: Delta hits by how they were answered (``_DELTA_HIT_PATHS``):
+        #: plain counters, so the hit path takes no lock for them.  Only
+        #: :meth:`begin_rank` writes them — behind a gateway, the event
+        #: loop's thread alone.
+        self._delta_hits = dict.fromkeys(_DELTA_HIT_PATHS, 0)
         if self.cache.enabled:
             # A session eviction drops the tenant's standing context,
             # so everything learned (and stored) for it must go too.
@@ -718,10 +730,11 @@ class RankingService:
 
         Never blocks and never raises for request-shaped failures.
         Returns a :class:`RankAttempt`; when its ``response`` is set
-        (parse 400, pure cache hit) the request is fully answered and
-        :meth:`finish_rank` must *not* be called.  Both stages run
-        exactly once per request regardless of which entry point the
-        gateway used, so cache hit/miss accounting never double-counts.
+        (parse 400, pure or delta cache hit) the request is fully
+        answered and :meth:`finish_rank` must *not* be called.  Both
+        stages run exactly once per request regardless of which entry
+        point the gateway used, so cache hit/miss accounting never
+        double-counts.
         """
         clock = _StageClock()
         attempt = RankAttempt(clock=clock)
@@ -755,27 +768,88 @@ class RankingService:
 
         if self.cache.enabled:
             with clock.stage("cache"):
-                attempt.lookup = self._keyer.lookup(
+                lookup = attempt.lookup = self._keyer.lookup(
                     request.tenant,
                     request.context,
                     request.documents,
                     top_k,
                     request.explain,
                 )
-                if attempt.lookup is not None:
-                    attempt.cached_body = self.cache.get(attempt.lookup.key)
-            if attempt.cached_body is not None and not attempt.lookup.needs_install:
+                if lookup is not None:
+                    attempt.cached_body = self.cache.get(lookup.key)
+            if attempt.cached_body is not None and (
+                not lookup.needs_install or self._delta_hit_inline(attempt)
+            ):
                 # Pure hit: the tenant's standing context already *is*
-                # the state this body was ranked under — nothing to
-                # install, no session to touch, no admission needed.
-                # Served even while the breaker is open: a hit touches
-                # nothing the breaker protects.
+                # the state this body was ranked under.  Delta hit: it
+                # is now, and the fingerprint taken with the install
+                # says so.  Either way no admission, deadline or fault
+                # injection, and served even while the breaker is
+                # open: a hit touches nothing the breaker protects.
                 with clock.stage("render"):
                     body = self._serve_hit(request, attempt.cached_body)
                 attempt.response = self._reply(
                     clock, 200, body, outcome="ok_cached", cached=True
                 )
         return attempt
+
+    def _delta_hit_inline(self, attempt: RankAttempt) -> bool:
+        """Install-and-verify a delta hit on the calling thread, never waiting.
+
+        ``True``: the delta is installed and the stored body confirmed.
+        Otherwise the attempt is left to :meth:`finish_rank`, counted
+        under why: the registry journals (file I/O), the session is not
+        live or its shard is busy (a mint or a wait), the engine lock is
+        held (a wait) — or the fingerprint refuted the prediction, so
+        the stored body is dropped from the attempt and it ranks.
+        """
+        request = attempt.request
+        if self.registry.journal is not None:
+            path = "journal"
+        else:
+            with attempt.clock.stage("context"), self.registry.resident(
+                request.tenant
+            ) as session:
+                verified = session is not None and self._install_verified(
+                    session, request, attempt.lookup, blocking=False
+                )
+            if verified:
+                path = "inline"
+            elif session is None:
+                path = "not_resident"
+            elif verified is None:
+                path = "engine_busy"
+            else:
+                path = "refuted"
+                attempt.cached_body = None
+        self._delta_hits[path] += 1
+        return path == "inline"
+
+    def _install_verified(
+        self,
+        session,
+        request: ServiceRequest,
+        lookup: KeyLookup,
+        *,
+        blocking: bool,
+    ) -> bool | None:
+        """Install a delta hit's context; is the stored body its answer?
+
+        The one install-and-verify, with two callers: the loop
+        (:meth:`begin_rank`, ``blocking=False``) and the rank pool
+        (:meth:`finish_rank`, ``blocking=True``).  The delta and the
+        engine fingerprint are taken under one hold of the engine lock,
+        so the fingerprint is the state *this* request installed, and
+        the body is confirmed only when the digest learned from it is
+        the one the lookup predicted.  ``None``: the engine was busy
+        and nothing was installed.
+        """
+        fingerprint = session.install_and_fingerprint(
+            request.context, tick="svc", blocking=blocking
+        )
+        if fingerprint is None:
+            return None
+        return self._keyer.learn(lookup, fingerprint) == lookup.view_digest
 
     def shed_inline(self, attempt: RankAttempt) -> ServiceResponse:
         """Shed one begun request without touching any blocking stage.
@@ -907,35 +981,27 @@ class RankingService:
 
             def work() -> tuple[RankBody, bool]:
                 self.fault_injector.before_rank(request.tenant)
-                hit = False
-                body: RankBody
                 if cached_body is not None:
-                    # Delta hit: install the delta (the client-visible
-                    # side effect of /rank?context=...), then serve the
-                    # body only if the ledger's prediction matches the
-                    # just-installed engine truth.
+                    # A delta hit the loop could not settle without
+                    # waiting: the same install-and-verify, blocking.
                     with clock.stage("rank"):
-                        session.install_context(*specs, tick="svc")
-                        learned = self._keyer.learn(
-                            lookup, session.engine.view_fingerprint()
+                        verified = self._install_verified(
+                            session, request, lookup, blocking=True
                         )
-                    if learned == lookup.view_digest:
-                        hit = True
+                    if verified:
                         with clock.stage("render"):
-                            body = self._serve_hit(request, cached_body)
-                if not hit:
-                    with clock.stage("rank"):
-                        # After a refuted delta hit the delta is already
-                        # installed and standing — rank under it as-is.
-                        rank_specs = None if cached_body is not None else specs
-                        response = self._rank_session(
-                            session, rank_specs, rank_request
-                        )
-                    with clock.stage("render"):
-                        body = self._render(request, response)
-                    if lookup is not None:
-                        self._fill(lookup, response.fingerprint, body)
-                return body, hit
+                            return self._serve_hit(request, cached_body), True
+                with clock.stage("rank"):
+                    # Install and rank under one hold of the engine
+                    # lock — after a refuted delta hit too, so the
+                    # ranking is this request's context whatever ran
+                    # since its install.
+                    response = self._rank_session(session, specs, rank_request)
+                with clock.stage("render"):
+                    body = self._render(request, response)
+                if lookup is not None:
+                    self._fill(lookup, response.fingerprint, body)
+                return body, False
 
             if deadline is not None:
                 # Ownership of the slot + pin moves to the work unit;
@@ -1082,12 +1148,14 @@ class RankingService:
                 session = checkout.__enter__()
             try:
                 with clock.stage("context"):
-                    session.install_context(*specs, tick="svc")
+                    # One hold of the engine lock: the fingerprint is
+                    # the state this install left, not a later one.
+                    fingerprint = session.install_and_fingerprint(specs, tick="svc")
                 if lookup is not None:
                     # Read-your-writes: the very next /rank without a
                     # context parameter should already hit under the
                     # new standing digest.
-                    self._keyer.learn(lookup, session.engine.view_fingerprint())
+                    self._keyer.learn(lookup, fingerprint)
             finally:
                 checkout.__exit__(None, None, None)
         except ReproError as exc:
@@ -1273,6 +1341,9 @@ class RankingService:
         snapshot["registry"] = self.health()["registry"]
         snapshot["cache"] = self.cache.info().to_dict()
         snapshot["cache"]["enabled"] = bool(self.cache.enabled)
+        deferred = dict(self._delta_hits)
+        snapshot["cache"]["delta_hits_inline"] = deferred.pop("inline")
+        snapshot["cache"]["delta_hits_deferred"] = deferred
         snapshot["resilience"] = {
             "counters": self.metrics.counters("resilience"),
             "breaker": (

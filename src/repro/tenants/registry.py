@@ -38,6 +38,9 @@ global lock.  The contract:
   tenant disappears from the table immediately (the next checkout mints
   afresh) but the in-flight holder keeps a fully working session.  An
   eviction can therefore never yank the overlay out from under a rank.
+* ``resident(tenant_id)`` is the non-waiting checkout: it pins an
+  already live session for a short block, or yields ``None`` instead
+  of minting or waiting for the shard lock.
 * :meth:`info` and ``len``/``in``/iteration snapshot each shard under
   its lock, so the counters are internally consistent per shard and the
   aggregate is a sum of per-shard atomic snapshots (shards are read in
@@ -179,6 +182,22 @@ class UserSession:
         """
         self.engine.install_context(*specs, tick=tick)
         self._persist()
+
+    def install_and_fingerprint(
+        self, specs, *, tick: str = "ctx", blocking: bool = True
+    ) -> tuple | None:
+        """Install a context and capture the engine fingerprint atomically.
+
+        See :meth:`RankingEngine.install_and_fingerprint`; ``None``
+        (nothing installed, nothing journaled) when ``blocking=False``
+        finds the engine busy.
+        """
+        fingerprint = self.engine.install_and_fingerprint(
+            specs, tick=tick, blocking=blocking
+        )
+        if fingerprint is not None:
+            self._persist()
+        return fingerprint
 
     def clear_context(self) -> int:
         """Drop this tenant's dynamic assertions (the base is untouched)."""
@@ -453,6 +472,32 @@ class TenantRegistry:
             yield session
         finally:
             self._release(session)
+
+    @contextmanager
+    def resident(self, tenant_id: str) -> Iterator[UserSession | None]:
+        """The tenant's live session, pinned for the block — or ``None``.
+
+        The checkout of a thread that must never wait (the gateway's
+        event loop): it never mints, and it only *tries* the tenant's
+        shard lock.  ``None`` means the tenant has no live session or
+        its shard is busy — minting or sweeping on another thread.  The
+        pin is the shard lock itself, held for the block, so no sweep
+        or :meth:`evict` can pick the session and there is no pin count
+        to hand back under a lock later; the block must be short and
+        must not wait either.
+        """
+        shard = self._shard_for(tenant_id)
+        if not shard.lock.acquire(blocking=False):
+            yield None
+            return
+        try:
+            session = shard.sessions.get(tenant_id)
+            if session is not None:
+                shard.sessions.move_to_end(tenant_id)
+                shard.hits += 1
+            yield session
+        finally:
+            shard.lock.release()
 
     def _checkout(
         self,

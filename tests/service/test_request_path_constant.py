@@ -12,19 +12,32 @@ warm tvtouch service and a warm 40-program Section 5 service:
 (b) a cache-missing rank and a delta hit render no concept to text;
 (c) the breaker's outcome window is never walked;
 (d) a pure hit is recorded by one ``ServiceMetrics`` call under one
-    hold of the metrics lock.
+    hold of the metrics lock;
+(e) a delta hit over HTTP is answered on the loop: no executor hop,
+    one install, one fingerprint, no admission and no breaker call.
 """
 
 import collections
+import json
+import threading
+import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.cache import InMemoryCacheAdapter
 from repro.dl import concepts
-from repro.engine import backends
+from repro.engine import RankingEngine, backends
 from repro.errors import ReproError
 from repro.reason import clear_registry
-from repro.service import RankingService, ServiceConfig, ServiceMetrics, resilience
+from repro.service import (
+    CircuitBreaker,
+    RankingService,
+    ServiceConfig,
+    ServiceMetrics,
+    make_aio_server,
+    resilience,
+)
 from repro.tenants import TenantRegistry
 from repro.workloads import (
     Section5Counts,
@@ -40,7 +53,7 @@ CONTEXTS = {
 }
 
 
-def build_service(world_name, metrics=None):
+def build_service(world_name, metrics=None, request_timeout=None):
     if world_name == "tvtouch":
         world, rules = build_tvtouch(), None
     else:
@@ -49,8 +62,9 @@ def build_service(world_name, metrics=None):
     registry = TenantRegistry(world, rules=rules, shards=2, max_sessions=16)
     return RankingService(
         registry,
-        # no deadline: the rank runs on the calling thread, where the counters are
-        ServiceConfig(max_concurrency=4, request_timeout=None),
+        # no deadline by default: the rank runs on the calling thread,
+        # where the counters are
+        ServiceConfig(max_concurrency=4, request_timeout=request_timeout),
         metrics=metrics,
         cache=InMemoryCacheAdapter(max_entries=64),
     )
@@ -213,3 +227,55 @@ def test_a_pure_hit_is_one_recording_call_under_one_lock(world_name):
     assert set(hit.timings) == {"parse", "cache", "render", "total"}
     assert after["outcomes"]["ok_cached"] >= 1
     service.close()
+
+
+class CountingSemaphore:
+    def __init__(self, semaphore, calls):
+        self._semaphore = semaphore
+        self._calls = calls
+
+    def acquire(self, *args, **kwargs):
+        self._calls["admission"] += 1
+        return self._semaphore.acquire(*args, **kwargs)
+
+    def release(self):
+        self._semaphore.release()
+
+
+def test_an_http_delta_hit_never_leaves_the_loop(world_name, monkeypatch):
+    # The default deadline is on: a request that left the loop would
+    # hop to the gateway executor and on to the rank pool.
+    service = build_service(world_name, request_timeout=2.0)
+    warm(service, world_name)  # alice stands on the first concept alone
+    first, second, _third = CONTEXTS[world_name]
+    calls = collections.Counter()
+
+    def counting(owner, name, kind):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[kind] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counting(ThreadPoolExecutor, "submit", "submit")
+    counting(RankingEngine, "install_context", "install")
+    counting(RankingEngine, "_signature", "fingerprint")
+    for name in ("allow", "record_success", "record_failure", "cancel_probe"):
+        counting(CircuitBreaker, name, "breaker")
+    service._admission = CountingSemaphore(service._admission, calls)
+    server = make_aio_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        query = f"tenant=alice&top_k=3&context={first}&context={second}:0.7"
+        with urllib.request.urlopen(f"{server.url}/rank?{query}", timeout=10) as reply:
+            body = json.loads(reply.read())
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        service.close()
+    assert body["cached"] is True
+    assert dict(calls) == {"install": 1, "fingerprint": 1}
