@@ -206,8 +206,8 @@ def test_e15_storm_availability(save_result, save_json):
 
 
 def test_e15_deadline_bound(save_json):
-    """A wedged engine answers 504 within 2x the request timeout, and
-    the admission slots all come back once the slow work drains."""
+    """A wedged engine answers 504 within 2x the request timeout, with
+    every admission slot already back."""
     clear_registry()
     shared_basis_pool().clear()
     registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
@@ -231,11 +231,7 @@ def test_e15_deadline_bound(save_json):
             f"deadline-exceeded answer took {elapsed:.3f}s against a "
             f"{REQUEST_TIMEOUT}s request timeout"
         )
-    # The wedged pool thread still holds the slot until the injected
-    # delay elapses; it must then return every slot to the semaphore.
-    deadline = time.monotonic() + WEDGE_DELAY + 5.0
-    while time.monotonic() < deadline and service.available_slots() != 4:
-        time.sleep(0.02)
+    # The answering thread ran the rank and released its slot first.
     assert service.available_slots() == 4
     service.close()
     save_json(

@@ -1,11 +1,11 @@
 """Shared fixtures and result persistence for the benchmark harness.
 
 Every benchmark writes the table(s) it regenerates to
-``benchmarks/results/<experiment>.txt`` — the same rows EXPERIMENTS.md
-quotes — in addition to asserting the claims.  Alongside each table, a
-machine-readable ``benchmarks/results/<experiment>.json`` record
-(variant timings, speedups) makes the perf trajectory diffable across
-PRs.
+``benchmarks/results/<experiment>.txt`` — the paper-versus-measured rows
+of :mod:`repro.reporting.records` — in addition to asserting the
+claims.  Alongside each table, a machine-readable
+``benchmarks/results/<experiment>.json`` record (variant timings,
+speedups) makes the perf trajectory diffable across PRs.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the workloads and skips the
 performance assertions — the CI smoke job uses it to keep the scripts

@@ -8,8 +8,12 @@ ephemeral port, all on the event-loop gateway:
    winner, asserts the repeated request is served from the response
    cache with identical scores, flips the tenant's context away and
    back and asserts the flip back is a cache hit answered on the event
-   loop (``delta_hits_inline`` in ``/metrics``), then shuts down
-   cleanly (SIGINT, bounded wait).
+   loop (``delta_hits_inline`` in ``/metrics``).  Booted with
+   ``REPRO_FAULT_RANK_DELAY=1 REPRO_FAULT_TENANTS=slow``, it then
+   asserts the deadline over the wire: ``/rank?tenant=slow&timeout=0.2``
+   answers 504 in under 0.4 s, ``/metrics`` shows every admission slot
+   back, and another tenant still ranks.  Then it shuts down cleanly
+   (SIGINT, bounded wait).
 2. **Fleet** (``--workers 2``) — parses the per-worker pid announce
    lines, asserts ranked JSON comes back from the shared port and that
    ``/healthz`` identifies fleet workers, SIGINTs the parent, and
@@ -49,6 +53,7 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
 import urllib.request
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -115,6 +120,15 @@ def get_json(url: str) -> dict:
         return json.loads(response.read())
 
 
+def get_error(url: str) -> tuple[int, dict]:
+    """``(status, body)`` of a request that must not answer 200."""
+    try:
+        with urllib.request.urlopen(url, timeout=10) as response:
+            raise AssertionError(f"{url} answered {response.status}, expected an error")
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
 def shutdown(
     process: subprocess.Popen, what: str, sig: signal.Signals = signal.SIGINT
 ) -> None:
@@ -137,7 +151,10 @@ def assert_table1_winner(ranked: dict) -> dict:
 
 
 def smoke_single_process() -> None:
-    process = spawn()
+    # A 1 s injected delay wedges tenant "slow" only (the deadline step).
+    process = spawn(
+        extra_env={"REPRO_FAULT_RANK_DELAY": "1", "REPRO_FAULT_TENANTS": "slow"}
+    )
     try:
         base_url = wait_for_announce(process)
 
@@ -186,6 +203,24 @@ def smoke_single_process() -> None:
             f"(cache hits={metrics['cache']['hits']} "
             f"hit_ratio={metrics['cache']['hit_ratio']:.2f} "
             f"gateway requests={gateway['requests']})"
+        )
+
+        # The deadline over the wire: the wedged rank answers 504 near
+        # its 0.2 s deadline, not after the 1 s delay, with its
+        # admission slot already back, and other tenants still rank.
+        started = time.monotonic()
+        status, body = get_error(f"{base_url}/rank?tenant=slow&context=Weekend&timeout=0.2")
+        elapsed = time.monotonic() - started
+        assert status == 504 and "deadline" in body["error"], (status, body)
+        assert elapsed < 0.4, f"504 took {elapsed:.3f}s against a 0.2s deadline"
+        metrics = get_json(f"{base_url}/metrics")
+        slots = metrics["resilience"]["available_slots"]
+        assert slots == metrics["config"]["max_concurrency"], metrics["resilience"]
+        other = get_json(f"{base_url}/rank?tenant=bob&context=Weekend&top_k=3")
+        assert other["items"], other
+        print(
+            f"smoke: wedged tenant answered 504 in {elapsed:.3f}s, "
+            f"all {slots} slots back, another tenant ranked"
         )
     finally:
         shutdown(process, "server")

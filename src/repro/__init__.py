@@ -45,8 +45,9 @@ without touching the call sites.  ``docs/API.md`` documents the facade
 and the migration from the former top-level ``ContextAwareScorer`` /
 ``ContextAwareRanker`` entry points (now only in :mod:`repro.core`).
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record of every reproduced table and figure.
+See ``docs/PERFORMANCE.md`` for what each layer costs and
+``benchmarks/results/`` for the paper-versus-measured record of every
+reproduced table and figure.
 """
 
 from repro._lazy import lazy_exports as _lazy_exports

@@ -122,33 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist per-tenant context overlays to this append-only journal "
         "(sessions survive restarts)",
     )
-    fault = serve.add_argument_group(
-        "fault injection", "chaos knobs (defaults from REPRO_FAULT_* env vars)"
-    )
-    fault.add_argument(
-        "--fault-rank-delay", type=float, default=None, metavar="SECONDS",
-        help="inject this sleep before every rank",
-    )
-    fault.add_argument(
-        "--fault-rank-error-rate", type=float, default=None, metavar="P",
-        help="inject a rank failure with this probability (0..1)",
-    )
-    fault.add_argument(
-        "--fault-kill-every", type=int, default=None, metavar="N",
-        help="SIGKILL the serving worker after every N responses",
-    )
-    fault.add_argument(
-        "--fault-worker-ttl", type=float, default=None, metavar="SECONDS",
-        help="SIGKILL each worker this long after boot (crash-loop drill)",
-    )
-    fault.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="fault-injection RNG seed",
-    )
-    fault.add_argument(
-        "--fault-tenants", default=None, metavar="NAMES",
-        help="comma-separated tenants the rank faults target (default: all)",
-    )
     serve.add_argument(
         "--cache", choices=("memory", "none"), default="memory",
         help="response-cache backend (per worker)",
@@ -311,6 +284,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
+    try:
+        # Chaos drills configure through REPRO_FAULT_* only; read once,
+        # pre-fork, so every worker starts from the same injector.
+        faults = FaultInjector.from_env()
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # Built (or snapshot-loaded) pre-fork; fleet workers share it
     # copy-on-write.
     world, world_source = _preload_world(args.snapshot)
@@ -321,47 +301,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except (OSError, ReproError) as exc:
             print(f"error: cannot load rule file: {exc}", file=sys.stderr)
             return 2
-
-    # CLI fault flags override the REPRO_FAULT_* environment defaults.
-    env_faults = FaultInjector.from_env()
-    try:
-        injector_spec = dict(
-            rank_delay=(
-                args.fault_rank_delay
-                if args.fault_rank_delay is not None
-                else env_faults.rank_delay
-            ),
-            rank_error_rate=(
-                args.fault_rank_error_rate
-                if args.fault_rank_error_rate is not None
-                else env_faults.rank_error_rate
-            ),
-            worker_kill_every=(
-                args.fault_kill_every
-                if args.fault_kill_every is not None
-                else env_faults.worker_kill_every
-            ),
-            worker_ttl=(
-                args.fault_worker_ttl
-                if args.fault_worker_ttl is not None
-                else env_faults.worker_ttl
-            ),
-            tenants=(
-                frozenset(
-                    part.strip()
-                    for part in args.fault_tenants.split(",")
-                    if part.strip()
-                )
-                or None
-                if args.fault_tenants is not None
-                else env_faults.tenants
-            ),
-            seed=args.fault_seed if args.fault_seed is not None else env_faults.seed,
-        )
-        FaultInjector(**injector_spec)  # validate in the parent, pre-fork
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     def make_service(worker_info):
         """One worker's service over the preloaded world.
@@ -399,7 +338,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
             cache=cache,
             worker_info={**worker_info, "world_source": world_source},
-            fault_injector=FaultInjector(**injector_spec),
+            fault_injector=faults,
         )
 
     settings = (

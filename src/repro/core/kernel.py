@@ -42,14 +42,13 @@ correctness oracle; kernel-vs-reference agreement is property-tested.
 from __future__ import annotations
 
 import heapq
-import sys
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.errors import ScoringError
-from repro.core.problem import RuleBinding, ScoringProblem
+from repro.core.problem import RuleBinding, ScoringProblem, _active_deadline
 from repro.core.pruning import all_miss_score
 from repro.core.scoring import DocumentScore, RuleContribution
 from repro.perf.backend import resolve_backend
@@ -78,22 +77,6 @@ __all__ = [
 #: Rows per block on the numpy top-k path (prune checks run per block,
 #: and so do the serving layer's cooperative deadline checks).
 TOPK_BLOCK = 512
-
-
-def _active_deadline():
-    """The serving layer's per-request deadline, when one is active.
-
-    Resolved through ``sys.modules`` so the core never imports the
-    service layer (no import cycle, no import cost): if
-    ``repro.service.resilience`` was never loaded there cannot be a
-    deadline, and the probe is one dict lookup.  Returns an object
-    with a ``check()`` raising the service's ``DeadlineExceeded``, or
-    ``None``.
-    """
-    resilience = sys.modules.get("repro.service.resilience")
-    if resilience is None:
-        return None
-    return resilience.current_deadline()
 
 
 @dataclass(frozen=True, eq=False)

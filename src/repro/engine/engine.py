@@ -32,7 +32,10 @@ serving hammer test reproduces on an unlocked engine is a half-cleared
 dynamic context being scored and memoized under a stale signature.
 Different engines never share the lock: sibling tenants rank fully in
 parallel, coordinating only through the internally synchronised shared
-structures (the basis pool, the compiled-KB base tier).
+structures (the basis pool, the compiled-KB base tier).  Under a
+serving deadline, the serving entry points (``rank_in_context``,
+``prepare_rank``, a blocking ``install_and_fingerprint``) wait for the
+lock no longer than the deadline's remaining budget.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from repro.core.kernel import (
     score_values,
 )
 from repro.core.preference_view import PreferenceView
-from repro.core.problem import bind_rules
+from repro.core.problem import _active_deadline, bind_rules
 from repro.core.scorer import ContextAwareScorer
 from repro.core.scoring import DocumentScore
 from repro.dl.abox import ABox
@@ -658,6 +661,23 @@ class RankingEngine:
         scored, _rows = score_prepared_batch(prepared)
         return [item.complete(scores) for item, scores in zip(prepared, scored)]
 
+    def _acquire(self, blocking: bool = True) -> bool:
+        """Take the engine lock; a serving deadline bounds the wait.
+
+        Under an active deadline the wait lasts at most its remaining
+        budget, then raises its ``DeadlineExceeded`` — the one wait on
+        the rank path the kernel's own checks never see.
+        ``blocking=False`` never waits.  The caller releases.
+        """
+        if not blocking:
+            return self._lock.acquire(blocking=False)
+        deadline = _active_deadline()
+        if deadline is None:
+            return self._lock.acquire()
+        while not self._lock.acquire(timeout=max(0.0, deadline.remaining())):
+            deadline.check()
+        return True
+
     def prepare_rank(
         self,
         specs: Iterable[str] | None = None,
@@ -684,7 +704,8 @@ class RankingEngine:
             request = RankRequest(query=request)
         elif not isinstance(request, RankRequest):
             raise EngineError(f"expected RankRequest or SQL string, got {request!r}")
-        with self._lock:
+        self._acquire()
+        try:
             if specs is not None:
                 self.install_context(*specs, tick=tick)
             batchable = (
@@ -751,6 +772,8 @@ class RankingEngine:
                 fingerprint=(self.abox.mutation_count, key),
                 prune_documents=self.prune_documents,
             )
+        finally:
+            self._lock.release()
 
     def _combine_items(
         self,
@@ -808,10 +831,13 @@ class RankingEngine:
         concurrent request can observe — or score under — a
         half-installed context.
         """
-        with self._lock:
+        self._acquire()
+        try:
             if specs is not None:
                 self.install_context(*specs, tick=tick)
             return self.rank(request)
+        finally:
+            self._lock.release()
 
     def _explain_items(
         self,
@@ -884,7 +910,7 @@ class RankingEngine:
         them.  ``blocking=False`` never waits: ``None`` (nothing
         installed) when another thread holds the lock.
         """
-        if not self._lock.acquire(blocking=blocking):
+        if not self._acquire(blocking):
             return None
         try:
             self.install_context(*specs, tick=tick)

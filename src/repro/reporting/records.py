@@ -1,7 +1,7 @@
 """Experiment records: paper-claimed versus measured, in one place.
 
-Each benchmark emits :class:`ExperimentRecord` rows; EXPERIMENTS.md is
-the curated rendition of the same comparisons.
+Each benchmark emits :class:`ExperimentRecord` rows; the tables in
+``benchmarks/results/<experiment>.txt`` are their rendition.
 """
 
 from __future__ import annotations

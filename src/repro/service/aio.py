@@ -47,13 +47,13 @@ on sheds, ``Warning: 110`` on stale serves), straight from
   loop could not settle without waiting, and context installs:
   the blocking half of the pipeline
   (:meth:`RankingService.finish_rank`) runs on a bounded gateway
-  executor sized to the admission semaphore, and its completion
-  callback re-arms the connection for write.  Time spent queued
-  behind the executor is charged against the admission
-  ``queue_timeout`` (``finish_rank(queue_budget=...)``), so an
-  overload shed never pays the timeout twice.  Because the loop
-  submits every concurrently-buffered miss in one pass, requests
-  inside the batch window reach the
+  executor sized to the admission semaphore — one thread per
+  request, which runs the rank itself under the request's deadline —
+  and its completion callback re-arms the connection for write.  A
+  pool thread never waits for an admission slot: the pool is as wide
+  as the semaphore and each thread returns its slot before it
+  answers.  Because the loop submits every concurrently-buffered
+  miss in one pass, requests inside the batch window reach the
   :class:`~repro.service.batching.BatchScheduler` together without a
   follower thread blocking in a socket read.
 
@@ -359,10 +359,7 @@ class _HttpConnection(asyncio.Protocol):
             # latency debt, so shed on the loop (stale when allowed).
             self._finish(self.service.shed_inline(attempt), chaos=True)
             return
-        self._dispatch(
-            lambda budget: self.service.finish_rank(attempt, queue_budget=budget),
-            chaos=True,
-        )
+        self._dispatch(lambda: self.service.finish_rank(attempt), chaos=True)
 
     def _handle_context(self, request: _Request) -> None:
         if not request.body:
@@ -392,27 +389,22 @@ class _HttpConnection(asyncio.Protocol):
             )
             return
         tenant = str(payload["tenant"])
-        self._dispatch(lambda budget: self.service.install_context(tenant, context))  # noqa: ARG005
+        self._dispatch(lambda: self.service.install_context(tenant, context))
 
     # -- off-loop dispatch ---------------------------------------------------
     def _dispatch(self, call, *, chaos: bool = False) -> None:
         """Run one blocking pipeline call on the gateway executor.
 
         The completion callback re-enters the loop and re-arms the
-        connection for write; wait time in the executor queue is
-        subtracted from the admission budget passed to ``call``.
+        connection for write.
         """
         server = self.server
         server._pending_dispatch += 1
-        dispatched_at = time.perf_counter()
         loop = server._loop
-        queue_timeout = self.service.config.queue_timeout
 
         def run() -> None:
-            waited = time.perf_counter() - dispatched_at
-            budget = max(0.0, queue_timeout - waited)
             try:
-                response = call(budget)
+                response = call()
             except Exception as exc:  # noqa: BLE001 - the gateway must answer
                 response = _plain_response(
                     500, {"error": f"{type(exc).__name__}: {exc}"}

@@ -18,9 +18,11 @@ holds a request past its deadline).  The leader then takes the group,
 runs the batched pass on its own thread, and hands each follower its
 scored view — the kernel's immutable columnar
 :class:`~repro.core.kernel.ScoredView`, shared by reference between
-coalesced mates, never copied per follower — through a per-entry event.  No daemon thread means nothing
+coalesced mates, never copied per follower — through a per-entry event.
+Leaders and followers are the requests' own threads (behind the
+gateway, its ``repro-gw`` pool threads).  No daemon thread means nothing
 to leak across ``fork()`` into fleet workers, and flush throughput
-scales with the rank pool instead of serialising on one consumer.
+scales with the request threads instead of serialising on one consumer.
 
 **Failure containment.**  A request whose deadline expires while queued
 is cancelled in place — it raises

@@ -47,14 +47,15 @@ This module is that request path, staged and instrumented::
   engine's own install validates-before-clearing too, so no error
   path can leave a half-installed context).
 * **rank** — :meth:`UserSession.rank_in_context`: delta install and
-  rank under one hold of the engine lock, atomic per tenant.  With a
-  deadline, the whole unit runs on a bounded executor: the gateway
-  thread waits at most the remaining budget and answers 504 (or
-  stale) on expiry, while ownership of the admission slot and the
-  session pin transfers to the work unit — a wedged rank can *never*
-  leak either, and the scoring kernel checks the deadline
-  cooperatively between candidate blocks so abandoned work unwinds
-  quickly instead of running to completion.
+  rank under one hold of the engine lock, atomic per tenant.  It runs
+  on the thread that took the admission slot and the session pin (one
+  thread per request: behind the gateway, a ``repro-gw`` pool thread),
+  inside the request's deadline scope.  The deadline is cooperative:
+  the engine-lock wait, a cold bind's rule columns and rows, the
+  kernel's candidate blocks, the batch queue and an injected delay all
+  check it, so an expiry unwinds the work itself and answers 504 (or
+  stale) — and that thread releases the slot and the pin before it
+  answers, whatever the outcome.
 * **render** — the ranked items, written straight from the ranking's
   columns into one pre-encoded JSON fragment inside a small header
   (:class:`RankBody`); hit/stale/context-echo/timing decorations only
@@ -72,9 +73,7 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.cache.keys import KeyLookup, ResponseKeyer, response_key
@@ -92,7 +91,6 @@ from repro.service.resilience import (
     FaultInjector,
     SharedFleetState,
     clamp_timeout,
-    current_deadline,
     deadline_scope,
 )
 from repro.tenants.registry import TenantRegistry
@@ -129,15 +127,14 @@ class ServiceConfig:
     tracing, off by default to keep payloads lean).
 
     Resilience tunables: ``request_timeout`` is the default per-request
-    deadline (``None`` disables deadlines and the rank executor
-    entirely); a client's ``timeout`` parameter / ``X-Request-Timeout``
-    header is clamped into ``[min_request_timeout, max_request_timeout]``
-    (the floor keeps a near-zero client timeout from manufacturing
-    guaranteed 504s).  ``serve_stale``
-    allows degraded-mode answers from the response cache (recently
-    expired or digest-stale bodies no older than ``stale_max_age``
-    seconds) on overload, breaker-open, engine error or deadline
-    expiry.  The ``breaker_*`` knobs shape the per-tenant + global
+    deadline (``None`` disables deadlines, and nothing else); a client's
+    ``timeout`` parameter / ``X-Request-Timeout`` header is clamped into
+    ``[min_request_timeout, max_request_timeout]`` (the floor keeps a
+    near-zero client timeout from manufacturing guaranteed 504s).
+    ``serve_stale`` allows degraded-mode answers from the response
+    cache (recently expired or digest-stale bodies no older than
+    ``stale_max_age`` seconds) on overload, breaker-open, engine error
+    or deadline expiry.  The ``breaker_*`` knobs shape the per-tenant + global
     circuit breaker (see :class:`~repro.service.resilience.CircuitBreaker`).
 
     Batching tunables: ``batch_max_size >= 2`` enables cross-request
@@ -530,10 +527,10 @@ class RankAttempt:
 class _Span:
     """One timed stage of a :class:`_StageClock` (a context manager)."""
 
-    __slots__ = ("_clock", "_name", "_start")
+    __slots__ = ("_timings", "_name", "_start")
 
-    def __init__(self, clock: "_StageClock", name: str):
-        self._clock = clock
+    def __init__(self, timings: dict[str, float], name: str):
+        self._timings = timings
         self._name = name
 
     def __enter__(self) -> "_Span":
@@ -541,73 +538,29 @@ class _Span:
         return self
 
     def __exit__(self, *exc_info) -> bool:
-        self._clock.record(self._name, time.perf_counter() - self._start)
+        self._timings[self._name] = time.perf_counter() - self._start
         return False
 
 
 class _StageClock:
     """Accumulates per-stage wall time for one request.
 
-    Locked: with a deadline, the work unit keeps timing stages on the
-    executor thread after the gateway thread has timed out and gone to
-    build the 504 — both sides touch the dict.
+    Unlocked: one thread at a time times a request — the loop for
+    :meth:`RankingService.begin_rank`, then the one thread that runs
+    :meth:`RankingService.finish_rank` to the answer.
     """
 
-    __slots__ = ("_timings", "_lock", "_started")
+    __slots__ = ("timings", "_started")
 
     def __init__(self):
-        self._timings: dict[str, float] = {}
-        self._lock = threading.Lock()
+        self.timings: dict[str, float] = {}
         self._started = time.perf_counter()
 
     def stage(self, name: str) -> _Span:
-        return _Span(self, name)
-
-    def record(self, name: str, seconds: float) -> None:
-        with self._lock:
-            self._timings[name] = seconds
-
-    def snapshot(self) -> dict[str, float]:
-        with self._lock:
-            return dict(self._timings)
+        return _Span(self.timings, name)
 
     def total(self) -> float:
         return time.perf_counter() - self._started
-
-
-class _ReleaseOnce:
-    """Owns one admission slot (and, once attached, one session pin).
-
-    Whoever finishes last — the work unit on the executor, or the
-    gateway thread on a pre-submission error path — calls it; the
-    first call releases, every later call is a no-op.  This is what
-    makes slot accounting leak-proof under timeouts: ownership
-    *transfers* to the submitted work instead of being released by a
-    gateway thread that may already have abandoned the request.
-    """
-
-    __slots__ = ("_semaphore", "_checkout", "_lock", "_done")
-
-    def __init__(self, semaphore: threading.Semaphore):
-        self._semaphore = semaphore
-        self._checkout = None
-        self._lock = threading.Lock()
-        self._done = False
-
-    def attach_checkout(self, checkout) -> None:
-        self._checkout = checkout
-
-    def __call__(self) -> None:
-        with self._lock:
-            if self._done:
-                return
-            self._done = True
-            checkout, self._checkout = self._checkout, None
-        try:
-            if checkout is not None:
-                checkout.__exit__(None, None, None)
-        finally:
-            self._semaphore.release()
 
 
 def _retry_after(seconds: float) -> dict[str, str]:
@@ -676,17 +629,6 @@ class RankingService:
             # so everything learned (and stored) for it must go too.
             self.registry.add_evict_listener(self._tenant_evicted)
         self._admission = threading.BoundedSemaphore(self.config.max_concurrency)
-        # Rank work runs here when deadlines are on: sized to the
-        # admission bound, so the executor can never be the narrower
-        # throttle; threads spawn lazily on first use.
-        self._rank_pool = (
-            ThreadPoolExecutor(
-                max_workers=self.config.max_concurrency,
-                thread_name_prefix="repro-rank",
-            )
-            if self.config.request_timeout is not None
-            else None
-        )
         # Cross-request micro-batching (enabled with batch_max_size >= 2):
         # concurrent ranks sharing a candidate matrix fuse into one pass.
         self.batcher: BatchScheduler | None = None
@@ -757,7 +699,7 @@ class RankingService:
                 )
                 attempt.deadline = (
                     Deadline.after(attempt.effective_timeout)
-                    if attempt.effective_timeout is not None and self._rank_pool is not None
+                    if attempt.effective_timeout is not None
                     else None
                 )
         except ReproError as exc:
@@ -836,8 +778,9 @@ class RankingService:
         """Install a delta hit's context; is the stored body its answer?
 
         The one install-and-verify, with two callers: the loop
-        (:meth:`begin_rank`, ``blocking=False``) and the rank pool
-        (:meth:`finish_rank`, ``blocking=True``).  The delta and the
+        (:meth:`begin_rank`, ``blocking=False``) and a gateway pool
+        thread (:meth:`finish_rank`, ``blocking=True``, waiting for the
+        engine lock no longer than the deadline).  The delta and the
         engine fingerprint are taken under one hold of the engine lock,
         so the fingerprint is the state *this* request installed, and
         the body is confirmed only when the digest learned from it is
@@ -855,53 +798,59 @@ class RankingService:
         """Shed one begun request without touching any blocking stage.
 
         The event-loop gateway's overload valve: when its dispatch
-        queue is saturated, queueing more work onto the rank executor
+        queue is saturated, queueing more work onto the gateway pool
         only builds latency debt, so the request is answered on the
         loop — from stale cache when the policy allows it, a 503 with
         ``Retry-After`` otherwise — with the same counters the
         admission-shed path feeds, so dashboards need no new queries.
         """
+        return self._shed_overload(
+            attempt.clock, attempt.request, attempt.lookup, "gateway dispatch queue full"
+        )
+
+    def _shed_overload(
+        self,
+        clock: _StageClock,
+        request: ServiceRequest | None,
+        lookup: KeyLookup | None,
+        why: str,
+    ) -> ServiceResponse:
+        """Count one overload shed; stale when allowed, else 503 + ``Retry-After``."""
         self.metrics.count("resilience", "shed")
         self.metrics.count("resilience", "shed.overload")
-        stale = self._try_stale(
-            attempt.clock, attempt.request, attempt.lookup, reason="overload"
-        )
+        stale = self._try_stale(clock, request, lookup, reason="overload")
         if stale is not None:
             return stale
         return self._reply(
-            attempt.clock,
+            clock,
             503,
             {
-                "error": "service overloaded: gateway dispatch queue full",
+                "error": f"service overloaded: {why}",
                 "max_concurrency": self.config.max_concurrency,
             },
             outcome="rejected",
             headers=_retry_after(max(0.1, self.config.queue_timeout)),
         )
 
-    def finish_rank(
-        self, attempt: RankAttempt, *, queue_budget: float | None = None
-    ) -> ServiceResponse:
+    def finish_rank(self, attempt: RankAttempt) -> ServiceResponse:
         """Run the blocking stages of a begun request to an answer.
 
-        Breaker, admission, resolve, context, rank, render — may block
-        on the admission semaphore and the rank executor, so an
-        event-loop gateway calls it off-loop.  ``attempt`` must come
+        Breaker, admission, resolve, context, rank, render — all on the
+        calling thread, which may wait on the admission semaphore, the
+        engine lock or a batch, so an event-loop gateway calls it
+        off-loop (on a ``repro-gw`` pool thread).  ``attempt`` must come
         from :meth:`begin_rank` with ``response`` unset.
 
-        ``queue_budget`` replaces ``config.queue_timeout`` as the
-        admission wait for this request: a gateway that already queued
-        the attempt (the event loop's dispatch queue) passes the
-        *remaining* budget, so total queueing before an overload shed
-        is one ``queue_timeout`` instead of paying the timeout twice.
+        The rank runs inside ``deadline_scope(attempt.deadline)``; every
+        wait on its way checks the deadline, and an expiry answers 504
+        (or stale).  This thread takes the admission slot and the
+        session pin and releases both before it answers.
         """
         clock = attempt.clock
         request = attempt.request
-        rank_request = attempt.rank_request
         deadline = attempt.deadline
         effective_timeout = attempt.effective_timeout
         lookup = attempt.lookup
-        cached_body = attempt.cached_body
 
         # While a breaker core is half-open, this request may *be* its
         # single probe; every termination path below must then settle
@@ -936,84 +885,34 @@ class RankingService:
                 )
 
         with clock.stage("admit"):
-            admit_timeout = (
-                self.config.queue_timeout if queue_budget is None else queue_budget
-            )
+            admit_timeout = self.config.queue_timeout
             if deadline is not None:
                 admit_timeout = min(admit_timeout, max(0.0, deadline.remaining()))
             admitted = self._admission.acquire(timeout=admit_timeout)
         if not admitted:
             self._settle_probe(breaker_probe)  # shed: no outcome will follow
-            self.metrics.count("resilience", "shed")
-            self.metrics.count("resilience", "shed.overload")
-            stale = self._try_stale(clock, request, lookup, reason="overload")
-            if stale is not None:
-                return stale
-            return self._reply(
-                clock,
-                503,
-                {
-                    "error": "service overloaded: admission queue timed out",
-                    "max_concurrency": self.config.max_concurrency,
-                },
-                outcome="rejected",
-                headers=_retry_after(max(0.1, self.config.queue_timeout)),
-            )
-        release = _ReleaseOnce(self._admission)
-        submitted = False
-        served_hit = False
+            return self._shed_overload(clock, request, lookup, "admission queue timed out")
         try:
             with clock.stage("resolve"):
                 checkout = self.registry.checkout(request.tenant)
                 session = checkout.__enter__()
-                release.attach_checkout(checkout)
-            with clock.stage("context"):
-                # Pre-flight every spec: a bad one 400s here with
-                # the tenant's standing context untouched.  The cache
-                # stage parsed them all if it produced a lookup
-                # (``lookup.canon``); only a request it could not key —
-                # cache off, or a spec that does not parse — is parsed
-                # here.
-                specs = request.context  # None keeps the standing context
-                if specs is not None and lookup is None:
-                    for spec in specs:
-                        parse_context_spec(spec)
-
-            def work() -> tuple[RankBody, bool]:
-                self.fault_injector.before_rank(request.tenant)
-                if cached_body is not None:
-                    # A delta hit the loop could not settle without
-                    # waiting: the same install-and-verify, blocking.
-                    with clock.stage("rank"):
-                        verified = self._install_verified(
-                            session, request, lookup, blocking=True
-                        )
-                    if verified:
-                        with clock.stage("render"):
-                            return self._serve_hit(request, cached_body), True
-                with clock.stage("rank"):
-                    # Install and rank under one hold of the engine
-                    # lock — after a refuted delta hit too, so the
-                    # ranking is this request's context whatever ran
-                    # since its install.
-                    response = self._rank_session(session, specs, rank_request)
-                with clock.stage("render"):
-                    body = self._render(request, response)
-                if lookup is not None:
-                    self._fill(lookup, response.fingerprint, body)
-                return body, False
-
-            if deadline is not None:
-                # Ownership of the slot + pin moves to the work unit;
-                # this thread only waits out the remaining budget.
-                future = self._rank_pool.submit(self._execute, work, deadline, release)
-                submitted = True
-                body, served_hit = future.result(
-                    timeout=max(0.0, deadline.remaining())
-                )
-            else:
-                body, served_hit = self._execute(work, None, release)
-        except (_FutureTimeout, DeadlineExceeded):
+            try:
+                with clock.stage("context"):
+                    # Pre-flight every spec: a bad one 400s here with
+                    # the tenant's standing context untouched.  The
+                    # cache stage parsed them all if it produced a
+                    # lookup (``lookup.canon``); only a request it could
+                    # not key — cache off, or a spec that does not
+                    # parse — is parsed here.
+                    specs = request.context  # None keeps the standing context
+                    if specs is not None and lookup is None:
+                        for spec in specs:
+                            parse_context_spec(spec)
+                with deadline_scope(deadline):
+                    body, served_hit = self._run_rank(attempt, session, specs)
+            finally:
+                checkout.__exit__(None, None, None)
+        except DeadlineExceeded:
             self.metrics.count("resilience", "timeouts")
             # A deadline the client shrank below the server default says
             # nothing about engine health: counting those 504s as breaker
@@ -1059,8 +958,7 @@ class RankingService:
                 clock, 500, {"error": f"{type(exc).__name__}: {exc}"}, outcome="error"
             )
         finally:
-            if not submitted:
-                release()
+            self._admission.release()
         if self.breaker is not None:
             self.breaker.record_success(request.tenant)
         return self._reply(
@@ -1082,7 +980,40 @@ class RankingService:
         if self.breaker is not None and decision is not None:
             self.breaker.cancel_probe(decision)
 
-    def _rank_session(self, session, specs, rank_request):
+    def _run_rank(self, attempt: RankAttempt, session, specs) -> tuple[RankBody, bool]:
+        """The work unit: ``(body, served from the cache)``.
+
+        Runs inside the request's deadline scope, on the thread that
+        holds its admission slot and session pin.
+        """
+        clock = attempt.clock
+        request = attempt.request
+        lookup = attempt.lookup
+        if attempt.deadline is not None:
+            attempt.deadline.check()  # spent waiting for this thread
+        self.fault_injector.before_rank(request.tenant)
+        if attempt.cached_body is not None:
+            # A delta hit the loop could not settle without waiting:
+            # the same install-and-verify, blocking.
+            with clock.stage("rank"):
+                verified = self._install_verified(session, request, lookup, blocking=True)
+            if verified:
+                with clock.stage("render"):
+                    return self._serve_hit(request, attempt.cached_body), True
+        with clock.stage("rank"):
+            # Install and rank under one hold of the engine lock — after
+            # a refuted delta hit too, so the ranking is this request's
+            # context whatever ran since its install.
+            response = self._rank_session(
+                session, specs, attempt.rank_request, attempt.deadline
+            )
+        with clock.stage("render"):
+            body = self._render(request, response)
+        if lookup is not None:
+            self._fill(lookup, response.fingerprint, body)
+        return body, False
+
+    def _rank_session(self, session, specs, rank_request, deadline: Deadline | None):
         """Rank one session request, through the batcher when enabled.
 
         ``prepare_rank`` snapshots the bound problem under the engine
@@ -1096,20 +1027,8 @@ class RankingService:
         prepared = session.prepare_rank(specs, rank_request, tick="svc")
         if prepared.response is not None:
             return prepared.response
-        view = self.batcher.execute(prepared, current_deadline())
+        view = self.batcher.execute(prepared, deadline)
         return prepared.complete(view)
-
-    @staticmethod
-    def _execute(work, deadline: Deadline | None, release: _ReleaseOnce):
-        """Run one work unit under its deadline; always release after."""
-        try:
-            if deadline is None:
-                return work()
-            with deadline_scope(deadline):
-                deadline.check()
-                return work()
-        finally:
-            release()
 
     def install_context(self, tenant: str, specs: Iterable[str]) -> ServiceResponse:
         """Install a *standing* context for a tenant (``POST /context``).
@@ -1130,18 +1049,8 @@ class RankingService:
         with clock.stage("admit"):
             admitted = self._admission.acquire(timeout=self.config.queue_timeout)
         if not admitted:
-            self.metrics.count("resilience", "shed")
-            self.metrics.count("resilience", "shed.overload")
-            return self._reply(
-                clock,
-                503,
-                {
-                    "error": "service overloaded: admission queue timed out",
-                    "max_concurrency": self.config.max_concurrency,
-                },
-                outcome="rejected",
-                headers=_retry_after(max(0.1, self.config.queue_timeout)),
-            )
+            # No stale answer: a context install is not a rank.
+            return self._shed_overload(clock, None, None, "admission queue timed out")
         try:
             with clock.stage("resolve"):
                 checkout = self.registry.checkout(str(tenant))
@@ -1177,7 +1086,7 @@ class RankingService:
     def _try_stale(
         self,
         clock: _StageClock,
-        request: ServiceRequest,
+        request: ServiceRequest | None,
         lookup: KeyLookup | None,
         *,
         reason: str,
@@ -1241,16 +1150,15 @@ class RankingService:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Shut the rank executor down (in-flight work is not waited on).
+        """Drain the batch scheduler (in-flight work is not waited on).
 
-        The batch scheduler is drained first: open groups flush on
-        their leaders' threads, so no queued request is orphaned even
-        when the queue is non-empty at shutdown.
+        Open groups flush on their leaders' threads, so no queued
+        request is orphaned even when the queue is non-empty at
+        shutdown.  The service owns no thread of its own: every request
+        runs on its caller's.
         """
         if self.batcher is not None:
             self.batcher.close()
-        if self._rank_pool is not None:
-            self._rank_pool.shutdown(wait=False)
 
     def available_slots(self) -> int:
         """Admission slots currently free (== ``max_concurrency`` at rest).
@@ -1424,7 +1332,7 @@ class RankingService:
         tag: str | None = None,
         headers: Mapping[str, str] | None = None,
     ) -> ServiceResponse:
-        timings = clock.snapshot()
+        timings = dict(clock.timings)
         timings["total"] = clock.total()
         if tag is None and cached is not None:
             tag = "cached" if cached else "uncached"

@@ -7,12 +7,13 @@ small mechanisms the pipeline, gateway and fleet supervisor compose:
 
 * :class:`Deadline` — a monotonic per-request budget.  The pipeline
   derives one from ``ServiceConfig.request_timeout`` (client override
-  clamped by ``max_request_timeout``), runs rank work on a bounded
-  executor against it, and publishes it through a :mod:`contextvars`
-  variable so the scoring kernel can check it *cooperatively* between
-  candidate blocks (:func:`current_deadline` /
-  :func:`check_deadline`).  A wedged rank answers 504 without leaking
-  the admission slot or the gateway thread.
+  clamped by ``max_request_timeout``) and publishes it through a
+  :mod:`contextvars` variable (:func:`deadline_scope`) around the rank
+  it runs on the request's own thread.  Every wait on that path checks
+  it *cooperatively* (:func:`current_deadline`): the engine-lock wait,
+  a cold bind's rule columns and rows, the kernel's candidate blocks,
+  the batch queue and an injected delay.  A wedged rank answers 504
+  and its thread returns the admission slot before answering.
 * :class:`CircuitBreaker` — per-tenant + global rolling-window breaker
   (closed → open → half-open with a jittered probe).  When rank
   failures or timeouts spike, the pipeline sheds load fast — answering
@@ -20,16 +21,17 @@ small mechanisms the pipeline, gateway and fleet supervisor compose:
 * :class:`FaultInjector` — deterministic chaos: injected rank delays,
   seeded rank error rates, kill-every-N-requests worker suicide and a
   worker time-to-live, configurable from the environment
-  (``REPRO_FAULT_*``) or CLI flags, so every failure path above is
-  testable without real outages.
+  (``REPRO_FAULT_*``), so every failure path above is testable without
+  real outages.
 * :class:`SharedFleetState` — the one cross-process signal the fleet
   needs: a fork-shared counter of crash-looping workers the supervisor
   has given up on, so any worker's ``/readyz`` can report the fleet
   degraded.
 
 Nothing here imports the pipeline; the dependency points one way
-(pipeline → resilience), and the kernel reaches :func:`current_deadline`
-only through ``sys.modules`` so :mod:`repro.core` never imports the
+(pipeline → resilience), and the core and the engine reach
+:func:`current_deadline` only through ``sys.modules``
+(``repro.core.problem._active_deadline``) so neither imports the
 service layer.
 """
 
@@ -56,7 +58,6 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "SharedFleetState",
-    "check_deadline",
     "clamp_timeout",
     "current_deadline",
     "deadline_scope",
@@ -125,13 +126,6 @@ _ACTIVE_DEADLINE: ContextVar[Deadline | None] = ContextVar(
 def current_deadline() -> Deadline | None:
     """The deadline of the request running on this thread, if any."""
     return _ACTIVE_DEADLINE.get()
-
-
-def check_deadline() -> None:
-    """Cooperative check: raise if the active deadline has expired."""
-    deadline = _ACTIVE_DEADLINE.get()
-    if deadline is not None:
-        deadline.check()
 
 
 @contextlib.contextmanager
@@ -445,9 +439,17 @@ class InjectedFault(Exception):
     """A deliberately injected engine failure (chaos testing only)."""
 
 
-#: Environment knobs (the CI chaos job and ``repro serve --fault-*``
-#: flags both land here).
+#: Environment knobs, the one way to configure ``repro serve``'s faults:
+#: ``REPRO_FAULT_<suffix>`` -> (field, parser).  ``TENANTS`` is a
+#: comma-separated list.
 _ENV_PREFIX = "REPRO_FAULT_"
+_ENV_FIELDS = {
+    "RANK_DELAY": ("rank_delay", float),
+    "RANK_ERROR_RATE": ("rank_error_rate", float),
+    "KILL_EVERY": ("worker_kill_every", int),
+    "WORKER_TTL": ("worker_ttl", float),
+    "SEED": ("seed", int),
+}
 
 
 @dataclass
@@ -493,22 +495,27 @@ class FaultInjector:
 
     @classmethod
     def from_env(cls, environ: Mapping[str, str] | None = None) -> "FaultInjector":
-        """Build from ``REPRO_FAULT_*`` variables (unset means off)."""
+        """Build from ``REPRO_FAULT_*`` variables (unset or blank means off).
+
+        A value that does not parse, or is out of range, raises
+        :class:`EngineConfigError` naming the variable.
+        """
         env = os.environ if environ is None else environ
-        tenants_raw = env.get(_ENV_PREFIX + "TENANTS", "").strip()
-        return cls(
-            rank_delay=float(env.get(_ENV_PREFIX + "RANK_DELAY", 0) or 0),
-            rank_error_rate=float(env.get(_ENV_PREFIX + "RANK_ERROR_RATE", 0) or 0),
-            worker_kill_every=int(env.get(_ENV_PREFIX + "KILL_EVERY", 0) or 0),
-            worker_ttl=float(env.get(_ENV_PREFIX + "WORKER_TTL", 0) or 0),
-            tenants=(
-                frozenset(part.strip() for part in tenants_raw.split(",") if part.strip())
-                or None
-                if tenants_raw
-                else None
-            ),
-            seed=int(env.get(_ENV_PREFIX + "SEED", 0) or 0),
-        )
+        values: dict = {}
+        for suffix, (name, parse) in _ENV_FIELDS.items():
+            variable = _ENV_PREFIX + suffix
+            raw = env.get(variable, "").strip()
+            if not raw:
+                continue
+            try:
+                values[name] = parse(raw)
+                cls(**{name: values[name]})  # the range check, per variable
+            except (ValueError, EngineConfigError) as exc:
+                raise EngineConfigError(f"{variable}={raw!r}: {exc}") from None
+        tenants = {
+            part.strip() for part in env.get(_ENV_PREFIX + "TENANTS", "").split(",")
+        } - {""}
+        return cls(tenants=frozenset(tenants) or None, **values)
 
     @property
     def active(self) -> bool:
@@ -523,14 +530,19 @@ class FaultInjector:
         return self.tenants is None or tenant in self.tenants
 
     def before_rank(self, tenant: str) -> None:
-        """Inject the configured rank faults for one request."""
+        """Inject the configured rank faults for one request.
+
+        Runs on the request's own thread inside its deadline scope; the
+        injected delay checks that deadline every slice, so a wedge
+        drill answers 504 when the deadline passes, not when the delay
+        ends.
+        """
         if not (self.rank_delay or self.rank_error_rate) or not self._targets(tenant):
             return
         if self.rank_delay:
             # Sleep in slices, honouring any active deadline — real slow
             # work (the kernel) is deadline-cooperative, so the injected
-            # kind is too; a wedged drill must not pin a pool thread for
-            # the whole delay after its caller already answered 504.
+            # kind is too.
             deadline = current_deadline()
             until = time.monotonic() + self.rank_delay
             while True:

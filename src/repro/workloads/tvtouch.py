@@ -16,12 +16,13 @@ with Peter's two scored preference rules:
 * R1: *when Weekend, prefer TvProgram ⊓ ∃hasGenre.{HUMAN-INTEREST}*, σ = 0.8;
 * R2: *when Breakfast, prefer TvProgram ⊓ ∃hasSubject.NewsSubject*, σ = 0.9.
 
-Modelling note (see DESIGN.md): in Section 4.2 the paper multiplies the
-"weather bulletin" subject probabilities against R2's σ, i.e. a weather
-bulletin subject *counts as news*.  We encode that taxonomically —
-``WeatherBulletinSubject ⊑ NewsSubject`` in the TBox — so R2's
-preference is written with a concept filler and matches through
-subsumption, reproducing the paper's arithmetic exactly:
+Modelling note (asserted by ``benchmarks/bench_e1_table1_example.py``;
+table in ``benchmarks/results/e1_table1_factorised.txt``): in Section
+4.2 the paper multiplies the "weather bulletin" subject probabilities
+against R2's σ, i.e. a weather bulletin subject *counts as news*.  We
+encode that taxonomically — ``WeatherBulletinSubject ⊑ NewsSubject``
+in the TBox — so R2's preference is written with a concept filler and
+matches through subsumption, reproducing the paper's arithmetic exactly:
 Channel 5 news = 0.6006, Oprah = 0.071, BBC news = 0.18, MPFS = 0.02
 in a certain breakfast-during-the-weekend context.
 """

@@ -290,6 +290,6 @@ class TestPipelineWiring:
         assert service.batcher is not None
         # The batcher is drained: anything submitted now bypasses to a
         # sequential score instead of waiting on a leader that cannot
-        # come (the rank executor itself is also gone by this point).
+        # come.
         assert service.batcher._closed
         assert service.metrics_snapshot()["batching"]["enabled"]

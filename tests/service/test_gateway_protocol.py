@@ -543,7 +543,7 @@ class TestRouting:
     def test_exception_off_the_loop_is_500_and_the_gateway_survives(
         self, gateway, monkeypatch
     ):
-        def boom(attempt, *, queue_budget=None):
+        def boom(attempt):
             raise RuntimeError("off-loop boom")
 
         monkeypatch.setattr(gateway.service, "finish_rank", boom)

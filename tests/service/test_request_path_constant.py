@@ -14,7 +14,9 @@ warm tvtouch service and a warm 40-program Section 5 service:
 (d) a pure hit is recorded by one ``ServiceMetrics`` call under one
     hold of the metrics lock;
 (e) a delta hit over HTTP is answered on the loop: no executor hop,
-    one install, one fingerprint, no admission and no breaker call.
+    one install, one fingerprint, no admission and no breaker call;
+(f) a miss over HTTP takes one executor hop — the gateway pool thread
+    runs the rank itself, under the deadline — and no other pool exists.
 """
 
 import collections
@@ -242,9 +244,49 @@ class CountingSemaphore:
         self._semaphore.release()
 
 
+def serve_one(service, query):
+    """One ``GET /rank?query`` through a real gateway; the body and the
+    names of the threads alive just after it."""
+    server = make_aio_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with urllib.request.urlopen(f"{server.url}/rank?{query}", timeout=10) as reply:
+            body = json.loads(reply.read())
+        names = {alive.name for alive in threading.enumerate()}
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        service.close()
+    return body, names
+
+
+def test_an_http_miss_takes_one_thread(world_name, monkeypatch):
+    # The default deadline is on: the miss still makes one hop, to the
+    # gateway pool, whose thread ranks under the deadline itself.
+    service = build_service(world_name, request_timeout=2.0)
+    warm(service, world_name)
+    _first, second, third = CONTEXTS[world_name]
+    submits = []
+    real = ThreadPoolExecutor.submit
+
+    def submit(self, fn, /, *args, **kwargs):
+        submits.append(self)
+        return real(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+    body, names = serve_one(
+        service, f"tenant=alice&top_k=3&context={third}:0.3737&context={second}"
+    )
+    assert "cached" not in body and body["items"]
+    assert len(submits) == 1
+    assert not [name for name in names if name.startswith("repro-rank")]
+
+
 def test_an_http_delta_hit_never_leaves_the_loop(world_name, monkeypatch):
     # The default deadline is on: a request that left the loop would
-    # hop to the gateway executor and on to the rank pool.
+    # hop to the gateway executor.
     service = build_service(world_name, request_timeout=2.0)
     warm(service, world_name)  # alice stands on the first concept alone
     first, second, _third = CONTEXTS[world_name]
@@ -265,17 +307,8 @@ def test_an_http_delta_hit_never_leaves_the_loop(world_name, monkeypatch):
     for name in ("allow", "record_success", "record_failure", "cancel_probe"):
         counting(CircuitBreaker, name, "breaker")
     service._admission = CountingSemaphore(service._admission, calls)
-    server = make_aio_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        query = f"tenant=alice&top_k=3&context={first}&context={second}:0.7"
-        with urllib.request.urlopen(f"{server.url}/rank?{query}", timeout=10) as reply:
-            body = json.loads(reply.read())
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        service.close()
+    body, _names = serve_one(
+        service, f"tenant=alice&top_k=3&context={first}&context={second}:0.7"
+    )
     assert body["cached"] is True
     assert dict(calls) == {"install": 1, "fingerprint": 1}

@@ -12,8 +12,9 @@ import time
 import pytest
 
 from repro.cache import InMemoryCacheAdapter
+from repro.core.problem import bind_documents
 from repro.errors import EngineConfigError, EngineError
-from repro.reason import clear_registry
+from repro.reason import CompiledKB, ReasonerSession, clear_registry
 from repro.service import (
     CircuitBreaker,
     Deadline,
@@ -29,7 +30,12 @@ from repro.service import (
     deadline_scope,
 )
 from repro.tenants import TenantRegistry
-from repro.workloads import build_tvtouch
+from repro.workloads import (
+    Section5Counts,
+    build_tvtouch,
+    generate_rule_series,
+    generate_test_database,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -151,13 +157,43 @@ class TestDeadlineInPipeline:
         assert elapsed < 2 * timeout + 0.25  # the acceptance bound + sched slack
         assert service.metrics.outcomes().get("timeout") == 1
         assert service.metrics.counters("resilience").get("timeouts") == 1
-        # The abandoned work unit still owns the slot; once its sleep
-        # ends the slot must come back — never leak.
-        deadline = time.monotonic() + 3.0
-        while time.monotonic() < deadline:
-            if service.available_slots() == 4:
-                break
-            time.sleep(0.02)
+        # The thread that answered ran the rank and released its slot.
+        assert service.available_slots() == 4
+        service.close()
+
+    def test_a_held_engine_lock_answers_504_with_every_slot_back(self):
+        # The one wait the kernel never checks: the engine lock.
+        timeout = 0.15
+        service = make_service(
+            ServiceConfig(
+                max_concurrency=4, request_timeout=timeout, breaker_enabled=False
+            )
+        )
+        assert service.rank({"tenant": ["t1"]}).ok  # t1's session is live
+        engine = service.registry.session("t1").engine
+        held, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with engine._lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        assert held.wait(5)
+        try:
+            started = time.monotonic()
+            reply = service.rank({"tenant": ["t1"], "context": ["Weekend"]})
+            elapsed = time.monotonic() - started
+            assert reply.status == 504
+            assert elapsed < 2 * timeout + 0.25
+            assert service.available_slots() == 4
+            # A sibling tenant never waits on t1's lock.
+            assert service.rank({"tenant": ["t2"], "context": ["Weekend"]}).ok
+        finally:
+            release.set()
+            holder.join(5)
+        assert service.rank({"tenant": ["t1"], "context": ["Weekend"]}).ok
         assert service.available_slots() == 4
         service.close()
 
@@ -178,13 +214,53 @@ class TestDeadlineInPipeline:
         assert elapsed < 1.0  # clamped to max_request_timeout, not 60s
         service.close()
 
-    def test_request_timeout_none_disables_the_executor(self):
-        service = make_service(
-            ServiceConfig(max_concurrency=4, request_timeout=None)
+    # Expiring in the second column stops before the third; expiring in
+    # the last one stops before the first candidate row.
+    @pytest.mark.parametrize("expire_on", [2, 6])
+    def test_a_cold_bind_stops_near_the_deadline(self, expire_on, monkeypatch):
+        world = generate_test_database(
+            seed=7, counts=Section5Counts(persons=10, programs=40)
         )
-        assert service._rank_pool is None
-        reply = service.rank({"tenant": ["alice"], "context": ["Weekend"]})
+        rules = list(generate_rule_series(world, 6))
+        kb = CompiledKB(world.abox, world.tbox, world.space)
+        names = sorted(individual.name for individual in kb.column(world.target))
+        deadline = Deadline.after(60.0)
+        asked = []
+        real = ReasonerSession.column
+
+        def column(session, concept):
+            asked.append(concept)
+            if len(asked) == expire_on:
+                deadline.expires_at = 0.0  # the budget runs out mid-bind
+            return real(session, concept)
+
+        monkeypatch.setattr(ReasonerSession, "column", column)
+        with deadline_scope(deadline), pytest.raises(DeadlineExceeded):
+            bind_documents(world.abox, world.tbox, rules, names, world.space, kb=kb)
+        assert len(asked) == expire_on  # no later rule column was started
+        # Without a deadline the same bind completes.
+        bound = bind_documents(world.abox, world.tbox, rules, names, world.space, kb=kb)
+        assert len(bound) == len(names) and len(asked) == expire_on + len(rules)
+
+    def test_request_timeout_none_disables_deadlines(self):
+        seen = []
+
+        class Spy(FaultInjector):
+            def before_rank(self, tenant):
+                seen.append((threading.current_thread(), current_deadline()))
+                super().before_rank(tenant)
+
+        service = make_service(
+            ServiceConfig(max_concurrency=4, request_timeout=None),
+            fault_injector=Spy(rank_delay=0.3),
+        )
+        # A client timeout cannot re-enable what the deployment disabled:
+        # the slow rank still answers 200, on the caller's thread.
+        reply = service.rank(
+            {"tenant": ["alice"], "context": ["Weekend"], "timeout": ["0.05"]}
+        )
         assert reply.ok
+        assert seen == [(threading.current_thread(), None)]
         service.close()
 
 
@@ -671,6 +747,20 @@ class TestFaultInjector:
         assert injector.seed == 7
         assert injector.tenants == frozenset({"alice", "bob"})
         assert FaultInjector.from_env({}).active is False
+        assert FaultInjector.from_env({"REPRO_FAULT_RANK_DELAY": " "}).active is False
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            ("REPRO_FAULT_RANK_DELAY", "soon"),
+            ("REPRO_FAULT_RANK_ERROR_RATE", "2"),
+            ("REPRO_FAULT_KILL_EVERY", "1.5"),
+            ("REPRO_FAULT_WORKER_TTL", "-1"),
+        ],
+    )
+    def test_from_env_names_a_bad_variable(self, variable, value):
+        with pytest.raises(EngineConfigError, match=f"^{variable}="):
+            FaultInjector.from_env({variable: value})
 
     def test_validation(self):
         with pytest.raises(EngineConfigError):
@@ -729,11 +819,6 @@ class TestChaosHammer:
 
         assert len(statuses) == 96
         assert set(statuses) <= {200, 500, 503, 504}
-        # Let abandoned work units finish their injected sleeps.
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if service.available_slots() == config.max_concurrency:
-                break
-            time.sleep(0.02)
+        # Every request's own thread returned its slot before answering.
         assert service.available_slots() == config.max_concurrency
         service.close()

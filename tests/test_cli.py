@@ -102,6 +102,22 @@ class TestCommands:
         assert code == 2
         assert "cannot load rule file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "variable, value",
+        [("REPRO_FAULT_RANK_DELAY", "soon"), ("REPRO_FAULT_RANK_ERROR_RATE", "2")],
+    )
+    def test_serve_malformed_fault_env_clean_error(
+        self, variable, value, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(variable, value)
+        assert main(["serve", "--port", "0"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {variable}=")
+
+    def test_serve_has_no_fault_flags(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--fault-rank-delay", "1"])
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_serve_on_a_busy_port_clean_error(self, workers, capsys):
         with socket.create_server(("127.0.0.1", 0)) as held:
