@@ -12,7 +12,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.4.0",
+    version="1.6.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     # PEP 561: ship the py.typed marker so downstream type-checkers

@@ -32,8 +32,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "ScoredView",
             "ScoringKernel",
             "compile_candidates",
-            "rank_top_k_batch",
-            "score_batch",
             "score_documents_batch",
             "score_values",
         ),

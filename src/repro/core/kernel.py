@@ -33,7 +33,11 @@ On top of the compiled form:
   the context changed, rebuild the per-rule coefficient vectors on the
   *same* compiled ``P(f)`` matrix instead of re-binding every
   document (wired into the engine through
-  :mod:`repro.engine.basis`).
+  :mod:`repro.engine.basis`);
+* :func:`score_vectors` / :func:`score_documents_batch` — the one
+  full-ranking pass for several context-bound kernels over one shared
+  matrix: every engine miss on a compiled basis is scored through it
+  (alone, or fused with its micro-batch mates).
 
 The three reference scorers in :mod:`repro.core.scoring` remain the
 correctness oracle; kernel-vs-reference agreement is property-tested.
@@ -56,7 +60,6 @@ from repro.perf.columns import VECTOR_MIN, NameTable, ScoreColumn, as_floats
 from repro.perf.flatops import (
     TOPK_PRUNE_SLACK,
     batch_row_scores,
-    batch_topk_survivors,
     row_scores,
     topk_survivors,
 )
@@ -67,8 +70,6 @@ __all__ = [
     "ScoredView",
     "ScoringKernel",
     "compile_candidates",
-    "rank_top_k_batch",
-    "score_batch",
     "score_documents_batch",
     "score_values",
     "score_vectors",
@@ -723,13 +724,6 @@ def score_vectors(kernels: Sequence[ScoringKernel], prune_documents: bool = True
     ]
 
 
-def score_batch(
-    kernels: Sequence[ScoringKernel], prune_documents: bool = True
-) -> list[list[float]]:
-    """:func:`score_vectors` as plain lists (one ``list[float]`` per mate)."""
-    return [as_floats(values) for values in score_vectors(kernels, prune_documents)]
-
-
 def score_documents_batch(
     kernels: Sequence[ScoringKernel],
     prune_documents: bool = True,
@@ -740,163 +734,3 @@ def score_documents_batch(
         ScoredView(kernel, values, prune_documents, method)
         for kernel, values in zip(kernels, score_vectors(kernels, prune_documents))
     ]
-
-
-def rank_top_k_batch(
-    kernels: Sequence[ScoringKernel],
-    ks: Sequence[int],
-    prune_documents: bool = True,
-    method: str = "factorised",
-) -> list[list[DocumentScore]]:
-    """:meth:`ScoringKernel.rank_top_k` for a whole batch at once.
-
-    One blocked pass over the shared matrix serves every mate; each
-    mate keeps its own Section-6 upper bound and threshold heap, so the
-    per-request result is exactly that mate's sequential top ``k``
-    (score desc, ties by name asc).
-    """
-    candidates = _shared_candidates(kernels)
-    if len(kernels) != len(ks):
-        raise ScoringError(
-            f"rank_top_k_batch got {len(kernels)} kernels but {len(ks)} k values"
-        )
-    for k in ks:
-        if k < 1:
-            raise ScoringError(f"top-k needs a positive k, got {k!r}")
-    if len(kernels) == 1:
-        return [kernels[0].rank_top_k(ks[0], prune_documents, method)]
-    total = candidates.document_count
-    if any(k >= total or not kernel._coeffs for kernel, k in zip(kernels, ks)):
-        # Some mate needs every score anyway — share one full pass and
-        # sort per mate instead of running a crippled pruning scan.
-        ranked_sets = score_documents_batch(kernels, prune_documents, method)
-        return [
-            sorted(view.values(), key=lambda score: (-score.value, score.document))[:k]
-            for view, k in zip(ranked_sets, ks)
-        ]
-
-    trivials = [
-        set(kernel.trivial_rows()) if prune_documents else set() for kernel in kernels
-    ]
-    # Scan every row some mate still needs; a row trivial for *every*
-    # mate is reintroduced from the shared all-miss score below.  Rows
-    # trivial for only one mate score to exactly that mate's all-miss
-    # inside the scan (their kept P(f) entries are 0), so each document
-    # feeds a mate's threshold heap at most once — no over-pruning.
-    skip = set(trivials[0]).intersection(*trivials[1:])
-    active = [row for row in range(total) if row not in skip]
-    np = kernels[0]._np
-    if np is not None:
-        survivor_sets = _topk_numpy_batch(kernels, active, ks, np)
-    else:
-        survivor_sets = _topk_python_batch(kernels, active, ks)
-    results = []
-    for kernel, k, trivial, survivors in zip(kernels, ks, trivials, survivor_sets):
-        shared = kernel._all_miss
-        pool = [(row, value) for row, value in survivors if row not in trivial]
-        pool.extend((row, shared) for row in trivial)
-        pool.sort(key=lambda entry: (-entry[1], kernel.names[entry[0]]))
-        ranked = []
-        for row, value in pool[:k]:
-            contributions = () if row in trivial else LazyContributions(kernel, row)
-            ranked.append(DocumentScore(kernel.names[row], value, contributions, method))
-        results.append(ranked)
-    return results
-
-
-def _topk_python_batch(
-    kernels: Sequence[ScoringKernel], active: list[int], ks: Sequence[int]
-) -> list[list[tuple[int, float]]]:
-    """Batched fallback top-k: blocked when a deadline is active."""
-    candidates = kernels[0].candidates
-    coeff_sets = [kernel._coeffs for kernel in kernels]
-    suffix_sets = [kernel._suffix_bounds for kernel in kernels]
-    deadline = _active_deadline()
-    if deadline is None:
-        return batch_topk_survivors(
-            candidates.matrix, candidates.rule_count, coeff_sets, suffix_sets, active, ks
-        )
-    survivor_sets: list[list[tuple[int, float]]] = [[] for _ in kernels]
-    heaps: list[list[float]] = [[] for _ in kernels]
-    for start in range(0, len(active), TOPK_BLOCK):
-        deadline.check()
-        found = batch_topk_survivors(
-            candidates.matrix,
-            candidates.rule_count,
-            coeff_sets,
-            suffix_sets,
-            active[start : start + TOPK_BLOCK],
-            ks,
-            [tuple(heap) for heap in heaps],
-        )
-        for index, block_survivors in enumerate(found):
-            heap, k = heaps[index], ks[index]
-            for row, value in block_survivors:
-                survivor_sets[index].append((row, value))
-                heapq.heappush(heap, value)
-                if len(heap) > k:
-                    heapq.heappop(heap)
-    return survivor_sets
-
-
-def _topk_numpy_batch(
-    kernels: Sequence[ScoringKernel], rows: list[int], ks: Sequence[int], np
-) -> list[list[tuple[int, float]]]:
-    """Blocked vectorised batch top-k.
-
-    Each block's matrix rows are read once for the whole batch; the
-    Section-6 upper bound is applied per mate at block granularity (a
-    mate whose best possible block score falls below its k-th best
-    drops out of the remaining rule products for that block).
-    """
-    batch = len(kernels)
-    union, a, b = _union_coefficients(kernels, np)
-    bounds = np.maximum(a, a + b)  # (batch, union) — dropped rules bound 1.0
-    suffix = np.ones((batch, len(union) + 1), dtype=np.float64)
-    for j in range(len(union) - 1, -1, -1):
-        suffix[:, j] = suffix[:, j + 1] * bounds[:, j]
-    matrix = kernels[0].candidates.matrix
-    deadline = _active_deadline()
-    keep_factor = 1.0 - TOPK_PRUNE_SLACK
-    heaps: list[list[float]] = [[] for _ in kernels]
-    survivor_sets: list[list[tuple[int, float]]] = [[] for _ in kernels]
-    row_array = np.array(rows, dtype=np.intp)
-    for start in range(0, len(row_array), TOPK_BLOCK):
-        if deadline is not None:
-            deadline.check()
-        block = row_array[start : start + TOPK_BLOCK]
-        length = len(block)
-        prefix = np.ones((batch, length), dtype=np.float64)
-        # Per-mate abandon thresholds are fixed for the block (heaps
-        # only change between blocks).
-        thresholds = np.array(
-            [
-                heaps[m][0] * keep_factor if len(heaps[m]) == ks[m] else -np.inf
-                for m in range(batch)
-            ],
-            dtype=np.float64,
-        )
-        alive = np.arange(batch)
-        for j, rule in enumerate(union):
-            best = prefix[alive].max(axis=1) * suffix[alive, j]
-            alive = alive[best >= thresholds[alive]]
-            if alive.size == 0:
-                break
-            column = matrix[block, rule]
-            prefix[alive] = prefix[alive] * (
-                a[alive, j, None] + b[alive, j, None] * column[None, :]
-            )
-        for mate in alive.tolist():
-            heap, k = heaps[mate], ks[mate]
-            values = np.clip(prefix[mate], 0.0, 1.0)
-            if len(heap) == k:
-                keep = np.nonzero(values >= heap[0] * keep_factor)[0].tolist()
-            else:
-                keep = range(length)
-            for position in keep:
-                value = float(values[position])
-                survivor_sets[mate].append((int(block[position]), value))
-                heapq.heappush(heap, value)
-                if len(heap) > k:
-                    heapq.heappop(heap)
-    return survivor_sets

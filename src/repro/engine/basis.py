@@ -210,19 +210,6 @@ def build_view_basis(abox: ABox, kernel: ScoringKernel) -> ViewBasis:
     return ViewBasis(kernel=kernel, snapshot=dynamic_snapshot(abox))
 
 
-class _PoolStripe:
-    """One independently locked LRU segment of a :class:`SharedBasisPool`."""
-
-    __slots__ = ("lock", "entries", "max_entries", "hits", "misses")
-
-    def __init__(self, max_entries: int):
-        self.lock = threading.Lock()
-        self.entries: "OrderedDict[Hashable, ViewBasis]" = OrderedDict()
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-
-
 class SharedBasisPool:
     """Cross-engine pool of compiled bases for overlay-backed tenants.
 
@@ -239,66 +226,44 @@ class SharedBasisPool:
     accumulating, and a live key can never collide with a recycled
     ``id()``.
 
-    The pool is **lock-striped**: keys route by hash to one of
-    ``stripes`` independently locked LRU segments, so a whole tenant
-    fleet hitting the pool on every request (the serving hot path)
-    contends only per stripe, not on one global lock.  A key always
-    maps to the same stripe, which is all the LRU bookkeeping needs.
+    One LRU map under one lock: a serving process ranks one world, so
+    its whole tenant fleet lands on a single pool key — splitting the
+    lock by key would spread nothing.  ``max_entries`` is an exact
+    bound (pooled entries pin their base worlds).
     """
 
-    def __init__(self, max_entries: int = 32, stripes: int = 8):
-        if stripes < 1:
-            raise ValueError(f"pool needs at least one stripe, got {stripes!r}")
+    def __init__(self, max_entries: int = 32):
         if max_entries < 1:
             raise ValueError(f"pool needs at least one entry, got {max_entries!r}")
         self.max_entries = max_entries
-        # Pooled entries pin their base worlds, so max_entries must be
-        # an exact bound: distribute floor(max/stripes) per stripe with
-        # the remainder spread, clamping stripes so none has capacity 0.
-        self.stripes = min(stripes, max_entries)
-        base_capacity, extra = divmod(max_entries, self.stripes)
-        self._stripes = tuple(
-            _PoolStripe(base_capacity + (1 if index < extra else 0))
-            for index in range(self.stripes)
-        )
-
-    def _stripe_for(self, key: Hashable) -> _PoolStripe:
-        return self._stripes[hash(key) % self.stripes]
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Hashable, ViewBasis]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
 
     def get(self, key: Hashable) -> ViewBasis | None:
-        stripe = self._stripe_for(key)
-        with stripe.lock:
-            basis = stripe.entries.get(key)
+        with self._lock:
+            basis = self._entries.get(key)
             if basis is None:
-                stripe.misses += 1
+                self.misses += 1
                 return None
-            stripe.entries.move_to_end(key)
-            stripe.hits += 1
+            self._entries.move_to_end(key)
+            self.hits += 1
             return basis
 
     def put(self, key: Hashable, basis: ViewBasis) -> None:
-        stripe = self._stripe_for(key)
-        with stripe.lock:
-            stripe.entries[key] = basis
-            stripe.entries.move_to_end(key)
-            while len(stripe.entries) > stripe.max_entries:
-                stripe.entries.popitem(last=False)
+        with self._lock:
+            self._entries[key] = basis
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        for stripe in self._stripes:
-            with stripe.lock:
-                stripe.entries.clear()
-
-    @property
-    def hits(self) -> int:
-        return sum(stripe.hits for stripe in self._stripes)
-
-    @property
-    def misses(self) -> int:
-        return sum(stripe.misses for stripe in self._stripes)
+        with self._lock:
+            self._entries.clear()
 
     def __len__(self) -> int:
-        return sum(len(stripe.entries) for stripe in self._stripes)
+        return len(self._entries)
 
 
 #: The process-wide pool every overlay-backed engine shares.

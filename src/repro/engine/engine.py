@@ -23,19 +23,22 @@ change invalidates it by construction (the signature changes).
 
 **Thread safety.**  Every public entry point that reads or writes the
 engine's knowledge base (``rank``, ``rank_in_context``,
-``preference_scores``, ``explain``, ``rank_top_k``,
+``prepare_rank``, ``preference_scores``, ``explain``, ``rank_top_k``,
 ``install_context``, ``install_and_fingerprint``, ``context_covered``)
-serialises on one
-per-engine reentrant lock, so a
-context install can never interleave with a rank — the failure the
-serving hammer test reproduces on an unlocked engine is a half-cleared
-dynamic context being scored and memoized under a stale signature.
-Different engines never share the lock: sibling tenants rank fully in
-parallel, coordinating only through the internally synchronised shared
-structures (the basis pool, the compiled-KB base tier).  Under a
-serving deadline, the serving entry points (``rank_in_context``,
-``prepare_rank``, a blocking ``install_and_fingerprint``) wait for the
-lock no longer than the deadline's remaining budget.
+serialises on one per-engine reentrant lock, so a context install can
+never interleave with a rank's snapshot — the failure the serving
+hammer test reproduces on an unlocked engine is a half-cleared dynamic
+context being scored and memoized under a stale signature.  Every rank
+is :meth:`RankingEngine.prepare_rank` then
+:meth:`PreparedRank.complete`: the install, the signature, the
+fingerprint and the context-bound kernel are captured under the lock;
+the kernel pass and the response assembly run outside it, reading only
+immutable compiled data.  Different engines never share the lock:
+sibling tenants rank fully in parallel, coordinating only through the
+internally synchronised shared structures (the basis pool, the
+compiled-KB base tier).  Under a serving deadline, the rank entry
+points and a blocking ``install_and_fingerprint`` wait for the lock no
+longer than the deadline's remaining budget.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Optional, Sequence
 
 from repro._lazy import lazy_module
 from repro.core.kernel import (
@@ -83,38 +86,51 @@ _explain = lazy_module("repro.core.explain")
 
 __all__ = ["PreparedRank", "RankingEngine", "score_prepared_batch"]
 
+#: What :meth:`RankingEngine._resolve` finds for a signature:
+#: ``(signature, cached view, kernel)`` — at most one of the last two
+#: set, neither when the view must be computed cold.
+_Resolved = tuple[Hashable, Optional[Mapping[str, DocumentScore]], Optional[ScoringKernel]]
+
 
 @dataclass
 class PreparedRank:
     """A rank request snapshotted under the engine lock, scorable outside it.
 
     :meth:`RankingEngine.prepare_rank` either answers the request on the
-    spot (``response`` set — cache hit, cold path, or a shape the
-    batched scorer cannot serve) or captures everything a kernel pass
+    spot (``response`` set — view-cache hit, cold path, or a shape the
+    kernel alone cannot serve) or captures everything a kernel pass
     needs: the context-bound ``kernel`` (sharing the compiled candidate
     matrix with every other request over the same basis), the view
-    ``signature``, the ``group_key`` batch-mates are matched on, and
-    the ``fingerprint`` response caches key on.  Scoring the kernel and
-    calling :meth:`complete` never touches the engine lock, so
-    batch-mates from different tenants don't serialise on each other.
+    ``signature`` and the ``fingerprint`` response caches key on.
+    Scoring the kernel and calling :meth:`complete` never touches the
+    engine lock, so neither a concurrent install on this engine nor
+    batch-mates from other tenants wait on the pass.
     """
 
     engine: "RankingEngine"
     request: RankRequest
     kernel: ScoringKernel | None = None
     signature: Hashable = None
-    group_key: Hashable = None
     fingerprint: tuple | None = field(default=None)
     prune_documents: bool = True
     response: RankResponse | None = None
 
+    @property
+    def group_key(self) -> Hashable:
+        """What batch-mates are matched on: only kernels over one
+        compiled candidate matrix can share a pass."""
+        if self.kernel is None:
+            return None
+        return (id(self.kernel.candidates), self.prune_documents)
+
     def complete(self, view: ScoredView | None = None) -> RankResponse:
         """The response: immediate if prepare already answered, else
-        assembled lock-free from the batched scored view for this kernel."""
+        assembled lock-free from the scored view for this kernel — the
+        batch's ``view``, or, when none is given, a pass of its own."""
         if self.response is not None:
             return self.response
         if view is None:
-            raise EngineError("a batchable PreparedRank needs its scored view")
+            (view,), _rows = score_prepared_batch([self])
         return self.engine._complete_prepared(self, view)
 
 
@@ -243,9 +259,10 @@ class RankingEngine:
         self._lock = threading.RLock()
         self._cache = ViewCache(max_entries=cache_size)
         self._scorer = self._build_scorer(preferences.repository())
-        self._view = PreferenceView(
-            self._scorer, target, getattr(storage, "database", None)
-        )
+        # Never materialised into the storage database: SQL reads scores
+        # through the `preferencescore` virtual column, and the database
+        # is shared by every tenant of a world.
+        self._view = PreferenceView(self._scorer, target)
 
     # -- construction shortcuts ------------------------------------------
     @staticmethod
@@ -413,38 +430,6 @@ class RankingEngine:
             self._target_key(),
         )
 
-    def _incremental_scores(self, repository) -> ScoredView | None:
-        """Serve a signature miss from a compiled basis, if provably safe.
-
-        Only the rule-context vector is recomputed (one membership event
-        per rule); the documents x rules matrix is reused as compiled.
-        Returns ``None`` when no basis exists or the dynamic delta might
-        have touched document events or target membership.
-        """
-        if not self.incremental:
-            return None
-        key = self._basis_key()
-        basis = self._cache.basis_get(key)
-        if basis is None and self._shares_bases:
-            # Another tenant over the same base may have compiled the
-            # matrix already; the reuse guard below decides safety.
-            basis = shared_basis_pool().get(key)
-        if basis is None or not basis.reusable_for(
-            self.abox, self.tbox, self.target, kb=self.kb
-        ):
-            return None
-        bindings = bind_rules(
-            self.abox, self.tbox, self.user, [rule for rule in repository], self.space,
-            kb=self.kb,
-        )
-        try:
-            kernel = basis.kernel.with_context(bindings)
-        except ScoringError:  # pragma: no cover - fingerprint should prevent this
-            return None
-        scored = kernel.score_documents(prune_documents=self.prune_documents)
-        self._cache.note_context_refresh()
-        return scored
-
     def _sync_scorer(self):
         """Rebuild the scorer when the preference backend swapped repositories."""
         repository = self.preferences.repository()
@@ -453,25 +438,61 @@ class RankingEngine:
             self._view.scorer = self._scorer
         return repository
 
-    def _refresh_view(self) -> tuple[Mapping[str, DocumentScore], bool]:
-        """The scored view for the current signature: cached, rescored
-        incrementally from a basis, or computed cold."""
+    def _resolve(self) -> _Resolved:
+        """Where the current signature's view comes from (under the lock).
+
+        One of three: the cached view (a counted hit); a kernel bound
+        to the current context on a reusable compiled basis — only the
+        rule-context vector is recomputed, the documents x rules matrix
+        is reused as compiled; or neither — cold: no basis exists, or
+        the dynamic delta might have touched document events or target
+        membership.
+        """
         repository = self._sync_scorer()
         key = self._signature()
         cached = self._cache.get(key)
-        if cached is not None:
-            self._view.load_scores(cached)
-            return cached, True
-        scores = self._incremental_scores(repository)
+        if cached is not None or not self.incremental:
+            return key, cached, None
+        basis_key = self._basis_key()
+        basis = self._cache.basis_get(basis_key)
+        if basis is None and self._shares_bases:
+            # Another tenant over the same base may have compiled the
+            # matrix already; the reuse guard below decides safety.
+            basis = shared_basis_pool().get(basis_key)
+        if basis is None or not basis.reusable_for(
+            self.abox, self.tbox, self.target, kb=self.kb
+        ):
+            return key, None, None
+        bindings = bind_rules(
+            self.abox, self.tbox, self.user, [rule for rule in repository], self.space,
+            kb=self.kb,
+        )
+        try:
+            return key, None, basis.kernel.with_context(bindings)
+        except ScoringError:  # pragma: no cover - fingerprint should prevent this
+            return key, None, None
+
+    def _refresh_view(
+        self, resolved: _Resolved | None = None
+    ) -> tuple[Mapping[str, DocumentScore], bool]:
+        """The scored view for the current signature, loaded into the
+        preference view: cached, scored now on the resolved kernel, or
+        computed cold (which compiles and publishes the basis)."""
+        key, scores, kernel = self._resolve() if resolved is None else resolved
         if scores is not None:
+            self._view.load_scores(scores)
+            return scores, True
+        if kernel is not None:
+            scores = kernel.score_documents(prune_documents=self.prune_documents)
+            self._cache.note_context_refresh()
             self._view.load_scores(scores)
         else:
             self._view.refresh()
             scores = self._view.scored_view()
-            kernel = self._scorer.last_kernel
-            if self.incremental and kernel is not None:
+            compiled = self._scorer.last_kernel
+            if self.incremental and compiled is not None:
                 basis_key = self._basis_key()
-                basis = build_view_basis(self.abox, kernel)
+                basis = build_view_basis(self.abox, compiled)
                 self._cache.basis_put(basis_key, basis)
                 if self._shares_bases:
                     shared_basis_pool().put(basis_key, basis)
@@ -502,28 +523,15 @@ class RankingEngine:
         the response carries the raw ``result`` only (empty ``items``),
         because the query's filter cannot be mapped back onto documents.
         """
-        if request is None:
-            request = RankRequest()
-        elif isinstance(request, str):
-            request = RankRequest(query=request)
-        elif not isinstance(request, RankRequest):
-            raise EngineError(f"expected RankRequest or SQL string, got {request!r}")
-        with self._lock:
-            return self._rank_locked(request)
+        return self.prepare_rank(None, request).complete()
 
-    def _rank_locked(self, request: RankRequest) -> RankResponse:
-        self.context.refresh()
-        # A relevance backend that scores on its own (e.g. group
-        # aggregation) opts out of the engine's preference view for
-        # plain document-list requests; SQL and target-member requests
-        # still need the view (for `preferencescore` / the candidates).
-        needs_view = (
-            getattr(self.relevance, "uses_preference_view", True)
-            or request.query is not None
-            or request.documents is None
-        )
-        if needs_view:
-            view_scores, from_cache = self._refresh_view()
+    def _rank_locked(
+        self, request: RankRequest, resolved: _Resolved | None
+    ) -> RankResponse:
+        """Answer under the lock: ``resolved`` is the view's source, or
+        ``None`` when the relevance backend scores on its own."""
+        if resolved is not None:
+            view_scores, from_cache = self._refresh_view(resolved)
         else:
             view_scores, from_cache = None, False
 
@@ -561,7 +569,9 @@ class RankingEngine:
             # never describe a state other than the one just scored —
             # response caches (repro.cache) key and order on it.
             fingerprint=(
-                (self.abox.mutation_count, self._signature()) if needs_view else None
+                (self.abox.mutation_count, self._signature())
+                if resolved is not None
+                else None
             ),
         )
 
@@ -578,9 +588,10 @@ class RankingEngine:
     ) -> RankResponse:
         """The one tail of every rank: scored view in, response out.
 
-        Shared by the sequential path (under the engine lock) and the
-        batched completion (lock-free — it only reads the immutable
-        view, and :meth:`prepare_rank` admits no request naming a
+        Shared by the answers :meth:`prepare_rank` gives on the spot
+        (under the engine lock) and the kernel-path completion
+        (lock-free — it only reads the immutable view, and
+        :meth:`prepare_rank` hands out no kernel for a request naming a
         document outside it, so the ad-hoc scorer is never reached).
 
         ``view`` is ``None`` when the relevance backend scores on its
@@ -687,16 +698,20 @@ class RankingEngine:
     ) -> PreparedRank:
         """Snapshot a request under the lock; score it outside.
 
-        Installs ``specs`` (when given) and captures the context-bound
-        kernel plus view signature atomically, then releases the lock —
-        the expensive matrix pass happens in :func:`score_prepared_batch`
-        / :meth:`PreparedRank.complete` without serialising batch-mates
-        on this engine.  Falls back to answering immediately (inside
-        the lock, ``response`` set) whenever the batched path cannot
-        reproduce the sequential result exactly: SQL requests,
-        relevance backends that bypass the preference view, view-cache
-        hits, cold starts with no reusable basis, or requests naming
-        documents outside the compiled candidate set.
+        The one route from a request to an answer (:meth:`rank`,
+        :meth:`rank_in_context` and :meth:`rank_many` are this plus
+        :meth:`PreparedRank.complete`).  Installs ``specs`` (when given)
+        and resolves the view's source atomically, then releases the
+        lock.  A signature miss on a reusable basis comes back as a
+        context-bound kernel: the matrix pass and the response assembly
+        happen in :func:`score_prepared_batch` /
+        :meth:`PreparedRank.complete`, serialising nothing on this
+        engine.  Everything else is answered on the spot (inside the
+        lock, ``response`` set): view-cache hits, cold starts with no
+        reusable basis, SQL requests, relevance backends that bypass
+        the preference view, and requests naming documents outside the
+        compiled candidate set (those are scored ad hoc through the
+        engine's scorer — lock-bound work).
         """
         if request is None:
             request = RankRequest()
@@ -708,72 +723,49 @@ class RankingEngine:
         try:
             if specs is not None:
                 self.install_context(*specs, tick=tick)
-            batchable = (
-                self.incremental
-                and request.query is None
-                and getattr(self.relevance, "uses_preference_view", True)
-            )
-            if not batchable:
-                return PreparedRank(
-                    engine=self, request=request, response=self._rank_locked(request)
-                )
             self.context.refresh()
-            repository = self._sync_scorer()
-            key = self._signature()
-            if key in self._cache:
-                # Uncounted probe: _rank_locked re-reads the entry and
-                # records the one hit the sequential path would.
-                return PreparedRank(
-                    engine=self, request=request, response=self._rank_locked(request)
-                )
-            basis_key = self._basis_key()
-            basis = self._cache.basis_get(basis_key)
-            if basis is None and self._shares_bases:
-                basis = shared_basis_pool().get(basis_key)
-            if basis is None or not basis.reusable_for(
-                self.abox, self.tbox, self.target, kb=self.kb
-            ):
-                # Cold (or knowledge-delta) path: compute under the
-                # lock like a plain rank, which also compiles and
-                # publishes the basis later batch-mates will share.
-                return PreparedRank(
-                    engine=self, request=request, response=self._rank_locked(request)
-                )
-            bindings = bind_rules(
-                self.abox, self.tbox, self.user, [rule for rule in repository],
-                self.space, kb=self.kb,
-            )
-            try:
-                kernel = basis.kernel.with_context(bindings)
-            except ScoringError:  # pragma: no cover - fingerprint should prevent this
-                return PreparedRank(
-                    engine=self, request=request, response=self._rank_locked(request)
-                )
-            named = []
-            if request.documents is not None:
-                named.extend(request.documents)
-            if request.query_score_map is not None:
-                named.extend(request.query_score_map)
-            if named:
-                names = set(kernel.names)
-                if any(document not in names for document in named):
-                    # The sequential path would score these ad hoc
-                    # through the engine's scorer — lock-bound work the
-                    # batched completion must not do.
+            # A relevance backend that scores on its own (e.g. group
+            # aggregation) opts out of the engine's preference view for
+            # plain document-list requests; SQL and target-member
+            # requests still need the view (for `preferencescore` / the
+            # candidates).
+            uses_view = getattr(self.relevance, "uses_preference_view", True)
+            resolved = None
+            if uses_view or request.query is not None or request.documents is None:
+                resolved = self._resolve()
+                key, _cached, kernel = resolved
+                if (
+                    kernel is not None
+                    and uses_view
+                    and request.query is None
+                    and self._covers(kernel, request)
+                ):
                     return PreparedRank(
-                        engine=self, request=request, response=self._rank_locked(request)
+                        engine=self,
+                        request=request,
+                        kernel=kernel,
+                        signature=key,
+                        fingerprint=(self.abox.mutation_count, key),
+                        prune_documents=self.prune_documents,
                     )
             return PreparedRank(
-                engine=self,
-                request=request,
-                kernel=kernel,
-                signature=key,
-                group_key=basis_key,
-                fingerprint=(self.abox.mutation_count, key),
-                prune_documents=self.prune_documents,
+                engine=self, request=request, response=self._rank_locked(request, resolved)
             )
         finally:
             self._lock.release()
+
+    @staticmethod
+    def _covers(kernel: ScoringKernel, request: RankRequest) -> bool:
+        """Does the compiled candidate set name every document the request does?"""
+        named = []
+        if request.documents is not None:
+            named.extend(request.documents)
+        if request.query_score_map is not None:
+            named.extend(request.query_score_map)
+        if not named:
+            return True
+        names = set(kernel.names)
+        return all(document in names for document in named)
 
     def _combine_items(
         self,
@@ -798,7 +790,7 @@ class RankingEngine:
         return items
 
     def _complete_prepared(self, prepared: PreparedRank, view: ScoredView) -> RankResponse:
-        """Assemble a prepared request's response from its batched view.
+        """Assemble a prepared request's response from its scored view.
 
         Runs without the engine lock: the view cache is internally
         locked, the kernel and the view are immutable, and the
@@ -827,17 +819,12 @@ class RankingEngine:
 
         The serving primitive: ``specs`` (``CONCEPT[:PROB]`` strings,
         replacing the current dynamic context; ``None`` keeps it)
-        and the rank run under one hold of the engine lock, so no
-        concurrent request can observe — or score under — a
-        half-installed context.
+        and the snapshot of what to score run under one hold of the
+        engine lock (:meth:`prepare_rank`), so no concurrent request can
+        observe — or score under — a half-installed context.  The kernel
+        pass and the response assembly run after the lock is released.
         """
-        self._acquire()
-        try:
-            if specs is not None:
-                self.install_context(*specs, tick=tick)
-            return self.rank(request)
-        finally:
-            self._lock.release()
+        return self.prepare_rank(specs, request, tick=tick).complete()
 
     def _explain_items(
         self,

@@ -21,7 +21,6 @@ from repro.perf.backend import (
 from repro.perf.columns import NameTable, ScoreColumn, rank_columns
 from repro.perf.flatops import (
     batch_row_scores,
-    batch_topk_survivors,
     log_linear_rows,
     row_scores,
     topk_survivors,
@@ -34,7 +33,6 @@ __all__ = [
     "ScoreColumn",
     "backend_name",
     "batch_row_scores",
-    "batch_topk_survivors",
     "log_linear_rows",
     "numpy_or_none",
     "rank_columns",

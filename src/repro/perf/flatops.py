@@ -24,7 +24,6 @@ __all__ = [
     "LOG_FLOOR",
     "TOPK_PRUNE_SLACK",
     "batch_row_scores",
-    "batch_topk_survivors",
     "row_scores",
     "topk_survivors",
     "log_linear_rows",
@@ -147,54 +146,6 @@ def batch_row_scores(
                 score *= a + b * data[base + column]
             append(min(1.0, max(0.0, score)))
     return values
-
-
-def batch_topk_survivors(
-    data: Sequence[float],
-    rule_count: int,
-    coeff_sets: Sequence[Sequence[tuple[int, float, float]]],
-    suffix_bound_sets: Sequence[Sequence[float]],
-    rows: Iterable[int],
-    ks: Sequence[int],
-    seed_sets: Sequence[Iterable[float]] = (),
-) -> list[list[tuple[int, float]]]:
-    """:func:`topk_survivors` for many requests over one matrix.
-
-    Rows are walked once; each batch-mate keeps its own threshold heap
-    and Section-6 early abandon, so pruning power per mate matches the
-    sequential pass while the row reads are shared.  Returns one
-    ``(row, score)`` survivor list per mate.
-    """
-    heaps: list[list[float]] = [[] for _ in coeff_sets]
-    push, pop = heapq.heappush, heapq.heappop
-    for index, seeds in enumerate(seed_sets):
-        heap, k = heaps[index], ks[index]
-        for value in seeds:
-            push(heap, value)
-            if len(heap) > k:
-                pop(heap)
-    survivor_sets: list[list[tuple[int, float]]] = [[] for _ in coeff_sets]
-    keep_factor = 1.0 - TOPK_PRUNE_SLACK
-    mates = list(zip(coeff_sets, suffix_bound_sets, heaps, ks, survivor_sets))
-    for row in rows:
-        base = row * rule_count
-        for coeffs, suffix_bounds, heap, k, survivors in mates:
-            score = 1.0
-            full = len(heap) == k
-            abandoned = False
-            for j, (column, a, b) in enumerate(coeffs):
-                if full and score * suffix_bounds[j] < heap[0] * keep_factor:
-                    abandoned = True
-                    break
-                score *= a + b * data[base + column]
-            if abandoned:
-                continue
-            score = min(1.0, max(0.0, score))
-            survivors.append((row, score))
-            push(heap, score)
-            if len(heap) > k:
-                pop(heap)
-    return survivor_sets
 
 
 def log_linear_rows(

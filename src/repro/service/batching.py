@@ -1,9 +1,11 @@
 """Cross-request micro-batching: one kernel pass for many concurrent ranks.
 
 The dynamic-batching pattern every inference stack uses, applied to the
-factorised scorer: concurrent requests whose snapshots share a compiled
-``P(f)`` matrix (:meth:`RankingEngine.prepare_rank` groups them by
-basis key) wait up to ``max_wait_us`` for batch-mates, then one fused
+factorised scorer.  Every engine miss is :meth:`RankingEngine.prepare_rank`
+→ a kernel pass → :meth:`PreparedRank.complete`; the scheduler only
+decides who runs the pass.  Concurrent requests whose snapshots share a
+compiled ``P(f)`` matrix (:attr:`PreparedRank.group_key`) wait up to
+``max_wait_us`` for batch-mates, then one fused
 :func:`~repro.engine.engine.score_prepared_batch` pass scores the whole
 group — N matrix walks collapse into one, and mates with an equal
 coefficient vector (:attr:`ScoringKernel.coalesce_key`, tenant-blind)
@@ -29,7 +31,8 @@ is cancelled in place — it raises
 :class:`~repro.service.resilience.DeadlineExceeded` (its 504/stale
 answer) without ever entering a kernel pass.  If a batched pass blows
 up on a non-deadline error, the leader re-scores each taken entry
-individually so one poisoned mate cannot fail the whole batch; a
+alone — the single-kernel call bypassed entries and unbatched ranks
+make — so one poisoned mate cannot fail the whole batch; a
 deadline abort mid-pass (only possible when *every* mate is out of
 budget — the pass runs under the longest member deadline) propagates to
 all of them.
@@ -139,10 +142,13 @@ class BatchScheduler:
     ) -> ScoredView:
         """Score one prepared request, batched with concurrent mates.
 
-        Raises :class:`DeadlineExceeded` — before any kernel work — for
-        a request that is already, or becomes, out of budget while
+        A bypassed request is scored alone on the calling thread by the
+        call an unbatched :meth:`PreparedRank.complete` makes
+        (``score_prepared_batch([prepared])``).  Raises
+        :class:`DeadlineExceeded` — before any kernel work — for a
+        request that is already, or becomes, out of budget while
         queued.  Any error raised by the scoring pass itself propagates
-        on the calling thread exactly as the sequential path would.
+        on the calling thread exactly as the unbatched path would.
         """
         if deadline is not None and deadline.expired():
             with self._cond:
@@ -176,7 +182,8 @@ class BatchScheduler:
                     leader = False
                     self._cond.notify_all()
         if bypass:
-            return self._score_single(prepared)
+            (view,), _rows = score_prepared_batch([prepared])
+            return view
         if leader:
             return self._lead(group, entry)
         return self._follow(entry)
@@ -276,11 +283,12 @@ class BatchScheduler:
                     member.error = exc
                 return
             except Exception:  # noqa: BLE001 - contain one poisoned mate
-                # Re-score each entry alone so a fault injected into (or
-                # triggered by) one mate cannot fail the whole batch.
+                # Re-score each entry alone — the bypass call — so a
+                # fault injected into (or triggered by) one mate cannot
+                # fail the whole batch.
                 for member in taken:
                     try:
-                        member.result = self._score_single(member.prepared)
+                        (member.result,), _rows = score_prepared_batch([member.prepared])
                         rows += 1
                     except BaseException as exc:  # noqa: BLE001
                         member.error = exc
@@ -294,11 +302,6 @@ class BatchScheduler:
                 self._coalesced += max(0, len(taken) - rows)
             for member in taken:
                 member.event.set()
-
-    @staticmethod
-    def _score_single(prepared: PreparedRank) -> ScoredView:
-        results, _rows = score_prepared_batch([prepared])
-        return results[0]
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

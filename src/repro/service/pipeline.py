@@ -46,8 +46,11 @@ This module is that request path, staged and instrumented::
   *here*, with the tenant's standing context untouched (and the
   engine's own install validates-before-clearing too, so no error
   path can leave a half-installed context).
-* **rank** — :meth:`UserSession.rank_in_context`: delta install and
-  rank under one hold of the engine lock, atomic per tenant.  It runs
+* **rank** — :meth:`UserSession.prepare_rank`, then
+  :meth:`PreparedRank.complete`: the delta install and the snapshot of
+  what to score under one hold of the engine lock, atomic per tenant;
+  the kernel pass (batched with concurrent mates when micro-batching
+  is on) and the response assembly after it is released.  It runs
   on the thread that took the admission slot and the session pin (one
   thread per request: behind the gateway, a ``repro-gw`` pool thread),
   inside the request's deadline scope.  The deadline is cooperative:
@@ -148,7 +151,6 @@ class ServiceConfig:
 
     max_concurrency: int = 8
     queue_timeout: float = 0.25
-    default_top_k: int | None = None
     include_timings: bool = False
     request_timeout: float | None = 2.0
     min_request_timeout: float = 0.05
@@ -685,10 +687,9 @@ class RankingService:
                 if not isinstance(request, ServiceRequest):
                     request = ServiceRequest.from_params(request)
                 attempt.request = request
-                top_k = request.top_k if request.top_k is not None else self.config.default_top_k
                 attempt.rank_request = RankRequest(
                     documents=request.documents,
-                    top_k=top_k,
+                    top_k=request.top_k,
                     explain=request.explain,
                 )
                 attempt.effective_timeout = clamp_timeout(
@@ -714,7 +715,7 @@ class RankingService:
                     request.tenant,
                     request.context,
                     request.documents,
-                    top_k,
+                    request.top_k,
                     request.explain,
                 )
                 if lookup is not None:
@@ -1001,9 +1002,9 @@ class RankingService:
                 with clock.stage("render"):
                     return self._serve_hit(request, attempt.cached_body), True
         with clock.stage("rank"):
-            # Install and rank under one hold of the engine lock — after
-            # a refuted delta hit too, so the ranking is this request's
-            # context whatever ran since its install.
+            # Install and snapshot under one hold of the engine lock —
+            # after a refuted delta hit too, so the ranking is this
+            # request's context whatever ran since its install.
             response = self._rank_session(
                 session, specs, attempt.rank_request, attempt.deadline
             )
@@ -1014,20 +1015,19 @@ class RankingService:
         return body, False
 
     def _rank_session(self, session, specs, rank_request, deadline: Deadline | None):
-        """Rank one session request, through the batcher when enabled.
+        """Rank one session request: prepare → score → complete.
 
-        ``prepare_rank`` snapshots the bound problem under the engine
-        lock; the kernel pass then runs outside it — batched with
-        whatever concurrent mates share the same compiled candidates.
-        Requests the engine cannot snapshot (SQL, cache hits, cold
-        basis, ...) come back pre-answered and skip the batcher.
+        ``prepare_rank`` installs the delta and snapshots the bound
+        problem under the engine lock; the kernel pass and the response
+        assembly then run outside it — batched with whatever concurrent
+        mates share the same compiled candidates when the batcher is
+        on, alone otherwise.  Requests answered on the spot (view-cache
+        hits, cold basis, ...) carry no kernel and skip the batcher.
         """
-        if self.batcher is None:
-            return session.rank_in_context(specs, rank_request, tick="svc")
         prepared = session.prepare_rank(specs, rank_request, tick="svc")
-        if prepared.response is not None:
-            return prepared.response
-        view = self.batcher.execute(prepared, deadline)
+        view = None
+        if prepared.kernel is not None and self.batcher is not None:
+            view = self.batcher.execute(prepared, deadline)
         return prepared.complete(view)
 
     def install_context(self, tenant: str, specs: Iterable[str]) -> ServiceResponse:

@@ -232,7 +232,7 @@ class UserSession:
         """Atomically install a context delta, then rank.
 
         The serving primitive (see
-        :meth:`RankingEngine.rank_in_context`): install + rank run
+        :meth:`RankingEngine.rank_in_context`): install + snapshot run
         under one hold of the engine lock, so a concurrent request on
         the same session can never score a half-installed context.
         """

@@ -1,7 +1,8 @@
-"""Batched scoring (`score_batch` / `rank_top_k_batch`) vs the sequential kernel.
+"""The fused batch pass (`score_vectors`) vs the sequential kernel.
 
-The batched path must be a pure fusion: for every batch mate the scores
-and rankings must match what that kernel produces alone, on both
+`score_vectors` is the pass the micro-batcher runs (through
+`score_documents_batch`).  It must be a pure fusion: for every batch
+mate the scores must match what that kernel produces alone, on both
 backends, including mates with pruned rules, mutex-group events and
 trivial (all-miss) rows.
 """
@@ -13,15 +14,14 @@ import pytest
 from repro.core import (
     ScoringKernel,
     bind_problem,
-    rank_top_k_batch,
-    score_batch,
     score_documents_batch,
     score_values,
 )
-from repro.core.kernel import _shared_candidates, _union_coefficients
+from repro.core.kernel import _shared_candidates, _union_coefficients, score_vectors
 from repro.errors import ScoringError
 from repro.events import EventSpace
 from repro.perf.backend import numpy_or_none
+from repro.perf.columns import as_floats
 from repro.workloads import build_tvtouch, set_breakfast_weekend_context
 
 from tests.core.test_kernel import synthetic_problem
@@ -80,7 +80,12 @@ def synthetic_family(backend, count=5, rules=6, docs=40, seed=7, threshold=0.0):
     return kernels
 
 
-class TestScoreBatch:
+def score_batch(kernels):
+    """The fused pass's vectors as plain float lists."""
+    return [as_floats(values) for values in score_vectors(kernels)]
+
+
+class TestScoreVectors:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_identity_world_contexts(self, backend):
         world = build_tvtouch()
@@ -207,48 +212,3 @@ class TestScoreDocumentsBatch:
         for kernel, scored in zip(kernels, batched):
             assert scored["mpfs"].value == kernel.all_miss
             assert scored["mpfs"].contributions == ()
-
-
-class TestRankTopKBatch:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("ks", [[1, 1, 1], [3, 1, 7], [200, 5, 2]])
-    def test_matches_sequential_rank(self, backend, ks):
-        kernels = synthetic_family(backend, count=3, docs=60)
-        batched = rank_top_k_batch(kernels, ks)
-        for kernel, k, top in zip(kernels, ks, batched):
-            expected = kernel.rank_top_k(k)
-            assert [(s.document, s.value) for s in top] == [
-                (s.document, s.value) for s in expected
-            ]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_full_sort(self, backend):
-        kernels = synthetic_family(backend, count=4, docs=80, seed=13)
-        batched = rank_top_k_batch(kernels, [5] * 4)
-        for kernel, top in zip(kernels, batched):
-            full = sorted(
-                kernel.score_documents().values(), key=lambda s: (-s.value, s.document)
-            )
-            assert [(s.document, s.value) for s in top] == [
-                (s.document, s.value) for s in full[:5]
-            ]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pruned_rules_and_ties(self, backend):
-        kernels = synthetic_family(backend, count=4, threshold=0.5, seed=17)
-        batched = rank_top_k_batch(kernels, [3, 9, 1, 4])
-        for kernel, k, top in zip(kernels, (3, 9, 1, 4), batched):
-            expected = kernel.rank_top_k(k)
-            assert [(s.document, s.value) for s in top] == [
-                (s.document, s.value) for s in expected
-            ]
-
-    def test_length_mismatch_rejected(self):
-        kernels = synthetic_family("python", count=2)
-        with pytest.raises(ScoringError):
-            rank_top_k_batch(kernels, [1])
-
-    def test_invalid_k_rejected(self):
-        kernels = synthetic_family("python", count=2)
-        with pytest.raises(ScoringError):
-            rank_top_k_batch(kernels, [1, 0])

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.core.preference_view import PREFERENCE_VIEW_TABLE
 from repro.errors import EngineError
 from repro.reason import clear_registry
 from repro.service import (
@@ -86,6 +87,26 @@ class TestPipeline:
             assert scores[document] == pytest.approx(expected, abs=1e-9)
         assert reply.body["tenant"] == "peter"
         assert reply.body["context"] == ["Weekend", "Breakfast"]
+
+    def test_tenants_never_write_the_shared_database(self):
+        # Every tenant's engine reads the world's one Database; ranking
+        # must leave it as built (SQL reads scores through the
+        # `preferencescore` virtual column, never a table).
+        world = build_tvtouch()
+        service = RankingService(TenantRegistry(world, shards=2, max_sessions=8))
+        try:
+            for tenant in ("peter", "paula"):
+                reply = service.rank({"tenant": [tenant], "context": ["Weekend", "Breakfast"]})
+                assert reply.ok
+            assert not world.database.has_base_table(PREFERENCE_VIEW_TABLE)
+            answer = service.registry.session("peter").engine.rank(
+                "SELECT name, preferencescore FROM Programs "
+                "WHERE preferencescore > 0.5 ORDER BY preferencescore DESC"
+            )
+            assert answer.result.rows == [("Channel 5 news", pytest.approx(0.6006, abs=1e-9))]
+            assert not world.database.has_base_table(PREFERENCE_VIEW_TABLE)
+        finally:
+            service.close()
 
     def test_standing_context_survives_between_requests(self, service):
         install = service.install_context("alice", ["Weekend", "Breakfast"])

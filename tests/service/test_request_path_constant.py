@@ -16,7 +16,9 @@ warm tvtouch service and a warm 40-program Section 5 service:
 (e) a delta hit over HTTP is answered on the loop: no executor hop,
     one install, one fingerprint, no admission and no breaker call;
 (f) a miss over HTTP takes one executor hop — the gateway pool thread
-    runs the rank itself, under the deadline — and no other pool exists.
+    runs the rank itself, under the deadline — and no other pool exists;
+(g) a miss on a warm basis, batching off, is one kernel pass, run after
+    the tenant's engine lock is released.
 """
 
 import collections
@@ -28,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.cache import InMemoryCacheAdapter
+from repro.core.kernel import ScoringKernel
 from repro.dl import concepts
 from repro.engine import RankingEngine, backends
 from repro.errors import ReproError
@@ -282,6 +285,26 @@ def test_an_http_miss_takes_one_thread(world_name, monkeypatch):
     assert "cached" not in body and body["items"]
     assert len(submits) == 1
     assert not [name for name in names if name.startswith("repro-rank")]
+
+
+def test_an_http_miss_is_one_kernel_pass_outside_the_engine_lock(world_name, monkeypatch):
+    service = build_service(world_name, request_timeout=2.0)
+    warm(service, world_name)  # alice's basis is compiled
+    _first, second, third = CONTEXTS[world_name]
+    engine = service.registry.session("alice").engine
+    owned = []  # per pass: did the scoring thread hold the engine lock?
+    real = ScoringKernel.score_vector
+
+    def counting(kernel, *args, **kwargs):
+        owned.append(engine._lock._is_owned())
+        return real(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(ScoringKernel, "score_vector", counting)
+    body, _names = serve_one(
+        service, f"tenant=alice&top_k=3&context={third}:0.3939&context={second}"
+    )
+    assert "cached" not in body and body["items"]
+    assert owned == [False]
 
 
 def test_an_http_delta_hit_never_leaves_the_loop(world_name, monkeypatch):

@@ -279,14 +279,18 @@ class TestShardingAndPinning:
             registry.session(f"tenant_{index}")
         assert len(registry) <= 4
 
-    def test_shared_basis_pool_bound_is_exact_across_stripes(self):
+    def test_shared_basis_pool_bound_is_exact(self):
         from repro.engine.basis import SharedBasisPool, ViewBasis
 
-        pool = SharedBasisPool(max_entries=4, stripes=8)
-        assert pool.stripes == 4
+        pool = SharedBasisPool(max_entries=4)
         for index in range(20):
             pool.put(("key", index), ViewBasis(kernel=None, snapshot=frozenset()))
-        assert len(pool) <= 4
+            if index == 16:
+                assert pool.get(("key", 13)) is not None  # the LRU refresh
+        assert len(pool) == 4
+        assert pool.get(("key", 13)) is not None and pool.get(("key", 19)) is not None
+        assert pool.get(("key", 14)) is None  # the least recent was evicted
+        assert (pool.hits, pool.misses) == (3, 1)
 
 
 class TestSharing:

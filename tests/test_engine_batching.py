@@ -5,8 +5,11 @@ install+rank loop — same items, same scores (≤1e-9), same
 fingerprints — while paying one fused kernel pass for the batch.
 """
 
+import threading
+
 import pytest
 
+from repro.core.kernel import ScoringKernel
 from repro.engine import (
     RankingEngine,
     RankRequest,
@@ -127,11 +130,47 @@ class TestPrepareRank:
         )
         assert prepared.response is not None
 
-    def test_complete_without_scores_rejected(self, world):
+    def test_complete_without_scores_scores_alone(self, world):
         engine = warmed_engine(world)
         prepared = engine.prepare_rank(("Weekend:0.41",), RankRequest())
-        with pytest.raises(EngineError):
-            prepared.complete()
+        assert prepared.kernel is not None
+        alone = prepared.complete()
+        assert not alone.from_cache and alone.fingerprint == prepared.fingerprint
+        reference = warmed_engine(world)  # same world: the context is installed
+        want = reference.rank()
+        assert alone.documents() == want.documents()
+        assert alone.scores() == pytest.approx(want.scores(), abs=1e-9)
+
+    def test_the_kernel_pass_runs_outside_the_engine_lock(self, world, monkeypatch):
+        engine = warmed_engine(world)
+        entered, release = threading.Event(), threading.Event()
+        real = ScoringKernel.score_vector
+
+        def parked(kernel, *args, **kwargs):
+            entered.set()
+            assert release.wait(10)
+            return real(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(ScoringKernel, "score_vector", parked)
+        answers = []
+        ranker = threading.Thread(
+            target=lambda: answers.append(
+                engine.rank_in_context(("Weekend:0.41",), RankRequest(top_k=2))
+            )
+        )
+        ranker.start()
+        try:
+            assert entered.wait(10), "the miss never reached the kernel"
+            # The pass is parked: an install that never waits still lands.
+            fingerprint = engine.install_and_fingerprint(
+                ("Breakfast:0.3",), tick="probe", blocking=False
+            )
+        finally:
+            release.set()
+            ranker.join(10)
+        assert fingerprint is not None
+        assert answers and len(answers[0].items) == 2
+        assert answers[0].fingerprint != fingerprint
 
     def test_complete_populates_view_cache(self, world):
         engine = warmed_engine(world)

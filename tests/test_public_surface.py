@@ -1,6 +1,8 @@
 """The top-level public surface: every exported name resolves, without warnings."""
 
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +41,13 @@ class TestPublicSurface:
         from repro.core import ContextAwareScorer
 
         assert ContextAwareScorer.__module__.startswith("repro.core")
+
+    def test_one_package_version(self):
+        # A regex, not tomllib: the oldest supported Python has none.
+        root = Path(__file__).resolve().parents[1]
+        pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+        setup = (root / "setup.py").read_text(encoding="utf-8")
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+        shimmed = re.search(r'^\s*version="([^"]+)",$', setup, re.MULTILINE)
+        assert declared and shimmed
+        assert declared.group(1) == shimmed.group(1) == repro.__version__
