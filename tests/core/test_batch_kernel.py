@@ -4,7 +4,8 @@
 `score_documents_batch`).  It must be a pure fusion: for every batch
 mate the scores must match what that kernel produces alone, on both
 backends, including mates with pruned rules, mutex-group events and
-trivial (all-miss) rows.
+trivial (all-miss) rows — and each mate's view cut at its top k must
+match the kernel's heap-pruned `rank_top_k`.
 """
 
 import random
@@ -18,6 +19,7 @@ from repro.core import (
     score_values,
 )
 from repro.core.kernel import _shared_candidates, _union_coefficients, score_vectors
+from repro.engine.relevance import GatedRelevance
 from repro.errors import ScoringError
 from repro.events import EventSpace
 from repro.perf.backend import numpy_or_none
@@ -212,3 +214,48 @@ class TestScoreDocumentsBatch:
         for kernel, scored in zip(kernels, batched):
             assert scored["mpfs"].value == kernel.all_miss
             assert scored["mpfs"].contributions == ()
+
+
+def batch_top_k(kernels, ks):
+    """Each mate's fused view cut at its own ``k`` — what a batched
+    ``RankRequest(top_k=k)`` is answered from (the default relevance
+    backend's ``combine_top_k`` over the view's columns)."""
+    relevance = GatedRelevance()
+    return [
+        relevance.combine_top_k(view.column(), None, view.names, k)
+        for view, k in zip(score_documents_batch(kernels), ks)
+    ]
+
+
+def assert_same_top(items, expected):
+    assert items.documents() == [score.document for score in expected]
+    assert list(items.scores) == pytest.approx(
+        [score.value for score in expected], abs=1e-9
+    )
+
+
+class TestRankTopKBatch:
+    """The batch's cut agrees with the heap-pruned sequential top-k."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("ks", [[1, 1, 1], [3, 1, 7], [200, 5, 2]])
+    def test_matches_sequential_rank(self, backend, ks):
+        kernels = synthetic_family(backend, count=3, docs=60)
+        for kernel, k, top in zip(kernels, ks, batch_top_k(kernels, ks)):
+            assert_same_top(top, kernel.rank_top_k(k))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_full_sort(self, backend):
+        kernels = synthetic_family(backend, count=4, docs=80, seed=13)
+        for kernel, top in zip(kernels, batch_top_k(kernels, [5] * 4)):
+            full = sorted(
+                kernel.score_documents().values(), key=lambda s: (-s.value, s.document)
+            )
+            assert_same_top(top, full[:5])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pruned_rules_and_ties(self, backend):
+        kernels = synthetic_family(backend, count=4, threshold=0.5, seed=17)
+        ks = (3, 9, 1, 4)
+        for kernel, k, top in zip(kernels, ks, batch_top_k(kernels, ks)):
+            assert_same_top(top, kernel.rank_top_k(k))

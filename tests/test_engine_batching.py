@@ -67,6 +67,26 @@ class TestRankManyIdentity:
             assert left.scores() == pytest.approx(right.scores(), abs=1e-9)
             assert left.fingerprint == right.fingerprint
 
+    @pytest.mark.parametrize("k", [1, 3, 200])
+    def test_top_k_matches_the_pruned_top_k(self, k):
+        # rank_many cuts each fused view at k; engine.rank_top_k binds
+        # and prunes on the Section 6 upper bound instead.
+        def fresh():
+            world = build_tvtouch()
+            set_breakfast_weekend_context(world)
+            return warmed_engine(world)
+
+        batched_engine = fresh()
+        reference = fresh()
+        batched = batched_engine.rank_many([RankRequest(top_k=k)] * len(CONTEXTS), CONTEXTS)
+        for specs, response in zip(CONTEXTS, batched):
+            reference.install_context(*specs, tick="ctx")
+            expected = reference.rank_top_k(k)
+            assert response.documents() == [score.document for score in expected]
+            assert list(response.items.scores) == pytest.approx(
+                [score.value for score in expected], abs=1e-9
+            )
+
     def test_mixed_shapes_fall_back_transparently(self, world):
         engine = warmed_engine(world)
         requests = [
