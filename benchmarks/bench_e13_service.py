@@ -5,8 +5,8 @@ this experiment measures the whole serving stack end to end on the
 tvtouch fleet (the E12 multi-tenant world behind a
 :class:`~repro.service.RankingService`):
 
-* **in-process**: the staged pipeline (parse → admit → resolve →
-  context → rank → render) driven closed-loop by
+* **in-process**: the staged pipeline (parse → cache → breaker →
+  resolve → context → rank → render) driven closed-loop by
   :func:`repro.workloads.run_traffic` — Zipf tenant popularity, 50 %
   context churn, 8 concurrent workers;
 * **over HTTP**: the same deterministic schedule through the
@@ -60,7 +60,7 @@ def fleet():
         build_tvtouch(), shards=SHARDS, max_sessions=max(TENANTS, 64)
     )
     service = RankingService(
-        registry, ServiceConfig(max_concurrency=CONCURRENCY, queue_timeout=5.0)
+        registry, ServiceConfig(max_concurrency=CONCURRENCY)
     )
     yield service
     clear_registry()
@@ -195,27 +195,3 @@ def test_e13_service_throughput(fleet, save_result, save_json):
             f"in-process throughput {in_process.throughput_rps:.0f} req/s at "
             f"concurrency {CONCURRENCY} is below the {MIN_IN_PROCESS_RPS:.0f} req/s bound"
         )
-
-
-def test_e13_admission_control_sheds_load(save_json):
-    """Overload answers fast 503s instead of queueing without bound."""
-    clear_registry()
-    registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=32)
-    service = RankingService(
-        registry, ServiceConfig(max_concurrency=1, queue_timeout=0.0)
-    )
-    # Hold the only admission slot, then hit the service from outside.
-    assert service._admission.acquire(timeout=1.0)
-    try:
-        reply = service.rank({"tenant": ["alice"]})
-    finally:
-        service._admission.release()
-    assert reply.status == 503
-    assert "overloaded" in reply.body["error"]
-    outcomes = service.metrics.outcomes()
-    assert outcomes.get("rejected") == 1
-    save_json(
-        "e13_admission",
-        {"experiment": "e13_admission", "rejected_status": reply.status},
-    )
-    clear_registry()

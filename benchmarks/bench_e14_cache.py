@@ -69,7 +69,7 @@ def fresh_service(cache):
     registry = TenantRegistry(build_tvtouch(), shards=8, max_sessions=256)
     return RankingService(
         registry,
-        ServiceConfig(max_concurrency=8, queue_timeout=5.0),
+        ServiceConfig(max_concurrency=8),
         cache=cache,
     )
 
@@ -141,7 +141,7 @@ def test_e14_cache_traffic(save_result, save_json):
             registry = TenantRegistry(build_tvtouch(), shards=8, max_sessions=256)
             return RankingService(
                 registry,
-                ServiceConfig(max_concurrency=8, queue_timeout=5.0),
+                ServiceConfig(max_concurrency=8),
                 cache=InMemoryCacheAdapter(ttl=None),
                 worker_info=dict(worker_info),
             )
@@ -258,7 +258,7 @@ def test_e14_eviction_hook_under_churning_fleet(save_json):
     registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=4)
     cache = InMemoryCacheAdapter(ttl=None)
     service = RankingService(
-        registry, ServiceConfig(max_concurrency=8, queue_timeout=5.0), cache=cache
+        registry, ServiceConfig(max_concurrency=8), cache=cache
     )
     menus = CONTEXT_MENUS
     for round_index in range(3):

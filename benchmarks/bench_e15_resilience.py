@@ -22,7 +22,7 @@ Two further phases pin the deadline and crash-loop behaviour:
 
 * a wedged engine (injected 2 s rank delay vs a 0.2 s request
   timeout) must answer 504 within **2× the request timeout**, and
-  once the slow work drains the admission slots must all return;
+  every session pin must be back by then;
 * a worker slot dying ≥ 3 times inside the crash-loop window must be
   fenced — respawns stop, ``health()`` degrades — while the
   surviving workers keep serving.
@@ -100,7 +100,6 @@ def faulty_factory(worker_info):
         registry,
         ServiceConfig(
             max_concurrency=CONCURRENCY,
-            queue_timeout=5.0,
             batch_max_size=8,
             batch_max_wait_us=1000.0,
         ),
@@ -207,7 +206,7 @@ def test_e15_storm_availability(save_result, save_json):
 
 def test_e15_deadline_bound(save_json):
     """A wedged engine answers 504 within 2x the request timeout, with
-    every admission slot already back."""
+    every session pin already back."""
     clear_registry()
     shared_basis_pool().clear()
     registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
@@ -215,7 +214,6 @@ def test_e15_deadline_bound(save_json):
         registry,
         ServiceConfig(
             max_concurrency=4,
-            queue_timeout=1.0,
             request_timeout=REQUEST_TIMEOUT,
             breaker_enabled=False,  # isolate the deadline path
         ),
@@ -231,8 +229,8 @@ def test_e15_deadline_bound(save_json):
             f"deadline-exceeded answer took {elapsed:.3f}s against a "
             f"{REQUEST_TIMEOUT}s request timeout"
         )
-    # The answering thread ran the rank and released its slot first.
-    assert service.available_slots() == 4
+    # The answering thread ran the rank and released its pin first.
+    assert registry.info().pinned == 0
     service.close()
     save_json(
         "e15_deadline",
@@ -263,7 +261,7 @@ def test_e15_crash_loop_fence(save_json):
         )
         return RankingService(
             registry,
-            ServiceConfig(max_concurrency=2, queue_timeout=2.0),
+            ServiceConfig(max_concurrency=2),
             fault_injector=injector,
             worker_info=dict(worker_info),
         )

@@ -124,7 +124,6 @@ def make_fleet(world, rules, *, batched: bool) -> RankingService:
     )
     config = ServiceConfig(
         max_concurrency=CONCURRENCY,
-        queue_timeout=5.0,
         batch_max_size=BATCH_MAX_SIZE if batched else 0,
         batch_max_wait_us=BATCH_MAX_WAIT_US,
     )

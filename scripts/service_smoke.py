@@ -11,8 +11,9 @@ ephemeral port, all on the event-loop gateway:
    loop (``delta_hits_inline`` in ``/metrics``).  Booted with
    ``REPRO_FAULT_RANK_DELAY=1 REPRO_FAULT_TENANTS=slow``, it then
    asserts the deadline over the wire: ``/rank?tenant=slow&timeout=0.2``
-   answers 504 in under 0.4 s, ``/metrics`` shows every admission slot
-   back, and another tenant still ranks.  Then it shuts down cleanly
+   answers 504 in under 0.4 s, ``/metrics`` shows every session pin and
+   every gateway dispatch back (``registry.pinned`` and
+   ``gateway.pending_dispatch`` both 0), and another tenant still ranks.  Then it shuts down cleanly
    (SIGINT, bounded wait).
 2. **Fleet** (``--workers 2``) — parses the per-worker pid announce
    lines, asserts ranked JSON comes back from the shared port and that
@@ -206,21 +207,22 @@ def smoke_single_process() -> None:
         )
 
         # The deadline over the wire: the wedged rank answers 504 near
-        # its 0.2 s deadline, not after the 1 s delay, with its
-        # admission slot already back, and other tenants still rank.
+        # its 0.2 s deadline, not after the 1 s delay, with its session
+        # pin and its gateway dispatch already back, and other tenants
+        # still rank.
         started = time.monotonic()
         status, body = get_error(f"{base_url}/rank?tenant=slow&context=Weekend&timeout=0.2")
         elapsed = time.monotonic() - started
         assert status == 504 and "deadline" in body["error"], (status, body)
         assert elapsed < 0.4, f"504 took {elapsed:.3f}s against a 0.2s deadline"
         metrics = get_json(f"{base_url}/metrics")
-        slots = metrics["resilience"]["available_slots"]
-        assert slots == metrics["config"]["max_concurrency"], metrics["resilience"]
+        assert metrics["registry"]["pinned"] == 0, metrics["registry"]
+        assert metrics["gateway"]["pending_dispatch"] == 0, metrics["gateway"]
         other = get_json(f"{base_url}/rank?tenant=bob&context=Weekend&top_k=3")
         assert other["items"], other
         print(
             f"smoke: wedged tenant answered 504 in {elapsed:.3f}s, "
-            f"all {slots} slots back, another tenant ranked"
+            "every pin and dispatch back, another tenant ranked"
         )
     finally:
         shutdown(process, "server")

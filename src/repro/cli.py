@@ -73,11 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=8, help="tenant-registry shards")
     serve.add_argument("--max-sessions", type=int, default=4096, help="live-session LRU bound")
     serve.add_argument(
-        "--max-concurrency", type=int, default=8, help="admission bound on in-flight ranks"
-    )
-    serve.add_argument(
-        "--queue-timeout", type=float, default=0.25,
-        help="seconds a request may wait for admission before a 503",
+        "--max-concurrency", type=int, default=8,
+        help="gateway threads per worker: the bound on in-flight ranks",
     )
     serve.add_argument(
         "--request-timeout", type=float, default=2.0,
@@ -103,10 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-max-wait-us", type=float, default=1000.0,
         help="microseconds a batch leader waits for mates before flushing",
-    )
-    serve.add_argument(
-        "--batch-queue-limit", type=int, default=256,
-        help="max requests waiting in open batches; overflow scores sequentially",
     )
     serve.add_argument(
         "--workers", type=int, default=1,
@@ -327,14 +320,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             registry,
             ServiceConfig(
                 max_concurrency=args.max_concurrency,
-                queue_timeout=args.queue_timeout,
                 request_timeout=args.request_timeout or None,
                 stale_max_age=args.stale_max_age,
                 serve_stale=not args.no_stale,
                 breaker_enabled=not args.no_breaker,
                 batch_max_size=args.batch_max_size,
                 batch_max_wait_us=args.batch_max_wait_us,
-                batch_queue_limit=args.batch_queue_limit,
             ),
             cache=cache,
             worker_info={**worker_info, "world_source": world_source},

@@ -1,16 +1,19 @@
 """The serving runtime: concurrent request pipeline + HTTP/JSON gateway.
 
 Turns the tenant fleet (:mod:`repro.tenants`) into a traffic-handling
-system: a staged, admission-controlled :class:`RankingService`
-pipeline (parse → cache → breaker → admit → resolve → context → rank →
-render) with per-stage latency metrics, a pluggable response cache
+system: a staged :class:`RankingService` pipeline (parse → cache →
+breaker → resolve → context → rank → render) with per-stage latency
+metrics, a pluggable response cache
 (:mod:`repro.cache`), and a resilience layer
 (:mod:`repro.service.resilience`: per-request deadlines, serve-stale
 degradation, circuit breaking, fault injection), fronted by a
 dependency-free event-loop HTTP gateway (:mod:`repro.service.aio`,
 ``python -m repro serve``) that scales past the GIL as a pre-fork
 worker fleet (``python -m repro serve --workers N``,
-:mod:`repro.service.fleet`).
+:mod:`repro.service.fleet`).  The gateway's ``max_concurrency``-wide
+executor is the one bound on work in flight, and its dispatch queue
+limit the one overload valve; in process, the caller's threads are the
+bound.
 
 Quickstart::
 

@@ -46,13 +46,16 @@ on sheds, ``Warning: 110`` on stale serves), straight from
 * **off-loop dispatch** for cache-missing ranks, the delta hits the
   loop could not settle without waiting, and context installs:
   the blocking half of the pipeline
-  (:meth:`RankingService.finish_rank`) runs on a bounded gateway
-  executor sized to the admission semaphore — one thread per
-  request, which runs the rank itself under the request's deadline —
-  and its completion callback re-arms the connection for write.  A
-  pool thread never waits for an admission slot: the pool is as wide
-  as the semaphore and each thread returns its slot before it
-  answers.  Because the loop submits every concurrently-buffered
+  (:meth:`RankingService.finish_rank`,
+  :meth:`RankingService.install_context`) runs on a gateway executor
+  ``max_concurrency`` threads wide — one thread per request, which
+  runs the rank itself under the request's deadline — and its
+  completion callback re-arms the connection for write.  That pool is
+  the service's one concurrency bound, and its queue limit
+  (``dispatch_limit``) the one overload valve: a request that would
+  queue past it is shed on the loop
+  (:meth:`RankingService.shed_inline`), a rank and a context install
+  alike.  Because the loop submits every concurrently-buffered
   miss in one pass, requests inside the batch window reach the
   :class:`~repro.service.batching.BatchScheduler` together without a
   follower thread blocking in a socket read.
@@ -84,7 +87,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
 from repro.service.metrics import GatewayMetrics
-from repro.service.pipeline import RankingService, ServiceResponse
+from repro.service.pipeline import RankAttempt, RankingService, ServiceResponse
 
 __all__ = ["AioRankingServer", "make_aio_server", "serve"]
 
@@ -353,13 +356,7 @@ class _HttpConnection(asyncio.Protocol):
             # Parse 400 or cache hit (pure or delta): answered on the loop.
             self._finish(attempt.response, chaos=True)
             return
-        server = self.server
-        if server._pending_dispatch >= server.dispatch_limit:
-            # The executor queue is saturated: more queueing is pure
-            # latency debt, so shed on the loop (stale when allowed).
-            self._finish(self.service.shed_inline(attempt), chaos=True)
-            return
-        self._dispatch(lambda: self.service.finish_rank(attempt), chaos=True)
+        self._dispatch(lambda: self.service.finish_rank(attempt), attempt, chaos=True)
 
     def _handle_context(self, request: _Request) -> None:
         if not request.body:
@@ -389,16 +386,26 @@ class _HttpConnection(asyncio.Protocol):
             )
             return
         tenant = str(payload["tenant"])
-        self._dispatch(lambda: self.service.install_context(tenant, context))
+        self._dispatch(lambda: self.service.install_context(tenant, context), None)
 
     # -- off-loop dispatch ---------------------------------------------------
-    def _dispatch(self, call, *, chaos: bool = False) -> None:
-        """Run one blocking pipeline call on the gateway executor.
+    def _dispatch(
+        self, call, attempt: RankAttempt | None, *, chaos: bool = False
+    ) -> None:
+        """Run one blocking pipeline call on the gateway executor, or shed it.
 
-        The completion callback re-enters the loop and re-arms the
-        connection for write.
+        The one place the overload valve is checked: with
+        ``dispatch_limit`` calls already queued, more queueing is pure
+        latency debt, so the request is answered on the loop by
+        :meth:`RankingService.shed_inline` (``attempt`` is the begun
+        rank, stale-servable; ``None`` for a context install).
+        Otherwise the completion callback re-enters the loop and re-arms
+        the connection for write.
         """
         server = self.server
+        if server._pending_dispatch >= server.dispatch_limit:
+            self._finish(self.service.shed_inline(attempt), chaos=chaos)
+            return
         server._pending_dispatch += 1
         loop = server._loop
 
@@ -470,8 +477,10 @@ class AioRankingServer:
     ``drain`` and ``server_close``.
 
     ``read_deadline`` bounds how long a connection may sit on a
-    partial request (408 + close); ``dispatch_limit`` bounds requests
-    queued for the gateway executor before the loop sheds inline.
+    partial request (408 + close).  The executor is
+    ``service.config.max_concurrency`` threads wide — the one bound on
+    work in flight — and ``dispatch_limit`` bounds the requests queued
+    for it before the loop sheds ranks and context installs inline.
     """
 
     def __init__(
@@ -712,6 +721,7 @@ class AioRankingServer:
         section = self.gateway_metrics.snapshot()
         section["kind"] = "aio"
         section["dispatch_limit"] = self.dispatch_limit
+        section["pending_dispatch"] = self._pending_dispatch
         section["read_deadline"] = self.read_deadline
         return section
 

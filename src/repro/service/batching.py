@@ -91,18 +91,14 @@ class BatchScheduler:
 
     ``execute`` blocks the calling thread until its request is scored
     (alone, as a follower, or as the leader of its batch) and returns
-    the scored view to feed :meth:`PreparedRank.complete`.  The bounded
-    queue (``queue_limit`` waiting entries) and the ``close()`` state
-    both degrade gracefully: overflow and post-close requests are
+    the scored view to feed :meth:`PreparedRank.complete`.  The queue
+    needs no bound of its own: every entry is a rank in flight on its
+    caller's thread, so the callers bound it (behind the gateway, the
+    ``max_concurrency``-wide pool).  After ``close()`` requests are
     scored sequentially on the caller's thread, never rejected.
     """
 
-    def __init__(
-        self,
-        max_batch_size: int = 8,
-        max_wait_us: float = 1000.0,
-        queue_limit: int = 256,
-    ):
+    def __init__(self, max_batch_size: int = 8, max_wait_us: float = 1000.0):
         if max_batch_size < 2:
             raise EngineConfigError(
                 f"batching needs max_batch_size >= 2, got {max_batch_size!r}"
@@ -111,16 +107,10 @@ class BatchScheduler:
             raise EngineConfigError(
                 f"batch max_wait_us must be non-negative, got {max_wait_us!r}"
             )
-        if queue_limit < 1:
-            raise EngineConfigError(
-                f"batch queue_limit must be positive, got {queue_limit!r}"
-            )
         self.max_batch_size = max_batch_size
         self.max_wait = max_wait_us / 1e6
-        self.queue_limit = queue_limit
         self._cond = threading.Condition()
         self._groups: dict[Hashable, _Group] = {}
-        self._waiting = 0
         self._closed = False
         # -- counters (all mutated under the condition lock) -------------
         self._requests = 0
@@ -130,7 +120,6 @@ class BatchScheduler:
         self._deadline_flushes = 0
         self._expired_in_queue = 0
         self._bypass_singleton = 0
-        self._bypass_overflow = 0
         self._bypass_closed = 0
         self._size_histogram: dict[int, int] = {}
         self._queue_wait = LatencyRecorder()
@@ -159,28 +148,18 @@ class BatchScheduler:
             )
         with self._cond:
             self._requests += 1
-            if self._closed:
+            bypass = self._closed
+            if bypass:
                 self._bypass_closed += 1
-                bypass = True
-            elif self._waiting >= self.queue_limit:
-                self._bypass_overflow += 1
-                bypass = True
             else:
-                bypass = False
-            if not bypass:
                 group = self._groups.get(prepared.group_key)
                 entry = _Entry(prepared, deadline)
-                if group is None:
-                    group = _Group(prepared.group_key)
-                    group.entries.append(entry)
-                    self._groups[prepared.group_key] = group
-                    self._waiting += 1
-                    leader = True
+                leader = group is None
+                if leader:
+                    group = self._groups[prepared.group_key] = _Group(prepared.group_key)
                 else:
-                    group.entries.append(entry)
-                    self._waiting += 1
-                    leader = False
                     self._cond.notify_all()
+                group.entries.append(entry)
         if bypass:
             (view,), _rows = score_prepared_batch([prepared])
             return view
@@ -217,7 +196,6 @@ class BatchScheduler:
             taken = [member for member in group.entries if member.state == _PENDING]
             for member in taken:
                 member.state = _TAKEN
-            self._waiting -= len(taken)
             self._batches += 1
             size = len(taken)
             self._size_histogram[size] = self._size_histogram.get(size, 0) + 1
@@ -240,7 +218,6 @@ class BatchScheduler:
             with self._cond:
                 if entry.state == _PENDING:
                     entry.state = _CANCELLED
-                    self._waiting -= 1
                     self._expired_in_queue += 1
                     raise DeadlineExceeded(
                         f"deadline exceeded while queued for batching: "
@@ -327,7 +304,6 @@ class BatchScheduler:
                 "enabled": True,
                 "max_batch_size": self.max_batch_size,
                 "max_wait_us": self.max_wait * 1e6,
-                "queue_limit": self.queue_limit,
                 "requests": requests,
                 "batches": self._batches,
                 "batched_requests": batched,
@@ -338,11 +314,9 @@ class BatchScheduler:
                 "expired_in_queue": self._expired_in_queue,
                 "bypass": {
                     "singleton_flushes": self._bypass_singleton,
-                    "overflow": self._bypass_overflow,
                     "closed": self._bypass_closed,
                 },
                 "batch_size_histogram": dict(sorted(self._size_histogram.items())),
-                "waiting": self._waiting,
             }
         snapshot["queue_wait"] = self._queue_wait.summary()
         snapshot["flush"] = self._flush_seconds.summary()

@@ -244,11 +244,6 @@ class GatewayMetrics:
         with self._lock:
             self._read_timeouts += 1
 
-    @property
-    def open_connections(self) -> int:
-        with self._lock:
-            return self._open
-
     def snapshot(self) -> dict[str, object]:
         with self._lock:
             open_now, accepted = self._open, self._accepted
@@ -266,12 +261,3 @@ class GatewayMetrics:
             },
             "loop_lag": self.loop_lag.summary(),
         }
-
-
-def render_summary(summary: Mapping[str, float]) -> str:
-    """One recorder summary as a compact human line (used by the CLI)."""
-    return (
-        f"n={summary['count']} mean={summary['mean_ms']:.2f}ms "
-        f"p50={summary['p50_ms']:.2f}ms p95={summary['p95_ms']:.2f}ms "
-        f"p99={summary['p99_ms']:.2f}ms max={summary['max_ms']:.2f}ms"
-    )

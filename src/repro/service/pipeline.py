@@ -4,18 +4,18 @@ The paper's tvtouch scenario is an always-on service: one shared domain
 ontology, many users, volatile context arriving *with each request*.
 This module is that request path, staged and instrumented::
 
-    parse → cache → breaker → admit → resolve → context → rank → render
+    parse → cache → breaker → resolve → context → rank → render
 
-* **parse** — normalise raw parameters (query string or JSON body)
-  into a frozen :class:`ServiceRequest`; malformed input is a 400
+* **parse** — normalise raw query-string parameters into a frozen
+  :class:`ServiceRequest`; malformed input is a 400
   before any shared resource is touched.  The request's deadline is
   derived here too (``ServiceConfig.request_timeout``, client override
   clamped by ``max_request_timeout``).
 * **cache** — the response-cache lookup (:mod:`repro.cache`): derive
   the key this request would rank under from the tenant's learned
   view digest and the canonicalised query, and probe the adapter.  A
-  hit is served here, before admission — a hit is a dict copy, too
-  cheap to shed.  A *pure* hit has no context delta to install; a
+  hit is served here, before any blocking stage — a hit is a dict
+  copy, too cheap to shed.  A *pure* hit has no context delta to install; a
   *delta* hit first installs the delta as the tenant's standing
   context (the client-visible side effect of ``/rank?context=...``),
   taking the engine fingerprint in the same critical section, and is
@@ -30,14 +30,9 @@ This module is that request path, staged and instrumented::
   :meth:`RankingService.invalidate_tenant`.
 * **breaker** — the circuit breaker (:mod:`repro.service.resilience`):
   when rank failures or timeouts have spiked for this tenant (or
-  globally), the request is shed *before* admission — answered from
-  stale cache when possible, a 503 with ``Retry-After`` otherwise.
-* **admit** — admission control: a bounded semaphore caps in-flight
-  rank work; a request that cannot be admitted within
-  ``queue_timeout`` (or its remaining deadline, whichever is shorter)
-  is rejected with a 503 instead of piling onto an overloaded process
-  (load shedding, not unbounded queueing) — again serving stale when
-  the cache has a recent enough body.
+  globally), the request is shed before it touches a session —
+  answered from stale cache when possible, a 503 with ``Retry-After``
+  otherwise.
 * **resolve** — a *pinned* checkout of the tenant's session from the
   sharded :class:`~repro.tenants.TenantRegistry`; the pin guarantees
   LRU eviction can never yank the overlay from an in-flight request.
@@ -51,14 +46,19 @@ This module is that request path, staged and instrumented::
   what to score under one hold of the engine lock, atomic per tenant;
   the kernel pass (batched with concurrent mates when micro-batching
   is on) and the response assembly after it is released.  It runs
-  on the thread that took the admission slot and the session pin (one
-  thread per request: behind the gateway, a ``repro-gw`` pool thread),
-  inside the request's deadline scope.  The deadline is cooperative:
+  on the thread that took the session pin (one thread per request:
+  behind the gateway, a ``repro-gw`` pool thread), inside the
+  request's deadline scope.  The deadline is cooperative:
   the engine-lock wait, a cold bind's rule columns and rows, the
   kernel's candidate blocks, the batch queue and an injected delay all
   check it, so an expiry unwinds the work itself and answers 504 (or
-  stale) — and that thread releases the slot and the pin before it
-  answers, whatever the outcome.
+  stale) — and that thread releases the pin before it answers,
+  whatever the outcome.
+
+Overload control is not a stage.  The service creates no threads, so
+its callers' threads bound the work in flight: behind the gateway, the
+``repro-gw`` pool, ``max_concurrency`` wide, whose dispatch queue limit
+is the one overload valve (:meth:`RankingService.shed_inline`).
 * **render** — the ranked items, written straight from the ranking's
   columns into one pre-encoded JSON fragment inside a small header
   (:class:`RankBody`); hit/stale/context-echo/timing decorations only
@@ -112,7 +112,7 @@ __all__ = [
 ]
 
 #: Pipeline stages, in request order (``total`` is recorded on top).
-STAGES = ("parse", "cache", "breaker", "admit", "resolve", "context", "rank", "render")
+STAGES = ("parse", "cache", "breaker", "resolve", "context", "rank", "render")
 
 #: How a delta hit was answered: ``inline`` by :meth:`RankingService.begin_rank`,
 #: or deferred to :meth:`RankingService.finish_rank` for the reason named.
@@ -123,9 +123,9 @@ _DELTA_HIT_PATHS = ("inline", "engine_busy", "not_resident", "journal", "refuted
 class ServiceConfig:
     """Tunables of the serving pipeline.
 
-    ``max_concurrency`` bounds in-flight rank work (admission
-    semaphore); ``queue_timeout`` is how long a request may wait for
-    admission before being shed with a 503.  ``include_timings``
+    ``max_concurrency`` is the width of the gateway's ``repro-gw``
+    pool, and so the bound on ranks in flight behind it (in process,
+    the caller's threads are the bound).  ``include_timings``
     attaches per-stage latencies to every response body (handy for
     tracing, off by default to keep payloads lean).
 
@@ -145,12 +145,10 @@ class ServiceConfig:
     — concurrent ranks sharing a compiled candidate matrix coalesce
     into one fused kernel pass, flushed at ``batch_max_size`` members
     or after ``batch_max_wait_us`` microseconds, whichever first (and
-    never past a member's deadline).  ``batch_queue_limit`` bounds the
-    total entries waiting in open batches; overflow scores sequentially.
+    never past a member's deadline).
     """
 
     max_concurrency: int = 8
-    queue_timeout: float = 0.25
     include_timings: bool = False
     request_timeout: float | None = 2.0
     min_request_timeout: float = 0.05
@@ -165,16 +163,11 @@ class ServiceConfig:
     breaker_jitter: float = 0.2
     batch_max_size: int = 0
     batch_max_wait_us: float = 1000.0
-    batch_queue_limit: int = 256
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
             raise EngineError(
                 f"max_concurrency must be positive, got {self.max_concurrency!r}"
-            )
-        if self.queue_timeout < 0:
-            raise EngineError(
-                f"queue_timeout must be non-negative, got {self.queue_timeout!r}"
             )
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise EngineError(
@@ -200,10 +193,6 @@ class ServiceConfig:
         if self.batch_max_wait_us < 0:
             raise EngineError(
                 f"batch_max_wait_us must be non-negative, got {self.batch_max_wait_us!r}"
-            )
-        if self.batch_queue_limit < 1:
-            raise EngineError(
-                f"batch_queue_limit must be positive, got {self.batch_queue_limit!r}"
             )
 
 
@@ -288,30 +277,6 @@ class ServiceRequest:
             explain=explain,
             timeout=timeout,
         )
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "ServiceRequest":
-        """Build from a JSON body (``POST``-shaped: plain values)."""
-        if not isinstance(payload, Mapping):
-            raise EngineError(f"request body must be a JSON object, got {payload!r}")
-        params: dict[str, list[str]] = {}
-        for key in ("tenant", "top_k", "explain", "timeout"):
-            if key in payload:
-                params[key] = [str(payload[key])]
-        for key in ("context", "documents"):
-            if key in payload:
-                value = payload[key]
-                if isinstance(value, str):
-                    value = [value]
-                if not isinstance(value, Iterable):
-                    raise EngineError(f"'{key}' must be a list of strings, got {value!r}")
-                params[key] = [str(item) for item in value]
-        unknown = set(payload) - {
-            "tenant", "context", "top_k", "documents", "explain", "timeout"
-        }
-        if unknown:
-            raise EngineError(f"unknown request keys {sorted(unknown)}")
-        return cls.from_params(params)
 
 
 def _dumps(value: object) -> bytes:
@@ -513,7 +478,7 @@ class RankAttempt:
     waiting on any contended resource (a parse 400, a cache hit) and
     an event-loop gateway may send it directly from the loop;
     otherwise the attempt must go to :meth:`RankingService.finish_rank`
-    on a thread that may block (breaker / admission / rank).
+    on a thread that may block (breaker / session / rank).
     """
 
     clock: _StageClock
@@ -578,7 +543,10 @@ class RankingService:
 
     One service fronts one :class:`~repro.tenants.TenantRegistry`;
     requests for any number of tenants flow through the staged pipeline
-    concurrently, bounded by the admission semaphore.  The service
+    concurrently.  The service creates no threads: every request runs
+    on its caller's, so the callers bound the work in flight — behind
+    the gateway its ``max_concurrency``-wide ``repro-gw`` pool, in
+    process however many threads call :meth:`rank`.  The service
     itself is stateless beyond metrics — all ranking state lives in the
     registry's sessions — so it is safe to share one instance across
     every gateway thread.
@@ -592,7 +560,6 @@ class RankingService:
         cache: CacheAdapter | None = None,
         worker_info: Mapping[str, object] | None = None,
         fault_injector: FaultInjector | None = None,
-        breaker: CircuitBreaker | None = None,
     ):
         self.registry = registry
         self.config = config if config is not None else ServiceConfig()
@@ -604,9 +571,8 @@ class RankingService:
         self.fault_injector = (
             fault_injector if fault_injector is not None else FaultInjector()
         )
-        if breaker is not None:
-            self.breaker: CircuitBreaker | None = breaker
-        elif self.config.breaker_enabled:
+        self.breaker: CircuitBreaker | None = None
+        if self.config.breaker_enabled:
             self.breaker = CircuitBreaker(
                 window=self.config.breaker_window,
                 min_requests=self.config.breaker_min_requests,
@@ -615,8 +581,6 @@ class RankingService:
                 jitter=self.config.breaker_jitter,
                 on_transition=self._breaker_transition,
             )
-        else:
-            self.breaker = None
         #: The fleet supervisor wires its cross-process state in after
         #: the fork; single-process deployments leave it None.
         self.fleet_state: SharedFleetState | None = None
@@ -630,7 +594,6 @@ class RankingService:
             # A session eviction drops the tenant's standing context,
             # so everything learned (and stored) for it must go too.
             self.registry.add_evict_listener(self._tenant_evicted)
-        self._admission = threading.BoundedSemaphore(self.config.max_concurrency)
         # Cross-request micro-batching (enabled with batch_max_size >= 2):
         # concurrent ranks sharing a candidate matrix fuse into one pass.
         self.batcher: BatchScheduler | None = None
@@ -641,7 +604,6 @@ class RankingService:
             self.batcher = BatchScheduler(
                 max_batch_size=self.config.batch_max_size,
                 max_wait_us=self.config.batch_max_wait_us,
-                queue_limit=self.config.batch_queue_limit,
             )
         #: The serving front's stats provider (see :meth:`attach_gateway`).
         self._gateway_stats: Callable[[], Mapping[str, object]] | None = None
@@ -654,8 +616,8 @@ class RankingService:
         Accepts a parsed :class:`ServiceRequest` or raw query-string
         parameters (parsed as the ``parse`` stage).  Never raises for
         request-shaped failures: malformed input is a 400 body,
-        admission overflow and breaker sheds a 503 (stale-served when
-        possible), a blown deadline a 504, unexpected engine errors a
+        a breaker shed a 503 (stale-served when possible), a blown
+        deadline a 504, unexpected engine errors a
         500 — the gateway maps ``status`` straight onto HTTP.
 
         In-process callers use this; the HTTP gateway calls the same
@@ -726,9 +688,9 @@ class RankingService:
                 # Pure hit: the tenant's standing context already *is*
                 # the state this body was ranked under.  Delta hit: it
                 # is now, and the fingerprint taken with the install
-                # says so.  Either way no admission, deadline or fault
-                # injection, and served even while the breaker is
-                # open: a hit touches nothing the breaker protects.
+                # says so.  Either way no deadline or fault injection,
+                # and served even while the breaker is open: a hit
+                # touches nothing the breaker protects.
                 with clock.stage("render"):
                     body = self._serve_hit(request, attempt.cached_body)
                 attempt.response = self._reply(
@@ -795,57 +757,55 @@ class RankingService:
             return None
         return self._keyer.learn(lookup, fingerprint) == lookup.view_digest
 
-    def shed_inline(self, attempt: RankAttempt) -> ServiceResponse:
-        """Shed one begun request without touching any blocking stage.
+    def shed_inline(self, attempt: RankAttempt | None) -> ServiceResponse:
+        """Shed one request without touching any blocking stage.
 
-        The event-loop gateway's overload valve: when its dispatch
-        queue is saturated, queueing more work onto the gateway pool
-        only builds latency debt, so the request is answered on the
-        loop — from stale cache when the policy allows it, a 503 with
-        ``Retry-After`` otherwise — with the same counters the
-        admission-shed path feeds, so dashboards need no new queries.
+        The service's one overload valve, opened by the event-loop
+        gateway: when its dispatch queue is saturated, queueing more
+        work onto the gateway pool only builds latency debt, so the
+        request is answered on the loop.  A begun rank (``attempt``) is
+        answered from stale cache when the policy allows it; a context
+        install (``None``) has no stale answer.  Otherwise a 503 with
+        ``Retry-After``.  Counted as ``shed`` / ``shed.overload``, with
+        the ``rejected`` outcome.
         """
-        return self._shed_overload(
-            attempt.clock, attempt.request, attempt.lookup, "gateway dispatch queue full"
-        )
-
-    def _shed_overload(
-        self,
-        clock: _StageClock,
-        request: ServiceRequest | None,
-        lookup: KeyLookup | None,
-        why: str,
-    ) -> ServiceResponse:
-        """Count one overload shed; stale when allowed, else 503 + ``Retry-After``."""
         self.metrics.count("resilience", "shed")
         self.metrics.count("resilience", "shed.overload")
-        stale = self._try_stale(clock, request, lookup, reason="overload")
-        if stale is not None:
-            return stale
+        if attempt is None:
+            clock = _StageClock()
+        else:
+            clock = attempt.clock
+            stale = self._try_stale(
+                clock, attempt.request, attempt.lookup, reason="overload"
+            )
+            if stale is not None:
+                return stale
         return self._reply(
             clock,
             503,
             {
-                "error": f"service overloaded: {why}",
+                "error": "service overloaded: gateway dispatch queue full",
                 "max_concurrency": self.config.max_concurrency,
             },
             outcome="rejected",
-            headers=_retry_after(max(0.1, self.config.queue_timeout)),
+            # The shortest wait there is: a full dispatch queue drains
+            # in well under a second.
+            headers=_retry_after(1.0),
         )
 
     def finish_rank(self, attempt: RankAttempt) -> ServiceResponse:
         """Run the blocking stages of a begun request to an answer.
 
-        Breaker, admission, resolve, context, rank, render — all on the
-        calling thread, which may wait on the admission semaphore, the
-        engine lock or a batch, so an event-loop gateway calls it
-        off-loop (on a ``repro-gw`` pool thread).  ``attempt`` must come
-        from :meth:`begin_rank` with ``response`` unset.
+        Breaker, resolve, context, rank, render — all on the calling
+        thread, which may wait on a registry shard, the engine lock or a
+        batch, so an event-loop gateway calls it off-loop (on a
+        ``repro-gw`` pool thread).  ``attempt`` must come from
+        :meth:`begin_rank` with ``response`` unset.
 
         The rank runs inside ``deadline_scope(attempt.deadline)``; every
         wait on its way checks the deadline, and an expiry answers 504
-        (or stale).  This thread takes the admission slot and the
-        session pin and releases both before it answers.
+        (or stale).  This thread takes the session pin and releases it
+        before it answers.
         """
         clock = attempt.clock
         request = attempt.request
@@ -885,14 +845,6 @@ class RankingService:
                     headers=_retry_after(retry),
                 )
 
-        with clock.stage("admit"):
-            admit_timeout = self.config.queue_timeout
-            if deadline is not None:
-                admit_timeout = min(admit_timeout, max(0.0, deadline.remaining()))
-            admitted = self._admission.acquire(timeout=admit_timeout)
-        if not admitted:
-            self._settle_probe(breaker_probe)  # shed: no outcome will follow
-            return self._shed_overload(clock, request, lookup, "admission queue timed out")
         try:
             with clock.stage("resolve"):
                 checkout = self.registry.checkout(request.tenant)
@@ -958,8 +910,6 @@ class RankingService:
             return self._reply(
                 clock, 500, {"error": f"{type(exc).__name__}: {exc}"}, outcome="error"
             )
-        finally:
-            self._admission.release()
         if self.breaker is not None:
             self.breaker.record_success(request.tenant)
         return self._reply(
@@ -974,7 +924,7 @@ class RankingService:
         """Hand back a half-open probe this request held but cannot settle.
 
         Called on termination paths that record no engine outcome
-        (admission shed, client-error 400, client-shortened timeout) —
+        (client-error 400, client-shortened timeout) —
         otherwise the breaker's single probe slot leaks and it wedges
         in half-open, denying every request, forever.
         """
@@ -985,7 +935,7 @@ class RankingService:
         """The work unit: ``(body, served from the cache)``.
 
         Runs inside the request's deadline scope, on the thread that
-        holds its admission slot and session pin.
+        holds its session pin.
         """
         clock = attempt.clock
         request = attempt.request
@@ -1034,9 +984,10 @@ class RankingService:
         """Install a *standing* context for a tenant (``POST /context``).
 
         Subsequent ``/rank`` requests without a ``context`` parameter
-        rank under this context until it is replaced.  Runs under the
-        same admission semaphore as :meth:`rank` — a context install
-        may mint a whole session, so overload sheds it with a 503 too.
+        rank under this context until it is replaced.  A context install
+        may mint a whole session, so the gateway dispatches it like a
+        miss — and sheds it like one when its dispatch queue is full
+        (:meth:`shed_inline` with no attempt).
         """
         clock = _StageClock()
         specs = tuple(str(spec) for spec in specs)
@@ -1046,11 +997,6 @@ class RankingService:
                 # Era fence read *before* the install: if the tenant is
                 # invalidated mid-install, the learn below is discarded.
                 lookup = self._keyer.lookup(str(tenant), specs, None, None, False)
-        with clock.stage("admit"):
-            admitted = self._admission.acquire(timeout=self.config.queue_timeout)
-        if not admitted:
-            # No stale answer: a context install is not a rank.
-            return self._shed_overload(clock, None, None, "admission queue timed out")
         try:
             with clock.stage("resolve"):
                 checkout = self.registry.checkout(str(tenant))
@@ -1073,8 +1019,6 @@ class RankingService:
             return self._reply(
                 clock, 500, {"error": f"{type(exc).__name__}: {exc}"}, outcome="error"
             )
-        finally:
-            self._admission.release()
         return self._reply(
             clock,
             200,
@@ -1160,15 +1104,6 @@ class RankingService:
         if self.batcher is not None:
             self.batcher.close()
 
-    def available_slots(self) -> int:
-        """Admission slots currently free (== ``max_concurrency`` at rest).
-
-        The post-storm invariant the chaos tests assert: whatever mix
-        of timeouts, sheds and errors just happened, every slot must
-        come back.
-        """
-        return self._admission._value  # noqa: SLF001 - the semaphore's own counter
-
     # -- observability -----------------------------------------------------
     def _breaker_transition(self, scope: str, old: str, new: str) -> None:
         self.metrics.count("resilience", f"breaker_{new}")
@@ -1233,7 +1168,6 @@ class RankingService:
         snapshot = self.metrics.snapshot()
         snapshot["config"] = {
             "max_concurrency": self.config.max_concurrency,
-            "queue_timeout": self.config.queue_timeout,
             "request_timeout": self.config.request_timeout,
             "min_request_timeout": self.config.min_request_timeout,
             "max_request_timeout": self.config.max_request_timeout,
@@ -1241,7 +1175,6 @@ class RankingService:
             "stale_max_age": self.config.stale_max_age,
             "batch_max_size": self.config.batch_max_size,
             "batch_max_wait_us": self.config.batch_max_wait_us,
-            "batch_queue_limit": self.config.batch_queue_limit,
         }
         snapshot["batching"] = (
             self.batcher.snapshot() if self.batcher is not None else {"enabled": False}
@@ -1260,7 +1193,6 @@ class RankingService:
                 else {"enabled": False}
             ),
             "fault_injection": self.fault_injector.info(),
-            "available_slots": self.available_slots(),
         }
         provider = self._gateway_stats
         snapshot["gateway"] = (

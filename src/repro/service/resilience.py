@@ -1,7 +1,7 @@
 """The serving fleet's robustness layer: deadlines, breakers, fault injection.
 
-PRs 5–6 built the happy path — admission control bounds *concurrency*,
-the response cache absorbs repeats — but nothing bounded *latency* and
+The gateway's executor bounds *concurrency* and the response cache
+absorbs repeats, but neither bounds *latency*, and without this module
 every failure surfaced raw.  This module is the failure path, four
 small mechanisms the pipeline, gateway and fleet supervisor compose:
 
@@ -13,7 +13,7 @@ small mechanisms the pipeline, gateway and fleet supervisor compose:
   it *cooperatively* (:func:`current_deadline`): the engine-lock wait,
   a cold bind's rule columns and rows, the kernel's candidate blocks,
   the batch queue and an injected delay.  A wedged rank answers 504
-  and its thread returns the admission slot before answering.
+  and its thread releases the session pin before answering.
 * :class:`CircuitBreaker` — per-tenant + global rolling-window breaker
   (closed → open → half-open with a jittered probe).  When rank
   failures or timeouts spike, the pipeline sheds load fast — answering
@@ -380,8 +380,8 @@ class CircuitBreaker:
         """Return half-open probe slots a request could not settle.
 
         The pipeline calls this on every termination path that records
-        no engine outcome — admission shed, client-error 400,
-        client-shortened timeout.  Without it a probe admitted by
+        no engine outcome — client-error 400, client-shortened
+        timeout.  Without it a probe admitted by
         :meth:`allow` leaks, every later request is denied, and the
         breaker never leaves half-open.
         """

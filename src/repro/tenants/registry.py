@@ -304,8 +304,9 @@ class _Shard:
         checkout of the same tenant cannot see, breaking per-tenant
         linearisability).  A shard whose residents are all
         pinned/protected temporarily overflows instead of yanking a
-        live session; the overflow is bounded by the service's
-        admission control and shrinks back as pins release.
+        live session; the overflow is bounded by the threads ranking at
+        once (behind the gateway, its executor width) and shrinks back
+        as pins release.
 
         Returns the evicted tenant ids so the caller can notify
         eviction listeners *after* releasing the shard lock.

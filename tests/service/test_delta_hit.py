@@ -217,18 +217,14 @@ def test_a_delta_hit_is_answered_inline(oracle):
     service.close()
 
 
-def test_a_delta_hit_skips_admission_breaker_and_fault_injection(oracle):
-    service = make_service(max_concurrency=1, request_timeout=None)
+def test_a_delta_hit_skips_breaker_and_fault_injection(oracle):
+    service = make_service(request_timeout=None)
     stand_on_weekend(service)
-    assert service._admission.acquire(timeout=1)  # no slot left
     for _ in range(service.config.breaker_min_requests):
         service.breaker.record_failure("t1")
     assert service.breaker.state() == "open"
     service.fault_injector = FaultInjector(rank_error_rate=1.0)
-    try:
-        reply = rank(service, BOTH)
-    finally:
-        service._admission.release()
+    reply = rank(service, BOTH)
     assert reply.body["cached"] is True and not reply.body.get("stale")
     assert items(reply.body) == oracle(BOTH)
     service.close()

@@ -620,7 +620,7 @@ class TestGatewayMetricsSection:
 
 class TestDispatchQueue:
     @pytest.mark.parametrize("width, limit", [(4, 256), (32, 512)])
-    def test_default_limit_scales_with_admission_width(self, width, limit):
+    def test_default_limit_scales_with_executor_width(self, width, limit):
         service = tvtouch_service(max_concurrency=width)
         server = AioRankingServer(socket.create_server(("127.0.0.1", 0)), service)
         try:
@@ -650,9 +650,71 @@ class TestDispatchQueue:
                 assert wire.read_response()[0] == 200
             finally:
                 wire.close()
-            counters = service.metrics_snapshot()["resilience"]["counters"]
-            assert counters["shed.overload"] == 1
+            snapshot = service.metrics_snapshot()
+            assert snapshot["resilience"]["counters"]["shed.overload"] == 1
+            assert snapshot["outcomes"]["rejected"] == 1
             assert_still_serving(server)
+        service.close()
+        clear_registry()
+
+    def test_saturated_queue_sheds_context_installs_too(self):
+        # POST /context may mint a whole session: the same valve as /rank.
+        clear_registry()
+        service = tvtouch_service()
+        server = AioRankingServer(
+            socket.create_server(("127.0.0.1", 0)), service, dispatch_limit=0
+        )
+        with running(server):
+            wire = Wire(server)
+            try:
+                body = b'{"tenant": "shed", "context": ["Weekend"]}'
+                wire.send(
+                    b"POST /context HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                )
+                status, headers, payload = wire.read_response()
+                assert status == 503
+                answer = json.loads(payload)
+                assert "dispatch queue full" in answer["error"]
+                assert "stale" not in answer
+                assert int(headers["retry-after"]) >= 1
+            finally:
+                wire.close()
+            assert service.registry.info().minted == 0  # nothing was installed
+            snapshot = service.metrics_snapshot()
+            assert snapshot["resilience"]["counters"]["shed.overload"] == 1
+            assert snapshot["outcomes"] == {"rejected": 1}
+            assert_still_serving(server)
+        service.close()
+        clear_registry()
+
+    def test_every_dispatch_comes_back(self):
+        clear_registry()
+        service = tvtouch_service()
+        server = AioRankingServer(socket.create_server(("127.0.0.1", 0)), service)
+        with running(server):
+            wire = Wire(server)
+            try:
+                body = b'{"tenant": "alice", "context": ["Weekend"]}'
+                wire.send(
+                    b"POST /context HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                )
+                assert wire.read_response()[0] == 200
+                for tenant in (b"alice", b"bob"):
+                    wire.send(
+                        b"GET /rank?tenant=%s&context=Breakfast HTTP/1.1\r\n"
+                        b"Host: t\r\n\r\n" % tenant
+                    )
+                    assert wire.read_response()[0] == 200
+                wire.send(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+                status, _headers, payload = wire.read_response()
+            finally:
+                wire.close()
+            assert status == 200
+            metrics = json.loads(payload)
+            assert metrics["gateway"]["pending_dispatch"] == 0
+            assert metrics["registry"]["pinned"] == 0
         service.close()
         clear_registry()
 

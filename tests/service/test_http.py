@@ -294,7 +294,9 @@ class TestResilienceSurface:
         assert resilience["breaker"]["enabled"] is True
         assert resilience["breaker"]["state"] == "closed"
         assert resilience["fault_injection"]["active"] is False
-        assert resilience["available_slots"] == 4
+        # Every pin and every dispatch of the answered rank came back.
+        assert body["registry"]["pinned"] == 0
+        assert body["gateway"]["pending_dispatch"] == 0
         assert body["config"]["request_timeout"] == 2.0
 
     def test_inflight_tracking_returns_to_idle(self, gateway):

@@ -14,7 +14,7 @@ warm tvtouch service and a warm 40-program Section 5 service:
 (d) a pure hit is recorded by one ``ServiceMetrics`` call under one
     hold of the metrics lock;
 (e) a delta hit over HTTP is answered on the loop: no executor hop,
-    one install, one fingerprint, no admission and no breaker call;
+    one install, one fingerprint, no blocking checkout and no breaker call;
 (f) a miss over HTTP takes one executor hop — the gateway pool thread
     runs the rank itself, under the deadline — and no other pool exists;
 (g) a miss on a warm basis, batching off, is one kernel pass, run after
@@ -234,19 +234,6 @@ def test_a_pure_hit_is_one_recording_call_under_one_lock(world_name):
     service.close()
 
 
-class CountingSemaphore:
-    def __init__(self, semaphore, calls):
-        self._semaphore = semaphore
-        self._calls = calls
-
-    def acquire(self, *args, **kwargs):
-        self._calls["admission"] += 1
-        return self._semaphore.acquire(*args, **kwargs)
-
-    def release(self):
-        self._semaphore.release()
-
-
 def serve_one(service, query):
     """One ``GET /rank?query`` through a real gateway; the body and the
     names of the threads alive just after it."""
@@ -329,7 +316,7 @@ def test_an_http_delta_hit_never_leaves_the_loop(world_name, monkeypatch):
     counting(RankingEngine, "_signature", "fingerprint")
     for name in ("allow", "record_success", "record_failure", "cancel_probe"):
         counting(CircuitBreaker, name, "breaker")
-    service._admission = CountingSemaphore(service._admission, calls)
+    counting(TenantRegistry, "checkout", "pin")
     body, _names = serve_one(
         service, f"tenant=alice&top_k=3&context={first}&context={second}:0.7"
     )

@@ -157,11 +157,11 @@ class TestDeadlineInPipeline:
         assert elapsed < 2 * timeout + 0.25  # the acceptance bound + sched slack
         assert service.metrics.outcomes().get("timeout") == 1
         assert service.metrics.counters("resilience").get("timeouts") == 1
-        # The thread that answered ran the rank and released its slot.
-        assert service.available_slots() == 4
+        # The thread that answered ran the rank and released its pin.
+        assert service.registry.info().pinned == 0
         service.close()
 
-    def test_a_held_engine_lock_answers_504_with_every_slot_back(self):
+    def test_a_held_engine_lock_answers_504_with_every_pin_back(self):
         # The one wait the kernel never checks: the engine lock.
         timeout = 0.15
         service = make_service(
@@ -187,14 +187,14 @@ class TestDeadlineInPipeline:
             elapsed = time.monotonic() - started
             assert reply.status == 504
             assert elapsed < 2 * timeout + 0.25
-            assert service.available_slots() == 4
+            assert service.registry.info().pinned == 0
             # A sibling tenant never waits on t1's lock.
             assert service.rank({"tenant": ["t2"], "context": ["Weekend"]}).ok
         finally:
             release.set()
             holder.join(5)
         assert service.rank({"tenant": ["t1"], "context": ["Weekend"]}).ok
-        assert service.available_slots() == 4
+        assert service.registry.info().pinned == 0
         service.close()
 
     def test_client_timeout_override_is_clamped(self):
@@ -407,8 +407,9 @@ class TestCircuitBreaker:
         assert probe.allowed
         assert not breaker.allow("t").allowed  # single probe out
         # The probe's request terminated without an engine outcome
-        # (admission shed, 400): unless cancelled, no record_* call
-        # ever settles it and the breaker wedges half-open forever.
+        # (a 400, a client-shortened timeout): unless cancelled, no
+        # record_* call ever settles it and the breaker wedges half-open
+        # forever.
         breaker.cancel_probe(probe)
         next_probe = breaker.allow("t")
         assert next_probe.allowed and next_probe.probes
@@ -505,7 +506,7 @@ class TestBreakerInPipeline:
         assert body["failed_workers"] == 1
         service.close()
 
-    def make_half_open_service(self, **config_overrides):
+    def make_half_open_service(self, **kwargs):
         """A service whose breaker just finished its cooldown for
         'alice': the next request through is the half-open probe."""
         clock = FakeClock()
@@ -516,28 +517,23 @@ class TestBreakerInPipeline:
             clock=clock,
             rng=FixedRng(0.0),
         )
-        service = make_service(breaker_config(**config_overrides), breaker=breaker)
+        service = make_service(breaker_config(), **kwargs)
+        service.breaker = breaker
         breaker.record_failure("alice")
         breaker.record_failure("alice")
         assert breaker.state() == "open"
         clock.advance(5.1)
         return service, breaker
 
-    def test_shed_probe_request_cannot_wedge_the_breaker(self):
-        service, breaker = self.make_half_open_service()
-        # Saturate admission so the half-open probe request is shed.
-        for _ in range(4):
-            assert service._admission.acquire(timeout=1.0)
-        try:
-            reply = service.rank({"tenant": ["alice"], "top_k": ["3"]})
-            assert reply.status == 503
-        finally:
-            for _ in range(4):
-                service._admission.release()
-        # The shed request held the probe but could never record an
-        # outcome; unless the probe was handed back, the breaker is
-        # wedged half-open and every request from now on is denied —
-        # a permanent outage.
+    def test_client_shortened_timeout_probe_cannot_wedge_the_breaker(self):
+        service, breaker = self.make_half_open_service(
+            fault_injector=FaultInjector(rank_delay=1.0)
+        )
+        reply = service.rank({"tenant": ["alice"], "timeout": ["0.08"]})
+        assert reply.status == 504
+        # The probe request ended without an engine outcome; unless the
+        # probe was handed back, the breaker is wedged half-open and
+        # every request from now on is denied — a permanent outage.
         assert breaker.allow("alice").allowed
         service.close()
 
@@ -572,23 +568,6 @@ class TestBreakerInPipeline:
         counters = service.metrics.counters("resilience")
         assert counters.get("timeouts") == 3
         assert counters.get("timeouts.client") == 3
-        service.close()
-
-    def test_overload_503_carries_retry_after(self):
-        service = make_service(
-            ServiceConfig(max_concurrency=2, queue_timeout=0.0)
-        )
-        for _ in range(2):
-            assert service._admission.acquire(timeout=1.0)
-        try:
-            reply = service.rank({"tenant": ["alice"]})
-        finally:
-            for _ in range(2):
-                service._admission.release()
-        assert reply.status == 503
-        assert "Retry-After" in reply.headers
-        assert service.metrics.outcomes() == {"rejected": 1}
-        assert service.metrics.counters("resilience").get("shed.overload") == 1
         service.close()
 
 
@@ -655,6 +634,34 @@ class TestStaleServing:
         assert reply.body["stale"] is True
         assert reply.body["stale_context_digest"] is True
         assert reply.body["context"] == ["Weekend"]  # the request's echo
+        service.close()
+
+    def test_overload_shed_serves_stale(self):
+        service, clock = self.make_stale_setup(ttl=5.0)
+        request = self.warm(service)
+        clock.advance(10.0)  # entry expired 5s ago, within stale_max_age
+        attempt = service.begin_rank(request)
+        assert attempt.response is None  # a miss: the gateway would dispatch it
+        reply = service.shed_inline(attempt)  # ... were its queue not full
+        assert reply.status == 200
+        assert reply.body["stale"] is True
+        assert reply.body["stale_reason"] == "overload"
+        assert reply.headers.get("Warning", "").startswith("110 ")
+        assert service.metrics.outcomes().get("ok_stale") == 1
+        counters = service.metrics.counters("resilience")
+        assert counters.get("shed.overload") == 1
+        assert counters.get("stale_served.overload") == 1
+        service.close()
+
+    def test_shed_context_install_is_never_stale(self):
+        service, _clock = self.make_stale_setup(ttl=None)
+        self.warm(service)
+        reply = service.shed_inline(None)  # a POST /context the gateway shed
+        assert reply.status == 503
+        assert reply.headers == {"Retry-After": "1"}
+        assert "stale" not in reply.body
+        assert service.metrics.outcomes().get("rejected") == 1
+        assert service.metrics.counters("resilience").get("shed.overload") == 1
         service.close()
 
     def test_breaker_open_serves_stale(self):
@@ -770,17 +777,16 @@ class TestFaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# The chaos hammer: slots always come back
+# The chaos hammer: pins always come back
 # ---------------------------------------------------------------------------
 
 class TestChaosHammer:
-    def test_admission_slots_survive_a_fault_storm(self):
+    def test_every_pin_survives_a_fault_storm(self):
         """8 threads hammer a service with injected delays, errors and
         tight deadlines; whatever mix of 200/500/503/504 comes out,
-        every admission slot must return once the storm settles."""
+        every session pin must return once the storm settles."""
         config = ServiceConfig(
             max_concurrency=4,
-            queue_timeout=0.05,
             request_timeout=0.1,
             stale_max_age=300.0,
             breaker_enabled=True,
@@ -819,6 +825,6 @@ class TestChaosHammer:
 
         assert len(statuses) == 96
         assert set(statuses) <= {200, 500, 503, 504}
-        # Every request's own thread returned its slot before answering.
-        assert service.available_slots() == config.max_concurrency
+        # Every request's own thread released its pin before answering.
+        assert service.registry.info().pinned == 0
         service.close()

@@ -118,6 +118,12 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--fault-rank-delay", "1"])
 
+    def test_serve_has_eighteen_flags(self):
+        # The gateway's executor is the one admission bound: no flag
+        # tunes a second one.
+        flags = set(vars(build_parser().parse_args(["serve"]))) - {"command"}
+        assert len(flags) == 18
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_serve_on_a_busy_port_clean_error(self, workers, capsys):
         with socket.create_server(("127.0.0.1", 0)) as held:
