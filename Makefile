@@ -8,7 +8,7 @@ export PYTHONPATH := src
 
 help:
 	@echo "make test         - run the full test suite"
-	@echo "make test-fast    - the suite minus the slow concurrency hammers"
+	@echo "make test-fast    - the suite minus the slow concurrency hammers and the fresh-context memory test"
 	@echo "make bench-smoke  - benchmark scripts at tiny sizes (REPRO_BENCH_SMOKE=1)"
 	@echo "make ledger-smoke - 5 s traced ledger runs of full_ranking, herd_miss + zipf_steady (failed = 0, every traced target resolves)"
 	@echo "make boot-report  - what a worker loads: importtime, module counts, the first rank split (bind / kernel compile / numpy import), seconds + RSS + status to the first answer at 4, 2 000 and 10 000 programs"
@@ -21,7 +21,8 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 test-fast:
-	$(PYTHON) -m pytest -x -q --ignore=tests/service/test_concurrent_hammer.py
+	$(PYTHON) -m pytest -x -q --ignore=tests/service/test_concurrent_hammer.py \
+		--ignore=tests/service/test_context_memory.py
 
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest -q \

@@ -13,7 +13,10 @@ ephemeral port, all on the event-loop gateway:
    asserts the deadline over the wire: ``/rank?tenant=slow&timeout=0.2``
    answers 504 in under 0.4 s, ``/metrics`` shows every session pin and
    every gateway dispatch back (``registry.pinned`` and
-   ``gateway.pending_dispatch`` both 0), and another tenant still ranks.  Then it shuts down cleanly
+   ``gateway.pending_dispatch`` both 0), and another tenant still ranks.
+   Before that it sends 2 000 ranks under never-seen context
+   probabilities and asserts ``/metrics`` → ``reasoner.space_events``
+   is what it was at boot.  Then it shuts down cleanly
    (SIGINT, bounded wait).
 2. **Fleet** (``--workers 2``) — parses the per-worker pid announce
    lines, asserts ranked JSON comes back from the shared port and that
@@ -151,6 +154,30 @@ def assert_table1_winner(ranked: dict) -> dict:
     return top
 
 
+#: Ranks the single phase sends, each under a never-seen probability.
+FRESH_RANKS = 2000
+
+
+def fresh_context_ranks(base_url: str, count: int) -> None:
+    """``count`` ranks over one keep-alive connection, each under a
+    context probability no earlier rank used (a sensor stream)."""
+    host, port = base_url.removeprefix("http://").rsplit(":", 1)
+    connection = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        for index in range(count):
+            probability = (index + 1) / (count + 1)
+            connection.request(
+                "GET",
+                f"/rank?tenant=fresh{index % 20}&context=Weekend"
+                f"&context=Breakfast:{probability!r}&top_k=3",
+            )
+            response = connection.getresponse()
+            body = response.read()
+            assert response.status == 200, (response.status, body)
+    finally:
+        connection.close()
+
+
 def smoke_single_process() -> None:
     # A 1 s injected delay wedges tenant "slow" only (the deadline step).
     process = spawn(
@@ -167,6 +194,7 @@ def smoke_single_process() -> None:
         assert ready["status"] == "ready", ready
         assert ready["problems"] == [], ready
         print("smoke: /readyz ready, no problems")
+        boot_space = get_json(f"{base_url}/metrics")["reasoner"]["space_events"]
 
         rank_url = (
             f"{base_url}/rank?tenant=alice&context=Weekend&context=Breakfast&top_k=3"
@@ -204,6 +232,14 @@ def smoke_single_process() -> None:
             f"(cache hits={metrics['cache']['hits']} "
             f"hit_ratio={metrics['cache']['hit_ratio']:.2f} "
             f"gateway requests={gateway['requests']})"
+        )
+
+        fresh_context_ranks(base_url, FRESH_RANKS)
+        reasoner = get_json(f"{base_url}/metrics")["reasoner"]
+        assert reasoner["space_events"] == boot_space, (boot_space, reasoner)
+        print(
+            f"smoke: {FRESH_RANKS} fresh-probability ranks, space_events "
+            f"still {boot_space} (base-tier memo {reasoner['memo_probabilities']})"
         )
 
         # The deadline over the wire: the wedged rank answers 504 near

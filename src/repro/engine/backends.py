@@ -27,7 +27,8 @@ from repro.dl.abox import ABox, ConceptAssertion
 from repro.dl.parser import parse_concept
 from repro.dl.vocabulary import Individual
 from repro.errors import EngineConfigError
-from repro.events.space import EventSpace
+from repro.events.atoms import BasicEvent
+from repro.events.expr import Atom, atom
 from repro.rules.repository import RuleRepository
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -109,7 +110,6 @@ class AboxContext:
     """
 
     abox: ABox
-    space: EventSpace | None = None
     _seen_mutation: int | None = field(default=None, repr=False, compare=False)
     _cached_signature: Hashable = field(default=None, repr=False, compare=False)
 
@@ -143,38 +143,36 @@ class AboxContext:
 
         The CLI's ``--context Weekend --context Breakfast:0.7`` syntax:
         each spec asserts the concept on ``user``, certainly or under a
-        fresh probabilistic atom.  All specs are validated *before* the
-        existing dynamic assertions are cleared, so a bad spec raises
-        with the previous context fully intact — never half-installed.
+        probabilistic atom named by its content (:func:`_context_atom`).
+        All specs are validated *before* the existing dynamic
+        assertions are cleared, so a bad spec raises with the previous
+        context fully intact — never half-installed.
         """
         parsed = [parse_context_spec(spec) for spec in specs]
-        for (name, probability), spec in zip(parsed, specs):
-            if probability < 1.0 and self.space is None:
-                raise EngineConfigError(
-                    f"uncertain context {spec!r} needs an event space on the backend"
-                )
         self.abox.clear_dynamic()
         for name, probability in parsed:
             if probability >= 1.0:
                 self.abox.assert_concept(name, user, dynamic=True)
             else:
                 self.abox.assert_concept(
-                    name, user, self._context_atom(tick, name, probability), dynamic=True
+                    name, user, _context_atom(tick, name, probability), dynamic=True
                 )
 
-    def _context_atom(self, tick: str, name: str, probability: float):
-        """A basic event for one context spec, stable across re-installs.
 
-        Re-installing the same concept at the same probability reuses
-        the same event name (so the context signature — and the cache
-        entry — is restored too); a different probability allocates a
-        fresh serial-suffixed name, since a basic event is a single
-        random variable and cannot be re-registered.  The space keeps
-        the ``(name, probability)`` index, so a never-seen probability
-        is O(1) however many the fleet has installed before.
-        """
-        assert self.space is not None
-        return self.space.serial_atom(f"{tick}:{name}", probability)
+def _context_atom(tick: str, name: str, probability: float) -> Atom:
+    """The basic event for one uncertain context spec, named by its content.
+
+    The name is ``tick:Concept@p`` (``p`` as parsed, ``-0.0`` read as
+    ``0.0``), so it can never stand for two probabilities, and
+    re-installing a context rebuilds the same interned atom — the
+    context signature, and the cache entry, come back with it.  The
+    atom is not registered in the world's event space: the engines
+    consult the space only for mutex groups, which a context atom never
+    joins.  It lives as long as the overlay assertions and reasoner
+    memos of the session that installed it.
+    """
+    probability += 0.0
+    return atom(BasicEvent(f"{tick}:{name}@{probability!r}", probability))
 
 
 @dataclass
@@ -194,8 +192,8 @@ class SensedContext(AboxContext):
 
     @classmethod
     def of(cls, manager: "ContextManager") -> "SensedContext":
-        """Wrap a manager, sharing its ABox and event space."""
-        return cls(abox=manager.abox, space=manager.space, manager=manager)
+        """Wrap a manager, sharing its ABox."""
+        return cls(abox=manager.abox, manager=manager)
 
     def observe(self, truth: "GroundTruth") -> None:
         """Read all sensors against ``truth`` and install the snapshot."""

@@ -296,7 +296,7 @@ class EngineBuilder:
                 "engine's own)"
             )
         relevance = resolve_relevance(self._relevance_spec, **self._relevance_options)
-        context = self._context or AboxContext(self._abox, self._space)
+        context = self._context or AboxContext(self._abox)
         return RankingEngine(
             abox=self._abox,
             tbox=self._tbox,

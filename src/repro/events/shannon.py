@@ -51,6 +51,10 @@ class ShannonEngine:
             return 1.0
         if expr.is_impossible:
             return 0.0
+        if isinstance(expr, Atom):
+            # A basic event's marginal, in a mutex group or not: what
+            # branching on it would sum to, without a memo entry.
+            return expr.event.probability
         # Expressions hash by their cached structural hash and compare
         # identity-first, so with interned nodes (repro.events.expr) a
         # memo lookup is one dict probe — no deep tuple rehash.

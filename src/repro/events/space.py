@@ -10,7 +10,10 @@ sets of basic events of which at most one can occur.
 All basic events are pairwise independent except within a mutex group.
 The exact probability engines consult the space to honour these
 constraints; expressions evaluated without a space treat all atoms as
-independent.
+independent.  An event need not be registered to be used: one that no
+group names (an installed context atom, for one) is independent of
+everything, so the space holds the world's static events and is not
+written while serving.
 
 The space also provides the *chain encoding* that rewrites mutex-group
 members into combinations of fresh independent variables, which lets
@@ -20,7 +23,6 @@ counter) remain exact in the presence of mutex groups.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -83,24 +85,7 @@ class EventSpace:
         self._events: dict[str, BasicEvent] = {}
         self._group_of: dict[str, str] = {}
         self._groups: dict[str, MutexGroup] = {}
-        self._fresh_counter = 0
         self._revision = 0
-        # The serial-name index of :meth:`serial_atom`, beside _events:
-        # (base, probability) -> allocated name, and per base the lowest
-        # serial not known to be taken.  Allocation is check-then-act on
-        # a space every tenant's engine shares, hence the lock.
-        self._serial_names: dict[tuple[str, float], str] = {}
-        self._next_serial: dict[str, int] = {}
-        self._serial_lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_serial_lock"]  # locks neither pickle nor deep-copy
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._serial_lock = threading.Lock()
 
     @property
     def revision(self) -> int:
@@ -144,53 +129,14 @@ class EventSpace:
             return make_atom(self.get(name))
         return make_atom(self.event(name, probability))
 
-    def fresh_atom(self, probability: float, prefix: str = "e") -> Atom:
-        """Register a new basic event under a generated unique name."""
-        while True:
-            self._fresh_counter += 1
-            name = f"{prefix}#{self._fresh_counter}"
-            if name not in self._events:
-                return self.atom(name, probability)
+    def registers(self, event: BasicEvent) -> bool:
+        """Is ``event`` registered here, under its name and probability?
 
-    def serial_atom(self, base: str, probability: float) -> Atom:
-        """The atom standing for ``base`` at ``probability``, in O(1).
-
-        A basic event is one random variable, so the same name cannot
-        be re-registered at another probability: the first probability
-        seen for ``base`` gets the name ``base``, each later *distinct*
-        one the next free of ``base#1``, ``base#2``, ...; asking again
-        for a probability already seen returns the name it got then.
-        The names are those a linear probe ``base``, ``base#1``, ...
-        for the first free-or-equal name would find (events already in
-        the space under those names are indexed on the base's first
-        use), but a never-seen probability costs one dict miss instead
-        of a walk over every serial allocated so far.  Probabilities
-        are matched exactly, as parsed — not within the re-registration
-        tolerance of :meth:`event`.
+        True for the world's static events; false for an event built
+        without the space, such as an installed context atom.
         """
-        probability = validate_probability(probability, f"probability of event {base!r}")
-        key = (base, probability)
-        with self._serial_lock:
-            name = self._serial_names.get(key)
-            if name is None:
-                # Every serial below _next_serial is taken and indexed,
-                # none of them at this probability: probe on from there.
-                serial = self._next_serial.get(base, 0)
-                while name is None:
-                    candidate = base if serial == 0 else f"{base}#{serial}"
-                    taken = self._events.get(candidate)
-                    if taken is None:
-                        name = self.event(candidate, probability).name
-                    elif taken.probability == probability:
-                        name = candidate
-                    else:
-                        # Registered behind the index's back (a restored
-                        # space, a direct event() call): index it, move on.
-                        self._serial_names.setdefault((base, taken.probability), candidate)
-                    serial += 1
-                self._serial_names[key] = name
-                self._next_serial[base] = serial
-        return self.atom(name)
+        registered = self._events.get(event.name)
+        return registered is not None and registered.probability == event.probability
 
     def get(self, name: str) -> BasicEvent:
         """Look up a registered basic event by name."""

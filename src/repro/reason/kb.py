@@ -52,15 +52,18 @@ per-user copy-on-write overlay — the caches split into two tiers.  The
 world, shared read-only across *every* overlay of that base and keyed
 by the base epoch alone: concept expansions, closures, the
 role indexes, static membership events, concept columns and
-probabilities (one Shannon memo for the whole tenant fleet) are computed
-once, not once per user.  The **overlay tier** is the
+probabilities of static events (one Shannon memo for the whole tenant
+fleet) are computed once, not once per user.  The **overlay tier** is the
 per-``CompiledKB`` session, keyed by the combined epoch as before, which
 answers locally only for individuals the overlay can actually affect —
 everything an overlay assertion touches, expanded to whatever can
 *reach* a touched individual through role edges — and delegates the
 rest to the base tier: an overlay's column *is* the base tier's (the
 same object) unless one of those individuals' events differs.  A new
-user session therefore costs O(overlay), not O(world).
+user session therefore costs O(overlay), not O(world).  A probability
+goes to the base tier only when every atom of its event is registered
+in the space; a context atom is not, so what an install asks is
+memoised on the overlay session and dropped with it.
 """
 
 from __future__ import annotations
@@ -221,7 +224,7 @@ class ReasonerSession(MembershipEvaluator):
         self._affected: frozenset[str] | None = None
         self._events: dict[tuple[Individual, Concept], EventExpr] = {}
         self._probabilities: dict[tuple[str, EventExpr], float] = {}
-        self._shannon = base._shannon if base is not None else ShannonEngine(space)
+        self._shannon: ShannonEngine | None = None  # built on first use
         self.membership_hits = 0
         self.membership_misses = 0
         self.probability_hits = 0
@@ -341,18 +344,19 @@ class ReasonerSession(MembershipEvaluator):
         """Probability of ``event``, memoised per ``(engine, event)``.
 
         The default Shannon path additionally shares one expansion memo
-        across every event of the epoch, so repeated *sub*-expressions
-        are solved once even on first sight of a new event.
+        across every event of the memo's session, so repeated
+        *sub*-expressions are solved once even on first sight of a new
+        event.
         """
         if event.is_certain:
             return 1.0
         if event.is_impossible:
             return 0.0
-        if self.base is not None:
-            # One probability memo (and one Shannon sub-expression memo)
-            # for the whole tenant fleet: probabilities depend only on
-            # the event structure and the shared space, both of which
-            # are pinned by the base tier's epoch.
+        if self.base is not None and self._static(event):
+            # Static world knowledge: one probability memo (and one
+            # Shannon sub-expression memo) for the whole tenant fleet.
+            # Anything else — an installed context atom — is memoised
+            # here, and goes with this session at the next install.
             return self.base.probability(event, engine)
         key = (engine, event)
         cached = self._probabilities.get(key)
@@ -361,11 +365,23 @@ class ReasonerSession(MembershipEvaluator):
             return cached
         self.probability_misses += 1
         if engine == "shannon":
+            if self._shannon is None:
+                self._shannon = ShannonEngine(self.space)
             value = self._shannon.probability(event)
         else:
             value = engine_probability(event, self.space, engine)
         self._probabilities[key] = value
         return value
+
+    @property
+    def memo_probabilities(self) -> int:
+        """Probabilities memoised in this session."""
+        return len(self._probabilities)
+
+    def _static(self, event: EventExpr) -> bool:
+        """Is every atom of ``event`` registered in the shared space?"""
+        space = self.space
+        return space is not None and all(space.registers(basic) for basic in event.atoms())
 
     def membership_probability(
         self,
@@ -663,7 +679,7 @@ class CompiledKB:
             probability_misses=self._probability_misses
             + (session.probability_misses if session else 0),
             memo_events=len(session._events) if session else 0,
-            memo_probabilities=len(session._probabilities) if session else 0,
+            memo_probabilities=session.memo_probabilities if session else 0,
             invalidations=self._invalidations,
             base_events=self._base_events + (session.base_events if session else 0),
             shared_base=isinstance(self.abox, LayeredABox),

@@ -85,6 +85,7 @@ from repro.cache.protocol import CacheAdapter
 from repro.engine.backends import parse_context_spec
 from repro.engine.requests import RankedItems, RankRequest
 from repro.errors import EngineError, ReproError
+from repro.reason import base_tier
 from repro.service.metrics import ServiceMetrics
 from repro.service.resilience import (
     BreakerDecision,
@@ -1180,6 +1181,17 @@ class RankingService:
             self.batcher.snapshot() if self.batcher is not None else {"enabled": False}
         )
         snapshot["registry"] = self.health()["registry"]
+        registry = self.registry
+        space = registry.space
+        # Both flat while serving: context atoms live in the tenant
+        # sessions that installed them, not in the shared space or the
+        # fleet-wide base tier.
+        snapshot["reasoner"] = {
+            "space_events": len(space) if space is not None else 0,
+            "memo_probabilities": base_tier(
+                registry.abox, registry.tbox, space
+            ).memo_probabilities,
+        }
         snapshot["cache"] = self.cache.info().to_dict()
         snapshot["cache"]["enabled"] = bool(self.cache.enabled)
         deferred = dict(self._delta_hits)

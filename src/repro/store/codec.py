@@ -91,7 +91,6 @@ def _space_section(space: EventSpace | None) -> dict:
         "groups": sorted(
             (group.name, list(group.member_names)) for group in space.groups
         ),
-        "fresh_counter": space._fresh_counter,
     }
 
 
@@ -354,7 +353,6 @@ def _restore_space(data: dict) -> EventSpace | None:
         space.event(name, probability)
     for group_name, members in data["groups"]:
         space.declare_mutex(group_name, members)
-    space._fresh_counter = int(data.get("fresh_counter", 0))
     return space
 
 

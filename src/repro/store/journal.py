@@ -148,14 +148,12 @@ class OverlayJournal:
         """Tenants with at least one journalled overlay, sorted."""
         return tuple(sorted(self._latest))
 
-    def replay_into(self, tenant_id: str, overlay: LayeredABox, space=None) -> bool:
+    def replay_into(self, tenant_id: str, overlay: LayeredABox) -> bool:
         """Re-assert the tenant's journalled overlay into a fresh overlay.
 
-        Returns ``True`` when a record existed and was applied.  Atom
-        events referenced by the record are re-registered in ``space``
-        (best effort — a name already registered at the same
-        probability is idempotent, anything else keeps the structural
-        event from the journal).
+        Returns ``True`` when a record existed and was applied.  Every
+        record carries its events' probabilities inline, so replay
+        writes nothing but the overlay.
         """
         self.refresh()
         payload = self._latest.get(str(tenant_id))
@@ -178,13 +176,6 @@ class OverlayJournal:
                 f"journal record for tenant {tenant_id!r} is malformed: {exc}"
             ) from exc
         for entry in records:
-            event = entry[-2]
-            if space is not None:
-                for atom in event.atoms():
-                    try:
-                        space.event(atom.name, atom.probability)
-                    except Exception:
-                        pass  # registered at another probability; keep structural
             if entry[0] == "concept":
                 _kind, concept, individual, event, dynamic = entry
                 overlay.assert_concept(concept, individual, event, dynamic=dynamic)

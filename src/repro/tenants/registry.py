@@ -564,7 +564,7 @@ class TenantRegistry:
             # degrades to a fresh overlay — durability is best-effort,
             # availability is not.
             try:
-                self.journal.replay_into(tenant_id, overlay, space=self.space)
+                self.journal.replay_into(tenant_id, overlay)
             except (SnapshotError, OSError):
                 pass
         repository = rules if rules is not None else self._default_rules(tenant_id)

@@ -131,6 +131,15 @@ class TestEngineSpecifics:
         engine.clear()
         assert engine.probability(a | b) == pytest.approx(0.7)
 
+    def test_shannon_reads_a_bare_atom_off_its_event(self, space):
+        grouped = space.mutex_choice("room", {"kitchen": 0.6, "hall": 0.3})
+        free = space.atom("free", 0.45)
+        engine = ShannonEngine(space)
+        for atom, expected in ((grouped["kitchen"], 0.6), (grouped["hall"], 0.3), (free, 0.45)):
+            assert engine.probability(atom) == expected
+            assert probability(atom, space, engine="worlds") == pytest.approx(expected)
+        assert not engine._memo  # nothing to branch on, nothing memoised
+
     def test_bdd_handles_moderate_width(self, space):
         # 24 independent atoms in a disjunction: enumeration would need
         # 2^24 worlds, the BDD is linear.

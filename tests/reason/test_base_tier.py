@@ -140,6 +140,21 @@ class TestDelegationSoundness:
         assert p2 == p1
         assert len(tier._probabilities) == memo  # second tenant was a memo hit
 
+    def test_context_installs_do_not_grow_the_tier_memo(self, world):
+        from repro.tenants import TenantRegistry
+
+        session = TenantRegistry(world).session("alice")
+        session.install_context("Weekend", "Breakfast:0.7")
+        session.rank()  # prices the static events once
+        tier = base_tier(world.abox, world.tbox, world.space)
+        memo = tier.memo_probabilities
+        for probability in ("0.1", "0.2", "0.3", "0.7"):
+            session.install_context("Weekend", f"Breakfast:{probability}")
+            session.rank()
+            # The context probabilities are the overlay session's.
+            assert session.engine.kb.info().memo_probabilities > 0
+        assert tier.memo_probabilities == memo
+
     def test_retrieval_over_overlay_matches_reference(self, world):
         overlay, kb = overlay_kb(world)
         overlay.assert_concept("TvProgram", "webcast")

@@ -39,8 +39,8 @@ from repro.workloads import build_tvtouch
 FILLER = tuple(f"Filler{index}" for index in range(10))
 
 #: Distinct context menus the hammer flips between.  All certain
-#: concepts: the point is the *engine's* atomicity, not event-space
-#: registration (uncertain specs are covered by the fleet stress).
+#: concepts: the point is the *engine's* atomicity, not context atoms
+#: (uncertain specs are covered by the fleet stress).
 CONTEXTS = (
     ("Weekend",) + FILLER,
     ("Breakfast",) + FILLER,

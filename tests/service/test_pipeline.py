@@ -189,6 +189,23 @@ class TestPipeline:
         assert health["registry"]["active_sessions"] == 1
         assert health["registry"]["shards"] == 4
 
+    def test_metrics_reasoner_block_stays_flat_under_fresh_context(self, service):
+        boot = service.metrics_snapshot()["reasoner"]
+        assert boot["space_events"] == len(service.registry.space)
+        service.rank({"tenant": ["alice"], "context": ["Weekend", "Breakfast:0.7"]})
+        warm = service.metrics_snapshot()["reasoner"]
+        assert warm["memo_probabilities"] > 0  # the static events, priced once
+        for index in range(40):
+            reply = service.rank(
+                {
+                    "tenant": [f"t{index % 4}"],
+                    "context": ["Weekend", f"Breakfast:{(index + 1) / 43!r}"],
+                }
+            )
+            assert reply.ok
+        assert service.metrics_snapshot()["reasoner"] == warm
+        assert warm["space_events"] == boot["space_events"]
+
 
 class TestConcurrentRequests:
     def test_parallel_tenants_all_answer_correctly(self, service):

@@ -6,6 +6,9 @@ import pytest
 
 from repro.dl import ABox
 from repro.errors import SnapshotError
+from repro.events import BasicEvent
+from repro.events.expr import atom
+from repro.events.serialize import dumps as dump_event
 from repro.store import OverlayJournal
 from repro.tenants import TenantRegistry
 from repro.workloads import EXPECTED_TABLE1_SCORES, build_tvtouch
@@ -142,6 +145,43 @@ class TestRegistryIntegration:
         scores = {i.document: i.score for i in again.rank().items}
         for document, expected in EXPECTED_TABLE1_SCORES.items():
             assert abs(scores[document] - expected) <= 1e-9, document
+
+    def test_replay_leaves_the_space_unchanged(self, tmp_path):
+        path = tmp_path / "overlays.jsonl"
+        session = TenantRegistry(build_tvtouch(), journal=str(path)).session("alice")
+        session.install_context("Weekend", "Breakfast:0.7")
+        before = {i.document: i.score for i in session.rank().items}
+
+        world = build_tvtouch()
+        space = (len(world.space), world.space.revision)
+        again = TenantRegistry(world, journal=str(path)).session("alice")
+        assert (len(world.space), world.space.revision) == space
+        after = {i.document: i.score for i in again.rank().items}
+        assert after == pytest.approx(before, abs=1e-9)
+
+    def test_serial_named_record_replays_to_the_same_ranking(self, tmp_path):
+        # Before context atoms were named by content, an install of
+        # Breakfast:0.7 could be journalled as svc:Breakfast#3.
+        path = tmp_path / "overlays.jsonl"
+        old = dump_event(atom(BasicEvent("svc:Breakfast#3", 0.7)))
+        record = {
+            "tenant": "alice",
+            "seq": 1,
+            "concepts": [["Breakfast", "alice", old, True], ["Weekend", "alice", "T", True]],
+            "roles": [],
+        }
+        path.write_text(json.dumps(record) + "\n")
+        world = build_tvtouch()
+        space = (len(world.space), world.space.revision)
+        replayed = TenantRegistry(world, journal=str(path)).session("alice").rank().items
+
+        fresh = TenantRegistry(build_tvtouch()).session("alice")
+        fresh.install_context("Weekend", "Breakfast:0.7", tick="svc")
+        expected = fresh.rank().items
+        assert [i.document for i in replayed] == [i.document for i in expected]
+        for mine, theirs in zip(replayed, expected):
+            assert abs(mine.score - theirs.score) <= 1e-9, mine.document
+        assert (len(world.space), world.space.revision) == space
 
     def test_no_journal_means_no_files(self, tmp_path):
         registry = TenantRegistry(build_tvtouch())

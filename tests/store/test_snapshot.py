@@ -125,6 +125,18 @@ class TestRoundTripIdentity:
         for document, expected in EXPECTED_TABLE1_SCORES.items():
             assert abs(scores[document] - expected) <= 1e-9, document
 
+    def test_space_section_round_trips_without_a_counter(self):
+        from repro.store.codec import _restore_space, _space_section
+
+        world = build_office_world()
+        section = _space_section(world.space)
+        assert "fresh_counter" not in section
+        # A snapshot written while the space still counted fresh atoms.
+        restored = _restore_space({**section, "fresh_counter": 12})
+        assert sorted((e.name, e.probability) for e in restored) == sorted(
+            (e.name, e.probability) for e in world.space
+        )
+
     def test_office_world_without_repository(self, tmp_path):
         path = tmp_path / "office.snap"
         write_world_snapshot(path, build_office_world())

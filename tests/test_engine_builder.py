@@ -105,7 +105,7 @@ class TestAssembly:
         assert response.documents() == ["channel5_news"]
 
     def test_custom_context_backend(self, world):
-        backend = AboxContext(world.abox, world.space)
+        backend = AboxContext(world.abox)
         engine = EngineBuilder().world(world).context(backend).build()
         assert engine.context is backend
 
