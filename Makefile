@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: help test test-fast bench-smoke ledger-smoke boot-report bench serve smoke clean
+.PHONY: help test test-fast bench-smoke ledger-smoke boot-report reach-report bench serve smoke clean
 
 help:
 	@echo "make test         - run the full test suite"
@@ -12,6 +12,7 @@ help:
 	@echo "make bench-smoke  - benchmark scripts at tiny sizes (REPRO_BENCH_SMOKE=1)"
 	@echo "make ledger-smoke - 5 s traced ledger runs of full_ranking, herd_miss + zipf_steady (failed = 0, every traced target resolves)"
 	@echo "make boot-report  - what a worker loads: importtime, module counts, the first rank split (bind / kernel compile / numpy import), seconds + RSS + status to the first answer at 4, 2 000 and 10 000 programs"
+	@echo "make reach-report - function-body lines under src/repro reached by the examples, every CLI verb and two in-process serve runs (stdlib tracer)"
 	@echo "make bench        - the full benchmark suite (slow; rewrites results/)"
 	@echo "make serve        - the HTTP ranking gateway on :8080"
 	@echo "make smoke        - start the gateway, hit /healthz + /rank, shut down"
@@ -26,6 +27,7 @@ test-fast:
 
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest -q \
+		benchmarks/bench_e4_ablation_optimisations.py \
 		benchmarks/bench_e9_engine_overhead.py \
 		benchmarks/bench_e10_kernel.py \
 		benchmarks/bench_e11_reasoner.py \
@@ -42,6 +44,9 @@ ledger-smoke:
 
 boot-report:
 	$(PYTHON) scripts/boot_report.py
+
+reach-report:
+	$(PYTHON) scripts/reach_report.py --functions
 
 bench:
 	$(PYTHON) -m pytest -q benchmarks

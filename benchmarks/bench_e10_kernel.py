@@ -13,8 +13,7 @@ lazy.  This bench sweeps candidates x rules on the Section 5 workload
 * the **kernel (numpy)** and **kernel (python)** batch paths, compiled
   cold per run;
 * the **incremental** path: context-only rebind on the compiled
-  matrix vs a full re-bind (the engine's context-delta refresh);
-* the heap-based **top-k** path with the Section 6 upper-bound prune.
+  matrix vs a full re-bind (the engine's context-delta refresh).
 
 Asserted claims (full mode): at 1000 candidates x 10 rules the numpy
 kernel beats the per-document scorer by >= 5x and the pure-python
@@ -58,7 +57,6 @@ CELLS = [(40, 3)] if SMOKE else [(100, 4), (1000, 4), (1000, 10)]
 ASSERT_CELL = (1000, 10)
 MIN_NUMPY_SPEEDUP = 5.0
 MIN_PYTHON_SPEEDUP = 1.5
-TOP_K = 10
 
 HAVE_NUMPY = numpy_or_none() is not None
 
@@ -255,16 +253,3 @@ def test_e10_incremental_rescoring(world, save_result, save_json):
             f"incremental rescoring must clearly beat a full re-bind, got x{speedup:.2f}"
         )
 
-
-def test_e10_top_k(world):
-    """The heap-based top-k path agrees with the full ranking."""
-    candidates, rules = CELLS[-1]
-    problem = tile_problem(_bound_problem(world, rules), candidates)
-    kernel = ScoringKernel.compile(problem)
-    full = sorted(
-        kernel.score_documents().values(), key=lambda score: (-score.value, score.document)
-    )
-    top = kernel.rank_top_k(min(TOP_K, candidates))
-    assert [(s.document, s.value) for s in top] == [
-        (s.document, s.value) for s in full[: len(top)]
-    ]

@@ -25,10 +25,6 @@ rank path orders and renders the vector without ever doing so.
 
 On top of the compiled form:
 
-* :meth:`ScoringKernel.rank_top_k` — a heap-based top-k path using the
-  Section 6 upper bound (each rule's factor is at most
-  ``(1-P(g)) + P(g) max(sigma, 1-sigma)``, independent of the
-  document) to abandon candidates that cannot enter the current top k;
 * :meth:`ScoringKernel.with_context` — incremental rescoring: when only
   the context changed, rebuild the per-rule coefficient vectors on the
   *same* compiled ``P(f)`` matrix instead of re-binding every
@@ -45,7 +41,6 @@ correctness oracle; kernel-vs-reference agreement is property-tested.
 
 from __future__ import annotations
 
-import heapq
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,12 +52,7 @@ from repro.core.pruning import all_miss_score
 from repro.core.scoring import DocumentScore, RuleContribution
 from repro.perf.backend import resolve_backend
 from repro.perf.columns import VECTOR_MIN, NameTable, ScoreColumn, as_floats
-from repro.perf.flatops import (
-    TOPK_PRUNE_SLACK,
-    batch_row_scores,
-    row_scores,
-    topk_survivors,
-)
+from repro.perf.flatops import batch_row_scores, row_scores
 
 __all__ = [
     "CompiledCandidates",
@@ -74,11 +64,6 @@ __all__ = [
     "score_values",
     "score_vectors",
 ]
-
-#: Rows per block on the numpy top-k path (prune checks run per block,
-#: and so do the serving layer's cooperative deadline checks).
-TOPK_BLOCK = 512
-
 
 @dataclass(frozen=True, eq=False)
 class CompiledCandidates:
@@ -326,13 +311,6 @@ class ScoringKernel:
             b = p_g * (2.0 * sigma - 1.0)
             coeffs.append((index, a, b))
         self._coeffs = tuple(coeffs)
-        # Section 6 upper bound: a rule's factor never exceeds
-        # (1-P(g)) + P(g)*max(sigma, 1-sigma) = max(a, a+b).
-        bounds = [max(a, a + b) for _index, a, b in coeffs]
-        suffix = [1.0] * (len(coeffs) + 1)
-        for j in range(len(coeffs) - 1, -1, -1):
-            suffix[j] = suffix[j + 1] * bounds[j]
-        self._suffix_bounds = suffix
         self._all_miss = all_miss_score([self.bindings[i] for i in keep])
         self._trivial = None  # intp array or list, see _trivial_index
         self._trivial_set: frozenset[int] | None = None
@@ -518,117 +496,6 @@ class ScoringKernel:
                 )
             )
         return tuple(contributions)
-
-    # -- top-k -------------------------------------------------------------
-    def rank_top_k(
-        self, k: int, prune_documents: bool = True, method: str = "factorised"
-    ) -> list[DocumentScore]:
-        """The best ``k`` documents (score desc, ties by name asc).
-
-        Candidates whose Section 6 upper bound falls below the current
-        k-th best score (by more than a rounding-safe slack, so exact
-        ties survive for name tie-breaking) are abandoned mid-product;
-        the result is exactly the first ``k`` entries of the full
-        ranking.
-        """
-        if k < 1:
-            raise ScoringError(f"top-k needs a positive k, got {k!r}")
-        total = self.document_count
-        if k >= total or not self._coeffs:
-            ranked = sorted(
-                self.score_documents(prune_documents, method).values(),
-                key=lambda score: (-score.value, score.document),
-            )
-            return ranked[:k]
-
-        trivial = set(self.trivial_rows()) if prune_documents else frozenset()
-        active = [row for row in range(total) if row not in trivial]
-        shared = self._all_miss
-        seeds = [shared] * min(len(trivial), k)
-        if self._np is not None:
-            survivors = self._topk_numpy(active, k, seeds)
-        else:
-            deadline = _active_deadline()
-            if deadline is None:
-                survivors = topk_survivors(
-                    self.candidates.matrix,
-                    self.candidates.rule_count,
-                    self._coeffs,
-                    self._suffix_bounds,
-                    active,
-                    k,
-                    seeds,
-                )
-            else:
-                # Cooperative cancellation: run the scan in blocks,
-                # checking the deadline between them and carrying the
-                # top-k value heap forward as the next block's seeds —
-                # the survivor set stays a superset of the true top k,
-                # so the final sort+slice below is still exact.
-                survivors = []
-                heap = list(seeds)
-                heapq.heapify(heap)
-                for start in range(0, len(active), TOPK_BLOCK):
-                    deadline.check()
-                    found = topk_survivors(
-                        self.candidates.matrix,
-                        self.candidates.rule_count,
-                        self._coeffs,
-                        self._suffix_bounds,
-                        active[start : start + TOPK_BLOCK],
-                        k,
-                        tuple(heap),
-                    )
-                    for row, value in found:
-                        survivors.append((row, value))
-                        heapq.heappush(heap, value)
-                        if len(heap) > k:
-                            heapq.heappop(heap)
-        pool = [(row, value) for row, value in survivors]
-        pool.extend((row, shared) for row in trivial)
-        pool.sort(key=lambda entry: (-entry[1], self.names[entry[0]]))
-        results = []
-        for row, value in pool[:k]:
-            contributions = () if row in trivial else LazyContributions(self, row)
-            results.append(DocumentScore(self.names[row], value, contributions, method))
-        return results
-
-    def _topk_numpy(
-        self, rows: list[int], k: int, seeds: list[float]
-    ) -> list[tuple[int, float]]:
-        """Blocked vectorised top-k with the suffix-bound prune."""
-        np = self._np
-        deadline = _active_deadline()
-        heap: list[float] = list(seeds)
-        heapq.heapify(heap)
-        suffix = self._suffix_bounds
-        a, b = self._a, self._b
-        survivors: list[tuple[int, float]] = []
-        row_array = np.array(rows, dtype=np.intp)
-        for start in range(0, len(row_array), TOPK_BLOCK):
-            if deadline is not None:
-                deadline.check()
-            block = row_array[start : start + TOPK_BLOCK]
-            sub = self.candidates.matrix[np.ix_(block, self._keep_idx)]
-            prefix = np.ones(len(block), dtype=np.float64)
-            alive = np.arange(len(block))
-            for j in range(len(self._coeffs)):
-                if len(heap) == k:
-                    # Same rounding-safe slack as flatops.topk_survivors:
-                    # exact ties must survive for name tie-breaking.
-                    threshold = heap[0] * (1.0 - TOPK_PRUNE_SLACK)
-                    still = prefix[alive] * suffix[j] >= threshold
-                    alive = alive[still]
-                    if alive.size == 0:
-                        break
-                prefix[alive] *= a[j] + b[j] * sub[alive, j]
-            for position in alive.tolist():
-                value = min(1.0, max(0.0, float(prefix[position])))
-                survivors.append((int(block[position]), value))
-                heapq.heappush(heap, value)
-                if len(heap) > k:
-                    heapq.heappop(heap)
-        return survivors
 
     def __repr__(self) -> str:
         return (

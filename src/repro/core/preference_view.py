@@ -114,21 +114,6 @@ class PreferenceView:
         """Last refreshed ranking, best first."""
         return sorted(self._scores.values(), key=lambda s: (-s.value, s.document))
 
-    def rank_top_k(self, k: int) -> list[DocumentScore]:
-        """A fresh top-k over the target's members on the kernel path.
-
-        Unlike ``ranking()[:k]`` this does not require (or update) a
-        full refresh: candidates run through
-        :meth:`~repro.core.scorer.ContextAwareScorer.rank_top_k`, where
-        the Section 6 upper bound abandons documents that cannot reach
-        the top ``k``.
-        """
-        from repro.dl.instances import retrieve
-
-        members = retrieve(self.scorer.abox, self.scorer.tbox, self.target)
-        names = sorted(individual.name for individual in members)
-        return self.scorer.rank_top_k(names, k)
-
     def __len__(self) -> int:
         return len(self._scores)
 

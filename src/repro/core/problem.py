@@ -62,7 +62,7 @@ def _active_deadline():
     deadline, and the probe is one dict lookup.  Returns an object
     with a ``check()`` raising the service's ``DeadlineExceeded``, or
     ``None``.  The one probe of the core and the engine: the kernel
-    between candidate blocks, :func:`bind_documents` between rule
+    once before each scoring pass, :func:`bind_documents` between rule
     columns and candidate blocks, the engine while it waits for its
     lock.
     """

@@ -197,27 +197,6 @@ class ContextAwareScorer:
         scores = self.score(documents)
         return sorted(scores, key=lambda s: (-s.value, s.document))
 
-    def rank_top_k(self, documents: Iterable[Individual | str], k: int) -> list[DocumentScore]:
-        """The best ``k`` candidates without fully scoring every one.
-
-        On the kernel path the Section 6 upper bound abandons documents
-        that cannot enter the current top k; the result is exactly
-        ``self.rank(documents)[:k]``.  Reference methods fall back to
-        the full ranking.
-        """
-        if k < 1:
-            raise ScoringError(f"top-k needs a positive k, got {k!r}")
-        if self.method != "factorised":
-            return self.rank(documents)[:k]
-        names = [
-            document.name if isinstance(document, Individual) else document
-            for document in documents
-        ]
-        kernel = self._compile_kernel(list(dict.fromkeys(names)))
-        return kernel.rank_top_k(
-            k, prune_documents=self.prune_documents, method=self.method
-        )
-
     def score_concept_members(self, concept: Concept) -> list[DocumentScore]:
         """Rank every ABox individual that (possibly) satisfies ``concept``.
 

@@ -23,7 +23,7 @@ change invalidates it by construction (the signature changes).
 
 **Thread safety.**  Every public entry point that reads or writes the
 engine's knowledge base (``rank``, ``rank_in_context``,
-``prepare_rank``, ``preference_scores``, ``explain``, ``rank_top_k``,
+``prepare_rank``, ``preference_scores``, ``explain``,
 ``install_context``, ``install_and_fingerprint``, ``context_covered``)
 serialises on one per-engine reentrant lock, so a context install can
 never interleave with a rank's snapshot — the failure the serving
@@ -840,23 +840,6 @@ class RankingEngine:
         return _explain().explain_ranking(ordered, self.preferences.repository())
 
     # -- conveniences ------------------------------------------------------
-    def rank_top_k(self, k: int, documents: Sequence[str] | None = None) -> list[DocumentScore]:
-        """The best ``k`` documents by preference, on the kernel's top-k path.
-
-        Bypasses the preference-view cache: candidates are bound fresh
-        and ranked with the Section 6 upper-bound prune
-        (:meth:`repro.core.kernel.ScoringKernel.rank_top_k`), so
-        documents that cannot enter the top k are abandoned mid-score.
-        Use :meth:`rank` with ``RankRequest(top_k=...)`` instead when
-        repeated requests should share the cached view.
-        """
-        with self._lock:
-            self.context.refresh()
-            self._sync_scorer()
-            if documents is None:
-                return self._view.rank_top_k(k)
-            return self._scorer.rank_top_k(documents, k)
-
     def preference_scores(self) -> dict[str, float]:
         """The (cached) preference view as plain ``{document: score}``."""
         with self._lock:

@@ -19,12 +19,7 @@ from repro.perf.backend import (
     resolve_backend,
 )
 from repro.perf.columns import NameTable, ScoreColumn, rank_columns
-from repro.perf.flatops import (
-    batch_row_scores,
-    log_linear_rows,
-    row_scores,
-    topk_survivors,
-)
+from repro.perf.flatops import batch_row_scores, log_linear_rows, row_scores
 
 __all__ = [
     "BACKEND_ENV",
@@ -39,5 +34,4 @@ __all__ = [
     "reset_backend",
     "resolve_backend",
     "row_scores",
-    "topk_survivors",
 ]

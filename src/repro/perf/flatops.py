@@ -10,33 +10,20 @@ probability ``p_f``::
 so a document's score is a fused multiply-add chain over the compiled
 coefficient list — no dataclasses, no per-rule allocation.  The numpy
 backend computes the same ``a + b * p_f`` columns vectorised; these
-loops are the fallback and are also the reference for the top-k
-pruning logic (Section 6's upper bound).
+loops are the fallback.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "LOG_FLOOR",
-    "TOPK_PRUNE_SLACK",
     "batch_row_scores",
     "row_scores",
-    "topk_survivors",
     "log_linear_rows",
 ]
-
-#: Relative slack on the top-k prune threshold.  The running prefix
-#: product and the precomputed suffix bounds associate multiplications
-#: differently than the full score, so a candidate whose exact score
-#: *ties* the current k-th best can see its bound round a few ulps
-#: below the threshold — and name tie-breaking means tied candidates
-#: must never be abandoned.  Accumulated rounding error is ~n·2^-52;
-#: 1e-9 is far above that and costs no meaningful pruning power.
-TOPK_PRUNE_SLACK = 1e-9
 
 #: Floor applied inside the log-linear mixture's logs so an impossible
 #: part does not produce -inf.  It lives here, beside the loop that
@@ -67,56 +54,6 @@ def row_scores(
             score *= a + b * data[base + column]
         append(min(1.0, max(0.0, score)))
     return values
-
-
-def topk_survivors(
-    data: Sequence[float],
-    rule_count: int,
-    coeffs: Sequence[tuple[int, float, float]],
-    suffix_bounds: Sequence[float],
-    rows: Iterable[int],
-    k: int,
-    seeds: Iterable[float] = (),
-) -> list[tuple[int, float]]:
-    """Rows that could not be excluded from the top ``k``, fully scored.
-
-    Implements the Section 6 upper bound: before multiplying in rule
-    ``j``'s factor, a row whose partial product times
-    ``suffix_bounds[j]`` (the product of the remaining rules' maximal
-    factors) falls below the current k-th best score — by more than the
-    rounding-safe :data:`TOPK_PRUNE_SLACK`, so exact ties survive for
-    name tie-breaking — cannot reach the top k and is abandoned.
-    ``seeds`` pre-populates the
-    threshold heap (e.g. with the shared all-miss score of trivial
-    documents).  Returns ``(row, score)`` pairs; every row that belongs
-    in the true top k is guaranteed to be present.
-    """
-    heap: list[float] = []
-    for value in seeds:
-        heapq.heappush(heap, value)
-        if len(heap) > k:
-            heapq.heappop(heap)
-    survivors: list[tuple[int, float]] = []
-    push, pop = heapq.heappush, heapq.heappop
-    keep_factor = 1.0 - TOPK_PRUNE_SLACK
-    for row in rows:
-        base = row * rule_count
-        score = 1.0
-        full = len(heap) == k
-        abandoned = False
-        for j, (column, a, b) in enumerate(coeffs):
-            if full and score * suffix_bounds[j] < heap[0] * keep_factor:
-                abandoned = True
-                break
-            score *= a + b * data[base + column]
-        if abandoned:
-            continue
-        score = min(1.0, max(0.0, score))
-        survivors.append((row, score))
-        push(heap, score)
-        if len(heap) > k:
-            pop(heap)
-    return survivors
 
 
 def batch_row_scores(

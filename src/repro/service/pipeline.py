@@ -50,7 +50,7 @@ This module is that request path, staged and instrumented::
   behind the gateway, a ``repro-gw`` pool thread), inside the
   request's deadline scope.  The deadline is cooperative:
   the engine-lock wait, a cold bind's rule columns and rows, the
-  kernel's candidate blocks, the batch queue and an injected delay all
+  start of the kernel pass, the batch queue and an injected delay all
   check it, so an expiry unwinds the work itself and answers 504 (or
   stale) — and that thread releases the pin before it answers,
   whatever the outcome.

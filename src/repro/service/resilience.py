@@ -11,9 +11,9 @@ small mechanisms the pipeline, gateway and fleet supervisor compose:
   :mod:`contextvars` variable (:func:`deadline_scope`) around the rank
   it runs on the request's own thread.  Every wait on that path checks
   it *cooperatively* (:func:`current_deadline`): the engine-lock wait,
-  a cold bind's rule columns and rows, the kernel's candidate blocks,
-  the batch queue and an injected delay.  A wedged rank answers 504
-  and its thread releases the session pin before answering.
+  a cold bind's rule columns and rows, the kernel pass (once, before
+  it starts), the batch queue and an injected delay.  A wedged rank
+  answers 504 and its thread releases the session pin before answering.
 * :class:`CircuitBreaker` — per-tenant + global rolling-window breaker
   (closed → open → half-open with a jittered probe).  When rank
   failures or timeouts spike, the pipeline sheds load fast — answering
@@ -117,7 +117,7 @@ class Deadline:
 
 
 #: The active request's deadline, visible to anything on the rank call
-#: stack (the scoring kernel polls it between candidate blocks).
+#: stack (the scoring kernel checks it once, before each pass).
 _ACTIVE_DEADLINE: ContextVar[Deadline | None] = ContextVar(
     "repro_active_deadline", default=None
 )

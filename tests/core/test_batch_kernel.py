@@ -5,7 +5,7 @@
 mate the scores must match what that kernel produces alone, on both
 backends, including mates with pruned rules, mutex-group events and
 trivial (all-miss) rows — and each mate's view cut at its top k must
-match the kernel's heap-pruned `rank_top_k`.
+match the first k entries of that kernel's full sort.
 """
 
 import random
@@ -26,7 +26,7 @@ from repro.perf.backend import numpy_or_none
 from repro.perf.columns import as_floats
 from repro.workloads import build_tvtouch, set_breakfast_weekend_context
 
-from tests.core.test_kernel import synthetic_problem
+from tests.core.test_kernel import full_sort, synthetic_problem
 
 BACKENDS = ["python"] + (["numpy"] if numpy_or_none() is not None else [])
 
@@ -235,27 +235,24 @@ def assert_same_top(items, expected):
 
 
 class TestRankTopKBatch:
-    """The batch's cut agrees with the heap-pruned sequential top-k."""
+    """The batch's cut agrees with the sequential full sort cut at k."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("ks", [[1, 1, 1], [3, 1, 7], [200, 5, 2]])
     def test_matches_sequential_rank(self, backend, ks):
         kernels = synthetic_family(backend, count=3, docs=60)
         for kernel, k, top in zip(kernels, ks, batch_top_k(kernels, ks)):
-            assert_same_top(top, kernel.rank_top_k(k))
+            assert_same_top(top, full_sort(kernel)[:k])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_full_sort(self, backend):
         kernels = synthetic_family(backend, count=4, docs=80, seed=13)
         for kernel, top in zip(kernels, batch_top_k(kernels, [5] * 4)):
-            full = sorted(
-                kernel.score_documents().values(), key=lambda s: (-s.value, s.document)
-            )
-            assert_same_top(top, full[:5])
+            assert_same_top(top, full_sort(kernel)[:5])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pruned_rules_and_ties(self, backend):
         kernels = synthetic_family(backend, count=4, threshold=0.5, seed=17)
         ks = (3, 9, 1, 4)
         for kernel, k, top in zip(kernels, ks, batch_top_k(kernels, ks)):
-            assert_same_top(top, kernel.rank_top_k(k))
+            assert_same_top(top, full_sort(kernel)[:k])

@@ -20,6 +20,7 @@ from repro.core import (
     score_document,
 )
 from repro.dl.vocabulary import Individual
+from repro.engine.relevance import GatedRelevance
 from repro.perf.backend import (
     BACKEND_ENV,
     backend_name,
@@ -217,48 +218,49 @@ class TestLazyContributions:
         assert scored["mpfs"].contributions == ()
 
 
+def served_cut(kernel, k):
+    """What a ``RankRequest(top_k=k)`` is answered from: the kernel's
+    full view cut at k by the default relevance backend."""
+    view = kernel.score_documents()
+    return GatedRelevance().combine_top_k(view.column(), None, view.names, k)
+
+
+def full_sort(kernel):
+    """The kernel's whole ranking (score desc, name asc)."""
+    return sorted(
+        kernel.score_documents().values(), key=lambda s: (-s.value, s.document)
+    )
+
+
+def assert_cut_is_full_prefix(kernel, k):
+    full = full_sort(kernel)
+    top = served_cut(kernel, k)
+    assert top.documents() == [s.document for s in full[:k]]
+    assert list(top.scores) == [s.value for s in full[:k]]
+
+
 class TestTopK:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 9])
     def test_agrees_with_full_sort(self, problem, backend, k):
         kernel = ScoringKernel.compile(problem, backend=backend)
-        full = sorted(
-            kernel.score_documents().values(), key=lambda s: (-s.value, s.document)
-        )
-        top = kernel.rank_top_k(k)
-        assert [(s.document, s.value) for s in top] == [
-            (s.document, s.value) for s in full[:k]
-        ]
+        assert_cut_is_full_prefix(kernel, k)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_prunes_but_stays_exact_on_wide_problems(self, backend):
-        # Many similar rows with ties: the heap + strict bound must not
-        # drop a tied candidate that wins on name order.
+        # Many similar rows with ties: the cut must not drop a tied
+        # candidate that wins on name order.
         rows = [[0.9, 0.1, 0.5], [0.1, 0.9, 0.5], [0.5, 0.5, 0.5]] * 20
         problem = synthetic_problem([0.9, 0.7, 0.6], [0.8, 0.9, 1.0], rows)
         kernel = ScoringKernel.compile(problem, backend=backend)
-        full = sorted(
-            kernel.score_documents().values(), key=lambda s: (-s.value, s.document)
-        )
         for k in (1, 5, 17, 60):
-            top = kernel.rank_top_k(k)
-            assert [(s.document, s.value) for s in top] == [
-                (s.document, s.value) for s in full[:k]
-            ]
-
-    def test_invalid_k_rejected(self, problem):
-        kernel = ScoringKernel.compile(problem)
-        with pytest.raises(ScoringError):
-            kernel.rank_top_k(0)
+            assert_cut_is_full_prefix(kernel, k)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_exact_ties_survive_the_prune(self, backend):
         # Identical rows at the per-rule upper bound: every score ties
-        # exactly, so the winner set is decided purely by name order.
-        # The prefix x suffix-bound product associates multiplications
-        # differently than the full score and can round a few ulps
-        # below the threshold — tied rows must still survive (this
-        # failed before the rounding slack on the prune threshold).
+        # exactly, so the winner set is decided purely by name order —
+        # on the served cut as in the full sort.
         import random
 
         rng = random.Random(0)
@@ -268,13 +270,11 @@ class TestTopK:
             p_contexts = [round(rng.uniform(0.5, 1.0), 3) for _ in range(n)]
             problem = synthetic_problem(sigmas, p_contexts, [[1.0] * n] * 50)
             kernel = ScoringKernel.compile(problem, backend=backend)
-            full = sorted(
-                kernel.score_documents().values(), key=lambda s: (-s.value, s.document)
+            top = served_cut(kernel, 7)
+            assert top.documents() == sorted(kernel.names)[:7], (
+                f"tie-break violated at trial {trial}"
             )
-            top = kernel.rank_top_k(7)
-            assert [(s.document, s.value) for s in top] == [
-                (s.document, s.value) for s in full[:7]
-            ], f"tie-break violated at trial {trial}"
+            assert_cut_is_full_prefix(kernel, 7)
 
 
 class TestWithContext:
@@ -314,28 +314,22 @@ class TestScorerIntegration:
         assert [s.document for s in scores] == ["oprah", "bbc_news", "oprah"]
         assert scores[0] is scores[2], "duplicates share one DocumentScore"
 
-    def test_scorer_rank_top_k_matches_rank(self, world):
-        scorer = ContextAwareScorer(
-            abox=world.abox, tbox=world.tbox, user=world.user,
-            repository=world.repository, space=world.space,
-        )
-        full = scorer.rank(world.program_ids)
-        top = scorer.rank_top_k(world.program_ids, 2)
-        assert [(s.document, s.value) for s in top] == [
-            (s.document, s.value) for s in full[:2]
-        ]
-
-    def test_reference_method_rank_top_k_falls_back(self, world):
-        scorer = ContextAwareScorer(
+    def test_reference_method_ranks_without_a_kernel(self, world):
+        exact = ContextAwareScorer(
             abox=world.abox, tbox=world.tbox, user=world.user,
             repository=world.repository, space=world.space, method="exact",
         )
-        full = scorer.rank(world.program_ids)
-        top = scorer.rank_top_k(world.program_ids, 3)
-        assert [(s.document, s.value) for s in top] == [
-            (s.document, s.value) for s in full[:3]
-        ]
-        assert scorer.last_kernel is None
+        factorised = ContextAwareScorer(
+            abox=world.abox, tbox=world.tbox, user=world.user,
+            repository=world.repository, space=world.space,
+        )
+        reference = exact.rank(world.program_ids)[:3]
+        fast = factorised.rank(world.program_ids)[:3]
+        assert [s.document for s in reference] == [s.document for s in fast]
+        assert [s.value for s in reference] == pytest.approx(
+            [s.value for s in fast], abs=1e-9
+        )
+        assert exact.last_kernel is None
 
     def test_last_kernel_exposed_on_fast_path(self, world):
         scorer = ContextAwareScorer(
@@ -422,7 +416,7 @@ class TestSizeRule:
             for document in problem.documents
         ]
         assert values == pytest.approx(reference, abs=1e-9)
-        order = [s.document for s in kernel.rank_top_k(rows)]
+        order = served_cut(kernel, rows).documents()
         assert order == [
             name for _value, name in sorted(zip([-v for v in values], kernel.names))
         ]
@@ -430,9 +424,8 @@ class TestSizeRule:
             other = ScoringKernel.compile(problem, backend=backend)
             assert other.backend == backend
             assert other.scores() == pytest.approx(values, abs=1e-9)
-            assert [s.document for s in other.rank_top_k(rows)] == order
-            top = other.rank_top_k(7)
-            assert [s.document for s in top] == order[:7]
+            assert served_cut(other, rows).documents() == order
+            assert served_cut(other, 7).documents() == order[:7]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("rows", [VECTOR_MIN - 1, VECTOR_MIN + 1])

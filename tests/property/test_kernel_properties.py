@@ -29,6 +29,7 @@ from repro.core import (
     prune_rules,
 )
 from repro.dl.vocabulary import Individual
+from repro.engine.relevance import GatedRelevance
 from repro.perf.backend import numpy_or_none
 
 BACKENDS = ["python"] + (["numpy"] if numpy_or_none() is not None else [])
@@ -163,17 +164,34 @@ def test_kernel_matches_enumeration_and_exact_on_independent_features(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(correlated_problems(), st.integers(min_value=1, max_value=10))
-def test_rank_top_k_agrees_with_full_sort(case, k):
+@given(correlated_problems(), st.data())
+def test_served_cut_is_the_full_ranking_prefix(case, data):
+    """What a ``top_k`` request is answered from — the scored view cut
+    by ``combine_top_k`` — is the first k of the full ranking for every
+    k, and a document's score does not depend on the other candidates
+    (the paper's eq.(4) is per-document)."""
     problem, threshold, backend = case
     kernel = ScoringKernel.compile(problem, rule_threshold=threshold, backend=backend)
-    full = sorted(
-        kernel.score_documents().values(), key=lambda score: (-score.value, score.document)
-    )
-    top = kernel.rank_top_k(k)
-    assert [(s.document, s.value) for s in top] == [
-        (s.document, s.value) for s in full[:k]
-    ]
+    view = kernel.score_documents()
+    full = sorted(view.values(), key=lambda score: (-score.value, score.document))
+    relevance = GatedRelevance()
+    for k in range(1, len(full) + 2):
+        top = relevance.combine_top_k(view.column(), None, view.names, k)
+        assert top.documents() == [s.document for s in full[:k]]
+        for value, expected in zip(top.scores, full[:k]):
+            assert math.isclose(value, expected.value, abs_tol=1e-9)
+
+    scores = dict(zip(view.names, view.vector))
+    for document in problem.documents:
+        others = [other for other in problem.documents if other is not document]
+        kept = data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        kept.insert(data.draw(st.integers(0, len(kept))), document)
+        restricted = ScoringProblem(problem.bindings, tuple(kept), problem.space)
+        alone = ScoringKernel.compile(
+            restricted, rule_threshold=threshold, backend=backend
+        ).score_documents()
+        name = document.document.name
+        assert math.isclose(alone[name].value, scores[name], abs_tol=1e-9)
 
 
 @settings(max_examples=80, deadline=None)

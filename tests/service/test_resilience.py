@@ -12,8 +12,12 @@ import time
 import pytest
 
 from repro.cache import InMemoryCacheAdapter
+from repro.core import ScoringKernel, bind_problem
+from repro.core.kernel import score_vectors
 from repro.core.problem import bind_documents
 from repro.errors import EngineConfigError, EngineError
+from repro.perf.backend import numpy_or_none
+from repro.perf.columns import as_floats
 from repro.reason import CompiledKB, ReasonerSession, clear_registry
 from repro.service import (
     CircuitBreaker,
@@ -35,7 +39,10 @@ from repro.workloads import (
     build_tvtouch,
     generate_rule_series,
     generate_test_database,
+    set_breakfast_weekend_context,
 )
+
+KERNEL_BACKENDS = ["python"] + (["numpy"] if numpy_or_none() is not None else [])
 
 
 @pytest.fixture(autouse=True)
@@ -241,6 +248,30 @@ class TestDeadlineInPipeline:
         # Without a deadline the same bind completes.
         bound = bind_documents(world.abox, world.tbox, rules, names, world.space, kb=kb)
         assert len(bound) == len(names) and len(asked) == expire_on + len(rules)
+
+    # The kernel checks the deadline once, before each scoring pass (a
+    # full pass is a fraction of a millisecond at serving sizes).
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_an_expired_deadline_stops_the_kernel_pass(self, backend):
+        world = build_tvtouch()
+        set_breakfast_weekend_context(world)
+        problem = bind_problem(
+            world.abox, world.tbox, world.user, world.repository,
+            world.program_ids, world.space,
+        )
+        kernel = ScoringKernel.compile(problem, backend=backend)
+        mate = kernel.with_context(problem.bindings)
+        deadline = Deadline.after(60.0)
+        deadline.expires_at = 0.0
+        with deadline_scope(deadline):
+            with pytest.raises(DeadlineExceeded):
+                kernel.score_vector()
+            with pytest.raises(DeadlineExceeded):
+                score_vectors([kernel, mate])
+        alone = as_floats(kernel.score_vector())
+        assert len(alone) == len(world.program_ids)
+        for fused in score_vectors([kernel, mate]):
+            assert as_floats(fused) == pytest.approx(alone, abs=1e-9)
 
     def test_request_timeout_none_disables_deadlines(self):
         seen = []

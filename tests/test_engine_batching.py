@@ -68,9 +68,9 @@ class TestRankManyIdentity:
             assert left.fingerprint == right.fingerprint
 
     @pytest.mark.parametrize("k", [1, 3, 200])
-    def test_top_k_matches_the_pruned_top_k(self, k):
-        # rank_many cuts each fused view at k; engine.rank_top_k binds
-        # and prunes on the Section 6 upper bound instead.
+    def test_top_k_matches_the_full_ranking_cut(self, k):
+        # rank_many cuts each fused view at k; the reference ranks every
+        # document alone and is cut here.
         def fresh():
             world = build_tvtouch()
             set_breakfast_weekend_context(world)
@@ -81,10 +81,10 @@ class TestRankManyIdentity:
         batched = batched_engine.rank_many([RankRequest(top_k=k)] * len(CONTEXTS), CONTEXTS)
         for specs, response in zip(CONTEXTS, batched):
             reference.install_context(*specs, tick="ctx")
-            expected = reference.rank_top_k(k)
-            assert response.documents() == [score.document for score in expected]
+            expected = reference.rank(RankRequest())
+            assert response.documents() == expected.documents()[:k]
             assert list(response.items.scores) == pytest.approx(
-                [score.value for score in expected], abs=1e-9
+                list(expected.items.scores)[:k], abs=1e-9
             )
 
     def test_mixed_shapes_fall_back_transparently(self, world):

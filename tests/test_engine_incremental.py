@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import RankingEngine
+from repro.engine import RankRequest, RankingEngine
 from repro.engine.basis import build_view_basis, dynamic_snapshot, support_closure
 from repro.rules import PreferenceRule
 from repro.workloads import build_tvtouch, set_breakfast_weekend_context
@@ -147,18 +147,15 @@ class TestBasisInternals:
 
 
 class TestEngineTopK:
-    def test_engine_rank_top_k_matches_view_ranking(self, engine, world):
+    def test_top_k_request_is_the_full_ranking_cut(self, engine, world):
         full = engine.rank()
-        top = engine.rank_top_k(2)
-        assert [score.document for score in top] == full.documents()[:2]
+        top = engine.rank(RankRequest(top_k=2))
+        assert top.documents() == full.documents()[:2]
+        assert top.scores() == {d: full.scores()[d] for d in top.documents()}
 
-    def test_engine_rank_top_k_with_explicit_documents(self, engine, world):
-        top = engine.rank_top_k(1, documents=world.program_ids)
-        assert [score.document for score in top] == ["channel5_news"]
-
-    def test_view_rank_top_k(self, engine):
-        top = engine.view.rank_top_k(2)
-        assert [score.document for score in top][:1] == ["channel5_news"]
+    def test_top_k_request_with_explicit_documents(self, engine, world):
+        top = engine.rank(RankRequest(documents=world.program_ids, top_k=1))
+        assert top.documents() == ["channel5_news"]
 
 
 class TestSupportClosureMemo:

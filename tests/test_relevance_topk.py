@@ -1,8 +1,9 @@
 """`combine_top_k` must be indistinguishable from `combine(...)[:k]`.
 
-The engine routes every top-k request through the backend's heap
-shortcut, so any divergence — order, positions, tie-breaks, dropped
-documents — would silently change served rankings.
+The engine answers every top-k request with the backend's cut of the
+ranked columns at k, so any divergence from the full ranking — order,
+positions, tie-breaks, dropped documents — would silently change
+served rankings.
 """
 
 import random
@@ -39,7 +40,7 @@ def test_top_k_matches_sliced_full_ranking(strategy):
             assert strategy.combine_top_k(preference, query, documents, k) == full[:k]
 
 
-def test_engine_top_k_identical_with_and_without_shortcut():
+def test_engine_top_k_is_the_full_ranking_cut():
     from repro.engine import RankingEngine, RankRequest
     from repro.workloads import build_tvtouch, set_breakfast_weekend_context
 
@@ -47,5 +48,5 @@ def test_engine_top_k_identical_with_and_without_shortcut():
     set_breakfast_weekend_context(world)
     engine = RankingEngine.from_world(world)
     reference = engine.rank(RankRequest()).items[:2]
-    shortcut = engine.rank(RankRequest(top_k=2)).items
-    assert shortcut == reference
+    cut = engine.rank(RankRequest(top_k=2)).items
+    assert cut == reference
