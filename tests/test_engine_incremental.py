@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine import RankRequest, RankingEngine
 from repro.engine.basis import build_view_basis, dynamic_snapshot, support_closure
+from repro.engine.relevance import GatedRelevance
 from repro.rules import PreferenceRule
 from repro.workloads import build_tvtouch, set_breakfast_weekend_context
 
@@ -156,6 +157,19 @@ class TestEngineTopK:
     def test_top_k_request_with_explicit_documents(self, engine, world):
         top = engine.rank(RankRequest(documents=world.program_ids, top_k=1))
         assert top.documents() == ["channel5_news"]
+
+    def test_view_rank_top_k(self, engine):
+        # A top-k request leaves the whole scored view behind it: the
+        # cut the request was answered from is that view's ranking
+        # prefix, and the view still holds every member.
+        top = engine.rank(RankRequest(top_k=2))
+        view = engine.view.scored_view()
+        cut = GatedRelevance().combine_top_k(view.column(), None, view.names, 2)
+        ranking = engine.view.ranking()
+        assert len(engine.view) > 2
+        assert cut.documents() == top.documents() == [s.document for s in ranking[:2]]
+        assert list(cut.scores) == [s.value for s in ranking[:2]]
+        assert cut.documents()[:1] == ["channel5_news"]
 
 
 class TestSupportClosureMemo:
