@@ -46,7 +46,7 @@ boot-report:
 	$(PYTHON) scripts/boot_report.py
 
 reach-report:
-	$(PYTHON) scripts/reach_report.py --functions
+	$(PYTHON) scripts/reach_report.py
 
 bench:
 	$(PYTHON) -m pytest -q benchmarks

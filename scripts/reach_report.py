@@ -23,10 +23,10 @@ Entry points, all run in this one process while the tracer is on:
 A function's body lines are its non-blank source lines, from its first
 line to its last, less those of functions nested in it (they count as
 their own).  The report prints reached and unreached body lines per
-file and the totals; ``--functions`` also lists every unreached
-function (``make reach-report`` passes it).  Run it with::
+file and the totals, then lists every unreached function.  Run it
+with ``make reach-report`` or::
 
-    python scripts/reach_report.py [--functions]
+    python scripts/reach_report.py
 
 Not traced: ``--workers N`` fleet children (forked), journal replay
 after a restart and the snapshot fallback rebuild.  Whether the herd
@@ -36,7 +36,6 @@ a few lines between runs.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import http.client
@@ -229,6 +228,8 @@ def run_serve(*flags: str) -> None:
                 continue
             try:
                 outcome["problems"] = http_script(port)
+            except Exception as error:  # a partial script under-counts reach
+                outcome["problems"] = [f"the HTTP script stopped: {error!r}"]
             finally:
                 os.kill(os.getpid(), signal.SIGTERM)
             return
@@ -272,7 +273,7 @@ def run_entry_points(workdir: Path) -> set[tuple[str, int]]:
 
 
 # -- the report -------------------------------------------------------------------
-def report(table, reached, list_functions: bool) -> str:
+def report(table, reached) -> str:
     per_file: dict[str, list[int]] = {}
     unreached = []
     for key, (relative, name, count) in table.items():
@@ -301,25 +302,19 @@ def report(table, reached, list_functions: bool) -> str:
         f"({100.0 * totals[0] / max(lines, 1):.1f} %), {totals[1]} unreached; "
         f"{totals[3]} of {totals[2] + totals[3]} functions unreached"
     )
-    if list_functions:
-        out.append("")
-        out.append("unreached functions (file:line qualname, body lines):")
-        for relative, first, name, count in sorted(unreached):
-            out.append(f"  {relative}:{first} {name} ({count})")
+    out.append("")
+    out.append("unreached functions (file:line qualname, body lines):")
+    for relative, first, name, count in sorted(unreached):
+        out.append(f"  {relative}:{first} {name} ({count})")
     return "\n".join(out)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--functions", action="store_true", help="also list every unreached function"
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
     sys.path.insert(0, str(SRC))
     table = function_table()
     with tempfile.TemporaryDirectory(prefix="reach-") as workdir:
         reached = run_entry_points(Path(workdir))
-    print(report(table, reached, args.functions))
+    print(report(table, reached))
     return 0
 
 

@@ -247,7 +247,7 @@ class TestTopK:
         assert_cut_is_full_prefix(kernel, k)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_prunes_but_stays_exact_on_wide_problems(self, backend):
+    def test_cut_stays_exact_on_wide_near_tied_problems(self, backend):
         # Many similar rows with ties: the cut must not drop a tied
         # candidate that wins on name order.
         rows = [[0.9, 0.1, 0.5], [0.1, 0.9, 0.5], [0.5, 0.5, 0.5]] * 20
@@ -257,7 +257,7 @@ class TestTopK:
             assert_cut_is_full_prefix(kernel, k)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_exact_ties_survive_the_prune(self, backend):
+    def test_exact_ties_break_by_name_in_the_cut(self, backend):
         # Identical rows at the per-rule upper bound: every score ties
         # exactly, so the winner set is decided purely by name order —
         # on the served cut as in the full sort.

@@ -158,7 +158,7 @@ class TestEngineTopK:
         top = engine.rank(RankRequest(documents=world.program_ids, top_k=1))
         assert top.documents() == ["channel5_news"]
 
-    def test_view_rank_top_k(self, engine):
+    def test_view_top_k_is_its_ranking_prefix(self, engine):
         # A top-k request leaves the whole scored view behind it: the
         # cut the request was answered from is that view's ranking
         # prefix, and the view still holds every member.
