@@ -12,6 +12,11 @@ it at another checkout to compare two commits with one script):
 * for the Section 5 row, the in-process first rank split into the
   document bind, the kernel compile and numpy's import — the account of
   the ledger's ``store.first_rank_s``;
+* a warm fresh-context miss on the same 2 000-program snapshot (what
+  every ``herd_miss`` request is), split into the view signature and
+  its digest, the basis reuse check, the rule bind, the kernel pass,
+  the order/truncate step and the items' JSON — median microseconds
+  per miss;
 * for the real ``python -m repro serve --port 0`` on two worlds — the
   default four-program TVTouch world and a 2 000-program Section 5
   snapshot, one on each side of the kernel's ``VECTOR_MIN`` size rule —
@@ -87,6 +92,66 @@ def probe(module, name, key):
 probe(repro.core.problem, "bind_documents", "bind_s")
 probe(repro.core.kernel, "compile_candidates", "compile_s")
 probe(repro.perf.backend, "numpy_or_none", "numpy_import_s")
+"""
+#: ``repro serve`` up to the gateway, then fresh-context top-3 misses on
+#: warm tenants instead of the loop (prefix it with ``FLAGS = [...]``):
+#: the median microseconds per miss spent in each probed step.
+MISS_TWIN = """
+import json, random, statistics, sys, time
+import repro.cache.keys, repro.core.kernel, repro.engine.basis, repro.engine.engine
+import repro.engine.relevance, repro.service.pipeline
+from repro.service import aio
+MISSES, TENANTS = 600, 20
+STEPS = [
+    (repro.engine.engine.RankingEngine, "_signature", "signature+digest"),
+    (repro.cache.keys, "signature_digest", "signature+digest"),
+    (repro.engine.basis.ViewBasis, "reusable_for", "reusable_for"),
+    (repro.engine.engine, "bind_rules", "bind_rules"),
+    (repro.core.kernel, "score_vectors", "kernel pass"),
+    (repro.engine.relevance, "rank_columns", "rank_columns"),
+    (repro.service.pipeline, "_items_json", "_items_json"),
+]
+spent, split = {}, {}
+def probe(owner, name, step):
+    real = getattr(owner, name)
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            spent[step] = spent.get(step, 0.0) + time.perf_counter() - started
+    setattr(owner, name, timed)
+def misses(service, *args, **kwargs):
+    rng = random.Random(7)
+    def fresh():
+        first, second = rng.sample(range(12), 2)
+        return [f"CtxScenario_{first:02d}:0.{rng.randrange(1000, 9000):04d}",
+                f"CtxScenario_{second:02d}:0.{rng.randrange(1000, 9000):04d}"]
+    def miss(index):
+        reply = service.rank({"tenant": [f"t{index % TENANTS:02d}"], "context": fresh(),
+                              "top_k": ["3"]})
+        return reply.status == 200 and "cached" not in reply.body
+    for index in range(2 * TENANTS):
+        miss(index)
+    for owner, name, step in STEPS:
+        probe(owner, name, step)
+    readings = {"whole miss": [], **{step: [] for _owner, _name, step in STEPS}}
+    for index in range(MISSES):
+        spent.clear()
+        started = time.perf_counter()
+        if not miss(index):
+            continue  # not a miss: its steps are not a miss's account
+        spent["whole miss"] = time.perf_counter() - started
+        for step, values in readings.items():
+            values.append(spent.get(step, 0.0))
+    split.update({step: statistics.median(values) * 1e6 for step, values in readings.items()})
+    split["misses"] = len(readings["whole miss"])
+    return 0
+aio.serve = misses
+from repro.cli import main
+code = main(["serve", "--port", "0", *FLAGS])
+print(json.dumps(split))
+raise SystemExit(code)
 """
 BARE_IMPORT = "import json, sys, repro; print(json.dumps({'modules': sorted(sys.modules)}))"
 
@@ -268,6 +333,8 @@ def main(argv: list[str] | None = None) -> int:
             rows.append((name, loaded, readings))
         probed = twin(section5[0], worlds[1][1], FIRST_RANK_PROBES)
         splits = [run_child(probed, src)["timings"] for _ in range(max(1, args.repeat))]
+        miss_code = f"FLAGS = {worlds[1][1]!r}\n" + MISS_TWIN
+        miss_splits = [run_child(miss_code, src) for _ in range(max(1, args.repeat))]
         # real boots only: a first rank past the deadline is a reading, not a failure
         large = section5_flags(src, Path(scratch), LARGE_PROGRAMS)
         rows.append((
@@ -291,6 +358,11 @@ def main(argv: list[str] | None = None) -> int:
           f"bind {median(splits, 'bind_s'):.3f} s · "
           f"kernel compile {median(splits, 'compile_s') - numpy_s:.3f} s · "
           f"numpy import {numpy_s:.3f} s · the rest (install, score, render)")
+    print(f"  a warm fresh-context top-3 miss on the section5 snapshot ({SECTION5_PROGRAMS} "
+          f"programs), in-process, median us per miss, medians of {len(miss_splits)} runs:")
+    print("    " + " · ".join(
+        f"{step} {median(miss_splits, step):.1f}" for step in miss_splits[0] if step != "misses"
+    ) + f" ({min(run['misses'] for run in miss_splits)}+ misses a run)")
     print(f"  real `repro serve --port 0`, medians of {max(1, args.repeat)} boots "
           "(status: the first rank's, under the default deadline):")
     header = (f"    {'world':<36} {'announce s':>10} {'RSS MB':>8} {'first rank s':>12} "

@@ -25,14 +25,25 @@ worlds.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from repro.errors import ABoxError
 from repro.events.expr import ALWAYS, EventExpr, disj
 from repro.dl.vocabulary import ConceptName, Individual, RoleName
 
-__all__ = ["ConceptAssertion", "RoleAssertion", "ABox", "LayeredABox"]
+__all__ = ["ConceptAssertion", "RoleAssertion", "ABox", "LayeredABox", "content_digest"]
+
+
+def content_digest(value: Hashable) -> str:
+    """A SHA-256 hex digest of ``repr(value)``.
+
+    Stands in for a large canonical rendering inside a signature: equal
+    renderings give equal digests, different ones (bar a SHA-256
+    collision) different digests.
+    """
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,7 @@ class ABox:
             dict[RoleName, dict[Individual, tuple[RoleAssertion, ...]]] | None
         ) = None
         self._signature_cache: tuple[int, tuple] | None = None
+        self._digest_cache: tuple[int, str] | None = None
 
     # -- layering ---------------------------------------------------------
     @property
@@ -283,15 +295,38 @@ class ABox:
         """
         return frozenset(self._dynamic)
 
+    def context_signature(self) -> tuple:
+        """Canonical rendering of this box's sensed (dynamic) context.
+
+        The content half of the engine's context signature: equal
+        dynamic content gives an equal signature.  A flat box renders
+        its rows (:meth:`dynamic_signature`); a :class:`LayeredABox`
+        stands its base in as one :meth:`context_digest`.
+        """
+        return self.dynamic_signature()
+
+    def context_digest(self) -> str:
+        """:func:`content_digest` of :meth:`context_signature`.
+
+        Cached per mutation epoch, so a frozen shared base digests its
+        (possibly large) sensed context once per process, and every
+        tenant overlay signs with the 64-character digest instead of
+        the rows.
+        """
+        epoch = self.mutation_count
+        cached = self._digest_cache
+        if cached is not None and cached[0] == epoch:
+            return cached[1]
+        digest = content_digest(self.context_signature())
+        self._digest_cache = (epoch, digest)
+        return digest
+
     def dynamic_signature(self) -> tuple[tuple, tuple]:
-        """Canonical string rendering of this box's own dynamic set.
+        """Canonical string rendering of this layer's own dynamic set.
 
         Returns ``(concepts, roles)`` as sorted tuples of stringified
-        assertion rows — the content half of the engine's context
-        signature.  Cached per mutation epoch, so a frozen shared base
-        renders its (possibly large) sensed-context set exactly once
-        per process; every tenant overlay then reuses the tuple
-        instead of re-walking tens of thousands of base assertions.
+        assertion rows.  Cached per mutation epoch of this layer, so an
+        overlay re-renders only its own rows, and only after it changed.
         """
         cached = self._signature_cache
         if cached is not None and cached[0] == self._mutations:
@@ -519,7 +554,10 @@ class LayeredABox(ABox):
     (``mutation_count = base + overlay``), so every existing cache key
     — the engine's context signature, the compiled reasoner's epoch —
     keeps working unchanged; :attr:`overlay_mutation_count` exposes the
-    overlay's own epoch for base-tier sharing.
+    overlay's own epoch for base-tier sharing.  The context signature
+    (:meth:`context_signature`) stands the base's sensed context in as
+    one digest, cached on the base per mutation epoch, so signing a
+    tenant's context costs its own slice, not the world's.
 
     Overlays nest: ``base.overlay().overlay()`` builds a chain (e.g.
     shared world → team context → user context), each layer shadowing
@@ -651,50 +689,31 @@ class LayeredABox(ABox):
         }
         return frozenset(live | self._dynamic)
 
-    def dynamic_signature(self) -> tuple[tuple, tuple]:
-        """Layered rendering: the base's cached tuples + the overlay's.
+    def context_signature(self) -> tuple:
+        """The base's :meth:`context_digest`, this layer's own dynamic
+        rows, and the keys of this layer that shadow a base dynamic row.
 
-        Equals rendering :meth:`dynamic_assertions` directly (base
-        dynamic facts minus shadowed, plus overlay dynamic facts), but
-        the base's — usually dominant — share comes from its per-epoch
-        cache, so a thousand overlays over one frozen world render the
-        shared sensed context once instead of a thousand times.
+        O(this layer) after the base's digest is cached: nothing here
+        walks a base row.  Equal base content, equal own rows and equal
+        shadows mean equal merged content, so equal state via the same
+        layering signs equal.  One merged state reached through two
+        layerings (an overlay re-asserting a base row verbatim, say)
+        may sign differently — a cache miss, never a wrong hit.
         """
-        from heapq import merge as _sorted_merge
-
-        base_concepts, base_roles = self._base.dynamic_signature()
-        own_concepts, own_roles = ABox.dynamic_signature(self)
-        if base_concepts and self._concepts:
-            shadowed = {
-                (str(concept), str(individual))
-                for concept, table in self._concepts.items()
-                for individual in table
-            }
-            base_concepts = tuple(
-                entry
-                for entry in base_concepts
-                if (entry[0], entry[1]) not in shadowed
-            )
-        if base_roles and self._roles:
-            shadowed_roles = {
-                (str(role), str(source), str(target))
-                for role, table in self._roles.items()
-                for source, target in table
-            }
-            base_roles = tuple(
-                entry
-                for entry in base_roles
-                if (entry[0], entry[1], entry[2]) not in shadowed_roles
-            )
-        concepts = (
-            tuple(_sorted_merge(base_concepts, own_concepts))
-            if own_concepts
-            else base_concepts
-        )
-        roles = (
-            tuple(_sorted_merge(base_roles, own_roles)) if own_roles else base_roles
-        )
-        return (concepts, roles)
+        concepts, roles = self.dynamic_signature()
+        shadows = []
+        for concept, table in self._concepts.items():
+            for individual in table:
+                below = self._inherited_concept(concept, individual)
+                if below is not None and below.dynamic:
+                    shadows.append((str(concept), str(individual)))
+        for role, role_table in self._roles.items():
+            for source, target in role_table:
+                below = self._inherited_role(role, (source, target))
+                if below is not None and below.dynamic:
+                    shadows.append((str(role), str(source), str(target)))
+        shadows.sort()
+        return (self._base.context_digest(), concepts, roles, tuple(shadows))
 
     def _shadows(self, assertion: ConceptAssertion | RoleAssertion) -> bool:
         if isinstance(assertion, ConceptAssertion):

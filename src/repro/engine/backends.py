@@ -2,7 +2,7 @@
 
 * :class:`AboxContext` — context read straight from the ABox's dynamic
   assertions (the library's native representation); its signature is a
-  canonical digest of those assertions, so any context change — manual,
+  canonical rendering of those assertions, so any context change — manual,
   sensor-driven, or CLI-installed — invalidates the engine's cache.
 * :class:`SensedContext` — an :class:`AboxContext` wired to a
   :class:`~repro.context.manager.ContextManager`, for sensor-driven
@@ -99,14 +99,24 @@ class AboxContext:
     The knowledge base already *is* the context store — sensors, the
     context manager and manual installs all write dynamic assertions
     into the ABox — so the signature is a canonical rendering of those
-    assertions (concept/role, individuals, and the event each holds
-    under), paired with the ABox's *static* mutation epoch so changes
-    to the static knowledge (a new catalogue entry, a new feature)
-    invalidate too.  The rendering is only recomputed after an actual
-    ABox mutation (tracked through :attr:`ABox.mutation_count`), so on
-    the hot path an unchanged context signs in O(1); and because the
-    dynamic part is content-based, *restoring* an earlier context
-    restores its signature — and its cache entry.
+    assertions (:meth:`ABox.context_signature`: concept/role,
+    individuals, and the event each holds under), paired with the
+    ABox's *static* mutation epoch so changes to the static knowledge
+    (a new catalogue entry, a new feature) invalidate too.  It is only
+    recomputed after an actual ABox mutation (tracked through
+    :attr:`ABox.mutation_count`), so on the hot path an unchanged
+    context signs in O(1); and because the dynamic part is
+    content-based, *restoring* an earlier context restores its
+    signature — and its cache entry.
+
+    Over a :class:`~repro.dl.abox.LayeredABox` the shared base's sensed
+    context enters as one digest, cached on the base per mutation
+    epoch, beside the overlay's own dynamic rows and the overlay keys
+    that shadow base dynamic rows: a fresh context costs a render of
+    the delta, not of the world.  Equal knowledge state reached the
+    same way signs equal; one state reached through two overlay shapes
+    (an overlay that re-asserts a base row, say) may sign differently,
+    which costs a cache miss, never a wrong hit.
     """
 
     abox: ABox
@@ -116,19 +126,12 @@ class AboxContext:
     def signature(self) -> Hashable:
         mutation = self.abox.mutation_count
         if mutation != self._seen_mutation:
-            self._cached_signature = self._render_signature()
+            self._cached_signature = (
+                self.abox.static_mutation_count,
+                *self.abox.context_signature(),
+            )
             self._seen_mutation = mutation
         return self._cached_signature
-
-    def _render_signature(self) -> Hashable:
-        # Rendered from the incrementally maintained dynamic set —
-        # O(dynamic context), not a scan over the whole knowledge base.
-        # The rendering itself is delegated to the ABox's per-layer
-        # cache, so a frozen shared world stringifies its sensed
-        # context once per process, not once per tenant overlay.
-        static_epoch = self.abox.static_mutation_count
-        concepts, roles = self.abox.dynamic_signature()
-        return (static_epoch, concepts, roles)
 
     def refresh(self) -> None:
         """Static context: nothing to pull."""

@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -60,7 +61,7 @@ from repro.core.preference_view import PreferenceView
 from repro.core.problem import _active_deadline, bind_rules
 from repro.core.scorer import ContextAwareScorer
 from repro.core.scoring import DocumentScore
-from repro.dl.abox import ABox
+from repro.dl.abox import ABox, content_digest
 from repro.dl.concepts import Concept
 from repro.dl.tbox import TBox
 from repro.dl.vocabulary import Individual
@@ -179,6 +180,21 @@ def score_prepared_batch(
         for index, position in slots:
             results[index] = scored[position]
     return results, rows
+
+
+#: Distinct rule fingerprints whose digest is remembered.
+_RULES_DIGEST_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=_RULES_DIGEST_MEMO_SIZE)
+def _rules_digest(fingerprint: Hashable) -> str:
+    """:func:`content_digest` of a rule fingerprint, memoised by value.
+
+    The fingerprint is rebuilt on every signature, so an in-place
+    repository edit still changes the digest; every engine over one
+    rule set (a tenant fleet) shares one memo entry and one string.
+    """
+    return content_digest(fingerprint)
 
 
 class RankingEngine:
@@ -391,7 +407,7 @@ class RankingEngine:
             self.context.signature(),
             self.tbox.revision,
             self.space.revision if self.space is not None else -1,
-            self.preferences.fingerprint(),
+            _rules_digest(self.preferences.fingerprint()),
             self.method,
             self.rule_threshold,
             self.prune_documents,

@@ -15,8 +15,9 @@ without building one Python object per document:
 * :func:`rank_columns` — *the* order/truncate step: rows by score
   descending, ties by name ascending, cut at ``k``, and the columns
   gathered in that order.  numpy (one stable ``argsort`` over the
-  name-ordered rows) when the table was compiled for it, a stable
-  ``sorted`` otherwise; both agree with
+  name-ordered rows; for ``k`` under the row count, over only the rows
+  a ``partition`` finds not worse than the k-th best) when the table
+  was compiled for it, a stable ``sorted`` otherwise; both agree with
   ``sorted(..., key=lambda e: (-score, name))`` exactly.
 """
 
@@ -147,7 +148,18 @@ def rank_columns(
             mask[keep] = True
             ranked = ranked[mask[ranked]]
         scores = np.asarray(scores, dtype=np.float64)
-        ranked = ranked[np.argsort(-scores[ranked], kind="stable")]
+        negated = -scores[ranked]
+        if k is not None and 0 < k < len(ranked):
+            # Selection before the sort: only the rows not worse than
+            # the k-th best can make the cut, ties with it included, so
+            # the stable sort of those rows cut at k is the full sort
+            # cut at k.  A NaN bound (fewer than k numbers) keeps every
+            # row; NaN rows kept beside a number bound sort last.
+            bound = np.partition(negated, k - 1)[k - 1]
+            contenders = ~(negated > bound)
+            ranked = ranked[contenders]
+            negated = negated[contenders]
+        ranked = ranked[np.argsort(negated, kind="stable")]
         if k is not None:
             ranked = ranked[:k]
         return (

@@ -97,14 +97,14 @@ def _seed_reasoner(world, sections) -> None:
                 RoleName(r) for r in roles
             )
         # The successor and incoming-edge indexes, reachability maps
-        # and dynamic-context signature are linear passes over the
+        # and sensed-context digest are linear passes over the
         # restored tables; derive them now so the first rank pays none
         # of it (and forked workers inherit the results instead of
         # re-walking the base).
         world.abox.role_adjacency()
         session.role_incoming()
         session.reachability_maps()
-        world.abox.dynamic_signature()
+        world.abox.context_digest()
     except SnapshotError:
         raise
     except Exception as exc:

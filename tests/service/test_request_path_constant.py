@@ -18,7 +18,9 @@ warm tvtouch service and a warm 40-program Section 5 service:
 (f) a miss over HTTP takes one executor hop — the gateway pool thread
     runs the rank itself, under the deadline — and no other pool exists;
 (g) a miss on a warm basis, batching off, is one kernel pass, run after
-    the tenant's engine lock is released.
+    the tenant's engine lock is released;
+(h) what a fresh-context miss digests for its cache key does not grow
+    with the shared world's sensed context.
 """
 
 import collections
@@ -29,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.cache import InMemoryCacheAdapter
+from repro.cache import InMemoryCacheAdapter, keys
 from repro.core.kernel import ScoringKernel
 from repro.dl import concepts
 from repro.engine import RankingEngine, backends
@@ -58,11 +60,13 @@ CONTEXTS = {
 }
 
 
-def build_service(world_name, metrics=None, request_timeout=None):
+def build_service(world_name, metrics=None, request_timeout=None, persons=10):
     if world_name == "tvtouch":
         world, rules = build_tvtouch(), None
     else:
-        world = generate_test_database(seed=7, counts=Section5Counts(persons=10, programs=40))
+        world = generate_test_database(
+            seed=7, counts=Section5Counts(persons=persons, programs=40)
+        )
         rules = generate_rule_series(world, 6)
     registry = TenantRegistry(world, rules=rules, shards=2, max_sessions=16)
     return RankingService(
@@ -322,3 +326,31 @@ def test_an_http_delta_hit_never_leaves_the_loop(world_name, monkeypatch):
     )
     assert body["cached"] is True
     assert dict(calls) == {"install": 1, "fingerprint": 1}
+
+
+def test_a_miss_digests_the_delta_not_the_world(monkeypatch):
+    # Each Section 5 person carries two sensed (dynamic) base rows, so
+    # doubling the persons doubles the shared world's sensed context.
+    first, second, _third = CONTEXTS["section5"]
+    digested = {}
+    for persons in (10, 20):
+        clear_registry()
+        service = build_service("section5", persons=persons)
+        warm(service, "section5")
+        base = service.registry.session("alice").overlay.base
+        assert len(base.dynamic_assertions()) == 2 * persons
+        sizes = []
+        real = keys.signature_digest
+
+        def spy(signature):
+            sizes.append(len(repr(signature)))
+            return real(signature)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(keys, "signature_digest", spy)
+            assert "cached" not in rank(service, f"{first}:0.4244", f"{second}:0.2426").body
+        service.close()
+        assert sizes
+        digested[persons] = max(sizes)
+    # the epochs in the signature may gain a digit; the context must not
+    assert digested[20] - digested[10] <= 4, digested

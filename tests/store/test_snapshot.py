@@ -27,7 +27,13 @@ from repro.store import (
     write_world_snapshot,
 )
 from repro.tenants import TenantRegistry
-from repro.workloads import EXPECTED_TABLE1_SCORES, build_tvtouch
+from repro.workloads import (
+    EXPECTED_TABLE1_SCORES,
+    Section5Counts,
+    build_tvtouch,
+    generate_rule_series,
+    generate_test_database,
+)
 
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
@@ -194,6 +200,32 @@ class TestRoundTripIdentity:
         assert body["new_shm"] == []
         assert body["children"] == []
         assert body["multiprocessing"] == []
+
+
+class TestWarmUp:
+    def test_the_first_overlay_signature_renders_no_base_row(self, tmp_path, monkeypatch):
+        """The loader digests the base's sensed context before any
+        worker forks, so a tenant's first signature renders only its
+        own rows."""
+        world = generate_test_database(seed=7, counts=Section5Counts(persons=10, programs=40))
+        path = tmp_path / "section5.snap"
+        write_world_snapshot(path, world)
+        loaded = load_world(path)
+        assert len(loaded.abox.dynamic_assertions()) == 20
+        rendered = []
+        real = ABox.dynamic_signature
+
+        def counting(box):
+            rows = real(box)
+            rendered.append((box, sum(map(len, rows))))
+            return rows
+
+        monkeypatch.setattr(ABox, "dynamic_signature", counting)
+        rules = generate_rule_series(world, 6)
+        session = TenantRegistry(loaded, rules=rules).session("alice")
+        session.install_context("CtxScenario_01:0.4242", "CtxScenario_02")
+        assert session.engine.context.signature()
+        assert rendered == [(session.overlay, 2)]
 
 
 class TestInspection:
