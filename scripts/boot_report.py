@@ -12,11 +12,12 @@ it at another checkout to compare two commits with one script):
 * for the Section 5 row, the in-process first rank split into the
   document bind, the kernel compile and numpy's import — the account of
   the ledger's ``store.first_rank_s``;
-* a warm fresh-context miss on the same 2 000-program snapshot (what
-  every ``herd_miss`` request is), split into the view signature and
-  its digest, the basis reuse check, the rule bind, the kernel pass,
-  the order/truncate step and the items' JSON — median microseconds
-  per miss;
+* a warm fresh-context miss on the same 2 000-program snapshot, as a
+  top-3 (what every ``herd_miss`` request is) and as a full ranking
+  (what every ``full_ranking`` request is), split into the view
+  signature and its digest, the basis reuse check, the rule bind, the
+  kernel pass, the order/truncate step and the items' JSON — median
+  microseconds per miss;
 * for the real ``python -m repro serve --port 0`` on two worlds — the
   default four-program TVTouch world and a 2 000-program Section 5
   snapshot, one on each side of the kernel's ``VECTOR_MIN`` size rule —
@@ -93,9 +94,11 @@ probe(repro.core.problem, "bind_documents", "bind_s")
 probe(repro.core.kernel, "compile_candidates", "compile_s")
 probe(repro.perf.backend, "numpy_or_none", "numpy_import_s")
 """
-#: ``repro serve`` up to the gateway, then fresh-context top-3 misses on
-#: warm tenants instead of the loop (prefix it with ``FLAGS = [...]``):
-#: the median microseconds per miss spent in each probed step.
+#: ``repro serve`` up to the gateway, then fresh-context misses on warm
+#: tenants instead of the loop (prefix it with ``FLAGS = [...]`` and
+#: ``TOP_K = "3"``, or ``None`` for full rankings): the median
+#: microseconds per miss spent in each probed step.  Whether an answer
+#: was a miss is read off its rendered header, never by decoding it.
 MISS_TWIN = """
 import json, random, statistics, sys, time
 import repro.cache.keys, repro.core.kernel, repro.engine.basis, repro.engine.engine
@@ -128,9 +131,11 @@ def misses(service, *args, **kwargs):
         return [f"CtxScenario_{first:02d}:0.{rng.randrange(1000, 9000):04d}",
                 f"CtxScenario_{second:02d}:0.{rng.randrange(1000, 9000):04d}"]
     def miss(index):
-        reply = service.rank({"tenant": [f"t{index % TENANTS:02d}"], "context": fresh(),
-                              "top_k": ["3"]})
-        return reply.status == 200 and "cached" not in reply.body
+        params = {"tenant": [f"t{index % TENANTS:02d}"], "context": fresh()}
+        if TOP_K is not None:
+            params["top_k"] = [TOP_K]
+        reply = service.rank(params)
+        return reply.status == 200 and "cached" not in reply._rendered.tail
     for index in range(2 * TENANTS):
         miss(index)
     for owner, name, step in STEPS:
@@ -333,8 +338,10 @@ def main(argv: list[str] | None = None) -> int:
             rows.append((name, loaded, readings))
         probed = twin(section5[0], worlds[1][1], FIRST_RANK_PROBES)
         splits = [run_child(probed, src)["timings"] for _ in range(max(1, args.repeat))]
-        miss_code = f"FLAGS = {worlds[1][1]!r}\n" + MISS_TWIN
-        miss_splits = [run_child(miss_code, src) for _ in range(max(1, args.repeat))]
+        miss_splits = {}
+        for top_k in ("3", None):
+            miss_code = f"FLAGS = {worlds[1][1]!r}\nTOP_K = {top_k!r}\n" + MISS_TWIN
+            miss_splits[top_k] = [run_child(miss_code, src) for _ in range(max(1, args.repeat))]
         # real boots only: a first rank past the deadline is a reading, not a failure
         large = section5_flags(src, Path(scratch), LARGE_PROGRAMS)
         rows.append((
@@ -358,11 +365,13 @@ def main(argv: list[str] | None = None) -> int:
           f"bind {median(splits, 'bind_s'):.3f} s · "
           f"kernel compile {median(splits, 'compile_s') - numpy_s:.3f} s · "
           f"numpy import {numpy_s:.3f} s · the rest (install, score, render)")
-    print(f"  a warm fresh-context top-3 miss on the section5 snapshot ({SECTION5_PROGRAMS} "
-          f"programs), in-process, median us per miss, medians of {len(miss_splits)} runs:")
-    print("    " + " · ".join(
-        f"{step} {median(miss_splits, step):.1f}" for step in miss_splits[0] if step != "misses"
-    ) + f" ({min(run['misses'] for run in miss_splits)}+ misses a run)")
+    print(f"  a warm fresh-context miss on the section5 snapshot ({SECTION5_PROGRAMS} "
+          f"programs), in-process, median us per miss, medians of {max(1, args.repeat)} runs:")
+    for top_k, runs in miss_splits.items():
+        shape = "full ranking" if top_k is None else f"top-{top_k}"
+        print(f"    {shape}: " + " · ".join(
+            f"{step} {median(runs, step):.1f}" for step in runs[0] if step != "misses"
+        ) + f" ({min(run['misses'] for run in runs)}+ misses a run)")
     print(f"  real `repro serve --port 0`, medians of {max(1, args.repeat)} boots "
           "(status: the first rank's, under the default deadline):")
     header = (f"    {'world':<36} {'announce s':>10} {'RSS MB':>8} {'first rank s':>12} "

@@ -13,7 +13,10 @@ rows of a name table beside the score vectors gathered in that order.
 It reads as the ``Sequence[RankedItem]`` it always was — indexing,
 slicing, iteration and equality with a tuple of items all work — but a
 :class:`RankedItem` is only built when someone looks at one, which the
-serving pipeline never does: it renders the columns directly.
+serving pipeline never does: it renders the columns directly.  The
+columns are whatever the relevance backend produced — ndarrays for a
+long numpy ranking, lists otherwise — and every value handed out is a
+plain Python scalar either way.
 """
 
 from __future__ import annotations
@@ -23,13 +26,19 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import EngineError
-from repro.perf.columns import NameTable
+from repro.perf.columns import NameTable, as_floats
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.reporting.tables import TextTable
     from repro.storage.sql import ResultSet
 
 __all__ = ["RankRequest", "RankResponse", "RankedItem", "RankedItems"]
+
+
+def _cell(column: Sequence, index: int):
+    """One value of a column; an ndarray's as a Python scalar.  A list's
+    value is handed out as it is (an int score stays an int)."""
+    return column.item(index) if hasattr(column, "item") else column[index]
 
 
 @dataclass(frozen=True)
@@ -58,9 +67,13 @@ class RankedItems(abc.Sequence):
 
     ``rows`` are the ranked rows of ``table`` (best first); ``scores``,
     ``preferences`` and ``dependents`` (``None`` when the request had
-    no query part) are plain float lists *in that order* — position
-    ``i + 1`` is row ``rows[i]``.  Equal to the tuple of
-    :class:`RankedItem` it stands for; slices are such tuples.
+    no query part) are the backend's vectors *in that order* — position
+    ``i + 1`` is row ``rows[i]``: read-only ndarrays for a numpy ranking
+    of :data:`~repro.perf.columns.VECTOR_MIN` rows or more, lists
+    otherwise.  Items, :meth:`documents` and
+    :meth:`RankResponse.scores` hand out Python strs and floats either
+    way.  Equal to the tuple of :class:`RankedItem` it stands for;
+    slices are such tuples.
     """
 
     __slots__ = ("table", "rows", "scores", "preferences", "dependents")
@@ -103,9 +116,9 @@ class RankedItems(abc.Sequence):
     def _item(self, index: int) -> RankedItem:
         return RankedItem(
             self.table.names[self.rows[index]],
-            self.scores[index],
-            self.preferences[index],
-            None if self.dependents is None else self.dependents[index],
+            _cell(self.scores, index),
+            _cell(self.preferences, index),
+            None if self.dependents is None else _cell(self.dependents, index),
             index + 1,
         )
 
@@ -236,7 +249,7 @@ class RankResponse:
 
     def scores(self) -> dict[str, float]:
         """Headline scores keyed by document id."""
-        return dict(zip(self.items.documents(), self.items.scores))
+        return dict(zip(self.items.documents(), as_floats(self.items.scores)))
 
     def documents(self) -> list[str]:
         """Document ids, best first."""

@@ -7,8 +7,8 @@ without building one Python object per document:
 * :class:`NameTable` — the per-candidate-set lookup tables every view
   over the set shares: ``name -> row``, the rows in name order (the
   tie-break of every ranking in the library) and the JSON encoding of
-  each name.  All three are built lazily, on first use, and never at
-  start-up.
+  each name (also as an object array a numpy ranking gathers from).
+  All are built lazily, on first use, and never at start-up.
 * :class:`ScoreColumn` — a read-only ``Mapping[str, float]`` over a
   table and an aligned float vector: what a relevance backend receives
   as its preference scores.
@@ -18,7 +18,10 @@ without building one Python object per document:
   name-ordered rows; for ``k`` under the row count, over only the rows
   a ``partition`` finds not worse than the k-th best) when the table
   was compiled for it, a stable ``sorted`` otherwise; both agree with
-  ``sorted(..., key=lambda e: (-score, name))`` exactly.
+  ``sorted(..., key=lambda e: (-score, name))`` exactly.  A numpy
+  ranking of :data:`VECTOR_MIN` rows or more stays in read-only
+  ndarrays all the way to the rendered body; a shorter one (every small
+  top-k) comes back as lists, by the same size rule as the compile.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class NameTable:
     value and the assignment is atomic.
     """
 
-    __slots__ = ("names", "np", "_rows", "_by_name", "_json_names")
+    __slots__ = ("names", "np", "_rows", "_by_name", "_json_names", "_json_name_array")
 
     def __init__(self, names: Sequence[str], np=None):
         self.names = names if isinstance(names, tuple) else tuple(names)
@@ -68,6 +71,7 @@ class NameTable:
         self._rows: dict[str, int] | None = None
         self._by_name = None
         self._json_names: tuple[str, ...] | None = None
+        self._json_name_array = None
 
     @property
     def rows(self) -> dict[str, int]:
@@ -99,6 +103,17 @@ class NameTable:
             self._json_names = encoded
         return encoded
 
+    @property
+    def json_name_array(self):
+        """:attr:`json_names` as a read-only object array (numpy tables only):
+        a ranking's names are one ``take`` on it."""
+        encoded = self._json_name_array
+        if encoded is None:
+            encoded = self.np.array(self.json_names, dtype=object)
+            encoded.setflags(write=False)
+            self._json_name_array = encoded
+        return encoded
+
 
 class ScoreColumn(abc.Mapping):
     """``{name: score}`` read straight off a table and an aligned vector."""
@@ -128,14 +143,16 @@ def rank_columns(
     others: Sequence = (),
     k: int | None = None,
     keep: Sequence[int] | None = None,
-) -> tuple[list[int], list[float], list[list[float]]]:
+) -> tuple[Sequence[int], Sequence[float], list[Sequence[float]]]:
     """Rank the rows of ``table`` and gather the columns in that order.
 
     The order is score descending, name ascending; ``keep`` restricts
     it to those rows and ``k`` truncates it.  ``scores`` and every
     vector in ``others`` are aligned with the table's rows (ndarray or
     sequence).  Returns the ranked rows, then ``scores`` and each of
-    ``others`` gathered best-first as plain lists of floats.
+    ``others`` gathered best-first: read-only ndarrays (``intp`` rows,
+    ``float64`` columns) when a numpy table ranks :data:`VECTOR_MIN`
+    rows or more, plain lists otherwise.
 
     Sorting the *name-ordered* rows stably by descending score is the
     library's total order — no per-row key tuples are built.
@@ -162,11 +179,13 @@ def rank_columns(
         ranked = ranked[np.argsort(negated, kind="stable")]
         if k is not None:
             ranked = ranked[:k]
-        return (
-            ranked.tolist(),
-            scores[ranked].tolist(),
-            [np.asarray(other, dtype=np.float64)[ranked].tolist() for other in others],
-        )
+        scores = scores[ranked]
+        gathered = [np.asarray(other, dtype=np.float64)[ranked] for other in others]
+        if len(ranked) < VECTOR_MIN:  # a short cut: lists, as on the flat branch
+            return ranked.tolist(), scores.tolist(), [other.tolist() for other in gathered]
+        for column in (ranked, scores, *gathered):
+            column.setflags(write=False)
+        return ranked, scores, gathered
     if keep is None:
         rows = table.by_name
     else:

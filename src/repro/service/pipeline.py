@@ -72,11 +72,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
 import threading
 import time
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.cache.keys import KeyLookup, ResponseKeyer, response_key
@@ -287,7 +289,9 @@ def _dumps(value: object) -> bytes:
 def _float_texts(values: Iterable[float]) -> list[str]:
     """Each score as ``json.dumps`` would write it (``float.__repr__``)."""
     texts = list(map(repr, values))
-    if "n" in "".join(texts):  # inf / nan: json spells them differently
+    # inf / nan: json spells them differently; so does a numpy scalar a
+    # custom backend put in a list (``np.float64(0.5)``, never ``0.5``)
+    if "n" in "".join(texts):
         texts = [json.dumps(value) for value in values]
     return texts
 
@@ -312,27 +316,36 @@ def _position_heads(count: int) -> list[str]:
     return heads[:count]
 
 
-def _score_tails(scores: Sequence[float], preferences: Sequence[float]) -> list[str]:
-    """Each item's closing ``, "score": S, "preference": P}`` fragment.
-
-    Documents with the same feature pattern tie, so a ranking of
-    thousands often holds a handful of distinct scores: when the score
-    is its own preference — every request without a query part — one
-    tail is formatted per distinct score (``repr`` is the dearest step
-    of a render) and the items look theirs up.
-    """
-    if preferences is scores:
-        distinct = set(scores)
-        if 0.0 not in distinct:  # a set cannot tell a zero's sign
-            tails = {
-                score: f', "score": {text}, "preference": {text}}}'
-                for score, text in zip(distinct, _float_texts(distinct))
-            }
-            return list(map(tails.__getitem__, scores))
+def _tails(scores: Sequence[float], preferences: Sequence[float]) -> list[str]:
+    """The closing ``, "score": S, "preference": P}`` fragment of each pair."""
+    score_texts = _float_texts(scores)
+    preference_texts = score_texts if preferences is scores else _float_texts(preferences)
     return [
         f', "score": {score}, "preference": {preference}}}'
-        for score, preference in zip(_float_texts(scores), _float_texts(preferences))
+        for score, preference in zip(score_texts, preference_texts)
     ]
+
+
+def _run_tails(scores, preferences) -> list[str]:
+    """Each item's tail of an ndarray ranking, formatted once per tie run.
+
+    Documents with the same feature pattern tie, so a ranking of
+    thousands often holds a handful of distinct scores, and a sorted
+    ranking keeps them adjacent: a run starts wherever the (score,
+    preference) bit pattern differs from its predecessor's — ``-0.0``
+    and ``0.0``, or two NaN payloads, split a run by their bits — and
+    ``repr``, the dearest step of a render, runs once per run.
+    """
+    score_bits = scores.view("u8")
+    changes = score_bits[1:] != score_bits[:-1]
+    if preferences is not scores:
+        preference_bits = preferences.view("u8")
+        changes |= preference_bits[1:] != preference_bits[:-1]
+    starts = [0, *(changes.nonzero()[0] + 1).tolist()]
+    run_scores = scores[starts].tolist()
+    run_preferences = run_scores if preferences is scores else preferences[starts].tolist()
+    lengths = map(operator.sub, [*starts[1:], len(scores)], starts)
+    return list(chain.from_iterable(map(repeat, _tails(run_scores, run_preferences), lengths)))
 
 
 def _items_json(items: RankedItems) -> bytes:
@@ -342,16 +355,24 @@ def _items_json(items: RankedItems) -> bytes:
     (``position``, ``document``, ``score``, ``preference``) without
     building one: an item is a position head, the document's
     pre-encoded name from the ranking's name table and a score tail,
-    interleaved by slice assignment and joined once.
+    interleaved by slice assignment and joined once.  A numpy ranking
+    stays columnar until the join: its names are one ``take`` on the
+    table's name literals and its tails are formatted per tie run; list
+    columns are gathered and formatted per item.
     """
-    count = len(items.rows)
+    rows = items.rows
+    count = len(rows)
     if not count:
         return b"[]"
-    names = items.table.json_names
     parts = ["]"] * (3 * count + 1)
     parts[0:-1:3] = _position_heads(count)
-    parts[1::3] = [names[row] for row in items.rows]
-    parts[2::3] = _score_tails(items.scores, items.preferences)
+    if hasattr(rows, "take"):  # rank_columns' vectors: a numpy table, float64 columns
+        parts[1::3] = items.table.json_name_array.take(rows).tolist()
+        parts[2::3] = _run_tails(items.scores, items.preferences)
+    else:
+        names = items.table.json_names
+        parts[1::3] = [names[row] for row in rows]
+        parts[2::3] = _tails(items.scores, items.preferences)
     return "".join(parts).encode("ascii")
 
 

@@ -18,13 +18,18 @@ caller can observe moved:
   dict and the bytes are ``json.dumps`` of it, for fresh, hit,
   context-echo, stale and ``include_timings`` serves;
 * the ``items`` fragment assembled from position heads, name literals
-  and per-distinct-score tails is byte-equal to the per-item f-string
-  writer it replaced (``oracle_items_json``), whatever the ties, the
-  length, the floats' spelling or the threads growing the head table.
+  and score tails (per tie run on ndarrays, per item on lists) is
+  byte-equal to the per-item f-string writer it replaced
+  (``oracle_items_json``), whatever the ties, the length, the floats'
+  spelling or the threads growing the head table;
+* a numpy ranking of ``VECTOR_MIN`` rows or more, held in ndarrays and
+  rendered per tie run, reads and renders exactly as the same ranking
+  held in lists.
 """
 
 import contextlib
 import json
+import math
 import os
 import pickle
 import random
@@ -40,7 +45,7 @@ from repro.cache import InMemoryCacheAdapter
 from repro.core import DocumentScore, LazyContributions, score_values
 from repro.core.kernel import ScoredView, score_documents_batch
 from repro.core.ranker import mix_scores
-from repro.engine import EngineBuilder, RankRequest
+from repro.engine import EngineBuilder, RankRequest, RankResponse
 from repro.engine.engine import score_prepared_batch
 from repro.engine.relevance import (
     GatedRelevance,
@@ -50,7 +55,7 @@ from repro.engine.relevance import (
 from repro.engine.requests import RankedItem, RankedItems
 from repro.ir.combine import LOG_FLOOR, combine_log_linear
 from repro.perf.backend import BACKEND_ENV, numpy_or_none, reset_backend, resolve_backend
-from repro.perf.columns import VECTOR_MIN, NameTable, ScoreColumn
+from repro.perf.columns import VECTOR_MIN, NameTable, ScoreColumn, as_floats
 from repro.perf.flatops import log_linear_rows
 from repro.service import FaultInjector, RankingService, ServiceConfig
 from repro.service import pipeline
@@ -65,7 +70,8 @@ from repro.workloads import (
 
 from tests.core.test_batch_kernel import synthetic_family
 
-BACKENDS = ["python"] + (["numpy"] if numpy_or_none() is not None else [])
+NUMPY = numpy_or_none()
+BACKENDS = ["python"] + (["numpy"] if NUMPY is not None else [])
 
 STRATEGIES = [
     GatedRelevance(),
@@ -277,11 +283,17 @@ def test_ranked_items_of_wraps_ready_made_items():
         [float("inf"), float("nan"), 0.5],
         [float("-inf")] + [0.25] * 40,  # non-finite among heavy ties
         [0.0, -0.0, 0.0, -0.0] + [0.5] * 20,  # signed zeros must keep their sign
-        [0.125] * 30 + [0.75] * 30,  # a handful of distinct scores: formatted once each
+        [0.125] * 30 + [0.75] * 30,  # a handful of distinct scores
         [index / 97.0 for index in range(60)],  # all distinct
         [1, 0.5, 2],  # an int from a custom backend is written as json writes it
+        # numpy scalars a custom backend put in a list are written as their floats
+        pytest.param(
+            [NUMPY.float64(value) for value in (0.5, -0.0, 1e-310, 0.5)] if NUMPY else [],
+            marks=pytest.mark.skipif(NUMPY is None, reason="numpy is not installed"),
+        ),
     ],
-    ids=["non-finite", "non-finite-ties", "signed-zeros", "ties", "unique", "ints"],
+    ids=["non-finite", "non-finite-ties", "signed-zeros", "ties", "unique", "ints",
+         "numpy-scalars"],
 )
 def test_scores_are_spelled_like_json(scores):
     items = RankedItems.of(
@@ -309,11 +321,14 @@ def oracle_float_texts(values):
 
 
 def oracle_items_json(items):
-    """The old ``_items_json``, verbatim: one four-slot f-string per item."""
+    """The old ``_items_json``, verbatim: one four-slot f-string per item
+    (over the columns as the lists it was given)."""
     names = items.table.json_names
-    scores = oracle_float_texts(items.scores)
+    scores = oracle_float_texts(as_floats(items.scores))
     preferences = (
-        scores if items.preferences is items.scores else oracle_float_texts(items.preferences)
+        scores
+        if items.preferences is items.scores
+        else oracle_float_texts(as_floats(items.preferences))
     )
     return (
         "["
@@ -322,7 +337,7 @@ def oracle_items_json(items):
                 f'{{"position": {position}, "document": {names[row]}, '
                 f'"score": {score}, "preference": {preference}}}'
                 for position, row, score, preference in zip(
-                    count(1), items.rows, scores, preferences
+                    count(1), as_floats(items.rows), scores, preferences
                 )
             ]
         )
@@ -430,6 +445,88 @@ def test_threads_growing_the_head_table_at_once():
             assert heads[1:] == table
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# A long numpy ranking stays in ndarrays: same bytes, same Python values
+# ---------------------------------------------------------------------------
+
+#: A small pool (heavy ties) plus every float whose spelling or bits are
+#: special: signed zeros, NaN, infinities, subnormals.
+POOL = [0.125, 0.5, 0.5, 0.75, 0.30000000000000004, 0.0, -0.0, float("nan"),
+        float("inf"), float("-inf"), 5e-324, 2.5e-310]
+
+
+@st.composite
+def tie_heavy_rankings(draw):
+    size = draw(st.integers(min_value=VECTOR_MIN, max_value=VECTOR_MIN + 90))
+    scores = draw(st.lists(st.sampled_from(POOL), min_size=size, max_size=size))
+    # None: no query part; a strategy: ranked with one
+    strategy = draw(st.sampled_from([None, GatedRelevance(), MixedRelevance(0.3),
+                                     MixedRelevance(0.0)]))
+    k = draw(st.sampled_from([None, VECTOR_MIN, size, size + 3, VECTOR_MIN - 1, 3, 1]))
+    return scores, strategy, k
+
+
+def list_twin(items):
+    """The same ranking with every column as the list the flat path holds."""
+    dependents = None if items.dependents is None else as_floats(items.dependents)
+    scores = as_floats(items.scores)
+    preferences = scores if items.preferences is items.scores else as_floats(items.preferences)
+    return RankedItems(items.table, as_floats(items.rows), scores, preferences, dependents)
+
+
+def typed(values):
+    """Each value with its type and its spelling (``-0.0``, ``nan``, ulps)."""
+    return [(type(value), repr(value)) for value in values]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=120, deadline=None)
+@given(tie_heavy_rankings())
+def test_columnar_rankings_render_and_read_as_their_list_twins(backend, ranking):
+    scores, strategy, k = ranking
+    names = [f"d{(index * 37) % len(scores):03d}" for index in range(len(scores))]
+    if strategy is None:
+        dependents, strategy = None, GatedRelevance()
+    else:
+        dependents = {name: (index % 3) / 2.0 for index, name in enumerate(names)}
+
+    def rank_on(backend):
+        column = as_column(names, scores, backend)
+        if k is None:
+            return strategy.combine(column, dependents, column.table.names)
+        return strategy.combine_top_k(column, dependents, column.table.names, k)
+
+    items = rank_on(backend)
+    if not any(math.isnan(score) for score in scores):
+        # no NaN drawn: the flat sort agrees on the order too
+        assert bits(items) == bits(rank_on("python"))
+    columnar = backend == "numpy" and len(items) >= VECTOR_MIN
+    assert hasattr(items.rows, "dtype") == hasattr(items.scores, "dtype") == columnar
+    if columnar:
+        assert not (items.rows.flags.writeable or items.scores.flags.writeable)
+    twin = list_twin(items)
+    dicts = [
+        {"position": item.position, "document": item.document, "score": item.score,
+         "preference": item.preference}
+        for item in items
+    ]
+    assert _items_json(items) == json.dumps(dicts).encode("utf-8")
+    assert _items_json(items) == _items_json(twin)
+    for item, twin_item in zip(items, twin):
+        fields = (item.document, item.score, item.preference, item.query_dependent)
+        assert typed(fields) == typed(
+            (twin_item.document, twin_item.score, twin_item.preference,
+             twin_item.query_dependent)
+        )
+        assert type(item.score) is float and item.position == twin_item.position
+    assert typed(items.documents()) == typed(twin.documents())
+    headline = RankResponse(RankRequest(), items).scores()
+    twin_headline = RankResponse(RankRequest(), twin).scores()
+    assert list(headline) == list(twin_headline)
+    assert typed(headline.values()) == typed(twin_headline.values())
+    assert {type(score) for score in headline.values()} <= {float}
 
 
 # ---------------------------------------------------------------------------

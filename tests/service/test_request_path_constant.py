@@ -20,7 +20,10 @@ warm tvtouch service and a warm 40-program Section 5 service:
 (g) a miss on a warm basis, batching off, is one kernel pass, run after
     the tenant's engine lock is released;
 (h) what a fresh-context miss digests for its cache key does not grow
-    with the shared world's sensed context.
+    with the shared world's sensed context;
+(i) a full ranking of a 2 000-program world reaches the render as
+    ndarray columns (no per-document Python objects before the body
+    bytes), while a top-3 reaches it as lists.
 """
 
 import collections
@@ -36,6 +39,7 @@ from repro.core.kernel import ScoringKernel
 from repro.dl import concepts
 from repro.engine import RankingEngine, backends
 from repro.errors import ReproError
+from repro.perf.backend import resolve_backend
 from repro.reason import clear_registry
 from repro.service import (
     CircuitBreaker,
@@ -43,6 +47,7 @@ from repro.service import (
     ServiceConfig,
     ServiceMetrics,
     make_aio_server,
+    pipeline,
     resilience,
 )
 from repro.tenants import TenantRegistry
@@ -60,12 +65,12 @@ CONTEXTS = {
 }
 
 
-def build_service(world_name, metrics=None, request_timeout=None, persons=10):
+def build_service(world_name, metrics=None, request_timeout=None, persons=10, programs=40):
     if world_name == "tvtouch":
         world, rules = build_tvtouch(), None
     else:
         world = generate_test_database(
-            seed=7, counts=Section5Counts(persons=persons, programs=40)
+            seed=7, counts=Section5Counts(persons=persons, programs=programs)
         )
         rules = generate_rule_series(world, 6)
     registry = TenantRegistry(world, rules=rules, shards=2, max_sessions=16)
@@ -238,15 +243,16 @@ def test_a_pure_hit_is_one_recording_call_under_one_lock(world_name):
     service.close()
 
 
-def serve_one(service, query):
-    """One ``GET /rank?query`` through a real gateway; the body and the
-    names of the threads alive just after it."""
+def serve_one(service, query, *more):
+    """``GET /rank?query`` (then each of ``more``) through a real gateway;
+    the last body and the names of the threads alive just after it."""
     server = make_aio_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        with urllib.request.urlopen(f"{server.url}/rank?{query}", timeout=10) as reply:
-            body = json.loads(reply.read())
+        for each in (query, *more):
+            with urllib.request.urlopen(f"{server.url}/rank?{each}", timeout=10) as reply:
+                body = json.loads(reply.read())
         names = {alive.name for alive in threading.enumerate()}
     finally:
         server.shutdown()
@@ -326,6 +332,33 @@ def test_an_http_delta_hit_never_leaves_the_loop(world_name, monkeypatch):
     )
     assert body["cached"] is True
     assert dict(calls) == {"install": 1, "fingerprint": 1}
+
+
+def test_a_long_http_ranking_reaches_the_render_as_vectors(monkeypatch):
+    if resolve_backend(rows=2000) is None:
+        pytest.skip("a 2 000-row candidate set compiles on flat lists here")
+    clear_registry()
+    service = build_service("section5", programs=2000)
+    warm(service, "section5")
+    first, second, _third = CONTEXTS["section5"]
+    rendered = []
+    real = pipeline._items_json
+
+    def spy(items):
+        rendered.append((len(items), type(items.rows), type(items.scores)))
+        return real(items)
+
+    monkeypatch.setattr(pipeline, "_items_json", spy)
+    body, _names = serve_one(
+        service,
+        f"tenant=alice&context={first}:0.4545&context={second}",
+        f"tenant=alice&top_k=3&context={first}:0.5454&context={second}",
+    )
+    assert "cached" not in body and len(body["items"]) == 3
+    (full, full_rows, full_scores), (top, top_rows, top_scores) = rendered
+    numpy = resolve_backend(rows=2000)
+    assert full == 2000 and full_rows is full_scores is numpy.ndarray
+    assert top == 3 and top_rows is top_scores is list
 
 
 def test_a_miss_digests_the_delta_not_the_world(monkeypatch):
