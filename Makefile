@@ -12,7 +12,7 @@ help:
 	@echo "make bench-smoke  - benchmark scripts at tiny sizes (REPRO_BENCH_SMOKE=1)"
 	@echo "make ledger-smoke - 5 s traced ledger runs of full_ranking, herd_miss + zipf_steady (failed = 0, every traced target resolves)"
 	@echo "make boot-report  - what a worker loads: importtime, module counts, the first rank split (bind / kernel compile / numpy import), seconds + RSS + status to the first answer at 4, 2 000 and 10 000 programs"
-	@echo "make reach-report - function-body lines under src/repro reached by the examples, every CLI verb and two in-process serve runs (stdlib tracer)"
+	@echo "make reach-report - function-body lines under src/repro reached by the examples, the paper benchmarks E1-E8 at smoke size, every CLI verb and four in-process serve runs (stdlib tracer)"
 	@echo "make bench        - the full benchmark suite (slow; rewrites results/)"
 	@echo "make serve        - the HTTP ranking gateway on :8080"
 	@echo "make smoke        - start the gateway, hit /healthz + /rank, shut down"
@@ -27,7 +27,14 @@ test-fast:
 
 bench-smoke:
 	REPRO_BENCH_SMOKE=1 $(PYTHON) -m pytest -q \
+		benchmarks/bench_e1_table1_example.py \
+		benchmarks/bench_e2_figure1_history.py \
+		benchmarks/bench_e3_section5_scaling.py \
+		benchmarks/bench_e3b_database.py \
 		benchmarks/bench_e4_ablation_optimisations.py \
+		benchmarks/bench_e5_ranking_quality.py \
+		benchmarks/bench_e6_mining.py \
+		benchmarks/bench_e8_uncertain_context.py \
 		benchmarks/bench_e9_engine_overhead.py \
 		benchmarks/bench_e10_kernel.py \
 		benchmarks/bench_e11_reasoner.py \

@@ -69,10 +69,10 @@ def test_e9_engine_overhead(setup, save_result, save_json):
     world, scorer, engine = setup
 
     # The same artifact three ways: the direct view refresh the facade
-    # wraps (scored members, materialised into the database — the world
-    # carries one, so the engine materialises too), the facade with
-    # cold caches, the facade with a warm cache.
-    view = PreferenceView(scorer, world.target, world.database)
+    # wraps (every member scored, held in memory — neither side writes
+    # a table into the world's database), the facade with cold caches,
+    # the facade with a warm cache.
+    view = PreferenceView(scorer, world.target)
 
     def direct():
         scorer.kb.invalidate()

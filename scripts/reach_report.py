@@ -9,16 +9,20 @@ function's first line is its first decorator's, in both).
 Entry points, all run in this one process while the tracer is on:
 
 * the six scripts under ``examples/``;
+* the paper benchmarks E1–E8 and E3b at smoke size
+  (``REPRO_BENCH_SMOKE=1``, ``--benchmark-disable``: each test body
+  runs once, no result file is written);
 * every CLI verb: ``example``, ``rank``, ``mine``, ``scaling``,
   ``snapshot build``, ``snapshot inspect`` and ``serve``;
-* ``repro serve`` twice on an ephemeral port — once with ``--rules``
-  and micro-batching, once with ``--snapshot`` and ``--journal`` —
-  each driven by a fixed HTTP script that hits every endpoint: ranks
-  with and without ``top_k``, ``explain``, ``documents`` and a
-  timeout, a context flip and flip-back, an 8-thread herd, ``POST
-  /context``, ``/healthz``, ``/readyz``, ``/metrics`` and the 400,
-  404 and 501 answers.  The run ends with SIGTERM, as an operator
-  would stop it.
+* ``repro serve`` four times on an ephemeral port — with ``--rules``
+  and micro-batching; with ``--snapshot`` and ``--journal``; again on
+  that journal, which it replays at boot; and from a stale snapshot
+  (an older format version), which falls back to a rebuild — each
+  driven by a fixed HTTP script that hits every endpoint: ranks with
+  and without ``top_k``, ``explain``, ``documents`` and a timeout, a
+  context flip and flip-back, an 8-thread herd, ``POST /context``,
+  ``/healthz``, ``/readyz``, ``/metrics`` and the 400, 404 and 501
+  answers.  Each run ends with SIGTERM, as an operator would stop it.
 
 A function's body lines are its non-blank source lines, from its first
 line to its last, less those of functions nested in it (they count as
@@ -28,10 +32,9 @@ with ``make reach-report`` or::
 
     python scripts/reach_report.py
 
-Not traced: ``--workers N`` fleet children (forked), journal replay
-after a restart and the snapshot fallback rebuild.  Whether the herd
-coalesces depends on thread timing, so the reached total can move by
-a few lines between runs.
+Not traced: ``--workers N`` fleet children (forked).  Whether the
+herd coalesces depends on thread timing, so the reached total can move
+by a few lines between runs.
 """
 
 from __future__ import annotations
@@ -55,6 +58,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+#: The paper benchmarks: E1–E8 and E3b (E9 and up measure the engine
+#: and the service, which the serve runs already reach).
+BENCHMARKS = sorted(
+    path
+    for path in (ROOT / "benchmarks").glob("bench_e*.py")
+    if path.name.split("_")[1] in {"e1", "e2", "e3", "e3b", "e4", "e5", "e6", "e7", "e8"}
+)
 
 
 # -- the function table ------------------------------------------------------
@@ -135,6 +145,35 @@ def run_examples() -> None:
                 runpy.run_path(str(path), run_name="__main__")
         finally:
             sys.argv = argv
+
+
+def run_benchmarks() -> None:
+    """The paper benchmarks at smoke size, in this process."""
+    import pytest
+
+    before = os.environ.get("REPRO_BENCH_SMOKE")
+    os.environ["REPRO_BENCH_SMOKE"] = "1"
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = pytest.main(
+                ["-q", "-p", "no:cacheprovider", "--benchmark-disable", *map(str, BENCHMARKS)]
+            )
+    finally:
+        if before is None:
+            del os.environ["REPRO_BENCH_SMOKE"]
+        else:
+            os.environ["REPRO_BENCH_SMOKE"] = before
+    if code != 0:
+        raise SystemExit(f"reach_report: the paper benchmarks exited {code}")
+
+
+def stale_copy(snapshot: Path, stale: Path) -> None:
+    """``snapshot`` as an older library version would have written it."""
+    from repro.store.format import SNAPSHOT_FORMAT_VERSION
+
+    image = bytearray(snapshot.read_bytes())
+    image[10:14] = (SNAPSHOT_FORMAT_VERSION - 1).to_bytes(4, "little")
+    stale.write_bytes(bytes(image))
 
 
 def cli(*argv: str) -> None:
@@ -257,18 +296,23 @@ def run_entry_points(workdir: Path) -> set[tuple[str, int]]:
     history = workdir / "history.jsonl"
     sample_workday_mornings(episodes=200, seed=3).save(history)
     snapshot = workdir / "world.snap"
+    stale = workdir / "stale.snap"
     journal = workdir / "overlays.journal"
 
     with Tracer() as tracer:
         run_examples()
+        run_benchmarks()
         cli("example")
         cli("rank", str(rules), "--context", "Weekend", "--context", "Breakfast:0.7")
         cli("mine", str(history), "--min-support", "5", "--min-lift", "0.0")
         cli("scaling", "--max-rules", "2", "--scale", "0.05")
         cli("snapshot", "build", str(snapshot))
         cli("snapshot", "inspect", str(snapshot))
+        stale_copy(snapshot, stale)
         run_serve("--rules", str(rules), "--batch-max-size", "4")
         run_serve("--snapshot", str(snapshot), "--journal", str(journal))
+        run_serve("--snapshot", str(snapshot), "--journal", str(journal))  # a replay
+        run_serve("--snapshot", str(stale))  # a fallback rebuild
     return tracer.reached()
 
 

@@ -42,8 +42,10 @@ Engines are assembled by :class:`EngineBuilder` — swap the scoring
 method, the relevance strategy (naive union, smoothed mixture,
 log-linear IR mixture, multi-user group aggregation) or any backend
 without touching the call sites.  ``docs/API.md`` documents the facade
-and the migration from the former top-level ``ContextAwareScorer`` /
-``ContextAwareRanker`` entry points (now only in :mod:`repro.core`).
+and the migration from the former entry points: the scorer now lives
+only in :mod:`repro.core`, and the engine's ``"gated"`` and ``"mixed"``
+relevance strategies are the one implementation of the Section 5 union
+and the Section 6 mixture.
 
 See ``docs/PERFORMANCE.md`` for what each layer costs and
 ``benchmarks/results/`` for the paper-versus-measured record of every

@@ -8,11 +8,14 @@
   (vectorised one-pass ranking, top-k pruning, incremental rescoring);
 * :mod:`~repro.core.scorer` — the high-level :class:`ContextAwareScorer`;
 * :mod:`~repro.core.pruning` — Section 6 rule/document pruning;
-* :mod:`~repro.core.preference_view` — the "big preference view";
+* :mod:`~repro.core.preference_view` — the "big preference view" and
+  its ``preferencescore`` SQL column;
 * :mod:`~repro.core.naive_view` — the paper's exponential view-based
   implementation, reproduced on both storage backends (benchmark E3);
-* :mod:`~repro.core.ranker` — union/mixed query integration;
 * :mod:`~repro.core.explain` — per-rule motivations and event lineage.
+
+Query integration — the Section 5 union and the Section 6 mixtures —
+is the engine's relevance strategies (:mod:`repro.engine.relevance`).
 """
 
 from repro._lazy import lazy_exports as _lazy_exports
@@ -41,7 +44,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "naive_scores_sqlite",
             "subset_coefficient",
         ),
-        "repro.core.preference_view": ("PREFERENCE_VIEW_TABLE", "PreferenceView"),
+        "repro.core.preference_view": ("PreferenceView",),
         "repro.core.problem": (
             "DocumentBinding",
             "RuleBinding",
@@ -56,7 +59,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "prune_rules",
             "split_trivial_documents",
         ),
-        "repro.core.ranker": ("ContextAwareRanker", "RankedDocument"),
         "repro.core.scorer": ("ContextAwareScorer",),
         "repro.core.scoring": (
             "SCORING_METHODS",

@@ -151,7 +151,7 @@ class LazyContributions(abc.Sequence):
         self._row = row
         self._items: tuple[RuleContribution, ...] | None = None
 
-    def _materialised(self) -> tuple[RuleContribution, ...]:
+    def _tuple(self) -> tuple[RuleContribution, ...]:
         if self._items is None:
             self._items = self._kernel.contributions_for(self._row)
         return self._items
@@ -160,23 +160,23 @@ class LazyContributions(abc.Sequence):
         return len(self._kernel.kept_rules)
 
     def __getitem__(self, index):
-        return self._materialised()[index]
+        return self._tuple()[index]
 
     def __iter__(self) -> Iterator[RuleContribution]:
-        return iter(self._materialised())
+        return iter(self._tuple())
 
     def __bool__(self) -> bool:
         return bool(self._kernel.kept_rules)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LazyContributions):
-            return self._materialised() == other._materialised()
+            return self._tuple() == other._tuple()
         if isinstance(other, (tuple, list)):
-            return self._materialised() == tuple(other)
+            return self._tuple() == tuple(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._materialised())
+        return hash(self._tuple())
 
     def __repr__(self) -> str:
         if self._items is None:

@@ -63,11 +63,15 @@ def all_miss_score(bindings: tuple[RuleBinding, ...] | list[RuleBinding]) -> flo
     """Score shared by every document that satisfies no preference.
 
     With ``P(f_r) = 0`` for all rules, the factorised score reduces to
-    ``prod (1 - P(g_r) + P(g_r) * (1 - sigma_r)) = prod (1 - P(g_r) * sigma_r)``.
+    ``prod (1 - P(g_r) + P(g_r) * (1 - sigma_r))``: each rule's factor
+    ``a`` in the kernel's own arithmetic, multiplied in rule order, so
+    the shared score is bit for bit what scoring the document would
+    give (``1 - P(g_r) * sigma_r`` is the same number only on paper).
     """
     score = 1.0
     for binding in bindings:
-        score *= 1.0 - binding.context_probability * binding.sigma
+        p_g = binding.context_probability
+        score *= (1.0 - p_g) + p_g * (1.0 - binding.sigma)
     return score
 
 

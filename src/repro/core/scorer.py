@@ -8,7 +8,7 @@ now?" — recomputing as the context develops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.errors import ScoringError
 from repro.events.space import EventSpace
@@ -18,7 +18,6 @@ from repro.dl.tbox import TBox
 from repro.dl.vocabulary import Individual
 from repro.reason import CompiledKB, compiled_kb
 from repro.rules.repository import RuleRepository
-from repro.rules.rule import PreferenceRule
 from repro.core.kernel import ScoredView, ScoringKernel
 from repro.core.problem import ScoringProblem, bind_problem
 from repro.core.pruning import PruneReport, all_miss_score, prune_rules, split_trivial_documents
@@ -197,38 +196,7 @@ class ContextAwareScorer:
         scores = self.score(documents)
         return sorted(scores, key=lambda s: (-s.value, s.document))
 
-    def score_concept_members(self, concept: Concept) -> list[DocumentScore]:
-        """Rank every ABox individual that (possibly) satisfies ``concept``.
-
-        The common "rank all TvPrograms" call: the candidates are the
-        target concept's column in the scorer's compiled reasoner.
-        """
-        return self.rank(self.member_names(concept))
-
     def member_names(self, concept: Concept) -> list[str]:
         """Names of the individuals that (possibly) satisfy ``concept``, sorted."""
         kb = self.kb if self.kb is not None else compiled_kb(self.abox, self.tbox, self.space)
         return sorted(individual.name for individual in kb.column(concept))
-
-    # -- maintenance ------------------------------------------------------
-    def add_rule(self, rule: PreferenceRule) -> None:
-        self.repository.add(rule)
-
-    def with_method(self, method: str) -> "ContextAwareScorer":
-        """A scorer sharing this knowledge base but using another method."""
-        return ContextAwareScorer(
-            abox=self.abox,
-            tbox=self.tbox,
-            user=self.user,
-            repository=self.repository,
-            space=self.space,
-            method=method,
-            rule_threshold=self.rule_threshold,
-            prune_documents=self.prune_documents,
-            kb=self.kb,
-        )
-
-
-def as_individuals(documents: Sequence[Individual | str]) -> list[Individual]:
-    """Normalise a mixed document list to individuals."""
-    return [doc if isinstance(doc, Individual) else Individual(doc) for doc in documents]

@@ -31,9 +31,8 @@ Equality of the three on independent features is a property-tested
 invariant; their runtime divergence is benchmark E3/E4.
 
 :func:`mix_scores` is the Section 6 mixture of such a score with a
-query-dependent one — here, beside the formulas it combines, so the
-engine's relevance strategies do not load the SQL-backed
-:mod:`~repro.core.ranker` to reach it.
+query-dependent one, beside the formulas it combines; the engine's
+``"mixed"`` relevance strategy applies it.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ Requests are frozen :class:`RankRequest` values, answers are frozen
 context signature — repeated requests under an unchanged context and
 rule set never rescore.
 
-Assemble engines with :class:`EngineBuilder`, or the shortcuts
-:meth:`RankingEngine.from_world` / :meth:`RankingEngine.from_config`.
+Assemble engines with :class:`EngineBuilder`, or the shortcut
+:meth:`RankingEngine.from_world`.
 """
 
 from repro._lazy import lazy_exports as _lazy_exports

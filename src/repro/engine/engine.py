@@ -43,11 +43,9 @@ longer than the deadline's remaining budget.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Optional, Sequence
 
 from repro._lazy import lazy_module
@@ -65,7 +63,7 @@ from repro.dl.abox import ABox, content_digest
 from repro.dl.concepts import Concept
 from repro.dl.tbox import TBox
 from repro.dl.vocabulary import Individual
-from repro.errors import EngineConfigError, EngineError, ScoringError
+from repro.errors import EngineError, ScoringError
 from repro.events.space import EventSpace
 from repro.engine.basis import build_view_basis, shared_basis_pool
 from repro.engine.cache import CacheInfo, ViewCache
@@ -201,9 +199,9 @@ class RankingEngine:
     """The canonical public entry point for context-aware ranking.
 
     Engines are assembled by :class:`~repro.engine.EngineBuilder` (or
-    the :meth:`from_world` / :meth:`from_config` shortcuts) — construct
-    one per knowledge base and reuse it across requests; the
-    preference-view cache only pays off on a live engine.
+    the :meth:`from_world` shortcut) — construct one per knowledge base
+    and reuse it across requests; the preference-view cache only pays
+    off on a live engine.
 
     Parameters (normally supplied by the builder)
     ---------------------------------------------
@@ -275,9 +273,6 @@ class RankingEngine:
         self._lock = threading.RLock()
         self._cache = ViewCache(max_entries=cache_size)
         self._scorer = self._build_scorer(preferences.repository())
-        # Never materialised into the storage database: SQL reads scores
-        # through the `preferencescore` virtual column, and the database
-        # is shared by every tenant of a world.
         self._view = PreferenceView(self._scorer, target)
 
     # -- construction shortcuts ------------------------------------------
@@ -300,84 +295,6 @@ class RankingEngine:
         keyword arguments.
         """
         return cls.builder().world(world).options(**options).build()
-
-    @classmethod
-    def from_config(cls, config: Mapping[str, object] | str | Path) -> "RankingEngine":
-        """An engine from a declarative config (mapping or JSON file).
-
-        Recognised keys: ``workload`` (currently ``"tvtouch"``),
-        ``rules`` (path to a rule DSL file), ``context`` (list of
-        ``CONCEPT[:PROB]`` specs), ``method``, ``rule_threshold``,
-        ``prune_documents``, ``relevance``, ``mixing_weight``,
-        ``cache_size``, ``incremental``.  Unknown keys are rejected.
-        """
-        if isinstance(config, (str, Path)):
-            try:
-                config = json.loads(Path(config).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise EngineConfigError(f"cannot load engine config: {exc}") from exc
-        if not isinstance(config, Mapping):
-            raise EngineConfigError(
-                f"engine config must be a mapping or a JSON file path, got {config!r}"
-            )
-        known = {
-            "workload",
-            "rules",
-            "context",
-            "method",
-            "rule_threshold",
-            "prune_documents",
-            "relevance",
-            "mixing_weight",
-            "cache_size",
-            "incremental",
-        }
-        unknown = set(config) - known
-        if unknown:
-            raise EngineConfigError(
-                f"unknown engine config keys {sorted(unknown)}; known keys: {sorted(known)}"
-            )
-
-        workload = config.get("workload", "tvtouch")
-        if workload != "tvtouch":
-            raise EngineConfigError(
-                f"unknown workload {workload!r}; this release ships 'tvtouch'"
-            )
-        from repro.workloads import build_tvtouch
-
-        world = build_tvtouch()
-        builder = cls.builder().world(world)
-        if "rules" in config:
-            from repro.rules import load_rules
-
-            builder.preferences(load_rules(str(config["rules"])))
-        relevance_options = {}
-        if "mixing_weight" in config:
-            relevance_options["mixing_weight"] = config["mixing_weight"]
-        if "relevance" in config or relevance_options:
-            builder.relevance(config.get("relevance", "mixed"), **relevance_options)
-        builder.options(
-            **{
-                key: config[key]
-                for key in (
-                    "method",
-                    "rule_threshold",
-                    "prune_documents",
-                    "cache_size",
-                    "incremental",
-                )
-                if key in config
-            }
-        )
-        engine = builder.build()
-        context_specs = config.get("context", ())
-        if context_specs:
-            if not isinstance(context_specs, (list, tuple)):
-                raise EngineConfigError(
-                    f"'context' must be a list of CONCEPT[:PROB] specs, got {context_specs!r}"
-                )
-            engine.install_context(*[str(spec) for spec in context_specs])
-        return engine
 
     # -- scoring internals ------------------------------------------------
     def _build_scorer(self, repository) -> ContextAwareScorer:

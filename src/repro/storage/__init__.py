@@ -44,7 +44,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "role_table_name",
         ),
         "repro.storage.mapping": ("compile_concept", "create_concept_view"),
-        "repro.storage.optimizer": ("explain_plan", "optimize", "schema_of"),
         "repro.storage.schema": ("EVENT_COLUMN", "Column", "ColumnType", "Schema"),
         "repro.storage.sql": ("ResultSet", "SelectStatement", "SqlSession", "parse_sql"),
         "repro.storage.sqlite_backend": ("SqliteBackend",),

@@ -192,19 +192,12 @@ class NotPredicate(Predicate):
 class AlgebraNode:
     """Abstract relational-algebra operator."""
 
-    def describe(self) -> str:
-        """Single-line description used in explanations and EXPLAIN output."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Scan(AlgebraNode):
     """Read a base table or a named view."""
 
     table: str
-
-    def describe(self) -> str:
-        return f"scan {self.table}"
 
 
 @dataclass(frozen=True)
@@ -214,9 +207,6 @@ class Constant(AlgebraNode):
     schema: Schema
     rows: tuple[tuple, ...]
 
-    def describe(self) -> str:
-        return f"constant({len(self.rows)} rows)"
-
 
 @dataclass(frozen=True)
 class Select(AlgebraNode):
@@ -224,9 +214,6 @@ class Select(AlgebraNode):
 
     child: AlgebraNode
     predicate: Predicate
-
-    def describe(self) -> str:
-        return f"select[{self.predicate}]"
 
 
 @dataclass(frozen=True)
@@ -241,9 +228,6 @@ class Project(AlgebraNode):
     child: AlgebraNode
     columns: tuple[str, ...]
     distinct: bool = True
-
-    def describe(self) -> str:
-        return f"project[{', '.join(self.columns)}]"
 
 
 @dataclass(frozen=True)
@@ -260,10 +244,6 @@ class Join(AlgebraNode):
     right: AlgebraNode
     on: tuple[tuple[str, str], ...]
 
-    def describe(self) -> str:
-        pairs = ", ".join(f"{l}={r}" for l, r in self.on)
-        return f"join[{pairs}]"
-
 
 @dataclass(frozen=True)
 class Union(AlgebraNode):
@@ -271,9 +251,6 @@ class Union(AlgebraNode):
 
     left: AlgebraNode
     right: AlgebraNode
-
-    def describe(self) -> str:
-        return "union"
 
 
 @dataclass(frozen=True)
@@ -288,9 +265,6 @@ class Difference(AlgebraNode):
     left: AlgebraNode
     right: AlgebraNode
 
-    def describe(self) -> str:
-        return "difference"
-
 
 @dataclass(frozen=True)
 class Rename(AlgebraNode):
@@ -298,10 +272,6 @@ class Rename(AlgebraNode):
 
     child: AlgebraNode
     mapping: tuple[tuple[str, str], ...]
-
-    def describe(self) -> str:
-        pairs = ", ".join(f"{old}->{new}" for old, new in self.mapping)
-        return f"rename[{pairs}]"
 
 
 # ---------------------------------------------------------------------------

@@ -150,12 +150,6 @@ class Database:
             raise UnknownTableError(f"no view named {name!r}")
         del self._views[name]
 
-    def view_definition(self, name: str) -> AlgebraNode:
-        try:
-            return self._views[name]
-        except KeyError as exc:
-            raise UnknownTableError(f"no view named {name!r}") from exc
-
     # -- resolution ---------------------------------------------------
     def table(self, name: str) -> Table:
         """Resolve a name to a base table or an evaluated view."""

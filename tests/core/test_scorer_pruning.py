@@ -11,6 +11,7 @@ from repro.core import (
     split_trivial_documents,
 )
 from repro.core.problem import bind_problem
+from repro.engine import RankingEngine
 from repro.rules import PreferenceRule
 from repro.workloads import build_tvtouch, set_breakfast_weekend_context
 
@@ -100,9 +101,10 @@ class TestPruning:
 
 
 class TestScorerFacade:
-    def test_score_concept_members(self, scorer, world):
-        ranked = scorer.score_concept_members(world.target)
-        names = [score.document for score in ranked]
+    def test_engine_ranks_every_target_member(self, scorer, world):
+        # the "rank all TvPrograms" call: the target concept's members
+        names = RankingEngine.from_world(world).rank().documents()
+        assert names == [s.document for s in scorer.rank(scorer.member_names(world.target))]
         assert set(names) >= set(world.program_ids)
         assert names[0] == "channel5_news"
 

@@ -2,14 +2,14 @@
 
 One scenario exercising every layer together, the way a deployment
 would: the context manager refreshes from simulated sensors, the
-preference view follows, the user's SQL query returns context-dependent
-rows, and the mixed ranker combines IR evidence — across two context
-changes.
+engine's preference view follows, the user's SQL query returns
+context-dependent rows, and the mixed relevance combines IR evidence —
+across two context changes.
 """
 
 import pytest
 
-from repro.core import ContextAwareRanker, ContextAwareScorer, PreferenceView
+from repro.core import ContextAwareScorer
 from repro.context import (
     CalendarSensor,
     ContextManager,
@@ -20,6 +20,7 @@ from repro.context import (
     define_context,
     define_location_concept,
 )
+from repro.engine import RankingEngine, RankRequest
 from repro.ir import Corpus, LanguageModelRanker
 from repro.workloads import build_tvtouch
 
@@ -42,13 +43,7 @@ def pipeline():
     manager.add_sensor(CalendarSensor(world.user))
     manager.add_sensor(LocationSensor(world.user, rooms=("kitchen", "livingroom"), accuracy=0.9))
 
-    scorer = ContextAwareScorer(
-        abox=world.abox, tbox=world.tbox, user=world.user,
-        repository=world.repository, space=world.space,
-    )
-    view = PreferenceView(scorer, world.target, world.database)
-    ranker = ContextAwareRanker(view, world.database, "Programs", id_column="id")
-    return world, manager, view, ranker
+    return world, manager, RankingEngine.from_world(world)
 
 
 INTRO_QUERY = (
@@ -59,25 +54,25 @@ INTRO_QUERY = (
 
 class TestFullPipeline:
     def test_kitchen_breakfast_surfaces_news(self, pipeline):
-        world, manager, view, ranker = pipeline
+        world, manager, engine = pipeline
         manager.refresh(GroundTruth(location="kitchen"))
-        result = ranker.execute(INTRO_QUERY)
+        result = engine.rank(INTRO_QUERY).result
         assert len(result) >= 1
         assert result.rows[0][0] == "Channel 5 news"
 
     def test_living_room_drops_breakfast_rule(self, pipeline):
-        world, manager, view, ranker = pipeline
+        world, manager, engine = pipeline
         manager.refresh(GroundTruth(location="kitchen"))
-        kitchen_scores = dict(view.refresh())
+        kitchen_scores = engine.preference_scores()
         manager.refresh(GroundTruth(location="livingroom"))
-        livingroom_scores = dict(view.refresh())
+        livingroom_scores = engine.preference_scores()
         # With breakfast unlikely, the news-subject rule barely bites:
         # Oprah (pure weekend human interest) must gain relative to BBC.
         assert livingroom_scores["oprah"] > kitchen_scores["oprah"]
         assert livingroom_scores["oprah"] > livingroom_scores["bbc_news"]
 
     def test_database_tables_follow_context(self, pipeline):
-        world, manager, _view, _ranker = pipeline
+        world, manager, _engine = pipeline
         manager.refresh(GroundTruth(location="kitchen"))
         first = {row[0:2] for row in world.database.table("role_locatedIn")}
         manager.refresh(GroundTruth(location="livingroom"))
@@ -87,7 +82,7 @@ class TestFullPipeline:
         assert events_first  # ...but fresh events each tick
 
     def test_mixed_ranking_with_ir(self, pipeline):
-        world, manager, view, ranker = pipeline
+        world, manager, _engine = pipeline
         manager.refresh(GroundTruth(location="kitchen"))
 
         corpus = Corpus()
@@ -98,7 +93,8 @@ class TestFullPipeline:
         lm = LanguageModelRanker(corpus)
 
         query_scores = lm.score_all("news weather")
-        mixed = ranker.rank_mixed(query_scores, mixing_weight=0.5)
+        engine = RankingEngine.from_world(world, relevance="mixed")  # λ = 0.5
+        mixed = engine.rank(RankRequest(query_scores=query_scores)).items
         assert mixed[0].document == "channel5_news"
         # Pure IR would rank bbc_news at least as high as oprah;
         # pure context at breakfast agrees; the mixture must too.
@@ -106,13 +102,13 @@ class TestFullPipeline:
         assert order.index("bbc_news") < order.index("oprah")
 
     def test_uncovered_context_reports_degenerate_scores(self, pipeline):
-        world, manager, view, _ranker = pipeline
+        world, manager, engine = pipeline
         world.abox.clear_dynamic()  # no context at all
-        scores = view.refresh()
+        scores = engine.preference_scores()
         assert all(value == pytest.approx(1.0) for value in scores.values())
 
     def test_prune_report_reflects_sensor_context(self, pipeline):
-        world, manager, _view, _ranker = pipeline
+        world, manager, _engine = pipeline
         manager.refresh(GroundTruth(location="kitchen"))
         scorer = ContextAwareScorer(
             abox=world.abox, tbox=world.tbox, user=world.user,

@@ -3,22 +3,22 @@
 Scores the four Table 1 programs under rules R1/R2 in a certain
 breakfast-during-the-weekend context and checks the exact numbers the
 paper derives by hand: 0.6006 / 0.071 / 0.18 / 0.02 — through every
-scoring method, through the preference view, through the naive
-view-based implementation on both storage backends, and through the
-verbatim introduction SQL query.
+scoring method of the engine, through the preference view, through the
+naive view-based implementation on both storage backends, and through
+the verbatim introduction SQL query.
 """
 
 import pytest
 
 from repro.core import (
-    ContextAwareRanker,
     ContextAwareScorer,
     PreferenceView,
     naive_scores_python,
     naive_scores_sqlite,
 )
 from repro.core.problem import bind_problem
-from repro.storage import SqliteBackend, SqlSession
+from repro.engine import RankingEngine, RankRequest
+from repro.storage import SqliteBackend
 from repro.workloads import EXPECTED_TABLE1_SCORES, build_tvtouch, set_breakfast_weekend_context
 
 
@@ -42,8 +42,8 @@ def scorer(world):
 
 class TestWorkedExample:
     @pytest.mark.parametrize("method", ["factorised", "enumeration", "exact"])
-    def test_table1_scores_every_method(self, scorer, world, method):
-        scores = scorer.with_method(method).score_map(world.program_ids)
+    def test_table1_scores_every_method(self, world, method):
+        scores = RankingEngine.from_world(world, method=method).preference_scores()
         for program, expected in EXPECTED_TABLE1_SCORES.items():
             assert scores[program] == pytest.approx(expected, abs=1e-9), (method, program)
 
@@ -100,39 +100,37 @@ class TestNaiveViewImplementations:
 
 class TestPreferenceViewAndQuery:
     def test_preference_view_scores(self, scorer, world):
-        view = PreferenceView(scorer, world.target, world.database)
+        view = PreferenceView(scorer, world.target)
         scores = view.refresh()
         for program, expected in EXPECTED_TABLE1_SCORES.items():
             assert scores[program] == pytest.approx(expected, abs=1e-9)
-        assert view.score_of("oprah") == pytest.approx(0.071)
-        assert view.explain("channel5_news") is not None
+        assert view.scored_view()["oprah"].value == pytest.approx(0.071)
+        assert view.scored_view()["channel5_news"].contributions
 
-    def test_intro_query_runs_verbatim(self, scorer, world):
+    def test_intro_query_runs_verbatim(self, world):
         """The SQL from the paper's introduction, unmodified."""
-        view = PreferenceView(scorer, world.target, world.database)
-        ranker = ContextAwareRanker(view, world.database, "Programs", id_column="id")
-        result = ranker.execute(
+        engine = RankingEngine.from_world(world)
+        result = engine.rank(
             "SELECT name, preferencescore\n"
             "FROM Programs\n"
             "WHERE preferencescore > 0.5\n"
             "ORDER BY preferencescore DESC"
-        )
+        ).result
         assert result.columns == ("name", "preferencescore")
         assert result.rows == [("Channel 5 news", pytest.approx(0.6006))]
 
     def test_view_follows_context_changes(self, scorer, world):
-        view = PreferenceView(scorer, world.target, world.database)
+        view = PreferenceView(scorer, world.target)
         view.refresh()
-        assert view.score_of("bbc_news") == pytest.approx(0.18)
+        assert view.scored_view()["bbc_news"].value == pytest.approx(0.18)
         # Weekday evening: neither rule applies; every score becomes 1.
         world.abox.clear_dynamic()
         scores = view.refresh()
         assert all(value == pytest.approx(1.0) for value in scores.values())
 
-    def test_union_ranking_semantics(self, scorer, world):
-        view = PreferenceView(scorer, world.target, world.database)
-        ranker = ContextAwareRanker(view, world.database, "Programs", id_column="id")
-        ranked = ranker.rank_query_results(["oprah", "mpfs"])
+    def test_union_ranking_semantics(self, world):
+        engine = RankingEngine.from_world(world, relevance="gated")
+        ranked = engine.rank(RankRequest(query_scores={"oprah": 1.0, "mpfs": 1.0})).items
         assert [r.document for r in ranked] == ["oprah", "mpfs"]
         assert ranked[0].preference == pytest.approx(0.071)
         assert all(r.query_dependent == 1.0 for r in ranked)

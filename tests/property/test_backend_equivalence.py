@@ -93,24 +93,6 @@ def test_algebra_views_match_instance_checker(world):
         assert math.isclose(value, reference[key], abs_tol=1e-9)
 
 
-@settings(max_examples=60, deadline=None)
-@given(worlds())
-def test_optimizer_preserves_view_semantics(world):
-    """optimize() must not change any view's tuples or probabilities."""
-    from repro.storage import optimize
-
-    space, abox, concept = world
-    tbox = TBox()
-    db = Database()
-    db.load_abox(abox)
-    plan = compile_concept(concept, tbox, db)
-    original = {row[0]: probability(row[1], space) for row in db.evaluate(plan)}
-    optimized = {row[0]: probability(row[1], space) for row in db.evaluate(optimize(db, plan))}
-    assert _positive(original).keys() == _positive(optimized).keys()
-    for key, value in _positive(original).items():
-        assert math.isclose(value, optimized[key], abs_tol=1e-9)
-
-
 @settings(max_examples=30, deadline=None)
 @given(worlds())
 def test_sqlite_views_match_instance_checker(world):

@@ -44,7 +44,7 @@ from hypothesis import strategies as st
 from repro.cache import InMemoryCacheAdapter
 from repro.core import DocumentScore, LazyContributions, score_values
 from repro.core.kernel import ScoredView, score_documents_batch
-from repro.core.ranker import mix_scores
+from repro.core.scoring import mix_scores
 from repro.engine import EngineBuilder, RankRequest, RankResponse
 from repro.engine.engine import score_prepared_batch
 from repro.engine.relevance import (
@@ -706,7 +706,7 @@ def test_oracle_methods_and_sql_behave_as_before(backend):
         assert sql.documents() == ["channel5_news", "bbc_news"]
         assert [row[1] for row in sql.result.rows] == pytest.approx([0.6006, 0.18])
         assert "channel5_news" in fast.explain("channel5_news")
-        assert fast.view.score_of("oprah") == pytest.approx(0.071)
+        assert fast.view.scored_view()["oprah"].value == pytest.approx(0.071)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -4,7 +4,6 @@ import threading
 
 import pytest
 
-from repro.core.preference_view import PREFERENCE_VIEW_TABLE
 from repro.errors import EngineError
 from repro.reason import clear_registry
 from repro.service import (
@@ -81,18 +80,19 @@ class TestPipeline:
         # must leave it as built (SQL reads scores through the
         # `preferencescore` virtual column, never a table).
         world = build_tvtouch()
+        tables = world.database.table_names
         service = RankingService(TenantRegistry(world, shards=2, max_sessions=8))
         try:
             for tenant in ("peter", "paula"):
                 reply = service.rank({"tenant": [tenant], "context": ["Weekend", "Breakfast"]})
                 assert reply.ok
-            assert not world.database.has_base_table(PREFERENCE_VIEW_TABLE)
+            assert world.database.table_names == tables
             answer = service.registry.session("peter").engine.rank(
                 "SELECT name, preferencescore FROM Programs "
                 "WHERE preferencescore > 0.5 ORDER BY preferencescore DESC"
             )
             assert answer.result.rows == [("Channel 5 news", pytest.approx(0.6006, abs=1e-9))]
-            assert not world.database.has_base_table(PREFERENCE_VIEW_TABLE)
+            assert world.database.table_names == tables
         finally:
             service.close()
 

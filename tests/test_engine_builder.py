@@ -1,6 +1,4 @@
-"""Builder validation and config-driven construction."""
-
-import json
+"""Builder validation and keyword-driven construction."""
 
 import pytest
 
@@ -9,15 +7,9 @@ from repro.engine import (
     EngineBuilder,
     MixedRelevance,
     RankingEngine,
-    RankRequest,
 )
 from repro.errors import EngineConfigError
 from repro.workloads import build_tvtouch, set_breakfast_weekend_context
-
-RULES_TEXT = (
-    "RULE r1: WHEN Weekend PREFER TvProgram AND EXISTS hasGenre.{HUMAN-INTEREST} WITH 0.8\n"
-    "RULE r2: WHEN Breakfast PREFER TvProgram AND EXISTS hasSubject.NewsSubject WITH 0.9\n"
-)
 
 
 @pytest.fixture()
@@ -132,54 +124,3 @@ class TestAssembly:
 
     def test_builder_from_engine_classmethod(self):
         assert isinstance(RankingEngine.builder(), EngineBuilder)
-
-
-class TestFromConfig:
-    def test_mapping_config(self, tmp_path):
-        rules = tmp_path / "rules.prefs"
-        rules.write_text(RULES_TEXT, encoding="utf-8")
-        engine = RankingEngine.from_config(
-            {
-                "workload": "tvtouch",
-                "rules": str(rules),
-                "context": ["Weekend", "Breakfast"],
-                "method": "factorised",
-            }
-        )
-        response = engine.rank(RankRequest(documents=["channel5_news"]))
-        assert response.scores()["channel5_news"] == pytest.approx(0.6006, abs=1e-9)
-
-    def test_json_file_config(self, tmp_path):
-        config_path = tmp_path / "engine.json"
-        config_path.write_text(
-            json.dumps({"context": ["Weekend", "Breakfast"]}), encoding="utf-8"
-        )
-        engine = RankingEngine.from_config(config_path)
-        assert engine.rank().documents()[0] == "channel5_news"
-
-    def test_relevance_and_mixing_weight(self):
-        engine = RankingEngine.from_config(
-            {"relevance": "mixed", "mixing_weight": 0.25}
-        )
-        assert isinstance(engine.relevance, MixedRelevance)
-        assert engine.relevance.mixing_weight == 0.25
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(EngineConfigError, match="unknown engine config keys"):
-            RankingEngine.from_config({"warp": 9})
-
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(EngineConfigError, match="workload"):
-            RankingEngine.from_config({"workload": "netflix"})
-
-    def test_bad_context_type_rejected(self):
-        with pytest.raises(EngineConfigError, match="context"):
-            RankingEngine.from_config({"context": "Weekend"})
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(EngineConfigError, match="cannot load"):
-            RankingEngine.from_config(str(tmp_path / "nope.json"))
-
-    def test_non_mapping_rejected(self):
-        with pytest.raises(EngineConfigError, match="mapping"):
-            RankingEngine.from_config(42)

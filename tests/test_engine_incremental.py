@@ -166,7 +166,7 @@ class TestEngineTopK:
         view = engine.view.scored_view()
         cut = GatedRelevance().combine_top_k(view.column(), None, view.names, 2)
         ranking = engine.view.ranking()
-        assert len(engine.view) > 2
+        assert len(view) > 2
         assert cut.documents() == top.documents() == [s.document for s in ranking[:2]]
         assert list(cut.scores) == [s.value for s in ranking[:2]]
         assert cut.documents()[:1] == ["channel5_news"]
