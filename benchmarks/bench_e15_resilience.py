@@ -89,20 +89,11 @@ def storm_config(requests: int) -> TrafficConfig:
 
 def faulty_factory(worker_info):
     """Per-worker service with a seeded 5 % rank-error injector and a
-    response cache (so serve-stale has bodies to degrade onto).
-
-    Micro-batching is enabled so the storm also proves the scheduler
-    holds the availability bound: queued mates must get their answer
-    (or their 504) through worker kills, breaker trips and injected
-    rank faults."""
+    response cache (so serve-stale has bodies to degrade onto)."""
     registry = TenantRegistry(build_tvtouch(), shards=8, max_sessions=256)
     return RankingService(
         registry,
-        ServiceConfig(
-            max_concurrency=CONCURRENCY,
-            batch_max_size=8,
-            batch_max_wait_us=1000.0,
-        ),
+        ServiceConfig(max_concurrency=CONCURRENCY),
         cache=InMemoryCacheAdapter(ttl=None),
         fault_injector=FaultInjector(
             rank_error_rate=RANK_ERROR_RATE, seed=1000 + worker_info["index"]
@@ -184,7 +175,6 @@ def test_e15_storm_availability(save_result, save_json):
             "kill_period_seconds": KILL_PERIOD,
             "workers_killed": len(kills),
             "rank_error_rate": RANK_ERROR_RATE,
-            "batching_enabled": True,
             "availability": report.availability,
             "min_availability_bound": MIN_AVAILABILITY,
             "respawns": health["respawns"],

@@ -14,8 +14,8 @@ Entry points, all run in this one process while the tracer is on:
   runs once, no result file is written);
 * every CLI verb: ``example``, ``rank``, ``mine``, ``scaling``,
   ``snapshot build``, ``snapshot inspect`` and ``serve``;
-* ``repro serve`` four times on an ephemeral port — with ``--rules``
-  and micro-batching; with ``--snapshot`` and ``--journal``; again on
+* ``repro serve`` four times on an ephemeral port — with ``--rules``;
+  with ``--snapshot`` and ``--journal``; again on
   that journal, which it replays at boot; and from a stale snapshot
   (an older format version), which falls back to a rebuild — each
   driven by a fixed HTTP script that hits every endpoint: ranks with
@@ -309,7 +309,7 @@ def run_entry_points(workdir: Path) -> set[tuple[str, int]]:
         cli("snapshot", "build", str(snapshot))
         cli("snapshot", "inspect", str(snapshot))
         stale_copy(snapshot, stale)
-        run_serve("--rules", str(rules), "--batch-max-size", "4")
+        run_serve("--rules", str(rules))
         run_serve("--snapshot", str(snapshot), "--journal", str(journal))
         run_serve("--snapshot", str(snapshot), "--journal", str(journal))  # a replay
         run_serve("--snapshot", str(stale))  # a fallback rebuild

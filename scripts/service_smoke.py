@@ -33,11 +33,12 @@ ephemeral port, all on the event-loop gateway:
    (never a rebuild), ranked answers must match Table 1 exactly, and
    after SIGKILLing a worker the respawned slot must answer again —
    still snapshot-loaded.
-5. **Batching** — boots with ``--batch-max-size 8``, drives herd
-   rounds of 8 concurrent cross-tenant requests sharing one novel
-   context each, asserts identical scores within every round, a
-   positive ``/metrics`` coalesce ratio, and a clean SIGTERM drain
-   with a herd still queued in the batching window.
+5. **Herd** — boots on default flags, drives herd rounds of 8
+   concurrent cross-tenant requests sharing one novel context each,
+   asserts identical scores within every round, a positive
+   ``/metrics`` coalesce ratio (mates after the first reuse its scored
+   view from the memo), and a clean SIGTERM drain with a herd in
+   flight.
 
 Both long-lived phases also assert the liveness/readiness split:
 ``/healthz`` says "the process is up", ``/readyz`` says "this worker
@@ -435,20 +436,11 @@ def smoke_snapshot_boot(workers: int = 2) -> None:
     print("smoke: snapshot fleet clean shutdown ok")
 
 
-def smoke_batching() -> None:
-    """Boot with micro-batching on, drive cross-tenant herds so
-    concurrent requests coalesce, then drain cleanly on SIGTERM with
-    a herd still in flight."""
-    process = spawn(
-        "--batch-max-size",
-        "8",
-        # Wide window so the final mid-flight herd is provably queued
-        # when SIGTERM lands; full batches still flush immediately.
-        "--batch-max-wait-us",
-        "300000",
-        "--cache",
-        "none",
-    )
+def smoke_herd() -> None:
+    """Boot on default flags, drive cross-tenant herds so mates share
+    one scored view, then drain cleanly on SIGTERM with a herd still
+    in flight."""
+    process = spawn()
     try:
         base_url = wait_for_announce(process)
 
@@ -456,7 +448,7 @@ def smoke_batching() -> None:
             f"{base_url}/rank?tenant=alice&context=Weekend&context=Breakfast&top_k=3"
         )
         assert_table1_winner(ranked)
-        print("smoke: batching server /rank ok (Table 1 winner holds)")
+        print("smoke: herd server /rank ok (Table 1 winner holds)")
 
         def herd(tenants: list[str], context: str) -> list[dict]:
             bodies: list[dict | None] = [None] * len(tenants)
@@ -479,9 +471,9 @@ def smoke_batching() -> None:
             return bodies  # type: ignore[return-value]
 
         # Three herd rounds: 8 distinct tenants share one novel context
-        # per round, so every request misses the view caches but its
-        # in-flight mates coalesce.  Coalescing must not change answers:
-        # identical scores across the round's tenants.
+        # per round, so every request misses the view and response
+        # caches, but mates coalesce on one scored view.  Coalescing
+        # must not change answers: identical scores across the round.
         tenants = [f"herd_{index}" for index in range(8)]
         for round_no in range(3):
             bodies = herd(tenants, f"Weekend:0.{31 + round_no}")
@@ -498,15 +490,15 @@ def smoke_batching() -> None:
         assert batching["batched_requests"] >= 8, batching
         assert batching["coalesce_ratio"] > 0.0, batching
         print(
-            "smoke: /metrics batching on "
+            "smoke: /metrics memo coalescing "
             f"(batched_requests={batching['batched_requests']} "
             f"coalesce_ratio={batching['coalesce_ratio']:.2f})"
         )
 
-        # Clean SIGTERM drain: launch one more herd, give the threads a
-        # beat to connect (the wide window keeps them queued), then
-        # signal.  Every in-flight request must still get its answer
-        # and the process must exit 0.
+        # Clean SIGTERM drain: launch one more herd of new tenants (their
+        # mints go to the gateway pool), give the threads a beat to
+        # connect, then signal.  Every in-flight request must still get
+        # its answer and the process must exit 0.
         drain_bodies: list[dict | None] = [None] * 4
 
         def drain_hit(index: int) -> None:
@@ -520,7 +512,7 @@ def smoke_batching() -> None:
         for thread in drain_threads:
             thread.start()
         time.sleep(0.1)
-        shutdown(process, "batching server", sig=signal.SIGTERM)
+        shutdown(process, "herd server", sig=signal.SIGTERM)
         for thread in drain_threads:
             thread.join(timeout=10)
             assert not thread.is_alive(), "drain request never returned"
@@ -529,7 +521,7 @@ def smoke_batching() -> None:
         print("smoke: SIGTERM drained 4 in-flight herd requests, clean exit")
     finally:
         if process.poll() is None:
-            shutdown(process, "batching server")
+            shutdown(process, "herd server")
 
 
 PHASES = {
@@ -537,7 +529,7 @@ PHASES = {
     "fleet": smoke_fleet,
     "chaos": smoke_chaos_fleet,
     "snapshot": smoke_snapshot_boot,
-    "batch": smoke_batching,
+    "herd": smoke_herd,
 }
 
 

@@ -92,15 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-breaker", action="store_true",
         help="disable the per-tenant/global circuit breaker",
     )
-    serve.add_argument(
-        "--batch-max-size", type=int, default=0,
-        help="cross-request micro-batching: max concurrent ranks fused into "
-        "one kernel pass (0 or 1 disables batching)",
-    )
-    serve.add_argument(
-        "--batch-max-wait-us", type=float, default=1000.0,
-        help="microseconds a batch leader waits for mates before flushing",
-    )
+    # Inert: herd mates share one scored view with no batching window.
+    # Still parsed, so command lines that pass them boot.
+    serve.add_argument("--batch-max-size", type=int, help=argparse.SUPPRESS)
+    serve.add_argument("--batch-max-wait-us", type=float, help=argparse.SUPPRESS)
     serve.add_argument(
         "--workers", type=int, default=1,
         help="worker processes; > 1 runs the pre-fork fleet on one shared port",
@@ -277,6 +272,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
+    if args.batch_max_size is not None or args.batch_max_wait_us is not None:
+        print(
+            "repro serve: --batch-max-size and --batch-max-wait-us are deprecated "
+            "and ignored (herd mates share one scored view, no batching window)",
+            file=sys.stderr,
+        )
     try:
         # Chaos drills configure through REPRO_FAULT_* only; read once,
         # pre-fork, so every worker starts from the same injector.
@@ -324,8 +325,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 stale_max_age=args.stale_max_age,
                 serve_stale=not args.no_stale,
                 breaker_enabled=not args.no_breaker,
-                batch_max_size=args.batch_max_size,
-                batch_max_wait_us=args.batch_max_wait_us,
             ),
             cache=cache,
             worker_info={**worker_info, "world_source": world_source},

@@ -39,11 +39,19 @@ internally synchronised shared structures (the basis pool, the
 compiled-KB base tier).  Under a serving deadline, the rank entry
 points and a blocking ``install_and_fingerprint`` wait for the lock no
 longer than the deadline's remaining budget.
+
+A warm-only, non-blocking :meth:`RankingEngine.prepare_rank`
+(``blocking=False``) is what a thread that must never wait — a serving
+event loop — calls: it tries the lock once and hands back a cold
+snapshot instead of binding or compiling anything.  Scored views are
+shared across engines by :class:`ScoredViewMemo`, keyed on what
+:func:`score_prepared_batch` coalesces on.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Optional, Sequence
@@ -83,7 +91,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: The explanation renderer, loaded by the first ``explain`` request.
 _explain = lazy_module("repro.core.explain")
 
-__all__ = ["PreparedRank", "RankingEngine", "score_prepared_batch"]
+__all__ = ["PreparedRank", "RankingEngine", "ScoredViewMemo", "score_prepared_batch"]
 
 #: What :meth:`RankingEngine._resolve` finds for a signature:
 #: ``(signature, cached view, kernel)`` — at most one of the last two
@@ -97,9 +105,10 @@ class PreparedRank:
 
     :meth:`RankingEngine.prepare_rank` either answers the request on the
     spot (``response`` set — view-cache hit, cold path, or a shape the
-    kernel alone cannot serve) or captures everything a kernel pass
-    needs: the context-bound ``kernel`` (sharing the compiled candidate
-    matrix with every other request over the same basis), the view
+    kernel alone cannot serve), finds it :attr:`cold` (a warm-only
+    prepare only), or captures everything a kernel pass needs: the
+    context-bound ``kernel`` (sharing the compiled candidate matrix
+    with every other request over the same basis), the view
     ``signature`` and the ``fingerprint`` response caches key on.
     Scoring the kernel and calling :meth:`complete` never touches the
     engine lock, so neither a concurrent install on this engine nor
@@ -115,19 +124,28 @@ class PreparedRank:
     response: RankResponse | None = None
 
     @property
-    def group_key(self) -> Hashable:
-        """What batch-mates are matched on: only kernels over one
-        compiled candidate matrix can share a pass."""
-        if self.kernel is None:
-            return None
-        return (id(self.kernel.candidates), self.prune_documents)
+    def cold(self) -> bool:
+        """Neither answered nor scorable: a warm-only prepare met work
+        (a bind, a compile, ad-hoc scoring) it leaves to a blocking one."""
+        return self.kernel is None and self.response is None
+
+    @property
+    def memo_key(self) -> Hashable:
+        """What equal scored views are matched on, tenant-blind: the
+        compiled candidates — held, so a later matrix at a recycled
+        address can never match — the pruning flag and the context
+        binding's coefficients (:attr:`ScoringKernel.coalesce_key`)."""
+        kernel = self.kernel
+        return (kernel.candidates, self.prune_documents, kernel.coalesce_key)
 
     def complete(self, view: ScoredView | None = None) -> RankResponse:
         """The response: immediate if prepare already answered, else
         assembled lock-free from the scored view for this kernel — the
-        batch's ``view``, or, when none is given, a pass of its own."""
+        memo's ``view``, or, when none is given, a pass of its own."""
         if self.response is not None:
             return self.response
+        if self.kernel is None:
+            raise EngineError("a cold snapshot has nothing to score: prepare it blocking")
         if view is None:
             (view,), _rows = score_prepared_batch([self])
         return self.engine._complete_prepared(self, view)
@@ -178,6 +196,63 @@ def score_prepared_batch(
         for index, position in slots:
             results[index] = scored[position]
     return results, rows
+
+
+#: Scored views a :class:`ScoredViewMemo` keeps.  Mates of one herd are
+#: answered one after another, so a handful covers them; every entry
+#: pins one view (a float per document) and its candidates.
+MEMO_ENTRIES = 8
+
+
+class ScoredViewMemo:
+    """One kernel pass per distinct context binding, shared across tenants.
+
+    :meth:`execute` returns the scored view of a prepared rank: the one
+    an earlier request with an equal :attr:`PreparedRank.memo_key`
+    scored, or a fresh :func:`score_prepared_batch` pass, remembered in
+    a bounded LRU (:data:`MEMO_ENTRIES`).  A thundering herd of one
+    context over many tenants thus costs one pass and one immutable
+    :class:`~repro.core.kernel.ScoredView`, which every mate's view
+    cache then holds by reference — with no window and nobody waiting
+    for a mate: two mates that miss at once both score.  Thread-safe;
+    the lock guards the table and the counters, never a pass.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._views: OrderedDict[Hashable, ScoredView] = OrderedDict()
+        self.requests = 0
+        self.hits = 0
+        self.passes = 0
+
+    def execute(self, prepared: PreparedRank) -> ScoredView:
+        """The scored view for ``prepared`` (which must carry a kernel)."""
+        key = prepared.memo_key
+        with self._lock:
+            self.requests += 1
+            view = self._views.get(key)
+            if view is not None:
+                self.hits += 1
+                self._views.move_to_end(key)
+                return view
+        (view,), _rows = score_prepared_batch([prepared])
+        with self._lock:
+            self.passes += 1
+            self._views[key] = view
+            if len(self._views) > MEMO_ENTRIES:
+                self._views.popitem(last=False)
+        return view
+
+    def info(self) -> dict:
+        """Counters: requests, memo hits, kernel passes and entries held."""
+        with self._lock:
+            return {
+                "requests": self.requests,
+                "hits": self.hits,
+                "passes": self.passes,
+                "entries": len(self._views),
+                "capacity": MEMO_ENTRIES,
+            }
 
 
 #: Distinct rule fingerprints whose digest is remembered.
@@ -628,7 +703,8 @@ class RankingEngine:
         request: RankRequest | str | None = None,
         *,
         tick: str = "ctx",
-    ) -> PreparedRank:
+        blocking: bool = True,
+    ) -> PreparedRank | None:
         """Snapshot a request under the lock; score it outside.
 
         The one route from a request to an answer (:meth:`rank`,
@@ -645,6 +721,12 @@ class RankingEngine:
         the preference view, and requests naming documents outside the
         compiled candidate set (those are scored ad hoc through the
         engine's scorer — lock-bound work).
+
+        ``blocking=False`` is warm-only and never waits: ``None``
+        (nothing installed) when another thread holds the lock, and a
+        :attr:`PreparedRank.cold` snapshot — the delta installed,
+        nothing bound, compiled or scored — when the answer is not a
+        kernel pass or a view-cache hit over documents it covers.
         """
         if request is None:
             request = RankRequest()
@@ -652,7 +734,8 @@ class RankingEngine:
             request = RankRequest(query=request)
         elif not isinstance(request, RankRequest):
             raise EngineError(f"expected RankRequest or SQL string, got {request!r}")
-        self._acquire()
+        if not self._acquire(blocking):
+            return None
         try:
             if specs is not None:
                 self.install_context(*specs, tick=tick)
@@ -664,15 +747,12 @@ class RankingEngine:
             # candidates).
             uses_view = getattr(self.relevance, "uses_preference_view", True)
             resolved = None
+            warm = False  # a view-cache hit covering the request: no cold work
             if uses_view or request.query is not None or request.documents is None:
                 resolved = self._resolve()
-                key, _cached, kernel = resolved
-                if (
-                    kernel is not None
-                    and uses_view
-                    and request.query is None
-                    and self._covers(kernel, request)
-                ):
+                key, cached, kernel = resolved
+                scorable = uses_view and request.query is None
+                if kernel is not None and scorable and self._covers(kernel.names, request):
                     return PreparedRank(
                         engine=self,
                         request=request,
@@ -681,6 +761,9 @@ class RankingEngine:
                         fingerprint=(self.abox.mutation_count, key),
                         prune_documents=self.prune_documents,
                     )
+                warm = cached is not None and scorable and self._covers(cached, request)
+            if not (blocking or warm):
+                return PreparedRank(engine=self, request=request)
             return PreparedRank(
                 engine=self, request=request, response=self._rank_locked(request, resolved)
             )
@@ -688,8 +771,9 @@ class RankingEngine:
             self._lock.release()
 
     @staticmethod
-    def _covers(kernel: ScoringKernel, request: RankRequest) -> bool:
-        """Does the compiled candidate set name every document the request does?"""
+    def _covers(documents: Iterable[str], request: RankRequest) -> bool:
+        """Do ``documents`` (candidate names, a view's keys) include every
+        document the request names?"""
         named = []
         if request.documents is not None:
             named.extend(request.documents)
@@ -697,7 +781,7 @@ class RankingEngine:
             named.extend(request.query_score_map)
         if not named:
             return True
-        names = set(kernel.names)
+        names = set(documents)
         return all(document in names for document in named)
 
     def _combine_items(

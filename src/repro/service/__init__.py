@@ -10,10 +10,13 @@ degradation, circuit breaking, fault injection), fronted by a
 dependency-free event-loop HTTP gateway (:mod:`repro.service.aio`,
 ``python -m repro serve``) that scales past the GIL as a pre-fork
 worker fleet (``python -m repro serve --workers N``,
-:mod:`repro.service.fleet`).  The gateway's ``max_concurrency``-wide
-executor is the one bound on work in flight, and its dispatch queue
-limit the one overload valve; in process, the caller's threads are the
-bound.
+:mod:`repro.service.fleet`).  The gateway's event loop answers cache
+hits and warm misses itself; its ``max_concurrency``-wide executor
+runs only what would wait, mint, compile or journal, and that
+executor's dispatch queue limit is the one overload valve.  Herd mates
+share one scored view through a tenant-blind memo
+(:class:`~repro.engine.engine.ScoredViewMemo`).  In process, the
+caller's threads are the bound.
 
 Quickstart::
 
@@ -56,6 +59,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "ServiceConfig",
             "ServiceRequest",
             "ServiceResponse",
+            "WouldBlock",
         ),
         "repro.service.aio": ("AioRankingServer", "make_aio_server"),
         "repro.service.resilience": (

@@ -38,27 +38,28 @@ on sheds, ``Warning: 110`` on stale serves), straight from
   request longer than ``read_deadline`` seconds is answered 408 and
   closed — idle connections with an *empty* buffer are never timed
   out;
-* **inline serving on the loop** for everything that cannot block:
+* **inline serving on the loop** for everything that need not wait:
   parse 400s, cache hits (stored pre-encoded bytes —
   :meth:`ServiceResponse.encoded`) — pure hits, and delta hits whose
   context install :meth:`RankingService.begin_rank` could take without
-  waiting — ``/healthz``, ``/readyz``, ``/metrics`` and overload sheds;
-* **off-loop dispatch** for cache-missing ranks, the delta hits the
-  loop could not settle without waiting, and context installs:
-  the blocking half of the pipeline
-  (:meth:`RankingService.finish_rank`,
-  :meth:`RankingService.install_context`) runs on a gateway executor
-  ``max_concurrency`` threads wide — one thread per request, which
-  runs the rank itself under the request's deadline — and its
-  completion callback re-arms the connection for write.  That pool is
-  the service's one concurrency bound, and its queue limit
-  (``dispatch_limit``) the one overload valve: a request that would
-  queue past it is shed on the loop
-  (:meth:`RankingService.shed_inline`), a rank and a context install
-  alike.  Because the loop submits every concurrently-buffered
-  miss in one pass, requests inside the batch window reach the
-  :class:`~repro.service.batching.BatchScheduler` together without a
-  follower thread blocking in a socket read.
+  waiting — warm misses and context installs on a resident tenant
+  (:meth:`RankingService.finish_rank` and
+  :meth:`RankingService.install_context` with ``blocking=False``: a
+  pinned session, one kernel pass or a memo hit, under the request's
+  deadline), ``/healthz``, ``/readyz``, ``/metrics`` and overload
+  sheds;
+* **off-loop dispatch** for what the loop must not do — mint a
+  session, wait on a shard or engine lock, bind or compile cold,
+  journal, or meet injected faults, which the ``blocking=False`` call
+  reports by raising :class:`~repro.service.pipeline.WouldBlock`
+  having taken nothing: the same call, blocking, runs on
+  a gateway executor ``max_concurrency`` threads wide — one thread
+  per request, which runs the rank itself under the request's
+  deadline — and its completion callback re-arms the connection for
+  write.  That pool's queue limit (``dispatch_limit``) is the one
+  overload valve: a request that would queue past it is shed on the
+  loop (:meth:`RankingService.shed_inline`), a rank and a context
+  install alike.
 
 Start one with :func:`make_aio_server` (``port=0`` picks a free port)
 or the blocking :func:`serve` the CLI wraps; :mod:`repro.service.fleet`
@@ -87,7 +88,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__
 from repro.service.metrics import GatewayMetrics
-from repro.service.pipeline import RankAttempt, RankingService, ServiceResponse
+from repro.service.pipeline import RankAttempt, RankingService, ServiceResponse, WouldBlock
 
 __all__ = ["AioRankingServer", "make_aio_server", "serve"]
 
@@ -352,11 +353,14 @@ class _HttpConnection(asyncio.Protocol):
         if header_timeout is not None and "timeout" not in params:
             params["timeout"] = [header_timeout]
         attempt = self.service.begin_rank(params)
-        if attempt.response is not None:
-            # Parse 400 or cache hit (pure or delta): answered on the loop.
-            self._finish(attempt.response, chaos=True)
-            return
-        self._dispatch(lambda: self.service.finish_rank(attempt), attempt, chaos=True)
+        # A parse 400 or a cache hit is answered by begin_rank, a warm
+        # miss by the non-blocking finish: both here, on the loop.
+        try:
+            response = attempt.response or self.service.finish_rank(attempt, blocking=False)
+        except WouldBlock:
+            self._dispatch(lambda: self.service.finish_rank(attempt), attempt, chaos=True)
+        else:
+            self._finish(response, chaos=True)
 
     def _handle_context(self, request: _Request) -> None:
         if not request.body:
@@ -386,7 +390,12 @@ class _HttpConnection(asyncio.Protocol):
             )
             return
         tenant = str(payload["tenant"])
-        self._dispatch(lambda: self.service.install_context(tenant, context), None)
+        try:
+            response = self.service.install_context(tenant, context, blocking=False)
+        except WouldBlock:
+            self._dispatch(lambda: self.service.install_context(tenant, context), None)
+        else:
+            self._finish(response)
 
     # -- off-loop dispatch ---------------------------------------------------
     def _dispatch(
@@ -477,10 +486,10 @@ class AioRankingServer:
     ``drain`` and ``server_close``.
 
     ``read_deadline`` bounds how long a connection may sit on a
-    partial request (408 + close).  The executor is
-    ``service.config.max_concurrency`` threads wide — the one bound on
-    work in flight — and ``dispatch_limit`` bounds the requests queued
-    for it before the loop sheds ranks and context installs inline.
+    partial request (408 + close).  The executor that runs what the
+    loop must not is ``service.config.max_concurrency`` threads wide,
+    and ``dispatch_limit`` bounds the requests queued for it before
+    the loop sheds ranks and context installs inline.
     """
 
     def __init__(

@@ -44,25 +44,29 @@ This module is that request path, staged and instrumented::
 * **rank** — :meth:`UserSession.prepare_rank`, then
   :meth:`PreparedRank.complete`: the delta install and the snapshot of
   what to score under one hold of the engine lock, atomic per tenant;
-  the kernel pass (batched with concurrent mates when micro-batching
-  is on) and the response assembly after it is released.  It runs
-  on the thread that took the session pin (one thread per request:
-  behind the gateway, a ``repro-gw`` pool thread), inside the
-  request's deadline scope.  The deadline is cooperative:
-  the engine-lock wait, a cold bind's rule columns and rows, the
-  start of the kernel pass, the batch queue and an injected delay all
-  check it, so an expiry unwinds the work itself and answers 504 (or
-  stale) — and that thread releases the pin before it answers,
-  whatever the outcome.
-
-Overload control is not a stage.  The service creates no threads, so
-its callers' threads bound the work in flight: behind the gateway, the
-``repro-gw`` pool, ``max_concurrency`` wide, whose dispatch queue limit
-is the one overload valve (:meth:`RankingService.shed_inline`).
+  the kernel pass — or the view an earlier request with the same
+  context binding scored, from the tenant-blind
+  :class:`~repro.engine.engine.ScoredViewMemo` — and the response
+  assembly after it is released.  It runs on the thread that took the
+  session pin, inside the request's deadline scope: behind the
+  gateway, the event loop itself for a warm miss
+  (:meth:`RankingService.finish_rank` with ``blocking=False``), a
+  ``repro-gw`` pool thread for a miss that would wait, mint, compile
+  or journal.  The deadline is cooperative: the engine-lock wait, a
+  cold bind's rule columns and rows, the start of the kernel pass and
+  an injected delay all check it, so an expiry unwinds the work itself
+  and answers 504 (or stale) — and the pin is released before the
+  answer, whatever the outcome.
 * **render** — the ranked items, written straight from the ranking's
   columns into one pre-encoded JSON fragment inside a small header
   (:class:`RankBody`); hit/stale/context-echo/timing decorations only
   ever touch the header.
+
+Overload control is not a stage.  The service creates no threads, so
+its callers' threads bound the work in flight: behind the gateway, the
+loop plus the ``repro-gw`` pool, ``max_concurrency`` wide, whose
+dispatch queue limit is the one overload valve
+(:meth:`RankingService.shed_inline`).
 
 Every stage's latency lands in :class:`~repro.service.metrics.ServiceMetrics`
 (the ``GET /metrics`` surface), plus an end-to-end ``total`` recorder.
@@ -79,7 +83,7 @@ import threading
 import time
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.cache.keys import KeyLookup, ResponseKeyer, response_key
 from repro.cache.none import NoCacheAdapter
@@ -88,7 +92,8 @@ from repro.engine.backends import parse_context_spec
 from repro.engine.requests import RankedItems, RankRequest
 from repro.errors import EngineError, ReproError
 from repro.reason import base_tier
-from repro.service.metrics import ServiceMetrics
+from repro.engine.engine import ScoredViewMemo
+from repro.service.metrics import LatencyRecorder, ServiceMetrics
 from repro.service.resilience import (
     BreakerDecision,
     CircuitBreaker,
@@ -101,9 +106,6 @@ from repro.service.resilience import (
 )
 from repro.tenants.registry import TenantRegistry
 
-if TYPE_CHECKING:  # pragma: no cover - types only; see ``RankingService.__init__``
-    from repro.service.batching import BatchScheduler
-
 __all__ = [
     "RankAttempt",
     "RankBody",
@@ -112,6 +114,7 @@ __all__ = [
     "ServiceRequest",
     "ServiceResponse",
     "STAGES",
+    "WouldBlock",
 ]
 
 #: Pipeline stages, in request order (``total`` is recorded on top).
@@ -121,14 +124,35 @@ STAGES = ("parse", "cache", "breaker", "resolve", "context", "rank", "render")
 #: or deferred to :meth:`RankingService.finish_rank` for the reason named.
 _DELTA_HIT_PATHS = ("inline", "engine_busy", "not_resident", "journal", "refuted")
 
+#: Where the event loop's try at a miss ended: answered ``inline``, or
+#: deferred to a pool thread for the reason named (see
+#: :meth:`RankingService.finish_rank`).
+_MISS_PATHS = ("inline", "not_resident", "busy", "cold", "journal", "fault")
+
+
+class WouldBlock(Exception):
+    """A ``blocking=False`` call met work its thread must not do.
+
+    Raised, like :class:`BlockingIOError` from a non-blocking socket,
+    once the call has handed back everything it took; ``reason`` names
+    the work (``_MISS_PATHS`` for a rank).  The caller re-runs the same
+    call blocking on a thread that may wait.
+    """
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of the serving pipeline.
 
     ``max_concurrency`` is the width of the gateway's ``repro-gw``
-    pool, and so the bound on ranks in flight behind it (in process,
-    the caller's threads are the bound).  ``include_timings``
+    pool — the threads that run what the event loop must not: misses
+    that would wait, mint, compile or journal — and so the bound on
+    that work in flight (in process, the caller's threads are the
+    bound).  ``include_timings``
     attaches per-stage latencies to every response body (handy for
     tracing, off by default to keep payloads lean).
 
@@ -142,13 +166,6 @@ class ServiceConfig:
     ``stale_max_age`` seconds) on overload, breaker-open, engine error
     or deadline expiry.  The ``breaker_*`` knobs shape the per-tenant + global
     circuit breaker (see :class:`~repro.service.resilience.CircuitBreaker`).
-
-    Batching tunables: ``batch_max_size >= 2`` enables cross-request
-    micro-batching (see :class:`~repro.service.batching.BatchScheduler`)
-    — concurrent ranks sharing a compiled candidate matrix coalesce
-    into one fused kernel pass, flushed at ``batch_max_size`` members
-    or after ``batch_max_wait_us`` microseconds, whichever first (and
-    never past a member's deadline).
     """
 
     max_concurrency: int = 8
@@ -164,8 +181,6 @@ class ServiceConfig:
     breaker_failure_threshold: float = 0.5
     breaker_cooldown: float = 5.0
     breaker_jitter: float = 0.2
-    batch_max_size: int = 0
-    batch_max_wait_us: float = 1000.0
 
     def __post_init__(self) -> None:
         if self.max_concurrency < 1:
@@ -188,14 +203,6 @@ class ServiceConfig:
         if self.stale_max_age < 0:
             raise EngineError(
                 f"stale_max_age must be non-negative, got {self.stale_max_age!r}"
-            )
-        if self.batch_max_size < 0:
-            raise EngineError(
-                f"batch_max_size must be non-negative, got {self.batch_max_size!r}"
-            )
-        if self.batch_max_wait_us < 0:
-            raise EngineError(
-                f"batch_max_wait_us must be non-negative, got {self.batch_max_wait_us!r}"
             )
 
 
@@ -499,8 +506,9 @@ class RankAttempt:
     ``response`` is already set the request was answered without
     waiting on any contended resource (a parse 400, a cache hit) and
     an event-loop gateway may send it directly from the loop;
-    otherwise the attempt must go to :meth:`RankingService.finish_rank`
-    on a thread that may block (breaker / session / rank).
+    otherwise the attempt goes to :meth:`RankingService.finish_rank`
+    (breaker / session / rank) — on the loop when it need not wait,
+    on a thread that may block when it must.
     """
 
     clock: _StageClock
@@ -535,8 +543,9 @@ class _StageClock:
     """Accumulates per-stage wall time for one request.
 
     Unlocked: one thread at a time times a request — the loop for
-    :meth:`RankingService.begin_rank`, then the one thread that runs
-    :meth:`RankingService.finish_rank` to the answer.
+    :meth:`RankingService.begin_rank` and any non-blocking try, then
+    the one thread that runs :meth:`RankingService.finish_rank` to the
+    answer.
     """
 
     __slots__ = ("timings", "_started")
@@ -567,8 +576,11 @@ class RankingService:
     requests for any number of tenants flow through the staged pipeline
     concurrently.  The service creates no threads: every request runs
     on its caller's, so the callers bound the work in flight — behind
-    the gateway its ``max_concurrency``-wide ``repro-gw`` pool, in
-    process however many threads call :meth:`rank`.  The service
+    the gateway its event loop and its ``max_concurrency``-wide
+    ``repro-gw`` pool, in process however many threads call
+    :meth:`rank`.  Herd mates share scored views through one
+    tenant-blind :class:`~repro.engine.engine.ScoredViewMemo`
+    (``memo``), always on.  The service
     itself is stateless beyond metrics — all ranking state lives in the
     registry's sessions — so it is safe to share one instance across
     every gateway thread.
@@ -612,21 +624,15 @@ class RankingService:
         #: :meth:`begin_rank` writes them — behind a gateway, the event
         #: loop's thread alone.
         self._delta_hits = dict.fromkeys(_DELTA_HIT_PATHS, 0)
+        #: Misses by where :meth:`finish_rank` ``blocking=False`` left
+        #: them (``_MISS_PATHS``); written by the event loop alone.
+        self._misses = dict.fromkeys(_MISS_PATHS, 0)
         if self.cache.enabled:
             # A session eviction drops the tenant's standing context,
             # so everything learned (and stored) for it must go too.
             self.registry.add_evict_listener(self._tenant_evicted)
-        # Cross-request micro-batching (enabled with batch_max_size >= 2):
-        # concurrent ranks sharing a candidate matrix fuse into one pass.
-        self.batcher: BatchScheduler | None = None
-        if self.config.batch_max_size >= 2:
-            # The scheduler loads with the first service that batches.
-            from repro.service.batching import BatchScheduler
-
-            self.batcher = BatchScheduler(
-                max_batch_size=self.config.batch_max_size,
-                max_wait_us=self.config.batch_max_wait_us,
-            )
+        #: One scored view per distinct context binding, across tenants.
+        self.memo = ScoredViewMemo()
         #: The serving front's stats provider (see :meth:`attach_gateway`).
         self._gateway_stats: Callable[[], Mapping[str, object]] | None = None
         self._started_at = time.time()
@@ -643,8 +649,9 @@ class RankingService:
         500 — the gateway maps ``status`` straight onto HTTP.
 
         In-process callers use this; the HTTP gateway calls the same
-        two halves itself — :meth:`begin_rank` inline on the loop,
-        :meth:`finish_rank` on a worker thread.
+        two halves itself — :meth:`begin_rank` on the loop, then
+        :meth:`finish_rank` on the loop when it need not wait, on a
+        pool thread otherwise.
         """
         attempt = self.begin_rank(request)
         if attempt.response is not None:
@@ -815,25 +822,52 @@ class RankingService:
             headers=_retry_after(1.0),
         )
 
-    def finish_rank(self, attempt: RankAttempt) -> ServiceResponse:
-        """Run the blocking stages of a begun request to an answer.
+    def finish_rank(self, attempt: RankAttempt, *, blocking: bool = True) -> ServiceResponse:
+        """Run the remaining stages of a begun request to an answer.
 
         Breaker, resolve, context, rank, render — all on the calling
-        thread, which may wait on a registry shard, the engine lock or a
-        batch, so an event-loop gateway calls it off-loop (on a
-        ``repro-gw`` pool thread).  ``attempt`` must come from
-        :meth:`begin_rank` with ``response`` unset.
+        thread, which may wait on a registry shard or the engine lock.
+        ``attempt`` must come from :meth:`begin_rank` with ``response``
+        unset.
 
-        The rank runs inside ``deadline_scope(attempt.deadline)``; every
-        wait on its way checks the deadline, and an expiry answers 504
-        (or stale).  This thread takes the session pin and releases it
-        before it answers.
+        ``blocking=False`` is the event loop's try, never waiting: it
+        answers a warm miss in place, or raises :class:`WouldBlock`
+        having taken nothing — no pin, no breaker probe, no outcome or
+        stage — when the request would mint a session (the tenant is
+        not resident or its shard is busy), wait on the engine lock,
+        compile or bind cold, do file I/O (the registry journals) or
+        meet injected rank faults aimed at its tenant.  The caller then
+        runs it blocking on a thread that may wait, and that run is the
+        request's one outcome.  Each try is counted under
+        ``misses_inline`` (whatever the answer) or ``misses_deferred``
+        by reason; only the loop tries, so the counters take no lock.
+
+        The rank runs inside ``deadline_scope(attempt.deadline)`` either
+        way; every wait on its way checks the deadline, and an expiry
+        answers 504 (or stale).  The session pin is released before the
+        answer.
         """
+        response = self._finish_rank(attempt, blocking)
+        if not blocking:
+            self._misses["inline"] += 1
+        return response
+
+    def _finish_rank(self, attempt: RankAttempt, blocking: bool) -> ServiceResponse:
         clock = attempt.clock
         request = attempt.request
         deadline = attempt.deadline
         effective_timeout = attempt.effective_timeout
         lookup = attempt.lookup
+        if not blocking:
+            reason = (
+                "journal" if self.registry.journal is not None
+                else "fault" if self.fault_injector.targets_rank(request.tenant)
+                else None
+            )
+            if reason is not None:
+                self._misses[reason] += 1
+                raise WouldBlock(reason)
+        stages = dict(clock.timings)
 
         # While a breaker core is half-open, this request may *be* its
         # single probe; every termination path below must then settle
@@ -869,9 +903,11 @@ class RankingService:
 
         try:
             with clock.stage("resolve"):
-                checkout = self.registry.checkout(request.tenant)
+                checkout = self.registry.checkout(request.tenant, blocking=blocking)
                 session = checkout.__enter__()
             try:
+                if session is None:
+                    raise WouldBlock("not_resident")
                 with clock.stage("context"):
                     # Pre-flight every spec: a bad one 400s here with
                     # the tenant's standing context untouched.  The
@@ -884,9 +920,14 @@ class RankingService:
                         for spec in specs:
                             parse_context_spec(spec)
                 with deadline_scope(deadline):
-                    body, served_hit = self._run_rank(attempt, session, specs)
+                    body, served_hit = self._run_rank(attempt, session, specs, blocking)
             finally:
                 checkout.__exit__(None, None, None)
+        except WouldBlock as deferred:
+            self._settle_probe(breaker_probe)
+            clock.timings = stages
+            self._misses[deferred.reason] += 1
+            raise
         except DeadlineExceeded:
             self.metrics.count("resilience", "timeouts")
             # A deadline the client shrank below the server default says
@@ -953,11 +994,14 @@ class RankingService:
         if self.breaker is not None and decision is not None:
             self.breaker.cancel_probe(decision)
 
-    def _run_rank(self, attempt: RankAttempt, session, specs) -> tuple[RankBody, bool]:
+    def _run_rank(
+        self, attempt: RankAttempt, session, specs, blocking: bool
+    ) -> tuple[RankBody, bool]:
         """The work unit: ``(body, served from the cache)``.
 
         Runs inside the request's deadline scope, on the thread that
-        holds its session pin.
+        holds its session pin.  Not ``blocking``, raises
+        :class:`WouldBlock` where it would wait or work cold.
         """
         clock = attempt.clock
         request = attempt.request
@@ -966,10 +1010,12 @@ class RankingService:
             attempt.deadline.check()  # spent waiting for this thread
         self.fault_injector.before_rank(request.tenant)
         if attempt.cached_body is not None:
-            # A delta hit the loop could not settle without waiting:
-            # the same install-and-verify, blocking.
+            # A delta hit begin_rank could not settle: the same
+            # install-and-verify, blocking when this thread may wait.
             with clock.stage("rank"):
-                verified = self._install_verified(session, request, lookup, blocking=True)
+                verified = self._install_verified(session, request, lookup, blocking=blocking)
+            if verified is None:
+                raise WouldBlock("busy")
             if verified:
                 with clock.stage("render"):
                     return self._serve_hit(request, attempt.cached_body), True
@@ -977,40 +1023,49 @@ class RankingService:
             # Install and snapshot under one hold of the engine lock —
             # after a refuted delta hit too, so the ranking is this
             # request's context whatever ran since its install.
-            response = self._rank_session(
-                session, specs, attempt.rank_request, attempt.deadline
-            )
+            response = self._rank_session(session, specs, attempt.rank_request, blocking)
         with clock.stage("render"):
             body = self._render(request, response)
         if lookup is not None:
             self._fill(lookup, response.fingerprint, body)
         return body, False
 
-    def _rank_session(self, session, specs, rank_request, deadline: Deadline | None):
+    def _rank_session(self, session, specs, rank_request, blocking: bool):
         """Rank one session request: prepare → score → complete.
 
         ``prepare_rank`` installs the delta and snapshots the bound
-        problem under the engine lock; the kernel pass and the response
-        assembly then run outside it — batched with whatever concurrent
-        mates share the same compiled candidates when the batcher is
-        on, alone otherwise.  Requests answered on the spot (view-cache
-        hits, cold basis, ...) carry no kernel and skip the batcher.
+        problem under the engine lock; the scored view — the memo's,
+        when any request has scored an equal binding of the same
+        candidates, else one kernel pass — and the response assembly
+        then come outside it.  Requests answered on the spot (view-cache
+        hits, cold basis, ...) carry no kernel and skip the memo.  Not
+        ``blocking``, a busy engine or a cold snapshot defers.
         """
-        prepared = session.prepare_rank(specs, rank_request, tick="svc")
-        view = None
-        if prepared.kernel is not None and self.batcher is not None:
-            view = self.batcher.execute(prepared, deadline)
+        prepared = session.prepare_rank(specs, rank_request, tick="svc", blocking=blocking)
+        if prepared is None:
+            raise WouldBlock("busy")
+        if prepared.cold:
+            raise WouldBlock("cold")
+        view = self.memo.execute(prepared) if prepared.kernel is not None else None
         return prepared.complete(view)
 
-    def install_context(self, tenant: str, specs: Iterable[str]) -> ServiceResponse:
+    def install_context(
+        self, tenant: str, specs: Iterable[str], *, blocking: bool = True
+    ) -> ServiceResponse:
         """Install a *standing* context for a tenant (``POST /context``).
 
         Subsequent ``/rank`` requests without a ``context`` parameter
-        rank under this context until it is replaced.  A context install
-        may mint a whole session, so the gateway dispatches it like a
-        miss — and sheds it like one when its dispatch queue is full
-        (:meth:`shed_inline` with no attempt).
+        rank under this context until it is replaced.  ``blocking=False``
+        is the event loop's try, as for :meth:`finish_rank`:
+        :class:`WouldBlock`, nothing installed or counted, when the
+        install would mint a session, wait on the shard or engine lock,
+        or journal.  The
+        gateway then dispatches it like a miss — and sheds it like one
+        when its dispatch queue is full (:meth:`shed_inline` with no
+        attempt).
         """
+        if not blocking and self.registry.journal is not None:
+            raise WouldBlock("journal")
         clock = _StageClock()
         specs = tuple(str(spec) for spec in specs)
         lookup: KeyLookup | None = None
@@ -1021,13 +1076,19 @@ class RankingService:
                 lookup = self._keyer.lookup(str(tenant), specs, None, None, False)
         try:
             with clock.stage("resolve"):
-                checkout = self.registry.checkout(str(tenant))
+                checkout = self.registry.checkout(str(tenant), blocking=blocking)
                 session = checkout.__enter__()
             try:
+                if session is None:
+                    raise WouldBlock("not_resident")
                 with clock.stage("context"):
                     # One hold of the engine lock: the fingerprint is
                     # the state this install left, not a later one.
-                    fingerprint = session.install_and_fingerprint(specs, tick="svc")
+                    fingerprint = session.install_and_fingerprint(
+                        specs, tick="svc", blocking=blocking
+                    )
+                if fingerprint is None:
+                    raise WouldBlock("busy")
                 if lookup is not None:
                     # Read-your-writes: the very next /rank without a
                     # context parameter should already hit under the
@@ -1035,6 +1096,8 @@ class RankingService:
                     self._keyer.learn(lookup, fingerprint)
             finally:
                 checkout.__exit__(None, None, None)
+        except WouldBlock:
+            raise
         except ReproError as exc:
             return self._reply(clock, 400, {"error": str(exc)}, outcome="bad_request")
         except Exception as exc:  # noqa: BLE001 - the gateway must answer
@@ -1116,15 +1179,9 @@ class RankingService:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Drain the batch scheduler (in-flight work is not waited on).
-
-        Open groups flush on their leaders' threads, so no queued
-        request is orphaned even when the queue is non-empty at
-        shutdown.  The service owns no thread of its own: every request
-        runs on its caller's.
-        """
-        if self.batcher is not None:
-            self.batcher.close()
+        """Nothing to drain: the service owns no thread and no queue —
+        every request runs on its caller's thread.  Kept so fronts can
+        close whatever service they were given."""
 
     # -- observability -----------------------------------------------------
     def _breaker_transition(self, scope: str, old: str, new: str) -> None:
@@ -1195,12 +1252,18 @@ class RankingService:
             "max_request_timeout": self.config.max_request_timeout,
             "serve_stale": self.config.serve_stale,
             "stale_max_age": self.config.stale_max_age,
-            "batch_max_size": self.config.batch_max_size,
-            "batch_max_wait_us": self.config.batch_max_wait_us,
         }
-        snapshot["batching"] = (
-            self.batcher.snapshot() if self.batcher is not None else {"enabled": False}
-        )
+        memo = self.memo.info()
+        # The memo under the section's old keys: every memo request is
+        # "batched", every kernel pass a "batch", and nothing waits.
+        snapshot["batching"] = {
+            "enabled": True,
+            **memo,
+            "batched_requests": memo["requests"],
+            "batches": memo["passes"],
+            "coalesce_ratio": memo["hits"] / memo["requests"] if memo["requests"] else 0.0,
+            "queue_wait": LatencyRecorder().summary(),
+        }
         snapshot["registry"] = self.health()["registry"]
         registry = self.registry
         space = registry.space
@@ -1218,6 +1281,9 @@ class RankingService:
         deferred = dict(self._delta_hits)
         snapshot["cache"]["delta_hits_inline"] = deferred.pop("inline")
         snapshot["cache"]["delta_hits_deferred"] = deferred
+        misses = dict(self._misses)
+        snapshot["cache"]["misses_inline"] = misses.pop("inline")
+        snapshot["cache"]["misses_deferred"] = misses
         snapshot["resilience"] = {
             "counters": self.metrics.counters("resilience"),
             "breaker": (

@@ -526,8 +526,11 @@ class FaultInjector:
             or self.worker_ttl
         )
 
-    def _targets(self, tenant: str) -> bool:
-        return self.tenants is None or tenant in self.tenants
+    def targets_rank(self, tenant: str) -> bool:
+        """Would :meth:`before_rank` inject a delay or an error for ``tenant``?"""
+        return bool(self.rank_delay or self.rank_error_rate) and (
+            self.tenants is None or tenant in self.tenants
+        )
 
     def before_rank(self, tenant: str) -> None:
         """Inject the configured rank faults for one request.
@@ -537,7 +540,7 @@ class FaultInjector:
         drill answers 504 when the deadline passes, not when the delay
         ends.
         """
-        if not (self.rank_delay or self.rank_error_rate) or not self._targets(tenant):
+        if not self.targets_rank(tenant):
             return
         if self.rank_delay:
             # Sleep in slices, honouring any active deadline — real slow

@@ -38,9 +38,11 @@ global lock.  The contract:
   tenant disappears from the table immediately (the next checkout mints
   afresh) but the in-flight holder keeps a fully working session.  An
   eviction can therefore never yank the overlay out from under a rank.
-* ``resident(tenant_id)`` is the non-waiting checkout: it pins an
-  already live session for a short block, or yields ``None`` instead
-  of minting or waiting for the shard lock.
+* ``checkout(tenant_id, blocking=False)`` is the non-waiting checkout:
+  it pins an already live session, or yields ``None`` instead of
+  minting or waiting for the shard lock.  ``resident(tenant_id)`` is
+  the same try without a pin, for a short block that holds the shard
+  lock itself.
 * :meth:`info` and ``len``/``in``/iteration snapshot each shard under
   its lock, so the counters are internally consistent per shard and the
   aggregate is a sum of per-shard atomic snapshots (shards are read in
@@ -250,13 +252,14 @@ class UserSession:
         request: RankRequest | str | None = None,
         *,
         tick: str = "ctx",
+        blocking: bool = True,
     ):
-        """Snapshot install + rank for batched scoring (see
-        :meth:`RankingEngine.prepare_rank`): the context delta lands
-        under the engine lock (and is journaled), the kernel pass runs
-        outside it so batch-mates from other tenants never wait here."""
-        prepared = self.engine.prepare_rank(specs, request, tick=tick)
-        if specs:
+        """Snapshot install + rank (see :meth:`RankingEngine.prepare_rank`,
+        ``blocking`` included): the context delta lands under the engine
+        lock (and is journaled), the kernel pass runs outside it, so
+        mates from other tenants never wait here."""
+        prepared = self.engine.prepare_rank(specs, request, tick=tick, blocking=blocking)
+        if specs and prepared is not None:
             self._persist()
         return prepared
 
@@ -294,6 +297,14 @@ class _Shard:
         self.minted = 0
         self.hits = 0
         self.evictions = 0
+
+    def touch(self, tenant_id: str) -> "UserSession | None":
+        """The live session, marked most recent and counted a hit (under the lock)."""
+        session = self.sessions.get(tenant_id)
+        if session is not None:
+            self.sessions.move_to_end(tenant_id)
+            self.hits += 1
+        return session
 
     def evict_over_capacity(self, protect: "UserSession | None" = None) -> list[str]:
         """Evict least-recent *unpinned* sessions down to capacity.
@@ -457,18 +468,31 @@ class TenantRegistry:
         self,
         tenant_id: str,
         *,
+        blocking: bool = True,
         user: str | Individual | None = None,
         rules: RuleRepository | None = None,
         **options: object,
-    ) -> Iterator[UserSession]:
+    ) -> Iterator[UserSession | None]:
         """A pinned, request-scoped checkout.
 
         While the ``with`` block runs, the session cannot be chosen as
         an LRU victim and an explicit :meth:`evict` is deferred until
         the last pin releases — an in-flight rank can never lose its
         overlay.  This is the checkout the serving pipeline uses.
+
+        ``blocking=False`` never mints and only *tries* the tenant's
+        shard lock: it yields ``None`` when the tenant has no live
+        session or its shard is busy (minting or sweeping on another
+        thread).  The pin it takes is released like any other.
         """
-        session = self._checkout(str(tenant_id), user, rules, options, pin=True)
+        tenant_id = str(tenant_id)
+        if blocking:
+            session = self._checkout(tenant_id, user, rules, options, pin=True)
+        else:
+            session = self._try_pin(tenant_id)
+            if session is None:
+                yield None
+                return
         try:
             yield session
         finally:
@@ -492,11 +516,20 @@ class TenantRegistry:
             yield None
             return
         try:
-            session = shard.sessions.get(tenant_id)
+            yield shard.touch(tenant_id)
+        finally:
+            shard.lock.release()
+
+    def _try_pin(self, tenant_id: str) -> UserSession | None:
+        """Pin the tenant's live session without minting or waiting."""
+        shard = self._shard_for(tenant_id)
+        if not shard.lock.acquire(blocking=False):
+            return None
+        try:
+            session = shard.touch(tenant_id)
             if session is not None:
-                shard.sessions.move_to_end(tenant_id)
-                shard.hits += 1
-            yield session
+                session.pins += 1
+            return session
         finally:
             shard.lock.release()
 
@@ -512,10 +545,8 @@ class TenantRegistry:
         shard = self._shard_for(tenant_id)
         evicted: list[str] = []
         with shard.lock:
-            session = shard.sessions.get(tenant_id)
+            session = shard.touch(tenant_id)
             if session is not None:
-                shard.sessions.move_to_end(tenant_id)
-                shard.hits += 1
                 if pin:
                     session.pins += 1
             else:

@@ -844,13 +844,12 @@ class RecordingService(RankingService):
         return super()._render(request, response)
 
 
-def make_service(include_timings=False, batch=0, clock=None, **config):
+def make_service(include_timings=False, clock=None, **config):
     cache = InMemoryCacheAdapter(max_entries=64, ttl=5.0, stale_grace=600.0,
                                  **({"clock": clock} if clock else {}))
     return RecordingService(
         TenantRegistry(build_tvtouch(), shards=2, max_sessions=16),
         ServiceConfig(max_concurrency=4, include_timings=include_timings,
-                      batch_max_size=batch, batch_max_wait_us=200.0,
                       breaker_min_requests=50, **config),
         cache=cache,
     )
@@ -883,11 +882,17 @@ PARAMS = [
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("batch", [0, 4])
-def test_fresh_hit_and_echo_bodies_are_byte_identical(backend, batch):
+@pytest.mark.parametrize("mate", [False, True], ids=["alone", "after_mate"])
+def test_fresh_hit_and_echo_bodies_are_byte_identical(backend, mate):
     with kernel_backend(backend):
-        service = make_service(batch=batch)
+        service = make_service()
+        renders = 2 if mate else 1
         for params in PARAMS:
+            if mate:
+                # Another tenant ranks the same context first, so the
+                # scored view may come from the service's memo.
+                mate_params = {**params, "tenant": [f"mate-{params['tenant'][0]}"]}
+                assert service.rank(mate_params).status == 200
             context = tuple(params["context"])
             fresh = service.rank(params)
             assert fresh.status == 200
@@ -905,7 +910,9 @@ def test_fresh_hit_and_echo_bodies_are_byte_identical(backend, batch):
             del standing["context"]
             pure = service.rank(standing)  # a pure hit: no echo, served from begin_rank
             assert_wire(pure, legacy_hit(stored, None))
-            assert len(service.rendered) == PARAMS.index(params) + 1  # hits never re-render
+            # hits never re-render
+            assert len(service.rendered) == (PARAMS.index(params) + 1) * renders
+        assert (service.memo.info()["hits"] > 0) is mate
         service.close()
 
 

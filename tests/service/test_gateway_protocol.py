@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.reason import clear_registry
-from repro.service import RankingService, ServiceConfig, make_aio_server
+from repro.service import RankingService, ServiceConfig, WouldBlock, make_aio_server
 from repro.service.aio import (
     MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
@@ -543,7 +543,9 @@ class TestRouting:
     def test_exception_off_the_loop_is_500_and_the_gateway_survives(
         self, gateway, monkeypatch
     ):
-        def boom(attempt):
+        def boom(attempt, *, blocking=True):
+            if not blocking:
+                raise WouldBlock("busy")  # the loop's try defers: the failure is off the loop
             raise RuntimeError("off-loop boom")
 
         monkeypatch.setattr(gateway.service, "finish_rank", boom)

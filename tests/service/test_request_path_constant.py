@@ -15,10 +15,11 @@ warm tvtouch service and a warm 40-program Section 5 service:
     hold of the metrics lock;
 (e) a delta hit over HTTP is answered on the loop: no executor hop,
     one install, one fingerprint, no blocking checkout and no breaker call;
-(f) a miss over HTTP takes one executor hop — the gateway pool thread
-    runs the rank itself, under the deadline — and no other pool exists;
-(g) a miss on a warm basis, batching off, is one kernel pass, run after
-    the tenant's engine lock is released;
+(f) a warm miss over HTTP is ranked on the loop, under the deadline,
+    with no executor hop; a non-resident tenant's miss takes exactly one
+    hop, to the gateway pool, and no other pool exists;
+(g) a miss on a warm basis is one kernel pass, run after the tenant's
+    engine lock is released;
 (h) what a fresh-context miss digests for its cache key does not grow
     with the shared world's sensed context;
 (i) a full ranking of a 2 000-program world reaches the render as
@@ -263,8 +264,9 @@ def serve_one(service, query, *more):
 
 
 def test_an_http_miss_takes_one_thread(world_name, monkeypatch):
-    # The default deadline is on: the miss still makes one hop, to the
-    # gateway pool, whose thread ranks under the deadline itself.
+    # The default deadline is on.  A warm miss is ranked by the loop
+    # itself; only a tenant with no live session (a mint) is handed to
+    # the gateway pool, whose thread ranks under the deadline.
     service = build_service(world_name, request_timeout=2.0)
     warm(service, world_name)
     _first, second, third = CONTEXTS[world_name]
@@ -276,12 +278,26 @@ def test_an_http_miss_takes_one_thread(world_name, monkeypatch):
         return real(self, fn, *args, **kwargs)
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
-    body, names = serve_one(
-        service, f"tenant=alice&top_k=3&context={third}:0.3737&context={second}"
-    )
+    context = f"top_k=3&context={third}:0.3737&context={second}"
+    missed = []  # after each request: misses answered on the loop, deferred
+    real_finish = RankingService.finish_rank
+
+    def finish(self, attempt, **kwargs):
+        try:
+            return real_finish(self, attempt, **kwargs)
+        finally:
+            cache = self.metrics_snapshot()["cache"]
+            missed.append((cache["misses_inline"], cache["misses_deferred"]["not_resident"]))
+
+    monkeypatch.setattr(RankingService, "finish_rank", finish)
+    body, names = serve_one(service, f"tenant=alice&{context}")
     assert "cached" not in body and body["items"]
-    assert len(submits) == 1
+    assert submits == [] and missed == [(1, 0)]
     assert not [name for name in names if name.startswith("repro-rank")]
+    assert "zoe" not in service.registry  # never minted
+    body, _names = serve_one(service, f"tenant=zoe&{context}")
+    assert "cached" not in body and body["items"]
+    assert len(submits) == 1 and missed[1:] == [(1, 1), (1, 1)]
 
 
 def test_an_http_miss_is_one_kernel_pass_outside_the_engine_lock(world_name, monkeypatch):

@@ -114,7 +114,7 @@ class TestPrepareRank:
         assert prepared.response is None
         assert prepared.kernel is not None
         assert prepared.signature is not None
-        assert prepared.group_key is not None
+        assert prepared.memo_key[0] is prepared.kernel.candidates
         response = prepared.complete(prepared.kernel.score_documents())
         assert [item.document for item in response.items] == (
             engine.rank(RankRequest(top_k=2)).documents()
@@ -238,6 +238,7 @@ class TestScorePreparedBatch:
         assert first.signature != second.signature
         assert first.kernel.coalesce_key == second.kernel.coalesce_key
         assert first.kernel.candidates is second.kernel.candidates
+        assert first.memo_key == second.memo_key  # tenant-blind: one memo entry
         scored, rows = score_prepared_batch(prepared)
         assert rows == 1, "equal coefficients must share one scored row"
         assert scored[0] is scored[1]
@@ -249,7 +250,7 @@ class TestScorePreparedBatch:
         first = engine.prepare_rank(("Weekend:0.11",), RankRequest())
         second = engine.prepare_rank(("Weekend:0.86",), RankRequest())
         assert first.kernel.candidates is second.kernel.candidates
-        assert first.group_key == second.group_key
+        assert first.memo_key != second.memo_key  # one matrix, two bindings
         assert first.signature != second.signature
         scored, rows = score_prepared_batch([first, second])
         assert rows == 2
