@@ -10,7 +10,7 @@ help:
 	@echo "make test         - run the full test suite"
 	@echo "make test-fast    - the suite minus the slow concurrency hammers and the fresh-context memory test"
 	@echo "make bench-smoke  - benchmark scripts at tiny sizes (REPRO_BENCH_SMOKE=1)"
-	@echo "make ledger-smoke - 5 s traced ledger runs of full_ranking, herd_miss + zipf_steady (failed = 0, every traced target resolves)"
+	@echo "make ledger-smoke - 5 s traced ledger runs of full_ranking, herd_miss, zipf_steady + churn_writes (failed = 0, every traced target resolves)"
 	@echo "make boot-report  - what a worker loads: importtime, module counts, the first rank split (bind / kernel compile / numpy import), seconds + RSS + status to the first answer at 4, 2 000 and 10 000 programs"
 	@echo "make reach-report - function-body lines under src/repro reached by the examples, the paper benchmarks E1-E8 at smoke size, every CLI verb and four in-process serve runs (stdlib tracer)"
 	@echo "make bench        - the full benchmark suite (slow; rewrites results/)"

@@ -13,7 +13,11 @@ lazy.  This bench sweeps candidates x rules on the Section 5 workload
 * the **kernel (numpy)** and **kernel (python)** batch paths, compiled
   cold per run;
 * the **incremental** path: context-only rebind on the compiled
-  matrix vs a full re-bind (the engine's context-delta refresh).
+  matrix vs a full re-bind (the engine's context-delta refresh);
+* the **engine miss**: a warm :class:`~repro.engine.RankingEngine` miss
+  over 12 rules whose context moves in one concept, with the reuse
+  verdict and 11 bindings carried vs the full reuse walk and 12-rule
+  bind (asserted by count: one rule re-bound per miss, no walk).
 
 Asserted claims (full mode): at 1000 candidates x 10 rules the numpy
 kernel beats the per-document scorer by >= 5x and the pure-python
@@ -39,6 +43,9 @@ from repro.core import (
     split_trivial_documents,
 )
 from repro.dl.vocabulary import Individual
+from repro.engine import RankingEngine, RankRequest
+from repro.engine.basis import ViewBasis
+from repro.engine.engine import context_bind_counters
 from repro.perf.backend import numpy_or_none
 from repro.reporting import TextTable
 from repro.workloads import (
@@ -203,7 +210,67 @@ def test_e10_kernel_speedup(world, save_result, save_json):
         )
 
 
-def test_e10_incremental_rescoring(world, save_result, save_json):
+def engine_context_miss(monkeypatch) -> tuple[TextTable, dict]:
+    """A warm engine miss that moves one context concept re-binds one rule.
+
+    12 rules, each reading its own ``CtxScenario_i``; every miss gives
+    ``CtxScenario_00`` a never-repeated probability.  Asserted by count
+    (every mode): one rule re-bound and eleven carried per miss, and no
+    :meth:`ViewBasis.reusable_for` walk.  Timed against the same miss
+    with the carried binding dropped first — the walk and the full bind
+    every miss paid before.
+    """
+    world = generate_test_database(seed=7, counts=Section5Counts().scaled(SCALE))
+    engine = RankingEngine.from_world(world, rules=generate_rule_series(world, 12, seed=13))
+    standing = [f"CtxScenario_{index:02d}:0.{index + 50}" for index in range(1, 12)]
+    request = RankRequest(top_k=3)
+    probabilities = iter(range(1000, 10_000))
+
+    def miss(walk: bool = False):
+        # a never-repeated probability of CtxScenario_00: a view-cache miss
+        specs = [f"CtxScenario_00:0.{next(probabilities)}", *standing]
+        if walk:
+            engine._carried = None  # what every miss did before carrying
+        prepared = engine.prepare_rank(specs, request)
+        assert prepared.kernel is not None
+        return prepared.complete()
+
+    engine.rank_in_context(standing, request)  # compiles the basis
+    miss(walk=True)  # walks once and seeds the carried binding
+    walks = []
+    real_walk = ViewBasis.reusable_for
+    monkeypatch.setattr(
+        ViewBasis, "reusable_for", lambda *args, **kw: walks.append(1) or real_walk(*args, **kw)
+    )
+    before = context_bind_counters()
+    misses = 20
+    for _ in range(misses):
+        miss()
+    after = context_bind_counters()
+    moved = {key: after[key] - before[key] for key in after}
+    assert walks == []
+    assert moved == {
+        "rules_rebound": misses, "rules_carried": 11 * misses,
+        "verdicts_carried": misses, "verdicts_walked": 0,
+    }
+    carried_seconds = best_of(miss, runs=RUNS * 4)
+    walked_seconds = best_of(lambda: miss(walk=True), runs=RUNS * 4)
+
+    table = TextTable(["engine warm miss (12 rules, one concept moves)", "best (ms)", "rules re-bound"])
+    table.add_row(["reuse walk + 12-rule bind", walked_seconds * 1e3, 12])
+    table.add_row(["carried verdict + stale-rule bind", carried_seconds * 1e3, 1])
+    return table, {
+        "candidates": len(world.programs),
+        "rules": 12,
+        "variants": [
+            {"variant": "walk + full bind", "best_ms": walked_seconds * 1e3, "rules_rebound": 12},
+            {"variant": "carried", "best_ms": carried_seconds * 1e3, "rules_rebound": 1},
+        ],
+        "speedup": walked_seconds / carried_seconds,
+    }
+
+
+def test_e10_incremental_rescoring(world, save_result, save_json, monkeypatch):
     """Context-only rebinds on the compiled matrix vs full re-binds."""
     rules = CELLS[-1][1]
     repository = generate_rule_series(world, rules, seed=13)
@@ -234,7 +301,8 @@ def test_e10_incremental_rescoring(world, save_result, save_json):
     table = TextTable(["variant", "best (ms)", "speedup"])
     table.add_row(["full re-bind + compile + score", cold_seconds * 1e3, "x1.0"])
     table.add_row(["context-only rebind (incremental)", incremental_seconds * 1e3, f"x{speedup:.1f}"])
-    save_result("e10_incremental", table.render())
+    engine_table, engine_record = engine_context_miss(monkeypatch)
+    save_result("e10_incremental", table.render() + "\n\n" + engine_table.render())
     save_json(
         "e10_incremental",
         {
@@ -246,6 +314,7 @@ def test_e10_incremental_rescoring(world, save_result, save_json):
                 {"variant": "incremental", "best_ms": incremental_seconds * 1e3},
             ],
             "speedup": speedup,
+            "engine_miss": engine_record,
         },
     )
     if not SMOKE:

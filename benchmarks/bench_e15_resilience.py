@@ -65,8 +65,10 @@ STORM_WORKERS = 4
 # The event-loop gateway clears the smoke-sized storm in well under
 # 0.5s, so the smoke killer must tick fast enough to land ≥ 1 kill —
 # but capped at 2 kills total so rapid ticks can never put 3 deaths
-# on one slot inside the crash-loop window and fence it.
-KILL_PERIOD = 0.05 if SMOKE else 1.0
+# on one slot inside the crash-loop window and fence it.  The full
+# storm lasts about half a second, so its killer ticks every 0.25 s
+# (a 1 s period ended the storm before the first kill).
+KILL_PERIOD = 0.05 if SMOKE else 0.25
 MAX_KILLS = 2 if SMOKE else None
 RANK_ERROR_RATE = 0.05
 CONCURRENCY = 8

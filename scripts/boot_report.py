@@ -17,7 +17,9 @@ it at another checkout to compare two commits with one script):
   (what every ``full_ranking`` request is), split into the view
   signature and its digest, the basis reuse check, the rule bind, the
   kernel pass, the order/truncate step and the items' JSON — median
-  microseconds per miss;
+  microseconds per miss — and the mean number of rules a miss re-bound
+  (``/metrics`` → ``reasoner.rules_rebound``; ``n/a`` on a tree that
+  does not count them);
 * for the real ``python -m repro serve --port 0`` on two worlds — the
   default four-program TVTouch world and a 2 000-program Section 5
   snapshot, one on each side of the kernel's ``VECTOR_MIN`` size rule —
@@ -115,6 +117,9 @@ STEPS = [
     (repro.service.pipeline, "_items_json", "_items_json"),
 ]
 spent, split = {}, {}
+counters = getattr(repro.engine.engine, "context_bind_counters", None)
+def rebound():
+    return counters()["rules_rebound"] if counters is not None else 0
 def probe(owner, name, step):
     real = getattr(owner, name)
     def timed(*args, **kwargs):
@@ -141,16 +146,20 @@ def misses(service, *args, **kwargs):
     for owner, name, step in STEPS:
         probe(owner, name, step)
     readings = {"whole miss": [], **{step: [] for _owner, _name, step in STEPS}}
+    rules = []
     for index in range(MISSES):
         spent.clear()
+        before = rebound()
         started = time.perf_counter()
         if not miss(index):
             continue  # not a miss: its steps are not a miss's account
         spent["whole miss"] = time.perf_counter() - started
+        rules.append(rebound() - before)
         for step, values in readings.items():
             values.append(spent.get(step, 0.0))
     split.update({step: statistics.median(values) * 1e6 for step, values in readings.items()})
     split["misses"] = len(readings["whole miss"])
+    split["rules re-bound"] = statistics.mean(rules) if counters is not None else None
     return 0
 aio.serve = misses
 from repro.cli import main
@@ -370,8 +379,10 @@ def main(argv: list[str] | None = None) -> int:
     for top_k, runs in miss_splits.items():
         shape = "full ranking" if top_k is None else f"top-{top_k}"
         print(f"    {shape}: " + " · ".join(
-            f"{step} {median(runs, step):.1f}" for step in runs[0] if step != "misses"
-        ) + f" ({min(run['misses'] for run in runs)}+ misses a run)")
+            f"{step} {median(runs, step):.1f}"
+            for step in runs[0] if step not in ("misses", "rules re-bound")
+        ) + f" · rules re-bound {show(median(runs, 'rules re-bound'), '.1f')} of 12"
+          f" ({min(run['misses'] for run in runs)}+ misses a run)")
     print(f"  real `repro serve --port 0`, medians of {max(1, args.repeat)} boots "
           "(status: the first rank's, under the default deadline):")
     header = (f"    {'world':<36} {'announce s':>10} {'RSS MB':>8} {'first rank s':>12} "

@@ -1,8 +1,10 @@
-"""Ledger smoke: a short traced run of the miss path and of the hit path.
+"""Ledger smoke: short traced runs of the miss, hit and churn paths.
 
 Runs ``benchmarks/ledger/run.py --workload W --seed 7 --seconds 5
---trace 1`` for ``full_ranking``, ``herd_miss`` and ``zipf_steady``
-(95 % hits) and fails when the run's JSON line reports a failed
+--trace 1`` for ``full_ranking``, ``herd_miss``, ``zipf_steady`` (95 %
+hits) and ``churn_writes`` (the one workload that evicts and re-mints
+sessions beside engines carrying their last context binding; its
+oracle checks answers with eviction semantics) and fails when the run's JSON line reports a failed
 operation or ``trace.resolved_share`` below 1 — a traced entry point
 that was renamed (or an answer that stopped matching the oracle) then
 breaks CI instead of silently blanking a row of the per-layer account.
@@ -17,7 +19,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("full_ranking", "herd_miss", "zipf_steady")
+WORKLOADS = ("full_ranking", "herd_miss", "zipf_steady", "churn_writes")
 
 
 def smoke(workload: str) -> list[str]:

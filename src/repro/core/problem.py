@@ -155,7 +155,12 @@ def bind_rules(
     This is the cheap half — one membership event per rule — and the
     only half that changes when the situation develops; the incremental
     rescoring path (:meth:`repro.core.kernel.ScoringKernel.with_context`)
-    recomputes just this vector on an unchanged candidate matrix.
+    recomputes just this vector on an unchanged candidate matrix.  Each
+    rule binds independently of the others, so the engine passes only
+    the rules a context delta may have moved
+    (:meth:`repro.engine.basis.ViewBasis.stale_rules`) and splices the
+    result into its last binding: the same events and probabilities a
+    call over every rule returns.
     """
     user = Individual(user) if isinstance(user, str) else user
     session = (kb if kb is not None else compiled_kb(abox, tbox, space)).session()

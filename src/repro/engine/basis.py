@@ -27,6 +27,22 @@ vanished since compile time is itself part of the snapshot delta — its
 endpoints are in the touched set, and every candidate is in its own
 support closure, so any delta that could rewire reachability around
 the candidates is caught before the closures are trusted.
+
+A verdict also *carries*.  Eq. 4 sees the context only through each
+rule's ``P(g)``, and a rule's context event for the user reads only the
+concept names its expanded context reads
+(:meth:`~repro.reason.ReasonerSession.concept_reads`).  Each basis
+therefore keeps a :class:`DependencyIndex` — name → the rules (a
+bitmask) whose context reads it, plus a bit for the target — built once
+on first use.  An engine that proved the basis reusable for one
+snapshot, with its user among the individuals that proof cleared, asks
+:meth:`ViewBasis.stale_rules` about the next one: when the delta is
+only concept assertions about that user on names the (role-free)
+target does not read, the reachability maps, every target event and the
+cleared region are those of the proven snapshot, so the verdict holds
+without a walk, and only the rules indexed under a changed name need a
+re-bind.  Any other delta answers ``None``, and the engine walks
+:meth:`ViewBasis.reusable_for`.
 """
 
 from __future__ import annotations
@@ -34,18 +50,22 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, Iterable
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 from repro.core.kernel import ScoringKernel
 from repro.dl.abox import ABox, ConceptAssertion
 from repro.dl.concepts import Concept
 from repro.dl.instances import membership_event
 from repro.dl.tbox import TBox
+from repro.dl.vocabulary import ConceptName, Individual
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.reason import CompiledKB
+    from repro.rules.rule import PreferenceRule
 
 __all__ = [
+    "DependencyIndex",
     "ViewBasis",
     "build_view_basis",
     "dynamic_snapshot",
@@ -129,6 +149,44 @@ def _touched_names(delta: Iterable) -> set[str]:
     return touched
 
 
+@dataclass(frozen=True)
+class DependencyIndex:
+    """Which concept names the rule contexts and the target read.
+
+    ``masks[name]`` has bit ``i`` set when rule ``i``'s context reads
+    ``name`` for one individual, and :attr:`target_bit` set when the
+    target does.  ``always`` holds the rules whose context walks a role:
+    any non-empty delta re-binds them.  ``carries`` is false when the
+    target walks a role — no verdict is ever carried then.
+    """
+
+    masks: Mapping[ConceptName, int]
+    always: int
+    target_bit: int
+    carries: bool
+
+
+def _dependency_index(
+    kb: "CompiledKB", rules: Sequence[PreferenceRule], target: Concept
+) -> DependencyIndex:
+    """The :class:`DependencyIndex` of ``rules`` (in order) and ``target``."""
+    session = kb.session()
+    masks: dict[ConceptName, int] = {}
+    always = 0
+    for position, rule in enumerate(rules):
+        names = session.concept_reads(rule.context)
+        if names is None:
+            always |= 1 << position
+            continue
+        for name in names:
+            masks[name] = masks.get(name, 0) | 1 << position
+    target_bit = 1 << len(rules)
+    names = session.concept_reads(target)
+    for name in names or ():
+        masks[name] = masks.get(name, 0) | target_bit
+    return DependencyIndex(MappingProxyType(masks), always, target_bit, names is not None)
+
+
 @dataclass
 class ViewBasis:
     """A compiled kernel plus the evidence needed to reuse it safely."""
@@ -139,6 +197,63 @@ class ViewBasis:
     #: :meth:`_support`.  One tuple, replaced whole: the basis is shared
     #: across tenants' threads through the pool.
     _support_memo: tuple | None = field(default=None, repr=False, compare=False)
+    #: The :class:`DependencyIndex`, built on first use and never
+    #: changed: rules and target are fixed by the basis key.
+    _dependencies: DependencyIndex | None = field(default=None, repr=False, compare=False)
+
+    def dependencies(self, kb: "CompiledKB", target: Concept) -> DependencyIndex:
+        """This basis's :class:`DependencyIndex` (built once, then shared)."""
+        index = self._dependencies
+        if index is None:
+            rules = [binding.rule for binding in self.kernel.bindings]
+            index = self._dependencies = _dependency_index(kb, rules, target)
+        return index
+
+    def clears(self, snapshot: frozenset, user: Individual) -> bool:
+        """Does a true :meth:`reusable_for` at ``snapshot`` vouch for ``user``?
+
+        True when the delta from the compiled snapshot names the user:
+        the verdict then walked everything that reaches the user (none
+        of it in the candidates' support, none of it a possible target
+        member) — the precondition :meth:`stale_rules` carries.
+        """
+        return user.name in _touched_names(self.snapshot ^ snapshot)
+
+    def stale_rules(
+        self,
+        previous: frozenset,
+        snapshot: frozenset,
+        user: Individual,
+        kb: "CompiledKB",
+        target: Concept,
+    ) -> int | None:
+        """The rules whose context binding ``snapshot`` may have moved.
+
+        ``previous`` must be a snapshot this basis was proven reusable
+        for, with :meth:`clears` true for ``user``.  Returns the bitmask
+        of rules (bit ``i`` = the basis's rule ``i``) to re-bind for
+        ``user`` — ``0`` when the delta is empty — with the reuse verdict
+        carried over; ``None`` when the delta is anything but concept
+        assertions about ``user`` on names the target does not read (or
+        the target walks a role): walk :meth:`reusable_for` instead.
+        One dict probe per changed assertion.
+        """
+        delta = previous ^ snapshot
+        if not delta:
+            return 0
+        index = self.dependencies(kb, target)
+        if not index.carries:
+            return None
+        masks = index.masks
+        name = user.name
+        stale = index.always
+        for assertion in delta:
+            if type(assertion) is not ConceptAssertion or assertion.individual.name != name:
+                return None
+            stale |= masks.get(assertion.concept, 0)
+        if stale & index.target_bit:
+            return None
+        return stale
 
     def _support(self, abox: ABox, forward) -> frozenset[str]:
         """The candidates' support closure under ``forward``.

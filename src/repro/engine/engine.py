@@ -50,6 +50,7 @@ shared across engines by :class:`ScoredViewMemo`, keyed on what
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ from repro.core.kernel import (
     score_values,
 )
 from repro.core.preference_view import PreferenceView
-from repro.core.problem import _active_deadline, bind_rules
+from repro.core.problem import RuleBinding, _active_deadline, bind_rules
 from repro.core.scorer import ContextAwareScorer
 from repro.core.scoring import DocumentScore
 from repro.dl.abox import ABox, content_digest
@@ -73,7 +74,12 @@ from repro.dl.tbox import TBox
 from repro.dl.vocabulary import Individual
 from repro.errors import EngineError, ScoringError
 from repro.events.space import EventSpace
-from repro.engine.basis import build_view_basis, shared_basis_pool
+from repro.engine.basis import (
+    ViewBasis,
+    build_view_basis,
+    dynamic_snapshot,
+    shared_basis_pool,
+)
 from repro.engine.cache import CacheInfo, ViewCache
 from repro.engine.requests import RankedItems, RankRequest, RankResponse, as_requests
 from repro.reason import CompiledKB, ReasonerInfo, compiled_kb
@@ -91,7 +97,13 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 #: The explanation renderer, loaded by the first ``explain`` request.
 _explain = lazy_module("repro.core.explain")
 
-__all__ = ["PreparedRank", "RankingEngine", "ScoredViewMemo", "score_prepared_batch"]
+__all__ = [
+    "PreparedRank",
+    "RankingEngine",
+    "ScoredViewMemo",
+    "context_bind_counters",
+    "score_prepared_batch",
+]
 
 #: What :meth:`RankingEngine._resolve` finds for a signature:
 #: ``(signature, cached view, kernel)`` — at most one of the last two
@@ -255,6 +267,65 @@ class ScoredViewMemo:
             }
 
 
+#: What :func:`context_bind_counters` reports, in tally order.
+_BIND_COUNTER_NAMES = ("rules_rebound", "rules_carried", "verdicts_carried", "verdicts_walked")
+
+
+class _BindCounts(threading.local):
+    """Per-thread tallies of the context half of warm misses.
+
+    Each thread adds to its own list, so no update races another and
+    none takes a lock; :func:`context_bind_counters` sums every
+    thread's list.
+    """
+
+    lists: list[list[int]] = []
+
+    def __init__(self):
+        self.counts = [0] * len(_BIND_COUNTER_NAMES)
+        self.lists.append(self.counts)
+
+    def add(self, rebound: int, carried: int, verdicts_carried: int, walked: int) -> None:
+        counts = self.counts
+        counts[0] += rebound
+        counts[1] += carried
+        counts[2] += verdicts_carried
+        counts[3] += walked
+
+
+_BIND_COUNTS = _BindCounts()
+
+
+def context_bind_counters() -> dict[str, int]:
+    """Process-wide counts of how warm misses bound their context.
+
+    ``rules_rebound`` / ``rules_carried``: rules bound afresh / carried
+    from the engine's last binding; ``verdicts_carried`` /
+    ``verdicts_walked``: basis reuse verdicts carried over a context
+    delta / decided by the :meth:`ViewBasis.reusable_for` walk.
+    """
+    totals = [0] * len(_BIND_COUNTER_NAMES)
+    for counts in list(_BindCounts.lists):
+        for index, count in enumerate(counts):
+            totals[index] += count
+    return dict(zip(_BIND_COUNTER_NAMES, totals))
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+def _same_rules(carried: tuple, rules: tuple) -> bool:
+    """The same rule objects in the same order?"""
+    return len(carried) == len(rules) and all(map(operator.is_, carried, rules))
+
+
 #: Distinct rule fingerprints whose digest is remembered.
 _RULES_DIGEST_MEMO_SIZE = 64
 
@@ -347,6 +418,11 @@ class RankingEngine:
         #: ``rank_in_context`` can compose install + rank atomically.
         self._lock = threading.RLock()
         self._cache = ViewCache(max_entries=cache_size)
+        #: ``(basis, snapshot, rules, bindings)`` of the last context
+        #: binding on a basis proven reusable — see :meth:`_bind_on`.
+        #: This engine's alone (it binds this engine's user); read and
+        #: written under the lock.
+        self._carried: tuple | None = None
         self._scorer = self._build_scorer(preferences.repository())
         self._view = PreferenceView(self._scorer, target)
 
@@ -467,18 +543,57 @@ class RankingEngine:
             # Another tenant over the same base may have compiled the
             # matrix already; the reuse guard below decides safety.
             basis = shared_basis_pool().get(basis_key)
-        if basis is None or not basis.reusable_for(
-            self.abox, self.tbox, self.target, kb=self.kb
-        ):
+        if basis is None:
+            self._carried = None
             return key, None, None
-        bindings = bind_rules(
-            self.abox, self.tbox, self.user, [rule for rule in repository], self.space,
-            kb=self.kb,
-        )
+        bindings = self._bind_on(basis, tuple(repository))
+        if bindings is None:
+            return key, None, None
         try:
             return key, None, basis.kernel.with_context(bindings)
         except ScoringError:  # pragma: no cover - fingerprint should prevent this
             return key, None, None
+
+    def _bind_on(self, basis: ViewBasis, rules: tuple) -> tuple[RuleBinding, ...] | None:
+        """The rule bindings of the current context, or ``None`` when
+        ``basis`` cannot serve it (under the lock).
+
+        Carries the last binding on the same basis and rules when the
+        snapshot delta allows it (:meth:`ViewBasis.stale_rules`): the
+        reuse verdict holds without a walk and only the stale rules go
+        through :func:`bind_rules`, spliced into the carried tuple.
+        Otherwise walks :meth:`ViewBasis.reusable_for` and binds every
+        rule, re-seeding the carry when the verdict vouches for the user.
+        """
+        snapshot = dynamic_snapshot(self.abox)
+        carried = self._carried
+        if carried is not None and carried[0] is basis and _same_rules(carried[2], rules):
+            bindings = carried[3]
+            stale = basis.stale_rules(carried[1], snapshot, self.user, self.kb, self.target)
+            if stale is not None:
+                positions = _bits(stale)
+                if positions:
+                    fresh = bind_rules(
+                        self.abox, self.tbox, self.user,
+                        [rules[index] for index in positions], self.space, kb=self.kb,
+                    )
+                    spliced = list(bindings)
+                    for index, binding in zip(positions, fresh):
+                        spliced[index] = binding
+                    bindings = tuple(spliced)
+                self._carried = (basis, snapshot, rules, bindings)
+                _BIND_COUNTS.add(len(positions), len(rules) - len(positions), 1, 0)
+                return bindings
+        if not basis.reusable_for(self.abox, self.tbox, self.target, kb=self.kb):
+            self._carried = None
+            _BIND_COUNTS.add(0, 0, 0, 1)
+            return None
+        bindings = bind_rules(self.abox, self.tbox, self.user, rules, self.space, kb=self.kb)
+        self._carried = (
+            (basis, snapshot, rules, bindings) if basis.clears(snapshot, self.user) else None
+        )
+        _BIND_COUNTS.add(len(rules), 0, 0, 1)
+        return bindings
 
     def _refresh_view(
         self, resolved: _Resolved | None = None
@@ -952,9 +1067,16 @@ class RankingEngine:
         return self.kb.info()
 
     def invalidate_cache(self) -> None:
-        """Drop every memoized view (the next request recomputes)."""
+        """Drop this engine's memoized views, its compiled bases and its
+        carried context binding (the next request recomputes).
+
+        The process-wide basis pool is not touched: an overlay-backed
+        engine finds the pooled basis again on its next miss, behind the
+        full reuse walk.
+        """
         with self._lock:
             self._cache.invalidate()
+            self._carried = None
 
     def __repr__(self) -> str:
         info = self._cache.info()

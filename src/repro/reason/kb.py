@@ -152,6 +152,25 @@ def _union(tables: Iterable[Mapping[Individual, EventExpr]]) -> dict[Individual,
     return _possible({individual: disj(events) for individual, events in rows.items()})
 
 
+def _reads(session: "ReasonerSession", concept: Concept) -> frozenset[ConceptName] | None:
+    """:meth:`ReasonerSession.concept_reads` of an expanded concept."""
+    if isinstance(concept, Atomic):
+        return frozenset(session.sorted_descendants(concept.concept))
+    if isinstance(concept, (Top, Bottom, OneOf)):
+        return frozenset()
+    if isinstance(concept, Not):
+        return _reads(session, concept.child)
+    if isinstance(concept, (And, Or)):
+        names: set[ConceptName] = set()
+        for child in concept.children:
+            read = _reads(session, child)
+            if read is None:
+                return None
+            names |= read
+        return frozenset(names)
+    return None  # a role constructor
+
+
 @dataclass(frozen=True)
 class ReasonerInfo:
     """Cache counters of a :class:`CompiledKB`, in the ``functools`` style.
@@ -258,6 +277,20 @@ class ReasonerSession(MembershipEvaluator):
             roles = super().sorted_role_descendants(role)
             self._role_descendants[role] = roles
         return roles
+
+    def concept_reads(self, concept: Concept) -> frozenset[ConceptName] | None:
+        """The concept names one individual's membership in ``concept`` reads.
+
+        Walks the *expanded* concept, so TBox definitions count: an
+        atomic name reads itself and every name it subsumes, ``¬`` /
+        ``⊓`` / ``⊔`` the union of their children, ``⊤`` / ``⊥`` /
+        ``{a, b}`` nothing.  ``None`` when the concept walks a role
+        (``∃`` / ``∀`` / ``≥n`` / ``VALUE``): its event can then read
+        role edges and other individuals' facts, not just names.
+        Assertions about the individual on any other name leave its
+        membership event unchanged.
+        """
+        return _reads(self, self.expand_concept(concept))
 
     def role_successors(self, role: RoleName, individual: Individual) -> Iterable[RoleAssertion]:
         if self._adjacency is None:

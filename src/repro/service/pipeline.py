@@ -92,7 +92,7 @@ from repro.engine.backends import parse_context_spec
 from repro.engine.requests import RankedItems, RankRequest
 from repro.errors import EngineError, ReproError
 from repro.reason import base_tier
-from repro.engine.engine import ScoredViewMemo
+from repro.engine.engine import ScoredViewMemo, context_bind_counters
 from repro.service.metrics import LatencyRecorder, ServiceMetrics
 from repro.service.resilience import (
     BreakerDecision,
@@ -1275,6 +1275,8 @@ class RankingService:
             "memo_probabilities": base_tier(
                 registry.abox, registry.tbox, space
             ).memo_probabilities,
+            # How warm misses bound their context, process-wide.
+            **context_bind_counters(),
         }
         snapshot["cache"] = self.cache.info().to_dict()
         snapshot["cache"]["enabled"] = bool(self.cache.enabled)

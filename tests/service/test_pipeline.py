@@ -203,8 +203,13 @@ class TestPipeline:
                 }
             )
             assert reply.ok
-        assert service.metrics_snapshot()["reasoner"] == warm
+        after = service.metrics_snapshot()["reasoner"]
+        for flat in ("space_events", "memo_probabilities"):
+            assert after[flat] == warm[flat]
         assert warm["space_events"] == boot["space_events"]
+        # The context-bind counters are the block's moving part.
+        assert after["rules_rebound"] > warm["rules_rebound"]
+        assert after["verdicts_carried"] > warm["verdicts_carried"]
 
 
 class TestConcurrentRequests:
