@@ -21,11 +21,16 @@ traffic, end to end through the service pipeline:
   at a time, the order a gateway's event loop serves warm misses in,
   and from 8 threads, where mates that miss at the same moment each
   score (nobody waits for a mate);
+* **binds**: context binds per herd block — memo requests less the
+  ones that took a mate's bound kernel (``binds_shared``).  Mates of a
+  tenant-blind context share the first one's bind, so a block served
+  in order binds once;
 * **identity**: a held-out herd round issued concurrently to the
   service must agree with each tenant's own engine pass on every
   document score to ≤ 1e-9.
 
-Claims asserted (full mode): at most ``MAX_PASSES_PER_REQUEST`` kernel
+Claims asserted: one bind per herd block served in order (a count, in
+every mode); in full mode, at most ``MAX_PASSES_PER_REQUEST`` kernel
 passes per herd request in serving order, zero errors and score
 identity.  The 8-thread figure and both runs' throughput are
 recorded, not bounded: the old ≥ 1.5× bound of batched
@@ -196,8 +201,9 @@ def test_e17_herd_coalescing(herd_world, save_result, save_json):
     world, rules = herd_world
     table = TextTable(
         ["run", "requests", "throughput (req/s)", "p50 (ms)", "p95 (ms)", "p99 (ms)",
-         "passes/request"]
+         "passes/request", "binds/herd"]
     )
+    herds = REQUESTS // HERD_SPAN
     runs = {}
     for era, (name, workers) in enumerate(RUNS.items()):
         schedule = build_herd_schedule(REQUESTS, era_offset=era * 1_000)
@@ -216,6 +222,7 @@ def test_e17_herd_coalescing(herd_world, save_result, save_json):
         assert report.errors == 0, f"the {name} run saw request errors"
         requests = after["requests"] - before["requests"]
         passes = after["passes"] - before["passes"]
+        binds = requests - (after["binds_shared"] - before["binds_shared"])
         assert requests > 0, "no herd request reached the memo"
         row = report.to_dict()
         runs[name] = {
@@ -223,6 +230,8 @@ def test_e17_herd_coalescing(herd_world, save_result, save_json):
             "memo_requests": requests,
             "kernel_passes": passes,
             "passes_per_request": passes / requests,
+            "binds": binds,
+            "binds_per_herd": binds / herds,
             "run": row,
         }
         table.add_row(
@@ -234,6 +243,7 @@ def test_e17_herd_coalescing(herd_world, save_result, save_json):
                 f"{row['latency_p95_ms']:.2f}",
                 f"{row['latency_p99_ms']:.2f}",
                 f"{passes / requests:.3f}",
+                f"{binds / herds:.3f}",
             ]
         )
     save_result("e17_batching", table.render())
@@ -253,8 +263,12 @@ def test_e17_herd_coalescing(herd_world, save_result, save_json):
     )
 
     assert worst_delta <= 1e-9
+    in_order = runs["in_order"]
+    assert in_order["binds"] == herds, (
+        f"{in_order['binds']} context binds for {herds} herds of {HERD_SPAN} "
+        "served in order (mates should share the first one's)"
+    )
     if not SMOKE:
-        in_order = runs["in_order"]
         assert in_order["passes_per_request"] <= MAX_PASSES_PER_REQUEST, (
             f"{in_order['kernel_passes']} kernel passes for "
             f"{in_order['memo_requests']} herd requests served in order "

@@ -15,11 +15,14 @@ it at another checkout to compare two commits with one script):
 * a warm fresh-context miss on the same 2 000-program snapshot, as a
   top-3 (what every ``herd_miss`` request is) and as a full ranking
   (what every ``full_ranking`` request is), split into the view
-  signature and its digest, the basis reuse check, the rule bind, the
-  kernel pass, the order/truncate step and the items' JSON — median
-  microseconds per miss — and the mean number of rules a miss re-bound
-  (``/metrics`` → ``reasoner.rules_rebound``; ``n/a`` on a tree that
-  does not count them);
+  signature and its digest, the context install, the basis reuse
+  check, the rule bind, the reasoner session lookup (inside the last
+  two), the context-bound kernel's build, the kernel pass, the
+  order/truncate step and the items' JSON — median microseconds per
+  miss — and the mean number of rules a miss re-bound (``/metrics`` →
+  ``reasoner.rules_rebound``; ``n/a`` on a tree that does not count
+  them); one column for the first tenant to see a context, one for a
+  herd mate (a second tenant, the same context, right after it);
 * for the real ``python -m repro serve --port 0`` on two worlds — the
   default four-program TVTouch world and a 2 000-program Section 5
   snapshot, one on each side of the kernel's ``VECTOR_MIN`` size rule —
@@ -103,15 +106,18 @@ probe(repro.perf.backend, "numpy_or_none", "numpy_import_s")
 #: was a miss is read off its rendered header, never by decoding it.
 MISS_TWIN = """
 import json, random, statistics, sys, time
-import repro.cache.keys, repro.core.kernel, repro.engine.basis, repro.engine.engine
-import repro.engine.relevance, repro.service.pipeline
+import repro.cache.keys, repro.core.kernel, repro.engine.backends, repro.engine.basis
+import repro.engine.engine, repro.engine.relevance, repro.reason.kb, repro.service.pipeline
 from repro.service import aio
 MISSES, TENANTS = 600, 20
 STEPS = [
     (repro.engine.engine.RankingEngine, "_signature", "signature+digest"),
     (repro.cache.keys, "signature_digest", "signature+digest"),
+    (repro.engine.backends.AboxContext, "install", "AboxContext.install"),
     (repro.engine.basis.ViewBasis, "reusable_for", "reusable_for"),
     (repro.engine.engine, "bind_rules", "bind_rules"),
+    (repro.reason.kb.CompiledKB, "session", "CompiledKB.session"),
+    (repro.core.kernel.ScoringKernel, "with_context", "ScoringKernel.with_context"),
     (repro.core.kernel, "score_vectors", "kernel pass"),
     (repro.engine.relevance, "rank_columns", "rank_columns"),
     (repro.service.pipeline, "_items_json", "_items_json"),
@@ -135,31 +141,41 @@ def misses(service, *args, **kwargs):
         first, second = rng.sample(range(12), 2)
         return [f"CtxScenario_{first:02d}:0.{rng.randrange(1000, 9000):04d}",
                 f"CtxScenario_{second:02d}:0.{rng.randrange(1000, 9000):04d}"]
-    def miss(index):
-        params = {"tenant": [f"t{index % TENANTS:02d}"], "context": fresh()}
+    def miss(index, context):
+        params = {"tenant": [f"t{index % TENANTS:02d}"], "context": context}
         if TOP_K is not None:
             params["top_k"] = [TOP_K]
         reply = service.rank(params)
         return reply.status == 200 and "cached" not in reply._rendered.tail
     for index in range(2 * TENANTS):
-        miss(index)
+        miss(index, fresh())
     for owner, name, step in STEPS:
         probe(owner, name, step)
-    readings = {"whole miss": [], **{step: [] for _owner, _name, step in STEPS}}
-    rules = []
+    # the first tenant to see a context, and a herd mate: another
+    # tenant with the same context, right after it
+    readings = {
+        role: {"whole miss": [], **{step: [] for _owner, _name, step in STEPS}}
+        for role in ("first", "herd mate")
+    }
+    rules = {role: [] for role in readings}
     for index in range(MISSES):
-        spent.clear()
-        before = rebound()
-        started = time.perf_counter()
-        if not miss(index):
-            continue  # not a miss: its steps are not a miss's account
-        spent["whole miss"] = time.perf_counter() - started
-        rules.append(rebound() - before)
-        for step, values in readings.items():
-            values.append(spent.get(step, 0.0))
-    split.update({step: statistics.median(values) * 1e6 for step, values in readings.items()})
-    split["misses"] = len(readings["whole miss"])
-    split["rules re-bound"] = statistics.mean(rules) if counters is not None else None
+        context = fresh()
+        for role, tenant in (("first", index), ("herd mate", index + TENANTS // 2)):
+            spent.clear()
+            before = rebound()
+            started = time.perf_counter()
+            if not miss(tenant, context):
+                continue  # not a miss: its steps are not a miss's account
+            spent["whole miss"] = time.perf_counter() - started
+            rules[role].append(rebound() - before)
+            for step, values in readings[role].items():
+                values.append(spent.get(step, 0.0))
+    for role, steps in readings.items():
+        split[role] = {step: statistics.median(values) * 1e6 for step, values in steps.items()}
+        split[role]["rules re-bound"] = (
+            statistics.mean(rules[role]) if counters is not None else None
+        )
+    split["misses"] = min(len(steps["whole miss"]) for steps in readings.values())
     return 0
 aio.serve = misses
 from repro.cli import main
@@ -375,14 +391,19 @@ def main(argv: list[str] | None = None) -> int:
           f"kernel compile {median(splits, 'compile_s') - numpy_s:.3f} s · "
           f"numpy import {numpy_s:.3f} s · the rest (install, score, render)")
     print(f"  a warm fresh-context miss on the section5 snapshot ({SECTION5_PROGRAMS} "
-          f"programs), in-process, median us per miss, medians of {max(1, args.repeat)} runs:")
+          f"programs), in-process, median us per miss (CompiledKB.session runs inside "
+          f"reusable_for and bind_rules), medians of {max(1, args.repeat)} runs:")
     for top_k, runs in miss_splits.items():
         shape = "full ranking" if top_k is None else f"top-{top_k}"
-        print(f"    {shape}: " + " · ".join(
-            f"{step} {median(runs, step):.1f}"
-            for step in runs[0] if step not in ("misses", "rules re-bound")
-        ) + f" · rules re-bound {show(median(runs, 'rules re-bound'), '.1f')} of 12"
-          f" ({min(run['misses'] for run in runs)}+ misses a run)")
+        print(f"    {shape} ({min(run['misses'] for run in runs)}+ misses a run)"
+              f"{'first':>18} {'herd mate':>10}")
+        for step in runs[0]["first"]:
+            cells = [
+                median([run[role] for run in runs], step) for role in ("first", "herd mate")
+            ]
+            spec = ".1f"
+            label = f"{step} (of 12)" if step == "rules re-bound" else step
+            print(f"      {label:<36}" + "".join(f"{show(cell, spec):>11}" for cell in cells))
     print(f"  real `repro serve --port 0`, medians of {max(1, args.repeat)} boots "
           "(status: the first rank's, under the default deadline):")
     header = (f"    {'world':<36} {'announce s':>10} {'RSS MB':>8} {'first rank s':>12} "

@@ -37,8 +37,10 @@ ephemeral port, all on the event-loop gateway:
    concurrent cross-tenant requests sharing one novel context each,
    asserts identical scores within every round, a positive
    ``/metrics`` coalesce ratio (mates after the first reuse its scored
-   view from the memo), and a clean SIGTERM drain with a herd in
-   flight.
+   view from the memo), a positive ``reasoner.binds_shared`` (and its
+   bound kernel), a ``reasoner.memo_probabilities`` that did not grow
+   (context atoms stay out of the shared base tier), and a clean
+   SIGTERM drain with a herd in flight.
 
 Both long-lived phases also assert the liveness/readiness split:
 ``/healthz`` says "the process is up", ``/readyz`` says "this worker
@@ -449,6 +451,7 @@ def smoke_herd() -> None:
         )
         assert_table1_winner(ranked)
         print("smoke: herd server /rank ok (Table 1 winner holds)")
+        warm_reasoner = get_json(f"{base_url}/metrics")["reasoner"]
 
         def herd(tenants: list[str], context: str) -> list[dict]:
             bodies: list[dict | None] = [None] * len(tenants)
@@ -493,6 +496,17 @@ def smoke_herd() -> None:
             "smoke: /metrics memo coalescing "
             f"(batched_requests={batching['batched_requests']} "
             f"coalesce_ratio={batching['coalesce_ratio']:.2f})"
+        )
+        # Mates after the first take its bound kernel too, and the
+        # rounds' context atoms never reach the fleet-wide base tier.
+        reasoner = metrics["reasoner"]
+        assert reasoner["binds_shared"] > 0, reasoner
+        assert reasoner["memo_probabilities"] == warm_reasoner["memo_probabilities"], (
+            warm_reasoner, reasoner,
+        )
+        print(
+            f"smoke: /metrics binds_shared={reasoner['binds_shared']}, "
+            f"memo_probabilities flat at {reasoner['memo_probabilities']}"
         )
 
         # Clean SIGTERM drain: launch one more herd of new tenants (their

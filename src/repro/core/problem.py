@@ -160,7 +160,12 @@ def bind_rules(
     the rules a context delta may have moved
     (:meth:`repro.engine.basis.ViewBasis.stale_rules`) and splices the
     result into its last binding: the same events and probabilities a
-    call over every rule returns.
+    call over every rule returns.  A herd mate whose context is
+    tenant-blind (:meth:`repro.engine.basis.ViewBasis.share_slice`)
+    does not call it at all: it takes the binding a mate made.  The
+    session it reads is advanced, not rebuilt, across a context install
+    (:meth:`repro.reason.CompiledKB.session`), so a call after one pays
+    for the user's events and probabilities, not for a fresh session.
     """
     user = Individual(user) if isinstance(user, str) else user
     session = (kb if kb is not None else compiled_kb(abox, tbox, space)).session()

@@ -99,6 +99,7 @@ class ABox:
         self._dynamic: set[ConceptAssertion | RoleAssertion] = set()
         self._mutations = 0
         self._static_mutations = 0
+        self._role_mutations = 0
         self._frozen = False
         self._adjacency_cache: (
             dict[RoleName, dict[Individual, tuple[RoleAssertion, ...]]] | None
@@ -163,6 +164,23 @@ class ABox:
         """
         return self._static_mutations
 
+    @property
+    def role_mutation_count(self) -> int:
+        """Monotonic counter bumped whenever a role edge appears or goes.
+
+        Static or dynamic alike: an unchanged count (with an unchanged
+        :attr:`static_mutation_count`) means every change since was a
+        dynamic *concept* assertion, which moves no reachability — what
+        lets the compiled reasoner advance a session instead of
+        rebuilding it (:meth:`repro.reason.CompiledKB.session`).
+        """
+        return self._role_mutations
+
+    def has_individual(self, individual: Individual) -> bool:
+        """Is ``individual`` in the domain?  O(1): :attr:`individuals`
+        copies the whole domain."""
+        return individual in self._individuals
+
     # -- assertion entry --------------------------------------------------
     def register_individual(self, individual: str | Individual) -> Individual:
         """Add an individual to the domain (idempotent)."""
@@ -185,7 +203,13 @@ class ABox:
         if not isinstance(event, EventExpr):
             raise ABoxError(f"assertion event must be an EventExpr, got {event!r}")
         table = self._concepts.setdefault(concept, {})
-        existing = table.get(individual) or self._inherited_concept(concept, individual)
+        local = table.get(individual)
+        existing = local or self._inherited_concept(concept, individual)
+        # Merged into a static fact of this layer, a dynamic assertion
+        # takes that fact with it on the next clear_dynamic: count the
+        # static change now, or the cleared state would sign like the
+        # state before the merge.  (A base fact stays in the base.)
+        static = not dynamic or (local is not None and not local.dynamic)
         if existing is not None:
             event = disj([existing.event, event])
             dynamic = dynamic or existing.dynamic
@@ -195,7 +219,7 @@ class ABox:
         if dynamic:
             self._dynamic.add(assertion)
         self._mutations += 1
-        if not dynamic:
+        if static:
             self._static_mutations += 1
         return assertion
 
@@ -216,7 +240,9 @@ class ABox:
             raise ABoxError(f"assertion event must be an EventExpr, got {event!r}")
         table = self._roles.setdefault(role, {})
         key = (source, target)
-        existing = table.get(key) or self._inherited_role(role, key)
+        local = table.get(key)
+        existing = local or self._inherited_role(role, key)
+        static = not dynamic or (local is not None and not local.dynamic)  # see assert_concept
         if existing is not None:
             event = disj([existing.event, event])
             dynamic = dynamic or existing.dynamic
@@ -226,7 +252,8 @@ class ABox:
         if dynamic:
             self._dynamic.add(assertion)
         self._mutations += 1
-        if not dynamic:
+        self._role_mutations += 1
+        if static:
             self._static_mutations += 1
         return assertion
 
@@ -269,18 +296,24 @@ class ABox:
         overlay shadow is removed).
         """
         self._check_mutable()
-        removed = 0
-        for table in self._concepts.values():
-            stale = [key for key, assertion in table.items() if assertion.dynamic]
-            for key in stale:
-                del table[key]
-            removed += len(stale)
-        for role_table in self._roles.values():
-            stale_pairs = [key for key, assertion in role_table.items() if assertion.dynamic]
-            for key in stale_pairs:
-                del role_table[key]
-            removed += len(stale_pairs)
+        # The dynamic set holds exactly this layer's dynamic rows, so the
+        # sweep is O(context), not O(tables); a table it empties goes too.
+        roles = False
+        for assertion in self._dynamic:
+            if type(assertion) is ConceptAssertion:
+                tables, name, key = self._concepts, assertion.concept, assertion.individual
+            else:
+                tables, name = self._roles, assertion.role
+                key = (assertion.source, assertion.target)
+                roles = True
+            table = tables[name]
+            del table[key]
+            if not table:
+                del tables[name]
+        removed = len(self._dynamic)
         self._dynamic.clear()
+        if roles:
+            self._role_mutations += 1
         if removed:
             self._mutations += 1
         return removed
@@ -526,6 +559,8 @@ class ABox:
             total += 1
         self._mutations += total
         self._static_mutations += total - dynamic_total
+        if last_role is not None:  # some edge was adopted
+            self._role_mutations += 1
 
     def update(self, assertions: Iterable[ConceptAssertion | RoleAssertion]) -> None:
         """Re-play a stream of assertions into this ABox."""
@@ -596,6 +631,13 @@ class LayeredABox(ABox):
     @property
     def static_mutation_count(self) -> int:
         return self._base.static_mutation_count + self._static_mutations
+
+    @property
+    def role_mutation_count(self) -> int:
+        return self._base.role_mutation_count + self._role_mutations
+
+    def has_individual(self, individual: Individual) -> bool:
+        return individual in self._individuals or self._base.has_individual(individual)
 
     @property
     def overlay_mutation_count(self) -> int:

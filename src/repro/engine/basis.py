@@ -43,6 +43,16 @@ cleared region are those of the proven snapshot, so the verdict holds
 without a walk, and only the rules indexed under a changed name need a
 re-bind.  Any other delta answers ``None``, and the engine walks
 :meth:`ViewBasis.reusable_for`.
+
+A binding can also be *shared*.  When no rule context walks a role or
+names an individual (:attr:`DependencyIndex.blind`) and the base
+asserts nothing about the user, each rule's context event for the user
+is one function of the user's own concept assertions — whoever the
+user is.  :meth:`ViewBasis.share_slice` returns those assertions as
+``(concept, event)`` pairs: engines over one basis with equal slices
+bind bit-identically, so a herd mate takes the first one's bound
+kernel (through the service's scored-view memo) once its own reuse
+verdict holds.
 """
 
 from __future__ import annotations
@@ -55,7 +65,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
 from repro.core.kernel import ScoringKernel
 from repro.dl.abox import ABox, ConceptAssertion
-from repro.dl.concepts import Concept
+from repro.dl.concepts import And, Concept, Not, OneOf, Or
 from repro.dl.instances import membership_event
 from repro.dl.tbox import TBox
 from repro.dl.vocabulary import ConceptName, Individual
@@ -157,13 +167,28 @@ class DependencyIndex:
     ``name`` for one individual, and :attr:`target_bit` set when the
     target does.  ``always`` holds the rules whose context walks a role:
     any non-empty delta re-binds them.  ``carries`` is false when the
-    target walks a role — no verdict is ever carried then.
+    target walks a role — no verdict is ever carried then.  ``blind``
+    is true when no rule context walks a role or names an individual
+    (``{a}``): every context event is then one function of the
+    individual's own concept assertions, whoever it is.
     """
 
     masks: Mapping[ConceptName, int]
     always: int
     target_bit: int
     carries: bool
+    blind: bool = False
+
+
+def _names_individual(concept: Concept) -> bool:
+    """Does a role-free expanded concept hold a nominal (``{a}``)?"""
+    if isinstance(concept, OneOf):
+        return True
+    if isinstance(concept, Not):
+        return _names_individual(concept.child)
+    if isinstance(concept, (And, Or)):
+        return any(_names_individual(child) for child in concept.children)
+    return False
 
 
 def _dependency_index(
@@ -173,18 +198,23 @@ def _dependency_index(
     session = kb.session()
     masks: dict[ConceptName, int] = {}
     always = 0
+    nominal = False
     for position, rule in enumerate(rules):
         names = session.concept_reads(rule.context)
         if names is None:
             always |= 1 << position
             continue
+        nominal = nominal or _names_individual(session.expand_concept(rule.context))
         for name in names:
             masks[name] = masks.get(name, 0) | 1 << position
     target_bit = 1 << len(rules)
     names = session.concept_reads(target)
     for name in names or ():
         masks[name] = masks.get(name, 0) | target_bit
-    return DependencyIndex(MappingProxyType(masks), always, target_bit, names is not None)
+    return DependencyIndex(
+        MappingProxyType(masks), always, target_bit, names is not None,
+        blind=not (always or nominal),
+    )
 
 
 @dataclass
@@ -254,6 +284,34 @@ class ViewBasis:
         if stale & index.target_bit:
             return None
         return stale
+
+    def share_slice(
+        self,
+        abox: ABox,
+        snapshot: frozenset,
+        user: Individual,
+        kb: "CompiledKB",
+        target: Concept,
+    ) -> frozenset | None:
+        """The tenant-blind key of ``user``'s context binding, or ``None``.
+
+        ``abox`` must be an overlay and ``snapshot`` its current
+        :func:`dynamic_snapshot`.  When every rule context reads
+        concept names only (:attr:`DependencyIndex.blind`) and the base
+        asserts nothing about ``user``, each rule's context event for
+        ``user`` is one function of the overlay's concept assertions
+        about ``user`` — the ``(concept name, event)`` pairs returned.  Two
+        engines over this basis with equal pairs bind bit-identically,
+        whoever their users are and whatever else their overlays hold.
+        """
+        if not self.dependencies(kb, target).blind or abox.base.has_individual(user):
+            return None
+        name = user.name
+        return frozenset([
+            (assertion.concept.name, assertion.event)
+            for assertion in snapshot
+            if type(assertion) is ConceptAssertion and assertion.individual.name == name
+        ])
 
     def _support(self, abox: ABox, forward) -> frozenset[str]:
         """The candidates' support closure under ``forward``.

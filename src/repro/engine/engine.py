@@ -43,9 +43,11 @@ longer than the deadline's remaining budget.
 A warm-only, non-blocking :meth:`RankingEngine.prepare_rank`
 (``blocking=False``) is what a thread that must never wait — a serving
 event loop — calls: it tries the lock once and hands back a cold
-snapshot instead of binding or compiling anything.  Scored views are
-shared across engines by :class:`ScoredViewMemo`, keyed on what
-:func:`score_prepared_batch` coalesces on.
+snapshot instead of binding or compiling anything.  Scored views (and
+their ranked cuts) are shared across engines by
+:class:`ScoredViewMemo`, keyed on what :func:`score_prepared_batch`
+coalesces on; so are context-bound kernels, keyed on a tenant-blind
+slice of the context (:meth:`ViewBasis.share_slice`).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from repro.core.kernel import (
     score_values,
 )
 from repro.core.preference_view import PreferenceView
-from repro.core.problem import RuleBinding, _active_deadline, bind_rules
+from repro.core.problem import _active_deadline, bind_rules
 from repro.core.scorer import ContextAwareScorer
 from repro.core.scoring import DocumentScore
 from repro.dl.abox import ABox, content_digest
@@ -134,6 +136,10 @@ class PreparedRank:
     fingerprint: tuple | None = field(default=None)
     prune_documents: bool = True
     response: RankResponse | None = None
+    #: The ranked cuts of the scored view, shared by every request the
+    #: :class:`ScoredViewMemo` served that view to: ``{(relevance,
+    #: top_k): items}`` (set by :meth:`ScoredViewMemo.execute`).
+    cuts: dict | None = field(default=None, repr=False)
 
     @property
     def cold(self) -> bool:
@@ -210,59 +216,114 @@ def score_prepared_batch(
     return results, rows
 
 
-#: Scored views a :class:`ScoredViewMemo` keeps.  Mates of one herd are
-#: answered one after another, so a handful covers them; every entry
-#: pins one view (a float per document) and its candidates.
+#: Entries a :class:`ScoredViewMemo` keeps: scored views and bound
+#: kernels alike.  Mates of one herd are answered one after another, so
+#: a handful covers them; a view entry pins a float per document and
+#: its candidates, a bound entry one kernel over them.
 MEMO_ENTRIES = 8
+
+#: Tags the keys of bound-kernel entries in :class:`ScoredViewMemo`.
+_BOUND = object()
 
 
 class ScoredViewMemo:
-    """One kernel pass per distinct context binding, shared across tenants.
+    """One bind and one kernel pass per distinct context, shared across tenants.
 
-    :meth:`execute` returns the scored view of a prepared rank: the one
-    an earlier request with an equal :attr:`PreparedRank.memo_key`
-    scored, or a fresh :func:`score_prepared_batch` pass, remembered in
-    a bounded LRU (:data:`MEMO_ENTRIES`).  A thundering herd of one
-    context over many tenants thus costs one pass and one immutable
+    Two kinds of entry share one bounded LRU (:data:`MEMO_ENTRIES`):
+
+    * **bound kernels** — :meth:`bound` / :meth:`remember`: the
+      context-bound kernel of a reusable basis, keyed on the basis, the
+      rule objects and the tenant-blind context slice
+      :meth:`ViewBasis.share_slice` vouches for.  A herd mate whose own
+      reuse verdict holds takes its mate's kernel — and its bindings —
+      instead of binding and rebuilding one;
+    * **scored views** — :meth:`execute`: the view of an earlier request
+      with an equal :attr:`PreparedRank.memo_key`, or a fresh
+      :func:`score_prepared_batch` pass, together with its ranked cuts
+      (:attr:`PreparedRank.cuts`), so a mate skips the order step too.
+
+    A thundering herd of one context over many tenants thus costs one
+    bind, one pass, one cut and one immutable
     :class:`~repro.core.kernel.ScoredView`, which every mate's view
     cache then holds by reference — with no window and nobody waiting
-    for a mate: two mates that miss at once both score.  Thread-safe;
-    the lock guards the table and the counters, never a pass.
+    for a mate: two mates that miss at once both do the work.
+    Thread-safe; the lock guards the table and the counters, never a
+    pass.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._views: OrderedDict[Hashable, ScoredView] = OrderedDict()
+        self._entries: OrderedDict[Hashable, tuple] = OrderedDict()
         self.requests = 0
         self.hits = 0
         self.passes = 0
+        self.binds_shared = 0
+
+    def _get(self, key: Hashable) -> tuple | None:
+        """The entry under ``key``, freshened (under the lock)."""
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def _put(self, key: Hashable, entry: tuple) -> None:
+        """Remember ``entry``, evicting the eldest (under the lock)."""
+        self._entries[key] = entry
+        if len(self._entries) > MEMO_ENTRIES:
+            self._entries.popitem(last=False)
 
     def execute(self, prepared: PreparedRank) -> ScoredView:
-        """The scored view for ``prepared`` (which must carry a kernel)."""
+        """The scored view for ``prepared`` (which must carry a kernel);
+        sets :attr:`PreparedRank.cuts` to that view's cuts."""
         key = prepared.memo_key
         with self._lock:
             self.requests += 1
-            view = self._views.get(key)
-            if view is not None:
+            entry = self._get(key)
+            if entry is not None:
                 self.hits += 1
-                self._views.move_to_end(key)
+                view, prepared.cuts = entry
                 return view
         (view,), _rows = score_prepared_batch([prepared])
+        prepared.cuts = {}
         with self._lock:
             self.passes += 1
-            self._views[key] = view
-            if len(self._views) > MEMO_ENTRIES:
-                self._views.popitem(last=False)
+            self._put(key, (view, prepared.cuts))
         return view
 
+    @staticmethod
+    def bound_key(basis: ViewBasis, rules: tuple, context: Hashable) -> Hashable:
+        """The key of the kernel bound on ``basis`` for ``rules`` in
+        ``context`` (a :meth:`ViewBasis.share_slice`)."""
+        # Identities: an entry pins its basis and rules, so no id in a
+        # live key can be recycled.
+        return (_BOUND, id(basis), tuple(map(id, rules)), context)
+
+    def bound(self, key: Hashable) -> ScoringKernel | None:
+        """The kernel a mate bound under ``key`` (:meth:`bound_key`)."""
+        with self._lock:
+            entry = self._get(key)
+            if entry is None:
+                return None
+            self.binds_shared += 1
+            return entry[2]
+
+    def remember(
+        self, key: Hashable, basis: ViewBasis, rules: tuple, kernel: ScoringKernel
+    ) -> None:
+        """Offer ``kernel``, bound on ``basis`` for ``rules``, to mates under ``key``."""
+        with self._lock:
+            self._put(key, (basis, rules, kernel))
+
     def info(self) -> dict:
-        """Counters: requests, memo hits, kernel passes and entries held."""
+        """Counters: requests, memo hits, kernel passes, binds served to
+        mates and entries held."""
         with self._lock:
             return {
                 "requests": self.requests,
                 "hits": self.hits,
                 "passes": self.passes,
-                "entries": len(self._views),
+                "binds_shared": self.binds_shared,
+                "entries": len(self._entries),
                 "capacity": MEMO_ENTRIES,
             }
 
@@ -522,15 +583,16 @@ class RankingEngine:
             self._view.scorer = self._scorer
         return repository
 
-    def _resolve(self) -> _Resolved:
+    def _resolve(self, memo: ScoredViewMemo | None = None) -> _Resolved:
         """Where the current signature's view comes from (under the lock).
 
         One of three: the cached view (a counted hit); a kernel bound
         to the current context on a reusable compiled basis — only the
         rule-context vector is recomputed, the documents x rules matrix
-        is reused as compiled; or neither — cold: no basis exists, or
-        the dynamic delta might have touched document events or target
-        membership.
+        is reused as compiled, and a herd mate's kernel from ``memo``
+        is taken as it is (:meth:`_bind_on`); or neither — cold: no
+        basis exists, or the dynamic delta might have touched document
+        events or target membership.
         """
         repository = self._sync_scorer()
         key = self._signature()
@@ -546,54 +608,73 @@ class RankingEngine:
         if basis is None:
             self._carried = None
             return key, None, None
-        bindings = self._bind_on(basis, tuple(repository))
-        if bindings is None:
-            return key, None, None
         try:
-            return key, None, basis.kernel.with_context(bindings)
+            return key, None, self._bind_on(basis, tuple(repository), memo)
         except ScoringError:  # pragma: no cover - fingerprint should prevent this
             return key, None, None
 
-    def _bind_on(self, basis: ViewBasis, rules: tuple) -> tuple[RuleBinding, ...] | None:
-        """The rule bindings of the current context, or ``None`` when
-        ``basis`` cannot serve it (under the lock).
+    def _bind_on(
+        self, basis: ViewBasis, rules: tuple, memo: ScoredViewMemo | None = None
+    ) -> ScoringKernel | None:
+        """The kernel of ``basis`` bound to the current context, or
+        ``None`` when ``basis`` cannot serve it (under the lock).
 
-        Carries the last binding on the same basis and rules when the
-        snapshot delta allows it (:meth:`ViewBasis.stale_rules`): the
-        reuse verdict holds without a walk and only the stale rules go
-        through :func:`bind_rules`, spliced into the carried tuple.
-        Otherwise walks :meth:`ViewBasis.reusable_for` and binds every
-        rule, re-seeding the carry when the verdict vouches for the user.
+        The reuse verdict comes first, always this engine's own: carried
+        from the last binding on the same basis and rules when the
+        snapshot delta allows it (:meth:`ViewBasis.stale_rules`), else
+        walked (:meth:`ViewBasis.reusable_for`).  Then, when the
+        context is tenant-blind (:meth:`ViewBasis.share_slice`), a herd
+        mate's kernel for the same slice is taken from ``memo`` as it
+        is.  Otherwise the stale rules — every rule after a walk — go
+        through :func:`bind_rules` and are spliced into the carried
+        tuple, and the kernel is rebuilt (and offered to mates).  The
+        carry is re-seeded whenever the verdict vouches for the user.
         """
         snapshot = dynamic_snapshot(self.abox)
         carried = self._carried
+        stale = None
         if carried is not None and carried[0] is basis and _same_rules(carried[2], rules):
-            bindings = carried[3]
             stale = basis.stale_rules(carried[1], snapshot, self.user, self.kb, self.target)
-            if stale is not None:
-                positions = _bits(stale)
-                if positions:
-                    fresh = bind_rules(
-                        self.abox, self.tbox, self.user,
-                        [rules[index] for index in positions], self.space, kb=self.kb,
-                    )
-                    spliced = list(bindings)
-                    for index, binding in zip(positions, fresh):
-                        spliced[index] = binding
-                    bindings = tuple(spliced)
-                self._carried = (basis, snapshot, rules, bindings)
-                _BIND_COUNTS.add(len(positions), len(rules) - len(positions), 1, 0)
-                return bindings
-        if not basis.reusable_for(self.abox, self.tbox, self.target, kb=self.kb):
-            self._carried = None
-            _BIND_COUNTS.add(0, 0, 0, 1)
-            return None
-        bindings = bind_rules(self.abox, self.tbox, self.user, rules, self.space, kb=self.kb)
-        self._carried = (
-            (basis, snapshot, rules, bindings) if basis.clears(snapshot, self.user) else None
-        )
-        _BIND_COUNTS.add(len(rules), 0, 0, 1)
-        return bindings
+        walked = stale is None
+        if walked:
+            if not basis.reusable_for(self.abox, self.tbox, self.target, kb=self.kb):
+                self._carried = None
+                _BIND_COUNTS.add(0, 0, 0, 1)
+                return None
+            keep = basis.clears(snapshot, self.user)
+        else:
+            keep = True
+        share = None
+        if memo is not None and self._shares_bases:
+            context = basis.share_slice(self.abox, snapshot, self.user, self.kb, self.target)
+            if context is not None:
+                share = memo.bound_key(basis, rules, context)
+                kernel = memo.bound(share)
+                if kernel is not None:
+                    self._carried = (basis, snapshot, rules, kernel.bindings) if keep else None
+                    _BIND_COUNTS.add(0, 0, int(not walked), int(walked))
+                    return kernel
+        if walked:
+            positions = range(len(rules))
+            bindings = bind_rules(self.abox, self.tbox, self.user, rules, self.space, kb=self.kb)
+        else:
+            positions = _bits(stale)
+            bindings = carried[3]
+            if positions:
+                fresh = bind_rules(
+                    self.abox, self.tbox, self.user,
+                    [rules[index] for index in positions], self.space, kb=self.kb,
+                )
+                spliced = list(bindings)
+                for index, binding in zip(positions, fresh):
+                    spliced[index] = binding
+                bindings = tuple(spliced)
+        kernel = basis.kernel.with_context(bindings)
+        if share is not None:
+            memo.remember(share, basis, rules, kernel)
+        self._carried = (basis, snapshot, rules, bindings) if keep else None
+        _BIND_COUNTS.add(len(positions), len(rules) - len(positions), int(not walked), int(walked))
+        return kernel
 
     def _refresh_view(
         self, resolved: _Resolved | None = None
@@ -708,6 +789,7 @@ class RankingEngine:
         fingerprint: tuple | None,
         gated_out: bool = False,
         result=None,
+        cuts: dict | None = None,
     ) -> RankResponse:
         """The one tail of every rank: scored view in, response out.
 
@@ -723,11 +805,15 @@ class RankingEngine:
         explicit documents, no query part — hands the view's columns
         to the relevance backend as they are: the ranking key is a
         total order, so neither a name sort nor a per-document score
-        map is built first.
+        map is built first.  That shape's ranking is a function of the
+        view, the relevance backend and ``top_k`` alone, so with
+        ``cuts`` (a view's shared cuts) it is ranked once per hashable
+        backend and ``top_k`` and then read back.
         """
         documents: Sequence[str]
         document_scores: Mapping[str, DocumentScore]
         preferences: Mapping[str, float]
+        cut = None
         if (
             isinstance(view, ScoredView)
             and not gated_out
@@ -735,6 +821,8 @@ class RankingEngine:
             and query_scores is None
         ):
             documents, document_scores, preferences = view.names, view, view.column()
+            if cuts is not None and isinstance(self.relevance, Hashable):
+                cut = (self.relevance, request.top_k)
         else:
             if gated_out:
                 documents = ()
@@ -747,9 +835,13 @@ class RankingEngine:
             document_scores = {} if view is None else self._scores_for(documents, view)
             preferences = score_values(document_scores)
 
-        items = RankedItems.of(
-            self._combine_items(preferences, query_scores, documents, request.top_k)
-        )
+        items = cuts.get(cut) if cut is not None else None
+        if items is None:
+            items = RankedItems.of(
+                self._combine_items(preferences, query_scores, documents, request.top_k)
+            )
+            if cut is not None:
+                cuts[cut] = items
         explanation = None
         if request.explain:
             explanation = self._explain_items(items, document_scores)
@@ -819,6 +911,7 @@ class RankingEngine:
         *,
         tick: str = "ctx",
         blocking: bool = True,
+        memo: ScoredViewMemo | None = None,
     ) -> PreparedRank | None:
         """Snapshot a request under the lock; score it outside.
 
@@ -842,6 +935,10 @@ class RankingEngine:
         :attr:`PreparedRank.cold` snapshot — the delta installed,
         nothing bound, compiled or scored — when the answer is not a
         kernel pass or a view-cache hit over documents it covers.
+
+        ``memo`` is the :class:`ScoredViewMemo` the kernel will be
+        scored through: a miss then takes a herd mate's bound kernel
+        from it when its context is tenant-blind, and offers its own.
         """
         if request is None:
             request = RankRequest()
@@ -864,7 +961,7 @@ class RankingEngine:
             resolved = None
             warm = False  # a view-cache hit covering the request: no cold work
             if uses_view or request.query is not None or request.documents is None:
-                resolved = self._resolve()
+                resolved = self._resolve(memo)
                 key, cached, kernel = resolved
                 scorable = uses_view and request.query is None
                 if kernel is not None and scorable and self._covers(kernel.names, request):
@@ -928,7 +1025,7 @@ class RankingEngine:
         locked, the kernel and the view are immutable, and the
         relevance backends on this path are pure functions of their
         inputs.  The view is cached by reference — coalesced mates
-        share one object.
+        share one object, and its ranked cuts (:attr:`PreparedRank.cuts`).
         """
         self._cache.note_context_refresh()
         self._cache.put(prepared.signature, view)
@@ -938,6 +1035,7 @@ class RankingEngine:
             query_scores=prepared.request.query_score_map,
             from_cache=False,
             fingerprint=prepared.fingerprint,
+            cuts=prepared.cuts,
         )
 
     def rank_in_context(

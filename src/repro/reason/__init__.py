@@ -18,6 +18,7 @@ from repro.reason.kb import (
     clear_registry,
     compiled_kb,
     query_session,
+    session_counters,
 )
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "clear_registry",
     "compiled_kb",
     "query_session",
+    "session_counters",
 ]

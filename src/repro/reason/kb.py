@@ -34,9 +34,14 @@ Within an epoch a session memoises
   events of the epoch.
 
 Any ABox assertion/retraction, TBox axiom, or new mutex group moves the
-epoch, and the next :meth:`CompiledKB.session` call starts a fresh
+epoch, and the next :meth:`CompiledKB.session` call hands out a new
 session — invalidation by construction, the same discipline as the
-engine's view cache.  Sessions subclass
+engine's view cache.  When the move was dynamic concept assertions
+alone (a context install) the new session is the old one advanced
+(:meth:`ReasonerSession.advance`): it keeps the role indexes,
+reachability maps and expansions such a delta cannot move and drops
+every memo that reads concept assertions; any other move builds it
+from scratch.  Sessions subclass
 :class:`repro.dl.instances.MembershipEvaluator`, so the *semantics* is
 shared with the uncached reference path and cannot drift.
 
@@ -92,6 +97,7 @@ __all__ = [
     "compiled_kb",
     "query_session",
     "clear_registry",
+    "session_counters",
 ]
 
 #: Worlds kept alive by the shared registry (LRU beyond this bound).
@@ -175,7 +181,8 @@ def _reads(session: "ReasonerSession", concept: Concept) -> frozenset[ConceptNam
 class ReasonerInfo:
     """Cache counters of a :class:`CompiledKB`, in the ``functools`` style.
 
-    ``invalidations`` counts epoch moves that discarded a session;
+    ``invalidations`` counts epoch moves that discarded a session's
+    memos (``advances`` of them advanced it, the rest rebuilt it);
     ``memo_events`` / ``memo_probabilities`` / ``memo_columns`` are
     current occupancy.  The membership counters and ``memo_events``
     count the per-individual :meth:`ReasonerSession.event` path;
@@ -198,6 +205,10 @@ class ReasonerInfo:
     shared_base: bool = False
     #: Concept columns held by the current session.
     memo_columns: int = 0
+    #: Of the ``invalidations``, the epoch moves served by advancing
+    #: the live session (:meth:`ReasonerSession.advance`); the rest
+    #: rebuilt one.
+    advances: int = 0
 
     @property
     def membership_hit_rate(self) -> float:
@@ -222,6 +233,7 @@ class ReasonerSession(MembershipEvaluator):
         space: EventSpace | None,
         epoch: tuple,
         base: "ReasonerSession | None" = None,
+        structure: tuple | None = None,
     ):
         super().__init__(abox, tbox)
         self.space = space
@@ -241,6 +253,13 @@ class ReasonerSession(MembershipEvaluator):
         self._columns_lock = threading.RLock()
         self._reachability: tuple[dict[str, list[str]], dict[str, list[str]]] | None = None
         self._affected: frozenset[str] | None = None
+        #: A superset of :meth:`affected_names` closed under reverse
+        #: reachability, carried by :meth:`advance` from the epoch
+        #: before; the walk extends it by the overlay's newer names.
+        self._affected_seed: frozenset[str] = frozenset()
+        #: What :meth:`CompiledKB.session` may advance across — see
+        #: :func:`_structure`.
+        self.structure = structure if structure is not None else _structure(abox)
         self._events: dict[tuple[Individual, Concept], EventExpr] = {}
         self._probabilities: dict[tuple[str, EventExpr], float] = {}
         self._shannon: ShannonEngine | None = None  # built on first use
@@ -345,9 +364,15 @@ class ReasonerSession(MembershipEvaluator):
             if self.base is None:
                 self._affected = frozenset()
             else:
-                touched = set(self.abox.overlay_names())
+                seed = self._affected_seed
+                fresh = [name for name in self.abox.overlay_names() if name not in seed]
+                if not fresh:
+                    self._affected = seed
+                    return seed
+                touched = set(seed)
+                touched.update(fresh)
                 _forward, reverse = self.reachability_maps()
-                queue = deque(touched)
+                queue = deque(fresh)
                 while queue:
                     for neighbour in reverse.get(queue.popleft(), ()):
                         if neighbour not in touched:
@@ -355,6 +380,34 @@ class ReasonerSession(MembershipEvaluator):
                             queue.append(neighbour)
                 self._affected = frozenset(touched)
         return self._affected
+
+    def advance(self, epoch: tuple) -> "ReasonerSession":
+        """This session moved to ``epoch`` across dynamic concept
+        assertions alone (:meth:`CompiledKB.session` checks that).
+
+        Such a delta moves no role edge, static fact, base, TBox or
+        space, so the new session keeps what only those determine —
+        the base-tier link, concept expansions and closures, the role
+        indexes and the reachability maps — by reference.  It drops
+        what reads concept assertions: the per-individual events and
+        probabilities (a context atom's probability dies with its
+        epoch), the Shannon memo, the columns and the domain.  The
+        affected set is re-walked, but only from the overlay names the
+        last one had not reached: what it had reached is still a
+        superset closed under the unchanged reverse map.
+        """
+        advanced = ReasonerSession(
+            self.abox, self.tbox, self.space, epoch, base=self.base, structure=self.structure
+        )
+        advanced._expansions = self._expansions
+        advanced._descendants = self._descendants
+        advanced._role_descendants = self._role_descendants
+        advanced._adjacency = self._adjacency
+        advanced._incoming = self._incoming
+        advanced._reachability = self._reachability
+        affected = self._affected
+        advanced._affected_seed = affected if affected is not None else self._affected_seed
+        return advanced
 
     def event(self, individual: Individual, concept: Concept) -> EventExpr:
         if self.base is not None and individual.name not in self.affected_names():
@@ -619,6 +672,7 @@ class CompiledKB:
         # threads must not race the retire-and-replace sequence.
         self._session_lock = threading.Lock()
         self._invalidations = 0
+        self._advances = 0
         self._hits = 0
         self._misses = 0
         self._probability_hits = 0
@@ -634,9 +688,13 @@ class CompiledKB:
     def session(self) -> ReasonerSession:
         """The memoised session for the *current* epoch.
 
-        Reuses the live session while the knowledge is unchanged;
-        builds a fresh one (dropping every memo) the moment the ABox,
-        TBox or mutex structure moved.
+        Reuses the live session while the knowledge is unchanged.  When
+        the epoch moved by dynamic concept assertions alone — a context
+        install: no role edge, no static fact, the same base, TBox and
+        space — it advances the live session
+        (:meth:`ReasonerSession.advance`), keeping the memos such a
+        delta cannot move and dropping those it can; after any other
+        move it builds a fresh one, dropping every memo.
         """
         epoch = self.epoch()
         session = self._session
@@ -645,10 +703,20 @@ class CompiledKB:
         with self._session_lock:
             session = self._session
             if session is None or session.epoch != epoch:
-                if session is not None:
+                if session is None:
+                    session = _make_session(self.abox, self.tbox, self.space, epoch)
+                else:
                     self._retire(session)
                     self._invalidations += 1
-                session = _make_session(self.abox, self.tbox, self.space, epoch)
+                    if session.epoch[1:] == epoch[1:] and session.structure == _structure(
+                        self.abox
+                    ):
+                        session = session.advance(epoch)
+                        self._advances += 1
+                        _tally(advanced=1)
+                    else:
+                        session = _make_session(self.abox, self.tbox, self.space, epoch)
+                        _tally(rebuilt=1)
                 self._session = session
             return session
 
@@ -714,6 +782,7 @@ class CompiledKB:
             memo_events=len(session._events) if session else 0,
             memo_probabilities=session.memo_probabilities if session else 0,
             invalidations=self._invalidations,
+            advances=self._advances,
             base_events=self._base_events + (session.base_events if session else 0),
             shared_base=isinstance(self.abox, LayeredABox),
             memo_columns=len(session._columns) if session else 0,
@@ -768,6 +837,36 @@ def base_tier(
         while len(_BASE_TIERS) > MAX_BASE_TIERS:
             _BASE_TIERS.popitem(last=False)
     return session
+
+
+def _structure(abox: ABox) -> tuple:
+    """What a session's role indexes, reachability and base tier rest on.
+
+    The static and role epochs, and for an overlay the base's whole
+    epoch: while this is unchanged, every epoch move was a dynamic
+    concept assertion or retraction.
+    """
+    base = abox.base.mutation_count if isinstance(abox, LayeredABox) else None
+    return (abox.static_mutation_count, abox.role_mutation_count, base)
+
+
+#: Process-wide session moves: ``advanced`` (a dynamic concept delta)
+#: and ``rebuilt`` (any other epoch move of a live session).
+_SESSION_MOVES = {"advanced": 0, "rebuilt": 0}
+_SESSION_MOVES_LOCK = threading.Lock()
+
+
+def _tally(advanced: int = 0, rebuilt: int = 0) -> None:
+    with _SESSION_MOVES_LOCK:
+        _SESSION_MOVES["advanced"] += advanced
+        _SESSION_MOVES["rebuilt"] += rebuilt
+
+
+def session_counters() -> dict[str, int]:
+    """How live sessions moved epochs, process-wide:
+    ``sessions_advanced`` / ``sessions_rebuilt``."""
+    with _SESSION_MOVES_LOCK:
+        return {f"sessions_{name}": count for name, count in _SESSION_MOVES.items()}
 
 
 def _make_session(

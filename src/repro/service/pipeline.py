@@ -91,7 +91,7 @@ from repro.cache.protocol import CacheAdapter
 from repro.engine.backends import parse_context_spec
 from repro.engine.requests import RankedItems, RankRequest
 from repro.errors import EngineError, ReproError
-from repro.reason import base_tier
+from repro.reason import base_tier, session_counters
 from repro.engine.engine import ScoredViewMemo, context_bind_counters
 from repro.service.metrics import LatencyRecorder, ServiceMetrics
 from repro.service.resilience import (
@@ -633,6 +633,10 @@ class RankingService:
             self.registry.add_evict_listener(self._tenant_evicted)
         #: One scored view per distinct context binding, across tenants.
         self.memo = ScoredViewMemo()
+        #: ``(items, fragment)`` of the last ranking rendered: a herd
+        #: mate's cut is the same object (the memo shares it), so its
+        #: ``items`` fragment is rendered once.
+        self._last_render: tuple = (None, b"")
         #: The serving front's stats provider (see :meth:`attach_gateway`).
         self._gateway_stats: Callable[[], Mapping[str, object]] | None = None
         self._started_at = time.time()
@@ -1034,14 +1038,18 @@ class RankingService:
         """Rank one session request: prepare → score → complete.
 
         ``prepare_rank`` installs the delta and snapshots the bound
-        problem under the engine lock; the scored view — the memo's,
-        when any request has scored an equal binding of the same
-        candidates, else one kernel pass — and the response assembly
-        then come outside it.  Requests answered on the spot (view-cache
+        problem under the engine lock — taking a herd mate's bound
+        kernel from the memo when the context is tenant-blind; the
+        scored view — the memo's, when any request has scored an equal
+        binding of the same candidates, else one kernel pass — and the
+        response assembly (a mate's ranked cut, when it has one) then
+        come outside it.  Requests answered on the spot (view-cache
         hits, cold basis, ...) carry no kernel and skip the memo.  Not
         ``blocking``, a busy engine or a cold snapshot defers.
         """
-        prepared = session.prepare_rank(specs, rank_request, tick="svc", blocking=blocking)
+        prepared = session.prepare_rank(
+            specs, rank_request, tick="svc", blocking=blocking, memo=self.memo
+        )
         if prepared is None:
             raise WouldBlock("busy")
         if prepared.cold:
@@ -1277,6 +1285,10 @@ class RankingService:
             ).memo_probabilities,
             # How warm misses bound their context, process-wide.
             **context_bind_counters(),
+            # ... how many took a herd mate's bound kernel ...
+            "binds_shared": memo["binds_shared"],
+            # ... and how the reasoner sessions moved under them.
+            **session_counters(),
         }
         snapshot["cache"] = self.cache.info().to_dict()
         snapshot["cache"]["enabled"] = bool(self.cache.enabled)
@@ -1327,7 +1339,14 @@ class RankingService:
             tail["context"] = list(request.context)
         if response.explanation is not None:
             tail["explanation"] = response.explanation
-        return RankBody(request.tenant, _items_json(response.items), tail)
+        items = response.items
+        last = self._last_render
+        if last[0] is items:
+            fragment = last[1]
+        else:
+            fragment = _items_json(items)
+            self._last_render = (items, fragment)
+        return RankBody(request.tenant, fragment, tail)
 
     def _serve_hit(self, request: ServiceRequest, stored: RankBody) -> RankBody:
         # Stored bodies are canonical and shared between hits: mark the

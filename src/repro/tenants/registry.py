@@ -253,12 +253,15 @@ class UserSession:
         *,
         tick: str = "ctx",
         blocking: bool = True,
+        memo=None,
     ):
         """Snapshot install + rank (see :meth:`RankingEngine.prepare_rank`,
-        ``blocking`` included): the context delta lands under the engine
-        lock (and is journaled), the kernel pass runs outside it, so
-        mates from other tenants never wait here."""
-        prepared = self.engine.prepare_rank(specs, request, tick=tick, blocking=blocking)
+        ``blocking`` and ``memo`` included): the context delta lands
+        under the engine lock (and is journaled), the kernel pass runs
+        outside it, so mates from other tenants never wait here."""
+        prepared = self.engine.prepare_rank(
+            specs, request, tick=tick, blocking=blocking, memo=memo
+        )
         if specs and prepared is not None:
             self._persist()
         return prepared
@@ -586,7 +589,7 @@ class TenantRegistry:
         if user is None:
             user = tenant_id
         individual = Individual(user) if isinstance(user, str) else user
-        if individual not in self.abox.individuals:
+        if not self.abox.has_individual(individual):
             overlay.register_individual(individual)
         if self.journal is not None:
             # Rehydrate the tenant's journalled overlay before the

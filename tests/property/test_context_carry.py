@@ -1,14 +1,15 @@
-"""The carried context binding equals the full reuse walk and re-bind.
+"""The carried and the shared context binding equal a private full bind.
 
 A warm miss on the basis its engine last bound may carry the reuse
 verdict and every rule binding its context delta cannot have moved
 (:meth:`repro.engine.basis.ViewBasis.stale_rules`).  These tests replay
 random install sequences on a flat engine and on ``TenantRegistry``
 overlays over a shared base, on both kernel backends, and after every
-rank compare against the full path: :meth:`ViewBasis.reusable_for` plus
-:func:`bind_rules` over all rules — the bindings bit for bit, the
-kernel's ``coalesce_key`` and the scored view — and the served scores
-against a cold, non-incremental engine.
+rank compare against the full path on a fresh, private reasoner:
+:meth:`ViewBasis.reusable_for` plus :func:`bind_rules` over all rules —
+the bindings bit for bit, the kernel's ``coalesce_key``, the scored
+view and the ranked cut — and the served scores against a cold,
+non-incremental engine.
 
 Rule contexts are atomic names, ``NOT`` / ``AND`` / ``OR`` of them, a
 TBox-defined name, ``EXISTS knows.C`` and ``{u}`` / ``{s}``, over a
@@ -16,6 +17,16 @@ TBox with drawn subsumptions.  Deltas install contexts (the target's
 own name among them), add role edges, assert on a document and on a
 stranger, and swap the basis by growing the TBox.  The deterministic
 cases below pin one carrying hazard each.
+
+Herd mates share more: through a :class:`ScoredViewMemo`, a tenant
+whose context is tenant-blind takes a mate's bound kernel, its scored
+view and its ranked cut (:meth:`ViewBasis.share_slice`), and every
+context install advances the tenant's reasoner session instead of
+rebuilding it (:meth:`repro.reason.CompiledKB.session`).  The herd
+tests below rank several tenants over one base — users the base knows
+nothing about, one it asserts about, one it merely registers — from a
+small pool of contexts so their slices collide, beside role edges and
+static facts in single overlays, and check every answer the same way.
 """
 
 from __future__ import annotations
@@ -34,9 +45,9 @@ from repro.dl import ABox, TBox
 from repro.dl.concepts import Concept, atomic, complement, intersect, one_of, some, union
 from repro.engine import EngineBuilder, RankRequest
 from repro.engine.basis import shared_basis_pool
-from repro.engine.engine import context_bind_counters, score_prepared_batch
+from repro.engine.engine import ScoredViewMemo, context_bind_counters, score_prepared_batch
 from repro.events import EventSpace
-from repro.reason import clear_registry
+from repro.reason import CompiledKB, base_tier, clear_registry, session_counters
 from repro.rules import PreferenceRule, RuleRepository
 from repro.tenants import TenantRegistry
 
@@ -109,30 +120,41 @@ def basis_of(engine):
     return basis if basis is not None else shared_basis_pool().get(key)
 
 
-def check_rank(engine, specs=None):
-    """Rank once and compare with the full path and a cold engine."""
-    request = RankRequest()
-    prepared = engine.prepare_rank(specs, request)
+def check_rank(engine, specs=None, memo=None, top_k=None):
+    """Rank once — through ``memo`` when given — and compare with the
+    full path on a fresh, private reasoner: the binding, kernel, view
+    and cut bit for bit, the served scores with a cold engine."""
+    request = RankRequest(top_k=top_k)
+    prepared = engine.prepare_rank(specs, request, memo=memo)
+    private = CompiledKB(engine.abox, engine.tbox, engine.space)
     if prepared.kernel is not None:
         basis = basis_of(engine)
-        assert basis.reusable_for(engine.abox, engine.tbox, engine.target, kb=engine.kb)
+        assert basis.reusable_for(engine.abox, engine.tbox, engine.target, kb=private)
         reference = bind_rules(
             engine.abox, engine.tbox, engine.user, list(engine.preferences.repository()),
-            engine.space, kb=engine.kb,
+            engine.space, kb=private,
         )
         assert prepared.kernel.bindings == reference
         expected = basis.kernel.with_context(reference)
         assert prepared.kernel.coalesce_key == expected.coalesce_key
-        (view,), _rows = score_prepared_batch([prepared])
+        if memo is not None:
+            view = memo.execute(prepared)
+        else:
+            (view,), _rows = score_prepared_batch([prepared])
         reference_view = expected.score_documents(prune_documents=engine.prune_documents)
         assert score_values(view) == score_values(reference_view)
-        served = prepared.complete(view).scores()
+        response = prepared.complete(view)
+        cut = engine._combine_items(
+            reference_view.column(), None, reference_view.names, top_k
+        )
+        assert list(response.items) == list(cut)
+        served = response.scores()
     else:
         served = prepared.complete().scores()
     cold = (
         EngineBuilder().knowledge(engine.abox, engine.tbox, engine.user, engine.space)
         .target(engine.target).preferences(engine.preferences.repository())
-        .incremental(False).build()
+        .reasoner(private).incremental(False).build()
     )
     assert served == pytest.approx(cold.rank(request).scores(), abs=1e-12)
     return prepared
@@ -370,3 +392,225 @@ def test_bind_counters_lose_no_update_across_threads():
         "rules_rebound": total, "rules_carried": 2 * total,
         "verdicts_carried": total, "verdicts_walked": total,
     }
+
+
+# -- herds: shared binds and advanced sessions -----------------------------
+#: Contexts herd mates draw: few, so their slices collide.
+POOL = ((), ("C0",), ("C1:0.3",), ("C0", "C2:0.7"), ("C3",), ("TvProgram:0.5",), ("D",))
+#: Tenant users: three the base knows nothing about, ``s`` (the base
+#: asserts ``C1(s)``) and ``u`` (registered in the base, no facts).
+HERD_USERS = ("x", "y", "z", "s", "u")
+#: A flat world's engines (one ABox, one reasoner, no shared bases).
+FLAT_USERS = ("u", "v")
+
+
+def herd_delta(engine, action, user):
+    """One overlay's own change beside its context.
+
+    ``w`` is an individual of this overlay alone, outside every
+    candidate's support: edges to it and facts about it leave the
+    tenant's reuse verdict standing while its role-walking rule
+    contexts read them.
+    """
+    if action in ("edge", "static_edge"):  # the user knows w, who is C0 and C1
+        engine.abox.assert_role("knows", user, "w", dynamic=action == "edge")
+        for name in ("C0", "C1"):
+            engine.abox.assert_concept(name, "w")
+    elif action == "w_fact":  # a per-tenant static fact on w
+        engine.abox.assert_concept("C2", "w")
+    elif action == "reached":  # a candidate now reaches the user
+        engine.abox.assert_role("knows", "d00", user, dynamic=True)
+    elif action == "document_fact":  # a per-tenant static fact on a document
+        engine.abox.assert_concept("C2", "d01")
+    else:  # "user_fact": a static fact about the user, in its slice
+        engine.abox.assert_concept("C1", user)
+
+
+HERD_ACTIONS = ("edge", "static_edge", "w_fact", "reached", "document_fact", "user_fact")
+ranks = st.tuples(
+    st.just("rank"), st.integers(0, len(HERD_USERS) - 1),
+    st.sampled_from(range(len(POOL))), st.sampled_from([None, 3]),
+)
+herd_steps = st.one_of(
+    ranks,
+    ranks,
+    st.tuples(
+        st.sampled_from(HERD_ACTIONS), st.integers(0, len(HERD_USERS) - 1),
+        st.just(0), st.just(None),
+    ),
+)
+
+
+@st.composite
+def herds(draw):
+    contexts = draw(st.lists(rule_contexts, min_size=2, max_size=5))
+    subsumptions = draw(st.lists(pairs, max_size=2, unique=True))
+    plain = st.sampled_from(NAMES).map(atomic)
+    definition = draw(
+        st.none()
+        | st.tuples(plain, plain).map(lambda p: intersect([p[0], complement(p[1])]))
+    )
+    target = draw(st.sampled_from(["plain"] * 3 + sorted(TARGETS)))
+    # Runs of ranks, so mates meet: mostly ranks, a few overlay deltas.
+    steps = draw(st.lists(herd_steps, min_size=4, max_size=24))
+    return contexts, subsumptions, definition, target, steps
+
+
+@pytest.mark.parametrize("kind", ["overlay", "flat"])
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(herd=herds())
+def test_herd_shares_equal_a_private_bind(backend, kind, herd):
+    contexts, subsumptions, definition, target, steps = herd
+    clear_registry()
+    with kernel_backend(backend):
+        world = build_world(contexts, subsumptions, definition, target)
+        memo = ScoredViewMemo()
+        if kind == "overlay":
+            registry = TenantRegistry(world, max_sessions=8)
+            users = HERD_USERS
+            engines = [registry.session(f"t{user}", user=user).engine for user in users]
+        else:
+            users = FLAT_USERS
+            engines = [
+                EngineBuilder().knowledge(world.abox, world.tbox, user, world.space)
+                .target(world.target).preferences(world.repository).build()
+                for user in users
+            ]
+        for engine in engines:  # the first binds see empty overlays
+            check_rank(engine, memo=memo)
+        for action, index, context, top_k in steps:
+            engine = engines[index % len(engines)]
+            if action == "rank":
+                check_rank(engine, list(POOL[context]), memo, top_k)
+            else:
+                herd_delta(engine, action, users[index % len(users)])
+                check_rank(engine, memo=memo)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_herd_mates_share_one_bind_and_one_cut(backend):
+    with kernel_backend(backend):
+        world = build_world([atomic("C0"), union([atomic("C1"), atomic("C2")])])
+        registry = TenantRegistry(world, max_sessions=8)
+        memo = ScoredViewMemo()
+        first, mate, known = (
+            registry.session(f"t{user}", user=user).engine for user in ("x", "y", "u")
+        )
+        for engine in (first, mate, known):
+            check_rank(engine, ["C1"], memo)
+        shared = memo.info()["binds_shared"]
+        leader = check_rank(first, ["C0:0.7", "C2"], memo, 3)
+        follower = check_rank(mate, ["C0:0.7", "C2"], memo, 3)
+        assert memo.info()["binds_shared"] == shared + 1
+        assert follower.kernel is leader.kernel
+        assert follower.cuts is leader.cuts and len(leader.cuts) == 1
+        # The base registers ``u``: its mate binds privately.
+        assert check_rank(known, ["C0:0.7", "C2"], memo, 3).kernel is not leader.kernel
+        assert memo.info()["binds_shared"] == shared + 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_role_walking_rule_is_never_shared(backend):
+    with kernel_backend(backend):
+        world = build_world([atomic("C0"), some("knows", atomic("C1"))])
+        registry = TenantRegistry(world, max_sessions=8)
+        memo = ScoredViewMemo()
+        knower = registry.session("tx", user="x").engine
+        knower.abox.assert_role("knows", "x", "w")  # per-tenant static facts
+        knower.abox.assert_concept("C1", "w")
+        stranger = registry.session("ty", user="y").engine
+        for engine in (knower, stranger):
+            check_rank(engine, ["C1"], memo)
+        check_rank(knower, ["C0"], memo)
+        check_rank(stranger, ["C0"], memo)
+        assert memo.info()["binds_shared"] == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_user_the_base_asserts_about_is_never_shared(backend):
+    with kernel_backend(backend):
+        world = build_world([atomic("C0"), atomic("C1")])
+        registry = TenantRegistry(world, max_sessions=8)
+        memo = ScoredViewMemo()
+        known = registry.session("ts", user="s").engine  # the base asserts C1(s)
+        fresh = registry.session("tx", user="x").engine
+        for engine in (known, fresh):
+            check_rank(engine, ["C2"], memo)
+        check_rank(fresh, ["C0"], memo)
+        check_rank(known, ["C0"], memo)
+        assert memo.info()["binds_shared"] == 0
+
+
+def test_installs_advance_sessions_and_keep_memos_flat():
+    world = build_world([atomic("C0"), union([atomic("C1"), atomic("C2")]), atomic("C3")])
+    registry = TenantRegistry(world, max_sessions=8)
+    memo = ScoredViewMemo()
+    engines = [registry.session(f"t{user}", user=user).engine for user in ("x", "y")]
+    for engine in engines:
+        check_rank(engine, ["C0"], memo)
+    tier = base_tier(registry.abox, registry.tbox, registry.space)
+    space_events, base_probabilities = len(world.space), tier.memo_probabilities
+    moved = session_counters()
+    for step in range(300):
+        context = [f"C0:0.{step + 100:04d}", f"C{1 + step % 3}:0.{step + 5000:04d}"]
+        for engine in engines:
+            prepared = engine.prepare_rank(context, RankRequest(top_k=3), memo=memo)
+            prepared.complete(memo.execute(prepared))
+            # one epoch's context atoms at most, never the stream's
+            assert engine.kb.info().memo_probabilities <= 8
+    assert len(world.space) == space_events
+    assert tier.memo_probabilities == base_probabilities
+    after = session_counters()
+    assert after["sessions_rebuilt"] == moved["sessions_rebuilt"]
+    assert after["sessions_advanced"] - moved["sessions_advanced"] >= 300
+    assert memo.info()["binds_shared"] >= 300
+
+
+def test_a_role_delta_rebuilds_the_session():
+    world = build_world([atomic("C0"), some("knows", atomic("C1"))])
+    registry = TenantRegistry(world, max_sessions=8)
+    engine = registry.session("tx", user="x").engine
+    memo = ScoredViewMemo()
+    check_rank(engine, ["C0"], memo)
+    first = engine.kb.session()
+    check_rank(engine, ["C1"], memo)  # a concept delta: advanced
+    advanced = engine.kb.session()
+    assert advanced is not first and advanced.base is first.base
+    assert advanced.reachability_maps() is first.reachability_maps()
+    engine.abox.assert_role("knows", "d00", "x", dynamic=True)
+    check_rank(engine, memo=memo)
+    assert engine.kb.session().reachability_maps() is not first.reachability_maps()
+    info = engine.kb.info()
+    assert info.invalidations - info.advances == 1
+
+
+def test_a_session_advanced_from_an_empty_overlay_reads_the_user():
+    world = build_world([atomic("C0"), atomic("C1")])
+    registry = TenantRegistry(world, max_sessions=8)
+    memo = ScoredViewMemo()
+    sibling = registry.session("ty", user="y").engine
+    engine = registry.session("tx", user="x").engine
+    check_rank(sibling, memo=memo)  # compiles the basis
+    check_rank(engine, memo=memo)  # binds with nothing asserted about x
+    assert engine.kb.session().affected_names() == frozenset()
+    check_rank(engine, ["C0"], memo)  # advanced: x's events are its own now
+    assert "x" in engine.kb.session().affected_names()
+    assert engine.kb.info().advances == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_context_that_took_a_static_fact_along_is_not_a_cache_hit(backend):
+    # A dynamic C1(s) merges into the static C1(s); clearing it drops
+    # both, and the view cached before the merge (s a target member
+    # through C1 ⊑ C3) must not answer the cleared state.
+    with kernel_backend(backend):
+        world = build_world([atomic("C0"), atomic("C0")], target="reads_context")
+        engine = flat_engine(world)
+        check_rank(engine, ["C0"])
+        check_rank(engine, [])
+        grow_tbox(world, ("C1", "C3"))
+        check_rank(engine)
+        assert_dynamic(engine, "stranger", "C1")
+        check_rank(engine)
+        assert "s" not in check_rank(engine, []).complete().scores()

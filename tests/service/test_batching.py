@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernel import ScoredView
 from repro.engine import RankRequest
 from repro.engine.engine import (
     MEMO_ENTRIES,
@@ -95,10 +96,12 @@ def run_differential(registry, steps):
         scored_for = (context, prune)
         _view, owner = owners.setdefault(id(served), (served, scored_for))
         assert owner == scored_for, "two different bindings share one view"
-        # Every entry's key holds the candidates its view was scored on:
-        # a key that merely names them could alias a later matrix.
-        for key, view in memo._views.items():
-            assert any(part is view.kernel.candidates for part in key)
+        # Every view entry's key holds the candidates its view was
+        # scored on: a key that merely names them could alias a later
+        # matrix.  (Bound-kernel entries hold their basis instead.)
+        for key, (view, *_rest) in memo._entries.items():
+            if isinstance(view, ScoredView):
+                assert any(part is view.kernel.candidates for part in key)
         trivial = trivial or bool(fresh.kernel.trivial_rows())
     return memo, trivial
 

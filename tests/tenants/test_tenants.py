@@ -83,6 +83,28 @@ class TestCheckout:
         assert registry.session("a").engine.method == "enumeration"
         assert registry.session("b", method="exact").engine.method == "exact"
 
+    def test_mint_does_not_copy_the_domain(self, registry, monkeypatch):
+        from repro.dl.abox import ABox, LayeredABox
+
+        copies = []
+
+        def counted(cls):
+            real = cls.individuals
+
+            def individuals(box):
+                copies.append(box)
+                return real.fget(box)
+
+            monkeypatch.setattr(cls, "individuals", property(individuals))
+
+        counted(ABox)
+        counted(LayeredABox)
+        known = registry.session("peter", user="peter")  # a user the base knows
+        fresh = registry.session("newcomer")
+        assert copies == []
+        assert Individual("peter") not in known.overlay.overlay_individuals()
+        assert Individual("newcomer") in fresh.overlay.overlay_individuals()
+
     def test_rules_factory_per_tenant(self):
         def factory(tenant_id):
             return repository(RULE_P if tenant_id == "p" else RULE_M)
