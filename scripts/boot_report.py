@@ -23,6 +23,13 @@ it at another checkout to compare two commits with one script):
   ``reasoner.rules_rebound``; ``n/a`` on a tree that does not count
   them); one column for the first tenant to see a context, one for a
   herd mate (a second tenant, the same context, right after it);
+* a response-cache hit on the TVTouch world (what ~95 % of the
+  ledger's ``zipf_steady`` requests are), driven as the gateway drives
+  it — the raw query string in, the encoded body out — split into the
+  parse, the cache keying (ledger lookup and key), the delta install and
+  its verification and the encode, median microseconds per hit; one
+  column for a pure hit (the tenant's standing context), one for a
+  delta hit (a flip to a context it has ranked before);
 * for the real ``python -m repro serve --port 0`` on two worlds — the
   default four-program TVTouch world and a 2 000-program Section 5
   snapshot, one on each side of the kernel's ``VECTOR_MIN`` size rule —
@@ -180,6 +187,88 @@ def misses(service, *args, **kwargs):
 aio.serve = misses
 from repro.cli import main
 code = main(["serve", "--port", "0", *FLAGS])
+print(json.dumps(split))
+raise SystemExit(code)
+"""
+#: ``repro serve`` on TVTouch up to the gateway, then response-cache hits
+#: on warm tenants instead of the loop, each driven as the gateway drives
+#: one: the raw query string in, the encoded body out.  A pure hit
+#: repeats a tenant's query under its standing context; a delta hit
+#: flips the tenant to the other of two contexts it has ranked.  The
+#: median microseconds per hit spent in each probed step; a tree whose
+#: service takes no query string gets parsed parameters, the parse timed
+#: here as its gateway's.
+HIT_TWIN = """
+import json, statistics, time
+from urllib.parse import parse_qs
+import repro.cache.keys
+from repro.service import aio
+from repro.service.pipeline import RankingService, ServiceRequest, ServiceResponse
+HITS, TENANTS = 1000, 20
+CONTEXTS = ("&context=Weekend&context=Breakfast", "&context=Weekend:0.7&context=Breakfast:0.6")
+from_query = getattr(ServiceRequest, "from_query", None)
+STEPS = [
+    (ServiceRequest, "from_query" if from_query is not None else "from_params", "parse"),
+    (repro.cache.keys.ResponseKeyer, "lookup", "keying"),
+    (repro.cache.keys.KeyLookup, "key", "keying"),
+    (RankingService, "_install_verified", "install and verify"),
+    (ServiceResponse, "encoded", "encode"),
+]
+spent, split = {}, {}
+def timer(real, step):
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            spent[step] = spent.get(step, 0.0) + time.perf_counter() - started
+    return timed
+def probe(owner, name, step):
+    real = getattr(owner, name)
+    if isinstance(real, property):
+        setattr(owner, name, property(timer(real.fget, step)))
+    else:
+        setattr(owner, name, timer(real, step))
+def hits(service, *args, **kwargs):
+    def ask(query):
+        if from_query is not None:
+            attempt = service.begin_rank(query)
+        else:
+            started = time.perf_counter()
+            params = parse_qs(query, keep_blank_values=True)
+            spent["parse"] = spent.get("parse", 0.0) + time.perf_counter() - started
+            attempt = service.begin_rank(params)
+        reply = attempt.response or service.finish_rank(attempt)
+        reply.encoded()
+        return reply.status == 200 and "cached" in reply._rendered.tail
+    tenants = [f"tenant=t{index:02d}&top_k=3" for index in range(TENANTS)]
+    for tenant in tenants:
+        for context in (*CONTEXTS, ""):
+            ask(tenant + context)
+    for owner, name, step in STEPS:
+        probe(owner, name, step)
+    readings = {
+        role: {"whole hit": [], **{step: [] for _owner, _name, step in STEPS}}
+        for role in ("pure hit", "delta hit")
+    }
+    for index in range(HITS):
+        tenant = tenants[index % TENANTS]
+        flip = CONTEXTS[(index // TENANTS) % 2]
+        for role, query in (("delta hit", tenant + flip), ("pure hit", tenant)):
+            spent.clear()
+            started = time.perf_counter()
+            if not ask(query):
+                continue  # not a hit: its steps are not a hit's account
+            spent["whole hit"] = time.perf_counter() - started
+            for step, values in readings[role].items():
+                values.append(spent.get(step, 0.0))
+    for role, steps in readings.items():
+        split[role] = {step: statistics.median(values) * 1e6 for step, values in steps.items()}
+    split["hits"] = min(len(steps["whole hit"]) for steps in readings.values())
+    return 0
+aio.serve = hits
+from repro.cli import main
+code = main(["serve", "--port", "0"])
 print(json.dumps(split))
 raise SystemExit(code)
 """
@@ -367,6 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         for top_k in ("3", None):
             miss_code = f"FLAGS = {worlds[1][1]!r}\nTOP_K = {top_k!r}\n" + MISS_TWIN
             miss_splits[top_k] = [run_child(miss_code, src) for _ in range(max(1, args.repeat))]
+        hit_splits = [run_child(HIT_TWIN, src) for _ in range(max(1, args.repeat))]
         # real boots only: a first rank past the deadline is a reading, not a failure
         large = section5_flags(src, Path(scratch), LARGE_PROGRAMS)
         rows.append((
@@ -404,6 +494,15 @@ def main(argv: list[str] | None = None) -> int:
             spec = ".1f"
             label = f"{step} (of 12)" if step == "rules re-bound" else step
             print(f"      {label:<36}" + "".join(f"{show(cell, spec):>11}" for cell in cells))
+    print(f"  a response-cache hit on tvtouch (4 programs), in-process, query string in "
+          f"and body bytes out, median us per hit, medians of {len(hit_splits)} runs:")
+    label = f"({min(run['hits'] for run in hit_splits)}+ hits a run)"
+    print(f"    {label:<38}{'pure hit':>11}{'delta hit':>11}")
+    for step in hit_splits[0]["pure hit"]:
+        cells = [
+            median([run[role] for run in hit_splits], step) for role in ("pure hit", "delta hit")
+        ]
+        print(f"      {step:<36}" + "".join(f"{show(cell, '.1f'):>11}" for cell in cells))
     print(f"  real `repro serve --port 0`, medians of {max(1, args.repeat)} boots "
           "(status: the first rank's, under the default deadline):")
     header = (f"    {'world':<36} {'announce s':>10} {'RSS MB':>8} {'first rank s':>12} "

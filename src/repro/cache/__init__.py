@@ -18,9 +18,11 @@ the engine-level view/score memoisation lives in
 
 from repro.cache.keys import (
     KeyLookup,
+    QueryKey,
     ResponseKeyer,
     canonical_context,
     family_key,
+    query_key,
     response_key,
     signature_digest,
 )
@@ -33,11 +35,13 @@ __all__ = [
     "InMemoryCacheAdapter",
     "KeyLookup",
     "NoCacheAdapter",
+    "QueryKey",
     "ResponseCacheInfo",
     "ResponseKeyer",
     "StaleHit",
     "canonical_context",
     "family_key",
+    "query_key",
     "response_key",
     "signature_digest",
 ]

@@ -19,6 +19,14 @@ A response key is therefore::
 * the **query digest** hashes the canonicalised request shape
   (explicit candidate list, effective ``top_k``, ``explain``).
 
+Everything a key takes from the request itself — the canonical
+context's digest and the shape digest — is one :class:`QueryKey`,
+derived by :func:`query_key`.  It is a pure function of the request, so
+the service derives it once per distinct ``/rank`` query string
+(``ServiceRequest.from_query`` memoises the parsed request, and the
+request carries its ``QueryKey``); only the view digest is looked up
+per request.
+
 Invalidation is *by reachability*: any context flip changes the view
 signature, so stale entries cannot be addressed at all (and, being
 content-addressed, restoring an earlier context legitimately restores
@@ -45,17 +53,19 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Hashable, Iterable
 
 from repro.engine.backends import parse_context_spec
-from repro.errors import ReproError
 
 __all__ = [
     "CanonicalContext",
     "KeyLookup",
+    "QueryKey",
     "ResponseKeyer",
     "canonical_context",
     "family_key",
+    "query_key",
     "response_key",
     "signature_digest",
 ]
@@ -95,7 +105,7 @@ def response_key(
     explain: bool,
 ) -> str:
     """The adapter key for one ``(tenant, view, query shape)`` triple."""
-    return f"{tenant}|{view_digest}|{_digest((documents, top_k, explain))}"
+    return query_key(tenant, None, documents, top_k, explain).key(view_digest)
 
 
 def family_key(
@@ -114,10 +124,62 @@ def family_key(
     blown).  Such a body may reflect an older context; the pipeline
     flags it ``"stale": true`` and bounds its age.
     """
-    return f"{tenant}|{_digest((documents, top_k, explain))}"
+    return query_key(tenant, None, documents, top_k, explain).family
 
 
-@dataclass
+@lru_cache(maxsize=256)
+def _shape_digest(
+    documents: tuple[str, ...] | None, top_k: int | None, explain: bool
+) -> str:
+    # Few distinct shapes serve many requests: one digest (and one
+    # string, shared by every key of that shape) each.
+    return _digest((documents, top_k, explain))
+
+
+@dataclass(frozen=True, slots=True)
+class QueryKey:
+    """What a response key takes from one request, derived once.
+
+    ``canon_digest`` digests the canonical context delta
+    (:func:`canonical_context`; ``None`` for a request that keeps the
+    standing context) and ``shape`` the request's shape — its
+    ``(documents, top_k, explain)``.  :meth:`key` is the
+    :func:`response_key` under one view digest and :attr:`family` the
+    :func:`family_key`.
+    """
+
+    tenant: str
+    canon_digest: str | None
+    shape: str
+
+    def key(self, view_digest: str) -> str:
+        return f"{self.tenant}|{view_digest}|{self.shape}"
+
+    @property
+    def family(self) -> str:
+        return f"{self.tenant}|{self.shape}"
+
+
+def query_key(
+    tenant: str,
+    context: Iterable[str] | None,
+    documents: tuple[str, ...] | None,
+    top_k: int | None,
+    explain: bool,
+) -> QueryKey:
+    """Derive a request's :class:`QueryKey`.
+
+    Raises the underlying :class:`~repro.errors.EngineConfigError` when
+    a context spec does not parse.
+    """
+    return QueryKey(
+        tenant=tenant,
+        canon_digest=_digest(canonical_context(context)) if context is not None else None,
+        shape=_shape_digest(documents, top_k, explain),
+    )
+
+
+@dataclass(slots=True)
 class KeyLookup:
     """One resolved lookup attempt (everything the fill needs later).
 
@@ -132,26 +194,27 @@ class KeyLookup:
     ``/rank`` with ``context=``).
     """
 
-    tenant: str
+    query: QueryKey
     era: int
-    canon: CanonicalContext | None
-    canon_digest: str | None
     view_digest: str | None
     needs_install: bool
-    documents: tuple[str, ...] | None
-    top_k: int | None
-    explain: bool
+
+    @property
+    def tenant(self) -> str:
+        return self.query.tenant
+
+    @property
+    def canon_digest(self) -> str | None:
+        return self.query.canon_digest
 
     @property
     def key(self) -> str:
         digest = self.view_digest if self.view_digest is not None else "unlearned"
-        return response_key(
-            self.tenant, digest, self.documents, self.top_k, self.explain
-        )
+        return self.query.key(digest)
 
     @property
     def family(self) -> str:
-        return family_key(self.tenant, self.documents, self.top_k, self.explain)
+        return self.query.family
 
 
 class _TenantLedger:
@@ -181,28 +244,10 @@ class ResponseKeyer:
         self.max_tenants = max_tenants
 
     # -- the request path --------------------------------------------------
-    def lookup(
-        self,
-        tenant: str,
-        context: tuple[str, ...] | None,
-        documents: tuple[str, ...] | None,
-        top_k: int | None,
-        explain: bool,
-    ) -> KeyLookup | None:
-        """Resolve a request to a (possibly unanswerable) cache key.
-
-        Returns ``None`` when the context delta does not even parse —
-        the pipeline's own pre-flight will reject the request; the
-        cache stays out of error paths entirely.
-        """
-        canon: CanonicalContext | None = None
-        canon_digest: str | None = None
-        if context is not None:
-            try:
-                canon = canonical_context(context)
-            except ReproError:
-                return None
-            canon_digest = _digest(canon)
+    def lookup(self, query: QueryKey) -> KeyLookup:
+        """Resolve a derived request key to a (possibly unanswerable) cache key."""
+        tenant = query.tenant
+        canon_digest = query.canon_digest
         with self._lock:
             state = self._tenants.get(tenant)
             if state is not None:
@@ -216,15 +261,7 @@ class ResponseKeyer:
                 view_digest = state.deltas.get(canon_digest) if state is not None else None
                 needs_install = view_digest is not None and view_digest != standing
         return KeyLookup(
-            tenant=tenant,
-            era=era,
-            canon=canon,
-            canon_digest=canon_digest,
-            view_digest=view_digest,
-            needs_install=needs_install,
-            documents=documents,
-            top_k=top_k,
-            explain=explain,
+            query=query, era=era, view_digest=view_digest, needs_install=needs_install
         )
 
     def learn(self, lookup: KeyLookup, fingerprint: tuple) -> str | None:

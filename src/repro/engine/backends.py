@@ -208,10 +208,10 @@ class SensedContext(AboxContext):
 class RepositoryPreferences:
     """Preference backend over a plain rule repository.
 
-    The fingerprint is content-derived (rule ids, concept keys and
-    sigmas) rather than a mutation counter, so in-place edits to the
-    repository — the supported mutation path — are caught without any
-    cooperation from the caller.
+    The fingerprint is the repository's content digest (rule ids,
+    concept keys and sigmas, :meth:`RuleRepository.fingerprint`), rebuilt
+    only when an in-place edit — the supported mutation path — bumped
+    its revision, so the caller need not cooperate.
     """
 
     _repository: RuleRepository
@@ -220,10 +220,7 @@ class RepositoryPreferences:
         return self._repository
 
     def fingerprint(self) -> Hashable:
-        return tuple(
-            (rule.rule_id, rule.context_key, rule.preference_key, rule.sigma)
-            for rule in self._repository
-        )
+        return self._repository.fingerprint()
 
 
 @dataclass

@@ -56,7 +56,6 @@ import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Optional, Sequence
 
 from repro._lazy import lazy_module
@@ -70,7 +69,7 @@ from repro.core.preference_view import PreferenceView
 from repro.core.problem import _active_deadline, bind_rules
 from repro.core.scorer import ContextAwareScorer
 from repro.core.scoring import DocumentScore
-from repro.dl.abox import ABox, content_digest
+from repro.dl.abox import ABox
 from repro.dl.concepts import Concept
 from repro.dl.tbox import TBox
 from repro.dl.vocabulary import Individual
@@ -387,21 +386,6 @@ def _same_rules(carried: tuple, rules: tuple) -> bool:
     return len(carried) == len(rules) and all(map(operator.is_, carried, rules))
 
 
-#: Distinct rule fingerprints whose digest is remembered.
-_RULES_DIGEST_MEMO_SIZE = 64
-
-
-@lru_cache(maxsize=_RULES_DIGEST_MEMO_SIZE)
-def _rules_digest(fingerprint: Hashable) -> str:
-    """:func:`content_digest` of a rule fingerprint, memoised by value.
-
-    The fingerprint is rebuilt on every signature, so an in-place
-    repository edit still changes the digest; every engine over one
-    rule set (a tenant fleet) shares one memo entry and one string.
-    """
-    return content_digest(fingerprint)
-
-
 class RankingEngine:
     """The canonical public entry point for context-aware ranking.
 
@@ -536,7 +520,7 @@ class RankingEngine:
             self.context.signature(),
             self.tbox.revision,
             self.space.revision if self.space is not None else -1,
-            _rules_digest(self.preferences.fingerprint()),
+            self.preferences.fingerprint(),
             self.method,
             self.rule_threshold,
             self.prune_documents,
@@ -609,7 +593,7 @@ class RankingEngine:
             self._carried = None
             return key, None, None
         try:
-            return key, None, self._bind_on(basis, tuple(repository), memo)
+            return key, None, self._bind_on(basis, repository.rules, memo)
         except ScoringError:  # pragma: no cover - fingerprint should prevent this
             return key, None, None
 

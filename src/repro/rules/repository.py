@@ -18,7 +18,7 @@ from repro.errors import RuleError
 from repro.events.expr import EventExpr
 from repro.events.probability import probability
 from repro.events.space import EventSpace
-from repro.dl.abox import ABox
+from repro.dl.abox import ABox, content_digest
 from repro.dl.instances import membership_event
 from repro.dl.tbox import TBox
 from repro.dl.vocabulary import Individual
@@ -56,6 +56,10 @@ class RuleRepository:
 
     def __init__(self, rules: Iterable[PreferenceRule] = ()):
         self._rules: dict[str, PreferenceRule] = {}
+        #: Bumped by every :meth:`add` / :meth:`remove` (rules are frozen,
+        #: so these are the only edits).
+        self.revision = 0
+        self._frozen: tuple[int, tuple[PreferenceRule, ...], str] = (-1, (), "")
         for rule in rules:
             self.add(rule)
 
@@ -64,12 +68,38 @@ class RuleRepository:
         if rule.rule_id in self._rules:
             raise RuleError(f"rule id {rule.rule_id!r} already in repository")
         self._rules[rule.rule_id] = rule
+        self.revision += 1
 
     def remove(self, rule_id: str) -> PreferenceRule:
         try:
-            return self._rules.pop(rule_id)
+            rule = self._rules.pop(rule_id)
         except KeyError as exc:
             raise RuleError(f"no rule named {rule_id!r} in repository") from exc
+        self.revision += 1
+        return rule
+
+    def _frozen_state(self) -> tuple[int, tuple[PreferenceRule, ...], str]:
+        """``(revision, rules, fingerprint)``, built once per revision."""
+        frozen = self._frozen
+        if frozen[0] != self.revision:
+            rules = tuple(self._rules.values())
+            digest = content_digest(
+                tuple(
+                    (rule.rule_id, rule.context_key, rule.preference_key, rule.sigma)
+                    for rule in rules
+                )
+            )
+            frozen = self._frozen = (self.revision, rules, digest)
+        return frozen
+
+    def fingerprint(self) -> str:
+        """A content digest of the rules: ids, concept keys and sigmas, in order.
+
+        Equal rule sets give equal fingerprints whatever repository
+        holds them; like :attr:`rules` it is built once per
+        :attr:`revision`.
+        """
+        return self._frozen_state()[2]
 
     def get(self, rule_id: str) -> PreferenceRule:
         try:
@@ -88,7 +118,8 @@ class RuleRepository:
 
     @property
     def rules(self) -> tuple[PreferenceRule, ...]:
-        return tuple(self._rules.values())
+        """The rules in insertion order: one tuple per :attr:`revision`."""
+        return self._frozen_state()[1]
 
     @property
     def default_rules(self) -> tuple[PreferenceRule, ...]:

@@ -9,7 +9,10 @@ Endpoints:
     for this and later requests; omit it to rank under the standing
     context.  Optional ``documents`` (repeatable / comma-separated),
     ``explain=1``, ``timeout`` (seconds; the ``X-Request-Timeout``
-    header works too and the query parameter wins).
+    header works too and the query parameter wins).  The query string
+    goes to the service unparsed: :meth:`ServiceRequest.from_query`
+    parses and keys each distinct one once (``/metrics`` →
+    ``gateway.query_memo``).
 
 ``POST /context``
     JSON body ``{"tenant": "...", "context": ["Weekend", "Breakfast:0.7"]}`` —
@@ -84,11 +87,17 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import quote, urlsplit
 
 from repro import __version__
 from repro.service.metrics import GatewayMetrics
-from repro.service.pipeline import RankAttempt, RankingService, ServiceResponse, WouldBlock
+from repro.service.pipeline import (
+    RankAttempt,
+    RankingService,
+    ServiceRequest,
+    ServiceResponse,
+    WouldBlock,
+)
 
 __all__ = ["AioRankingServer", "make_aio_server", "serve"]
 
@@ -348,11 +357,12 @@ class _HttpConnection(asyncio.Protocol):
             )
 
     def _handle_rank(self, request: _Request, query: str) -> None:
-        params = parse_qs(query, keep_blank_values=True)
         header_timeout = request.headers.get("x-request-timeout")
-        if header_timeout is not None and "timeout" not in params:
-            params["timeout"] = [header_timeout]
-        attempt = self.service.begin_rank(params)
+        if header_timeout is not None:
+            # Ahead of the query's own parameters: the parser keeps the
+            # last ``timeout``, so the query's wins when it has one.
+            query = f"timeout={quote(header_timeout, safe='')}&{query}"
+        attempt = self.service.begin_rank(query)
         # A parse 400 or a cache hit is answered by begin_rank, a warm
         # miss by the non-blocking finish: both here, on the loop.
         try:
@@ -732,6 +742,13 @@ class AioRankingServer:
         section["dispatch_limit"] = self.dispatch_limit
         section["pending_dispatch"] = self._pending_dispatch
         section["read_deadline"] = self.read_deadline
+        memo = ServiceRequest.from_query.cache_info()
+        section["query_memo"] = {
+            "hits": memo.hits,
+            "misses": memo.misses,
+            "size": memo.currsize,
+            "max_size": memo.maxsize,
+        }
         return section
 
 

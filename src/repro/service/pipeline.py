@@ -81,11 +81,13 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, repeat
 from typing import Callable, Iterable, Mapping, Sequence
+from urllib.parse import parse_qs
 
-from repro.cache.keys import KeyLookup, ResponseKeyer, response_key
+from repro.cache.keys import KeyLookup, QueryKey, ResponseKeyer, query_key
 from repro.cache.none import NoCacheAdapter
 from repro.cache.protocol import CacheAdapter
 from repro.engine.backends import parse_context_spec
@@ -123,6 +125,16 @@ STAGES = ("parse", "cache", "breaker", "resolve", "context", "rank", "render")
 #: How a delta hit was answered: ``inline`` by :meth:`RankingService.begin_rank`,
 #: or deferred to :meth:`RankingService.finish_rank` for the reason named.
 _DELTA_HIT_PATHS = ("inline", "engine_busy", "not_resident", "journal", "refuted")
+
+#: Distinct ``/rank`` query strings whose parsed request is remembered
+#: (:meth:`ServiceRequest.from_query`).  Sized from the traffic it
+#: serves: the e13 Zipf schedule asks at most 1 000 distinct queries
+#: (200 tenants x 5 context choices), which all fit; over 5 000 Zipf
+#: tenants (exponent 1.1) the 1 024 most asked carry ~88 % of the
+#: requests.  Never-repeated queries (a fresh context per request) only
+#: cycle through it, so the bound is also what they cost: ~0.6 KB an
+#: entry (query, request, key material), ~0.6 MB when full.
+QUERY_MEMO_SIZE = 1024
 
 #: Where the event loop's try at a miss ended: answered ``inline``, or
 #: deferred to a pool thread for the reason named (see
@@ -206,7 +218,11 @@ class ServiceConfig:
             )
 
 
-@dataclass(frozen=True)
+#: Marks a derived value of a :class:`ServiceRequest` not yet derived.
+_UNDERIVED = object()
+
+
+@dataclass(frozen=True, slots=True)
 class ServiceRequest:
     """One parsed ranking request.
 
@@ -215,6 +231,12 @@ class ServiceRequest:
     ``timeout`` is the client's per-request deadline override in
     seconds (clamped to ``ServiceConfig.max_request_timeout``; ignored
     when the deployment disabled deadlines).
+
+    What the pipeline derives from the request alone —
+    :attr:`rank_request` and :attr:`query_key` — is computed on first
+    use and kept on it, so a request :meth:`from_query` remembers
+    derives them once for every repeat of its query string.  Slotted,
+    as :data:`QUERY_MEMO_SIZE` of them may be remembered.
     """
 
     tenant: str
@@ -223,6 +245,22 @@ class ServiceRequest:
     documents: tuple[str, ...] | None = None
     explain: bool = False
     timeout: float | None = None
+    _rank_request: object = field(default=_UNDERIVED, init=False, repr=False, compare=False)
+    _query_key: object = field(default=_UNDERIVED, init=False, repr=False, compare=False)
+
+    @staticmethod
+    @lru_cache(maxsize=QUERY_MEMO_SIZE)
+    def from_query(query: str) -> "ServiceRequest":
+        """Parse a raw ``/rank`` query string, memoised by its text.
+
+        The one query-string parser of the gateway:
+        ``from_params(parse_qs(query, keep_blank_values=True))``, which
+        is a pure function of ``query``, remembered for the last
+        :data:`QUERY_MEMO_SIZE` distinct strings.  A malformed query
+        raises as :meth:`from_params` does and is never remembered.
+        ``from_query.cache_info()`` counts hits, misses and size.
+        """
+        return ServiceRequest.from_params(parse_qs(query, keep_blank_values=True))
 
     @classmethod
     def from_params(cls, params: Mapping[str, Sequence[str]]) -> "ServiceRequest":
@@ -287,6 +325,43 @@ class ServiceRequest:
             explain=explain,
             timeout=timeout,
         )
+
+    @property
+    def rank_request(self) -> RankRequest:
+        """The engine request; raises on an invalid ``top_k`` (never kept)."""
+        derived = self._rank_request
+        if derived is _UNDERIVED:
+            derived = _rank_request(self.documents, self.top_k, self.explain)
+            object.__setattr__(self, "_rank_request", derived)
+        return derived
+
+    @property
+    def query_key(self) -> QueryKey | None:
+        """The response-cache key material (:func:`~repro.cache.keys.query_key`).
+
+        ``None`` when a context spec does not parse: the pipeline's
+        context stage answers that request 400, and the cache stays
+        out of the error path.
+        """
+        derived = self._query_key
+        if derived is _UNDERIVED:
+            try:
+                derived = query_key(
+                    self.tenant, self.context, self.documents, self.top_k, self.explain
+                )
+            except ReproError:
+                derived = None
+            object.__setattr__(self, "_query_key", derived)
+        return derived
+
+
+@lru_cache(maxsize=256)
+def _rank_request(
+    documents: tuple[str, ...] | None, top_k: int | None, explain: bool
+) -> RankRequest:
+    # Few distinct shapes serve many requests: one (frozen) engine
+    # request each, shared by every request of that shape.
+    return RankRequest(documents=documents, top_k=top_k, explain=explain)
 
 
 def _dumps(value: object) -> bytes:
@@ -642,11 +717,14 @@ class RankingService:
         self._started_at = time.time()
 
     # -- the staged pipeline ----------------------------------------------
-    def rank(self, request: ServiceRequest | Mapping[str, Sequence[str]]) -> ServiceResponse:
+    def rank(
+        self, request: ServiceRequest | str | Mapping[str, Sequence[str]]
+    ) -> ServiceResponse:
         """Answer one ranking request through the full pipeline.
 
-        Accepts a parsed :class:`ServiceRequest` or raw query-string
-        parameters (parsed as the ``parse`` stage).  Never raises for
+        Accepts a parsed :class:`ServiceRequest`, a raw query string or
+        query-string parameters (parsed as the ``parse`` stage; see
+        :meth:`begin_rank`).  Never raises for
         request-shaped failures: malformed input is a 400 body,
         a breaker shed a 503 (stale-served when possible), a blown
         deadline a 504, unexpected engine errors a
@@ -663,11 +741,15 @@ class RankingService:
         return self.finish_rank(attempt)
 
     def begin_rank(
-        self, request: ServiceRequest | Mapping[str, Sequence[str]]
+        self, request: ServiceRequest | str | Mapping[str, Sequence[str]]
     ) -> RankAttempt:
         """Run the inline-safe prefix: parse and the cache probe.
 
-        Never blocks and never raises for request-shaped failures.
+        ``request`` is a parsed :class:`ServiceRequest`, a raw query
+        string (the gateway's: :meth:`ServiceRequest.from_query`, so a
+        repeated query is parsed and keyed once) or query-string shaped
+        parameters (:meth:`ServiceRequest.from_params`).  Never blocks
+        and never raises for request-shaped failures.
         Returns a :class:`RankAttempt`; when its ``response`` is set
         (parse 400, pure or delta cache hit) the request is fully
         answered and :meth:`finish_rank` must *not* be called.  Both
@@ -679,14 +761,13 @@ class RankingService:
         attempt = RankAttempt(clock=clock)
         try:
             with clock.stage("parse"):
-                if not isinstance(request, ServiceRequest):
+                if isinstance(request, str):
+                    request = ServiceRequest.from_query(request)
+                elif not isinstance(request, ServiceRequest):
                     request = ServiceRequest.from_params(request)
                 attempt.request = request
-                attempt.rank_request = RankRequest(
-                    documents=request.documents,
-                    top_k=request.top_k,
-                    explain=request.explain,
-                )
+                attempt.rank_request = request.rank_request
+                # Per request: the clamp reads the service's config.
                 attempt.effective_timeout = clamp_timeout(
                     request.timeout,
                     self.config.request_timeout,
@@ -706,14 +787,9 @@ class RankingService:
 
         if self.cache.enabled:
             with clock.stage("cache"):
-                lookup = attempt.lookup = self._keyer.lookup(
-                    request.tenant,
-                    request.context,
-                    request.documents,
-                    request.top_k,
-                    request.explain,
-                )
-                if lookup is not None:
+                derived = request.query_key
+                if derived is not None:
+                    lookup = attempt.lookup = self._keyer.lookup(derived)
                     attempt.cached_body = self.cache.get(lookup.key)
             if attempt.cached_body is not None and (
                 not lookup.needs_install or self._delta_hit_inline(attempt)
@@ -916,9 +992,9 @@ class RankingService:
                     # Pre-flight every spec: a bad one 400s here with
                     # the tenant's standing context untouched.  The
                     # cache stage parsed them all if it produced a
-                    # lookup (``lookup.canon``); only a request it could
-                    # not key — cache off, or a spec that does not
-                    # parse — is parsed here.
+                    # lookup (``lookup.canon_digest``); only a request
+                    # it could not key — cache off, or a spec that
+                    # does not parse — is parsed here.
                     specs = request.context  # None keeps the standing context
                     if specs is not None and lookup is None:
                         for spec in specs:
@@ -1081,7 +1157,12 @@ class RankingService:
             with clock.stage("cache"):
                 # Era fence read *before* the install: if the tenant is
                 # invalidated mid-install, the learn below is discarded.
-                lookup = self._keyer.lookup(str(tenant), specs, None, None, False)
+                try:
+                    lookup = self._keyer.lookup(
+                        query_key(str(tenant), specs, None, None, False)
+                    )
+                except ReproError:
+                    pass  # the install below answers the bad spec 400
         try:
             with clock.stage("resolve"):
                 checkout = self.registry.checkout(str(tenant), blocking=blocking)
@@ -1365,12 +1446,12 @@ class RankingService:
         digest = self._keyer.learn(lookup, fingerprint)
         if digest is None:
             return  # invalidated while in flight: do not resurrect
-        key = response_key(
-            lookup.tenant, digest, lookup.documents, lookup.top_k, lookup.explain
-        )
         # The context echo is per-request, not content.
         self.cache.put(
-            key, body.without("context"), tenant=lookup.tenant, family=lookup.family
+            lookup.query.key(digest),
+            body.without("context"),
+            tenant=lookup.tenant,
+            family=lookup.family,
         )
 
     def _reply(

@@ -6,6 +6,8 @@ from repro.cache.keys import (
     KeyLookup,
     ResponseKeyer,
     canonical_context,
+    family_key,
+    query_key,
     response_key,
     signature_digest,
 )
@@ -47,6 +49,16 @@ class TestResponseKey:
             "alice", "d1", ("p1", "p2"), None, True
         )
 
+    def test_derived_key_is_the_response_key(self):
+        derived = query_key("alice", ("Weekend", "Breakfast:0.7"), ("p1",), 3, True)
+        assert derived.key("d1") == response_key("alice", "d1", ("p1",), 3, True)
+        assert derived.family == family_key("alice", ("p1",), 3, True)
+        reordered = query_key("alice", ("Breakfast:0.7", "Weekend:1.0"), ("p1",), 3, True)
+        assert derived == reordered  # canonical context, not its spelling
+        assert query_key("alice", None, None, 3, False).canon_digest is None
+        # The explicit clear keys apart from "keep the standing context".
+        assert query_key("alice", (), None, 3, False).canon_digest is not None
+
 
 FP_A = (3, ("sig-a",))
 FP_B = (7, ("sig-b",))
@@ -55,65 +67,65 @@ FP_B = (7, ("sig-b",))
 class TestResponseKeyer:
     def test_unlearned_lookup_has_sentinel_key(self):
         keyer = ResponseKeyer()
-        lookup = keyer.lookup("alice", None, None, 3, False)
+        lookup = keyer.lookup(query_key("alice", None, None, 3, False))
         assert isinstance(lookup, KeyLookup)
         assert lookup.view_digest is None
         assert "unlearned" in lookup.key  # a countable, guaranteed miss
 
     def test_learn_then_standing_hit(self):
         keyer = ResponseKeyer()
-        lookup = keyer.lookup("alice", None, None, 3, False)
+        lookup = keyer.lookup(query_key("alice", None, None, 3, False))
         digest = keyer.learn(lookup, FP_A)
         assert digest == signature_digest(("sig-a",))
-        again = keyer.lookup("alice", None, None, 3, False)
+        again = keyer.lookup(query_key("alice", None, None, 3, False))
         assert again.view_digest == digest
         assert not again.needs_install
 
     def test_delta_mapping_learned_and_needs_install(self):
         keyer = ResponseKeyer()
-        delta = keyer.lookup("alice", ("Weekend",), None, 3, False)
+        delta = keyer.lookup(query_key("alice", ("Weekend",), None, 3, False))
         keyer.learn(delta, FP_A)
         # Standing now sig-a; flip standing to sig-b via a plain learn.
-        keyer.learn(keyer.lookup("alice", None, None, 3, False), FP_B)
-        again = keyer.lookup("alice", ("Weekend",), None, 3, False)
+        keyer.learn(keyer.lookup(query_key("alice", None, None, 3, False)), FP_B)
+        again = keyer.lookup(query_key("alice", ("Weekend",), None, 3, False))
         assert again.view_digest == signature_digest(("sig-a",))
         assert again.needs_install  # standing is sig-b, the hit is sig-a
 
     def test_newest_epoch_wins(self):
         keyer = ResponseKeyer()
-        lookup = keyer.lookup("alice", None, None, 3, False)
+        lookup = keyer.lookup(query_key("alice", None, None, 3, False))
         keyer.learn(lookup, FP_B)  # epoch 7 lands first
         keyer.learn(lookup, FP_A)  # epoch 3 arrives late: must not regress
-        assert keyer.lookup("alice", None, None, 3, False).view_digest == (
+        assert keyer.lookup(query_key("alice", None, None, 3, False)).view_digest == (
             signature_digest(("sig-b",))
         )
 
     def test_forget_clears_and_fences_in_flight_learns(self):
         keyer = ResponseKeyer()
-        stale = keyer.lookup("alice", None, None, 3, False)
+        stale = keyer.lookup(query_key("alice", None, None, 3, False))
         keyer.learn(stale, FP_A)
-        pre_forget = keyer.lookup("alice", None, None, 3, False)
+        pre_forget = keyer.lookup(query_key("alice", None, None, 3, False))
         keyer.forget("alice")
-        assert keyer.lookup("alice", None, None, 3, False).view_digest is None
+        assert keyer.lookup(query_key("alice", None, None, 3, False)).view_digest is None
         # A learn whose lookup predates the forget is discarded.
         assert keyer.learn(pre_forget, FP_B) is None
-        assert keyer.lookup("alice", None, None, 3, False).view_digest is None
+        assert keyer.lookup(query_key("alice", None, None, 3, False)).view_digest is None
 
-    def test_bad_context_lookup_is_none(self):
-        keyer = ResponseKeyer()
-        assert keyer.lookup("alice", ("Weekend:nope",), None, 3, False) is None
+    def test_bad_context_never_keys(self):
+        with pytest.raises(EngineConfigError):
+            query_key("alice", ("Weekend:nope",), None, 3, False)
 
     def test_ledger_is_bounded(self):
         keyer = ResponseKeyer(max_tenants=4)
         for index in range(10):
-            lookup = keyer.lookup(f"tenant-{index}", None, None, 3, False)
+            lookup = keyer.lookup(query_key(f"tenant-{index}", None, None, 3, False))
             keyer.learn(lookup, FP_A)
         assert len(keyer) == 4
 
     def test_clear_forgets_everyone(self):
         keyer = ResponseKeyer()
-        keyer.learn(keyer.lookup("alice", None, None, 3, False), FP_A)
-        keyer.learn(keyer.lookup("bob", None, None, 3, False), FP_A)
+        keyer.learn(keyer.lookup(query_key("alice", None, None, 3, False)), FP_A)
+        keyer.learn(keyer.lookup(query_key("bob", None, None, 3, False)), FP_A)
         keyer.clear()
-        assert keyer.lookup("alice", None, None, 3, False).view_digest is None
-        assert keyer.lookup("bob", None, None, 3, False).view_digest is None
+        assert keyer.lookup(query_key("alice", None, None, 3, False)).view_digest is None
+        assert keyer.lookup(query_key("bob", None, None, 3, False)).view_digest is None

@@ -121,6 +121,23 @@ class TestRepository:
         with pytest.raises(RuleError):
             repo.get("r1")
 
+    def test_fingerprint_is_content_derived(self, r1, r2):
+        repo = RuleRepository([r1, r2])
+        assert repo.fingerprint() == RuleRepository([r1, r2]).fingerprint()
+        assert repo.fingerprint() != RuleRepository([r2, r1]).fingerprint()
+        assert repo.fingerprint() != RuleRepository([r1, r2.with_sigma(0.25)]).fingerprint()
+        # built once per revision; every add and remove is one
+        revision, fingerprint, rules = repo.revision, repo.fingerprint(), repo.rules
+        assert repo.fingerprint() is fingerprint and repo.rules is rules
+        with pytest.raises(RuleError):
+            repo.remove("r9")  # a refused edit edits nothing
+        assert repo.revision == revision and repo.fingerprint() is fingerprint
+        repo.remove("r2")
+        assert repo.revision == revision + 1 and repo.rules == (r1,)
+        assert repo.fingerprint() == RuleRepository([r1]).fingerprint()
+        repo.add(r2)
+        assert repo.fingerprint() == fingerprint and repo.rules == rules
+
     def test_default_rules_listed(self, r1):
         default = PreferenceRule("d0", TOP, parse_concept("TvProgram"), 0.5)
         repo = RuleRepository([r1, default])

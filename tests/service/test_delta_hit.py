@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from repro.cache import InMemoryCacheAdapter, NoCacheAdapter
+from repro.cache import InMemoryCacheAdapter, NoCacheAdapter, query_key
 from repro.reason import clear_registry
 from repro.service import FaultInjector, RankingService, ServiceConfig, make_aio_server
 from repro.tenants import TenantRegistry
@@ -88,7 +88,7 @@ def stand_on_weekend(service):
     rank(service, BOTH)
     rank(service, BREAKFAST)
     rank(service, WEEKEND)
-    lookup = service._keyer.lookup("t1", BOTH, None, 3, False)
+    lookup = service._keyer.lookup(query_key("t1", BOTH, None, 3, False))
     assert lookup.needs_install
 
 
@@ -297,8 +297,8 @@ def test_a_refuted_prediction_ranks_and_never_serves_the_stored_body(oracle):
     stand_on_weekend(service)
     # Poison the ledger: W+B predicted to rank like Breakfast, whose
     # body the cache holds.
-    both = service._keyer.lookup("t1", BOTH, None, 3, False)
-    breakfast = service._keyer.lookup("t1", BREAKFAST, None, 3, False)
+    both = service._keyer.lookup(query_key("t1", BOTH, None, 3, False))
+    breakfast = service._keyer.lookup(query_key("t1", BREAKFAST, None, 3, False))
     service._keyer._tenants["t1"].deltas[both.canon_digest] = breakfast.view_digest
     attempt = service.begin_rank(params(BOTH))
     assert attempt.response is None and attempt.cached_body is None

@@ -286,6 +286,48 @@ class TestResilienceSurface:
         with urllib.request.urlopen(request, timeout=10) as response:
             assert response.status == 200
 
+    @pytest.mark.parametrize(
+        "query, header, status, timeout",
+        [
+            # the header applies when the query names no timeout ...
+            ("tenant=alice&top_k=2", "1.5", 200, 1.5),
+            # ... the query's wins when both do, even over a bad header ...
+            ("tenant=alice&top_k=2&timeout=3", "1.5", 200, 3.0),
+            ("timeout=3&tenant=alice", "nonsense", 200, 3.0),
+            # ... a blank query timeout still wins (and is still a 400) ...
+            ("tenant=alice&timeout=", "1.5", 400, None),
+            # ... and a header is one value, never more parameters
+            ("tenant=alice", "1&tenant=mallory", 400, None),
+            ("tenant=alice", "", 400, None),
+        ],
+    )
+    def test_x_request_timeout_precedence(self, gateway, query, header, status, timeout):
+        seen = []
+        begin_rank = gateway.service.begin_rank
+
+        def spy(request):
+            attempt = begin_rank(request)
+            seen.append(attempt)
+            return attempt
+
+        gateway.service.begin_rank = spy
+        request = urllib.request.Request(
+            f"{gateway.url}/rank?{query}", headers={"X-Request-Timeout": header}
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=10) as response:
+                code, body = response.status, json.loads(response.read())
+        except urllib.error.HTTPError as error:
+            code, body = error.code, json.loads(error.read())
+        assert code == status, body
+        assert len(seen) == 1
+        if status == 200:
+            assert body["tenant"] == "alice"
+            assert seen[0].request.timeout == timeout
+            assert seen[0].effective_timeout == timeout
+        else:
+            assert body["error"].startswith("timeout must be a")
+
     def test_metrics_exposes_resilience_section(self, gateway):
         get_json(f"{gateway.url}/rank?tenant=a&context=Weekend")
         status, body = get_json(f"{gateway.url}/metrics")

@@ -24,7 +24,9 @@ warm tvtouch service and a warm 40-program Section 5 service:
     with the shared world's sensed context;
 (i) a full ranking of a 2 000-program world reaches the render as
     ndarray columns (no per-document Python objects before the body
-    bytes), while a top-3 reaches it as lists.
+    bytes), while a top-3 reaches it as lists;
+(j) no request walks the rule set: its tuple and fingerprint are built
+    once per repository revision, and an edit re-derives both.
 """
 
 import collections
@@ -42,6 +44,7 @@ from repro.engine import RankingEngine, backends
 from repro.errors import ReproError
 from repro.perf.backend import resolve_backend
 from repro.reason import clear_registry
+from repro.rules import RuleRepository
 from repro.service import (
     CircuitBreaker,
     RankingService,
@@ -403,3 +406,37 @@ def test_a_miss_digests_the_delta_not_the_world(monkeypatch):
         digested[persons] = max(sizes)
     # the epochs in the signature may gain a digit; the context must not
     assert digested[20] - digested[10] <= 4, digested
+
+
+def test_no_request_walks_the_rule_set(world_name, monkeypatch):
+    service = build_service(world_name)
+    warm(service, world_name)
+    first, second, _third = CONTEXTS[world_name]
+    walked = []
+    real = RuleRepository.__iter__
+
+    def counting(self):
+        walked.append(self)
+        return real(self)
+
+    monkeypatch.setattr(RuleRepository, "__iter__", counting)
+    for index in range(3):
+        missed = rank(service, f"{first}:0.{4245 + index}", f"{second}:0.2427")
+        assert "cached" not in missed.body
+        assert rank(service, first, f"{second}:0.7").body["cached"] is True
+        assert rank(service).body["cached"] is True
+    assert walked == []
+    # An edit bumps the revision and the fingerprint follows the content:
+    # the same rules again sign the engine's view as before.
+    engine = service.registry.session("alice").engine
+    repository = engine.preferences.repository()
+    rules, before = repository.rules, repository.fingerprint()
+    assert repository.rules is rules and repository.fingerprint() is before
+    signature = engine.view_fingerprint()[1]
+    removed = repository.remove(rules[-1].rule_id)
+    assert repository.fingerprint() != before
+    assert engine.view_fingerprint()[1] != signature
+    repository.add(removed)
+    assert repository.rules == rules and repository.fingerprint() == before
+    assert engine.view_fingerprint()[1] == signature
+    service.close()
