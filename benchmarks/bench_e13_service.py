@@ -60,7 +60,7 @@ def fleet():
         build_tvtouch(), shards=SHARDS, max_sessions=max(TENANTS, 64)
     )
     service = RankingService(
-        registry, ServiceConfig(max_concurrency=CONCURRENCY)
+        registry, ServiceConfig()
     )
     yield service
     clear_registry()

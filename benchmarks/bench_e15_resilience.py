@@ -95,7 +95,7 @@ def faulty_factory(worker_info):
     registry = TenantRegistry(build_tvtouch(), shards=8, max_sessions=256)
     return RankingService(
         registry,
-        ServiceConfig(max_concurrency=CONCURRENCY),
+        ServiceConfig(),
         cache=InMemoryCacheAdapter(ttl=None),
         fault_injector=FaultInjector(
             rank_error_rate=RANK_ERROR_RATE, seed=1000 + worker_info["index"]
@@ -205,7 +205,6 @@ def test_e15_deadline_bound(save_json):
     service = RankingService(
         registry,
         ServiceConfig(
-            max_concurrency=4,
             request_timeout=REQUEST_TIMEOUT,
             breaker_enabled=False,  # isolate the deadline path
         ),
@@ -253,7 +252,7 @@ def test_e15_crash_loop_fence(save_json):
         )
         return RankingService(
             registry,
-            ServiceConfig(max_concurrency=2),
+            ServiceConfig(),
             fault_injector=injector,
             worker_info=dict(worker_info),
         )

@@ -208,7 +208,7 @@ def test_e17_herd_coalescing(herd_world, save_result, save_json):
     for era, (name, workers) in enumerate(RUNS.items()):
         schedule = build_herd_schedule(REQUESTS, era_offset=era * 1_000)
         service = RankingService(
-            make_registry(world, rules), ServiceConfig(max_concurrency=CONCURRENCY)
+            make_registry(world, rules), ServiceConfig()
         )
         try:
             warm_fleet(service, schedule)

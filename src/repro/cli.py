@@ -73,10 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=8, help="tenant-registry shards")
     serve.add_argument("--max-sessions", type=int, default=4096, help="live-session LRU bound")
     serve.add_argument(
-        "--max-concurrency", type=int, default=8,
-        help="gateway threads per worker: the bound on in-flight ranks",
-    )
-    serve.add_argument(
         "--request-timeout", type=float, default=2.0,
         help="per-request deadline in seconds; 0 disables deadlines",
     )
@@ -320,7 +316,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return RankingService(
             registry,
             ServiceConfig(
-                max_concurrency=args.max_concurrency,
                 request_timeout=args.request_timeout or None,
                 stale_max_age=args.stale_max_age,
                 serve_stale=not args.no_stale,
@@ -333,7 +328,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     settings = (
         f"cache={args.cache}, shards={args.shards}, "
-        f"max_sessions={args.max_sessions}, max_concurrency={args.max_concurrency}, "
+        f"max_sessions={args.max_sessions}, "
         f"request_timeout={args.request_timeout or None}, world={world_source}"
     )
 

@@ -11,9 +11,9 @@ dependency-free event-loop HTTP gateway (:mod:`repro.service.aio`,
 ``python -m repro serve``) that scales past the GIL as a pre-fork
 worker fleet (``python -m repro serve --workers N``,
 :mod:`repro.service.fleet`).  The gateway's event loop answers cache
-hits and warm misses itself; its ``max_concurrency``-wide executor
-runs only what would wait, mint, compile or journal, and that
-executor's dispatch queue limit is the one overload valve.  Herd mates
+hits and warm misses itself; its one ``repro-gw`` thread runs only
+what would wait, mint, compile or journal, and that thread's dispatch
+queue bound is the one overload valve.  Herd mates
 share one scored view through a tenant-blind memo
 (:class:`~repro.engine.engine.ScoredViewMemo`).  In process, the
 caller's threads are the bound.
@@ -25,7 +25,7 @@ Quickstart::
     from repro.workloads import build_tvtouch
 
     registry = TenantRegistry(build_tvtouch(), shards=8, max_sessions=4096)
-    service = RankingService(registry, ServiceConfig(max_concurrency=8))
+    service = RankingService(registry, ServiceConfig(request_timeout=2.0))
 
     # in-process
     reply = service.rank({"tenant": ["alice"], "context": ["Weekend"], "top_k": ["3"]})

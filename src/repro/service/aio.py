@@ -55,14 +55,14 @@ on sheds, ``Warning: 110`` on stale serves), straight from
   session, wait on a shard or engine lock, bind or compile cold,
   journal, or meet injected faults, which the ``blocking=False`` call
   reports by raising :class:`~repro.service.pipeline.WouldBlock`
-  having taken nothing: the same call, blocking, runs on
-  a gateway executor ``max_concurrency`` threads wide — one thread
-  per request, which runs the rank itself under the request's
-  deadline — and its completion callback re-arms the connection for
-  write.  That pool's queue limit (``dispatch_limit``) is the one
-  overload valve: a request that would queue past it is shed on the
-  loop (:meth:`RankingService.shed_inline`), a rank and a context
-  install alike.
+  having taken nothing: the same call, blocking, runs on the
+  gateway's one ``repro-gw`` thread — which runs the rank itself under
+  the request's deadline — and its completion callback re-arms the
+  connection for write.  That thread's queue bound
+  (:data:`DISPATCH_LIMIT`) is the one overload valve: a request that
+  would queue past it is shed on the loop
+  (:meth:`RankingService.shed_inline`), a rank and a context install
+  alike.
 
 Start one with :func:`make_aio_server` (``port=0`` picks a free port)
 or the blocking :func:`serve` the CLI wraps; :mod:`repro.service.fleet`
@@ -117,6 +117,17 @@ BACKLOG = 128
 
 #: Seconds a connection may hold a *partial* request before a 408.
 DEFAULT_READ_DEADLINE = 5.0
+
+#: Calls queued for the ``repro-gw`` thread beyond which the loop sheds.
+#: The thread runs only what the loop must not — mints, lock waits,
+#: cold binds, journal writes — and one of those is a fraction of a
+#: millisecond on tvtouch (a mint and its rank: ~0.2 ms median on one
+#: Xeon core), so a full queue is tens of milliseconds of debt, well
+#: inside the default 2 s deadline: a burst of cold tenants is queued,
+#: not shed.  Past it, more queueing is pure latency debt.  One thread,
+#: not a pool: the loop answers warm misses itself, and under the GIL
+#: more threads would only take turns at the same interpreter.
+DISPATCH_LIMIT = 256
 
 _REASONS: dict[int, str] = {}
 
@@ -414,7 +425,7 @@ class _HttpConnection(asyncio.Protocol):
         """Run one blocking pipeline call on the gateway executor, or shed it.
 
         The one place the overload valve is checked: with
-        ``dispatch_limit`` calls already queued, more queueing is pure
+        :data:`DISPATCH_LIMIT` calls already queued, more queueing is pure
         latency debt, so the request is answered on the loop by
         :meth:`RankingService.shed_inline` (``attempt`` is the begun
         rank, stale-servable; ``None`` for a context install).
@@ -422,7 +433,7 @@ class _HttpConnection(asyncio.Protocol):
         the connection for write.
         """
         server = self.server
-        if server._pending_dispatch >= server.dispatch_limit:
+        if server._pending_dispatch >= DISPATCH_LIMIT:
             self._finish(self.service.shed_inline(attempt), chaos=chaos)
             return
         server._pending_dispatch += 1
@@ -496,10 +507,10 @@ class AioRankingServer:
     ``drain`` and ``server_close``.
 
     ``read_deadline`` bounds how long a connection may sit on a
-    partial request (408 + close).  The executor that runs what the
-    loop must not is ``service.config.max_concurrency`` threads wide,
-    and ``dispatch_limit`` bounds the requests queued for it before
-    the loop sheds ranks and context installs inline.
+    partial request (408 + close).  What the loop must not run goes to
+    one ``repro-gw`` thread, and :data:`DISPATCH_LIMIT` bounds the
+    requests queued for it before the loop sheds ranks and context
+    installs inline.
     """
 
     def __init__(
@@ -508,7 +519,6 @@ class AioRankingServer:
         service: RankingService,
         *,
         read_deadline: float | None = DEFAULT_READ_DEADLINE,
-        dispatch_limit: int | None = None,
     ):
         self.service = service
         self.read_deadline = read_deadline
@@ -517,13 +527,7 @@ class AioRankingServer:
         service.attach_gateway(self._gateway_section)
         self.socket = listener
         self.server_address = listener.getsockname()[:2]
-        width = max(1, service.config.max_concurrency)
-        self._executor = ThreadPoolExecutor(
-            max_workers=width, thread_name_prefix="repro-gw"
-        )
-        self.dispatch_limit = (
-            dispatch_limit if dispatch_limit is not None else max(256, width * 16)
-        )
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-gw")
         self._pending_dispatch = 0  # loop-thread only
         self._connections: set[_HttpConnection] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -739,7 +743,7 @@ class AioRankingServer:
     def _gateway_section(self) -> dict:
         section = self.gateway_metrics.snapshot()
         section["kind"] = "aio"
-        section["dispatch_limit"] = self.dispatch_limit
+        section["dispatch_limit"] = DISPATCH_LIMIT
         section["pending_dispatch"] = self._pending_dispatch
         section["read_deadline"] = self.read_deadline
         memo = ServiceRequest.from_query.cache_info()

@@ -50,8 +50,8 @@ This module is that request path, staged and instrumented::
   assembly after it is released.  It runs on the thread that took the
   session pin, inside the request's deadline scope: behind the
   gateway, the event loop itself for a warm miss
-  (:meth:`RankingService.finish_rank` with ``blocking=False``), a
-  ``repro-gw`` pool thread for a miss that would wait, mint, compile
+  (:meth:`RankingService.finish_rank` with ``blocking=False``),
+  the ``repro-gw`` thread for a miss that would wait, mint, compile
   or journal.  The deadline is cooperative: the engine-lock wait, a
   cold bind's rule columns and rows, the start of the kernel pass and
   an injected delay all check it, so an expiry unwinds the work itself
@@ -64,9 +64,9 @@ This module is that request path, staged and instrumented::
 
 Overload control is not a stage.  The service creates no threads, so
 its callers' threads bound the work in flight: behind the gateway, the
-loop plus the ``repro-gw`` pool, ``max_concurrency`` wide, whose
-dispatch queue limit is the one overload valve
-(:meth:`RankingService.shed_inline`).
+loop plus its one ``repro-gw`` thread, whose dispatch queue limit is
+the one overload valve (:meth:`RankingService.shed_inline`).  Every
+failed request is answered by one row of :data:`_FAILURES`.
 
 Every stage's latency lands in :class:`~repro.service.metrics.ServiceMetrics`
 (the ``GET /metrics`` surface), plus an end-to-end ``total`` recorder.
@@ -84,7 +84,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qs
 
 from repro.cache.keys import KeyLookup, QueryKey, ResponseKeyer, query_key
@@ -137,7 +137,7 @@ _DELTA_HIT_PATHS = ("inline", "engine_busy", "not_resident", "journal", "refuted
 QUERY_MEMO_SIZE = 1024
 
 #: Where the event loop's try at a miss ended: answered ``inline``, or
-#: deferred to a pool thread for the reason named (see
+#: deferred to the gateway thread for the reason named (see
 #: :meth:`RankingService.finish_rank`).
 _MISS_PATHS = ("inline", "not_resident", "busy", "cold", "journal", "fault")
 
@@ -160,13 +160,8 @@ class WouldBlock(Exception):
 class ServiceConfig:
     """Tunables of the serving pipeline.
 
-    ``max_concurrency`` is the width of the gateway's ``repro-gw``
-    pool — the threads that run what the event loop must not: misses
-    that would wait, mint, compile or journal — and so the bound on
-    that work in flight (in process, the caller's threads are the
-    bound).  ``include_timings``
-    attaches per-stage latencies to every response body (handy for
-    tracing, off by default to keep payloads lean).
+    ``include_timings`` attaches per-stage latencies to every response
+    body (handy for tracing, off by default to keep payloads lean).
 
     Resilience tunables: ``request_timeout`` is the default per-request
     deadline (``None`` disables deadlines, and nothing else); a client's
@@ -180,7 +175,6 @@ class ServiceConfig:
     circuit breaker (see :class:`~repro.service.resilience.CircuitBreaker`).
     """
 
-    max_concurrency: int = 8
     include_timings: bool = False
     request_timeout: float | None = 2.0
     min_request_timeout: float = 0.05
@@ -195,10 +189,6 @@ class ServiceConfig:
     breaker_jitter: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.max_concurrency < 1:
-            raise EngineError(
-                f"max_concurrency must be positive, got {self.max_concurrency!r}"
-            )
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise EngineError(
                 f"request_timeout must be positive or None, got {self.request_timeout!r}"
@@ -593,6 +583,7 @@ class RankAttempt:
     effective_timeout: float | None = None
     lookup: KeyLookup | None = None
     cached_body: RankBody | None = None
+    probe: BreakerDecision | None = None  # the half-open probe it holds
     response: ServiceResponse | None = None
 
 
@@ -636,12 +627,37 @@ class _StageClock:
         return time.perf_counter() - self._started
 
 
-def _retry_after(seconds: float) -> dict[str, str]:
-    return {"Retry-After": str(max(1, math.ceil(seconds)))}
-
-
 #: The RFC 7234 stale-response warning attached to degraded serves.
 _STALE_WARNING = '110 repro "Response is stale"'
+
+
+class _Failure(NamedTuple):
+    """How one outcome fails a request: a row of :data:`_FAILURES`.
+
+    ``breaker`` is ``"failure"`` (an engine outcome), ``"cancel"`` (hand
+    back the half-open probe the request held) or ``None`` (it never
+    held one); ``stale`` is the ``stale_reason`` of a body served
+    instead (``None``: never stale); ``retry_after`` the shortest
+    ``Retry-After`` in seconds (``None``: no header).
+    """
+
+    status: int
+    counters: tuple[str, ...]  # ``resilience`` counters, bumped once each
+    breaker: str | None
+    stale: str | None
+    retry_after: float | None
+
+
+#: Every way a request fails, by outcome label.  A breaker shed asks for
+#: the cooldown left, at least 0.1 s; a full dispatch queue drains in
+#: well under a second, so an overload shed asks the shortest wait there is.
+_FAILURES: dict[str, _Failure] = {
+    "shed_breaker": _Failure(503, ("shed", "shed.breaker"), None, "breaker_open", 0.1),
+    "rejected": _Failure(503, ("shed", "shed.overload"), None, "overload", 1.0),
+    "timeout": _Failure(504, ("timeouts",), "failure", "deadline", None),
+    "bad_request": _Failure(400, (), "cancel", None, None),
+    "error": _Failure(500, ("rank_errors",), "failure", "error", None),
+}
 
 
 class RankingService:
@@ -651,8 +667,8 @@ class RankingService:
     requests for any number of tenants flow through the staged pipeline
     concurrently.  The service creates no threads: every request runs
     on its caller's, so the callers bound the work in flight — behind
-    the gateway its event loop and its ``max_concurrency``-wide
-    ``repro-gw`` pool, in process however many threads call
+    the gateway its event loop and its one ``repro-gw`` thread, in
+    process however many threads call
     :meth:`rank`.  Herd mates share scored views through one
     tenant-blind :class:`~repro.engine.engine.ScoredViewMemo`
     (``memo``), always on.  The service
@@ -732,8 +748,8 @@ class RankingService:
 
         In-process callers use this; the HTTP gateway calls the same
         two halves itself — :meth:`begin_rank` on the loop, then
-        :meth:`finish_rank` on the loop when it need not wait, on a
-        pool thread otherwise.
+        :meth:`finish_rank` on the loop when it need not wait, on the
+        gateway thread otherwise.
         """
         attempt = self.begin_rank(request)
         if attempt.response is not None:
@@ -780,9 +796,7 @@ class RankingService:
                     else None
                 )
         except ReproError as exc:
-            attempt.response = self._reply(
-                clock, 400, {"error": str(exc)}, outcome="bad_request"
-            )
+            attempt.response = self._fail("bad_request", {"error": str(exc)}, attempt)
             return attempt
 
         if self.cache.enabled:
@@ -850,7 +864,7 @@ class RankingService:
         """Install a delta hit's context; is the stored body its answer?
 
         The one install-and-verify, with two callers: the loop
-        (:meth:`begin_rank`, ``blocking=False``) and a gateway pool
+        (:meth:`begin_rank`, ``blocking=False``) and the gateway
         thread (:meth:`finish_rank`, ``blocking=True``, waiting for the
         engine lock no longer than the deadline).  The delta and the
         engine fingerprint are taken under one hold of the engine lock,
@@ -871,36 +885,14 @@ class RankingService:
 
         The service's one overload valve, opened by the event-loop
         gateway: when its dispatch queue is saturated, queueing more
-        work onto the gateway pool only builds latency debt, so the
+        work onto the gateway thread only builds latency debt, so the
         request is answered on the loop.  A begun rank (``attempt``) is
         answered from stale cache when the policy allows it; a context
         install (``None``) has no stale answer.  Otherwise a 503 with
-        ``Retry-After``.  Counted as ``shed`` / ``shed.overload``, with
-        the ``rejected`` outcome.
+        ``Retry-After``: the ``rejected`` row of :data:`_FAILURES`.
         """
-        self.metrics.count("resilience", "shed")
-        self.metrics.count("resilience", "shed.overload")
-        if attempt is None:
-            clock = _StageClock()
-        else:
-            clock = attempt.clock
-            stale = self._try_stale(
-                clock, attempt.request, attempt.lookup, reason="overload"
-            )
-            if stale is not None:
-                return stale
-        return self._reply(
-            clock,
-            503,
-            {
-                "error": "service overloaded: gateway dispatch queue full",
-                "max_concurrency": self.config.max_concurrency,
-            },
-            outcome="rejected",
-            # The shortest wait there is: a full dispatch queue drains
-            # in well under a second.
-            headers=_retry_after(1.0),
-        )
+        body = {"error": "service overloaded: gateway dispatch queue full"}
+        return self._fail("rejected", body, attempt)
 
     def finish_rank(self, attempt: RankAttempt, *, blocking: bool = True) -> ServiceResponse:
         """Run the remaining stages of a begun request to an answer.
@@ -935,9 +927,6 @@ class RankingService:
     def _finish_rank(self, attempt: RankAttempt, blocking: bool) -> ServiceResponse:
         clock = attempt.clock
         request = attempt.request
-        deadline = attempt.deadline
-        effective_timeout = attempt.effective_timeout
-        lookup = attempt.lookup
         if not blocking:
             reason = (
                 "journal" if self.registry.journal is not None
@@ -951,35 +940,24 @@ class RankingService:
 
         # While a breaker core is half-open, this request may *be* its
         # single probe; every termination path below must then settle
-        # it — record an outcome, or cancel via _settle_probe — or the
-        # probe slot leaks and the breaker never recovers.
-        breaker_probe: BreakerDecision | None = None
+        # it — record an outcome, or cancel the probe — or the probe
+        # slot leaks and the breaker wedges half-open, denying every
+        # request, forever.
         if self.breaker is not None:
             with clock.stage("breaker"):
                 decision = self.breaker.allow(request.tenant)
-            if decision.allowed and decision.probes:
-                breaker_probe = decision
+            attempt.probe = decision if decision.probes else None
             if not decision.allowed:
-                self.metrics.count("resilience", "shed")
-                self.metrics.count("resilience", "shed.breaker")
-                stale = self._try_stale(clock, request, lookup, reason="breaker_open")
-                if stale is not None:
-                    return stale
-                retry = max(0.1, decision.retry_after)
-                return self._reply(
-                    clock,
-                    503,
-                    {
-                        "error": (
-                            f"circuit breaker open ({decision.scope}): "
-                            f"recent rank failures; request shed"
-                        ),
-                        "breaker_scope": decision.scope,
-                        "retry_after_seconds": retry,
-                    },
-                    outcome="shed_breaker",
-                    headers=_retry_after(retry),
-                )
+                retry = max(_FAILURES["shed_breaker"].retry_after, decision.retry_after)
+                body = {
+                    "error": (
+                        f"circuit breaker open ({decision.scope}): "
+                        "recent rank failures; request shed"
+                    ),
+                    "breaker_scope": decision.scope,
+                    "retry_after_seconds": retry,
+                }
+                return self._fail("shed_breaker", body, attempt, retry_after=retry)
 
         try:
             with clock.stage("resolve"):
@@ -996,63 +974,41 @@ class RankingService:
                     # it could not key — cache off, or a spec that
                     # does not parse — is parsed here.
                     specs = request.context  # None keeps the standing context
-                    if specs is not None and lookup is None:
+                    if specs is not None and attempt.lookup is None:
                         for spec in specs:
                             parse_context_spec(spec)
-                with deadline_scope(deadline):
+                with deadline_scope(attempt.deadline):
                     body, served_hit = self._run_rank(attempt, session, specs, blocking)
             finally:
                 checkout.__exit__(None, None, None)
         except WouldBlock as deferred:
-            self._settle_probe(breaker_probe)
+            if attempt.probe is not None:
+                self.breaker.cancel_probe(attempt.probe)
             clock.timings = stages
             self._misses[deferred.reason] += 1
             raise
         except DeadlineExceeded:
-            self.metrics.count("resilience", "timeouts")
             # A deadline the client shrank below the server default says
             # nothing about engine health: counting those 504s as breaker
             # failures would let one misconfigured (or hostile) client
             # open the *global* circuit and shed every tenant's traffic.
+            timeout = attempt.effective_timeout
             client_shortened = (
                 request.timeout is not None
                 and self.config.request_timeout is not None
-                and effective_timeout < self.config.request_timeout
+                and timeout < self.config.request_timeout
             )
-            if self.breaker is not None:
-                if client_shortened:
-                    self.metrics.count("resilience", "timeouts.client")
-                    self._settle_probe(breaker_probe)
-                else:
-                    self.breaker.record_failure(request.tenant)
-            stale = self._try_stale(clock, request, lookup, reason="deadline")
-            if stale is not None:
-                return stale
-            return self._reply(
-                clock,
-                504,
-                {
-                    "error": (
-                        f"deadline exceeded: rank did not finish within "
-                        f"{effective_timeout:.3f}s"
-                    ),
-                    "timeout_seconds": effective_timeout,
-                },
-                outcome="timeout",
-            )
+            if client_shortened and self.breaker is not None:
+                self.metrics.count("resilience", "timeouts.client")
+            error = f"deadline exceeded: rank did not finish within {timeout:.3f}s"
+            body = {"error": error, "timeout_seconds": timeout}
+            effect = "cancel" if client_shortened else None
+            return self._fail("timeout", body, attempt, breaker=effect)
         except ReproError as exc:
-            self._settle_probe(breaker_probe)  # a 400 records no outcome
-            return self._reply(clock, 400, {"error": str(exc)}, outcome="bad_request")
+            return self._fail("bad_request", {"error": str(exc)}, attempt)
         except Exception as exc:  # noqa: BLE001 - the gateway must answer
-            self.metrics.count("resilience", "rank_errors")
-            if self.breaker is not None:
-                self.breaker.record_failure(request.tenant)
-            stale = self._try_stale(clock, request, lookup, reason="error")
-            if stale is not None:
-                return stale
-            return self._reply(
-                clock, 500, {"error": f"{type(exc).__name__}: {exc}"}, outcome="error"
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            return self._fail("error", {"error": error}, attempt)
         if self.breaker is not None:
             self.breaker.record_success(request.tenant)
         return self._reply(
@@ -1063,16 +1019,47 @@ class RankingService:
             cached=served_hit,
         )
 
-    def _settle_probe(self, decision: BreakerDecision | None) -> None:
-        """Hand back a half-open probe this request held but cannot settle.
+    def _fail(
+        self,
+        outcome: str,
+        body: dict,
+        attempt: RankAttempt | None = None,
+        *,
+        clock: _StageClock | None = None,
+        breaker: str | None = None,
+        retry_after: float = 0.0,
+    ) -> ServiceResponse:
+        """Answer one failed request by its row of :data:`_FAILURES`.
 
-        Called on termination paths that record no engine outcome
-        (client-error 400, client-shortened timeout) —
-        otherwise the breaker's single probe slot leaks and it wedges
-        in half-open, denying every request, forever.
+        Bumps the row's counters and settles the breaker as the row
+        says (``breaker`` overrides it: a client-shortened timeout
+        cancels the probe), then serves a stale body for ``attempt``
+        when the row allows one and the cache has it; otherwise replies
+        ``body`` with the row's status and a ``Retry-After`` of at least
+        the row's (``retry_after`` asks a longer one).  A request with
+        no ``attempt`` (a context install) is timed by ``clock``.
         """
-        if self.breaker is not None and decision is not None:
-            self.breaker.cancel_probe(decision)
+        row = _FAILURES[outcome]
+        for name in row.counters:
+            self.metrics.count("resilience", name)
+        effect = breaker or row.breaker
+        if effect == "failure" and self.breaker is not None:
+            self.breaker.record_failure(attempt.request.tenant)
+        elif effect == "cancel" and attempt is not None and attempt.probe is not None:
+            self.breaker.cancel_probe(attempt.probe)
+        if attempt is not None:
+            clock = attempt.clock
+            if row.stale is not None:
+                stale = self._try_stale(attempt, row.stale)
+                if stale is not None:
+                    return stale
+        elif clock is None:
+            clock = _StageClock()
+        headers = None
+        if row.retry_after is not None:
+            wait = max(row.retry_after, retry_after)
+            headers = {"Retry-After": str(max(1, math.ceil(wait)))}
+        return self._reply(clock, row.status, body, outcome=outcome, headers=headers)
 
     def _run_rank(
         self, attempt: RankAttempt, session, specs, blocking: bool
@@ -1188,8 +1175,10 @@ class RankingService:
         except WouldBlock:
             raise
         except ReproError as exc:
-            return self._reply(clock, 400, {"error": str(exc)}, outcome="bad_request")
+            return self._fail("bad_request", {"error": str(exc)}, clock=clock)
         except Exception as exc:  # noqa: BLE001 - the gateway must answer
+            # Not the ``error`` row: an install is no rank, so it counts
+            # no ``rank_errors`` and tells the breaker nothing.
             return self._reply(
                 clock, 500, {"error": f"{type(exc).__name__}: {exc}"}, outcome="error"
             )
@@ -1201,14 +1190,7 @@ class RankingService:
         )
 
     # -- degraded-mode serving ----------------------------------------------
-    def _try_stale(
-        self,
-        clock: _StageClock,
-        request: ServiceRequest | None,
-        lookup: KeyLookup | None,
-        *,
-        reason: str,
-    ) -> ServiceResponse | None:
+    def _try_stale(self, attempt: RankAttempt, reason: str) -> ServiceResponse | None:
         """A stale cache body for a request the healthy path failed.
 
         Probes the exact key first (a recently expired body for this
@@ -1217,6 +1199,7 @@ class RankingService:
         bounded by ``stale_max_age`` either way.  ``None`` means the
         caller must fail the request for real.
         """
+        lookup = attempt.lookup
         if not self.config.serve_stale or lookup is None or not self.cache.enabled:
             return None
         hit = self.cache.get_stale(
@@ -1228,15 +1211,15 @@ class RankingService:
         self.metrics.count("resilience", "stale_served")
         self.metrics.count("resilience", f"stale_served.{reason}")
         marks: dict[str, object] = {}
-        if request.context is not None:
-            marks["context"] = list(request.context)
+        if attempt.request.context is not None:
+            marks["context"] = list(attempt.request.context)
         marks.update(
             cached=True, stale=True, stale_reason=reason, stale_age_seconds=round(hit.age, 3)
         )
         if not hit.exact:
             marks["stale_context_digest"] = True  # ranked under an older context
         return self._reply(
-            clock,
+            attempt.clock,
             200,
             hit.body.extended(**marks),
             outcome="ok_stale",
@@ -1335,7 +1318,6 @@ class RankingService:
         """The ``GET /metrics`` body: stage latencies, outcomes, fleet."""
         snapshot = self.metrics.snapshot()
         snapshot["config"] = {
-            "max_concurrency": self.config.max_concurrency,
             "request_timeout": self.config.request_timeout,
             "min_request_timeout": self.config.min_request_timeout,
             "max_request_timeout": self.config.max_request_timeout,

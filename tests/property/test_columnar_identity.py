@@ -849,7 +849,7 @@ def make_service(include_timings=False, clock=None, **config):
                                  **({"clock": clock} if clock else {}))
     return RecordingService(
         TenantRegistry(build_tvtouch(), shards=2, max_sessions=16),
-        ServiceConfig(max_concurrency=4, include_timings=include_timings,
+        ServiceConfig(include_timings=include_timings,
                       breaker_min_requests=50, **config),
         cache=cache,
     )

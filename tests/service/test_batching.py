@@ -188,7 +188,7 @@ def test_the_memo_keeps_the_most_recent_views(registry):
 class TestPipelineWiring:
     def make_service(self):
         registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
-        return RankingService(registry, ServiceConfig(max_concurrency=8))
+        return RankingService(registry, ServiceConfig())
 
     def test_the_batch_fields_are_gone(self):
         for field in ("batch_max_size", "batch_max_wait_us"):

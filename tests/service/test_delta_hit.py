@@ -311,7 +311,7 @@ def test_a_refuted_prediction_ranks_and_never_serves_the_stored_body(oracle):
 
 
 def test_the_loop_answers_others_while_an_engine_lock_is_held(oracle):
-    service = make_service(max_concurrency=4)
+    service = make_service()
     stand_on_weekend(service)
     rank(service, tenant="t2")  # t2's standing answer: a pure hit from now on
     server = make_aio_server(service, port=0)
@@ -367,7 +367,7 @@ def test_the_loop_answers_others_while_an_engine_lock_is_held(oracle):
 def test_concurrent_flips_never_answer_another_context(oracle):
     """More threads than cores flip two tenants between the menus; with a
     short switch interval, every answer must be its own context's."""
-    service = make_service(max_concurrency=4)
+    service = make_service()
     menus = (BOTH, WEEKEND, BREAKFAST)
     for tenant in ("t1", "t2"):
         for context in menus:  # fill every body, so most requests hit

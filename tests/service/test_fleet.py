@@ -28,7 +28,7 @@ def factory(worker_info):
     registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=64)
     return RankingService(
         registry,
-        ServiceConfig(max_concurrency=8),
+        ServiceConfig(),
         cache=InMemoryCacheAdapter(),
         worker_info=dict(worker_info),
     )
@@ -141,7 +141,7 @@ def ttl_factory(worker_info):
     )
     return RankingService(
         registry,
-        ServiceConfig(max_concurrency=8),
+        ServiceConfig(),
         cache=InMemoryCacheAdapter(),
         worker_info=dict(worker_info),
         fault_injector=injector,

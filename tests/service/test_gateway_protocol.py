@@ -19,6 +19,7 @@ import pytest
 
 from repro.reason import clear_registry
 from repro.service import RankingService, ServiceConfig, WouldBlock, make_aio_server
+from repro.service import aio
 from repro.service.aio import (
     MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
@@ -32,9 +33,9 @@ from repro.workloads import build_tvtouch
 READ_DEADLINE = 0.5
 
 
-def tvtouch_service(max_concurrency: int = 4) -> RankingService:
+def tvtouch_service() -> RankingService:
     registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
-    return RankingService(registry, ServiceConfig(max_concurrency=max_concurrency))
+    return RankingService(registry, ServiceConfig())
 
 
 @contextlib.contextmanager
@@ -617,26 +618,15 @@ class TestGatewayMetricsSection:
     def test_section_reports_the_gateway_configuration(self, gateway):
         section = gateway.service.metrics_snapshot()["gateway"]
         assert section["read_deadline"] == READ_DEADLINE
-        assert section["dispatch_limit"] == gateway.dispatch_limit
+        assert section["dispatch_limit"] == aio.DISPATCH_LIMIT == 256
 
 
 class TestDispatchQueue:
-    @pytest.mark.parametrize("width, limit", [(4, 256), (32, 512)])
-    def test_default_limit_scales_with_executor_width(self, width, limit):
-        service = tvtouch_service(max_concurrency=width)
-        server = AioRankingServer(socket.create_server(("127.0.0.1", 0)), service)
-        try:
-            assert server.dispatch_limit == limit
-        finally:
-            server.server_close()
-            service.close()
-
-    def test_saturated_queue_sheds_misses_on_the_loop(self):
+    def test_saturated_queue_sheds_misses_on_the_loop(self, monkeypatch):
         clear_registry()
+        monkeypatch.setattr(aio, "DISPATCH_LIMIT", 0)
         service = tvtouch_service()
-        server = AioRankingServer(
-            socket.create_server(("127.0.0.1", 0)), service, dispatch_limit=0
-        )
+        server = AioRankingServer(socket.create_server(("127.0.0.1", 0)), service)
         with running(server):
             wire = Wire(server)
             try:
@@ -659,13 +649,12 @@ class TestDispatchQueue:
         service.close()
         clear_registry()
 
-    def test_saturated_queue_sheds_context_installs_too(self):
+    def test_saturated_queue_sheds_context_installs_too(self, monkeypatch):
         # POST /context may mint a whole session: the same valve as /rank.
         clear_registry()
+        monkeypatch.setattr(aio, "DISPATCH_LIMIT", 0)
         service = tvtouch_service()
-        server = AioRankingServer(
-            socket.create_server(("127.0.0.1", 0)), service, dispatch_limit=0
-        )
+        server = AioRankingServer(socket.create_server(("127.0.0.1", 0)), service)
         with running(server):
             wire = Wire(server)
             try:
@@ -687,6 +676,67 @@ class TestDispatchQueue:
             assert snapshot["resilience"]["counters"]["shed.overload"] == 1
             assert snapshot["outcomes"] == {"rejected": 1}
             assert_still_serving(server)
+        service.close()
+        clear_registry()
+
+    def test_every_deferred_call_runs_on_the_one_gateway_thread(self):
+        # Every request is a new tenant, so every one mints: the loop
+        # defers each rank and each context install to the gateway.
+        clear_registry()
+        service = tvtouch_service()
+        ran_on = []
+        for name in ("finish_rank", "install_context"):
+            real = getattr(service, name)
+
+            def spy(*args, _real=real, blocking=True, **kwargs):
+                if blocking:
+                    ran_on.append(threading.current_thread())
+                return _real(*args, blocking=blocking, **kwargs)
+
+            setattr(service, name, spy)
+        server = AioRankingServer(socket.create_server(("127.0.0.1", 0)), service)
+        connections, rounds = 4, 5
+        statuses: list[int] = []
+        start = threading.Barrier(connections)
+
+        def client(index: int) -> None:
+            wire = Wire(server)
+            try:
+                start.wait(10)
+                for round_ in range(rounds):
+                    wire.send(
+                        b"GET /rank?tenant=r%d-%d&context=Weekend HTTP/1.1\r\n"
+                        b"Host: t\r\n\r\n" % (index, round_)
+                    )
+                    statuses.append(wire.read_response()[0])
+                    body = b'{"tenant": "c%d-%d", "context": ["Breakfast"]}' % (
+                        index, round_,
+                    )
+                    wire.send(
+                        b"POST /context HTTP/1.1\r\nHost: t\r\n"
+                        b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                    )
+                    statuses.append(wire.read_response()[0])
+            finally:
+                wire.close()
+
+        with running(server):
+            clients = [
+                threading.Thread(target=client, args=(index,))
+                for index in range(connections)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(30)
+            assert statuses == [200] * (2 * connections * rounds)
+            assert len(ran_on) == 2 * connections * rounds  # one deferral each
+            assert len(set(ran_on)) == 1
+            assert ran_on[0].name.startswith("repro-gw")
+            snapshot = service.metrics_snapshot()
+            assert snapshot["registry"]["minted"] == 2 * connections * rounds
+            assert snapshot["registry"]["pinned"] == 0
+            assert snapshot["gateway"]["pending_dispatch"] == 0
         service.close()
         clear_registry()
 

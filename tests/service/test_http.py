@@ -21,7 +21,7 @@ from repro.workloads import build_tvtouch
 def gateway():
     clear_registry()
     registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
-    service = RankingService(registry, ServiceConfig(max_concurrency=4))
+    service = RankingService(registry, ServiceConfig())
     server = make_aio_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -131,7 +131,7 @@ def test_repeat_under_an_unchanged_context_is_a_cache_hit():
     clear_registry()
     registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
     service = RankingService(
-        registry, ServiceConfig(max_concurrency=4), cache=InMemoryCacheAdapter()
+        registry, ServiceConfig(), cache=InMemoryCacheAdapter()
     )
     server = make_aio_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -203,7 +203,13 @@ class TestObservability:
         assert status == 200
         assert body["outcomes"]["ok"] == 2
         assert body["stages"]["rank"]["count"] == 2
-        assert body["config"]["max_concurrency"] == 4
+        assert body["config"] == {
+            "request_timeout": 2.0,
+            "min_request_timeout": 0.05,
+            "max_request_timeout": 30.0,
+            "serve_stale": True,
+            "stale_max_age": 300.0,
+        }
 
     def test_concurrent_http_clients(self, gateway):
         errors = []

@@ -47,7 +47,7 @@ def make_service(journal=None, faults=None):
     registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=16, journal=journal)
     service = RankingService(
         registry,
-        ServiceConfig(max_concurrency=2),
+        ServiceConfig(),
         cache=InMemoryCacheAdapter(max_entries=64),
         fault_injector=faults,
     )

@@ -26,7 +26,7 @@ def fresh_registry_state():
 @pytest.fixture()
 def service():
     registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
-    return RankingService(registry, ServiceConfig(max_concurrency=4))
+    return RankingService(registry, ServiceConfig())
 
 
 class TestParsing:

@@ -82,7 +82,7 @@ def build_service(world_name, metrics=None, request_timeout=None, persons=10, pr
         registry,
         # no deadline by default: the rank runs on the calling thread,
         # where the counters are
-        ServiceConfig(max_concurrency=4, request_timeout=request_timeout),
+        ServiceConfig(request_timeout=request_timeout),
         metrics=metrics,
         cache=InMemoryCacheAdapter(max_entries=64),
     )

@@ -77,7 +77,7 @@ def make_service(config=None, cache=None, **kwargs) -> RankingService:
     registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
     return RankingService(
         registry,
-        config if config is not None else ServiceConfig(max_concurrency=4),
+        config if config is not None else ServiceConfig(),
         cache=cache,
         **kwargs,
     )
@@ -150,7 +150,6 @@ class TestDeadlineInPipeline:
         timeout = 0.15
         service = make_service(
             ServiceConfig(
-                max_concurrency=4,
                 request_timeout=timeout,
                 breaker_enabled=False,
             ),
@@ -173,7 +172,7 @@ class TestDeadlineInPipeline:
         timeout = 0.15
         service = make_service(
             ServiceConfig(
-                max_concurrency=4, request_timeout=timeout, breaker_enabled=False
+                request_timeout=timeout, breaker_enabled=False
             )
         )
         assert service.rank({"tenant": ["t1"]}).ok  # t1's session is live
@@ -207,7 +206,6 @@ class TestDeadlineInPipeline:
     def test_client_timeout_override_is_clamped(self):
         service = make_service(
             ServiceConfig(
-                max_concurrency=4,
                 request_timeout=5.0,
                 max_request_timeout=0.1,
                 breaker_enabled=False,
@@ -282,7 +280,7 @@ class TestDeadlineInPipeline:
                 super().before_rank(tenant)
 
         service = make_service(
-            ServiceConfig(max_concurrency=4, request_timeout=None),
+            ServiceConfig(request_timeout=None),
             fault_injector=Spy(rank_delay=0.3),
         )
         # A client timeout cannot re-enable what the deployment disabled:
@@ -476,7 +474,6 @@ class TestCircuitBreaker:
 
 def breaker_config(**overrides) -> ServiceConfig:
     defaults = dict(
-        max_concurrency=4,
         breaker_min_requests=2,
         breaker_failure_threshold=0.5,
         breaker_window=60.0,
@@ -580,7 +577,6 @@ class TestBreakerInPipeline:
         # not open the global circuit for every tenant.
         service = make_service(
             ServiceConfig(
-                max_concurrency=4,
                 request_timeout=5.0,
                 min_request_timeout=0.05,
                 breaker_min_requests=2,
@@ -817,7 +813,6 @@ class TestChaosHammer:
         tight deadlines; whatever mix of 200/500/503/504 comes out,
         every session pin must return once the storm settles."""
         config = ServiceConfig(
-            max_concurrency=4,
             request_timeout=0.1,
             stale_max_age=300.0,
             breaker_enabled=True,

@@ -43,10 +43,10 @@ class TestParser:
 
     def test_serve_command_options(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--shards", "4", "--max-concurrency", "2"]
+            ["serve", "--port", "0", "--shards", "4", "--request-timeout", "0.5"]
         )
         assert args.command == "serve"
-        assert (args.port, args.shards, args.max_concurrency) == (0, 4, 2)
+        assert (args.port, args.shards, args.request_timeout) == (0, 4, 0.5)
         assert args.host == "127.0.0.1"
         assert args.max_sessions == 4096
 
@@ -118,11 +118,11 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--fault-rank-delay", "1"])
 
-    def test_serve_has_eighteen_flags(self):
-        # The gateway's executor is the one admission bound: no flag
-        # tunes a second one.
+    def test_serve_has_seventeen_flags(self):
+        # The gateway's one dispatch thread and its queue bound are
+        # fixed: no flag tunes the off-loop width.
         flags = set(vars(build_parser().parse_args(["serve"]))) - {"command"}
-        assert len(flags) == 18
+        assert len(flags) == 17
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_serve_on_a_busy_port_clean_error(self, workers, capsys):

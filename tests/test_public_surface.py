@@ -51,3 +51,26 @@ class TestPublicSurface:
         shimmed = re.search(r'^\s*version="([^"]+)",$', setup, re.MULTILINE)
         assert declared and shimmed
         assert declared.group(1) == shimmed.group(1) == repro.__version__
+
+
+class TestServingKnobs:
+    """The serving stack's tunables, counted: a new knob edits this test."""
+
+    def test_service_config_has_twelve_fields(self):
+        from dataclasses import fields
+
+        from repro.service import ServiceConfig
+
+        assert len(fields(ServiceConfig)) == 12
+
+    def test_the_gateway_takes_one_keyword_option(self):
+        import inspect
+
+        from repro.service.aio import AioRankingServer
+
+        parameters = inspect.signature(AioRankingServer.__init__).parameters
+        keywords = [
+            name for name, parameter in parameters.items()
+            if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+        ]
+        assert keywords == ["read_deadline"]
