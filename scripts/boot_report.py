@@ -195,23 +195,31 @@ raise SystemExit(code)
 #: one: the raw query string in, the encoded body out.  A pure hit
 #: repeats a tenant's query under its standing context; a delta hit
 #: flips the tenant to the other of two contexts it has ranked.  The
-#: median microseconds per hit spent in each probed step; a tree whose
-#: service takes no query string gets parsed parameters, the parse timed
-#: here as its gateway's.
+#: median microseconds per hit spent in each probed step — the delta's
+#: ``install`` (``RankingEngine.install_context``) and its ``verify``
+#: (the rest of ``RankingService._install_verified``: the fingerprint
+#: and the ledger's digest check) apart; a tree whose service takes no
+#: query string gets parsed parameters, the parse timed here as its
+#: gateway's.  Then the ``repeated install`` alone: the median
+#: microseconds of one ``install_context`` flipping a warm tenant between
+#: the same two contexts, given as the service gives them (the request's
+#: context value where the tree has one).
 HIT_TWIN = """
 import json, statistics, time
 from urllib.parse import parse_qs
 import repro.cache.keys
+from repro.engine.engine import RankingEngine
 from repro.service import aio
 from repro.service.pipeline import RankingService, ServiceRequest, ServiceResponse
-HITS, TENANTS = 1000, 20
+HITS, TENANTS, INSTALLS = 1000, 20, 2000
 CONTEXTS = ("&context=Weekend&context=Breakfast", "&context=Weekend:0.7&context=Breakfast:0.6")
 from_query = getattr(ServiceRequest, "from_query", None)
 STEPS = [
     (ServiceRequest, "from_query" if from_query is not None else "from_params", "parse"),
     (repro.cache.keys.ResponseKeyer, "lookup", "keying"),
     (repro.cache.keys.KeyLookup, "key", "keying"),
-    (RankingService, "_install_verified", "install and verify"),
+    (RankingEngine, "install_context", "install"),
+    (RankingService, "_install_verified", "verify"),
     (ServiceResponse, "encoded", "encode"),
 ]
 spent, split = {}, {}
@@ -260,11 +268,27 @@ def hits(service, *args, **kwargs):
             if not ask(query):
                 continue  # not a hit: its steps are not a hit's account
             spent["whole hit"] = time.perf_counter() - started
+            # the install runs inside the install-and-verify
+            spent["verify"] = spent.get("verify", 0.0) - spent.get("install", 0.0)
             for step, values in readings[role].items():
                 values.append(spent.get(step, 0.0))
     for role, steps in readings.items():
         split[role] = {step: statistics.median(values) * 1e6 for step, values in steps.items()}
     split["hits"] = min(len(steps["whole hit"]) for steps in readings.values())
+    engine = service.registry.session("t00").engine
+    contexts = []
+    for context in CONTEXTS:
+        request = ServiceRequest.from_params(parse_qs("tenant=t00" + context))
+        value = getattr(request, "context_value", None)
+        contexts.append(((value,), {}) if value is not None else (request.context, {"tick": "svc"}))
+    installs = []
+    for index in range(INSTALLS):
+        specs, kwargs = contexts[index % 2]
+        spent.clear()
+        engine.install_context(*specs, **kwargs)
+        installs.append(spent["install"])
+    split["delta hit"]["repeated install"] = statistics.median(installs) * 1e6
+    split["pure hit"]["repeated install"] = None
     return 0
 aio.serve = hits
 from repro.cli import main

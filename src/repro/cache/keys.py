@@ -56,7 +56,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable
 
-from repro.engine.backends import parse_context_spec
+from repro.engine.backends import (
+    CanonicalContext,
+    ContextValue,
+    canonical_context,
+    context_value,
+)
 
 __all__ = [
     "CanonicalContext",
@@ -68,24 +73,20 @@ __all__ = [
     "query_key",
     "response_key",
     "signature_digest",
+    "SERVICE_TICK",
 ]
 
-#: A parsed, order-independent context delta: sorted (concept, prob).
-CanonicalContext = tuple
+#: The tick the serving pipeline installs request contexts under: it
+#: names their atoms, so it is part of every request's context value.
+SERVICE_TICK = "svc"
 
 #: Bound on remembered context-delta → digest mappings per tenant.
 _MAX_DELTAS = 64
 
-
-def canonical_context(specs: Iterable[str]) -> CanonicalContext:
-    """``CONCEPT[:PROB]`` specs as a canonical, order-independent value.
-
-    ``("Weekend", "Breakfast:1.0")`` and ``("Breakfast", "Weekend")``
-    canonicalise identically — installs of either produce the same
-    knowledge state, so they must share cache keys.  Raises the
-    underlying :class:`~repro.errors.EngineConfigError` on a bad spec.
-    """
-    return tuple(sorted(parse_context_spec(str(spec)) for spec in specs))
+#: Bound on remembered verified signature → digest pairs per tenant: a
+#: delta hit flips among a few contexts (the ledger's menus are 4), and
+#: each flip back re-verifies a signature it verified before.
+_MAX_VERIFIED = 8
 
 
 def _digest(value: object) -> str:
@@ -140,12 +141,12 @@ def _shape_digest(
 class QueryKey:
     """What a response key takes from one request, derived once.
 
-    ``canon_digest`` digests the canonical context delta
-    (:func:`canonical_context`; ``None`` for a request that keeps the
-    standing context) and ``shape`` the request's shape — its
-    ``(documents, top_k, explain)``.  :meth:`key` is the
-    :func:`response_key` under one view digest and :attr:`family` the
-    :func:`family_key`.
+    ``canon_digest`` is the digest of the request's context delta
+    (its :class:`~repro.engine.backends.ContextValue`; ``None`` for a
+    request that keeps the standing context) and ``shape`` the
+    request's shape — its ``(documents, top_k, explain)``.  :meth:`key`
+    is the :func:`response_key` under one view digest and
+    :attr:`family` the :func:`family_key`.
     """
 
     tenant: str
@@ -162,19 +163,23 @@ class QueryKey:
 
 def query_key(
     tenant: str,
-    context: Iterable[str] | None,
+    context: Iterable[str] | ContextValue | None,
     documents: tuple[str, ...] | None,
     top_k: int | None,
     explain: bool,
 ) -> QueryKey:
     """Derive a request's :class:`QueryKey`.
 
-    Raises the underlying :class:`~repro.errors.EngineConfigError` when
-    a context spec does not parse.
+    ``context`` specs are taken as their :data:`SERVICE_TICK` value
+    (:func:`~repro.engine.backends.context_value`).  Raises the
+    underlying :class:`~repro.errors.EngineConfigError` when a context
+    spec does not parse.
     """
     return QueryKey(
         tenant=tenant,
-        canon_digest=_digest(canonical_context(context)) if context is not None else None,
+        canon_digest=(
+            context_value(context, SERVICE_TICK).digest if context is not None else None
+        ),
         shape=_shape_digest(documents, top_k, explain),
     )
 
@@ -218,13 +223,16 @@ class KeyLookup:
 
 
 class _TenantLedger:
-    __slots__ = ("era", "standing_epoch", "standing_digest", "deltas")
+    __slots__ = ("era", "standing_epoch", "standing_digest", "deltas", "verified")
 
     def __init__(self):
         self.era = 0
         self.standing_epoch = -1
         self.standing_digest: str | None = None
         self.deltas: dict[str, str] = {}
+        #: view signature -> its digest, for delta-hit verifications only
+        #: (a miss's fill or a context post rarely signs the same twice)
+        self.verified: dict[Hashable, str] = {}
 
 
 class ResponseKeyer:
@@ -275,7 +283,12 @@ class ResponseKeyer:
         tells the caller to skip the cache fill too.
         """
         epoch, signature = fingerprint
-        view_digest = signature_digest(signature)
+        verifying = lookup.needs_install
+        state = self._tenants.get(lookup.tenant) if verifying else None
+        view_digest = state.verified.get(signature) if state is not None else None
+        remember = verifying and view_digest is None
+        if view_digest is None:
+            view_digest = signature_digest(signature)
         with self._lock:
             state = self._tenants.get(tenant := lookup.tenant)
             if state is None:
@@ -291,6 +304,10 @@ class ResponseKeyer:
                 self._tenants.move_to_end(tenant)
             if state.era != lookup.era:
                 return None
+            if remember:
+                if len(state.verified) >= _MAX_VERIFIED:
+                    state.verified.clear()
+                state.verified[signature] = view_digest
             if epoch >= state.standing_epoch:
                 state.standing_epoch = epoch
                 state.standing_digest = view_digest
@@ -316,6 +333,7 @@ class ResponseKeyer:
             state.standing_epoch = -1
             state.standing_digest = None
             state.deltas.clear()
+            state.verified.clear()
 
     def clear(self) -> None:
         with self._lock:
@@ -324,6 +342,7 @@ class ResponseKeyer:
                 state.standing_epoch = -1
                 state.standing_digest = None
                 state.deltas.clear()
+                state.verified.clear()
 
     def __len__(self) -> int:
         with self._lock:

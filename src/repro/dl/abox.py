@@ -318,6 +318,59 @@ class ABox:
             self._mutations += 1
         return removed
 
+    def splice_dynamic(
+        self,
+        rows: Mapping[ConceptAssertion, int],
+        signature: tuple[tuple[str, str, str], ...],
+        *,
+        merge_check: bool = True,
+    ) -> int:
+        """Add prebuilt dynamic concept rows as asserting them would.
+
+        Each row ``assertion -> count`` stands for ``count`` dynamic
+        ``assert_concept`` calls about one ``(concept, individual)`` key,
+        its event already their merge; ``signature`` is the rows'
+        :meth:`dynamic_signature` rendering.  A row whose key holds a
+        fact in this layer or below would merge with it, so it takes
+        :meth:`assert_concept`.  The rest land as they are, moving the
+        epochs as the calls would.  ``merge_check=False`` skips that
+        check, for a caller who knows no key holds a fact (the same rows
+        spliced in cleanly after a :meth:`clear_dynamic` at the same
+        static and base epochs).  Returns how many rows took the general
+        path.
+        """
+        self._check_mutable()
+        clean = not self._dynamic
+        tables = self._concepts
+        merging = []
+        registered = None
+        for assertion, count in rows.items():
+            concept, individual = assertion.concept, assertion.individual
+            if merge_check:
+                table = tables.get(concept)
+                if (
+                    table is not None and individual in table
+                ) or self._inherited_concept(concept, individual) is not None:
+                    merging.append(assertion)
+                    continue
+            tables.setdefault(concept, {})[individual] = assertion
+            if individual is not registered:
+                self._individuals.add(individual)
+                registered = individual
+            self._mutations += count
+        if not merging:
+            self._dynamic.update(rows)  # by their stored hashes
+            if clean:  # this layer's dynamic rows are exactly the prebuilt ones
+                self._signature_cache = (self._mutations, (signature, ()))
+            return 0
+        self._dynamic.update(row for row in rows if row not in merging)
+        for assertion in merging:
+            self.assert_concept(
+                assertion.concept, assertion.individual, assertion.event, dynamic=True
+            )
+            self._mutations += rows[assertion] - 1
+        return len(merging)
+
     def dynamic_assertions(self) -> frozenset:
         """The dynamic assertions as a set, maintained incrementally.
 

@@ -1,5 +1,9 @@
 """Default backend implementations for the engine protocols.
 
+* :class:`ContextValue` — one installed context as a value: its
+  ``CONCEPT[:PROB]`` specs parsed, canonicalised and built into concept
+  names and atoms once, interned weakly per process
+  (:func:`context_value`).
 * :class:`AboxContext` — context read straight from the ABox's dynamic
   assertions (the library's native representation); its signature is a
   canonical rendering of those assertions, so any context change — manual,
@@ -18,17 +22,22 @@
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Hashable, Iterable
 
 from repro._lazy import lazy_module
-from repro.dl.abox import ABox, ConceptAssertion
+from repro.dl.abox import ABox, ConceptAssertion, content_digest
 from repro.dl.parser import parse_concept
-from repro.dl.vocabulary import Individual
+from repro.dl.vocabulary import ConceptName, Individual
 from repro.errors import EngineConfigError
 from repro.events.atoms import BasicEvent
-from repro.events.expr import Atom, atom
+from repro.events.expr import ALWAYS, Atom, EventExpr, atom, disj
 from repro.rules.repository import RuleRepository
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -44,9 +53,13 @@ _sql = lazy_module("repro.storage.sql")
 
 __all__ = [
     "AboxContext",
+    "ContextValue",
     "SensedContext",
     "RepositoryPreferences",
     "DatabaseStorage",
+    "canonical_context",
+    "context_counters",
+    "context_value",
     "parse_context_spec",
 ]
 
@@ -65,6 +78,10 @@ def _check_concept_syntax(name: str) -> None:
     parse raises every time: ``lru_cache`` keeps no exceptions.
     """
     parse_concept(name)
+
+
+#: One shared :class:`ConceptName` per context-concept name.
+_concept_name = lru_cache(maxsize=_NAME_MEMO_SIZE)(ConceptName)
 
 
 def parse_context_spec(spec: str) -> tuple[str, float]:
@@ -90,6 +107,163 @@ def parse_context_spec(spec: str) -> tuple[str, float]:
             f"bad context spec {spec!r}: probability must be in [0, 1]"
         )
     return name, probability
+
+
+#: A parsed, order-independent context: sorted ``(concept, probability)``
+#: pairs, duplicates kept, ``-0.0`` read as ``0.0``.
+CanonicalContext = tuple
+
+
+def canonical_context(specs: Iterable[str]) -> CanonicalContext:
+    """``CONCEPT[:PROB]`` specs as a canonical, order-independent value.
+
+    ``("Weekend", "Breakfast:1.0")`` and ``("Breakfast", "Weekend")``
+    canonicalise identically — installs of either produce the same
+    knowledge state.  Duplicates are kept: each spec is one assertion,
+    and the installed state counts them.  Raises
+    :class:`EngineConfigError` on a bad spec.
+    """
+    pairs = []
+    for spec in specs:
+        name, probability = parse_context_spec(str(spec))
+        pairs.append((name, probability + 0.0))
+    return tuple(sorted(pairs))
+
+
+class ContextValue:
+    """One context as a value, built once per ``(tick, canonical specs)``.
+
+    The paper's context is a set of uncertain concept assertions about
+    the user, so a context a user flips back to is the value it was
+    before.  A value holds what installing it needs that does not depend
+    on the user: its canonical ``pairs``, their ``digest``, and its
+    :attr:`rows`, built by its first install.  :meth:`assertions_for`
+    and :meth:`signature_for` build the per-user half: the dynamic
+    assertions and their :meth:`ABox.dynamic_signature` rows.
+
+    Values are interned weakly (:func:`context_value`): one live value
+    per distinct context per process, gone when nothing holds it.  A
+    value carries its tick, which names its atoms.
+    """
+
+    __slots__ = ("tick", "pairs", "digest", "_rows", "__weakref__")
+
+    def __init__(self, tick: str, pairs: CanonicalContext):
+        self.tick = tick
+        self.pairs = pairs
+        self.digest = content_digest((tick, pairs))[:24]
+        self._rows: tuple[tuple[ConceptName, EventExpr, int], ...] | None = None
+
+    @property
+    def rows(self) -> tuple[tuple[ConceptName, EventExpr, int], ...]:
+        """One row per concept, sorted by name: its :class:`ConceptName`,
+        its event (certain, one interned context atom, or the disjunction
+        duplicate specs of one concept merge into, exactly as sequential
+        ``assert_concept`` calls would) and how many specs it stands for
+        (each one ABox mutation).  Built on first use: a value that only
+        keys a request builds no atom."""
+        rows = self._rows
+        if rows is None:
+            built = []
+            for name, group in groupby(self.pairs, key=itemgetter(0)):
+                events = [
+                    ALWAYS if probability >= 1.0 else _context_atom(self.tick, name, probability)
+                    for _name, probability in group
+                ]
+                event = events[0] if len(events) == 1 else disj(events)
+                built.append((_concept_name(name), event, len(events)))
+            rows = self._rows = tuple(built)
+        return rows
+
+    def assertions_for(self, user: Individual) -> dict[ConceptAssertion, int]:
+        """The dynamic assertions installing this value on ``user`` makes,
+        each with the number of specs it stands for."""
+        return {
+            ConceptAssertion(concept, user, event, True): count
+            for concept, event, count in self.rows
+        }
+
+    def signature_for(self, user: Individual) -> tuple[tuple[str, str, str], ...]:
+        """:meth:`ABox.dynamic_signature`'s concept rows for those
+        assertions (already in its order: one row per concept, by name)."""
+        name = str(user)
+        return tuple((concept.name, name, str(event)) for concept, event, _count in self.rows)
+
+    def __len__(self) -> int:
+        """How many specs the value was given (duplicates count)."""
+        return len(self.pairs)
+
+    def __repr__(self) -> str:
+        return f"ContextValue({self.tick!r}, {self.pairs!r})"
+
+
+#: The live values by ``(tick, canonical pairs)``.
+_VALUES: "weakref.WeakValueDictionary[tuple, ContextValue]" = weakref.WeakValueDictionary()
+_VALUES_LOCK = threading.Lock()
+#: The last values built, kept alive past the request that built them:
+#: herd mates ask for a fresh context right after its first request (the
+#: ledger's ``herd_miss`` sends each pair in lockstep on two connections),
+#: and a menu context is asked again before any session keeps it.  A
+#: constant bound, so what stays alive does not grow with sessions.
+RECENT_VALUES = 16
+_RECENT: "deque[ContextValue]" = deque(maxlen=RECENT_VALUES)
+#: ``values_built`` by :func:`context_value`; ``splices`` / ``fallbacks``
+#: by :meth:`AboxContext.install` (rows, not installs).
+_COUNTS = {"values_built": 0, "splices": 0, "fallbacks": 0}
+
+
+def context_value(specs: "Iterable[str] | ContextValue", tick: str = "ctx") -> ContextValue:
+    """``CONCEPT[:PROB]`` specs as their interned value (a value as itself).
+
+    Every spec is validated (:func:`parse_context_spec`), so a bad one
+    raises :class:`EngineConfigError` before anything is installed; a
+    caller that derives the same specs again keeps the value (weakly,
+    as the serving pipeline's parsed requests do) to skip the parse.
+    """
+    if isinstance(specs, ContextValue):
+        return specs
+    key = (tick, canonical_context(specs))
+    value = _VALUES.get(key)
+    if value is None:
+        with _VALUES_LOCK:
+            value = _VALUES.get(key)
+            if value is None:
+                value = _VALUES[key] = ContextValue(*key)
+                _RECENT.append(value)
+                _COUNTS["values_built"] += 1
+    return value
+
+
+def context_counters() -> dict[str, int]:
+    """Process-wide context-value counts: ``values_built`` and
+    ``values_live`` (interned values alive now), and the rows installs
+    ``splices``-d in prebuilt or sent through ``fallbacks`` (the general
+    ``assert_concept`` path, for a row that merges with a fact already
+    there)."""
+    with _VALUES_LOCK:
+        return {**_COUNTS, "values_live": len(_VALUES)}
+
+
+#: Contexts one session keeps prebuilt for a flip back (a handful of
+#: menus), and digests of contexts it installed once: a context is kept
+#: on its second install, so one that never repeats costs a digest.
+HELD_CONTEXTS = 4
+
+
+class _Prebuilt:
+    """A value's per-user half: its assertions (each with the number of
+    specs it stands for) and their signature rows; once kept, the static
+    and base ``epochs`` of its last clean splice and the context
+    ``signature`` that splice left."""
+
+    __slots__ = ("user", "assertions", "rows", "epochs", "signature")
+
+    def __init__(self, value: ContextValue, user: Individual):
+        self.user = user
+        self.assertions = value.assertions_for(user)
+        self.rows = value.signature_for(user)
+        self.epochs: tuple | None = None
+        self.signature: Hashable = None
 
 
 @dataclass
@@ -122,6 +296,10 @@ class AboxContext:
     abox: ABox
     _seen_mutation: int | None = field(default=None, repr=False, compare=False)
     _cached_signature: Hashable = field(default=None, repr=False, compare=False)
+    #: value -> its :class:`_Prebuilt` half, kept for a flip back, and
+    #: the digests of values installed once (the admission check).
+    _held: dict = field(default_factory=dict, repr=False, compare=False)
+    _seen: dict = field(default_factory=dict, repr=False, compare=False)
 
     def signature(self) -> Hashable:
         mutation = self.abox.mutation_count
@@ -139,7 +317,7 @@ class AboxContext:
     def install(
         self,
         user: Individual | str,
-        specs: Iterable[str],
+        specs: "Iterable[str] | ContextValue",
         tick: str = "ctx",
     ) -> None:
         """Replace the dynamic context with ``CONCEPT[:PROB]`` specs.
@@ -147,19 +325,56 @@ class AboxContext:
         The CLI's ``--context Weekend --context Breakfast:0.7`` syntax:
         each spec asserts the concept on ``user``, certainly or under a
         probabilistic atom named by its content (:func:`_context_atom`).
-        All specs are validated *before* the existing dynamic
+        ``specs`` may be their :class:`ContextValue` (which carries its
+        own tick).  All specs are validated *before* the existing dynamic
         assertions are cleared, so a bad spec raises with the previous
         context fully intact — never half-installed.
+
+        The value's prebuilt assertions are spliced in
+        (:meth:`ABox.splice_dynamic`), leaving the state sequential
+        ``assert_concept`` calls would; a row that merges with a fact
+        already there takes that general path.  A value this session
+        installed before reuses its assertions and signature rows.
         """
-        parsed = [parse_context_spec(spec) for spec in specs]
-        self.abox.clear_dynamic()
-        for name, probability in parsed:
-            if probability >= 1.0:
-                self.abox.assert_concept(name, user, dynamic=True)
-            else:
-                self.abox.assert_concept(
-                    name, user, _context_atom(tick, name, probability), dynamic=True
-                )
+        value = specs if isinstance(specs, ContextValue) else context_value(specs, tick)
+        user = Individual(user) if isinstance(user, str) else user
+        held = self._held.get(value)
+        if held is None or (held.user is not user and held.user != user):
+            held = self._prebuild(value, user)
+        abox = self.abox
+        abox.clear_dynamic()
+        # What a clean splice leaves alone: the static rows (this box's
+        # static epoch) and the layers below (their epoch).  Where both
+        # stand as at this value's last clean splice, no row can merge,
+        # and the context signature is the one that splice left.
+        base = getattr(abox, "base", None)
+        epochs = (abox.static_mutation_count, base.mutation_count if base is not None else None)
+        repeat = held.epochs == epochs
+        fallbacks = abox.splice_dynamic(held.assertions, held.rows, merge_check=not repeat)
+        _COUNTS["splices"] += len(held.assertions) - fallbacks
+        if fallbacks:
+            _COUNTS["fallbacks"] += fallbacks
+            return
+        if self._held.get(value) is not held:
+            return
+        if not repeat:
+            held.epochs = epochs
+            held.signature = (epochs[0], *abox.context_signature())
+        self._cached_signature = held.signature
+        self._seen_mutation = abox.mutation_count
+
+    def _prebuild(self, value: ContextValue, user: Individual) -> _Prebuilt:
+        """``value``'s per-user half; kept for a flip back when seen twice."""
+        held = _Prebuilt(value, user)
+        if value.digest in self._seen:
+            if len(self._held) >= HELD_CONTEXTS:
+                del self._held[next(iter(self._held))]
+            self._held[value] = held
+        else:
+            if len(self._seen) >= HELD_CONTEXTS:
+                del self._seen[next(iter(self._seen))]
+            self._seen[value.digest] = None
+        return held
 
 
 def _context_atom(tick: str, name: str, probability: float) -> Atom:

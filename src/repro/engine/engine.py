@@ -75,6 +75,7 @@ from repro.dl.tbox import TBox
 from repro.dl.vocabulary import Individual
 from repro.errors import EngineError, ScoringError
 from repro.events.space import EventSpace
+from repro.engine.backends import ContextValue
 from repro.engine.basis import (
     ViewBasis,
     build_view_basis,
@@ -890,7 +891,7 @@ class RankingEngine:
 
     def prepare_rank(
         self,
-        specs: Iterable[str] | None = None,
+        specs: Iterable[str] | ContextValue | None = None,
         request: RankRequest | str | None = None,
         *,
         tick: str = "ctx",
@@ -934,7 +935,7 @@ class RankingEngine:
             return None
         try:
             if specs is not None:
-                self.install_context(*specs, tick=tick)
+                self._install(specs, tick)
             self.context.refresh()
             # A relevance backend that scores on its own (e.g. group
             # aggregation) opts out of the engine's preference view for
@@ -1084,7 +1085,7 @@ class RankingEngine:
             return (self.abox.mutation_count, self._signature())
 
     def install_and_fingerprint(
-        self, specs: Iterable[str], *, tick: str = "ctx", blocking: bool = True
+        self, specs: Iterable[str] | ContextValue, *, tick: str = "ctx", blocking: bool = True
     ) -> tuple | None:
         """Install ``specs``, then :meth:`view_fingerprint`, under one hold of the lock.
 
@@ -1097,7 +1098,7 @@ class RankingEngine:
         if not self._acquire(blocking):
             return None
         try:
-            self.install_context(*specs, tick=tick)
+            self._install(specs, tick)
             return (self.abox.mutation_count, self._signature())
         finally:
             self._lock.release()
@@ -1109,19 +1110,30 @@ class RankingEngine:
                 self.abox, self.tbox, self.user
             )
 
-    def install_context(self, *specs: str, tick: str = "ctx") -> None:
+    def install_context(self, *specs: str | ContextValue, tick: str = "ctx") -> None:
         """Install ``CONCEPT[:PROB]`` specs through the context backend.
 
-        Only available when the context backend supports installation
-        (:class:`~repro.engine.backends.AboxContext` does).
+        The specs may come as their one
+        :class:`~repro.engine.backends.ContextValue`, which carries its
+        own tick.  Only available when the context backend supports
+        installation (:class:`~repro.engine.backends.AboxContext` does).
         """
         install = getattr(self.context, "install", None)
         if install is None:
             raise EngineError(
                 f"context backend {type(self.context).__name__} does not support install()"
             )
+        if len(specs) == 1 and isinstance(specs[0], ContextValue):
+            specs = specs[0]
         with self._lock:
             install(self.user, specs, tick=tick)
+
+    def _install(self, specs: Iterable[str] | ContextValue, tick: str) -> None:
+        """:meth:`install_context` for a spec iterable or a value."""
+        if isinstance(specs, ContextValue):
+            self.install_context(specs)
+        else:
+            self.install_context(*specs, tick=tick)
 
     def as_member(self, name: str) -> "GroupMember":
         """This engine's user as a :class:`~repro.multiuser.GroupMember`.

@@ -81,16 +81,17 @@ import os
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qs
 
-from repro.cache.keys import KeyLookup, QueryKey, ResponseKeyer, query_key
+from repro.cache.keys import SERVICE_TICK, KeyLookup, QueryKey, ResponseKeyer, query_key
 from repro.cache.none import NoCacheAdapter
 from repro.cache.protocol import CacheAdapter
-from repro.engine.backends import parse_context_spec
+from repro.engine.backends import ContextValue, context_counters, context_value
 from repro.engine.requests import RankedItems, RankRequest
 from repro.errors import EngineError, ReproError
 from repro.reason import base_tier, session_counters
@@ -223,8 +224,8 @@ class ServiceRequest:
     when the deployment disabled deadlines).
 
     What the pipeline derives from the request alone —
-    :attr:`rank_request` and :attr:`query_key` — is computed on first
-    use and kept on it, so a request :meth:`from_query` remembers
+    :attr:`rank_request`, :attr:`query_key` and (weakly)
+    :attr:`context_value` — is computed on first use and kept on it, so a request :meth:`from_query` remembers
     derives them once for every repeat of its query string.  Slotted,
     as :data:`QUERY_MEMO_SIZE` of them may be remembered.
     """
@@ -237,6 +238,7 @@ class ServiceRequest:
     timeout: float | None = None
     _rank_request: object = field(default=_UNDERIVED, init=False, repr=False, compare=False)
     _query_key: object = field(default=_UNDERIVED, init=False, repr=False, compare=False)
+    _context_ref: object = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     @lru_cache(maxsize=QUERY_MEMO_SIZE)
@@ -337,12 +339,32 @@ class ServiceRequest:
         if derived is _UNDERIVED:
             try:
                 derived = query_key(
-                    self.tenant, self.context, self.documents, self.top_k, self.explain
+                    self.tenant, self.context_value, self.documents, self.top_k, self.explain
                 )
             except ReproError:
                 derived = None
             object.__setattr__(self, "_query_key", derived)
         return derived
+
+    @property
+    def context_value(self) -> ContextValue | None:
+        """The context delta as its interned value (``None``: keep the
+        standing context).
+
+        Kept by a weak reference: a remembered query finds its value
+        without a parse while a session holds it (the standing context,
+        a context kept for a flip back), and costs only its text when
+        none does.  Raises the first bad spec's
+        :class:`~repro.errors.EngineConfigError`.
+        """
+        if self.context is None:
+            return None
+        held = self._context_ref
+        value = held() if held is not None else None
+        if value is None:
+            value = context_value(self.context, SERVICE_TICK)
+            object.__setattr__(self, "_context_ref", weakref.ref(value))
+        return value
 
 
 @lru_cache(maxsize=256)
@@ -582,6 +604,8 @@ class RankAttempt:
     deadline: Deadline | None = None
     effective_timeout: float | None = None
     lookup: KeyLookup | None = None
+    #: the request's context delta as its value, held for the request
+    context: ContextValue | None = None
     cached_body: RankBody | None = None
     probe: BreakerDecision | None = None  # the half-open probe it holds
     response: ServiceResponse | None = None
@@ -801,6 +825,11 @@ class RankingService:
 
         if self.cache.enabled:
             with clock.stage("cache"):
+                if request.context is not None:
+                    try:
+                        attempt.context = request.context_value
+                    except ReproError:
+                        pass  # the context stage answers the bad spec 400
                 derived = request.query_key
                 if derived is not None:
                     lookup = attempt.lookup = self._keyer.lookup(derived)
@@ -839,7 +868,7 @@ class RankingService:
                 request.tenant
             ) as session:
                 verified = session is not None and self._install_verified(
-                    session, request, attempt.lookup, blocking=False
+                    session, attempt.context, attempt.lookup, blocking=False
                 )
             if verified:
                 path = "inline"
@@ -856,7 +885,7 @@ class RankingService:
     def _install_verified(
         self,
         session,
-        request: ServiceRequest,
+        context: ContextValue,
         lookup: KeyLookup,
         *,
         blocking: bool,
@@ -873,9 +902,7 @@ class RankingService:
         the one the lookup predicted.  ``None``: the engine was busy
         and nothing was installed.
         """
-        fingerprint = session.install_and_fingerprint(
-            request.context, tick="svc", blocking=blocking
-        )
+        fingerprint = session.install_and_fingerprint(context, blocking=blocking)
         if fingerprint is None:
             return None
         return self._keyer.learn(lookup, fingerprint) == lookup.view_digest
@@ -967,16 +994,12 @@ class RankingService:
                 if session is None:
                     raise WouldBlock("not_resident")
                 with clock.stage("context"):
-                    # Pre-flight every spec: a bad one 400s here with
-                    # the tenant's standing context untouched.  The
-                    # cache stage parsed them all if it produced a
-                    # lookup (``lookup.canon_digest``); only a request
-                    # it could not key — cache off, or a spec that
-                    # does not parse — is parsed here.
-                    specs = request.context  # None keeps the standing context
-                    if specs is not None and attempt.lookup is None:
-                        for spec in specs:
-                            parse_context_spec(spec)
+                    # The delta's value, unless the cache stage took it:
+                    # a bad spec 400s here with the tenant's standing
+                    # context untouched.  None keeps the standing one.
+                    if attempt.context is None:
+                        attempt.context = request.context_value
+                    specs = attempt.context
                 with deadline_scope(attempt.deadline):
                     body, served_hit = self._run_rank(attempt, session, specs, blocking)
             finally:
@@ -998,7 +1021,7 @@ class RankingService:
                 and self.config.request_timeout is not None
                 and timeout < self.config.request_timeout
             )
-            if client_shortened and self.breaker is not None:
+            if client_shortened:
                 self.metrics.count("resilience", "timeouts.client")
             error = f"deadline exceeded: rank did not finish within {timeout:.3f}s"
             body = {"error": error, "timeout_seconds": timeout}
@@ -1080,7 +1103,9 @@ class RankingService:
             # A delta hit begin_rank could not settle: the same
             # install-and-verify, blocking when this thread may wait.
             with clock.stage("rank"):
-                verified = self._install_verified(session, request, lookup, blocking=blocking)
+                verified = self._install_verified(
+                    session, attempt.context, lookup, blocking=blocking
+                )
             if verified is None:
                 raise WouldBlock("busy")
             if verified:
@@ -1111,7 +1136,7 @@ class RankingService:
         ``blocking``, a busy engine or a cold snapshot defers.
         """
         prepared = session.prepare_rank(
-            specs, rank_request, tick="svc", blocking=blocking, memo=self.memo
+            specs, rank_request, blocking=blocking, memo=self.memo
         )
         if prepared is None:
             raise WouldBlock("busy")
@@ -1139,17 +1164,18 @@ class RankingService:
             raise WouldBlock("journal")
         clock = _StageClock()
         specs = tuple(str(spec) for spec in specs)
+        value: ContextValue | None = None  # what the key and the install both take
         lookup: KeyLookup | None = None
         if self.cache.enabled:
             with clock.stage("cache"):
                 # Era fence read *before* the install: if the tenant is
                 # invalidated mid-install, the learn below is discarded.
                 try:
-                    lookup = self._keyer.lookup(
-                        query_key(str(tenant), specs, None, None, False)
-                    )
+                    value = context_value(specs, SERVICE_TICK)
                 except ReproError:
                     pass  # the install below answers the bad spec 400
+                else:
+                    lookup = self._keyer.lookup(query_key(str(tenant), value, None, None, False))
         try:
             with clock.stage("resolve"):
                 checkout = self.registry.checkout(str(tenant), blocking=blocking)
@@ -1158,11 +1184,11 @@ class RankingService:
                 if session is None:
                     raise WouldBlock("not_resident")
                 with clock.stage("context"):
+                    if value is None:
+                        value = context_value(specs, SERVICE_TICK)
                     # One hold of the engine lock: the fingerprint is
                     # the state this install left, not a later one.
-                    fingerprint = session.install_and_fingerprint(
-                        specs, tick="svc", blocking=blocking
-                    )
+                    fingerprint = session.install_and_fingerprint(value, blocking=blocking)
                 if fingerprint is None:
                     raise WouldBlock("busy")
                 if lookup is not None:
@@ -1353,6 +1379,8 @@ class RankingService:
             # ... and how the reasoner sessions moved under them.
             **session_counters(),
         }
+        # Context values interned and how installs put their rows in.
+        snapshot["contexts"] = context_counters()
         snapshot["cache"] = self.cache.info().to_dict()
         snapshot["cache"]["enabled"] = bool(self.cache.enabled)
         deferred = dict(self._delta_hits)

@@ -312,6 +312,24 @@ class TestTimeout:
         case.close()
 
 
+@pytest.mark.parametrize("breaker_enabled", [True, False])
+def test_a_client_shortened_deadline_is_counted_whatever_the_breaker(breaker_enabled):
+    """``timeouts.client`` counts what the client asked, so it moves with
+    the breaker off too; the breaker only decides what the count does."""
+    service = RankingService(
+        TenantRegistry(build_tvtouch()),
+        ServiceConfig(breaker_enabled=breaker_enabled),
+        fault_injector=FaultInjector(rank_delay=2.0),
+    )
+    assert (service.breaker is not None) == breaker_enabled
+    reply = service.rank("tenant=a&timeout=0.1")
+    assert reply.status == 504
+    counters = service.metrics.counters("resilience")
+    assert counters["timeouts"] == 1
+    assert counters["timeouts.client"] == 1
+    service.close()
+
+
 class TestBadRequest:
     def test_a_spec_that_does_not_parse_is_400_and_cancels_the_probe(self):
         case = Case(stale=True, breaker="half_open")

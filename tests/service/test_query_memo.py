@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import InMemoryCacheAdapter, keys, query_key
+from repro.engine import backends
 from repro.engine.requests import RankRequest
 from repro.errors import ReproError
 from repro.reason import clear_registry
@@ -169,7 +170,7 @@ def test_a_repeated_query_is_derived_once(monkeypatch):
     )
     parsed, canonicalised, shapes = [], [], []
     real_parse, real_canon, real_digest = (
-        pipeline.parse_qs, keys.canonical_context, keys._digest
+        pipeline.parse_qs, backends.canonical_context, keys._digest
     )
 
     def parse(query, **kwargs):
@@ -186,7 +187,7 @@ def test_a_repeated_query_is_derived_once(monkeypatch):
         return real_digest(value)
 
     monkeypatch.setattr(pipeline, "parse_qs", parse)
-    monkeypatch.setattr(keys, "canonical_context", canon)
+    monkeypatch.setattr(backends, "canonical_context", canon)
     monkeypatch.setattr(keys, "_digest", digest)
     ServiceRequest.from_query.cache_clear()
     keys._shape_digest.cache_clear()

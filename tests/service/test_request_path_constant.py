@@ -26,7 +26,10 @@ warm tvtouch service and a warm 40-program Section 5 service:
     ndarray columns (no per-document Python objects before the body
     bytes), while a top-3 reaches it as lists;
 (j) no request walks the rule set: its tuple and fingerprint are built
-    once per repository revision, and an edit re-derives both.
+    once per repository revision, and an edit re-derives both;
+(k) a delta hit that flips a tenant back to a context it held before
+    parses no spec and builds no basic event and no assertion: the
+    context is one interned value, spliced from the session's kept rows.
 """
 
 import collections
@@ -40,7 +43,9 @@ import pytest
 from repro.cache import InMemoryCacheAdapter, keys
 from repro.core.kernel import ScoringKernel
 from repro.dl import concepts
+from repro.dl.abox import ConceptAssertion
 from repro.engine import RankingEngine, backends
+from repro.events.atoms import BasicEvent
 from repro.errors import ReproError
 from repro.perf.backend import resolve_backend
 from repro.reason import clear_registry
@@ -439,4 +444,46 @@ def test_no_request_walks_the_rule_set(world_name, monkeypatch):
     repository.add(removed)
     assert repository.rules == rules and repository.fingerprint() == before
     assert engine.view_fingerprint()[1] == signature
+    service.close()
+
+
+def test_a_flip_back_builds_no_context(world_name, monkeypatch):
+    service = build_service(world_name)
+    first, second, _third = CONTEXTS[world_name]
+    queries = [
+        f"tenant=alice&top_k=3&context={first}&context={second}:0.7",
+        f"tenant=alice&top_k=3&context={second}:0.3",
+    ]
+    for _ in range(3):  # ranked, then kept by the session on the second install
+        for query in queries:
+            assert service.rank(query).status == 200
+    built = collections.Counter()
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(BasicEvent, "__post_init__", counting("event", BasicEvent.__post_init__))
+    monkeypatch.setattr(
+        ConceptAssertion, "__init__", counting("assertion", ConceptAssertion.__init__)
+    )
+    monkeypatch.setattr(
+        backends, "parse_context_spec", counting("parse", backends.parse_context_spec)
+    )
+    before = backends.context_counters()
+    for query in queries * 2:
+        reply = service.rank(query)
+        assert reply.status == 200 and reply.body["cached"] is True
+    assert service._delta_hits["inline"] >= 4
+    assert built == {}
+    after = service.metrics_snapshot()["contexts"]
+    assert set(after) == {"values_built", "values_live", "splices", "fallbacks"}
+    assert after["values_built"] == before["values_built"]
+    assert after["splices"] - before["splices"] == 6 and after["fallbacks"] == before["fallbacks"]
+    # the spies do count: a fresh probability parses and builds
+    rank(service, f"{first}:0.1357")
+    assert built["parse"] == 1 and built["event"] == 1 and built["assertion"] >= 1
     service.close()
