@@ -48,7 +48,6 @@ TENANTS = 16 if SMOKE else 200
 REQUESTS = 200 if SMOKE else 4000
 HTTP_REQUESTS = 100 if SMOKE else 1500
 CONCURRENCY = 8
-SHARDS = 8
 MIN_IN_PROCESS_RPS = 1000.0
 
 
@@ -56,9 +55,7 @@ MIN_IN_PROCESS_RPS = 1000.0
 def fleet():
     clear_registry()
     shared_basis_pool().clear()
-    registry = TenantRegistry(
-        build_tvtouch(), shards=SHARDS, max_sessions=max(TENANTS, 64)
-    )
+    registry = TenantRegistry(build_tvtouch(), max_sessions=max(TENANTS, 64))
     service = RankingService(
         registry, ServiceConfig()
     )
@@ -181,7 +178,6 @@ def test_e13_service_throughput(fleet, save_result, save_json):
             "experiment": "e13_service",
             "tenants": TENANTS,
             "concurrency": CONCURRENCY,
-            "shards": SHARDS,
             "context_churn": 0.5,
             "zipf_exponent": 1.1,
             "max_http_score_delta": worst_delta,

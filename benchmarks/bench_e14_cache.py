@@ -66,7 +66,7 @@ CORES = os.cpu_count() or 1
 def fresh_service(cache):
     clear_registry()
     shared_basis_pool().clear()
-    registry = TenantRegistry(build_tvtouch(), shards=8, max_sessions=256)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=256)
     return RankingService(
         registry,
         ServiceConfig(),
@@ -138,7 +138,7 @@ def test_e14_cache_traffic(save_result, save_json):
         ).to_dict()
 
         def factory(worker_info):
-            registry = TenantRegistry(build_tvtouch(), shards=8, max_sessions=256)
+            registry = TenantRegistry(build_tvtouch(), max_sessions=256)
             return RankingService(
                 registry,
                 ServiceConfig(),
@@ -255,7 +255,7 @@ def test_e14_eviction_hook_under_churning_fleet(save_json):
     never serve a body across a session re-mint (wrong standing
     context) and the counters must stay coherent."""
     clear_registry()
-    registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=4)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=4)
     cache = InMemoryCacheAdapter(ttl=None)
     service = RankingService(
         registry, ServiceConfig(), cache=cache

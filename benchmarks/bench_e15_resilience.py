@@ -92,7 +92,7 @@ def storm_config(requests: int) -> TrafficConfig:
 def faulty_factory(worker_info):
     """Per-worker service with a seeded 5 % rank-error injector and a
     response cache (so serve-stale has bodies to degrade onto)."""
-    registry = TenantRegistry(build_tvtouch(), shards=8, max_sessions=256)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=256)
     return RankingService(
         registry,
         ServiceConfig(),
@@ -201,7 +201,7 @@ def test_e15_deadline_bound(save_json):
     every session pin already back."""
     clear_registry()
     shared_basis_pool().clear()
-    registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=64)
     service = RankingService(
         registry,
         ServiceConfig(
@@ -244,7 +244,7 @@ def test_e15_crash_loop_fence(save_json):
     shared_basis_pool().clear()
 
     def factory(worker_info):
-        registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=32)
+        registry = TenantRegistry(build_tvtouch(), max_sessions=32)
         injector = (
             FaultInjector(worker_ttl=0.25)
             if worker_info["index"] == 0

@@ -129,7 +129,7 @@ def build_herd_schedule(requests: int, *, era_offset: int = 0, seed: int = 42):
 def make_registry(world, rules) -> TenantRegistry:
     """A fresh registry; basis compilation is shared through the module
     pool."""
-    return TenantRegistry(world, rules=rules, shards=8, max_sessions=max(TENANTS + 16, 64))
+    return TenantRegistry(world, rules=rules, max_sessions=max(TENANTS + 16, 64))
 
 
 def warm_fleet(service: RankingService, schedule) -> None:

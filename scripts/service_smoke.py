@@ -191,7 +191,7 @@ def smoke_single_process() -> None:
 
         health = get_json(f"{base_url}/healthz")
         assert health["status"] == "ok", health
-        print(f"smoke: /healthz ok (shards={health['registry']['shards']})")
+        print(f"smoke: /healthz ok (max_sessions={health['registry']['max_sessions']})")
 
         ready = get_json(f"{base_url}/readyz")
         assert ready["status"] == "ready", ready

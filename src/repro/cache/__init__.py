@@ -5,7 +5,7 @@ Layout (the merino-py ``cache/`` shape):
 * :mod:`repro.cache.protocol` — the :class:`CacheAdapter` protocol and
   its :class:`ResponseCacheInfo` counters;
 * :mod:`repro.cache.none` — the disabled backend;
-* :mod:`repro.cache.memory` — the sharded in-memory LRU + TTL backend;
+* :mod:`repro.cache.memory` — the in-memory LRU + TTL backend;
 * :mod:`repro.cache.keys` — key derivation from engine view
   fingerprints, and the :class:`ResponseKeyer` ledger the pipeline
   uses to answer "which key would this request rank under?" before

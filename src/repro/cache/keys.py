@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable
@@ -62,6 +61,7 @@ from repro.engine.backends import (
     canonical_context,
     context_value,
 )
+from repro.perf import LRU
 
 __all__ = [
     "CanonicalContext",
@@ -80,7 +80,8 @@ __all__ = [
 #: names their atoms, so it is part of every request's context value.
 SERVICE_TICK = "svc"
 
-#: Bound on remembered context-delta → digest mappings per tenant.
+#: Bound on remembered context-delta → digest mappings per tenant (the
+#: most recently used are kept).
 _MAX_DELTAS = 64
 
 #: Bound on remembered verified signature → digest pairs per tenant: a
@@ -227,12 +228,19 @@ class _TenantLedger:
 
     def __init__(self):
         self.era = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every learned digest (the caller moves the era)."""
         self.standing_epoch = -1
         self.standing_digest: str | None = None
-        self.deltas: dict[str, str] = {}
-        #: view signature -> its digest, for delta-hit verifications only
-        #: (a miss's fill or a context post rarely signs the same twice)
-        self.verified: dict[Hashable, str] = {}
+        #: canonical context digest -> the view digest it installs, and
+        #: view signature -> its digest for delta-hit verifications only
+        #: (a miss's fill or a context post rarely signs the same twice):
+        #: each made by its first entry, so a tenant that has not flipped
+        #: contexts since its last reset holds neither.
+        self.deltas: LRU | None = None
+        self.verified: LRU | None = None
 
 
 class ResponseKeyer:
@@ -248,8 +256,7 @@ class ResponseKeyer:
 
     def __init__(self, max_tenants: int = 16384):
         self._lock = threading.Lock()
-        self._tenants: "OrderedDict[str, _TenantLedger]" = OrderedDict()
-        self.max_tenants = max_tenants
+        self._tenants = LRU(max_tenants)
 
     # -- the request path --------------------------------------------------
     def lookup(self, query: QueryKey) -> KeyLookup:
@@ -258,15 +265,14 @@ class ResponseKeyer:
         canon_digest = query.canon_digest
         with self._lock:
             state = self._tenants.get(tenant)
-            if state is not None:
-                self._tenants.move_to_end(tenant)
             era = state.era if state is not None else 0
             standing = state.standing_digest if state is not None else None
             if canon_digest is None:
                 view_digest = standing
                 needs_install = False
             else:
-                view_digest = state.deltas.get(canon_digest) if state is not None else None
+                deltas = state.deltas if state is not None else None
+                view_digest = deltas.get(canon_digest) if deltas is not None else None
                 needs_install = view_digest is not None and view_digest != standing
         return KeyLookup(
             query=query, era=era, view_digest=view_digest, needs_install=needs_install
@@ -284,8 +290,9 @@ class ResponseKeyer:
         """
         epoch, signature = fingerprint
         verifying = lookup.needs_install
-        state = self._tenants.get(lookup.tenant) if verifying else None
-        view_digest = state.verified.get(signature) if state is not None else None
+        state = self._tenants.peek(lookup.tenant) if verifying else None
+        verified = state.verified if state is not None else None
+        view_digest = verified.peek(signature) if verified is not None else None
         remember = verifying and view_digest is None
         if view_digest is None:
             view_digest = signature_digest(signature)
@@ -297,24 +304,20 @@ class ResponseKeyer:
                 # in-flight learns era guards against are bounded by
                 # request latency, so a fresh entry is safe to trust.
                 state.era = lookup.era
-                self._tenants[tenant] = state
-                while len(self._tenants) > self.max_tenants:
-                    self._tenants.popitem(last=False)
-            else:
-                self._tenants.move_to_end(tenant)
+                self._tenants.put(tenant, state)
             if state.era != lookup.era:
                 return None
             if remember:
-                if len(state.verified) >= _MAX_VERIFIED:
-                    state.verified.clear()
-                state.verified[signature] = view_digest
+                if state.verified is None:
+                    state.verified = LRU(_MAX_VERIFIED)
+                state.verified.put(signature, view_digest)
             if epoch >= state.standing_epoch:
                 state.standing_epoch = epoch
                 state.standing_digest = view_digest
             if lookup.canon_digest is not None:
-                if len(state.deltas) >= _MAX_DELTAS and lookup.canon_digest not in state.deltas:
-                    state.deltas.clear()
-                state.deltas[lookup.canon_digest] = view_digest
+                if state.deltas is None:
+                    state.deltas = LRU(_MAX_DELTAS)
+                state.deltas.put(lookup.canon_digest, view_digest)
         return view_digest
 
     # -- invalidation ------------------------------------------------------
@@ -326,23 +329,17 @@ class ResponseKeyer:
         in flight from before the forget is fenced off by the era bump.
         """
         with self._lock:
-            state = self._tenants.get(tenant)
+            state = self._tenants.peek(tenant)
             if state is None:
                 return
             state.era += 1
-            state.standing_epoch = -1
-            state.standing_digest = None
-            state.deltas.clear()
-            state.verified.clear()
+            state.reset()
 
     def clear(self) -> None:
         with self._lock:
             for state in self._tenants.values():
                 state.era += 1
-                state.standing_epoch = -1
-                state.standing_digest = None
-                state.deltas.clear()
-                state.verified.clear()
+                state.reset()
 
     def __len__(self) -> int:
         with self._lock:

@@ -46,7 +46,7 @@ class NoCacheAdapter:
         return 0
 
     def info(self) -> ResponseCacheInfo:
-        return ResponseCacheInfo(max_entries=0, shards=0)
+        return ResponseCacheInfo(max_entries=0)
 
     def __repr__(self) -> str:
         return "NoCacheAdapter()"

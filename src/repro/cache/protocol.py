@@ -9,8 +9,8 @@ choose a policy, not an implementation detail:
   every lookup misses, every fill is dropped.  The pipeline also skips
   its cache stage entirely when ``adapter.enabled`` is false, so "no
   cache" costs nothing.
-* :class:`~repro.cache.memory.InMemoryCacheAdapter` — a sharded
-  LRU + TTL map with per-shard locks; the per-worker default for the
+* :class:`~repro.cache.memory.InMemoryCacheAdapter` — an LRU + TTL
+  map under one lock; the per-worker default for the
   serving fleet.
 
 An adapter stores **rendered response bodies** — opaque to it; the
@@ -74,7 +74,6 @@ class ResponseCacheInfo:
     invalidations: int = 0
     entries: int = 0
     max_entries: int = 0
-    shards: int = 1
     ttl: float | None = None
     stale_hits: int = 0
     stale_misses: int = 0
@@ -97,7 +96,6 @@ class ResponseCacheInfo:
             "invalidations": self.invalidations,
             "entries": self.entries,
             "max_entries": self.max_entries,
-            "shards": self.shards,
             "ttl_seconds": self.ttl,
             "stale_hits": self.stale_hits,
             "stale_misses": self.stale_misses,

@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--rules", help="rule DSL file applied to every minted tenant (default: the paper's)"
     )
-    serve.add_argument("--shards", type=int, default=8, help="tenant-registry shards")
     serve.add_argument("--max-sessions", type=int, default=4096, help="live-session LRU bound")
     serve.add_argument(
         "--request-timeout", type=float, default=2.0,
@@ -309,7 +308,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry = TenantRegistry(
             world,
             rules=rules,
-            shards=args.shards,
             max_sessions=args.max_sessions,
             journal=args.journal,
         )
@@ -327,8 +325,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
 
     settings = (
-        f"cache={args.cache}, shards={args.shards}, "
-        f"max_sessions={args.max_sessions}, "
+        f"cache={args.cache}, max_sessions={args.max_sessions}, "
         f"request_timeout={args.request_timeout or None}, world={world_source}"
     )
 

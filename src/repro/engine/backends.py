@@ -38,6 +38,7 @@ from repro.dl.vocabulary import ConceptName, Individual
 from repro.errors import EngineConfigError
 from repro.events.atoms import BasicEvent
 from repro.events.expr import ALWAYS, Atom, EventExpr, atom, disj
+from repro.perf import LRU
 from repro.rules.repository import RuleRepository
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -247,6 +248,7 @@ def context_counters() -> dict[str, int]:
 #: Contexts one session keeps prebuilt for a flip back (a handful of
 #: menus), and digests of contexts it installed once: a context is kept
 #: on its second install, so one that never repeats costs a digest.
+#: Both tables drop their least recently used entry when full.
 HELD_CONTEXTS = 4
 
 
@@ -298,8 +300,8 @@ class AboxContext:
     _cached_signature: Hashable = field(default=None, repr=False, compare=False)
     #: value -> its :class:`_Prebuilt` half, kept for a flip back, and
     #: the digests of values installed once (the admission check).
-    _held: dict = field(default_factory=dict, repr=False, compare=False)
-    _seen: dict = field(default_factory=dict, repr=False, compare=False)
+    _held: LRU = field(default_factory=lambda: LRU(HELD_CONTEXTS), repr=False, compare=False)
+    _seen: LRU = field(default_factory=lambda: LRU(HELD_CONTEXTS), repr=False, compare=False)
 
     def signature(self) -> Hashable:
         mutation = self.abox.mutation_count
@@ -355,7 +357,7 @@ class AboxContext:
         if fallbacks:
             _COUNTS["fallbacks"] += fallbacks
             return
-        if self._held.get(value) is not held:
+        if self._held.peek(value) is not held:
             return
         if not repeat:
             held.epochs = epochs
@@ -367,13 +369,9 @@ class AboxContext:
         """``value``'s per-user half; kept for a flip back when seen twice."""
         held = _Prebuilt(value, user)
         if value.digest in self._seen:
-            if len(self._held) >= HELD_CONTEXTS:
-                del self._held[next(iter(self._held))]
-            self._held[value] = held
+            self._held.put(value, held)
         else:
-            if len(self._seen) >= HELD_CONTEXTS:
-                del self._seen[next(iter(self._seen))]
-            self._seen[value.digest] = None
+            self._seen.put(value.digest, None)
         return held
 
 

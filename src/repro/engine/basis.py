@@ -58,7 +58,7 @@ verdict holds.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
@@ -69,6 +69,7 @@ from repro.dl.concepts import And, Concept, Not, OneOf, Or
 from repro.dl.instances import membership_event
 from repro.dl.tbox import TBox
 from repro.dl.vocabulary import ConceptName, Individual
+from repro.perf import LRU
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.reason import CompiledKB
@@ -82,6 +83,7 @@ __all__ = [
     "support_closure",
     "shared_basis_pool",
     "SharedBasisPool",
+    "POOL_LOCK",
 ]
 
 
@@ -383,66 +385,23 @@ def build_view_basis(abox: ABox, kernel: ScoringKernel) -> ViewBasis:
     return ViewBasis(kernel=kernel, snapshot=dynamic_snapshot(abox))
 
 
-class SharedBasisPool:
-    """Cross-engine pool of compiled bases for overlay-backed tenants.
+#: The process-wide pool of compiled bases for overlay-backed tenants:
+#: engines over overlays of one base world compile byte-identical
+#: matrices whenever their static epoch, rules and scorer configuration
+#: agree, so tenant #2's first request rescores on tenant #1's matrix
+#: (after the reuse guard proves the overlays interchangeable).  Keys
+#: embed the base ``ABox`` itself, so an entry pins its world: the exact
+#: bound keeps that from accumulating, and no live key can collide with
+#: a recycled ``id()``.
+_SHARED_POOL = LRU(32)
+#: The pool's one lock: engines of different tenants reach it from the
+#: event loop and the gateway thread at once.
+POOL_LOCK = threading.Lock()
 
-    Engines over overlays of the same base world produce byte-identical
-    candidate matrices whenever their static epoch, rules and scorer
-    configuration agree — the per-user delta is exactly the snapshot
-    the reuse guard already diffs.  Pooling the bases process-wide
-    means tenant #2's first request rescans nothing: it rescores on
-    tenant #1's compiled matrix (after the guard proves the overlays
-    interchangeable).
-
-    Keys embed the base ``ABox`` object itself (identity-hashed), so a
-    pooled entry pins its world — the bounded LRU keeps that from
-    accumulating, and a live key can never collide with a recycled
-    ``id()``.
-
-    One LRU map under one lock: a serving process ranks one world, so
-    its whole tenant fleet lands on a single pool key — splitting the
-    lock by key would spread nothing.  ``max_entries`` is an exact
-    bound (pooled entries pin their base worlds).
-    """
-
-    def __init__(self, max_entries: int = 32):
-        if max_entries < 1:
-            raise ValueError(f"pool needs at least one entry, got {max_entries!r}")
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, ViewBasis]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: Hashable) -> ViewBasis | None:
-        with self._lock:
-            basis = self._entries.get(key)
-            if basis is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return basis
-
-    def put(self, key: Hashable, basis: ViewBasis) -> None:
-        with self._lock:
-            self._entries[key] = basis
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+#: The pool's type, under its former name.
+SharedBasisPool = LRU
 
 
-#: The process-wide pool every overlay-backed engine shares.
-_SHARED_POOL = SharedBasisPool()
-
-
-def shared_basis_pool() -> SharedBasisPool:
-    """The process-wide :class:`SharedBasisPool`."""
+def shared_basis_pool() -> LRU:
+    """The process-wide basis pool (read and write it under :data:`POOL_LOCK`)."""
     return _SHARED_POOL

@@ -23,12 +23,12 @@ the compiled candidate matrix instead of re-binding every document
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from repro.core.scoring import DocumentScore
 from repro.errors import EngineConfigError
+from repro.perf import LRU
 
 __all__ = ["ViewCache", "CacheInfo"]
 
@@ -58,12 +58,12 @@ class CacheInfo:
 class ViewCache:
     """An LRU map from engine signatures to scored preference views.
 
-    Thread-safe: every operation holds one internal lock, so the LRU
-    bookkeeping (``move_to_end`` racing ``popitem``) can never corrupt
-    under concurrent readers — the engine's own lock already serialises
-    one engine's requests, but diagnostic readers (``info()``, the
-    service's ``/metrics`` endpoint) observe the cache from other
-    threads.
+    Two :class:`~repro.perf.LRU` tables of ``max_entries`` each (views
+    and bases) under one lock: every operation holds it once, so the
+    LRU bookkeeping can never corrupt under concurrent readers — the
+    engine's own lock already serialises one engine's requests, but
+    diagnostic readers (``info()``, the service's ``/metrics``
+    endpoint) observe the cache from other threads.
     """
 
     def __init__(self, max_entries: int = 16):
@@ -73,22 +73,14 @@ class ViewCache:
             )
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, Mapping[str, DocumentScore]]" = OrderedDict()
-        self._bases: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._hits = 0
-        self._misses = 0
+        self._entries = LRU(max_entries)
+        self._bases = LRU(max_entries)
         self._context_refreshes = 0
 
     def get(self, key: Hashable) -> Mapping[str, DocumentScore] | None:
         """The cached scores for ``key`` (counts a hit or a miss)."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry
+            return self._entries.get(key)
 
     def put(self, key: Hashable, scores: Mapping[str, DocumentScore]) -> None:
         """Store a scored view for ``key``, evicting the least recent if full.
@@ -98,27 +90,18 @@ class ViewCache:
         so the cache, the preference view and every coalesced
         batch-mate share one object."""
         with self._lock:
-            self._entries[key] = scores
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            self._entries.put(key, scores)
 
     # -- the incremental-rescoring basis ----------------------------------
     def basis_get(self, key: Hashable):
-        """The cached basis for ``key`` (no hit/miss accounting)."""
+        """The cached basis for ``key`` (not counted in :meth:`info`)."""
         with self._lock:
-            basis = self._bases.get(key)
-            if basis is not None:
-                self._bases.move_to_end(key)
-            return basis
+            return self._bases.get(key)
 
     def basis_put(self, key: Hashable, basis: object) -> None:
         """Store a compiled basis, evicting the least recent if full."""
         with self._lock:
-            self._bases[key] = basis
-            self._bases.move_to_end(key)
-            while len(self._bases) > self.max_entries:
-                self._bases.popitem(last=False)
+            self._bases.put(key, basis)
 
     def note_context_refresh(self) -> None:
         """Count one signature miss served incrementally from a basis."""
@@ -134,8 +117,8 @@ class ViewCache:
     def info(self) -> CacheInfo:
         with self._lock:
             return CacheInfo(
-                hits=self._hits,
-                misses=self._misses,
+                hits=self._entries.hits,
+                misses=self._entries.misses,
                 entries=len(self._entries),
                 max_entries=self.max_entries,
                 context_refreshes=self._context_refreshes,

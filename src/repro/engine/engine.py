@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import operator
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -77,6 +76,7 @@ from repro.errors import EngineError, ScoringError
 from repro.events.space import EventSpace
 from repro.engine.backends import ContextValue
 from repro.engine.basis import (
+    POOL_LOCK,
     ViewBasis,
     build_view_basis,
     dynamic_snapshot,
@@ -84,6 +84,7 @@ from repro.engine.basis import (
 )
 from repro.engine.cache import CacheInfo, ViewCache
 from repro.engine.requests import RankedItems, RankRequest, RankResponse, as_requests
+from repro.perf import LRU
 from repro.reason import CompiledKB, ReasonerInfo, compiled_kb
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -253,24 +254,11 @@ class ScoredViewMemo:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._entries: OrderedDict[Hashable, tuple] = OrderedDict()
+        self._entries = LRU(MEMO_ENTRIES)
         self.requests = 0
         self.hits = 0
         self.passes = 0
         self.binds_shared = 0
-
-    def _get(self, key: Hashable) -> tuple | None:
-        """The entry under ``key``, freshened (under the lock)."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def _put(self, key: Hashable, entry: tuple) -> None:
-        """Remember ``entry``, evicting the eldest (under the lock)."""
-        self._entries[key] = entry
-        if len(self._entries) > MEMO_ENTRIES:
-            self._entries.popitem(last=False)
 
     def execute(self, prepared: PreparedRank) -> ScoredView:
         """The scored view for ``prepared`` (which must carry a kernel);
@@ -278,7 +266,7 @@ class ScoredViewMemo:
         key = prepared.memo_key
         with self._lock:
             self.requests += 1
-            entry = self._get(key)
+            entry = self._entries.get(key)
             if entry is not None:
                 self.hits += 1
                 view, prepared.cuts = entry
@@ -287,7 +275,7 @@ class ScoredViewMemo:
         prepared.cuts = {}
         with self._lock:
             self.passes += 1
-            self._put(key, (view, prepared.cuts))
+            self._entries.put(key, (view, prepared.cuts))
         return view
 
     @staticmethod
@@ -301,7 +289,7 @@ class ScoredViewMemo:
     def bound(self, key: Hashable) -> ScoringKernel | None:
         """The kernel a mate bound under ``key`` (:meth:`bound_key`)."""
         with self._lock:
-            entry = self._get(key)
+            entry = self._entries.get(key)
             if entry is None:
                 return None
             self.binds_shared += 1
@@ -312,7 +300,7 @@ class ScoredViewMemo:
     ) -> None:
         """Offer ``kernel``, bound on ``basis`` for ``rules``, to mates under ``key``."""
         with self._lock:
-            self._put(key, (basis, rules, kernel))
+            self._entries.put(key, (basis, rules, kernel))
 
     def info(self) -> dict:
         """Counters: requests, memo hits, kernel passes, binds served to
@@ -589,7 +577,8 @@ class RankingEngine:
         if basis is None and self._shares_bases:
             # Another tenant over the same base may have compiled the
             # matrix already; the reuse guard below decides safety.
-            basis = shared_basis_pool().get(basis_key)
+            with POOL_LOCK:
+                basis = shared_basis_pool().get(basis_key)
         if basis is None:
             self._carried = None
             return key, None, None
@@ -684,7 +673,8 @@ class RankingEngine:
                 basis = build_view_basis(self.abox, compiled)
                 self._cache.basis_put(basis_key, basis)
                 if self._shares_bases:
-                    shared_basis_pool().put(basis_key, basis)
+                    with POOL_LOCK:
+                        shared_basis_pool().put(basis_key, basis)
         self._cache.put(key, scores)
         return scores, False
 

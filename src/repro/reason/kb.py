@@ -74,7 +74,7 @@ memoised on the overlay session and dropped with it.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -88,6 +88,7 @@ from repro.events.expr import ALWAYS, NEVER, EventExpr, conj, disj, neg
 from repro.events.probability import DEFAULT_ENGINE, probability as engine_probability
 from repro.events.shannon import ShannonEngine
 from repro.events.space import EventSpace
+from repro.perf import LRU
 
 __all__ = [
     "CompiledKB",
@@ -801,7 +802,7 @@ class CompiledKB:
 #: all three strongly.  Every overlay KB over the same base delegates
 #: here, so the static world is reasoned once per base epoch for the
 #: whole tenant fleet.
-_BASE_TIERS: "OrderedDict[tuple, ReasonerSession]" = OrderedDict()
+_BASE_TIERS = LRU(MAX_BASE_TIERS)
 _BASE_TIERS_LOCK = threading.Lock()
 
 
@@ -822,7 +823,6 @@ def base_tier(
     with _BASE_TIERS_LOCK:
         session = _BASE_TIERS.get(key)
         if session is not None and session.epoch == epoch:
-            _BASE_TIERS.move_to_end(key)
             return session
     session = _make_session(abox, tbox, space, epoch)
     with _BASE_TIERS_LOCK:
@@ -830,12 +830,8 @@ def base_tier(
         # must share one base-tier memo, not one per racing thread.
         existing = _BASE_TIERS.get(key)
         if existing is not None and existing.epoch == epoch:
-            _BASE_TIERS.move_to_end(key)
             return existing
-        _BASE_TIERS[key] = session
-        _BASE_TIERS.move_to_end(key)
-        while len(_BASE_TIERS) > MAX_BASE_TIERS:
-            _BASE_TIERS.popitem(last=False)
+        _BASE_TIERS.put(key, session)
     return session
 
 
@@ -883,7 +879,7 @@ def _make_session(
 #: transient worlds do not accumulate them.  Guarded by a lock:
 #: concurrent tenant mints register distinct overlay worlds, and the
 #: multi-step get/insert/evict sequence must not interleave.
-_REGISTRY: "OrderedDict[int, list[CompiledKB]]" = OrderedDict()
+_REGISTRY = LRU(MAX_REGISTRY_WORLDS)
 _REGISTRY_LOCK = threading.Lock()
 
 
@@ -899,26 +895,16 @@ def compiled_kb(abox: ABox, tbox: TBox, space: EventSpace | None = None) -> Comp
     lookups of one world return the same ``CompiledKB`` object.
     """
     with _REGISTRY_LOCK:
-        entries = _registry_entries(abox)
+        entries = _REGISTRY.get(id(abox))
+        if entries is None:
+            entries = []
+            _REGISTRY.put(id(abox), entries)
         for kb in entries:
             if kb.tbox is tbox and kb.space is space:
                 return kb
         kb = CompiledKB(abox, tbox, space)
         entries.append(kb)
         return kb
-
-
-def _registry_entries(abox: ABox) -> list[CompiledKB]:
-    key = id(abox)
-    entries = _REGISTRY.get(key)
-    if entries is None:
-        entries = []
-        _REGISTRY[key] = entries
-        while len(_REGISTRY) > MAX_REGISTRY_WORLDS:
-            _REGISTRY.popitem(last=False)
-    else:
-        _REGISTRY.move_to_end(key)
-    return entries
 
 
 def query_session(
@@ -939,7 +925,7 @@ def query_session(
     space-independent), so retrieval may piggyback on a spaced KB.
     """
     with _REGISTRY_LOCK:
-        registered = list(_REGISTRY.get(id(abox), ()))
+        registered = list(_REGISTRY.peek(id(abox), ()))
     for kb in registered:
         if kb.tbox is tbox and (events_only or kb.space is space):
             return kb.session()
@@ -960,6 +946,7 @@ def clear_registry() -> None:
     with _BASE_TIERS_LOCK:
         _BASE_TIERS.clear()
     # Imported lazily: repro.engine sits above this layer.
-    from repro.engine.basis import shared_basis_pool
+    from repro.engine.basis import POOL_LOCK, shared_basis_pool
 
-    shared_basis_pool().clear()
+    with POOL_LOCK:
+        shared_basis_pool().clear()

@@ -24,7 +24,7 @@ Quickstart::
     from repro.tenants import TenantRegistry
     from repro.workloads import build_tvtouch
 
-    registry = TenantRegistry(build_tvtouch(), shards=8, max_sessions=4096)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=4096)
     service = RankingService(registry, ServiceConfig(request_timeout=2.0))
 
     # in-process

@@ -52,7 +52,7 @@ on sheds, ``Warning: 110`` on stale serves), straight from
   deadline), ``/healthz``, ``/readyz``, ``/metrics`` and overload
   sheds;
 * **off-loop dispatch** for what the loop must not do — mint a
-  session, wait on a shard or engine lock, bind or compile cold,
+  session, wait on the registry or engine lock, bind or compile cold,
   journal, or meet injected faults, which the ``blocking=False`` call
   reports by raising :class:`~repro.service.pipeline.WouldBlock`
   having taken nothing: the same call, blocking, runs on the

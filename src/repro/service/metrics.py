@@ -178,6 +178,14 @@ class ServiceMetrics:
             counters = self._counters.setdefault(group, {})
             counters[name] = counters.get(name, 0) + amount
 
+    def count_transition(self, scope: str, old: str, new: str) -> None:
+        """Count one circuit-breaker move (the breaker's listener)."""
+        kind = "global" if scope == "global" else "tenant"
+        with self._lock:
+            counters = self._counters.setdefault("resilience", {})
+            for name in (f"breaker_{new}", f"breaker_{new}.{kind}"):
+                counters[name] = counters.get(name, 0) + 1
+
     def counters(self, group: str | None = None) -> dict:
         """One group's counters, or every group keyed by name."""
         with self._lock:

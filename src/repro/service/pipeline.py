@@ -34,7 +34,7 @@ This module is that request path, staged and instrumented::
   answered from stale cache when possible, a 503 with ``Retry-After``
   otherwise.
 * **resolve** — a *pinned* checkout of the tenant's session from the
-  sharded :class:`~repro.tenants.TenantRegistry`; the pin guarantees
+  :class:`~repro.tenants.TenantRegistry`; the pin guarantees
   LRU eviction can never yank the overlay from an in-flight request.
 * **context** — validate every spec of the per-request context delta
   (``None`` keeps the tenant's standing context); a bad spec is a 400
@@ -83,7 +83,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qs
@@ -684,6 +684,21 @@ _FAILURES: dict[str, _Failure] = {
 }
 
 
+def _forget_tenant(keyer: ResponseKeyer, cache: CacheAdapter, tenant: str) -> int:
+    """Drop what the ledger learned and the cache stored for ``tenant``;
+    returns the entries dropped.
+
+    The registry's eviction listener (fired after its lock is released):
+    the session — and with it the standing context — is gone.  It holds
+    the ledger and the cache, never the service (as the breaker's
+    listener holds only the metrics), so no cycle runs through a
+    service: dropping it frees its sessions at once, not at the next
+    cyclic collection.
+    """
+    keyer.forget(tenant)
+    return cache.invalidate_tenant(tenant)
+
+
 class RankingService:
     """The concurrent request pipeline over a tenant fleet.
 
@@ -728,7 +743,7 @@ class RankingService:
                 failure_threshold=self.config.breaker_failure_threshold,
                 cooldown=self.config.breaker_cooldown,
                 jitter=self.config.breaker_jitter,
-                on_transition=self._breaker_transition,
+                on_transition=self.metrics.count_transition,
             )
         #: The fleet supervisor wires its cross-process state in after
         #: the fork; single-process deployments leave it None.
@@ -745,7 +760,9 @@ class RankingService:
         if self.cache.enabled:
             # A session eviction drops the tenant's standing context,
             # so everything learned (and stored) for it must go too.
-            self.registry.add_evict_listener(self._tenant_evicted)
+            self.registry.add_evict_listener(
+                partial(_forget_tenant, self._keyer, self.cache)
+            )
         #: One scored view per distinct context binding, across tenants.
         self.memo = ScoredViewMemo()
         #: ``(items, fragment)`` of the last ranking rendered: a herd
@@ -856,7 +873,7 @@ class RankingService:
         ``True``: the delta is installed and the stored body confirmed.
         Otherwise the attempt is left to :meth:`finish_rank`, counted
         under why: the registry journals (file I/O), the session is not
-        live or its shard is busy (a mint or a wait), the engine lock is
+        live or the registry is busy (a mint or a wait), the engine lock is
         held (a wait) — or the fingerprint refuted the prediction, so
         the stored body is dropped from the attempt and it ranks.
         """
@@ -925,7 +942,7 @@ class RankingService:
         """Run the remaining stages of a begun request to an answer.
 
         Breaker, resolve, context, rank, render — all on the calling
-        thread, which may wait on a registry shard or the engine lock.
+        thread, which may wait on the registry or the engine lock.
         ``attempt`` must come from :meth:`begin_rank` with ``response``
         unset.
 
@@ -933,7 +950,7 @@ class RankingService:
         answers a warm miss in place, or raises :class:`WouldBlock`
         having taken nothing — no pin, no breaker probe, no outcome or
         stage — when the request would mint a session (the tenant is
-        not resident or its shard is busy), wait on the engine lock,
+        not resident or the registry is busy), wait on the engine lock,
         compile or bind cold, do file I/O (the registry journals) or
         meet injected rank faults aimed at its tenant.  The caller then
         runs it blocking on a thread that may wait, and that run is the
@@ -1154,7 +1171,7 @@ class RankingService:
         rank under this context until it is replaced.  ``blocking=False``
         is the event loop's try, as for :meth:`finish_rank`:
         :class:`WouldBlock`, nothing installed or counted, when the
-        install would mint a session, wait on the shard or engine lock,
+        install would mint a session, wait on the registry or engine lock,
         or journal.  The
         gateway then dispatches it like a miss — and sheds it like one
         when its dispatch queue is full (:meth:`shed_inline` with no
@@ -1265,15 +1282,7 @@ class RankingService:
         view digest and strand the old entries (see
         :mod:`repro.cache.keys`).
         """
-        self._keyer.forget(str(tenant))
-        return self.cache.invalidate_tenant(str(tenant))
-
-    def _tenant_evicted(self, tenant_id: str) -> None:
-        # Registry eviction hook (fired outside shard locks): the
-        # session — and with it the standing context — is gone, so the
-        # ledger's learned digests and the stored bodies must go too.
-        self._keyer.forget(tenant_id)
-        self.cache.invalidate_tenant(tenant_id)
+        return _forget_tenant(self._keyer, self.cache, str(tenant))
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
@@ -1282,11 +1291,6 @@ class RankingService:
         close whatever service they were given."""
 
     # -- observability -----------------------------------------------------
-    def _breaker_transition(self, scope: str, old: str, new: str) -> None:
-        self.metrics.count("resilience", f"breaker_{new}")
-        kind = "global" if scope == "global" else "tenant"
-        self.metrics.count("resilience", f"breaker_{new}.{kind}")
-
     def _worker_section(self) -> dict:
         section: dict = {
             "pid": os.getpid(),
@@ -1305,7 +1309,6 @@ class RankingService:
             "registry": {
                 "active_sessions": info.active,
                 "max_sessions": info.max_sessions,
-                "shards": info.shards,
                 "pinned": info.pinned,
                 "minted": info.minted,
                 "hits": info.hits,

@@ -43,12 +43,13 @@ import random
 import signal
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from repro.errors import EngineConfigError
+from repro.perf import LRU
 
 __all__ = [
     "BreakerDecision",
@@ -268,13 +269,12 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
         self.jitter = jitter
-        self.max_tenants = max_tenants
         self._clock = clock
         self._rng = rng if rng is not None else random.Random()
         self._on_transition = on_transition
         self._lock = threading.Lock()
         self._global = _BreakerCore()
-        self._tenants: "OrderedDict[str, _BreakerCore]" = OrderedDict()
+        self._tenants = LRU(max_tenants)
         self._transitions: dict[str, int] = {}
 
     # -- state machine (call with the lock held) ---------------------------
@@ -329,25 +329,12 @@ class CircuitBreaker:
         if total >= self.min_requests and core.failures / total >= self.failure_threshold:
             self._open(core, scope, now)
 
-    def _tenant_core(self, tenant: str, create: bool) -> _BreakerCore | None:
-        core = self._tenants.get(tenant)
-        if core is not None:
-            self._tenants.move_to_end(tenant)
-            return core
-        if not create:
-            return None
-        core = _BreakerCore()
-        self._tenants[tenant] = core
-        while len(self._tenants) > self.max_tenants:
-            self._tenants.popitem(last=False)
-        return core
-
     def _cancel_probes(self, probes: tuple[str, ...]) -> None:
         for scope in probes:
             if scope == "global":
                 core: _BreakerCore | None = self._global
             else:
-                core = self._tenants.get(scope.partition(":")[2])
+                core = self._tenants.peek(scope.partition(":")[2])
             if core is not None and core.state == "half_open" and core.probe_inflight:
                 core.probe_inflight = False
 
@@ -359,7 +346,7 @@ class CircuitBreaker:
             decision = self._allow_core(self._global, "global", now)
             if not decision.allowed:
                 return decision
-            core = self._tenant_core(tenant, create=False)
+            core = self._tenants.get(tenant)
             if core is None:
                 return decision
             tenant_decision = self._allow_core(core, f"tenant:{tenant}", now)
@@ -394,7 +381,7 @@ class CircuitBreaker:
         with self._lock:
             now = self._clock()
             self._record_core(self._global, "global", True, now)
-            core = self._tenant_core(tenant, create=False)
+            core = self._tenants.get(tenant)
             if core is not None:
                 self._record_core(core, f"tenant:{tenant}", True, now)
 
@@ -402,7 +389,10 @@ class CircuitBreaker:
         with self._lock:
             now = self._clock()
             self._record_core(self._global, "global", False, now)
-            core = self._tenant_core(tenant, create=True)
+            core = self._tenants.get(tenant)
+            if core is None:
+                core = _BreakerCore()
+                self._tenants.put(tenant, core)
             self._record_core(core, f"tenant:{tenant}", False, now)
 
     # -- observability ------------------------------------------------------
@@ -410,7 +400,7 @@ class CircuitBreaker:
         with self._lock:
             if tenant is None:
                 return self._global.state
-            core = self._tenants.get(tenant)
+            core = self._tenants.peek(tenant)
             return core.state if core is not None else "closed"
 
     def snapshot(self) -> dict:

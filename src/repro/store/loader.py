@@ -124,7 +124,7 @@ def _seed_basis_pool(world, candidates, basis: dict) -> None:
     from repro.core.kernel import ScoringKernel
     from repro.core.problem import RuleBinding
     from repro.engine.backends import RepositoryPreferences
-    from repro.engine.basis import ViewBasis, shared_basis_pool
+    from repro.engine.basis import POOL_LOCK, ViewBasis, shared_basis_pool
     from repro.events.expr import NEVER
 
     rules = list(world.repository)
@@ -142,7 +142,8 @@ def _seed_basis_pool(world, candidates, basis: dict) -> None:
         bool(basis["prune_documents"]),
         str(world.target),
     )
-    shared_basis_pool().put(key, ViewBasis(kernel=kernel, snapshot=frozenset()))
+    with POOL_LOCK:
+        shared_basis_pool().put(key, ViewBasis(kernel=kernel, snapshot=frozenset()))
 
 
 def load_world(

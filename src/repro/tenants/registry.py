@@ -23,15 +23,15 @@ What the layering buys (see :mod:`repro.reason` and
 * eviction is safe and cheap: a session is just its overlay and caches,
   so the registry LRU-bounds live sessions and re-mints on demand.
 
-**Sharding & thread safety.**  The registry fronts ``shards``
-independent LRU segments hashed by tenant id, each with its own lock,
-so concurrent checkouts of *different* tenants never contend on one
-global lock.  The contract:
+**One table, one lock.**  The live sessions are one
+:class:`~repro.perf.LRU` under one lock.  A worker has two threads that
+touch it — the gateway's event loop and its one ``repro-gw`` thread —
+so a striped table would spread nothing.  The contract:
 
 * ``session(tenant_id)`` / ``checkout(tenant_id)`` are linearisable per
   tenant: concurrent calls for one tenant return the same
   :class:`UserSession` object, and minting never races the LRU
-  bookkeeping (both happen under the tenant's shard lock).
+  bookkeeping (both happen under the registry lock).
 * ``checkout`` additionally *pins* the session for the duration of the
   ``with`` block: a pinned session is never chosen as an LRU victim,
   and an explicit :meth:`evict` of a pinned session is *deferred* — the
@@ -40,19 +40,14 @@ global lock.  The contract:
   eviction can therefore never yank the overlay out from under a rank.
 * ``checkout(tenant_id, blocking=False)`` is the non-waiting checkout:
   it pins an already live session, or yields ``None`` instead of
-  minting or waiting for the shard lock.  ``resident(tenant_id)`` is
-  the same try without a pin, for a short block that holds the shard
-  lock itself.
-* :meth:`info` and ``len``/``in``/iteration snapshot each shard under
-  its lock, so the counters are internally consistent per shard and the
-  aggregate is a sum of per-shard atomic snapshots (shards are read in
-  sequence, so the aggregate can straddle concurrent checkouts — it is
-  never a read of mutating dicts).
-* ``max_sessions`` bounds the whole registry exactly: capacity is
-  distributed ``floor(max_sessions / shards)`` per shard with the
-  remainder spread one-per-shard, and ``shards`` is clamped to
-  ``max_sessions`` so no shard has zero capacity.  With the default
-  ``shards=1`` the bound (and the LRU order) is exactly global.
+  minting or waiting for the registry lock.  ``resident(tenant_id)`` is
+  the same try without a pin, for a short block that holds the lock
+  itself.
+* :meth:`info` and ``len``/``in``/iteration snapshot the table under
+  the lock, so the counters are internally consistent.
+* ``max_sessions`` bounds the registry: beyond it, the sweep after a
+  mint evicts the least recently checked-out *unpinned* sessions, and
+  stops as soon as the table is back at the bound.
 
 Examples
 --------
@@ -71,8 +66,6 @@ True
 from __future__ import annotations
 
 import threading
-import zlib
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
@@ -84,6 +77,7 @@ from repro.rules.repository import RuleRepository
 from repro.engine.builder import EngineBuilder
 from repro.engine.engine import RankingEngine
 from repro.engine.requests import RankRequest, RankResponse
+from repro.perf import LRU
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.multiuser.group import GroupMember
@@ -96,10 +90,9 @@ __all__ = ["TenantRegistry", "UserSession", "TenantRegistryInfo"]
 class TenantRegistryInfo:
     """Checkout counters of a :class:`TenantRegistry`.
 
-    Snapshotted shard-by-shard under each shard's lock: every counter
-    quadruple is internally consistent per shard, and the aggregate is
-    the sum of those atomic snapshots.  ``pinned`` counts sessions
-    currently checked out (in-flight requests holding them).
+    Snapshotted under the registry lock, so they are internally
+    consistent.  ``pinned`` counts sessions currently checked out
+    (in-flight requests holding them).
     """
 
     active: int
@@ -107,7 +100,6 @@ class TenantRegistryInfo:
     minted: int
     hits: int
     evictions: int
-    shards: int = 1
     pinned: int = 0
 
     @property
@@ -150,7 +142,7 @@ class UserSession:
         self.engine = engine
         self.journal = journal
         #: Checkouts currently holding this session (registry-managed,
-        #: mutated only under the owning shard's lock).
+        #: mutated only under the registry lock).
         self.pins = 0
         #: Evicted while pinned: drop for real once the pins release.
         self.doomed = False
@@ -288,57 +280,6 @@ class UserSession:
         )
 
 
-class _Shard:
-    """One independently locked LRU segment of the session table."""
-
-    __slots__ = ("lock", "sessions", "max_sessions", "minted", "hits", "evictions")
-
-    def __init__(self, max_sessions: int):
-        self.lock = threading.RLock()
-        self.sessions: "OrderedDict[str, UserSession]" = OrderedDict()
-        self.max_sessions = max_sessions
-        self.minted = 0
-        self.hits = 0
-        self.evictions = 0
-
-    def touch(self, tenant_id: str) -> "UserSession | None":
-        """The live session, marked most recent and counted a hit (under the lock)."""
-        session = self.sessions.get(tenant_id)
-        if session is not None:
-            self.sessions.move_to_end(tenant_id)
-            self.hits += 1
-        return session
-
-    def evict_over_capacity(self, protect: "UserSession | None" = None) -> list[str]:
-        """Evict least-recent *unpinned* sessions down to capacity.
-
-        Pinned sessions are skipped, and so is ``protect`` (the
-        session minted by the checkout currently running the sweep —
-        evicting it would hand the caller a session a concurrent
-        checkout of the same tenant cannot see, breaking per-tenant
-        linearisability).  A shard whose residents are all
-        pinned/protected temporarily overflows instead of yanking a
-        live session; the overflow is bounded by the threads ranking at
-        once (behind the gateway, its executor width) and shrinks back
-        as pins release.
-
-        Returns the evicted tenant ids so the caller can notify
-        eviction listeners *after* releasing the shard lock.
-        """
-        over = len(self.sessions) - self.max_sessions
-        if over <= 0:
-            return []
-        victims = [
-            tenant_id
-            for tenant_id, session in self.sessions.items()
-            if session.pins == 0 and session is not protect
-        ][:over]
-        for tenant_id in victims:
-            del self.sessions[tenant_id]
-            self.evictions += 1
-        return victims
-
-
 class TenantRegistry:
     """Mints and pools per-tenant sessions over one shared base world.
 
@@ -356,17 +297,11 @@ class TenantRegistry:
         world's repository.  A per-call ``rules=`` to :meth:`session`
         overrides this at mint time.
     max_sessions:
-        Bound on live sessions across the whole registry (distributed
-        over the shards); each shard LRU-evicts its least recently
-        checked-out *unpinned* session beyond its share (an evicted
+        Bound on live sessions; beyond it the registry LRU-evicts its
+        least recently checked-out *unpinned* sessions (an evicted
         tenant's overlay and caches are dropped — re-minting is cheap
-        by design).
-    shards:
-        Number of independently locked LRU segments, hashed by tenant
-        id (clamped to ``max_sessions``).  The default ``1`` preserves
-        a single global LRU order; serving deployments use 8+ so
-        concurrent checkouts of different tenants do not contend (see
-        the module docstring for the full thread-safety contract).
+        by design; see the module docstring for the thread-safety
+        contract).
     freeze:
         Freeze the base ABox (default).  Strongly recommended: a frozen
         base cannot be mutated by a stray tenant write, and its derived
@@ -389,7 +324,6 @@ class TenantRegistry:
         *,
         rules: RuleRepository | Callable[[str], RuleRepository] | None = None,
         max_sessions: int = 1024,
-        shards: int = 1,
         freeze: bool = True,
         journal: "OverlayJournal | str | None" = None,
         **engine_options: object,
@@ -404,10 +338,6 @@ class TenantRegistry:
         if not isinstance(max_sessions, int) or max_sessions < 1:
             raise EngineConfigError(
                 f"max_sessions must be a positive integer, got {max_sessions!r}"
-            )
-        if not isinstance(shards, int) or shards < 1:
-            raise EngineConfigError(
-                f"shards must be a positive integer, got {shards!r}"
             )
         self.world = world
         self.abox = abox
@@ -424,28 +354,21 @@ class TenantRegistry:
         self.max_sessions = max_sessions
         #: Callbacks fired with a tenant id whenever that tenant's
         #: session leaves the registry (LRU sweep, explicit evict,
-        #: clear) — after the owning shard lock is released, so a
+        #: clear) — after the registry lock is released, so a
         #: listener may safely take its own locks.  The response-cache
         #: ledger subscribes here: an evicted session loses its
         #: standing context, so cached answers keyed on it must become
         #: unreachable the moment the session is gone.
         self._evict_listeners: list[Callable[[str], None]] = []
-        # More shards than sessions would leave zero-capacity shards;
-        # clamp so every shard holds at least one session and the
-        # whole-registry bound stays exactly max_sessions.
-        self.shards = min(shards, max_sessions)
         if freeze:
             abox.freeze()
-        base_capacity, extra = divmod(max_sessions, self.shards)
-        self._shards = tuple(
-            _Shard(base_capacity + (1 if index < extra else 0))
-            for index in range(self.shards)
-        )
-
-    def _shard_for(self, tenant_id: str) -> _Shard:
-        # A stable string hash (PYTHONHASHSEED-independent), so a
-        # tenant's shard survives restarts and is debuggable.
-        return self._shards[zlib.crc32(tenant_id.encode("utf-8")) % self.shards]
+        #: Guards the session table, the pins and the counters.  Minting
+        #: runs under it, so a tenant is never minted twice.
+        self._lock = threading.RLock()
+        #: tenant id -> live session, least recently checked out first;
+        #: bounded by :meth:`_sweep`, which skips pinned sessions.
+        self._sessions = LRU(None)
+        self._minted = 0
 
     # -- checkout ----------------------------------------------------------
     def session(
@@ -483,10 +406,10 @@ class TenantRegistry:
         the last pin releases — an in-flight rank can never lose its
         overlay.  This is the checkout the serving pipeline uses.
 
-        ``blocking=False`` never mints and only *tries* the tenant's
-        shard lock: it yields ``None`` when the tenant has no live
-        session or its shard is busy (minting or sweeping on another
-        thread).  The pin it takes is released like any other.
+        ``blocking=False`` never mints and only *tries* the registry
+        lock: it yields ``None`` when the tenant has no live session or
+        the lock is busy (minting or sweeping on another thread).  The
+        pin it takes is released like any other.
         """
         tenant_id = str(tenant_id)
         if blocking:
@@ -506,35 +429,28 @@ class TenantRegistry:
         """The tenant's live session, pinned for the block — or ``None``.
 
         The checkout of a thread that must never wait (the gateway's
-        event loop): it never mints, and it only *tries* the tenant's
-        shard lock.  ``None`` means the tenant has no live session or
-        its shard is busy — minting or sweeping on another thread.  The
-        pin is the shard lock itself, held for the block, so no sweep
+        event loop): it never mints, and it only *tries* the registry
+        lock.  ``None`` means the tenant has no live session or the
+        lock is busy — minting or sweeping on another thread.  The pin
+        is the registry lock itself, held for the block, so no sweep
         or :meth:`evict` can pick the session and there is no pin count
         to hand back under a lock later; the block must be short and
         must not wait either.
         """
-        shard = self._shard_for(tenant_id)
-        if not shard.lock.acquire(blocking=False):
+        if not self._lock.acquire(blocking=False):
             yield None
             return
         try:
-            yield shard.touch(tenant_id)
+            yield self._sessions.get(tenant_id)
         finally:
-            shard.lock.release()
+            self._lock.release()
 
     def _try_pin(self, tenant_id: str) -> UserSession | None:
         """Pin the tenant's live session without minting or waiting."""
-        shard = self._shard_for(tenant_id)
-        if not shard.lock.acquire(blocking=False):
-            return None
-        try:
-            session = shard.touch(tenant_id)
+        with self.resident(tenant_id) as session:
             if session is not None:
                 session.pins += 1
             return session
-        finally:
-            shard.lock.release()
 
     def _checkout(
         self,
@@ -545,38 +461,67 @@ class TenantRegistry:
         *,
         pin: bool,
     ) -> UserSession:
-        shard = self._shard_for(tenant_id)
         evicted: list[str] = []
-        with shard.lock:
-            session = shard.touch(tenant_id)
+        with self._lock:
+            session = self._sessions.get(tenant_id)
             if session is not None:
                 if pin:
                     session.pins += 1
             else:
                 session = self._mint(tenant_id, user, rules, options)
-                shard.sessions[tenant_id] = session
-                shard.minted += 1
+                self._sessions.put(tenant_id, session)
+                self._minted += 1
                 if pin:
                     session.pins += 1
                 # The sweep must never pick the just-minted session
                 # (pinned or not): evicting it would return a session
                 # no concurrent checkout of this tenant can see.
-                evicted = shard.evict_over_capacity(protect=session)
+                evicted = self._sweep(protect=session)
         self._notify_evicted(evicted)
         return session
 
     def _release(self, session: UserSession) -> None:
-        shard = self._shard_for(session.tenant_id)
-        with shard.lock:
+        with self._lock:
             session.pins = max(0, session.pins - 1)
             if session.pins == 0 and session.doomed:
                 # Deferred explicit eviction: the table entry is long
                 # gone (or replaced); nothing left to drop here.
                 session.doomed = False
-            # A shard that overflowed while everything was pinned can
+            # A table that overflowed while everything was pinned can
             # shrink back now that a pin released.
-            evicted = shard.evict_over_capacity()
+            evicted = self._sweep()
         self._notify_evicted(evicted)
+
+    def _sweep(self, protect: UserSession | None = None) -> list[str]:
+        """Evict least-recent *unpinned* sessions down to capacity
+        (under the lock).
+
+        Pinned sessions are skipped, and so is ``protect`` (the session
+        minted by the checkout currently running the sweep — evicting
+        it would hand the caller a session a concurrent checkout of the
+        same tenant cannot see, breaking per-tenant linearisability).
+        A table whose residents are all pinned or protected temporarily
+        overflows instead of yanking a live session; the overflow is
+        bounded by the requests ranking at once and shrinks back as
+        pins release.  The walk runs oldest first and stops at the
+        last victim it needs, so a mint into a full table visits one
+        session, or one per pinned session older than the victim.
+
+        Returns the evicted tenant ids so the caller can notify
+        eviction listeners *after* releasing the lock.
+        """
+        over = len(self._sessions) - self.max_sessions
+        if over <= 0:
+            return []
+        victims = []
+        for tenant_id, session in self._sessions.items():
+            if session.pins == 0 and session is not protect:
+                victims.append(tenant_id)
+                if len(victims) == over:
+                    break
+        for tenant_id in victims:
+            self._sessions.evict(tenant_id)
+        return victims
 
     def _mint(
         self,
@@ -630,7 +575,7 @@ class TenantRegistry:
     def add_evict_listener(self, listener: Callable[[str], None]) -> None:
         """Subscribe to session evictions (called with the tenant id).
 
-        Listeners run after the owning shard lock is released, in
+        Listeners run after the registry lock is released, in
         eviction order; they must not raise (an exception would
         propagate into whichever checkout triggered the sweep).  The
         serving layer uses this to drop response-cache state the moment
@@ -653,79 +598,53 @@ class TenantRegistry:
         keep a working session object until their pins release.
         """
         tenant_id = str(tenant_id)
-        shard = self._shard_for(tenant_id)
-        with shard.lock:
-            session = shard.sessions.pop(tenant_id, None)
+        with self._lock:
+            session = self._sessions.evict(tenant_id)
             if session is None:
                 return False
             if session.pins > 0:
                 session.doomed = True
-            shard.evictions += 1
         self._notify_evicted([tenant_id])
         return True
 
     def clear(self) -> int:
         """Drop every live session; returns how many."""
-        count = 0
-        cleared: list[str] = []
-        for shard in self._shards:
-            with shard.lock:
-                for session in shard.sessions.values():
-                    if session.pins > 0:
-                        session.doomed = True
-                cleared.extend(shard.sessions)
-                count += len(shard.sessions)
-                shard.evictions += len(shard.sessions)
-                shard.sessions.clear()
+        with self._lock:
+            cleared = list(self._sessions)
+            for tenant_id in cleared:
+                session = self._sessions.evict(tenant_id)
+                if session.pins > 0:
+                    session.doomed = True
         self._notify_evicted(cleared)
-        return count
+        return len(cleared)
 
     def info(self) -> TenantRegistryInfo:
-        """Aggregate counters, snapshotted shard-by-shard under each lock."""
-        active = minted = hits = evictions = pinned = 0
-        for shard in self._shards:
-            with shard.lock:
-                active += len(shard.sessions)
-                minted += shard.minted
-                hits += shard.hits
-                evictions += shard.evictions
-                pinned += sum(
-                    1 for session in shard.sessions.values() if session.pins > 0
-                )
-        return TenantRegistryInfo(
-            active=active,
-            max_sessions=self.max_sessions,
-            minted=minted,
-            hits=hits,
-            evictions=evictions,
-            shards=self.shards,
-            pinned=pinned,
-        )
+        """The counters, snapshotted under the lock."""
+        with self._lock:
+            return TenantRegistryInfo(
+                active=len(self._sessions),
+                max_sessions=self.max_sessions,
+                minted=self._minted,
+                hits=self._sessions.hits,
+                evictions=self._sessions.evictions,
+                pinned=sum(1 for session in self._sessions.values() if session.pins > 0),
+            )
 
     def __len__(self) -> int:
-        count = 0
-        for shard in self._shards:
-            with shard.lock:
-                count += len(shard.sessions)
-        return count
+        with self._lock:
+            return len(self._sessions)
 
     def __contains__(self, tenant_id: object) -> bool:
-        tenant_id = str(tenant_id)
-        shard = self._shard_for(tenant_id)
-        with shard.lock:
-            return tenant_id in shard.sessions
+        with self._lock:
+            return str(tenant_id) in self._sessions
 
     def __iter__(self) -> Iterator[str]:
-        tenant_ids: list[str] = []
-        for shard in self._shards:
-            with shard.lock:
-                tenant_ids.extend(shard.sessions)
-        return iter(tenant_ids)
+        with self._lock:
+            return iter(list(self._sessions))
 
     def __repr__(self) -> str:
         info = self.info()
         return (
             f"TenantRegistry(active={info.active}/{info.max_sessions}, "
-            f"shards={info.shards}, minted={info.minted}, hits={info.hits}, "
-            f"evictions={info.evictions})"
+            f"minted={info.minted}, hits={info.hits}, evictions={info.evictions})"
         )

@@ -129,3 +129,38 @@ class TestResponseKeyer:
         keyer.clear()
         assert keyer.lookup(query_key("alice", None, None, 3, False)).view_digest is None
         assert keyer.lookup(query_key("bob", None, None, 3, False)).view_digest is None
+
+    def test_deltas_keep_the_most_recent_instead_of_clearing(self):
+        from repro.cache.keys import _MAX_DELTAS
+
+        keyer = ResponseKeyer()
+        contexts = [(f"Menu{index}",) for index in range(_MAX_DELTAS + 1)]
+        for specs in contexts[:_MAX_DELTAS]:
+            keyer.learn(keyer.lookup(query_key("alice", specs, None, 3, False)), FP_A)
+        # A flip back freshens the oldest delta; the next new one then
+        # displaces the least recently used, not all 64.
+        assert keyer.lookup(query_key("alice", contexts[0], None, 3, False)).view_digest
+        keyer.learn(keyer.lookup(query_key("alice", contexts[-1], None, 3, False)), FP_A)
+
+        def learned(specs):
+            return keyer.lookup(query_key("alice", specs, None, 3, False)).view_digest
+
+        assert learned(contexts[1]) is None
+        assert all(learned(specs) is not None for specs in [contexts[0], *contexts[2:]])
+
+    def test_verified_signatures_keep_the_most_recent_instead_of_clearing(self):
+        from repro.cache.keys import _MAX_VERIFIED
+
+        keyer = ResponseKeyer()
+        flips = [(f"Menu{index}",) for index in range(_MAX_VERIFIED + 1)]
+        for epoch, specs in enumerate(flips):
+            # Teach the delta, move off it, then verify it as a delta hit would.
+            keyer.learn(keyer.lookup(query_key("alice", specs, None, 3, False)), (3 * epoch, specs))
+            standing = keyer.lookup(query_key("alice", None, None, 3, False))
+            keyer.learn(standing, (3 * epoch + 1, ("standing",)))
+            hit = keyer.lookup(query_key("alice", specs, None, 3, False))
+            assert hit.needs_install
+            keyer.learn(hit, (3 * epoch + 2, specs))
+        verified = keyer._tenants.peek("alice").verified
+        assert len(verified) == _MAX_VERIFIED
+        assert list(verified) == flips[1:]

@@ -1,10 +1,12 @@
 """The in-memory adapter: LRU bound, TTL, tenant purge, concurrency."""
 
+import sys
 import threading
 
 import pytest
 
 from repro.cache import InMemoryCacheAdapter, NoCacheAdapter
+from repro.cache.memory import SMALL_BODY_BYTES
 from repro.cache.protocol import CacheAdapter
 from repro.errors import EngineConfigError
 
@@ -40,11 +42,6 @@ class TestValidation:
             InMemoryCacheAdapter(max_entries=0)
         with pytest.raises(EngineConfigError):
             InMemoryCacheAdapter(ttl=-1.0)
-        with pytest.raises(EngineConfigError):
-            InMemoryCacheAdapter(shards=0)
-
-    def test_shards_clamped_to_capacity(self):
-        assert InMemoryCacheAdapter(max_entries=3, shards=16).shards == 3
 
 
 class TestBasics:
@@ -90,8 +87,8 @@ class TestTTL:
 
 
 class TestLRU:
-    def test_capacity_is_exact_per_shard(self):
-        cache = InMemoryCacheAdapter(max_entries=4, shards=1, ttl=None)
+    def test_capacity_is_exact(self):
+        cache = InMemoryCacheAdapter(max_entries=4, ttl=None)
         for index in range(10):
             cache.put(f"k{index}", {"v": index})
         assert len(cache) == 4
@@ -100,7 +97,7 @@ class TestLRU:
         assert cache.get("k0") is None
 
     def test_get_refreshes_recency(self):
-        cache = InMemoryCacheAdapter(max_entries=2, shards=1, ttl=None)
+        cache = InMemoryCacheAdapter(max_entries=2, ttl=None)
         cache.put("a", {"v": 1})
         cache.put("b", {"v": 2})
         assert cache.get("a") == {"v": 1}  # refresh a
@@ -109,7 +106,7 @@ class TestLRU:
         assert cache.get("b") is None
 
     def test_bound_holds_under_concurrent_hammer(self):
-        cache = InMemoryCacheAdapter(max_entries=64, shards=8, ttl=None)
+        cache = InMemoryCacheAdapter(max_entries=64, ttl=None)
         errors = []
 
         def hammer(worker):
@@ -122,15 +119,25 @@ class TestLRU:
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        # One lock over the one table: switch threads as often as the
+        # interpreter allows, so a lost counter update or a torn LRU
+        # move would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert not errors
-        assert len(cache) <= 64
+        assert len(cache) == 64
         info = cache.info()
         assert info.hits + info.misses == 8 * 500 * 2
+        assert info.bytes == 64 * SMALL_BODY_BYTES
 
 
 class TestTenantPurge:
@@ -147,7 +154,7 @@ class TestTenantPurge:
         assert cache.invalidate_tenant("alice") == 0
 
     def test_eviction_and_replace_keep_the_index_clean(self):
-        cache = InMemoryCacheAdapter(max_entries=2, shards=1, ttl=None)
+        cache = InMemoryCacheAdapter(max_entries=2, ttl=None)
         cache.put("a", {"v": 1}, tenant="alice")
         cache.put("b", {"v": 2}, tenant="alice")
         cache.put("c", {"v": 3}, tenant="alice")  # evicts a
@@ -186,13 +193,13 @@ class TestByteBudget:
         assert info.max_bytes == MAX_CACHE_BYTES
         assert info.evictions > 0 and info.entries == 64 - info.evictions
         assert info.to_dict()["bytes"] == info.bytes
-        # what survived is each shard's most recent, and still answers
+        # what survived is the most recent, and still answers
         assert cache.get("alice|digest63|q") is not None
 
     def test_bytes_follow_replace_purge_and_clear(self):
         from repro.cache.memory import SMALL_BODY_BYTES
 
-        cache = InMemoryCacheAdapter(max_entries=8, shards=2)
+        cache = InMemoryCacheAdapter(max_entries=8)
         cache.put("a", _Sized(1000), tenant="alice")
         cache.put("b", {"v": 1}, tenant="bob")  # no nbytes: the flat charge
         assert cache.info().bytes == 1000 + SMALL_BODY_BYTES
@@ -203,14 +210,17 @@ class TestByteBudget:
         cache.clear()
         assert cache.info().bytes == 0
 
-    def test_a_body_over_the_shard_budget_is_not_cached(self):
+    def test_a_body_over_the_budget_is_not_cached(self):
         from repro.cache.memory import MAX_CACHE_BYTES
 
-        cache = InMemoryCacheAdapter(shards=8)
+        cache = InMemoryCacheAdapter()
         cache.put("small", _Sized(10))
-        cache.put("huge", _Sized(MAX_CACHE_BYTES))  # > one shard's share
+        cache.put("huge", _Sized(MAX_CACHE_BYTES + 1))  # > the whole budget
         assert cache.get("huge") is None
         assert cache.info().bytes <= MAX_CACHE_BYTES
+        cache.put("whole", _Sized(MAX_CACHE_BYTES))  # exactly the budget fits
+        assert cache.get("whole") is not None
+        assert cache.info().bytes == MAX_CACHE_BYTES
 
     def test_small_bodies_never_meet_the_budget(self):
         # 4 096 three-item bodies are ~1 MB: the entry bound is still

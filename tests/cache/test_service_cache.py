@@ -29,7 +29,7 @@ class FakeClock:
 
 def make_service(cache=None, max_sessions=64, **config):
     clear_registry()
-    registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=max_sessions)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=max_sessions)
     return RankingService(
         registry,
         ServiceConfig(**config) if config else None,
@@ -210,7 +210,7 @@ class TestInvalidation:
 class TestDisabledCache:
     def test_default_service_has_no_cache(self):
         clear_registry()
-        registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=64)
+        registry = TenantRegistry(build_tvtouch(), max_sessions=64)
         service = RankingService(registry)
         assert service.cache.enabled is False
         rank(service, context=("Weekend",))

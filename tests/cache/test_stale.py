@@ -20,7 +20,7 @@ class FakeClock:
 def make_cache(ttl=10.0, stale_grace=100.0, **kwargs):
     clock = FakeClock()
     cache = InMemoryCacheAdapter(
-        max_entries=16, ttl=ttl, shards=2, clock=clock, stale_grace=stale_grace, **kwargs
+        max_entries=16, ttl=ttl, clock=clock, stale_grace=stale_grace, **kwargs
     )
     return cache, clock
 

@@ -848,7 +848,7 @@ def make_service(include_timings=False, clock=None, **config):
     cache = InMemoryCacheAdapter(max_entries=64, ttl=5.0, stale_grace=600.0,
                                  **({"clock": clock} if clock else {}))
     return RecordingService(
-        TenantRegistry(build_tvtouch(), shards=2, max_sessions=16),
+        TenantRegistry(build_tvtouch(), max_sessions=16),
         ServiceConfig(include_timings=include_timings,
                       breaker_min_requests=50, **config),
         cache=cache,

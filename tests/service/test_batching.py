@@ -187,7 +187,7 @@ def test_the_memo_keeps_the_most_recent_views(registry):
 
 class TestPipelineWiring:
     def make_service(self):
-        registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
+        registry = TenantRegistry(build_tvtouch(), max_sessions=64)
         return RankingService(registry, ServiceConfig())
 
     def test_the_batch_fields_are_gone(self):

@@ -12,7 +12,7 @@ never waits.  These tests pin:
   request's ranking — driven deterministically, with no sleeps: a hook
   on the install starts the competing request and waits until it has
   either finished or blocked on a lock the first request holds;
-* every fallback — engine busy, session not live, shard busy, journal,
+* every fallback — engine busy, session not live, registry busy, journal,
   refuted prediction — answers correctly, and the loop never waits,
   mints or writes the journal.
 """
@@ -39,7 +39,7 @@ WEEKEND = ("Weekend",)
 def make_service(journal=None, **config):
     clear_registry()
     registry = TenantRegistry(
-        build_tvtouch(), shards=2, max_sessions=64, journal=journal
+        build_tvtouch(), max_sessions=64, journal=journal
     )
     return RankingService(
         registry, ServiceConfig(**config), cache=InMemoryCacheAdapter()
@@ -135,8 +135,7 @@ def test_a_request_between_install_and_fingerprint_cannot_change_the_answer(
     engine = service.registry.session("t1").engine
     progress = threading.Event()  # the other request finished, or waits on us
     engine._lock = SignallingLock(engine._lock, progress)
-    shard = service.registry._shard_for("t1")
-    shard.lock = SignallingLock(shard.lock, progress)
+    service.registry._lock = SignallingLock(service.registry._lock, progress)
     replies = {}
 
     def other_request():
@@ -235,7 +234,7 @@ def test_a_session_that_is_not_live_is_never_minted_inline(oracle):
     stand_on_weekend(service)
     # The window between an eviction and its listener: the session is
     # gone while the ledger still predicts the delta hit.
-    del service.registry._shard_for("t1").sessions["t1"]
+    service.registry._sessions.pop("t1")
     minted = service.registry.info().minted
     attempt = service.begin_rank(params(BOTH))
     assert attempt.response is None
@@ -247,14 +246,13 @@ def test_a_session_that_is_not_live_is_never_minted_inline(oracle):
     service.close()
 
 
-def test_a_busy_shard_is_never_waited_for_inline(oracle):
+def test_a_busy_registry_is_never_waited_for_inline(oracle):
     service = make_service(request_timeout=None)
     stand_on_weekend(service)
-    shard = service.registry._shard_for("t1")
     held, release = threading.Event(), threading.Event()
 
     def hold():
-        with shard.lock:
+        with service.registry._lock:  # a mint or a sweep on another thread
             held.set()
             release.wait(timeout=10)
 
@@ -299,7 +297,7 @@ def test_a_refuted_prediction_ranks_and_never_serves_the_stored_body(oracle):
     # body the cache holds.
     both = service._keyer.lookup(query_key("t1", BOTH, None, 3, False))
     breakfast = service._keyer.lookup(query_key("t1", BREAKFAST, None, 3, False))
-    service._keyer._tenants["t1"].deltas[both.canon_digest] = breakfast.view_digest
+    service._keyer._tenants.peek("t1").deltas.put(both.canon_digest, breakfast.view_digest)
     attempt = service.begin_rank(params(BOTH))
     assert attempt.response is None and attempt.cached_body is None
     assert delta_hits(service)["refuted"] == 1

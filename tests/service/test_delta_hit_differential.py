@@ -51,7 +51,7 @@ STEPS = st.lists(
 
 def make_service(cache):
     clear_registry()
-    registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=16)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=16)
     return RankingService(registry, ServiceConfig(request_timeout=None), cache=cache)
 
 

@@ -25,7 +25,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def factory(worker_info):
-    registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=64)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=64)
     return RankingService(
         registry,
         ServiceConfig(),
@@ -133,7 +133,7 @@ def ttl_factory(worker_info):
     the crash-loop detector's drill vector."""
     from repro.service import FaultInjector
 
-    registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=64)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=64)
     injector = (
         FaultInjector(worker_ttl=0.3)
         if worker_info.get("index") == 0

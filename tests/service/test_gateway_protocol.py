@@ -34,7 +34,7 @@ READ_DEADLINE = 0.5
 
 
 def tvtouch_service() -> RankingService:
-    registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=64)
     return RankingService(registry, ServiceConfig())
 
 

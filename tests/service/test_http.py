@@ -20,7 +20,7 @@ from repro.workloads import build_tvtouch
 @pytest.fixture()
 def gateway():
     clear_registry()
-    registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=64)
     service = RankingService(registry, ServiceConfig())
     server = make_aio_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -129,7 +129,7 @@ class TestRankEndpoint:
 
 def test_repeat_under_an_unchanged_context_is_a_cache_hit():
     clear_registry()
-    registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=64)
     service = RankingService(
         registry, ServiceConfig(), cache=InMemoryCacheAdapter()
     )
@@ -194,7 +194,8 @@ class TestObservability:
     def test_healthz(self, gateway):
         status, body = get_json(f"{gateway.url}/healthz")
         assert status == 200 and body["status"] == "ok"
-        assert body["registry"]["shards"] == 4
+        assert body["registry"]["max_sessions"] == 64
+        assert "shards" not in body["registry"]
 
     def test_metrics_counts_requests(self, gateway):
         get_json(f"{gateway.url}/rank?tenant=a&context=Weekend")

@@ -44,7 +44,7 @@ WARM = {"tenant": ["alice"], "context": ["Weekend"], "top_k": ["3"]}
 
 def make_service(journal=None, faults=None):
     clear_registry()
-    registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=16, journal=journal)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=16, journal=journal)
     service = RankingService(
         registry,
         ServiceConfig(),
@@ -55,7 +55,7 @@ def make_service(journal=None, faults=None):
     clock = FakeClock()
     service.breaker = CircuitBreaker(
         min_requests=2, cooldown=1.0, jitter=0.0, clock=clock,
-        rng=random.Random(0), on_transition=service._breaker_transition,
+        rng=random.Random(0), on_transition=service.metrics.count_transition,
     )
     return service, clock
 

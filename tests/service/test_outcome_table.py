@@ -67,7 +67,7 @@ class Case:
         cache = InMemoryCacheAdapter(
             max_entries=64, ttl=5.0, clock=self.cache_clock, stale_grace=600.0
         )
-        registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
+        registry = TenantRegistry(build_tvtouch(), max_sessions=64)
         self.service = RankingService(
             registry, ServiceConfig(request_timeout=REQUEST_TIMEOUT), cache=cache
         )
@@ -84,7 +84,7 @@ class Case:
             jitter=0.0,
             clock=self.breaker_clock,
             rng=FixedRng(),
-            on_transition=self.service._breaker_transition,
+            on_transition=self.service.metrics.count_transition,
         )
         self.service.breaker = self.breaker
         if breaker in ("open", "half_open"):

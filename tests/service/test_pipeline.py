@@ -25,7 +25,7 @@ def fresh_registry_state():
 
 @pytest.fixture()
 def service():
-    registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=64)
     return RankingService(registry, ServiceConfig())
 
 
@@ -81,7 +81,7 @@ class TestPipeline:
         # `preferencescore` virtual column, never a table).
         world = build_tvtouch()
         tables = world.database.table_names
-        service = RankingService(TenantRegistry(world, shards=2, max_sessions=8))
+        service = RankingService(TenantRegistry(world, max_sessions=8))
         try:
             for tenant in ("peter", "paula"):
                 reply = service.rank({"tenant": [tenant], "context": ["Weekend", "Breakfast"]})
@@ -174,7 +174,7 @@ class TestPipeline:
         assert "admit" not in snapshot["stages"]
 
     def test_include_timings_attaches_to_body(self):
-        registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=8)
+        registry = TenantRegistry(build_tvtouch(), max_sessions=8)
         service = RankingService(
             registry, ServiceConfig(include_timings=True)
         )
@@ -187,7 +187,8 @@ class TestPipeline:
         health = service.health()
         assert health["status"] == "ok"
         assert health["registry"]["active_sessions"] == 1
-        assert health["registry"]["shards"] == 4
+        assert health["registry"]["max_sessions"] == 64
+        assert "shards" not in health["registry"]
 
     def test_metrics_reasoner_block_stays_flat_under_fresh_context(self, service):
         boot = service.metrics_snapshot()["reasoner"]
@@ -238,3 +239,41 @@ class TestConcurrentRequests:
         for reply in replies.values():
             assert reply.ok
             assert reply.body["items"][0]["document"] == "channel5_news"
+
+
+class TestLifecycle:
+    def test_a_dropped_service_frees_its_sessions_and_context_values(self):
+        """No cycle runs through the service: its registry's eviction
+        listener and its breaker's transition listener hold the ledger,
+        the cache and the metrics, never the service itself, so the
+        last reference going frees everything at once."""
+        import gc
+        import weakref
+
+        from repro.cache import InMemoryCacheAdapter
+        from repro.cache.keys import SERVICE_TICK
+        from repro.engine.backends import RECENT_VALUES, context_value
+
+        gc.collect()
+        gc.disable()
+        try:
+            service = RankingService(
+                TenantRegistry(build_tvtouch(), max_sessions=8),
+                cache=InMemoryCacheAdapter(),
+            )
+            for _ in range(2):  # installed twice: the session holds it prebuilt
+                assert service.rank("tenant=gc&context=Weekend&context=Breakfast:0.4242").ok
+                assert service.rank("tenant=gc&context=Weekend").ok
+            session = weakref.ref(service.registry.session("gc"))
+            value = weakref.ref(context_value(["Weekend", "Breakfast:0.4242"], SERVICE_TICK))
+            assert service.breaker is not None
+            del service
+            # What the process keeps on purpose: the parsed-query memo
+            # and the last few values built.
+            ServiceRequest.from_query.cache_clear()
+            for index in range(RECENT_VALUES):
+                context_value([f"Unrelated{index}"])
+            assert session() is None
+            assert value() is None
+        finally:
+            gc.enable()

@@ -82,7 +82,7 @@ def build_service(world_name, metrics=None, request_timeout=None, persons=10, pr
             seed=7, counts=Section5Counts(persons=persons, programs=programs)
         )
         rules = generate_rule_series(world, 6)
-    registry = TenantRegistry(world, rules=rules, shards=2, max_sessions=16)
+    registry = TenantRegistry(world, rules=rules, max_sessions=16)
     return RankingService(
         registry,
         # no deadline by default: the rank runs on the calling thread,
@@ -193,7 +193,7 @@ def test_the_breaker_window_is_never_walked(world_name, monkeypatch):
     for index in range(5000):  # a fifth fail: under the threshold, over min_requests
         (breaker.record_failure if index % 5 == 0 else breaker.record_success)("alice")
     assert len(breaker._global.events) == 5000
-    assert isinstance(breaker._tenants["alice"].events, NeverWalked)
+    assert isinstance(breaker._tenants.peek("alice").events, NeverWalked)
     warm(service, world_name)  # misses, delta hits and pure hits; any walk is a 500
     assert breaker.allow("alice").allowed and breaker.state() == "closed"
     assert service.readiness()[0] == 200 and service.metrics_snapshot()["resilience"]

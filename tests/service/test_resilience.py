@@ -74,7 +74,7 @@ class FixedRng:
 
 
 def make_service(config=None, cache=None, **kwargs) -> RankingService:
-    registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
+    registry = TenantRegistry(build_tvtouch(), max_sessions=64)
     return RankingService(
         registry,
         config if config is not None else ServiceConfig(),

@@ -172,47 +172,59 @@ class TestIsolation:
         assert info.hits == 8 * 40 - 8
 
 
-class TestShardingAndPinning:
-    def test_shard_routing_is_stable_and_complete(self):
-        registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=64)
-        for index in range(24):
-            registry.session(f"tenant_{index}")
-        info = registry.info()
-        assert info.shards == 4
-        assert info.active == 24 and info.minted == 24
-        assert sorted(registry) == sorted(f"tenant_{index}" for index in range(24))
-        # Re-checkout lands on the same shard (same session object).
-        assert registry.session("tenant_3") is registry.session("tenant_3")
+class TestPinning:
+    def test_a_busy_registry_turns_every_non_blocking_checkout_away(self):
+        """One lock: while another thread holds it (a mint, a sweep), the
+        event loop's tries come back empty for every tenant, taking no
+        pin, and succeed again once it is free."""
+        registry = TenantRegistry(build_tvtouch(), max_sessions=64)
+        tenants = [f"tenant_{index}" for index in range(16)]
+        for tenant in tenants:
+            registry.session(tenant)
+        held, release = threading.Event(), threading.Event()
 
-    def test_per_shard_lru_eviction(self):
-        # One shard, capacity 2: the classic global LRU behaviour.
-        registry = TenantRegistry(build_tvtouch(), shards=1, max_sessions=2)
-        registry.session("a")
-        registry.session("b")
-        registry.session("a")  # refresh a
-        registry.session("c")  # evicts b
-        assert "a" in registry and "c" in registry and "b" not in registry
-        assert registry.info().evictions == 1
+        def hold():
+            with registry._lock:
+                held.set()
+                release.wait(timeout=10)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        assert held.wait(timeout=10)
+        try:
+            for tenant in tenants:
+                with registry.checkout(tenant, blocking=False) as session:
+                    assert session is None
+                with registry.resident(tenant) as session:
+                    assert session is None
+        finally:
+            release.set()
+            holder.join(timeout=10)
+        assert not holder.is_alive()
+        with registry.checkout("tenant_3", blocking=False) as session:
+            assert session is registry.session("tenant_3") and session.pins == 1
+        info = registry.info()
+        assert (info.pinned, info.minted) == (0, 16)
 
     def test_pinned_session_is_never_an_lru_victim(self):
-        registry = TenantRegistry(build_tvtouch(), shards=1, max_sessions=1)
+        registry = TenantRegistry(build_tvtouch(), max_sessions=1)
         with registry.checkout("pinned") as session:
             assert registry.info().pinned == 1
             other = registry.session("other")  # over capacity
-            # The pinned session survived; the shard overflowed or
+            # The pinned session survived; the table overflowed or
             # evicted the unpinned newcomer — never the pinned one.
             assert "pinned" in registry
             assert session.pins == 1
             assert other is not session
         assert registry.info().pinned == 0
-        # After release the shard shrinks back to capacity.
+        # After release the table shrinks back to capacity.
         assert len(registry) == 1
 
-    def test_unpinned_mint_survives_a_pinned_full_shard(self):
+    def test_unpinned_mint_survives_a_pinned_full_table(self):
         """An unpinned session() mint must not be the sweep's victim
         either: evicting the newcomer would make every checkout of
         that tenant a fresh mint (distinct objects, divergent state)."""
-        registry = TenantRegistry(build_tvtouch(), shards=1, max_sessions=1)
+        registry = TenantRegistry(build_tvtouch(), max_sessions=1)
         with registry.checkout("a"):
             first = registry.session("b")
             second = registry.session("b")
@@ -220,12 +232,39 @@ class TestShardingAndPinning:
             assert "b" in registry
         assert len(registry) == 1  # shrinks back once the pin releases
 
+    def test_a_mint_into_a_full_table_visits_what_it_evicts(self, monkeypatch):
+        """The sweep walks oldest first and stops at its last victim: a
+        pinned oldest session costs one extra visit, never a walk over
+        all 1 024 residents."""
+        from repro.perf import LRU
+
+        visited = []
+        items = LRU.items
+
+        def counted(table):
+            for tenant_id, session in items(table):
+                if isinstance(session, UserSession):
+                    visited.append(tenant_id)
+                yield tenant_id, session
+
+        monkeypatch.setattr(LRU, "items", counted)
+        registry = TenantRegistry(build_tvtouch(), max_sessions=1024)
+        with registry.checkout("tenant_0"):  # the oldest, and pinned
+            for index in range(1, 1024):
+                registry.session(f"tenant_{index}")
+            assert visited == []  # no sweep while the table has room
+            registry.session("newcomer")
+            assert len(visited) <= 3, visited
+            assert visited == ["tenant_0", "tenant_1"]
+        assert "tenant_0" in registry and "tenant_1" not in registry
+        assert len(registry) == 1024
+
     def test_mint_under_pressure_pins_before_the_capacity_sweep(self):
         """A just-minted pinned session must not be the sweep's victim:
-        on a shard full of pinned sessions it stays in the table, or a
+        on a table full of pinned sessions it stays there, or a
         concurrent checkout of the same tenant would mint a second
         live session."""
-        registry = TenantRegistry(build_tvtouch(), shards=1, max_sessions=1)
+        registry = TenantRegistry(build_tvtouch(), max_sessions=1)
         with registry.checkout("a"):
             with registry.checkout("b") as b:
                 assert "b" in registry  # pinned before eviction ran
@@ -247,15 +286,15 @@ class TestShardingAndPinning:
         assert not session.doomed  # released and settled
 
     def test_checkout_mints_and_counts_like_session(self):
-        registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=16)
+        registry = TenantRegistry(build_tvtouch(), max_sessions=16)
         with registry.checkout("alice") as alice:
             assert isinstance(alice, UserSession)
         assert registry.session("alice") is alice
         info = registry.info()
         assert (info.minted, info.hits) == (1, 1)
 
-    def test_concurrent_checkout_across_shards_is_consistent(self):
-        registry = TenantRegistry(build_tvtouch(), shards=4, max_sessions=256)
+    def test_concurrent_checkout_is_consistent(self):
+        registry = TenantRegistry(build_tvtouch(), max_sessions=256)
         errors = []
         infos = []
 
@@ -283,23 +322,13 @@ class TestShardingAndPinning:
             assert info.active <= 16
             assert info.minted + info.hits <= 8 * 50
 
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(EngineConfigError, match="shards"):
-            TenantRegistry(build_tvtouch(), shards=0)
-
     def test_max_sessions_bounds_the_whole_registry_exactly(self):
-        # Shards must never multiply the bound: ceil-per-shard would
-        # hold up to shards sessions here.
-        registry = TenantRegistry(build_tvtouch(), shards=8, max_sessions=3)
-        assert registry.shards == 3  # clamped: no zero-capacity shards
+        registry = TenantRegistry(build_tvtouch(), max_sessions=3)
         for index in range(20):
             registry.session(f"tenant_{index}")
-        assert len(registry) <= 3
-        # Uneven split distributes the remainder: 4 over 3 shards.
-        registry = TenantRegistry(build_tvtouch(), shards=3, max_sessions=4)
-        for index in range(20):
-            registry.session(f"tenant_{index}")
-        assert len(registry) <= 4
+        # One table, one LRU order: exactly the three most recent.
+        assert list(registry) == ["tenant_17", "tenant_18", "tenant_19"]
+        assert registry.info().evictions == 17
 
     def test_shared_basis_pool_bound_is_exact(self):
         from repro.engine.basis import SharedBasisPool, ViewBasis

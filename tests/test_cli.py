@@ -43,12 +43,12 @@ class TestParser:
 
     def test_serve_command_options(self):
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--shards", "4", "--request-timeout", "0.5"]
+            ["serve", "--port", "0", "--max-sessions", "64", "--request-timeout", "0.5"]
         )
         assert args.command == "serve"
-        assert (args.port, args.shards, args.request_timeout) == (0, 4, 0.5)
+        assert (args.port, args.max_sessions, args.request_timeout) == (0, 64, 0.5)
         assert args.host == "127.0.0.1"
-        assert args.max_sessions == 4096
+        assert build_parser().parse_args(["serve"]).max_sessions == 4096
 
 
 class TestCommands:
@@ -118,11 +118,14 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--fault-rank-delay", "1"])
 
-    def test_serve_has_seventeen_flags(self):
+    def test_serve_has_sixteen_flags(self):
         # The gateway's one dispatch thread and its queue bound are
-        # fixed: no flag tunes the off-loop width.
+        # fixed: no flag tunes the off-loop width, and the registry is
+        # one table: no flag stripes it.
         flags = set(vars(build_parser().parse_args(["serve"]))) - {"command"}
-        assert len(flags) == 17
+        assert len(flags) == 16
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--shards", "8"])
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_serve_on_a_busy_port_clean_error(self, workers, capsys):

@@ -226,7 +226,7 @@ class TestScorePreparedBatch:
         from repro.tenants import TenantRegistry
         from repro.workloads import build_tvtouch
 
-        registry = TenantRegistry(build_tvtouch(), shards=2, max_sessions=8)
+        registry = TenantRegistry(build_tvtouch(), max_sessions=8)
         prepared = []
         for tenant in ("alice", "bob"):
             with registry.checkout(tenant) as session:

@@ -74,3 +74,21 @@ class TestServingKnobs:
             if parameter.kind is inspect.Parameter.KEYWORD_ONLY
         ]
         assert keywords == ["read_deadline"]
+
+    def test_the_registry_takes_no_shard_count(self):
+        import inspect
+
+        from repro.tenants import TenantRegistry
+
+        parameters = inspect.signature(TenantRegistry.__init__).parameters
+        assert list(parameters) == [
+            "self", "world", "rules", "max_sessions", "freeze", "journal", "engine_options",
+        ]
+
+    def test_the_response_cache_takes_no_shard_count(self):
+        import inspect
+
+        from repro.cache import InMemoryCacheAdapter
+
+        parameters = inspect.signature(InMemoryCacheAdapter.__init__).parameters
+        assert list(parameters) == ["self", "max_entries", "ttl", "clock", "stale_grace"]
