@@ -27,9 +27,11 @@ it at another checkout to compare two commits with one script):
   ledger's ``zipf_steady`` requests are), driven as the gateway drives
   it — the raw query string in, the encoded body out — split into the
   parse, the cache keying (ledger lookup and key), the delta install and
-  its verification and the encode, median microseconds per hit; one
-  column for a pure hit (the tenant's standing context), one for a
-  delta hit (a flip to a context it has ranked before);
+  its verification, the stage recording (``record``:
+  ``ServiceMetrics.record_request``) and the encode, median
+  microseconds per hit; one column for a pure hit (the tenant's
+  standing context), one for a delta hit (a flip to a context it has
+  ranked before);
 * for the real ``python -m repro serve --port 0`` on two worlds — the
   default four-program TVTouch world and a 2 000-program Section 5
   snapshot, one on each side of the kernel's ``VECTOR_MIN`` size rule —
@@ -198,7 +200,8 @@ raise SystemExit(code)
 #: median microseconds per hit spent in each probed step — the delta's
 #: ``install`` (``RankingEngine.install_context``) and its ``verify``
 #: (the rest of ``RankingService._install_verified``: the fingerprint
-#: and the ledger's digest check) apart; a tree whose service takes no
+#: and the ledger's digest check) apart, and the ``record`` of the
+#: request's stage latencies; a tree whose service takes no
 #: query string gets parsed parameters, the parse timed here as its
 #: gateway's.  Then the ``repeated install`` alone: the median
 #: microseconds of one ``install_context`` flipping a warm tenant between
@@ -210,6 +213,7 @@ from urllib.parse import parse_qs
 import repro.cache.keys
 from repro.engine.engine import RankingEngine
 from repro.service import aio
+from repro.service.metrics import ServiceMetrics
 from repro.service.pipeline import RankingService, ServiceRequest, ServiceResponse
 HITS, TENANTS, INSTALLS = 1000, 20, 2000
 CONTEXTS = ("&context=Weekend&context=Breakfast", "&context=Weekend:0.7&context=Breakfast:0.6")
@@ -220,6 +224,7 @@ STEPS = [
     (repro.cache.keys.KeyLookup, "key", "keying"),
     (RankingEngine, "install_context", "install"),
     (RankingService, "_install_verified", "verify"),
+    (ServiceMetrics, "record_request", "record"),
     (ServiceResponse, "encoded", "encode"),
 ]
 spent, split = {}, {}

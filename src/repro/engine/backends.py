@@ -300,8 +300,10 @@ class AboxContext:
     _cached_signature: Hashable = field(default=None, repr=False, compare=False)
     #: value -> its :class:`_Prebuilt` half, kept for a flip back, and
     #: the digests of values installed once (the admission check).
-    _held: LRU = field(default_factory=lambda: LRU(HELD_CONTEXTS), repr=False, compare=False)
-    _seen: LRU = field(default_factory=lambda: LRU(HELD_CONTEXTS), repr=False, compare=False)
+    #: Each is built on first use: a session that never installs a
+    #: context twice never needs ``_held``.
+    _held: LRU | None = field(default=None, repr=False, compare=False)
+    _seen: LRU | None = field(default=None, repr=False, compare=False)
 
     def signature(self) -> Hashable:
         mutation = self.abox.mutation_count
@@ -340,7 +342,8 @@ class AboxContext:
         """
         value = specs if isinstance(specs, ContextValue) else context_value(specs, tick)
         user = Individual(user) if isinstance(user, str) else user
-        held = self._held.get(value)
+        kept = self._held
+        held = kept.get(value) if kept is not None else None
         if held is None or (held.user is not user and held.user != user):
             held = self._prebuild(value, user)
         abox = self.abox
@@ -357,7 +360,8 @@ class AboxContext:
         if fallbacks:
             _COUNTS["fallbacks"] += fallbacks
             return
-        if self._held.peek(value) is not held:
+        kept = self._held
+        if kept is None or kept.peek(value) is not held:
             return
         if not repeat:
             held.epochs = epochs
@@ -368,10 +372,15 @@ class AboxContext:
     def _prebuild(self, value: ContextValue, user: Individual) -> _Prebuilt:
         """``value``'s per-user half; kept for a flip back when seen twice."""
         held = _Prebuilt(value, user)
-        if value.digest in self._seen:
+        seen = self._seen
+        if seen is None:
+            seen = self._seen = LRU(HELD_CONTEXTS)
+        if value.digest in seen:
+            if self._held is None:
+                self._held = LRU(HELD_CONTEXTS)
             self._held.put(value, held)
         else:
-            self._seen.put(value.digest, None)
+            seen.put(value.digest, None)
         return held
 
 

@@ -176,6 +176,8 @@ class _HttpConnection(asyncio.Protocol):
         "closed",
         "read_timer",
         "read_started",
+        "parse_time",
+        "read_time",
     )
 
     def __init__(self, server: "AioRankingServer"):
@@ -189,6 +191,10 @@ class _HttpConnection(asyncio.Protocol):
         self.closed = False
         self.read_timer: asyncio.TimerHandle | None = None
         self.read_started: float | None = None
+        #: The request being answered: seconds spent parsing it, and
+        #: reading it (first byte to last), recorded with its write.
+        self.parse_time = 0.0
+        self.read_time: float | None = None
 
     # -- transport events --------------------------------------------------
     def connection_made(self, transport) -> None:
@@ -230,10 +236,11 @@ class _HttpConnection(asyncio.Protocol):
             if self.buffer and not self.closing and not self.closed:
                 self._arm_read_timer()
             return
-        self.metrics.parse.observe(time.perf_counter() - started)
-        if self.read_started is not None:
-            self.metrics.read.observe(time.perf_counter() - self.read_started)
-            self.read_started = None
+        parsed = time.perf_counter()
+        self.parse_time = parsed - started
+        read_started = self.read_started
+        self.read_time = parsed - read_started if read_started is not None else None
+        self.read_started = None
         self._cancel_read_timer()
         self.busy = True
         self.server.request_begun()
@@ -460,6 +467,7 @@ class _HttpConnection(asyncio.Protocol):
     # -- responding ----------------------------------------------------------
     def _finish(self, response: ServiceResponse, *, chaos: bool = False) -> None:
         """Write one response and re-arm the connection (loop thread)."""
+        written = None
         if not self.closed and self.transport is not None:
             close = self.closing or self.server._draining
             started = time.perf_counter()
@@ -468,8 +476,8 @@ class _HttpConnection(asyncio.Protocol):
                 response.status, len(payload), response.headers, close=close
             )
             self.transport.write(head + payload)
-            self.metrics.write.observe(time.perf_counter() - started)
-            self.metrics.count_request()
+            written = time.perf_counter() - started
+        self.metrics.record_response(self.parse_time, self.read_time, written)
         self.busy = False
         self.server.request_done()
         if chaos:

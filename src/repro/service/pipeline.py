@@ -96,7 +96,7 @@ from repro.engine.requests import RankedItems, RankRequest
 from repro.errors import EngineError, ReproError
 from repro.reason import base_tier, session_counters
 from repro.engine.engine import ScoredViewMemo, context_bind_counters
-from repro.service.metrics import LatencyRecorder, ServiceMetrics
+from repro.service.metrics import EMPTY_SUMMARY, ServiceMetrics
 from repro.service.resilience import (
     BreakerDecision,
     CircuitBreaker,
@@ -1362,7 +1362,7 @@ class RankingService:
             "batched_requests": memo["requests"],
             "batches": memo["passes"],
             "coalesce_ratio": memo["hits"] / memo["requests"] if memo["requests"] else 0.0,
-            "queue_wait": LatencyRecorder().summary(),
+            "queue_wait": dict(EMPTY_SUMMARY),
         }
         snapshot["registry"] = self.health()["registry"]
         registry = self.registry
@@ -1478,7 +1478,8 @@ class RankingService:
         tag: str | None = None,
         headers: Mapping[str, str] | None = None,
     ) -> ServiceResponse:
-        timings = dict(clock.timings)
+        # The clock is done with: its own table carries the total out.
+        timings = clock.timings
         timings["total"] = clock.total()
         if tag is None and cached is not None:
             tag = "cached" if cached else "uncached"

@@ -119,11 +119,10 @@ class UserSession:
     relevance strategy for one experiment) can be built over the same
     overlay.
 
-    Lifecycle: the registry tracks a *pin count* (held checkouts) and a
-    *doomed* flag (evicted while pinned) on each session; both are
-    registry bookkeeping — a session object stays fully functional for
-    whoever holds it even after eviction, it is just no longer served
-    to new checkouts.
+    Lifecycle: the registry tracks a *pin count* (held checkouts) on
+    each session — registry bookkeeping: a session object stays fully
+    functional for whoever holds it even after eviction, it is just no
+    longer served to new checkouts.
     """
 
     def __init__(
@@ -144,8 +143,6 @@ class UserSession:
         #: Checkouts currently holding this session (registry-managed,
         #: mutated only under the registry lock).
         self.pins = 0
-        #: Evicted while pinned: drop for real once the pins release.
-        self.doomed = False
 
     def _persist(self) -> None:
         """Journal the overlay after a mutation (best effort).
@@ -483,10 +480,6 @@ class TenantRegistry:
     def _release(self, session: UserSession) -> None:
         with self._lock:
             session.pins = max(0, session.pins - 1)
-            if session.pins == 0 and session.doomed:
-                # Deferred explicit eviction: the table entry is long
-                # gone (or replaced); nothing left to drop here.
-                session.doomed = False
             # A table that overflowed while everything was pinned can
             # shrink back now that a pin released.
             evicted = self._sweep()
@@ -599,11 +592,8 @@ class TenantRegistry:
         """
         tenant_id = str(tenant_id)
         with self._lock:
-            session = self._sessions.evict(tenant_id)
-            if session is None:
+            if self._sessions.evict(tenant_id) is None:
                 return False
-            if session.pins > 0:
-                session.doomed = True
         self._notify_evicted([tenant_id])
         return True
 
@@ -612,9 +602,7 @@ class TenantRegistry:
         with self._lock:
             cleared = list(self._sessions)
             for tenant_id in cleared:
-                session = self._sessions.evict(tenant_id)
-                if session.pins > 0:
-                    session.doomed = True
+                self._sessions.evict(tenant_id)
         self._notify_evicted(cleared)
         return len(cleared)
 

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.service import LatencyRecorder, ServiceMetrics, percentile
+from repro.service.metrics import BOUNDS
 
 
 class TestPercentile:
@@ -32,15 +33,18 @@ class TestLatencyRecorder:
         assert summary["count"] == 4
         assert summary["mean_ms"] == pytest.approx(2.5)
         assert summary["max_ms"] == pytest.approx(4.0)
-        assert summary["p50_ms"] == pytest.approx(3.0)  # nearest rank
+        # Nearest rank is 3 ms; a bucket-bounded p50 is never below it
+        # and at most one bucket width (2 ** (1 / 16)) above.
+        assert 3.0 <= summary["p50_ms"] <= 3.0 * 2 ** (1 / 16)
 
-    def test_window_is_bounded_but_count_is_not(self):
-        recorder = LatencyRecorder(capacity=8)
+    def test_quantiles_are_cumulative_and_count_is_exact(self):
+        recorder = LatencyRecorder()
         for index in range(100):
             recorder.observe(index / 1000.0)
         assert recorder.count == 100
-        # Window keeps the most recent 8 samples: 92..99 ms.
-        assert recorder.summary()["p50_ms"] >= 92.0
+        # Every observation since boot counts, not a recent window:
+        # the nearest-rank p50 of 0..99 ms is 50 ms.
+        assert 50.0 <= recorder.summary()["p50_ms"] <= 50.0 * 2 ** (1 / 16)
 
     def test_concurrent_observations_are_all_counted(self):
         recorder = LatencyRecorder()
@@ -56,9 +60,14 @@ class TestLatencyRecorder:
             thread.join()
         assert recorder.count == 8 * 500
 
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            LatencyRecorder(capacity=0)
+    def test_memory_is_the_same_fixed_bucket_list_however_many_observations(self):
+        recorder = LatencyRecorder()
+        buckets = recorder._counts
+        for index in range(20_000):
+            recorder.observe(index * 1e-6)
+        assert recorder._counts is buckets
+        assert len(buckets) == len(BOUNDS) + 1
+        assert recorder.count == 20_000
 
 
 class TestServiceMetrics:

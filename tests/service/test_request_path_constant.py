@@ -12,7 +12,9 @@ warm tvtouch service and a warm 40-program Section 5 service:
 (b) a cache-missing rank and a delta hit render no concept to text;
 (c) the breaker's outcome window is never walked;
 (d) a pure hit is recorded by one ``ServiceMetrics`` call under one
-    hold of the metrics lock;
+    hold of the metrics lock, and its wire stages (parse, read, write)
+    and the request count by one ``GatewayMetrics`` call under one hold
+    of the gateway's lock;
 (e) a delta hit over HTTP is answered on the loop: no executor hop,
     one install, one fingerprint, no blocking checkout and no breaker call;
 (f) a warm miss over HTTP is ranked on the loop, under the deadline,
@@ -33,8 +35,10 @@ warm tvtouch service and a warm 40-program Section 5 service:
 """
 
 import collections
+import http.client
 import json
 import threading
+import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -52,9 +56,11 @@ from repro.reason import clear_registry
 from repro.rules import RuleRepository
 from repro.service import (
     CircuitBreaker,
+    GatewayMetrics,
     RankingService,
     ServiceConfig,
     ServiceMetrics,
+    aio,
     make_aio_server,
     pipeline,
     resilience,
@@ -250,6 +256,68 @@ def test_a_pure_hit_is_one_recording_call_under_one_lock(world_name):
     assert set(hit.timings) == {"parse", "cache", "render", "total"}
     assert after["outcomes"]["ok_cached"] >= 1
     service.close()
+
+
+class SpyGatewayMetrics(GatewayMetrics):
+    """Counts recording calls and holds of the gateway metrics lock."""
+
+    def __init__(self):
+        super().__init__()
+        self._lock = CountingLock(self._lock)
+        for recorder in (self.read, self.parse, self.write):  # they share it
+            recorder._lock = self._lock
+        self.calls = []
+
+
+for _name in (
+    "record_response", "connection_opened", "connection_closed",
+    "count_bad_request", "count_read_timeout",
+):
+    def _spy(self, *args, _name=_name, **kwargs):
+        self.calls.append(_name)
+        return getattr(GatewayMetrics, _name)(self, *args, **kwargs)
+
+    setattr(SpyGatewayMetrics, _name, _spy)
+
+
+def test_an_http_answer_is_one_gateway_recording_call_under_one_lock(world_name, monkeypatch):
+    monkeypatch.setattr(aio, "GatewayMetrics", SpyGatewayMetrics)
+    service = build_service(world_name)
+    warm(service, world_name)
+    server = make_aio_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    metrics = server.gateway_metrics
+    client = http.client.HTTPConnection(*server.server_address, timeout=10)
+
+    def answered(requests):
+        # The loop records just after the write: give it a beat.
+        deadline = time.monotonic() + 5.0
+        while metrics._requests < requests and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return metrics._requests
+
+    try:
+        for index in (1, 2):  # the second rides the kept-alive connection
+            if index == 2:
+                metrics.calls.clear()
+                held = metrics._lock.acquired
+            client.request("GET", "/rank?tenant=alice&top_k=3")
+            reply = client.getresponse()
+            assert json.loads(reply.read())["cached"] is True
+            assert answered(index) == index
+        assert metrics.calls == ["record_response"]
+        assert metrics._lock.acquired - held == 1
+        section = service.metrics_snapshot()["gateway"]
+        assert section["requests"] == 2
+        for stage in ("parse", "read", "write"):
+            assert section["stages"][stage]["count"] == 2
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        service.close()
 
 
 def serve_one(service, query, *more):
