@@ -127,7 +127,7 @@ STEPS = [
     (repro.engine.engine, "bind_rules", "bind_rules"),
     (repro.reason.kb.CompiledKB, "session", "CompiledKB.session"),
     (repro.core.kernel.ScoringKernel, "with_context", "ScoringKernel.with_context"),
-    (repro.core.kernel, "score_vectors", "kernel pass"),
+    (repro.core.kernel.ScoringKernel, "score_vector", "kernel pass"),
     (repro.engine.relevance, "rank_columns", "rank_columns"),
     (repro.service.pipeline, "_items_json", "_items_json"),
 ]

@@ -24,7 +24,6 @@ from repro.dl.abox import ABox
 from repro.dl.concepts import Concept
 from repro.dl.instances import membership_event, membership_probability
 from repro.dl.tbox import TBox
-from repro.dl.vocabulary import Individual
 from repro.storage.database import Database
 from repro.context.clock import SimClock
 from repro.context.model import ContextSnapshot, SituatedUser
@@ -91,7 +90,3 @@ class ContextManager:
         return membership_probability(
             self.abox, self.tbox, self.user.individual, concept, self.space, engine
         )
-
-    @property
-    def user_individual(self) -> Individual:
-        return self.user.individual

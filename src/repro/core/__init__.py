@@ -35,7 +35,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "ScoredView",
             "ScoringKernel",
             "compile_candidates",
-            "score_documents_batch",
             "score_values",
         ),
         "repro.core.naive_view": (

@@ -30,10 +30,9 @@ On top of the compiled form:
   *same* compiled ``P(f)`` matrix instead of re-binding every
   document (wired into the engine through
   :mod:`repro.engine.basis`);
-* :func:`score_vectors` / :func:`score_documents_batch` — the one
-  full-ranking pass for several context-bound kernels over one shared
-  matrix: every engine miss on a compiled basis is scored through it
-  (alone, or fused with its micro-batch mates).
+* :meth:`ScoringKernel.score_vector` — the one full-ranking pass of
+  a context-bound kernel over its shared matrix: every engine miss on
+  a compiled basis is scored through it, one kernel at a time.
 
 The three reference scorers in :mod:`repro.core.scoring` remain the
 correctness oracle; kernel-vs-reference agreement is property-tested.
@@ -52,7 +51,7 @@ from repro.core.pruning import all_miss_score
 from repro.core.scoring import DocumentScore, RuleContribution
 from repro.perf.backend import resolve_backend
 from repro.perf.columns import VECTOR_MIN, NameTable, ScoreColumn, as_floats
-from repro.perf.flatops import batch_row_scores, row_scores
+from repro.perf.flatops import row_scores
 
 __all__ = [
     "CompiledCandidates",
@@ -60,9 +59,7 @@ __all__ = [
     "ScoredView",
     "ScoringKernel",
     "compile_candidates",
-    "score_documents_batch",
     "score_values",
-    "score_vectors",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +189,7 @@ class ScoredView(abc.Mapping):
     ``vector`` is the eq.(4) score vector in row order — a read-only
     float64 ndarray on the numpy backend, a tuple of floats otherwise
     (named so because ``values()`` is the mapping's).
-    Immutable, so the engine's incremental path, the batch scheduler,
+    Immutable, so the engine's incremental path, the scored-view memo,
     :class:`~repro.core.preference_view.PreferenceView` and the view
     cache all hold this one object: no per-holder copy, 8 bytes per
     document instead of a :class:`DocumentScore` plus a
@@ -384,9 +381,9 @@ class ScoringKernel:
         Two kernels over the *same* compiled candidate matrix with equal
         coalesce keys produce identical scored views by construction —
         every per-document factor is ``a + b * P(f)`` and ``(a, b)``
-        uniquely determine the binding's ``(P(g), sigma)`` pair.  Batch
-        schedulers use this to share one scored row between concurrent
-        requests even when their view signatures differ (e.g. the same
+        uniquely determine the binding's ``(P(g), sigma)`` pair.  The
+        engine's scored-view memo keys on it to share one scored view
+        between requests whose view signatures differ (e.g. the same
         context installed for two different tenants)."""
         return self._coeffs
 
@@ -441,11 +438,8 @@ class ScoringKernel:
                 self.candidates.rule_count,
                 self._coeffs,
             )
-        return self._share_all_miss(values, prune_documents)
-
-    def _share_all_miss(self, values, prune_documents: bool):
-        """Overwrite trivial rows with the shared all-miss score and
-        seal the vector (Section 6 document pruning)."""
+        # Section 6 document pruning: trivial rows take the shared
+        # all-miss score; then the vector is sealed.
         if prune_documents:
             trivial = self._trivial_index()
             if self._np is not None:
@@ -504,100 +498,3 @@ class ScoringKernel:
             f"backend={self.backend!r})"
         )
 
-
-# -- cross-request batching ------------------------------------------------
-#
-# Many concurrent requests routinely share one compiled candidate
-# matrix (the SharedBasisPool hands the same ``CompiledCandidates`` to
-# every tenant over a frozen base world) while differing only in their
-# per-request factor coefficients.  The batch entry points below score
-# N such "batch mates" in one fused pass over the shared matrix: numpy
-# stacks the coefficient vectors into (batch x rules) arrays and walks
-# the matrix columns once; the python fallback walks each matrix row
-# once and advances every mate's factor chain against it.
-#
-# Identity guarantee: a mate's multiplication chain visits exactly its
-# own kept rules in index order — the same order the sequential path
-# uses — and rules a mate dropped contribute the exact factor 1.0, so
-# batched scores match ``ScoringKernel.scores()`` to within a few ulps
-# (bit-identical on the python backend).
-
-
-def _shared_candidates(kernels: Sequence[ScoringKernel]) -> CompiledCandidates:
-    if not kernels:
-        raise ScoringError("batched scoring needs at least one kernel")
-    candidates = kernels[0].candidates
-    for kernel in kernels[1:]:
-        if kernel.candidates is not candidates:
-            raise ScoringError(
-                "batched kernels must share one compiled candidate matrix; "
-                "group by basis identity before batching"
-            )
-    return candidates
-
-
-def _union_coefficients(kernels: Sequence[ScoringKernel], np):
-    """Full-width ``(batch, union-rules)`` coefficient arrays.
-
-    The union holds every rule kept by at least one mate; a mate that
-    dropped a union rule gets ``a=1, b=0`` there, multiplying its
-    running product by exactly 1.0.
-    """
-    union = sorted({index for kernel in kernels for index in kernel._keep})
-    position = {rule: j for j, rule in enumerate(union)}
-    a = np.ones((len(kernels), len(union)), dtype=np.float64)
-    b = np.zeros((len(kernels), len(union)), dtype=np.float64)
-    for row, kernel in enumerate(kernels):
-        for index, a_value, b_value in kernel._coeffs:
-            a[row, position[index]] = a_value
-            b[row, position[index]] = b_value
-    return union, a, b
-
-
-def score_vectors(kernels: Sequence[ScoringKernel], prune_documents: bool = True) -> list:
-    """Every mate's score vector, one fused pass over the shared matrix.
-
-    All ``kernels`` must share one :class:`CompiledCandidates` (by
-    identity — group by basis before batching); each vector is in
-    candidate order, immutable, and matches that kernel's sequential
-    :meth:`ScoringKernel.score_vector` to well under 1e-9.
-    """
-    candidates = _shared_candidates(kernels)
-    if len(kernels) == 1:
-        return [kernels[0].score_vector(prune_documents)]
-    deadline = _active_deadline()
-    if deadline is not None:
-        deadline.check()
-    np = kernels[0]._np
-    if np is not None:
-        matrix = candidates.matrix
-        union, a, b = _union_coefficients(kernels, np)
-        values = np.ones((len(kernels), candidates.document_count), dtype=np.float64)
-        for j, rule in enumerate(union):
-            column = matrix[:, rule]
-            values *= a[:, j, None] + b[:, j, None] * column[None, :]
-        np.clip(values, 0.0, 1.0, out=values)
-        results = list(values)
-    else:
-        results = batch_row_scores(
-            candidates.matrix,
-            candidates.document_count,
-            candidates.rule_count,
-            [kernel._coeffs for kernel in kernels],
-        )
-    return [
-        kernel._share_all_miss(row_values, prune_documents)
-        for kernel, row_values in zip(kernels, results)
-    ]
-
-
-def score_documents_batch(
-    kernels: Sequence[ScoringKernel],
-    prune_documents: bool = True,
-    method: str = "factorised",
-) -> list[ScoredView]:
-    """:meth:`ScoringKernel.score_documents` for a whole batch at once."""
-    return [
-        ScoredView(kernel, values, prune_documents, method)
-        for kernel, values in zip(kernels, score_vectors(kernels, prune_documents))
-    ]

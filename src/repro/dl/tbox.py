@@ -290,10 +290,6 @@ class TBox:
         return sup in self.role_ancestors(sub)
 
     # -- definitions ----------------------------------------------------
-    def definition_of(self, name: str | ConceptName) -> Concept | None:
-        name = ConceptName(name) if isinstance(name, str) else name
-        return self._definitions.get(name)
-
     def _check_definition_acyclic(self, start: ConceptName) -> None:
         seen: set[ConceptName] = set()
 

@@ -40,7 +40,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         ),
         "repro.engine.builder": ("EngineBuilder",),
         "repro.engine.cache": ("CacheInfo", "ViewCache"),
-        "repro.engine.engine": ("PreparedRank", "RankingEngine", "score_prepared_batch"),
+        "repro.engine.engine": ("PreparedRank", "RankingEngine"),
         "repro.engine.protocols": (
             "ContextBackend",
             "PreferenceBackend",

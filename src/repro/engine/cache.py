@@ -87,8 +87,8 @@ class ViewCache:
 
         Held by reference: scored views are immutable (a columnar
         :class:`~repro.core.kernel.ScoredView` is ~8 bytes a document),
-        so the cache, the preference view and every coalesced
-        batch-mate share one object."""
+        so the cache, the preference view and every herd mate the
+        scored-view memo served share one object."""
         with self._lock:
             self._entries.put(key, scores)
 

@@ -45,9 +45,10 @@ A warm-only, non-blocking :meth:`RankingEngine.prepare_rank`
 event loop — calls: it tries the lock once and hands back a cold
 snapshot instead of binding or compiling anything.  Scored views (and
 their ranked cuts) are shared across engines by
-:class:`ScoredViewMemo`, keyed on what :func:`score_prepared_batch`
-coalesces on; so are context-bound kernels, keyed on a tenant-blind
-slice of the context (:meth:`ViewBasis.share_slice`).
+:class:`ScoredViewMemo`, keyed on :attr:`PreparedRank.memo_key` (the
+compiled candidates and the context binding's coefficients); so are
+context-bound kernels, keyed on a tenant-blind slice of the context
+(:meth:`ViewBasis.share_slice`).
 """
 
 from __future__ import annotations
@@ -58,12 +59,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Optional, Sequence
 
 from repro._lazy import lazy_module
-from repro.core.kernel import (
-    ScoredView,
-    ScoringKernel,
-    score_documents_batch,
-    score_values,
-)
+from repro.core.kernel import ScoredView, ScoringKernel, score_values
 from repro.core.preference_view import PreferenceView
 from repro.core.problem import _active_deadline, bind_rules
 from repro.core.scorer import ContextAwareScorer
@@ -83,7 +79,7 @@ from repro.engine.basis import (
     shared_basis_pool,
 )
 from repro.engine.cache import CacheInfo, ViewCache
-from repro.engine.requests import RankedItems, RankRequest, RankResponse, as_requests
+from repro.engine.requests import RankedItems, RankRequest, RankResponse
 from repro.perf import LRU
 from repro.reason import CompiledKB, ReasonerInfo, compiled_kb
 
@@ -105,7 +101,6 @@ __all__ = [
     "RankingEngine",
     "ScoredViewMemo",
     "context_bind_counters",
-    "score_prepared_batch",
 ]
 
 #: What :meth:`RankingEngine._resolve` finds for a signature:
@@ -127,7 +122,7 @@ class PreparedRank:
     ``signature`` and the ``fingerprint`` response caches key on.
     Scoring the kernel and calling :meth:`complete` never touches the
     engine lock, so neither a concurrent install on this engine nor
-    batch-mates from other tenants wait on the pass.
+    herd mates from other tenants wait on the pass.
     """
 
     engine: "RankingEngine"
@@ -166,55 +161,20 @@ class PreparedRank:
         if self.kernel is None:
             raise EngineError("a cold snapshot has nothing to score: prepare it blocking")
         if view is None:
-            (view,), _rows = score_prepared_batch([self])
+            view = score_documents_batch(self.kernel, self.prune_documents)
         return self.engine._complete_prepared(self, view)
 
 
-def score_prepared_batch(
-    prepared: Sequence[PreparedRank],
-) -> tuple[list[ScoredView | None], int]:
-    """Score every batchable :class:`PreparedRank` in fused kernel passes.
+def score_documents_batch(kernel: ScoringKernel, prune_documents: bool = True) -> ScoredView:
+    """The one kernel pass: ``kernel``'s scored view.
 
-    Kernels are grouped by compiled-candidates identity (only those may
-    share a pass) and, within a group, requests whose kernels carry an
-    equal :attr:`~repro.core.kernel.ScoringKernel.coalesce_key` — the
-    value identity of the context-bound coefficient vector — coalesce
-    onto one scored row.  The key is tenant-blind: the same context
-    installed for two different tenants over a shared basis produces
-    distinct view signatures but equal coefficients, so a thundering
-    herd of identical contexts costs one row — and one immutable
-    :class:`~repro.core.kernel.ScoredView`, shared by every coalesced
-    mate.  Returns the per-request views (``None`` where
-    ``prepare_rank`` already answered) and the number of kernel rows
-    actually scored — the coalescing win is ``batchable_requests - rows``.
+    :meth:`ScoredViewMemo.execute` and :meth:`PreparedRank.complete`
+    score through this.  It does what
+    :meth:`ScoringKernel.score_documents` does without calling it, so a
+    pass is one span to a tracer that wraps both; the name is the
+    serving ledger's trace target until ROADMAP item 3(2) renames it.
     """
-    results: list[ScoredView | None] = [None] * len(prepared)
-    groups: dict[tuple[int, bool], list[int]] = {}
-    rows = 0
-    for index, item in enumerate(prepared):
-        if item.kernel is not None:
-            groups.setdefault(
-                (id(item.kernel.candidates), item.prune_documents), []
-            ).append(index)
-    for indices in groups.values():
-        unique: dict[Hashable, int] = {}
-        kernels: list[ScoringKernel] = []
-        slots: list[tuple[int, int]] = []
-        for index in indices:
-            item = prepared[index]
-            position = unique.get(item.kernel.coalesce_key)
-            if position is None:
-                position = len(kernels)
-                unique[item.kernel.coalesce_key] = position
-                kernels.append(item.kernel)
-            slots.append((index, position))
-        scored = score_documents_batch(
-            kernels, prune_documents=prepared[indices[0]].prune_documents
-        )
-        rows += len(kernels)
-        for index, position in slots:
-            results[index] = scored[position]
-    return results, rows
+    return ScoredView(kernel, kernel.score_vector(prune_documents), prune_documents)
 
 
 #: Entries a :class:`ScoredViewMemo` keeps: scored views and bound
@@ -240,7 +200,7 @@ class ScoredViewMemo:
       instead of binding and rebuilding one;
     * **scored views** — :meth:`execute`: the view of an earlier request
       with an equal :attr:`PreparedRank.memo_key`, or a fresh
-      :func:`score_prepared_batch` pass, together with its ranked cuts
+      :func:`score_documents_batch` pass, together with its ranked cuts
       (:attr:`PreparedRank.cuts`), so a mate skips the order step too.
 
     A thundering herd of one context over many tenants thus costs one
@@ -271,7 +231,7 @@ class ScoredViewMemo:
                 self.hits += 1
                 view, prepared.cuts = entry
                 return view
-        (view,), _rows = score_prepared_batch([prepared])
+        view = score_documents_batch(prepared.kernel, prepared.prune_documents)
         prepared.cuts = {}
         with self._lock:
             self.passes += 1
@@ -829,39 +789,6 @@ class RankingEngine:
             fingerprint=fingerprint,
         )
 
-    def rank_many(
-        self,
-        requests: Iterable[RankRequest | str],
-        contexts: Sequence[Iterable[str] | None] | None = None,
-    ) -> list[RankResponse]:
-        """Answer a batch of requests through one fused kernel pass.
-
-        Each request is :meth:`prepare_rank`-snapshotted in order (so
-        per-request ``contexts`` deltas interleave exactly as a
-        sequential install+rank loop would), then every snapshot
-        sharing a compiled candidate matrix is scored in a single
-        batched pass and completed in order.  Under an unchanged
-        context the whole batch still costs one view computation (the
-        signature cache absorbs repeats); with per-request contexts the
-        batch pays one matrix pass instead of N.
-        """
-        request_list = as_requests(requests)
-        if contexts is None:
-            specs_list: list[Iterable[str] | None] = [None] * len(request_list)
-        else:
-            specs_list = list(contexts)
-            if len(specs_list) != len(request_list):
-                raise EngineError(
-                    f"rank_many got {len(request_list)} requests but "
-                    f"{len(specs_list)} context deltas"
-                )
-        prepared = [
-            self.prepare_rank(specs, request)
-            for specs, request in zip(specs_list, request_list)
-        ]
-        scored, _rows = score_prepared_batch(prepared)
-        return [item.complete(scores) for item, scores in zip(prepared, scored)]
-
     def _acquire(self, blocking: bool = True) -> bool:
         """Take the engine lock; a serving deadline bounds the wait.
 
@@ -890,13 +817,13 @@ class RankingEngine:
     ) -> PreparedRank | None:
         """Snapshot a request under the lock; score it outside.
 
-        The one route from a request to an answer (:meth:`rank`,
-        :meth:`rank_in_context` and :meth:`rank_many` are this plus
+        The one route from a request to an answer (:meth:`rank` and
+        :meth:`rank_in_context` are this plus
         :meth:`PreparedRank.complete`).  Installs ``specs`` (when given)
         and resolves the view's source atomically, then releases the
         lock.  A signature miss on a reusable basis comes back as a
         context-bound kernel: the matrix pass and the response assembly
-        happen in :func:`score_prepared_batch` /
+        happen in :func:`score_documents_batch` /
         :meth:`PreparedRank.complete`, serialising nothing on this
         engine.  Everything else is answered on the spot (inside the
         lock, ``response`` set): view-cache hits, cold starts with no

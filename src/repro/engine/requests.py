@@ -267,14 +267,3 @@ class RankResponse:
         """The ranking as aligned text (one code path with CLI/examples)."""
         return self.to_table(names=names).render()
 
-
-def as_requests(requests: Iterable[RankRequest | str]) -> list[RankRequest]:
-    """Normalise a batch: bare SQL strings become query requests."""
-    normalised = []
-    for request in requests:
-        if isinstance(request, str):
-            request = RankRequest(query=request)
-        elif not isinstance(request, RankRequest):
-            raise EngineError(f"expected RankRequest or SQL string, got {request!r}")
-        normalised.append(request)
-    return normalised

@@ -82,11 +82,6 @@ class Bdd:
             raise EventError(f"variable {name!r} not in BDD order") from exc
         return self._make(level, ZERO, ONE)
 
-    @property
-    def node_count(self) -> int:
-        """Number of distinct nodes created so far (incl. terminals)."""
-        return self._nodes
-
     # -- boolean combinators ---------------------------------------------
     def negate(self, node: "BddNode | int") -> "BddNode | int":
         if isinstance(node, int):

@@ -105,10 +105,6 @@ class Corpus:
         return tuple(self._documents)
 
     # -- statistics -------------------------------------------------------
-    @property
-    def total_terms(self) -> int:
-        return self._total_terms
-
     def collection_count(self, term: str) -> int:
         return self._collection_counts.get(term, 0)
 

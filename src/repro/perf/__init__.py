@@ -30,7 +30,7 @@ from repro.perf.backend import (
     resolve_backend,
 )
 from repro.perf.columns import NameTable, ScoreColumn, rank_columns
-from repro.perf.flatops import batch_row_scores, log_linear_rows, row_scores
+from repro.perf.flatops import log_linear_rows, row_scores
 
 __all__ = [
     "BACKEND_ENV",
@@ -39,7 +39,6 @@ __all__ = [
     "NameTable",
     "ScoreColumn",
     "backend_name",
-    "batch_row_scores",
     "log_linear_rows",
     "numpy_or_none",
     "rank_columns",

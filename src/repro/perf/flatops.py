@@ -20,7 +20,6 @@ from typing import Sequence
 
 __all__ = [
     "LOG_FLOOR",
-    "batch_row_scores",
     "row_scores",
     "log_linear_rows",
 ]
@@ -53,35 +52,6 @@ def row_scores(
         for column, a, b in coeffs:
             score *= a + b * data[base + column]
         append(min(1.0, max(0.0, score)))
-    return values
-
-
-def batch_row_scores(
-    data: Sequence[float],
-    row_count: int,
-    rule_count: int,
-    coeff_sets: Sequence[Sequence[tuple[int, float, float]]],
-) -> list[list[float]]:
-    """:func:`row_scores` for many coefficient sets over one matrix.
-
-    The batched shape of the fused loop: each matrix row is walked
-    *once* and every batch-mate's factor chain is advanced against it,
-    so N concurrent requests sharing a compiled ``P(f)`` matrix pay one
-    pass of row reads instead of N.  Each mate's multiplication order
-    is identical to the sequential :func:`row_scores` (its own kept
-    columns, in index order), so per-mate results are bit-identical to
-    scoring alone.
-    """
-    values: list[list[float]] = [[] for _ in coeff_sets]
-    appends = [column.append for column in values]
-    mates = list(zip(appends, coeff_sets))
-    for row in range(row_count):
-        base = row * rule_count
-        for append, coeffs in mates:
-            score = 1.0
-            for column, a, b in coeffs:
-                score *= a + b * data[base + column]
-            append(min(1.0, max(0.0, score)))
     return values
 
 

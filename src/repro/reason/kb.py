@@ -211,11 +211,6 @@ class ReasonerInfo:
     #: rebuilt one.
     advances: int = 0
 
-    @property
-    def membership_hit_rate(self) -> float:
-        total = self.membership_hits + self.membership_misses
-        return self.membership_hits / total if total else 0.0
-
 
 class ReasonerSession(MembershipEvaluator):
     """A :class:`MembershipEvaluator` with per-epoch memo tables.

@@ -187,7 +187,6 @@ class ServiceConfig:
     breaker_min_requests: int = 10
     breaker_failure_threshold: float = 0.5
     breaker_cooldown: float = 5.0
-    breaker_jitter: float = 0.2
 
     def __post_init__(self) -> None:
         if self.request_timeout is not None and self.request_timeout <= 0:
@@ -742,7 +741,6 @@ class RankingService:
                 min_requests=self.config.breaker_min_requests,
                 failure_threshold=self.config.breaker_failure_threshold,
                 cooldown=self.config.breaker_cooldown,
-                jitter=self.config.breaker_jitter,
                 on_transition=self.metrics.count_transition,
             )
         #: The fleet supervisor wires its cross-process state in after

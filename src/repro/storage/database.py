@@ -17,7 +17,7 @@ top of the generic table/algebra machinery, plus:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_module
 from repro.errors import StorageError, UnknownTableError
@@ -162,9 +162,6 @@ class Database:
             return result.renamed(name=name)
         raise UnknownTableError(f"no table or view named {name!r} in database {self.name!r}")
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables or name in self._views
-
     def has_base_table(self, name: str) -> bool:
         return name in self._tables
 
@@ -175,10 +172,6 @@ class Database:
     @property
     def table_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._tables))
-
-    @property
-    def view_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._views))
 
     def total_rows(self) -> int:
         """Total number of base-table rows (the paper's "tuples")."""
@@ -213,9 +206,3 @@ class Database:
             f"Database({self.name!r}, tables={len(self._tables)}, "
             f"views={len(self._views)}, rows={self.total_rows()})"
         )
-
-
-def load_rows(table: Table, rows: Iterable[tuple]) -> Table:
-    """Insert rows into a table and return it (fluent helper)."""
-    table.insert_many(rows)
-    return table

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import ParseError, QueryError
 from repro.storage.database import Database
@@ -194,9 +194,6 @@ class ResultSet:
 
     columns: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
-
-    def to_dicts(self) -> list[dict[str, object]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
 
     def column(self, name: str) -> list:
         index = self.columns.index(name)
@@ -423,8 +420,3 @@ class SqlSession:
         for row_dict in rows:
             result.rows.append(tuple(row_dict.get(name) for name in output_columns))
         return result
-
-
-def execute_many(session: SqlSession, statements: Iterable[str]) -> list[ResultSet]:
-    """Execute several statements in order (convenience for scripts)."""
-    return [session.execute(statement) for statement in statements]

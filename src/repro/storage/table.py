@@ -10,7 +10,7 @@ mirroring how the paper's views accumulate evidence for a tuple.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
 from repro.events.expr import EventExpr, disj
@@ -106,21 +106,6 @@ class Table:
             if all(row[pos] == key_columns[name] for name, pos in positions.items()):
                 return row[event_position]
         return None
-
-    def sorted_by(
-        self,
-        keys: list[tuple[str, bool]],
-        value_key: Callable[[object], object] | None = None,
-    ) -> list[tuple]:
-        """Rows sorted by ``(column, descending)`` pairs, stably."""
-        rows = list(self._rows)
-        for name, descending in reversed(keys):
-            position = self.schema.index_of(name)
-            rows.sort(
-                key=lambda row: (row[position] is None, value_key(row[position]) if value_key else row[position]),
-                reverse=descending,
-            )
-        return rows
 
     def renamed(self, name: str | None = None, columns: Mapping[str, str] | None = None) -> "Table":
         """A copy with a new table name and/or renamed columns."""

@@ -43,7 +43,7 @@ from repro.dl.parser import parse_concept
 from repro.dl.vocabulary import ConceptName, Individual, RoleName
 from repro.errors import ReproError, SnapshotError
 from repro.events.expr import NEVER
-from repro.events.serialize import dump_lines, dumps as dump_event, load_lines
+from repro.events.serialize import dump_lines, load_lines
 from repro.events.space import EventSpace
 from repro.dl.tbox import TBox
 from repro.reason import compiled_kb
@@ -511,8 +511,3 @@ def restore_world(meta: dict, sections: dict) -> SimpleNamespace:
         data_table=meta.get("data_table"),
         id_column=meta.get("id_column"),
     )
-
-
-def dump_event_text(event) -> str:
-    """Convenience re-export used by the journal (one event, one line)."""
-    return dump_event(event)

@@ -232,9 +232,6 @@ class UserSession:
             self._persist()
         return response
 
-    def rank_many(self, requests, contexts=None):
-        return self.engine.rank_many(requests, contexts)
-
     def prepare_rank(
         self,
         specs=None,

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from repro.errors import HistoryError
 from repro.history.episodes import Candidate, Episode
 from repro.history.log import HistoryLog
-from repro.rules.rule import PreferenceRule
 
 __all__ = ["PlantedRule", "ContextPattern", "sample_history", "sample_workday_mornings"]
 
@@ -41,11 +40,6 @@ class PlantedRule:
     context_feature: str
     preference_feature: str
     sigma: float
-
-    @staticmethod
-    def from_rule(rule: PreferenceRule) -> "PlantedRule":
-        context_key, preference_key = rule.feature_pair
-        return PlantedRule(context_key, preference_key, rule.sigma)
 
 
 @dataclass(frozen=True)

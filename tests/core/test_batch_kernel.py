@@ -1,11 +1,11 @@
-"""The fused batch pass (`score_vectors`) vs the sequential kernel.
+"""The one kernel pass (`repro.engine.engine.score_documents_batch`).
 
-`score_vectors` is the pass the micro-batcher runs (through
-`score_documents_batch`).  It must be a pure fusion: for every batch
-mate the scores must match what that kernel produces alone, on both
-backends, including mates with pruned rules, mutex-group events and
-trivial (all-miss) rows — and each mate's view cut at its top k must
-match the first k entries of that kernel's full sort.
+Every engine miss on a compiled basis is scored through it, one kernel
+at a time.  Its view must be the kernel's own, on both backends,
+including kernels with pruned rules and trivial (all-miss) rows — and
+the view cut at top k must match the first k entries of the kernel's
+full sort.  The families below are several context bindings over one
+compiled matrix, as herd mates and successive contexts are.
 """
 
 import random
@@ -13,17 +13,21 @@ import random
 import pytest
 
 from repro.core import (
+    DocumentBinding,
+    RuleBinding,
     ScoringKernel,
+    ScoringProblem,
     bind_problem,
-    score_documents_batch,
+    factorised_score,
     score_values,
 )
-from repro.core.kernel import _shared_candidates, _union_coefficients, score_vectors
+from repro.dl.vocabulary import Individual
+from repro.engine.engine import score_documents_batch
 from repro.engine.relevance import GatedRelevance
-from repro.errors import ScoringError
 from repro.events import EventSpace
 from repro.perf.backend import numpy_or_none
 from repro.perf.columns import as_floats
+from repro.rules import PreferenceRule
 from repro.workloads import build_tvtouch, set_breakfast_weekend_context
 
 from tests.core.test_kernel import full_sort, synthetic_problem
@@ -55,7 +59,7 @@ def context_family(world, backend, probabilities, rule_threshold=0.0):
 
 
 def synthetic_family(backend, count=5, rules=6, docs=40, seed=7, threshold=0.0):
-    """Synthetic batch mates over one matrix, varied contexts per mate."""
+    """Synthetic kernels over one matrix, a varied context per kernel."""
     rng = random.Random(seed)
     rows = [
         [rng.choice([0.0, 1.0, round(rng.random(), 3)]) for _ in range(rules)]
@@ -82,65 +86,85 @@ def synthetic_family(backend, count=5, rules=6, docs=40, seed=7, threshold=0.0):
     return kernels
 
 
-def score_batch(kernels):
-    """The fused pass's vectors as plain float lists."""
-    return [as_floats(values) for values in score_vectors(kernels)]
+def matrix_row(kernel, row):
+    """Row ``row`` of the kernel's ``P(f)`` matrix as floats."""
+    matrix, width = kernel.candidates.matrix, kernel.candidates.rule_count
+    if getattr(matrix, "ndim", 1) == 2:
+        return [float(value) for value in matrix[row]]
+    return [float(value) for value in matrix[row * width : (row + 1) * width]]
 
 
-class TestScoreVectors:
+def reference_scores(kernel):
+    """Each row's eq.(4) score by the scalar per-rule product
+    (`factorised_score`) over the kernel's kept rules — no ``(a, b)``
+    coefficients, no vector pass."""
+    kept = [kernel.bindings[index] for index in kernel.kept_rules]
+    values = []
+    for row in range(kernel.document_count):
+        cells = matrix_row(kernel, row)
+        document = DocumentBinding(
+            Individual(kernel.names[row]),
+            (),
+            tuple(cells[index] for index in kernel.kept_rules),
+        )
+        values.append(factorised_score(kept, document))
+    return values
+
+
+def pass_values(kernel):
+    """The one pass's vector as plain floats."""
+    return as_floats(score_documents_batch(kernel).vector)
+
+
+class TestOnePassIdentity:
+    """The pass over each context of a family equals the scalar formula."""
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_identity_world_contexts(self, backend):
         world = build_tvtouch()
         kernels = context_family(world, backend, [0.2, 0.45, 0.7, 0.95])
-        batched = score_batch(kernels)
-        for kernel, values in zip(kernels, batched):
-            expected = kernel.scores()
-            assert values == pytest.approx(expected, abs=1e-9)
+        assert len({kernel.coalesce_key for kernel in kernels}) == len(kernels)
+        for kernel in kernels:
+            assert pass_values(kernel) == pytest.approx(
+                reference_scores(kernel), abs=1e-9
+            )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_identity_synthetic_mixed_contexts(self, backend):
-        kernels = synthetic_family(backend)
-        batched = score_batch(kernels)
-        for kernel, values in zip(kernels, batched):
-            assert values == pytest.approx(kernel.scores(), abs=1e-9)
+        for kernel in synthetic_family(backend):
+            assert pass_values(kernel) == pytest.approx(
+                reference_scores(kernel), abs=1e-9
+            )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_identity_with_pruned_rules(self, backend):
-        # rule_threshold drops different rules per mate (P(g) varies),
-        # so union coefficients must pad dropped rules to the exact
-        # multiplicative identity.
+        # rule_threshold drops different rules per context (P(g) varies);
+        # a dropped rule must leave no factor behind.
         kernels = synthetic_family(backend, threshold=0.5, seed=11)
-        assert {kernel.kept_rules for kernel in kernels} != {
-            kernels[0].kept_rules
-        } or True  # at least run; kept sets usually differ
-        batched = score_batch(kernels)
-        for kernel, values in zip(kernels, batched):
-            assert values == pytest.approx(kernel.scores(), abs=1e-9)
+        assert any(kernel.dropped_rule_count for kernel in kernels)
+        for kernel in kernels:
+            assert pass_values(kernel) == pytest.approx(
+                reference_scores(kernel), abs=1e-9
+            )
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_identity_with_mutex_groups(self, backend):
         # Rule-context events drawn from one categorical (mutex) choice:
-        # binding resolves them to exact probabilities, and the batched
-        # pass must reproduce the sequential scores over them.
+        # binding resolves them to exact probabilities, and the pass must
+        # reproduce the per-document scores over them.
         space = EventSpace("mutex")
         outcomes = space.mutex_choice(
             "daypart", {"morning": 0.3, "evening": 0.5}, prefix="m:"
         )
         rng = random.Random(3)
         rows = [[round(rng.random(), 3), round(rng.random(), 3)] for _ in range(20)]
-        from repro.core import DocumentBinding, RuleBinding, ScoringProblem
-        from repro.dl.vocabulary import Individual
-        from repro.rules import PreferenceRule
-
         bindings = tuple(
             RuleBinding(
                 PreferenceRule.parse(f"r{i}", "TOP", "TvProgram", sigma),
                 outcomes[name],
                 outcomes[name].event.probability,
             )
-            for i, (sigma, name) in enumerate(
-                [(0.9, "morning"), (0.7, "evening")]
-            )
+            for i, (sigma, name) in enumerate([(0.9, "morning"), (0.7, "evening")])
         )
         documents = tuple(
             DocumentBinding(
@@ -157,73 +181,69 @@ class TestScoreVectors:
             for b in bindings
         )
         mate = base.with_context(flipped)
-        batched = score_batch([base, mate])
-        assert batched[0] == pytest.approx(base.scores(), abs=1e-9)
-        assert batched[1] == pytest.approx(mate.scores(), abs=1e-9)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_singleton_delegates(self, backend):
-        kernels = synthetic_family(backend, count=1)
-        assert score_batch(kernels) == [kernels[0].scores()]
-
-    def test_mixed_candidates_rejected(self):
-        a = synthetic_family("python", count=1, seed=1)[0]
-        b = synthetic_family("python", count=1, seed=2)[0]
-        with pytest.raises(ScoringError):
-            score_batch([a, b])
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ScoringError):
-            score_batch([])
-
-    def test_union_coefficients_pad_to_identity(self):
-        np = numpy_or_none()
-        if np is None:
-            pytest.skip("numpy unavailable")
-        kernels = synthetic_family("numpy", threshold=0.5, seed=11)
-        union, a, b = _union_coefficients(kernels, np)
-        for row, kernel in enumerate(kernels):
-            kept = {index: (av, bv) for index, av, bv in kernel._coeffs}
-            for j, rule in enumerate(union):
-                if rule in kept:
-                    assert (a[row, j], b[row, j]) == kept[rule]
-                else:
-                    assert (a[row, j], b[row, j]) == (1.0, 0.0)
-
-    def test_shared_candidates_identity_guard(self):
-        kernels = synthetic_family("python", count=2)
-        assert _shared_candidates(kernels) is kernels[0].candidates
+        assert pass_values(base) == pytest.approx(
+            [factorised_score(list(bindings), document) for document in documents],
+            abs=1e-9,
+        )
+        assert pass_values(mate) == pytest.approx(
+            [factorised_score(list(flipped), document) for document in documents],
+            abs=1e-9,
+        )
 
 
 class TestScoreDocumentsBatch:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_document_scores_match_sequential(self, backend):
-        kernels = synthetic_family(backend, count=3)
-        batched = score_documents_batch(kernels)
-        for kernel, scored in zip(kernels, batched):
-            expected = kernel.score_documents()
-            assert scored.names == expected.names == kernel.names
-            assert scored.kernel is kernel
-            assert score_values(scored) == pytest.approx(score_values(expected))
+        for kernel in synthetic_family(backend, count=3):
+            scored = score_documents_batch(kernel)
+            reference = reference_scores(kernel)
+            trivial = kernel.trivial_row_set()
+            for row, name in enumerate(kernel.names):
+                document = scored[name]
+                assert document.value == pytest.approx(reference[row], abs=1e-9)
+                want = () if row in trivial else kernel.contributions_for(row)
+                assert tuple(document.contributions) == want
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_pass_never_calls_score_documents(self, backend, monkeypatch):
+        # A tracer wraps both the pass and ScoringKernel.score_documents
+        # as one span name: nesting them would count the rows twice.
+        kernel = synthetic_family(backend, count=1)[0]
+
+        def nested(*_args, **_kwargs):
+            raise AssertionError("the pass nested a score_documents call")
+
+        monkeypatch.setattr(ScoringKernel, "score_documents", nested)
+        assert pass_values(kernel) == pytest.approx(reference_scores(kernel), abs=1e-9)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_the_pass_is_the_kernels_own_view(self, backend, prune):
+        for kernel in synthetic_family(backend, count=3):
+            scored = score_documents_batch(kernel, prune)
+            expected = kernel.score_documents(prune)
+            assert scored.names is expected.names is kernel.names
+            assert scored.kernel is kernel and scored.prune_documents is prune
+            assert score_values(scored) == score_values(expected)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_trivial_rows_share_all_miss_and_empty_contributions(self, backend):
         world = build_tvtouch()
-        kernels = context_family(world, backend, [0.3, 0.8])
-        batched = score_documents_batch(kernels)
-        for kernel, scored in zip(kernels, batched):
+        for kernel in context_family(world, backend, [0.3, 0.8]):
+            scored = score_documents_batch(kernel)
             assert scored["mpfs"].value == kernel.all_miss
             assert scored["mpfs"].contributions == ()
 
 
 def batch_top_k(kernels, ks):
-    """Each mate's fused view cut at its own ``k`` — what a batched
+    """Each kernel's pass cut at its own ``k`` — what a
     ``RankRequest(top_k=k)`` is answered from (the default relevance
     backend's ``combine_top_k`` over the view's columns)."""
     relevance = GatedRelevance()
+    views = (score_documents_batch(kernel) for kernel in kernels)
     return [
         relevance.combine_top_k(view.column(), None, view.names, k)
-        for view, k in zip(score_documents_batch(kernels), ks)
+        for view, k in zip(views, ks)
     ]
 
 
@@ -235,7 +255,7 @@ def assert_same_top(items, expected):
 
 
 class TestRankTopKBatch:
-    """The batch's cut agrees with the sequential full sort cut at k."""
+    """The pass's cut at k agrees with the full sort cut at k."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("ks", [[1, 1, 1], [3, 1, 7], [200, 5, 2]])

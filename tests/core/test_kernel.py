@@ -440,15 +440,14 @@ class TestSizeRule:
             for rows in (VECTOR_MIN - 1, VECTOR_MIN + 1):
                 assert compile_candidates(boundary_problem(rows), backend).backend == backend
 
-    def test_batches_of_a_small_and_a_large_set_each_answer_correctly(
-        self, no_forced_backend
-    ):
-        """The engine groups batch mates by matrix; a flat-list family and
-        an ndarray family in one call are each scored on their own backend."""
+    def test_a_small_and_a_large_set_each_answer_correctly(self, no_forced_backend):
+        """Contexts over a flat-list matrix and over an ndarray one are
+        each scored on their own backend by the engine's one pass, and
+        the memo never hands one matrix's view to the other."""
         from types import SimpleNamespace
 
-        from repro.core import score_documents_batch, score_values
-        from repro.engine.engine import score_prepared_batch
+        from repro.core import score_values
+        from repro.engine.engine import ScoredViewMemo, score_documents_batch
 
         families = []
         for rows in (VECTOR_MIN - 1, VECTOR_MIN + 1):
@@ -461,16 +460,24 @@ class TestSizeRule:
         small, large = families
         assert small[0].backend == "python" and large[0].backend == BACKENDS[-1]
         for mates in families:
-            for kernel, view in zip(mates, score_documents_batch(mates)):
+            for kernel in mates:
+                view = score_documents_batch(kernel)
+                assert view.kernel is kernel
                 assert score_values(view) == pytest.approx(
                     dict(zip(kernel.names, kernel.scores())), abs=1e-9
                 )
+        memo = ScoredViewMemo()
         mixed = [small[0], large[0], small[1], large[1], large[2], small[2]]
-        prepared = [SimpleNamespace(kernel=k, prune_documents=True) for k in mixed]
-        views, scored_rows = score_prepared_batch(prepared)
-        assert scored_rows == len(mixed)
-        for kernel, view in zip(mixed, views):
+        for kernel in mixed:
+            prepared = SimpleNamespace(
+                kernel=kernel,
+                prune_documents=True,
+                memo_key=(kernel.candidates, True, kernel.coalesce_key),
+                cuts=None,
+            )
+            view = memo.execute(prepared)
             assert view.kernel is kernel
             assert score_values(view) == pytest.approx(
                 dict(zip(kernel.names, kernel.scores())), abs=1e-9
             )
+        assert memo.info()["passes"] == len(mixed)

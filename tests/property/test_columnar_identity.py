@@ -13,7 +13,7 @@ caller can observe moved:
   same order, same positions, scores bit-equal;
 * ``ScoredView`` / ``RankedItems``: ``==``, ``len``, slicing, iteration,
   pickling;
-* sequential vs batched vs coalesced engine paths;
+* the engine's own pass vs a view the scored-view memo shares;
 * the wire: ``json.loads(response.encoded())`` is the legacy render
   dict and the bytes are ``json.dumps`` of it, for fresh, hit,
   context-echo, stale and ``include_timings`` serves;
@@ -43,10 +43,10 @@ from hypothesis import strategies as st
 
 from repro.cache import InMemoryCacheAdapter
 from repro.core import DocumentScore, LazyContributions, score_values
-from repro.core.kernel import ScoredView, score_documents_batch
+from repro.core.kernel import ScoredView
 from repro.core.scoring import mix_scores
 from repro.engine import EngineBuilder, RankRequest, RankResponse
-from repro.engine.engine import score_prepared_batch
+from repro.engine.engine import ScoredViewMemo, score_documents_batch
 from repro.engine.relevance import (
     GatedRelevance,
     LogLinearRelevance,
@@ -573,18 +573,18 @@ def test_scored_view_is_the_old_mapping(backend, prune):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_batched_views_match_sequential_views(backend):
-    kernels = synthetic_family(backend, count=4, docs=70, seed=9)
-    for kernel, view in zip(kernels, score_documents_batch(kernels)):
+def test_the_engine_pass_matches_the_kernels_view(backend):
+    for kernel in synthetic_family(backend, count=4, docs=70, seed=9):
+        view = score_documents_batch(kernel)
         assert view.kernel is kernel and view.names is kernel.candidates.names
         want = kernel.score_documents()
-        assert score_values(view) == pytest.approx(score_values(want), abs=1e-12)
+        assert as_floats(view.vector) == as_floats(want.vector)
         probe = kernel.names[3]
         assert view[probe].contributions == want[probe].contributions
 
 
 # ---------------------------------------------------------------------------
-# The engine: sequential vs batched vs coalesced
+# The engine: its own pass vs a memo-shared view
 # ---------------------------------------------------------------------------
 
 def section5_engine(relevance="gated", programs=60, rules=6):
@@ -634,10 +634,16 @@ def test_engine_paths_agree_with_the_object_path(backend, relevance):
             sequential = [engine.rank_in_context(context, shape) for shape in shapes]
             preference = engine.preference_scores()
             assert len(set(preference.values())) < len(preference)  # ties are present
-            engine.invalidate_cache()  # make the batch rescore instead of hitting the view cache
-            engine.rank()
-            batched = engine.rank_many(shapes, [context] * len(shapes))
-            for shape, left, right in zip(shapes, sequential, batched):
+            engine.invalidate_cache()  # rescore below instead of hitting the view cache
+            engine.rank_in_context(("CtxScenario_00:0.5",))  # recompile the basis elsewhere
+            memo = ScoredViewMemo()
+            prepared = [engine.prepare_rank(context, shape, memo=memo) for shape in shapes]
+            shared = [
+                item.complete(memo.execute(item) if item.kernel is not None else None)
+                for item in prepared
+            ]
+            assert memo.info()["passes"] == 1
+            for shape, left, right in zip(shapes, sequential, shared):
                 query = shape.query_score_map
                 if shape.documents is not None:
                     documents = list(dict.fromkeys(shape.documents))
@@ -652,9 +658,7 @@ def test_engine_paths_agree_with_the_object_path(backend, relevance):
                 assert left.items == want and left.documents() == [i.document for i in want]
                 assert left.scores() == {item.document: item.score for item in want}
                 assert left.top() == (want[0] if want else None)
-                # the fused pass may differ from the sequential one by ulps
-                assert right.documents() == left.documents()
-                assert right.scores() == pytest.approx(left.scores(), abs=1e-12)
+                assert bits(right.items) == bits(left.items)
                 assert (right.explanation is None) == (not shape.explain)
                 if shape.explain:
                     assert left.explanation and left.explanation.splitlines()[0]
@@ -666,11 +670,12 @@ def test_coalesced_mates_share_one_view(backend):
         engine = section5_engine()
         engine.rank()
         context = ("CtxScenario_01:0.4321", "CtxScenario_03:0.8765")
-        first = engine.prepare_rank(context, RankRequest(top_k=3))
-        second = engine.prepare_rank(context, RankRequest())
+        memo = ScoredViewMemo()
+        first = engine.prepare_rank(context, RankRequest(top_k=3), memo=memo)
+        second = engine.prepare_rank(context, RankRequest(), memo=memo)
         assert first.response is None and second.response is None
-        views, rows = score_prepared_batch([first, second])
-        assert rows == 1 and views[0] is views[1]  # one row, one object, no copies
+        views = [memo.execute(first), memo.execute(second)]
+        assert memo.info()["passes"] == 1 and views[0] is views[1]  # one pass, one object
         assert isinstance(views[0], ScoredView)
         full = second.complete(views[1])
         assert first.complete(views[0]).items == full.items[:3]

@@ -45,7 +45,7 @@ from repro.dl import ABox, TBox
 from repro.dl.concepts import Concept, atomic, complement, intersect, one_of, some, union
 from repro.engine import EngineBuilder, RankRequest
 from repro.engine.basis import shared_basis_pool
-from repro.engine.engine import ScoredViewMemo, context_bind_counters, score_prepared_batch
+from repro.engine.engine import ScoredViewMemo, context_bind_counters, score_documents_batch
 from repro.events import EventSpace
 from repro.reason import CompiledKB, base_tier, clear_registry, session_counters
 from repro.rules import PreferenceRule, RuleRepository
@@ -140,7 +140,7 @@ def check_rank(engine, specs=None, memo=None, top_k=None):
         if memo is not None:
             view = memo.execute(prepared)
         else:
-            (view,), _rows = score_prepared_batch([prepared])
+            view = score_documents_batch(prepared.kernel, prepared.prune_documents)
         reference_view = expected.score_documents(prune_documents=engine.prune_documents)
         assert score_values(view) == score_values(reference_view)
         response = prepared.complete(view)

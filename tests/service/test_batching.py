@@ -1,7 +1,7 @@
 """The scored-view memo that replaced the cross-request batch scheduler.
 
 Correctness bar: a view the memo serves is bit-identical — scores,
-preferences, order and pruning — to a fresh ``score_prepared_batch``
+preferences, order and pruning — to a fresh ``score_documents_batch``
 pass for the request in hand, whichever tenant scored it first; and two
 requests share one view only when their context bindings are equal over
 the same compiled candidates under the same pruning.  The memo key is
@@ -24,7 +24,7 @@ from repro.engine.engine import (
     MEMO_ENTRIES,
     PreparedRank,
     ScoredViewMemo,
-    score_prepared_batch,
+    score_documents_batch,
 )
 from repro.perf.backend import numpy_or_none
 from repro.reason import clear_registry
@@ -89,8 +89,7 @@ def run_differential(registry, steps):
     for tenant, context, prune in steps:
         prepared = prepare(registry, tenant, context, prune)
         served = memo.execute(prepared)
-        (fresh,), rows = score_prepared_batch([prepared])
-        assert rows == 1
+        fresh = score_documents_batch(prepared.kernel, prepared.prune_documents)
         assert view_facts(served) == view_facts(fresh)
         assert item_facts(prepared.complete(served)) == item_facts(prepared.complete(fresh))
         scored_for = (context, prune)

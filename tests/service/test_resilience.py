@@ -13,8 +13,8 @@ import pytest
 
 from repro.cache import InMemoryCacheAdapter
 from repro.core import ScoringKernel, bind_problem
-from repro.core.kernel import score_vectors
 from repro.core.problem import bind_documents
+from repro.engine.engine import score_documents_batch
 from repro.errors import EngineConfigError, EngineError
 from repro.perf.backend import numpy_or_none
 from repro.perf.columns import as_floats
@@ -265,11 +265,10 @@ class TestDeadlineInPipeline:
             with pytest.raises(DeadlineExceeded):
                 kernel.score_vector()
             with pytest.raises(DeadlineExceeded):
-                score_vectors([kernel, mate])
+                score_documents_batch(mate)  # the engine's pass
         alone = as_floats(kernel.score_vector())
         assert len(alone) == len(world.program_ids)
-        for fused in score_vectors([kernel, mate]):
-            assert as_floats(fused) == pytest.approx(alone, abs=1e-9)
+        assert as_floats(score_documents_batch(mate).vector) == alone
 
     def test_request_timeout_none_disables_deadlines(self):
         seen = []

@@ -1,8 +1,9 @@
-"""The prepare/complete split and batched engine scoring.
+"""The prepare/complete split and the scored-view memo.
 
-`rank_many` must be indistinguishable from the sequential
-install+rank loop — same items, same scores (≤1e-9), same
-fingerprints — while paying one fused kernel pass for the batch.
+A rank is `prepare_rank` under the engine lock, then one kernel pass
+and `complete` outside it.  Requests whose context bindings are equal
+over one compiled matrix share one scored view through
+`ScoredViewMemo.execute`, across tenants too; unequal ones do not.
 """
 
 import threading
@@ -10,12 +11,8 @@ import threading
 import pytest
 
 from repro.core.kernel import ScoringKernel
-from repro.engine import (
-    RankingEngine,
-    RankRequest,
-    score_prepared_batch,
-)
-from repro.errors import EngineError
+from repro.engine import RankingEngine, RankRequest
+from repro.engine.engine import ScoredViewMemo
 from repro.workloads import build_tvtouch, set_breakfast_weekend_context
 
 QUERY = (
@@ -45,7 +42,7 @@ def warmed_engine(world):
     return engine
 
 
-class TestRankManyIdentity:
+class TestTopK:
     def test_matches_sequential_loop_across_contexts(self):
         def fresh():
             world = build_tvtouch()
@@ -54,57 +51,44 @@ class TestRankManyIdentity:
 
         # Two identical worlds so mutation counters march in lockstep:
         # fingerprints must match element-for-element, not just scores.
-        batched_engine = fresh()
+        shared_engine = fresh()
         sequential_engine = fresh()
         request = RankRequest(top_k=3)
-        batched = batched_engine.rank_many([request] * len(CONTEXTS), CONTEXTS)
+        memo = ScoredViewMemo()
+        shared = []
+        for specs in CONTEXTS:
+            prepared = shared_engine.prepare_rank(specs, request, memo=memo)
+            view = memo.execute(prepared) if prepared.kernel is not None else None
+            shared.append(prepared.complete(view))
         sequential = [
             sequential_engine.rank_in_context(specs, request)
             for specs in CONTEXTS
         ]
-        for left, right in zip(batched, sequential):
+        assert memo.info()["passes"] >= 1
+        for left, right in zip(shared, sequential):
             assert left.documents() == right.documents()
             assert left.scores() == pytest.approx(right.scores(), abs=1e-9)
             assert left.fingerprint == right.fingerprint
 
     @pytest.mark.parametrize("k", [1, 3, 200])
     def test_top_k_matches_the_full_ranking_cut(self, k):
-        # rank_many cuts each fused view at k; the reference ranks every
-        # document alone and is cut here.
+        # A miss cuts its view at k; the reference ranks every document
+        # and is cut here.
         def fresh():
             world = build_tvtouch()
             set_breakfast_weekend_context(world)
             return warmed_engine(world)
 
-        batched_engine = fresh()
+        engine = fresh()
         reference = fresh()
-        batched = batched_engine.rank_many([RankRequest(top_k=k)] * len(CONTEXTS), CONTEXTS)
-        for specs, response in zip(CONTEXTS, batched):
+        for specs in CONTEXTS:
+            response = engine.rank_in_context(specs, RankRequest(top_k=k))
             reference.install_context(*specs, tick="ctx")
             expected = reference.rank(RankRequest())
             assert response.documents() == expected.documents()[:k]
             assert list(response.items.scores) == pytest.approx(
                 list(expected.items.scores)[:k], abs=1e-9
             )
-
-    def test_mixed_shapes_fall_back_transparently(self, world):
-        engine = warmed_engine(world)
-        requests = [
-            RankRequest(documents=world.program_ids),
-            QUERY,  # SQL: answered under the lock, skips the batch
-            RankRequest(top_k=2),
-        ]
-        reference = warmed_engine(world)
-        batched = engine.rank_many(requests)
-        singles = [reference.rank(request) for request in requests]
-        for left, right in zip(batched, singles):
-            assert left.scores() == pytest.approx(right.scores(), abs=1e-9)
-            assert left.documents() == right.documents()
-
-    def test_context_count_mismatch_rejected(self, world):
-        engine = warmed_engine(world)
-        with pytest.raises(EngineError):
-            engine.rank_many([RankRequest()], [("Weekend",), ("Breakfast",)])
 
 
 class TestPrepareRank:
@@ -195,14 +179,18 @@ class TestPrepareRank:
     def test_complete_populates_view_cache(self, world):
         engine = warmed_engine(world)
         prepared = engine.prepare_rank(("Weekend:0.63",), RankRequest())
-        scored, rows = score_prepared_batch([prepared])
-        assert rows == 1
-        prepared.complete(scored[0])
+        prepared.complete(prepared.kernel.score_documents())
         again = engine.rank()
         assert again.from_cache
 
 
-class TestScorePreparedBatch:
+def memo_views(prepared):
+    """Each snapshot's view through one fresh memo, and its counters."""
+    memo = ScoredViewMemo()
+    return [memo.execute(item) for item in prepared], memo.info()
+
+
+class TestScoredViewMemo:
     def test_coalesces_identical_signatures(self, world):
         engine = warmed_engine(world)
         engine.install_context("Weekend:0.52")
@@ -211,8 +199,8 @@ class TestScorePreparedBatch:
         ]
         assert all(item.response is None for item in prepared)
         assert len({item.signature for item in prepared}) == 1
-        scored, rows = score_prepared_batch(prepared)
-        assert rows == 1, "identical signatures must share one scored row"
+        scored, info = memo_views(prepared)
+        assert info["passes"] == 1, "identical signatures must share one pass"
         assert scored[0] is scored[1] is scored[2]
         responses = [item.complete(s) for item, s in zip(prepared, scored)]
         assert [len(r.items) for r in responses] == [1, 2, 3]
@@ -221,7 +209,7 @@ class TestScorePreparedBatch:
         # The same context installed for two different tenants over a
         # shared basis: distinct view signatures (the signature names
         # the tenant's individual) but equal coefficient vectors, so
-        # the batch shares one scored row across tenants.
+        # the memo shares one scored view across tenants.
         from repro.engine import RankRequest
         from repro.tenants import TenantRegistry
         from repro.workloads import build_tvtouch
@@ -239,11 +227,71 @@ class TestScorePreparedBatch:
         assert first.kernel.coalesce_key == second.kernel.coalesce_key
         assert first.kernel.candidates is second.kernel.candidates
         assert first.memo_key == second.memo_key  # tenant-blind: one memo entry
-        scored, rows = score_prepared_batch(prepared)
-        assert rows == 1, "equal coefficients must share one scored row"
+        scored, info = memo_views(prepared)
+        assert info["passes"] == 1, "equal coefficients must share one pass"
         assert scored[0] is scored[1]
         left, right = (item.complete(s) for item, s in zip(prepared, scored))
         assert [i.document for i in left.items] == [i.document for i in right.items]
+
+    def test_mixed_shapes_answer_like_single_ranks(self, world):
+        engine = warmed_engine(world)
+        requests = [
+            RankRequest(documents=world.program_ids),
+            QUERY,  # SQL: answered under the lock, never reaches the memo
+            RankRequest(top_k=2),
+        ]
+        reference = warmed_engine(world)
+        memo = ScoredViewMemo()
+        prepared = [engine.prepare_rank(None, request, memo=memo) for request in requests]
+        assert prepared[1].kernel is None and prepared[1].response is not None
+        answers = [
+            item.complete(memo.execute(item) if item.kernel is not None else None)
+            for item in prepared
+        ]
+        singles = [reference.rank(request) for request in requests]
+        for left, right in zip(answers, singles):
+            assert left.scores() == pytest.approx(right.scores(), abs=1e-9)
+            assert left.documents() == right.documents()
+
+    def test_distinct_matrices_never_share_a_view(self):
+        # One context over two separately compiled candidate sets: equal
+        # coefficients, but the memo keys hold the matrix itself.
+        prepared = []
+        for _ in range(2):
+            world = build_tvtouch()
+            set_breakfast_weekend_context(world)
+            item = warmed_engine(world).prepare_rank(("Weekend:0.29",), RankRequest())
+            assert item.kernel is not None
+            prepared.append(item)
+        first, second = prepared
+        assert first.kernel.coalesce_key == second.kernel.coalesce_key
+        assert first.kernel.candidates is not second.kernel.candidates
+        assert first.memo_key != second.memo_key
+        scored, info = memo_views(prepared)
+        assert info["passes"] == 2
+        assert scored[0] is not scored[1]
+        assert scored[0].kernel is first.kernel and scored[1].kernel is second.kernel
+
+    def test_memo_and_complete_score_through_the_one_pass(self, world, monkeypatch):
+        import repro.engine.engine as engine_module
+
+        calls = []
+        real = engine_module.score_documents_batch
+
+        def counted(kernel, prune_documents=True):
+            calls.append(kernel)
+            return real(kernel, prune_documents)
+
+        monkeypatch.setattr(engine_module, "score_documents_batch", counted)
+        engine = warmed_engine(world)
+        through_memo = engine.prepare_rank(("Weekend:0.17",), RankRequest())
+        scored, info = memo_views([through_memo])
+        assert calls == [through_memo.kernel] and info["passes"] == 1
+        alone = engine.prepare_rank(("Weekend:0.83",), RankRequest())
+        response = alone.complete()
+        assert calls == [through_memo.kernel, alone.kernel]
+        assert through_memo.complete(scored[0]).documents()
+        assert response.documents()
 
     def test_prepared_share_candidate_matrix(self, world):
         engine = warmed_engine(world)
@@ -252,6 +300,6 @@ class TestScorePreparedBatch:
         assert first.kernel.candidates is second.kernel.candidates
         assert first.memo_key != second.memo_key  # one matrix, two bindings
         assert first.signature != second.signature
-        scored, rows = score_prepared_batch([first, second])
-        assert rows == 2
+        scored, info = memo_views([first, second])
+        assert info["passes"] == 2
         assert scored[0] is not scored[1]

@@ -56,12 +56,12 @@ class TestPublicSurface:
 class TestServingKnobs:
     """The serving stack's tunables, counted: a new knob edits this test."""
 
-    def test_service_config_has_twelve_fields(self):
+    def test_service_config_has_eleven_fields(self):
         from dataclasses import fields
 
         from repro.service import ServiceConfig
 
-        assert len(fields(ServiceConfig)) == 12
+        assert len(fields(ServiceConfig)) == 11
 
     def test_the_gateway_takes_one_keyword_option(self):
         import inspect
