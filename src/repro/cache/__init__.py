@@ -20,7 +20,6 @@ from repro.cache.keys import (
     KeyLookup,
     QueryKey,
     ResponseKeyer,
-    canonical_context,
     family_key,
     query_key,
     response_key,
@@ -39,7 +38,6 @@ __all__ = [
     "ResponseCacheInfo",
     "ResponseKeyer",
     "StaleHit",
-    "canonical_context",
     "family_key",
     "query_key",
     "response_key",

@@ -58,7 +58,6 @@ from typing import Hashable, Iterable
 from repro.engine.backends import (
     CanonicalContext,
     ContextValue,
-    canonical_context,
     context_value,
 )
 from repro.perf import LRU
@@ -68,7 +67,6 @@ __all__ = [
     "KeyLookup",
     "QueryKey",
     "ResponseKeyer",
-    "canonical_context",
     "family_key",
     "query_key",
     "response_key",

@@ -10,12 +10,14 @@ once into flat numeric arrays:
   the factor coefficients ``a = (1-P(g)) + P(g)(1-sigma)`` and
   ``b = P(g)(2 sigma - 1)`` (each rule's eq.(4) factor is ``a + b P(f)``,
   linear in the document's preference probability);
-* per document x rule: the ``P(f)`` matrix, plus a possibility bitmask
-  for Section 6 document pruning.
+* per document x rule: the ``P(f)`` matrix.
 
 Scoring the whole candidate set is then a single row-wise product —
 numpy when importable, the :mod:`repro.perf.flatops` loops otherwise —
-and the result stays **columnar**: a :class:`ScoredView` is the
+with no Section 6 pruning branch: a document whose ``P(f)`` is 0 under
+every kept rule gets ``prod a`` from the product itself, bit for bit
+the shared :func:`~repro.core.pruning.all_miss_score`.  The result
+stays **columnar**: a :class:`ScoredView` is the
 candidates' name tuple (shared by reference) beside one float vector.
 It reads as a ``Mapping[str, DocumentScore]``, but a
 :class:`~repro.core.scoring.DocumentScore` — and its per-rule
@@ -47,10 +49,9 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.errors import ScoringError
 from repro.core.problem import RuleBinding, ScoringProblem, _active_deadline
-from repro.core.pruning import all_miss_score
 from repro.core.scoring import DocumentScore, RuleContribution
 from repro.perf.backend import resolve_backend
-from repro.perf.columns import VECTOR_MIN, NameTable, ScoreColumn, as_floats
+from repro.perf.columns import NameTable, ScoreColumn, as_floats
 from repro.perf.flatops import row_scores
 
 __all__ = [
@@ -68,31 +69,18 @@ class CompiledCandidates:
 
     ``matrix`` holds the documents x rules ``P(f)`` probabilities —
     a float64 ndarray on the numpy backend, a row-major ``list`` on the
-    fallback.  ``possible_bits[d]`` has bit ``r`` set when document
-    ``d``'s preference event for rule ``r`` is not impossible (the
-    Section 6 document-pruning test).  This half is what incremental
-    rescoring reuses across context changes.
+    fallback.  This half is what incremental rescoring reuses across
+    context changes.
     """
 
     names: tuple[str, ...]
     rule_count: int
     backend: str
     matrix: object
-    possible_bits: tuple[int, ...]
 
     @property
     def document_count(self) -> int:
         return len(self.names)
-
-    @cached_property
-    def bit_vector(self):
-        """``possible_bits`` as a uint64 vector, when the backend is
-        numpy, the rules fit one word and the set is long enough for a
-        vector operation to beat the loop; ``None`` otherwise."""
-        np = resolve_backend(self.backend)
-        if np is None or self.rule_count > 64 or len(self.names) < VECTOR_MIN:
-            return None
-        return np.array(self.possible_bits, dtype=np.uint64)
 
     @cached_property
     def table(self) -> NameTable:
@@ -112,24 +100,16 @@ def compile_candidates(
     np = resolve_backend(backend, rows=len(problem.documents))
     names = tuple(binding.document.name for binding in problem.documents)
     rule_count = problem.rule_count
-    possible_bits = tuple(
-        sum(
-            1 << index
-            for index, event in enumerate(binding.preference_events)
-            if not event.is_impossible
-        )
-        for binding in problem.documents
-    )
     if np is not None:
         matrix = np.empty((len(names), rule_count), dtype=np.float64)
         for row, binding in enumerate(problem.documents):
             matrix[row, :] = binding.preference_probabilities
         matrix.setflags(write=False)
-        return CompiledCandidates(names, rule_count, "numpy", matrix, possible_bits)
+        return CompiledCandidates(names, rule_count, "numpy", matrix)
     flat: list[float] = []
     for binding in problem.documents:
         flat.extend(binding.preference_probabilities)
-    return CompiledCandidates(names, rule_count, "python", flat, possible_bits)
+    return CompiledCandidates(names, rule_count, "python", flat)
 
 
 class LazyContributions(abc.Sequence):
@@ -298,7 +278,6 @@ class ScoringKernel:
             if binding.context_probability > rule_threshold
         ]
         self._keep = tuple(keep)
-        self._kept_bits = sum(1 << index for index in keep)
         coeffs = []
         for index in keep:
             binding = self.bindings[index]
@@ -308,9 +287,7 @@ class ScoringKernel:
             b = p_g * (2.0 * sigma - 1.0)
             coeffs.append((index, a, b))
         self._coeffs = tuple(coeffs)
-        self._all_miss = all_miss_score([self.bindings[i] for i in keep])
-        self._trivial = None  # intp array or list, see _trivial_index
-        self._trivial_set: frozenset[int] | None = None
+        self._trivial: frozenset[int] | None = None
         if self._np is not None:
             np = self._np
             self._keep_idx = np.array(keep, dtype=np.intp)
@@ -370,11 +347,6 @@ class ScoringKernel:
         return len(self.bindings) - len(self._keep)
 
     @property
-    def all_miss(self) -> float:
-        """The shared score of documents matching no kept preference."""
-        return self._all_miss
-
-    @property
     def coalesce_key(self) -> tuple[tuple[int, float, float], ...]:
         """Value identity of the context binding: the ``(rule, a, b)`` triples.
 
@@ -387,38 +359,33 @@ class ScoringKernel:
         context installed for two different tenants)."""
         return self._coeffs
 
-    def _trivial_index(self):
-        """The trivial rows as an index (intp array or list), computed
-        once — the kernel is immutable."""
-        index = self._trivial
-        if index is None:
-            kept_bits = self._kept_bits
-            bit_vector = self.candidates.bit_vector
-            if bit_vector is not None:
-                np = self._np
-                index = np.flatnonzero((bit_vector & np.uint64(kept_bits)) == 0)
-            else:
-                index = [
-                    row
-                    for row, bits in enumerate(self.candidates.possible_bits)
-                    if bits & kept_bits == 0
-                ]
-            self._trivial = index
-        return index
-
-    def trivial_rows(self) -> list[int]:
-        """Rows whose preference events all miss every kept rule."""
-        return as_floats(self._trivial_index())
-
     def trivial_row_set(self) -> frozenset[int]:
-        """:meth:`trivial_rows` as a set (memoised like the index)."""
-        rows = self._trivial_set
+        """Rows whose ``P(f)`` is 0 under every kept rule: the Section 6
+        trivial documents.  Read off the matrix on first use (the kernel
+        is immutable); the pass never reads it, because the product
+        already gives these rows the shared all-miss score."""
+        rows = self._trivial
         if rows is None:
-            rows = self._trivial_set = frozenset(self.trivial_rows())
+            matrix = self.candidates.matrix
+            if self._np is not None:
+                hits = matrix[:, self._keep_idx].any(axis=1)
+                rows = frozenset(self._np.flatnonzero(~hits).tolist())
+            else:
+                width = self.candidates.rule_count
+                rows = frozenset(
+                    row
+                    for row in range(self.document_count)
+                    if not any(matrix[row * width + column] for column in self._keep)
+                )
+            self._trivial = rows
         return rows
 
+    def trivial_rows(self) -> list[int]:
+        """:meth:`trivial_row_set` in row order."""
+        return sorted(self.trivial_row_set())
+
     # -- batch scoring -----------------------------------------------------
-    def score_vector(self, prune_documents: bool = True):
+    def score_vector(self):
         """Every document's eq.(4) score, in candidate order, as the
         backend's immutable vector: a read-only float64 ndarray under
         numpy, a tuple of floats on the fallback."""
@@ -431,39 +398,26 @@ class ScoringKernel:
             factors = self._a + self._b * sub
             values = factors.prod(axis=1)
             np.clip(values, 0.0, 1.0, out=values)
-        else:
-            values = row_scores(
+            values.setflags(write=False)
+            return values
+        return tuple(
+            row_scores(
                 self.candidates.matrix,
                 self.document_count,
                 self.candidates.rule_count,
                 self._coeffs,
             )
-        # Section 6 document pruning: trivial rows take the shared
-        # all-miss score; then the vector is sealed.
-        if prune_documents:
-            trivial = self._trivial_index()
-            if self._np is not None:
-                values[trivial] = self._all_miss
-            else:
-                shared = self._all_miss
-                for row in trivial:
-                    values[row] = shared
-        if self._np is None:
-            return tuple(values)
-        values.setflags(write=False)
-        return values
+        )
 
-    def scores(self, prune_documents: bool = True) -> list[float]:
+    def scores(self) -> list[float]:
         """Every document's eq.(4) score, in candidate order."""
-        return as_floats(self.score_vector(prune_documents))
+        return as_floats(self.score_vector())
 
     def score_documents(
         self, prune_documents: bool = True, method: str = "factorised"
     ) -> ScoredView:
         """The scored candidate set as one columnar :class:`ScoredView`."""
-        return ScoredView(
-            self, self.score_vector(prune_documents), prune_documents, method
-        )
+        return ScoredView(self, self.score_vector(), prune_documents, method)
 
     def contributions_for(self, row: int) -> tuple[RuleContribution, ...]:
         """Materialise one document's per-rule breakdown (kept rules)."""

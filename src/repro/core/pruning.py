@@ -11,9 +11,9 @@ Two prunes are implemented, both measured by ablation benchmark E4:
   Positive thresholds trade exactness for speed (the dropped factor is
   close to, but not exactly, 1).
 * **document pruning** — candidates that satisfy *no* rule's preference
-  (all preference events impossible) share one "all-miss" score,
+  (``P(f)`` is 0 under every kept rule) share one "all-miss" score,
   ``prod over rules of (1 - P(g_r) * sigma_r)``, computed once instead
-  of per document.
+  of per document (the kernel's product yields it on those rows).
 """
 
 from __future__ import annotations
@@ -78,11 +78,12 @@ def all_miss_score(bindings: tuple[RuleBinding, ...] | list[RuleBinding]) -> flo
 def split_trivial_documents(
     problem: ScoringProblem,
 ) -> tuple[list[DocumentBinding], list[DocumentBinding]]:
-    """Partition candidates into (needs scoring, trivially all-miss)."""
+    """Partition candidates into (needs scoring, trivially all-miss):
+    trivial means ``P(f)`` is 0 under every rule, the kernel's test."""
     interesting: list[DocumentBinding] = []
     trivial: list[DocumentBinding] = []
     for document in problem.documents:
-        if any(not event.is_impossible for event in document.preference_events):
+        if any(document.preference_probabilities):
             interesting.append(document)
         else:
             trivial.append(document)

@@ -44,8 +44,9 @@ class ContextAwareScorer:
     rule_threshold:
         Context-probability threshold for rule pruning (0 = lossless).
     prune_documents:
-        Share the all-miss score across candidates that satisfy no
-        preference instead of scoring them individually.
+        Give candidates that satisfy no preference (``P(f)`` 0 under
+        every kept rule) the shared all-miss score and an empty
+        breakdown.
     kb:
         The compiled reasoner binding goes through.  Defaults to the
         shared :func:`repro.reason.compiled_kb` for the knowledge base,
@@ -142,7 +143,7 @@ class ContextAwareScorer:
             kb=self.kb,
         )
         kernel = ScoringKernel.compile(problem, rule_threshold=self.rule_threshold)
-        trivial = len(kernel.trivial_rows()) if self.prune_documents else 0
+        trivial = len(kernel.trivial_row_set()) if self.prune_documents else 0
         self._last_report = PruneReport(
             kept_rules=len(kernel.kept_rules),
             dropped_rules=len(self.repository) - len(kernel.kept_rules),

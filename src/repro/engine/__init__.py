@@ -33,7 +33,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "SensedContext",
         ),
         "repro.engine.basis": (
-            "SharedBasisPool",
             "ViewBasis",
             "build_view_basis",
             "shared_basis_pool",

@@ -82,7 +82,6 @@ __all__ = [
     "dynamic_snapshot",
     "support_closure",
     "shared_basis_pool",
-    "SharedBasisPool",
     "POOL_LOCK",
 ]
 
@@ -397,9 +396,6 @@ _SHARED_POOL = LRU(32)
 #: The pool's one lock: engines of different tenants reach it from the
 #: event loop and the gateway thread at once.
 POOL_LOCK = threading.Lock()
-
-#: The pool's type, under its former name.
-SharedBasisPool = LRU
 
 
 def shared_basis_pool() -> LRU:

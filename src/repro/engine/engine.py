@@ -174,7 +174,7 @@ def score_documents_batch(kernel: ScoringKernel, prune_documents: bool = True) -
     pass is one span to a tracer that wraps both; the name is the
     serving ledger's trace target until ROADMAP item 3(2) renames it.
     """
-    return ScoredView(kernel, kernel.score_vector(prune_documents), prune_documents)
+    return ScoredView(kernel, kernel.score_vector(), prune_documents)
 
 
 #: Entries a :class:`ScoredViewMemo` keeps: scored views and bound

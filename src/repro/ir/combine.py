@@ -23,8 +23,6 @@ from repro.perf.flatops import LOG_FLOOR
 
 __all__ = ["LOG_FLOOR", "CombinedScore", "combine_log_linear", "combined_ranking"]
 
-_EPSILON = LOG_FLOOR  # backwards-compatible alias
-
 
 @dataclass(frozen=True)
 class CombinedScore:

@@ -26,8 +26,8 @@ Sections (all optional except ``space``/``tbox``/``abox``):
   over the restored role tables and is re-derived at load);
 * ``basis`` (json) + ``matrix`` (f64) — the scoring kernel's
   documents×rules ``P(f)`` matrix over the sorted target members,
-  with the candidate names, rule ids and possibility bitmask needed to
-  re-seed the shared basis pool.
+  with the candidate names and rule ids needed to re-seed the shared
+  basis pool.
 """
 
 from __future__ import annotations
@@ -226,7 +226,6 @@ def _basis_sections(
     basis = {
         "names": list(candidates.names),
         "rule_ids": [rule.rule_id for rule in rules],
-        "possible_bits": list(candidates.possible_bits),
         "rows": candidates.document_count,
         "cols": candidates.rule_count,
         "method": method,

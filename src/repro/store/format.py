@@ -46,7 +46,8 @@ __all__ = [
 
 MAGIC = b"REPROSNAP\x00"
 #: Bump on any incompatible change to the section layout or contents.
-SNAPSHOT_FORMAT_VERSION = 1
+#: 2: the ``basis`` section no longer carries the per-row possibility bits.
+SNAPSHOT_FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<10sI32sQ")  # magic, version, digest, index length
 _KINDS = ("json", "text", "f64")

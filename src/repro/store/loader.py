@@ -210,7 +210,6 @@ def load_world(
             rule_count=cols,
             backend=backend,
             matrix=matrix,
-            possible_bits=tuple(int(bits) for bits in basis["possible_bits"]),
         )
         if seed_caches and world.repository is not None:
             _seed_basis_pool(loaded, candidates, basis)

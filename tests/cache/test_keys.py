@@ -5,12 +5,12 @@ import pytest
 from repro.cache.keys import (
     KeyLookup,
     ResponseKeyer,
-    canonical_context,
     family_key,
     query_key,
     response_key,
     signature_digest,
 )
+from repro.engine.backends import canonical_context
 from repro.errors import EngineConfigError
 
 

@@ -17,6 +17,7 @@ from repro.core import (
     RuleBinding,
     ScoringKernel,
     ScoringProblem,
+    all_miss_score,
     bind_problem,
     factorised_score,
     score_values,
@@ -231,7 +232,8 @@ class TestScoreDocumentsBatch:
         world = build_tvtouch()
         for kernel in context_family(world, backend, [0.3, 0.8]):
             scored = score_documents_batch(kernel)
-            assert scored["mpfs"].value == kernel.all_miss
+            kept = [kernel.bindings[index] for index in kernel.kept_rules]
+            assert scored["mpfs"].value == all_miss_score(kept)
             assert scored["mpfs"].contributions == ()
 
 

@@ -13,11 +13,13 @@ from repro.core import (
     RuleBinding,
     ScoringKernel,
     ScoringProblem,
+    all_miss_score,
     bind_problem,
     compile_candidates,
     factorised_score,
     prune_rules,
     score_document,
+    split_trivial_documents,
 )
 from repro.dl.vocabulary import Individual
 from repro.engine.relevance import GatedRelevance
@@ -99,10 +101,9 @@ class TestCompile:
         assert candidates.backend == backend
         assert candidates.document_count == 4
         assert candidates.rule_count == 2
-        # mpfs satisfies no preference -> empty bitmask
-        by_name = dict(zip(candidates.names, candidates.possible_bits))
-        assert by_name["mpfs"] == 0
-        assert by_name["channel5_news"] == 0b11
+        # mpfs satisfies no preference: its P(f) row is all zeros
+        kernel = ScoringKernel(candidates, problem.bindings)
+        assert kernel.trivial_rows() == [candidates.names.index("mpfs")]
 
     def test_env_override_forces_python(self, problem, force_backend):
         force_backend("python")
@@ -152,7 +153,25 @@ class TestScores:
         kernel = ScoringKernel.compile(problem, backend=backend)
         assert kernel.trivial_rows() == [kernel.names.index("mpfs")]
         values = dict(zip(kernel.names, kernel.scores()))
-        assert values["mpfs"] == pytest.approx(kernel.all_miss, abs=0)
+        kept = [problem.bindings[index] for index in kernel.kept_rules]
+        assert values["mpfs"] == all_miss_score(kept)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_zero_probability_atom_is_trivial_on_both_paths(self, backend):
+        # A possible preference event of probability 0 matches no rule:
+        # trivial to the kernel and to the reference split alike.
+        space = EventSpace("zero-atom")
+        base = synthetic_problem([0.8, 0.4], [0.9, 0.6], [[0.5, 0.0], [0.0, 0.0]], space)
+        zero = space.atom("zero", 0.0)
+        ghost = DocumentBinding(Individual("ghost"), (zero, zero), (0.0, 0.0))
+        problem = ScoringProblem(base.bindings, base.documents + (ghost,), space)
+        kernel = ScoringKernel.compile(problem, backend=backend)
+        assert kernel.trivial_rows() == [1, 2]
+        _interesting, trivial = split_trivial_documents(problem)
+        assert [document.document.name for document in trivial] == ["d1", "ghost"]
+        values = dict(zip(kernel.names, kernel.scores()))
+        assert values["ghost"] == values["d1"] == all_miss_score(problem.bindings)
+        assert kernel.score_documents()["ghost"].contributions == ()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_threshold_mask_matches_prune_rules(self, world, backend):
@@ -165,7 +184,7 @@ class TestScores:
         assert kernel.kept_rules == (0, 1)
         assert kernel.dropped_rule_count == 1
         pruned = prune_rules(problem)
-        values = dict(zip(kernel.names, kernel.scores(prune_documents=False)))
+        values = dict(zip(kernel.names, kernel.scores()))
         for document in pruned.documents:
             expected = factorised_score(list(pruned.bindings), document)
             assert values[document.document.name] == pytest.approx(expected, abs=1e-12)

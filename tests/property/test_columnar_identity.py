@@ -540,7 +540,7 @@ def oracle_score_documents(kernel, prune_documents=True, method="factorised"):
         DocumentScore(
             name, value, () if row in trivial else LazyContributions(kernel, row), method
         )
-        for row, (name, value) in enumerate(zip(kernel.names, kernel.scores(prune_documents)))
+        for row, (name, value) in enumerate(zip(kernel.names, kernel.scores()))
     ]
 
 

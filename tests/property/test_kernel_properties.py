@@ -27,6 +27,7 @@ from repro.core import (
     exact_event_score,
     factorised_score,
     prune_rules,
+    split_trivial_documents,
 )
 from repro.dl.vocabulary import Individual
 from repro.engine.relevance import GatedRelevance
@@ -126,21 +127,71 @@ def test_kernel_matches_factorised_reference(case):
     problem, threshold, backend = case
     kernel = ScoringKernel.compile(problem, rule_threshold=threshold, backend=backend)
     pruned = prune_rules(problem, threshold)
-    values = kernel.scores(prune_documents=False)
+    values = kernel.scores()
     for value, document in zip(values, pruned.documents):
         expected = factorised_score(list(pruned.bindings), document)
         assert math.isclose(value, expected, abs_tol=1e-9)
 
 
-@settings(max_examples=120, deadline=None)
-@given(correlated_problems())
+@st.composite
+def sparse_problems(draw):
+    """Problems whose ``P(f)`` cells are 0.0 (the constant ``NEVER`` or a
+    possible atom of probability 0), 1.0 or fractional, and whose
+    threshold is random: many rows match no kept rule."""
+    n_rules = draw(st.integers(min_value=0, max_value=6))
+    n_docs = draw(st.integers(min_value=0, max_value=80))
+    space = EventSpace("prop-sparse")
+    fractions = st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
+
+    def cell(name):
+        kind = draw(st.sampled_from(["never", "zero_atom", "always", "fraction"]))
+        if kind == "never":
+            return NEVER, 0.0
+        if kind == "zero_atom":
+            return space.atom(name, 0.0), 0.0
+        if kind == "always":
+            return ALWAYS, 1.0
+        p = draw(fractions)
+        return space.atom(name, p), p
+
+    bindings = []
+    for index in range(n_rules):
+        p_g = draw(probabilities)
+        rule = PreferenceRule.parse(f"r{index}", "TOP", "TvProgram", draw(probabilities))
+        bindings.append(RuleBinding(rule, space.atom(f"g{index}", p_g), p_g))
+    sparse = draw(st.floats(min_value=0.0, max_value=1.0))
+    documents = []
+    for row in range(n_docs):
+        pairs = [
+            cell(f"f{row}x{col}") if draw(st.floats(0.0, 1.0)) >= sparse else (NEVER, 0.0)
+            for col in range(n_rules)
+        ]
+        documents.append(
+            DocumentBinding(
+                Individual(f"d{row}"),
+                tuple(event for event, _p in pairs),
+                tuple(p for _event, p in pairs),
+            )
+        )
+    threshold = draw(st.floats(min_value=0.0, max_value=1.0))
+    backend = draw(st.sampled_from(BACKENDS))
+    return ScoringProblem(tuple(bindings), tuple(documents), space), threshold, backend
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(correlated_problems(), sparse_problems()))
 def test_kernel_document_pruning_matches_scorer_semantics(case):
+    """Section 6 document pruning needs no overwrite: a row whose
+    ``P(f)`` is 0 under every kept rule scores the shared all-miss score
+    bit for bit, and the kernel's trivial set is the reference split."""
     problem, threshold, backend = case
     kernel = ScoringKernel.compile(problem, rule_threshold=threshold, backend=backend)
     pruned = prune_rules(problem, threshold)
     shared = all_miss_score(pruned.bindings)
-    values = dict(zip(kernel.names, kernel.scores(prune_documents=True)))
+    values = dict(zip(kernel.names, kernel.scores()))
     trivial_names = {kernel.names[row] for row in kernel.trivial_rows()}
+    _interesting, split = split_trivial_documents(pruned)
+    assert trivial_names == {document.document.name for document in split}
     for document in pruned.documents:
         name = document.document.name
         if name in trivial_names:
@@ -155,7 +206,7 @@ def test_kernel_document_pruning_matches_scorer_semantics(case):
 def test_kernel_matches_enumeration_and_exact_on_independent_features(case):
     problem, backend = case
     kernel = ScoringKernel.compile(problem, backend=backend)
-    values = kernel.scores(prune_documents=False)
+    values = kernel.scores()
     for value, document in zip(values, problem.documents):
         by_enumeration = enumeration_score(list(problem.bindings), document)
         by_exact = exact_event_score(list(problem.bindings), document, problem.space)

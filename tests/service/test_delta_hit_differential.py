@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import InMemoryCacheAdapter, NoCacheAdapter
-from repro.cache.keys import canonical_context
+from repro.engine.backends import canonical_context
 from repro.reason import clear_registry
 from repro.service import RankingService, ServiceConfig
 from repro.tenants import TenantRegistry

@@ -289,6 +289,23 @@ class TestCorruption:
         for document, expected in EXPECTED_TABLE1_SCORES.items():
             assert abs(scores[document] - expected) <= 1e-9, document
 
+    def test_load_or_build_rebuilds_a_format_1_snapshot(self, tmp_path):
+        # Format 1 carried the basis's per-row possibility bits; this
+        # library reads only its own format and rebuilds anything older.
+        assert SNAPSHOT_FORMAT_VERSION == 2
+        path = tmp_path / "tv.snap"
+        write_world_snapshot(path, build_tvtouch())
+        raw = bytearray(path.read_bytes())
+        raw[10:14] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        reasons = []
+        world = load_or_build(path, build_tvtouch, on_fallback=reasons.append)
+        assert world.source == "rebuild"
+        assert len(reasons) == 1 and "format version 1" in reasons[0]
+        scores = rank_alice(world)
+        for document, expected in EXPECTED_TABLE1_SCORES.items():
+            assert abs(scores[document] - expected) <= 1e-9, document
+
     def test_load_or_build_missing_file_falls_back(self, tmp_path):
         world = load_or_build(tmp_path / "absent.snap", build_tvtouch)
         assert world.source == "rebuild"

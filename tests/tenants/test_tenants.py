@@ -329,9 +329,10 @@ class TestPinning:
         assert registry.info().evictions == 17
 
     def test_shared_basis_pool_bound_is_exact(self):
-        from repro.engine.basis import SharedBasisPool, ViewBasis
+        from repro.engine.basis import ViewBasis
+        from repro.perf import LRU
 
-        pool = SharedBasisPool(max_entries=4)
+        pool = LRU(max_entries=4)
         for index in range(20):
             pool.put(("key", index), ViewBasis(kernel=None, snapshot=frozenset()))
             if index == 16:
