@@ -71,9 +71,7 @@ def base_world():
 
 def measure_minting(world, repository, count):
     """(seconds, marginal bytes/session) for ``count`` overlay sessions."""
-    registry = TenantRegistry(
-        world, rules=repository, max_sessions=count, freeze=False
-    )
+    registry = TenantRegistry(world, rules=repository, max_sessions=count)
     gc.collect()
     tracemalloc.start()
     before, _peak = tracemalloc.get_traced_memory()

@@ -15,10 +15,12 @@ Design points:
   there is nothing to spread a lock over.
 * **TTL with stale retention.**  Entries carry an absolute monotonic
   deadline; an expired entry stops answering :meth:`get` (counted as
-  one expiry, the first time a lookup notices) but is *retained* for
-  ``stale_grace`` seconds past expiry so the degraded-mode
-  :meth:`get_stale` path can still serve it — a sweep is never
-  needed, LRU pressure and the grace window reclaim cold entries.
+  one expiry, the first time a lookup notices) but is *retained* while
+  it is younger than ``stale_max_age`` seconds past expiry, so the
+  degraded-mode :meth:`get_stale` path can still serve it — a sweep is
+  never needed, LRU pressure and that bound reclaim cold entries.
+  The one bound decides both what is kept and what is served: a stale
+  body of age ``a`` is served exactly when ``a < stale_max_age``.
   ``ttl=None`` (or ``0``) disables expiry: correctness never depends
   on TTL here (keys already die with the context signature), it only
   bounds staleness against *external* knowledge mutations.
@@ -92,9 +94,11 @@ class InMemoryCacheAdapter:
     clock:
         Monotonic time source (injectable so tests age entries without
         sleeping).
-    stale_grace:
-        Seconds an *expired* entry is retained for :meth:`get_stale`
-        before lookups hard-drop it (``0`` restores drop-on-expiry).
+    stale_max_age:
+        How old a body :meth:`get_stale` serves may be: seconds past
+        expiry for an expired entry (which is dropped at that age),
+        seconds since storage for a family fallback.  ``0`` serves
+        nothing stale and drops entries on expiry.
     """
 
     enabled = True
@@ -104,7 +108,7 @@ class InMemoryCacheAdapter:
         max_entries: int = 4096,
         ttl: float | None = 300.0,
         clock: Callable[[], float] = time.monotonic,
-        stale_grace: float = 300.0,
+        stale_max_age: float = 300.0,
     ):
         if not isinstance(max_entries, int) or max_entries < 1:
             raise EngineConfigError(
@@ -112,13 +116,13 @@ class InMemoryCacheAdapter:
             )
         if ttl is not None and ttl < 0:
             raise EngineConfigError(f"cache ttl must be non-negative, got {ttl!r}")
-        if stale_grace < 0:
+        if stale_max_age < 0:
             raise EngineConfigError(
-                f"cache stale_grace must be non-negative, got {stale_grace!r}"
+                f"cache stale_max_age must be non-negative, got {stale_max_age!r}"
             )
         self.max_entries = max_entries
         self.ttl = ttl if ttl else None
-        self.stale_grace = stale_grace
+        self.stale_max_age = stale_max_age
         self._clock = clock
         self._lock = threading.Lock()
         self._entries = LRU(max_entries)
@@ -143,13 +147,14 @@ class InMemoryCacheAdapter:
 
     def _expired(self, key: str, entry: _Entry, now: float) -> bool:
         """Whether ``entry`` has outlived its TTL (under the lock).  The
-        expiry is counted once, and past the grace the body is dropped."""
+        expiry is counted once, and at ``stale_max_age`` past it the body
+        is dropped."""
         if entry.expires_at is None or now < entry.expires_at:
             return False
         if not entry.expiry_counted:
             entry.expiry_counted = True
             self._expiries += 1
-        if now >= entry.expires_at + self.stale_grace:
+        if now - entry.expires_at >= self.stale_max_age:
             self._unindex(key, self._entries.pop(key))
         return True
 
@@ -161,7 +166,7 @@ class InMemoryCacheAdapter:
             if entry is not None and not self._expired(key, entry, now):
                 return self._entries.get(key).body
             # A miss — an expired body too: it is kept for get_stale until
-            # the grace runs out, but neither answers nor freshens.
+            # it is too old to serve stale, but neither answers nor freshens.
             self._entries.misses += 1
             return None
 
@@ -197,7 +202,7 @@ class InMemoryCacheAdapter:
 
     # -- degraded-mode serving ---------------------------------------------
     def _stale_probe(
-        self, key: str, max_age: float, now: float, *, exact: bool, family: str | None = None
+        self, key: str, now: float, *, exact: bool, family: str | None = None
     ) -> StaleHit | None:
         entry = self._entries.peek(key)
         if entry is None:
@@ -207,26 +212,22 @@ class InMemoryCacheAdapter:
         expired = self._expired(key, entry, now)
         if expired:
             age = now - entry.expires_at
-            if age >= self.stale_grace:
-                return None  # past the grace: dropped
         else:
             # A live body: fresh if it is the exact key, digest-stale
             # (age = time since storage) on a family fallback.
             age = 0.0 if exact else now - entry.stored_at
-        if age > max_age:
+        if age >= self.stale_max_age:
             return None
         return StaleHit(body=entry.body, age=age, expired=expired, exact=exact)
 
-    def get_stale(
-        self, key: str, *, family: str | None = None, max_age: float = 0.0
-    ) -> StaleHit | None:
+    def get_stale(self, key: str, *, family: str | None = None) -> StaleHit | None:
         now = self._clock()
         with self._lock:
-            hit = self._stale_probe(key, max_age, now, exact=True)
+            hit = self._stale_probe(key, now, exact=True)
             if hit is None and family is not None:
                 fallback = self._families.peek(family)
                 if fallback is not None and fallback != key:
-                    hit = self._stale_probe(fallback, max_age, now, exact=False, family=family)
+                    hit = self._stale_probe(fallback, now, exact=False, family=family)
             if hit is None:
                 self._stale_misses += 1
             else:

@@ -3,8 +3,8 @@
 A :class:`NoCacheAdapter` satisfies the :class:`~repro.cache.protocol.
 CacheAdapter` protocol while storing nothing: every ``get`` misses,
 every ``put`` is dropped.  It exists so call sites can hold *an*
-adapter unconditionally — and so ``--cache none`` is a configuration,
-not a code path.  The pipeline additionally checks ``enabled`` and
+adapter unconditionally: it is :class:`~repro.service.RankingService`'s
+default in process.  The pipeline additionally checks ``enabled`` and
 skips key derivation entirely, so the disabled backend has zero
 per-request cost.
 """
@@ -20,6 +20,7 @@ class NoCacheAdapter:
     """The null response cache: never stores, never hits."""
 
     enabled = False
+    stale_max_age = 0.0
 
     def get(self, key: str) -> object | None:
         return None
@@ -34,9 +35,7 @@ class NoCacheAdapter:
     ) -> None:
         return None
 
-    def get_stale(
-        self, key: str, *, family: str | None = None, max_age: float = 0.0
-    ) -> StaleHit | None:
+    def get_stale(self, key: str, *, family: str | None = None) -> StaleHit | None:
         return None
 
     def invalidate_tenant(self, tenant: str) -> int:

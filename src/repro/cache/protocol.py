@@ -112,6 +112,10 @@ class CacheAdapter(Protocol):
     #: (no key derivation, no ledger bookkeeping) when disabled.
     enabled: bool
 
+    #: How old a body :meth:`get_stale` serves may be, in seconds;
+    #: ``0`` serves nothing stale.
+    stale_max_age: float
+
     def get(self, key: str) -> object | None:
         """The stored body for ``key`` (None on miss/expiry).
 
@@ -136,11 +140,9 @@ class CacheAdapter(Protocol):
         """
         ...
 
-    def get_stale(
-        self, key: str, *, family: str | None = None, max_age: float = 0.0
-    ) -> StaleHit | None:
-        """A degraded-mode body for ``key``: expired entries within
-        ``max_age`` seconds of storage are acceptable, and when the
+    def get_stale(self, key: str, *, family: str | None = None) -> StaleHit | None:
+        """A degraded-mode body for ``key`` younger than
+        ``stale_max_age`` (its :attr:`StaleHit.age`), and when the
         exact key misses, the most recently stored body of ``family``
         (same tenant + query shape, different context digest) may
         answer instead.  Never counts toward ``hits``/``misses`` —

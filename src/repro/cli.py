@@ -77,11 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--stale-max-age", type=float, default=300.0,
-        help="oldest stale cache body servable in degraded mode (seconds)",
-    )
-    serve.add_argument(
-        "--no-stale", action="store_true",
-        help="never serve stale cache bodies on overload/error",
+        help="oldest stale cache body servable in degraded mode (seconds); "
+        "0 never serves stale",
     )
     serve.add_argument(
         "--no-breaker", action="store_true",
@@ -106,16 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(sessions survive restarts)",
     )
     serve.add_argument(
-        "--cache", choices=("memory", "none"), default="memory",
-        help="response-cache backend (per worker)",
-    )
-    serve.add_argument(
         "--cache-entries", type=int, default=4096,
         help="response-cache LRU bound (per worker)",
-    )
-    serve.add_argument(
-        "--cache-ttl", type=float, default=300.0,
-        help="response-cache TTL in seconds; 0 disables expiry",
     )
 
     snapshot = commands.add_parser(
@@ -259,7 +248,7 @@ def _preload_world(snapshot_path: str | None):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.cache import InMemoryCacheAdapter, NoCacheAdapter
+    from repro.cache import InMemoryCacheAdapter
     from repro.rules import load_rules
     from repro.service import FaultInjector, RankingService, ServiceConfig
     from repro.tenants import TenantRegistry
@@ -299,12 +288,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         state (the frozen world and its matrix are the shared read-only
         part).
         """
-        if args.cache == "none":
-            cache = NoCacheAdapter()
-        else:
-            cache = InMemoryCacheAdapter(
-                max_entries=args.cache_entries, ttl=args.cache_ttl or None
-            )
+        cache = InMemoryCacheAdapter(
+            max_entries=args.cache_entries, stale_max_age=args.stale_max_age
+        )
         registry = TenantRegistry(
             world,
             rules=rules,
@@ -315,8 +301,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             registry,
             ServiceConfig(
                 request_timeout=args.request_timeout or None,
-                stale_max_age=args.stale_max_age,
-                serve_stale=not args.no_stale,
                 breaker_enabled=not args.no_breaker,
             ),
             cache=cache,
@@ -325,7 +309,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
 
     settings = (
-        f"cache={args.cache}, max_sessions={args.max_sessions}, "
+        f"max_sessions={args.max_sessions}, "
         f"request_timeout={args.request_timeout or None}, world={world_source}"
     )
 

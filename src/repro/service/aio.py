@@ -68,8 +68,8 @@ Start one with :func:`make_aio_server` (``port=0`` picks a free port)
 or the blocking :func:`serve` the CLI wraps; :mod:`repro.service.fleet`
 hands each worker its prepared listener instead.  Shutdown is graceful
 in-loop: stop accepting → close idle connections → let in-flight
-responses finish (bounded by ``drain_grace``) → abort stragglers → stop
-the loop.
+responses finish (bounded by :data:`DRAIN_GRACE`) → abort stragglers →
+stop the loop.
 
 Wire-side observability (open connections, read/parse/write stage
 times, loop-lag percentiles) lands in
@@ -117,6 +117,13 @@ BACKLOG = 128
 
 #: Seconds a connection may hold a *partial* request before a 408.
 DEFAULT_READ_DEADLINE = 5.0
+
+#: Seconds a stopping gateway lets in-flight requests finish before it
+#: aborts them — the single process and every fleet worker, and the
+#: supervisor's wait between a worker's SIGTERM and its SIGKILL.  Past
+#: the default 2 s request deadline with room to write the answer: a
+#: stop cuts only requests whose client asked for a longer deadline.
+DRAIN_GRACE = 5.0
 
 #: Calls queued for the ``repro-gw`` thread beyond which the loop sheds.
 #: The thread runs only what the loop must not — mints, lock waits,
@@ -511,7 +518,7 @@ class AioRankingServer:
     owns it from then on.  Callers own the lifecycle: ``serve_forever``
     on a thread of their choosing; ``request_shutdown`` (signal-safe,
     returns at once) or ``shutdown`` (blocks until the loop exits, after
-    an in-loop graceful drain bounded by ``drain_grace``) to stop; then
+    an in-loop graceful drain bounded by :data:`DRAIN_GRACE`) to stop; then
     ``drain`` and ``server_close``.
 
     ``read_deadline`` bounds how long a connection may sit on a
@@ -530,7 +537,6 @@ class AioRankingServer:
     ):
         self.service = service
         self.read_deadline = read_deadline
-        self.drain_grace = 5.0
         self.gateway_metrics = GatewayMetrics()
         service.attach_gateway(self._gateway_section)
         self.socket = listener
@@ -623,7 +629,7 @@ class AioRankingServer:
                 self._wake.set()
                 try:
                     loop.run_until_complete(
-                        asyncio.wait_for(task, self.drain_grace + 1.0)
+                        asyncio.wait_for(task, DRAIN_GRACE + 1.0)
                     )
                 except BaseException:  # second interrupt / drain overrun
                     task.cancel()
@@ -669,7 +675,7 @@ class AioRankingServer:
             for conn in list(self._connections):
                 if not conn.busy and conn.transport is not None:
                     conn.transport.close()
-            deadline = loop.time() + max(0.0, self.drain_grace)
+            deadline = loop.time() + DRAIN_GRACE
             while (
                 (self.inflight > 0 or self._pending_dispatch > 0)
                 and loop.time() < deadline
@@ -722,7 +728,7 @@ class AioRankingServer:
         """Wait up to ``grace`` seconds for in-flight requests to finish.
 
         The loop's own shutdown already drains (bounded by
-        ``drain_grace``); this is the cross-thread confirmation: idle
+        :data:`DRAIN_GRACE`); this is the cross-thread confirmation: idle
         must still hold after a ``settle`` interval before it is
         believed.
         """
@@ -782,7 +788,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8080,
     *,
-    grace: float = 5.0,
     ready=None,
 ) -> int:
     """Run the gateway until SIGTERM or SIGINT (the ``repro serve`` body).
@@ -799,7 +804,6 @@ def serve(
     import signal as _signal
 
     server = make_aio_server(service, host, port)
-    server.drain_grace = grace
     if ready is not None:
         ready(server)
 
@@ -821,7 +825,7 @@ def serve(
             if handler is not None:  # None: not installed from Python
                 _signal.signal(signum, handler)
         server.shutdown()
-        server.drain(grace)
+        server.drain(DRAIN_GRACE)
         service.close()
         server.server_close()
     return 0

@@ -54,7 +54,7 @@ from multiprocessing.connection import wait as _sentinel_wait
 from typing import Callable, Mapping
 
 from repro.errors import EngineError
-from repro.service.aio import BACKLOG, AioRankingServer
+from repro.service.aio import BACKLOG, DRAIN_GRACE, AioRankingServer
 from repro.service.pipeline import RankingService
 from repro.service.resilience import SharedFleetState
 
@@ -100,7 +100,6 @@ def _worker_main(supervisor: "FleetSupervisor", index: int, ready) -> None:
         (supervisor.host, supervisor.port), backlog=BACKLOG, reuse_port=True
     )
     server = AioRankingServer(listener, service)
-    grace = server.drain_grace = supervisor.grace
 
     signalled = False
 
@@ -132,7 +131,7 @@ def _worker_main(supervisor: "FleetSupervisor", index: int, ready) -> None:
     try:
         ready.set()
         server.serve_forever()
-        server.drain(grace)
+        server.drain(DRAIN_GRACE)
     finally:
         service.close()
         server.server_close()
@@ -166,9 +165,6 @@ class FleetSupervisor:
         worker (and every respawn) then shares.
     start_timeout:
         Seconds to wait for each worker's ready signal on start.
-    grace:
-        Seconds between ``SIGTERM`` and ``SIGKILL`` on stop (also each
-        worker's in-flight drain budget).
     respawn_backoff / respawn_backoff_max:
         Delay before respawning a dead worker: ``respawn_backoff``
         after the first death in the window, doubling per further
@@ -189,7 +185,6 @@ class FleetSupervisor:
         port: int = 0,
         *,
         start_timeout: float = 30.0,
-        grace: float = 5.0,
         respawn_backoff: float = 0.1,
         respawn_backoff_max: float = 2.0,
         crash_loop_threshold: int = 3,
@@ -216,7 +211,6 @@ class FleetSupervisor:
         self.workers = workers
         self.host = host
         self.start_timeout = start_timeout
-        self.grace = grace
         self.respawn_backoff = respawn_backoff
         self.respawn_backoff_max = respawn_backoff_max
         self.crash_loop_threshold = crash_loop_threshold
@@ -379,15 +373,15 @@ class FleetSupervisor:
         for worker in fleet:
             if worker.process.is_alive():
                 worker.process.terminate()
-        deadline = time.monotonic() + self.grace
+        deadline = time.monotonic() + DRAIN_GRACE
         for worker in fleet:
             worker.process.join(max(0.0, deadline - time.monotonic()))
         for worker in fleet:
             if worker.process.is_alive():  # pragma: no cover - stuck worker
                 worker.process.kill()
-                worker.process.join(self.grace)
+                worker.process.join(DRAIN_GRACE)
         if self._monitor is not None and self._monitor.is_alive():
-            self._monitor.join(self.grace)
+            self._monitor.join(DRAIN_GRACE)
         self._socket.close()
         if self._started:
             # Undo the pre-fork freeze: no more workers will fork off

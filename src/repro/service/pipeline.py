@@ -9,8 +9,8 @@ This module is that request path, staged and instrumented::
 * **parse** — normalise raw query-string parameters into a frozen
   :class:`ServiceRequest`; malformed input is a 400
   before any shared resource is touched.  The request's deadline is
-  derived here too (``ServiceConfig.request_timeout``, client override
-  clamped by ``max_request_timeout``).
+  derived here too (``ServiceConfig.request_timeout``, a client override
+  clamped by :func:`~repro.service.resilience.clamp_timeout`).
 * **cache** — the response-cache lookup (:mod:`repro.cache`): derive
   the key this request would rank under from the tenant's learned
   view digest and the canonicalised query, and probe the adapter.  A
@@ -59,8 +59,8 @@ This module is that request path, staged and instrumented::
   answer, whatever the outcome.
 * **render** — the ranked items, written straight from the ranking's
   columns into one pre-encoded JSON fragment inside a small header
-  (:class:`RankBody`); hit/stale/context-echo/timing decorations only
-  ever touch the header.
+  (:class:`RankBody`); hit/stale/context-echo decorations only ever
+  touch the header.
 
 Overload control is not a stage.  The service creates no threads, so
 its callers' threads bound the work in flight: behind the gateway, the
@@ -159,52 +159,25 @@ class WouldBlock(Exception):
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tunables of the serving pipeline.
+    """What a deployment sets of the serving pipeline.
 
-    ``include_timings`` attaches per-stage latencies to every response
-    body (handy for tracing, off by default to keep payloads lean).
-
-    Resilience tunables: ``request_timeout`` is the default per-request
-    deadline (``None`` disables deadlines, and nothing else); a client's
-    ``timeout`` parameter / ``X-Request-Timeout`` header is clamped into
-    ``[min_request_timeout, max_request_timeout]`` (the floor keeps a
-    near-zero client timeout from manufacturing guaranteed 504s).
-    ``serve_stale`` allows degraded-mode answers from the response
-    cache (recently expired or digest-stale bodies no older than
-    ``stale_max_age`` seconds) on overload, breaker-open, engine error
-    or deadline expiry.  The ``breaker_*`` knobs shape the per-tenant + global
-    circuit breaker (see :class:`~repro.service.resilience.CircuitBreaker`).
+    ``request_timeout`` is the default per-request deadline (``None``
+    disables deadlines, and nothing else); a client's ``timeout``
+    parameter / ``X-Request-Timeout`` header is clamped by
+    :func:`~repro.service.resilience.clamp_timeout`.
+    ``breaker_enabled`` puts the per-tenant + global
+    :class:`~repro.service.resilience.CircuitBreaker` in front of every
+    rank, on its default tuning.  How old a stale body served in
+    degraded mode may be is the response cache's ``stale_max_age``.
     """
 
-    include_timings: bool = False
     request_timeout: float | None = 2.0
-    min_request_timeout: float = 0.05
-    max_request_timeout: float = 30.0
-    serve_stale: bool = True
-    stale_max_age: float = 300.0
     breaker_enabled: bool = True
-    breaker_window: float = 10.0
-    breaker_min_requests: int = 10
-    breaker_failure_threshold: float = 0.5
-    breaker_cooldown: float = 5.0
 
     def __post_init__(self) -> None:
         if self.request_timeout is not None and self.request_timeout <= 0:
             raise EngineError(
                 f"request_timeout must be positive or None, got {self.request_timeout!r}"
-            )
-        if self.max_request_timeout <= 0:
-            raise EngineError(
-                f"max_request_timeout must be positive, got {self.max_request_timeout!r}"
-            )
-        if not 0 <= self.min_request_timeout <= self.max_request_timeout:
-            raise EngineError(
-                f"min_request_timeout must be in [0, max_request_timeout], got "
-                f"{self.min_request_timeout!r} (max {self.max_request_timeout!r})"
-            )
-        if self.stale_max_age < 0:
-            raise EngineError(
-                f"stale_max_age must be non-negative, got {self.stale_max_age!r}"
             )
 
 
@@ -219,8 +192,8 @@ class ServiceRequest:
     ``context=None`` keeps the tenant's standing context;
     ``context=()`` explicitly clears it (rank context-free).
     ``timeout`` is the client's per-request deadline override in
-    seconds (clamped to ``ServiceConfig.max_request_timeout``; ignored
-    when the deployment disabled deadlines).
+    seconds (clamped by :func:`~repro.service.resilience.clamp_timeout`;
+    ignored when the deployment disabled deadlines).
 
     What the pipeline derives from the request alone —
     :attr:`rank_request`, :attr:`query_key` and (weakly)
@@ -527,6 +500,8 @@ class ServiceResponse:
 
     ``headers`` carries response headers the gateway must forward
     (``Retry-After`` on sheds, ``Warning: 110`` on stale serves).
+    ``timings`` is the request's stage table (seconds per stage, plus
+    ``total``); it stays off the wire.
 
     Gateways send :meth:`encoded` — the UTF-8 JSON, computed at most
     once per response; a ranked answer splices its pre-encoded
@@ -736,13 +711,7 @@ class RankingService:
         )
         self.breaker: CircuitBreaker | None = None
         if self.config.breaker_enabled:
-            self.breaker = CircuitBreaker(
-                window=self.config.breaker_window,
-                min_requests=self.config.breaker_min_requests,
-                failure_threshold=self.config.breaker_failure_threshold,
-                cooldown=self.config.breaker_cooldown,
-                on_transition=self.metrics.count_transition,
-            )
+            self.breaker = CircuitBreaker(on_transition=self.metrics.count_transition)
         #: The fleet supervisor wires its cross-process state in after
         #: the fork; single-process deployments leave it None.
         self.fleet_state: SharedFleetState | None = None
@@ -824,10 +793,7 @@ class RankingService:
                 attempt.rank_request = request.rank_request
                 # Per request: the clamp reads the service's config.
                 attempt.effective_timeout = clamp_timeout(
-                    request.timeout,
-                    self.config.request_timeout,
-                    self.config.max_request_timeout,
-                    self.config.min_request_timeout,
+                    request.timeout, self.config.request_timeout
                 )
                 attempt.deadline = (
                     Deadline.after(attempt.effective_timeout)
@@ -1237,15 +1203,14 @@ class RankingService:
         Probes the exact key first (a recently expired body for this
         precise context), then the family fallback (the tenant's most
         recent answer to the same query shape under *some* context) —
-        bounded by ``stale_max_age`` either way.  ``None`` means the
-        caller must fail the request for real.
+        bounded by the cache's ``stale_max_age`` either way, and never
+        when that is ``0``.  ``None`` means the caller must fail the
+        request for real.
         """
         lookup = attempt.lookup
-        if not self.config.serve_stale or lookup is None or not self.cache.enabled:
+        if lookup is None or not self.cache.stale_max_age:
             return None
-        hit = self.cache.get_stale(
-            lookup.key, family=lookup.family, max_age=self.config.stale_max_age
-        )
+        hit = self.cache.get_stale(lookup.key, family=lookup.family)
         if hit is None:
             self.metrics.count("resilience", "stale_miss")
             return None
@@ -1346,10 +1311,7 @@ class RankingService:
         snapshot = self.metrics.snapshot()
         snapshot["config"] = {
             "request_timeout": self.config.request_timeout,
-            "min_request_timeout": self.config.min_request_timeout,
-            "max_request_timeout": self.config.max_request_timeout,
-            "serve_stale": self.config.serve_stale,
-            "stale_max_age": self.config.stale_max_age,
+            "stale_max_age": self.cache.stale_max_age,
         }
         memo = self.memo.info()
         # The memo under the section's old keys: every memo request is
@@ -1482,12 +1444,6 @@ class RankingService:
         if tag is None and cached is not None:
             tag = "cached" if cached else "uncached"
         self.metrics.record_request(timings, outcome, tag=tag)
-        if self.config.include_timings:
-            timings_ms = {name: seconds * 1000.0 for name, seconds in timings.items()}
-            if isinstance(body, RankBody):
-                body = body.extended(timings_ms=timings_ms)
-            else:
-                body = {**body, "timings_ms": timings_ms}
         return ServiceResponse(
             status=status,
             body=body,

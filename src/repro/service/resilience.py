@@ -6,14 +6,15 @@ every failure surfaced raw.  This module is the failure path, four
 small mechanisms the pipeline, gateway and fleet supervisor compose:
 
 * :class:`Deadline` — a monotonic per-request budget.  The pipeline
-  derives one from ``ServiceConfig.request_timeout`` (client override
-  clamped by ``max_request_timeout``) and publishes it through a
+  derives one from ``ServiceConfig.request_timeout`` (a client override
+  clamped into [:data:`MIN_REQUEST_TIMEOUT`, :data:`MAX_REQUEST_TIMEOUT`]
+  by :func:`clamp_timeout`) and publishes it through a
   :mod:`contextvars` variable (:func:`deadline_scope`) around the rank
   it runs on the request's own thread.  Every wait on that path checks
   it *cooperatively* (:func:`current_deadline`): the engine-lock wait,
   a cold bind's rule columns and rows, the kernel pass (once, before
-  it starts), the batch queue and an injected delay.  A wedged rank
-  answers 504 and its thread releases the session pin before answering.
+  it starts) and an injected delay.  A wedged rank answers 504 and its
+  thread releases the session pin before answering.
 * :class:`CircuitBreaker` — per-tenant + global rolling-window breaker
   (closed → open → half-open with a jittered probe).  When rank
   failures or timeouts spike, the pipeline sheds load fast — answering
@@ -139,27 +140,31 @@ def deadline_scope(deadline: Deadline | None) -> Iterator[Deadline | None]:
         _ACTIVE_DEADLINE.reset(token)
 
 
-def clamp_timeout(
-    requested: float | None,
-    default: float | None,
-    maximum: float,
-    minimum: float = 0.0,
-) -> float | None:
-    """The effective request timeout: client override clamped into
-    ``[minimum, maximum]``.
+#: The shortest deadline a client may ask for.  A near-zero client
+#: timeout guarantees a 504 whatever the engine's health — unclamped,
+#: it is free ammunition against any failure accounting downstream.
+MIN_REQUEST_TIMEOUT = 0.05
+
+#: The longest deadline a client may ask for: a rank that must wait
+#: runs on the worker's one ``repro-gw`` thread, and no client may hold
+#: it for longer than this.
+MAX_REQUEST_TIMEOUT = 30.0
+
+
+def clamp_timeout(requested: float | None, default: float | None) -> float | None:
+    """The effective request timeout: a client override clamped into
+    [:data:`MIN_REQUEST_TIMEOUT`, :data:`MAX_REQUEST_TIMEOUT`].
 
     ``None`` requested means "use the service default"; a ``None``
     default disables deadlines entirely (overrides included — a client
-    cannot re-enable a feature the deployment turned off).  The floor
-    exists because near-zero client timeouts guarantee 504s whatever
-    the engine's health — unclamped they are free ammunition against
-    any failure accounting downstream.
+    cannot re-enable a feature the deployment turned off).  The default
+    itself is the operator's and is not clamped.
     """
     if default is None:
         return None
     if requested is None:
         return default
-    return min(max(requested, minimum), maximum)
+    return min(max(requested, MIN_REQUEST_TIMEOUT), MAX_REQUEST_TIMEOUT)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,23 @@ class BreakerDecision(NamedTuple):
     retry_after: float
     scope: str  # "global", "tenant", or "" when allowed
     probes: tuple[str, ...] = ()
+
+
+#: Seconds of outcomes a breaker core weighs: long enough to hold
+#: :data:`BREAKER_MIN_REQUESTS` outcomes of one tenant at a few
+#: requests a second, short enough to forget an outage soon after it.
+BREAKER_WINDOW = 10.0
+
+#: Outcomes a core must see in its window before it may open: a
+#: tenant's first error or two is not a spike.
+BREAKER_MIN_REQUESTS = 10
+
+#: The failure share at which a core opens: half its ranks failing.
+BREAKER_FAILURE_THRESHOLD = 0.5
+
+#: Seconds an open core sheds before it admits one probe (jittered, so
+#: the probes of many tenants do not arrive together).
+BREAKER_COOLDOWN = 5.0
 
 
 class _BreakerCore:
@@ -239,10 +261,10 @@ class CircuitBreaker:
 
     def __init__(
         self,
-        window: float = 10.0,
-        min_requests: int = 10,
-        failure_threshold: float = 0.5,
-        cooldown: float = 5.0,
+        window: float = BREAKER_WINDOW,
+        min_requests: int = BREAKER_MIN_REQUESTS,
+        failure_threshold: float = BREAKER_FAILURE_THRESHOLD,
+        cooldown: float = BREAKER_COOLDOWN,
         jitter: float = 0.2,
         max_tenants: int = 1024,
         clock: Callable[[], float] = time.monotonic,

@@ -296,10 +296,6 @@ class TenantRegistry:
         tenant's overlay and caches are dropped — re-minting is cheap
         by design; see the module docstring for the thread-safety
         contract).
-    freeze:
-        Freeze the base ABox (default).  Strongly recommended: a frozen
-        base cannot be mutated by a stray tenant write, and its derived
-        indexes are computed once and shared.
     journal:
         An :class:`~repro.store.OverlayJournal` (or a path to one) for
         per-tenant overlay durability.  Minting replays the tenant's
@@ -318,7 +314,6 @@ class TenantRegistry:
         *,
         rules: RuleRepository | Callable[[str], RuleRepository] | None = None,
         max_sessions: int = 1024,
-        freeze: bool = True,
         journal: "OverlayJournal | str | None" = None,
         **engine_options: object,
     ):
@@ -354,8 +349,9 @@ class TenantRegistry:
         #: standing context, so cached answers keyed on it must become
         #: unreachable the moment the session is gone.
         self._evict_listeners: list[Callable[[str], None]] = []
-        if freeze:
-            abox.freeze()
+        # The base is shared by every tenant: frozen, no stray tenant
+        # write can mutate it, and its derived indexes are computed once.
+        abox.freeze()
         #: Guards the session table, the pins and the counters.  Minting
         #: runs under it, so a tenant is never minted twice.
         self._lock = threading.RLock()

@@ -118,15 +118,15 @@ class TestHitIdentity:
         assert reordered.body["cached"] is True
         assert reordered.body["context"] == ["Breakfast", "Weekend:1.0"]
 
-    def test_cached_timings_are_fresh_when_enabled(self):
-        service = make_service(include_timings=True)
+    def test_cached_timings_are_fresh(self):
+        service = make_service()
         rank(service, context=("Weekend",))
         hit = rank(service, context=("Weekend",))
         assert hit.body["cached"] is True
-        # The hit's timing block is its own (no rank stage ran), not a
+        # The hit's stage table is its own (no rank stage ran), not a
         # replay of the filling request's.
-        assert "rank" not in hit.body["timings_ms"]
-        assert "cache" in hit.body["timings_ms"]
+        assert "rank" not in hit.timings
+        assert "cache" in hit.timings
 
 
 class TestInvalidation:

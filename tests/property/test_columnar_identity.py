@@ -16,7 +16,7 @@ caller can observe moved:
 * the engine's own pass vs a view the scored-view memo shares;
 * the wire: ``json.loads(response.encoded())`` is the legacy render
   dict and the bytes are ``json.dumps`` of it, for fresh, hit,
-  context-echo, stale and ``include_timings`` serves;
+  context-echo and stale serves, and the stage timings stay off it;
 * the ``items`` fragment assembled from position heads, name literals
   and score tails (per tie run on ndarrays, per item on lists) is
   byte-equal to the per-item f-string writer it replaced
@@ -69,6 +69,7 @@ from repro.workloads import (
 )
 
 from tests.core.test_batch_kernel import synthetic_family
+from tests.service.test_resilience import tune_breaker
 
 NUMPY = numpy_or_none()
 BACKENDS = ["python"] + (["numpy"] if NUMPY is not None else [])
@@ -849,15 +850,16 @@ class RecordingService(RankingService):
         return super()._render(request, response)
 
 
-def make_service(include_timings=False, clock=None, **config):
-    cache = InMemoryCacheAdapter(max_entries=64, ttl=5.0, stale_grace=600.0,
+def make_service(clock=None, **config):
+    cache = InMemoryCacheAdapter(max_entries=64, ttl=5.0, stale_max_age=600.0,
                                  **({"clock": clock} if clock else {}))
-    return RecordingService(
+    service = RecordingService(
         TenantRegistry(build_tvtouch(), max_sessions=16),
-        ServiceConfig(include_timings=include_timings,
-                      breaker_min_requests=50, **config),
+        ServiceConfig(**config),
         cache=cache,
     )
+    tune_breaker(service, min_requests=50)
+    return service
 
 
 def assert_wire(reply, legacy):
@@ -959,9 +961,9 @@ def test_stale_serves_are_byte_identical(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_include_timings_only_touches_the_header(backend):
+def test_stage_timings_stay_off_the_wire(backend):
     with kernel_backend(backend):
-        service = make_service(include_timings=True)
+        service = make_service()
         params = {"tenant": ["alice"], "context": ["Weekend", "Breakfast"], "explain": ["true"]}
         for cached in (False, True):
             reply = service.rank(params)
@@ -972,12 +974,10 @@ def test_include_timings_only_touches_the_header(backend):
                 legacy = legacy_hit(
                     {k: v for k, v in legacy.items() if k != "context"}, params["context"]
                 )
-            assert list(reply.body)[-1] == "timings_ms"
-            legacy["timings_ms"] = reply.body["timings_ms"]
-            assert set(legacy["timings_ms"]) >= {"parse", "cache", "render", "total"}
+            assert set(reply.timings) >= {"parse", "cache", "render", "total"}
             assert_wire(reply, legacy)
         failed = service.rank({"tenant": ["alice"], "context": ["NoSuch:Thing:1"]})
-        assert failed.status == 400 and "timings_ms" in failed.body  # dict bodies too
+        assert failed.status == 400 and "total" in failed.timings  # dict bodies too
         assert failed.encoded() == json.dumps(failed.body).encode("utf-8")
         service.close()
 

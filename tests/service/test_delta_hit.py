@@ -219,7 +219,7 @@ def test_a_delta_hit_is_answered_inline(oracle):
 def test_a_delta_hit_skips_breaker_and_fault_injection(oracle):
     service = make_service(request_timeout=None)
     stand_on_weekend(service)
-    for _ in range(service.config.breaker_min_requests):
+    for _ in range(service.breaker.min_requests):
         service.breaker.record_failure("t1")
     assert service.breaker.state() == "open"
     service.fault_injector = FaultInjector(rank_error_rate=1.0)

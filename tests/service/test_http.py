@@ -206,10 +206,7 @@ class TestObservability:
         assert body["stages"]["rank"]["count"] == 2
         assert body["config"] == {
             "request_timeout": 2.0,
-            "min_request_timeout": 0.05,
-            "max_request_timeout": 30.0,
-            "serve_stale": True,
-            "stale_max_age": 300.0,
+            "stale_max_age": 0.0,  # the in-process default: no cache
         }
 
     def test_concurrent_http_clients(self, gateway):
@@ -248,7 +245,7 @@ class TestResilienceSurface:
 
     def test_readyz_degrades_while_the_breaker_is_open(self, gateway):
         service = gateway.service
-        for _ in range(service.config.breaker_min_requests):
+        for _ in range(service.breaker.min_requests):
             service.breaker.record_failure("anyone")
         try:
             get_json(f"{gateway.url}/readyz")
@@ -262,7 +259,7 @@ class TestResilienceSurface:
 
     def test_shed_carries_retry_after_header(self, gateway):
         service = gateway.service
-        for _ in range(service.config.breaker_min_requests):
+        for _ in range(service.breaker.min_requests):
             service.breaker.record_failure("anyone")
         try:
             get_json(f"{gateway.url}/rank?tenant=anyone")

@@ -65,7 +65,7 @@ class Case:
     def __init__(self, *, stale: bool, breaker: str):
         self.cache_clock = FakeClock()
         cache = InMemoryCacheAdapter(
-            max_entries=64, ttl=5.0, clock=self.cache_clock, stale_grace=600.0
+            max_entries=64, ttl=5.0, clock=self.cache_clock, stale_max_age=600.0
         )
         registry = TenantRegistry(build_tvtouch(), max_sessions=64)
         self.service = RankingService(

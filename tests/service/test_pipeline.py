@@ -173,14 +173,13 @@ class TestPipeline:
             assert snapshot["stages"][stage]["count"] == 1, stage
         assert "admit" not in snapshot["stages"]
 
-    def test_include_timings_attaches_to_body(self):
+    def test_the_stage_table_rides_beside_the_body(self):
         registry = TenantRegistry(build_tvtouch(), max_sessions=8)
-        service = RankingService(
-            registry, ServiceConfig(include_timings=True)
-        )
+        service = RankingService(registry, ServiceConfig())
         reply = service.rank({"tenant": ["alice"]})
         assert reply.ok
-        assert set(reply.body["timings_ms"]) >= {"rank", "total"}
+        assert set(reply.timings) >= {"rank", "total"}
+        assert "timings_ms" not in reply.body
 
     def test_health_reports_fleet_occupancy(self, service):
         service.rank({"tenant": ["alice"]})

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.cache import InMemoryCacheAdapter
+from repro.cli import build_parser
 from repro.core import ScoringKernel, bind_problem
 from repro.core.problem import bind_documents
 from repro.engine.engine import score_documents_batch
@@ -19,6 +20,7 @@ from repro.errors import EngineConfigError, EngineError
 from repro.perf.backend import numpy_or_none
 from repro.perf.columns import as_floats
 from repro.reason import CompiledKB, ReasonerSession, clear_registry
+from repro.service import resilience
 from repro.service import (
     CircuitBreaker,
     Deadline,
@@ -83,6 +85,15 @@ def make_service(config=None, cache=None, **kwargs) -> RankingService:
     )
 
 
+def tune_breaker(service: RankingService, **tuning) -> CircuitBreaker:
+    """Give ``service`` a breaker of ``tuning`` in place of its default
+    one, reporting transitions to its metrics as the default one does."""
+    service.breaker = CircuitBreaker(
+        on_transition=service.metrics.count_transition, **tuning
+    )
+    return service.breaker
+
+
 # ---------------------------------------------------------------------------
 # Deadlines
 # ---------------------------------------------------------------------------
@@ -117,22 +128,17 @@ class TestDeadline:
 
         assert not issubclass(DeadlineExceeded, ReproError)
 
-    def test_clamp_timeout(self):
-        assert clamp_timeout(None, 2.0, 30.0) == 2.0
-        assert clamp_timeout(5.0, 2.0, 30.0) == 5.0
-        assert clamp_timeout(99.0, 2.0, 30.0) == 30.0  # clamped to max
-        assert clamp_timeout(5.0, None, 30.0) is None  # deadlines disabled
-        assert clamp_timeout(None, None, 30.0) is None
+    def test_clamp_timeout(self, monkeypatch):
+        assert clamp_timeout(None, 2.0) == 2.0
+        assert clamp_timeout(5.0, 2.0) == 5.0
+        assert clamp_timeout(99.0, 2.0) == resilience.MAX_REQUEST_TIMEOUT == 30.0
+        assert clamp_timeout(5.0, None) is None  # deadlines disabled
+        assert clamp_timeout(None, None) is None
         # The floor: a near-zero client timeout cannot manufacture
         # guaranteed 504s (which would poison the breaker's accounting).
-        assert clamp_timeout(0.001, 2.0, 30.0, minimum=0.05) == 0.05
-        assert clamp_timeout(None, 2.0, 30.0, minimum=5.0) == 2.0  # default wins
-
-    def test_min_timeout_floor_config_validated(self):
-        with pytest.raises(EngineError):
-            ServiceConfig(min_request_timeout=-1.0)
-        with pytest.raises(EngineError):
-            ServiceConfig(min_request_timeout=5.0, max_request_timeout=1.0)
+        assert clamp_timeout(0.001, 2.0) == resilience.MIN_REQUEST_TIMEOUT == 0.05
+        monkeypatch.setattr(resilience, "MIN_REQUEST_TIMEOUT", 5.0)
+        assert clamp_timeout(None, 2.0) == 2.0  # default wins
 
     def test_timeout_request_parameter(self):
         request = ServiceRequest.from_params(
@@ -203,11 +209,11 @@ class TestDeadlineInPipeline:
         assert service.registry.info().pinned == 0
         service.close()
 
-    def test_client_timeout_override_is_clamped(self):
+    def test_client_timeout_override_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(resilience, "MAX_REQUEST_TIMEOUT", 0.1)
         service = make_service(
             ServiceConfig(
                 request_timeout=5.0,
-                max_request_timeout=0.1,
                 breaker_enabled=False,
             ),
             fault_injector=FaultInjector(rank_delay=1.0),
@@ -216,7 +222,7 @@ class TestDeadlineInPipeline:
         reply = service.rank({"tenant": ["alice"], "timeout": ["60"]})
         elapsed = time.monotonic() - started
         assert reply.status == 504
-        assert elapsed < 1.0  # clamped to max_request_timeout, not 60s
+        assert elapsed < 1.0  # clamped to MAX_REQUEST_TIMEOUT, not 60s
         service.close()
 
     # Expiring in the second column stops before the third; expiring in
@@ -471,21 +477,19 @@ class TestCircuitBreaker:
 # Breaker in the pipeline + stale serving
 # ---------------------------------------------------------------------------
 
-def breaker_config(**overrides) -> ServiceConfig:
-    defaults = dict(
-        breaker_min_requests=2,
-        breaker_failure_threshold=0.5,
-        breaker_window=60.0,
-        breaker_cooldown=60.0,
-    )
-    defaults.update(overrides)
-    return ServiceConfig(**defaults)
+#: A breaker that opens on the second failure and stays open.
+TRIGGER_HAPPY = dict(min_requests=2, failure_threshold=0.5, window=60.0, cooldown=60.0)
+
+
+def make_tuned_service(config=None, **kwargs) -> RankingService:
+    service = make_service(config, **kwargs)
+    tune_breaker(service, **TRIGGER_HAPPY)
+    return service
 
 
 class TestBreakerInPipeline:
     def test_repeated_engine_errors_open_and_shed(self):
-        service = make_service(
-            breaker_config(),
+        service = make_tuned_service(
             fault_injector=FaultInjector(rank_error_rate=1.0, seed=3),
         )
         for _ in range(2):
@@ -507,8 +511,7 @@ class TestBreakerInPipeline:
         service.close()
 
     def test_readiness_degrades_while_breaker_open(self):
-        service = make_service(
-            breaker_config(),
+        service = make_tuned_service(
             fault_injector=FaultInjector(rank_error_rate=1.0, seed=3),
         )
         status, body = service.readiness()
@@ -544,7 +547,7 @@ class TestBreakerInPipeline:
             clock=clock,
             rng=FixedRng(0.0),
         )
-        service = make_service(breaker_config(), **kwargs)
+        service = make_service(**kwargs)
         service.breaker = breaker
         breaker.record_failure("alice")
         breaker.record_failure("alice")
@@ -574,14 +577,8 @@ class TestBreakerInPipeline:
     def test_client_shortened_timeout_does_not_feed_the_breaker(self):
         # One hostile/misconfigured client spamming tiny timeouts must
         # not open the global circuit for every tenant.
-        service = make_service(
-            ServiceConfig(
-                request_timeout=5.0,
-                min_request_timeout=0.05,
-                breaker_min_requests=2,
-                breaker_window=60.0,
-                breaker_cooldown=60.0,
-            ),
+        service = make_tuned_service(
+            ServiceConfig(request_timeout=5.0),
             fault_injector=FaultInjector(
                 rank_delay=1.0, tenants=frozenset({"alice"})
             ),
@@ -598,15 +595,12 @@ class TestBreakerInPipeline:
 
 
 class TestStaleServing:
-    def make_stale_setup(self, ttl=5.0, **config_overrides):
+    def make_stale_setup(self, ttl=5.0, stale_max_age=600.0):
         clock = FakeClock()
         cache = InMemoryCacheAdapter(
-            max_entries=64, ttl=ttl, clock=clock, stale_grace=600.0
+            max_entries=64, ttl=ttl, clock=clock, stale_max_age=stale_max_age
         )
-        service = make_service(
-            breaker_config(**config_overrides), cache=cache
-        )
-        return service, clock
+        return make_tuned_service(cache=cache), clock
 
     def warm(self, service, context=("Weekend", "Breakfast")):
         request = {"tenant": ["alice"], "context": list(context), "top_k": ["3"]}
@@ -714,13 +708,45 @@ class TestStaleServing:
         assert not reply.body.get("stale")
         service.close()
 
-    def test_serve_stale_can_be_disabled(self):
-        service, clock = self.make_stale_setup(ttl=5.0, serve_stale=False)
+    def test_serve_stale_max_age_bounds_both_keeping_and_serving(self):
+        # As `repro serve --stale-max-age 600` builds its cache: the one
+        # bound keeps a body expired 400 s ago, so an error serves it.
+        args = build_parser().parse_args(["serve", "--stale-max-age", "600"])
+        clock = FakeClock()
+        cache = InMemoryCacheAdapter(
+            max_entries=args.cache_entries, clock=clock, stale_max_age=args.stale_max_age
+        )
+        service = make_service(cache=cache)
         request = self.warm(service)
-        clock.advance(10.0)
+        clock.advance(cache.ttl + 400.0)
         service.fault_injector = FaultInjector(rank_error_rate=1.0, seed=1)
         reply = service.rank(request)
-        assert reply.status == 500
+        assert reply.status == 200
+        assert reply.body["stale"] is True and reply.body["stale_reason"] == "error"
+        assert reply.body["stale_age_seconds"] == pytest.approx(400.0)
+        service.close()
+
+    def test_stale_max_age_zero_serves_nothing_stale(self):
+        service, clock = self.make_stale_setup(ttl=5.0, stale_max_age=0.0)
+        request = self.warm(service)
+        # A live exact body is no degraded-mode answer either.
+        hit = service.begin_rank(request)
+        assert hit.response.body["cached"] is True
+        assert service._try_stale(hit, "error") is None
+        service.fault_injector = FaultInjector(rank_error_rate=1.0, seed=1)
+        # No family fallback: same query shape, another context.
+        other = {"tenant": ["alice"], "context": ["Weekend"], "top_k": ["3"]}
+        assert service.rank(other).status == 500
+        # No expired exact body, and the breaker that error opened
+        # sheds without one too.
+        clock.advance(10.0)
+        shed = service.rank(request)
+        assert shed.status == 503 and "stale" not in shed.body
+        # The cache is never even asked.
+        counters = service.metrics.counters("resilience")
+        assert "stale_served" not in counters and "stale_miss" not in counters
+        assert service.cache.info().stale_misses == 0
+        assert service.metrics.outcomes().get("ok_stale") is None
         service.close()
 
 
@@ -811,21 +837,14 @@ class TestChaosHammer:
         """8 threads hammer a service with injected delays, errors and
         tight deadlines; whatever mix of 200/500/503/504 comes out,
         every session pin must return once the storm settles."""
-        config = ServiceConfig(
-            request_timeout=0.1,
-            stale_max_age=300.0,
-            breaker_enabled=True,
-            breaker_min_requests=10,
-            breaker_failure_threshold=0.6,
-            breaker_cooldown=0.2,
-        )
         service = make_service(
-            config,
+            ServiceConfig(request_timeout=0.1, breaker_enabled=True),
             cache=InMemoryCacheAdapter(max_entries=256, ttl=60.0),
             fault_injector=FaultInjector(
                 rank_delay=0.02, rank_error_rate=0.3, seed=11
             ),
         )
+        tune_breaker(service, min_requests=10, failure_threshold=0.6, cooldown=0.2)
         statuses = []
         lock = threading.Lock()
 

@@ -470,7 +470,6 @@ class TestSharedBasisPool:
                 target=world.target,
                 repository=world.repository,
             ),
-            freeze=False,
         )
         alice = with_axioms.session("alice")
         alice.install_context("Weekend", "Breakfast")

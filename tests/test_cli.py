@@ -118,14 +118,18 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--fault-rank-delay", "1"])
 
-    def test_serve_has_sixteen_flags(self):
+    def test_serve_has_thirteen_flags(self):
         # The gateway's one dispatch thread and its queue bound are
         # fixed: no flag tunes the off-loop width, and the registry is
-        # one table: no flag stripes it.
+        # one table: no flag stripes it.  The response cache is always
+        # the in-memory one, and --stale-max-age 0 is the only way to
+        # turn stale serving off.
         flags = set(vars(build_parser().parse_args(["serve"]))) - {"command"}
-        assert len(flags) == 16
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--shards", "8"])
+        assert len(flags) == 13
+        for gone in (["--shards", "8"], ["--cache", "none"], ["--cache-ttl", "60"],
+                     ["--no-stale"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", *gone])
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_serve_on_a_busy_port_clean_error(self, workers, capsys):

@@ -54,14 +54,42 @@ class TestPublicSurface:
 
 
 class TestServingKnobs:
-    """The serving stack's tunables, counted: a new knob edits this test."""
+    """The serving stack's knobs, by name: a new knob edits this test.
 
-    def test_service_config_has_eleven_fields(self):
+    A knob stays only while two of its values matter to an operator or
+    a second caller; any other setting is a module constant beside its
+    reason (``resilience.MAX_REQUEST_TIMEOUT``, ``aio.DRAIN_GRACE``, ...).
+    """
+
+    def test_service_config_fields(self):
         from dataclasses import fields
 
         from repro.service import ServiceConfig
 
-        assert len(fields(ServiceConfig)) == 11
+        assert [f.name for f in fields(ServiceConfig)] == [
+            "request_timeout", "breaker_enabled",
+        ]
+
+    def test_serve_options(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        options = [
+            option
+            for action in commands.choices["serve"]._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        ]
+        assert options == [
+            "--host", "--port", "--rules", "--max-sessions", "--request-timeout",
+            "--stale-max-age", "--no-breaker", "--batch-max-size", "--batch-max-wait-us",
+            "--workers", "--snapshot", "--journal", "--cache-entries",
+        ]
 
     def test_the_gateway_takes_one_keyword_option(self):
         import inspect
@@ -82,7 +110,7 @@ class TestServingKnobs:
 
         parameters = inspect.signature(TenantRegistry.__init__).parameters
         assert list(parameters) == [
-            "self", "world", "rules", "max_sessions", "freeze", "journal", "engine_options",
+            "self", "world", "rules", "max_sessions", "journal", "engine_options",
         ]
 
     def test_the_response_cache_takes_no_shard_count(self):
@@ -91,4 +119,20 @@ class TestServingKnobs:
         from repro.cache import InMemoryCacheAdapter
 
         parameters = inspect.signature(InMemoryCacheAdapter.__init__).parameters
-        assert list(parameters) == ["self", "max_entries", "ttl", "clock", "stale_grace"]
+        assert list(parameters) == ["self", "max_entries", "ttl", "clock", "stale_max_age"]
+
+    def test_the_drain_grace_is_one_constant(self):
+        import inspect
+
+        from repro.service import aio
+        from repro.service.fleet import FleetSupervisor
+
+        assert list(inspect.signature(aio.serve).parameters) == [
+            "service", "host", "port", "ready",
+        ]
+        assert list(inspect.signature(FleetSupervisor.__init__).parameters) == [
+            "self", "service_factory", "workers", "host", "port", "start_timeout",
+            "respawn_backoff", "respawn_backoff_max", "crash_loop_threshold",
+            "crash_loop_window",
+        ]
+        assert aio.DRAIN_GRACE == 5.0
